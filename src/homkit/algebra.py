@@ -13,8 +13,9 @@ from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import KindMismatchError, PreconditionError, ShapeError
+from .kernel import IntMatrix, IntTensor, common_denominator, sub, times
 from .linalg import Matrix, Vector, in_span
-from .reporting import CheckReport, CheckResult, Witness, concat, scan_identity
+from .reporting import CheckReport, CheckResult, scan_identity, scan_membership
 
 ASSOCIATIVE = "associative"
 LEIBNIZ = "leibniz"
@@ -171,45 +172,84 @@ def _triples(dim: int):
     return iproduct(range(dim), repeat=3)
 
 
+class _IntAlgebra:
+    """An algebra's twist and tables over their common denominator."""
+
+    __slots__ = ("dim", "d", "alpha", "tensors")
+
+    def __init__(self, alg: HomAlgebra):
+        tensors = alg.tensors()
+        self.dim = alg.dim
+        self.d = common_denominator(alg.alpha, *tensors.values())
+        self.alpha = IntMatrix(alg.alpha, self.d)
+        self.tensors = {name: IntTensor(t, self.d) for name, t in tensors.items()}
+
+
+def _multiplicative(a: _IntAlgebra) -> list[CheckResult]:
+    d, alpha = a.d, a.alpha
+    ac = alpha.cols
+    return [scan_identity(
+        f"multiplicative:{name}", _pairs(a.dim),
+        lambda i, j, mu=mu: sub(times(d, alpha.apply(mu.table[i][j])),
+                                mu.product(ac[i], ac[j])),
+        denominator=d ** 3) for name, mu in a.tensors.items()]
+
+
+def _hom_associative(mu: IntTensor, alpha: IntMatrix, d: int) -> CheckResult:
+    ac, table = alpha.cols, mu.table
+    return scan_identity(
+        "hom_associative", _triples(mu.dim),
+        lambda i, j, k: sub(mu.product(table[i][j], ac[k]),
+                            mu.product(ac[i], table[j][k])),
+        denominator=d ** 3)
+
+
+def _hom_leibniz(mu: IntTensor, alpha: IntMatrix, d: int) -> CheckResult:
+    ac, table = alpha.cols, mu.table
+    return scan_identity(
+        "hom_leibniz", _triples(mu.dim),
+        lambda i, j, k: sub(sub(mu.product(table[i][j], ac[k]),
+                                mu.product(ac[i], table[j][k])),
+                            mu.product(table[i][k], ac[j])),
+        denominator=d ** 3)
+
+
+def _poisson_compat(a: _IntAlgebra) -> CheckResult:
+    dot, br, ac = a.tensors["dot"], a.tensors["bracket"], a.alpha.cols
+    return scan_identity(
+        "poisson_compatibility", _triples(a.dim),
+        lambda i, j, k: sub(sub(br.product(dot.table[i][j], ac[k]),
+                                dot.product(ac[i], br.table[j][k])),
+                            dot.product(br.table[i][k], ac[j])),
+        denominator=a.d ** 3)
+
+
 def check_multiplicative(alg: HomAlgebra) -> CheckReport:
     """Is alpha an endomorphism for every product?
 
     Verifies ``alpha(mu(e_i, e_j)) = mu(alpha e_i, alpha e_j)`` on all
     basis pairs, separately for each table.
     """
-    alpha = alg.alpha
-    checks = []
-    for name, t in alg.tensors().items():
-        checks.append(scan_identity(
-            f"multiplicative:{name}", _pairs(alg.dim),
-            lambda i, j, t=t: alpha.apply(t.basis_product(i, j))
-            - t.product(alpha.col(i), alpha.col(j))))
-    return CheckReport(tuple(checks))
+    return CheckReport(tuple(_multiplicative(_IntAlgebra(alg))))
+
+
+def _tensor_and_twist(t: StructureTensor, alpha: Matrix):
+    if alpha.rows != t.dim or alpha.cols != t.dim:
+        raise ShapeError("twist map size differs from tensor dim")
+    d = common_denominator(t, alpha)
+    return IntTensor(t, d), IntMatrix(alpha, d), d
 
 
 def check_hom_associative(t: StructureTensor, alpha: Matrix) -> CheckReport:
     """Twisted associator test: ``mu(mu(x,y), alpha z) = mu(alpha x, mu(y,z))``
     on all basis triples."""
-    if alpha.rows != t.dim or alpha.cols != t.dim:
-        raise ShapeError("twist map size differs from tensor dim")
-    result = scan_identity(
-        "hom_associative", _triples(t.dim),
-        lambda i, j, k: t.product(t.basis_product(i, j), alpha.col(k))
-        - t.product(alpha.col(i), t.basis_product(j, k)))
-    return CheckReport((result,))
+    return CheckReport((_hom_associative(*_tensor_and_twist(t, alpha)),))
 
 
 def check_hom_leibniz(t: StructureTensor, alpha: Matrix) -> CheckReport:
     """Right Leibniz test: ``[[x,y], alpha z] = [alpha x, [y,z]] + [[x,z], alpha y]``
     on all basis triples."""
-    if alpha.rows != t.dim or alpha.cols != t.dim:
-        raise ShapeError("twist map size differs from tensor dim")
-    result = scan_identity(
-        "hom_leibniz", _triples(t.dim),
-        lambda i, j, k: t.product(t.basis_product(i, j), alpha.col(k))
-        - t.product(alpha.col(i), t.basis_product(j, k))
-        - t.product(t.basis_product(i, k), alpha.col(j)))
-    return CheckReport((result,))
+    return CheckReport((_hom_leibniz(*_tensor_and_twist(t, alpha)),))
 
 
 def check_poisson_compat(alg: HomAlgebra) -> CheckReport:
@@ -217,25 +257,20 @@ def check_poisson_compat(alg: HomAlgebra) -> CheckReport:
     ``[x.y, alpha z] = (alpha x).[y,z] + [x,z].(alpha y)`` on basis triples."""
     if alg.kind != POISSON:
         raise KindMismatchError("poisson compatibility needs a poisson algebra")
-    dot, br, alpha = alg.dot, alg.bracket, alg.alpha
-    result = scan_identity(
-        "poisson_compatibility", _triples(alg.dim),
-        lambda i, j, k: br.product(dot.basis_product(i, j), alpha.col(k))
-        - dot.product(alpha.col(i), br.basis_product(j, k))
-        - dot.product(br.basis_product(i, k), alpha.col(j)))
-    return CheckReport((result,))
+    return CheckReport((_poisson_compat(_IntAlgebra(alg)),))
 
 
 def check_algebra(alg: HomAlgebra) -> CheckReport:
     """All checks that apply to the algebra's kind, in a fixed order."""
-    reports = [check_multiplicative(alg)]
-    if alg.dot is not None:
-        reports.append(check_hom_associative(alg.dot, alg.alpha))
-    if alg.bracket is not None:
-        reports.append(check_hom_leibniz(alg.bracket, alg.alpha))
+    a = _IntAlgebra(alg)
+    checks = _multiplicative(a)
+    if "dot" in a.tensors:
+        checks.append(_hom_associative(a.tensors["dot"], a.alpha, a.d))
+    if "bracket" in a.tensors:
+        checks.append(_hom_leibniz(a.tensors["bracket"], a.alpha, a.d))
     if alg.kind == POISSON:
-        reports.append(check_poisson_compat(alg))
-    return concat(*reports)
+        checks.append(_poisson_compat(a))
+    return CheckReport(tuple(checks))
 
 
 def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
@@ -248,17 +283,23 @@ def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
         raise KindMismatchError("morphism endpoints must have the same kind")
     if f.cols != src.dim or f.rows != dst.dim:
         raise ShapeError("morphism matrix shape must be dst.dim x src.dim")
-    checks = [scan_identity(
-        "intertwines_twist", ((j,) for j in range(src.dim)),
-        lambda j: f.apply(src.alpha.col(j)) - dst.alpha.apply(f.col(j)))]
     src_tensors = src.tensors()
     dst_tensors = dst.tensors()
+    d = common_denominator(f, src.alpha, dst.alpha,
+                           *src_tensors.values(), *dst_tensors.values())
+    fi = IntMatrix(f, d)
+    src_alpha, dst_alpha = IntMatrix(src.alpha, d), IntMatrix(dst.alpha, d)
+    checks = [scan_identity(
+        "intertwines_twist", ((j,) for j in range(src.dim)),
+        lambda j: sub(fi.apply(src_alpha.cols[j]), dst_alpha.apply(fi.cols[j])),
+        denominator=d ** 2)]
     for name in src_tensors:
-        ts, td = src_tensors[name], dst_tensors[name]
+        ts, td = IntTensor(src_tensors[name], d), IntTensor(dst_tensors[name], d)
         checks.append(scan_identity(
             f"preserves:{name}", _pairs(src.dim),
-            lambda i, j, ts=ts, td=td: f.apply(ts.basis_product(i, j))
-            - td.product(f.col(i), f.col(j))))
+            lambda i, j, ts=ts, td=td: sub(times(d, fi.apply(ts.table[i][j])),
+                                           td.product(fi.cols[i], fi.cols[j])),
+            denominator=d ** 3))
     return CheckReport(tuple(checks))
 
 
@@ -282,27 +323,18 @@ def check_ideal(basis: Sequence[Vector], alg: HomAlgebra) -> CheckReport:
     def member(v: Vector) -> bool:
         return in_span(vecs, v)
 
-    checks = []
-
-    def scan_membership(name, indices, value):
-        for idx in indices:
-            v = value(*idx)
-            if not member(v):
-                return CheckResult(name, False, Witness(tuple(idx), v))
-        return CheckResult(name, True)
-
-    checks.append(scan_membership(
+    checks = [scan_membership(
         "twist_stable", ((b,) for b in range(len(vecs))),
-        lambda b: alg.alpha.apply(vecs[b])))
+        lambda b: alg.alpha.apply(vecs[b]), member)]
     for name, t in alg.tensors().items():
         checks.append(scan_membership(
             f"closed_right:{name}",
             iproduct(range(len(vecs)), range(alg.dim)),
-            lambda b, a, t=t: t.product(vecs[b], Vector.unit(alg.dim, a))))
+            lambda b, a, t=t: t.product(vecs[b], Vector.unit(alg.dim, a)), member))
         checks.append(scan_membership(
             f"closed_left:{name}",
             iproduct(range(len(vecs)), range(alg.dim)),
-            lambda b, a, t=t: t.product(Vector.unit(alg.dim, a), vecs[b])))
+            lambda b, a, t=t: t.product(Vector.unit(alg.dim, a), vecs[b]), member))
     return CheckReport(tuple(checks))
 
 

@@ -44,6 +44,7 @@ in lowest terms; parsing a serialized document reproduces it exactly.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -217,6 +218,15 @@ class _Parser:
         self.advance()
         return int(tok.text)
 
+    def parse_dim(self, what: str) -> int:
+        """A dimension; one beyond the platform's index range is a parse
+        error at its token, since no list of that length can exist."""
+        tok = self.peek()
+        dim = self.parse_int(what)
+        if dim > sys.maxsize:
+            self.fail(f"dimension {dim} is too large to index", tok)
+        return dim
+
     def parse_lincomb(self) -> list[tuple[Fraction, Token]]:
         """Terms as (coefficient, basis-symbol token); a lone 0 is empty."""
         terms: list[tuple[Fraction, Token]] = []
@@ -312,7 +322,7 @@ class _Parser:
                 self.fail(f"duplicate field {field.text!r}", field)
             seen.add(field.text)
             if field.text == "dim":
-                dim = self.parse_int("the dimension")
+                dim = self.parse_dim("the dimension")
             elif field.text == "kind":
                 ktok = self.expect_name("a kind")
                 if ktok.text not in KIND_TOKENS:
@@ -437,7 +447,7 @@ class _Parser:
             if field.text == "dim":
                 if dim is not None:
                     self.fail("duplicate field 'dim'", field)
-                dim = self.parse_int("the carrier dimension")
+                dim = self.parse_dim("the carrier dimension")
             elif field.text == "phi":
                 if phi_entries:
                     self.fail("duplicate field 'phi'", field)

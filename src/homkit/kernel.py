@@ -1,0 +1,166 @@
+"""Exact integer kernel for the identity checkers.
+
+A check first fixes one common denominator ``D``: the least common
+multiple of the denominators of every rational constant it reads
+(structure tables, twists, action families, operators, weights).  Each
+constant times ``D`` is an ``int``, so a term of an identity that
+multiplies ``d`` constants is an ``int`` multiple of ``1/D**d``.  An
+identity whose terms have degree at most ``k`` multiplies every
+lower-degree term up by the missing powers of ``D`` and compares pure
+``int`` lists; the exact rational residual is that list over ``D**k``,
+and :func:`homkit.reporting.scan_identity` builds it only for a witness.
+
+Vectors are ``list[int]``, matrices are lists of ``int`` rows.  The
+column convention of :mod:`homkit.linalg` holds unchanged.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import mul
+
+from .linalg import Matrix
+
+
+def _entries(part):
+    if part is None:
+        return ()
+    if isinstance(part, (Fraction, int)):
+        return (part,)
+    if isinstance(part, Matrix):
+        return chain.from_iterable(part.entries)
+    if hasattr(part, "table"):  # a structure tensor
+        return (q for row in part.table for v in row for q in v.entries)
+    if hasattr(part, "mats"):  # an action tensor
+        return (q for m in part.mats for row in m.entries for q in row)
+    raise TypeError(f"no rational entries in {type(part).__name__}")
+
+
+def common_denominator(*parts) -> int:
+    """Least common multiple of the denominators of every entry of the
+    given rationals, matrices, structure tensors and action tensors
+    (``None`` parts are skipped)."""
+    return lcm(*{q.denominator for part in parts for q in _entries(part)})
+
+
+def scale(values, d: int) -> list[int]:
+    """``d`` times each rational of ``values``; ``d`` must be a multiple
+    of every denominator."""
+    return [q.numerator * (d // q.denominator) for q in values]
+
+
+def unit(dim: int, index: int) -> list[int]:
+    out = [0] * dim
+    out[index] = 1
+    return out
+
+
+def add(a: list[int], b: list[int]) -> list[int]:
+    return [x + y for x, y in zip(a, b)]
+
+
+def sub(a: list[int], b: list[int]) -> list[int]:
+    return [x - y for x, y in zip(a, b)]
+
+
+def times(c: int, a: list[int]) -> list[int]:
+    return [c * x for x in a]
+
+
+def mat_vec(rows: list[list[int]], v: list[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in rows]
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def mat_add(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def mat_sub(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def mat_times(c: int, a: list[list[int]]) -> list[list[int]]:
+    return [[c * x for x in r] for r in a]
+
+
+class IntMatrix:
+    """A matrix times ``D``, as rows and as columns."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, m: Matrix, d: int):
+        self.rows = [scale(row, d) for row in m.entries]
+        self.cols = [[row[j] for row in self.rows] for j in range(m.cols)]
+
+    def apply(self, v: list[int]) -> list[int]:
+        return mat_vec(self.rows, v)
+
+
+class IntTensor:
+    """A structure tensor times ``D``: ``table[i][j]`` is ``D mu(e_i, e_j)``,
+    and :meth:`product` runs over its nonzero entries only."""
+
+    __slots__ = ("dim", "table", "_nonzero")
+
+    def __init__(self, t, d: int):
+        self.dim = t.dim
+        self.table = [[scale(v.entries, d) for v in row] for row in t.table]
+        self._nonzero = [
+            [(j, [(k, c) for k, c in enumerate(v) if c])
+             for j, v in enumerate(row) if any(v)]
+            for row in self.table]
+
+    def product(self, x: list[int], y: list[int]) -> list[int]:
+        """Bilinear extension of the table; its degree is one more than
+        the degrees of ``x`` and ``y`` together."""
+        out = [0] * self.dim
+        for xi, row in zip(x, self._nonzero):
+            if xi:
+                for j, terms in row:
+                    yj = y[j]
+                    if yj:
+                        c = xi * yj
+                        for k, tk in terms:
+                            out[k] += c * tk
+        return out
+
+
+class IntAction:
+    """An action tensor times ``D``: ``mats[i]`` as rows, ``cols[i]`` as
+    columns, and :meth:`at` for its linear extension."""
+
+    __slots__ = ("size", "mats", "cols", "_flat")
+
+    def __init__(self, a, d: int):
+        self.size = a.carrier_dim
+        mats = [IntMatrix(m, d) for m in a.mats]
+        self.mats = [m.rows for m in mats]
+        self.cols = [m.cols for m in mats]
+        self._flat = [list(chain.from_iterable(rows)) for rows in self.mats]
+
+    def _sum(self, x: list[int]) -> list[int]:
+        acc = [0] * (self.size * self.size)
+        for xi, flat in zip(x, self._flat):
+            if xi:
+                acc = [a + xi * b for a, b in zip(acc, flat)]
+        return acc
+
+    def at(self, x: list[int]) -> list[list[int]]:
+        """Rows of ``sum_i x_i mats[i]``; its degree is one more than the
+        degree of ``x``."""
+        m = self.size
+        acc = self._sum(x)
+        return [acc[r * m:(r + 1) * m] for r in range(m)]
+
+    def at_cols(self, x: list[int]) -> list[list[int]]:
+        """Columns of :meth:`at`."""
+        m = self.size
+        acc = self._sum(x)
+        return [acc[c::m] for c in range(m)]

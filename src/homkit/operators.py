@@ -16,15 +16,20 @@ that satisfy the product identity but not the twist compatibility.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iproduct
 
 from .algebra import HomAlgebra, StructureTensor, check_morphism
 from .errors import PreconditionError, ShapeError
+from .kernel import (
+    IntAction, IntMatrix, IntTensor, add, common_denominator, scale, sub, times,
+    unit,
+)
 from .linalg import Matrix, Vector, frac, solve_linear
 from .representation import (
     ActionTensor, Representation, check_representation, semidirect_product,
 )
-from .reporting import CheckReport, CheckResult, Witness, scan_identity
+from .reporting import CheckReport, scan_identity, scan_membership
 
 
 class OperatorContext:
@@ -48,6 +53,30 @@ class OperatorContext:
         raise AttributeError("OperatorContext is immutable")
 
 
+def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str, inner,
+                     weight: Fraction = Fraction(0)) -> CheckReport:
+    """``op alpha = alpha op``, then per table ``name:<table>``, the
+    identity ``mu(op e_i, op e_j) = op(inner(mu, op, w, i, j))`` on all
+    basis pairs; ``inner`` returns a degree-2 term and ``w`` is the weight
+    times the common denominator."""
+    tensors = alg.tensors()
+    d = common_denominator(alg.alpha, op, weight, *tensors.values())
+    o, alpha = IntMatrix(op, d), IntMatrix(alg.alpha, d)
+    checks = [scan_identity(
+        "twist_commute", ((j,) for j in range(alg.dim)),
+        lambda j: sub(o.apply(alpha.cols[j]), alpha.apply(o.cols[j])),
+        denominator=d ** 2)]
+    (w,) = scale((weight,), d)
+    for tname, t in tensors.items():
+        mu = IntTensor(t, d)
+        checks.append(scan_identity(
+            f"{name}:{tname}", iproduct(range(alg.dim), repeat=2),
+            lambda i, j, mu=mu: sub(mu.product(o.cols[i], o.cols[j]),
+                                    o.apply(inner(mu, o, w, i, j))),
+            denominator=d ** 3))
+    return CheckReport(tuple(checks))
+
+
 def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
     """Weight-lambda Rota-Baxter test for a self-map, per table:
     ``mu(Rx, Ry) = R(mu(Rx, y) + mu(x, Ry) + weight mu(x, y))``,
@@ -55,29 +84,25 @@ def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
     weight = frac(weight)
     if not r.is_square() or r.rows != alg.dim:
         raise ShapeError("operator must be square of the algebra dim")
-    checks = [scan_identity(
-        "twist_commute", ((j,) for j in range(alg.dim)),
-        lambda j: r.apply(alg.alpha.col(j)) - alg.alpha.apply(r.col(j)))]
-    for name, t in alg.tensors().items():
-        def residual(i, j, t=t):
-            ri, rj = r.col(i), r.col(j)
-            ei, ej = Vector.unit(alg.dim, i), Vector.unit(alg.dim, j)
-            inner = (t.product(ri, ej) + t.product(ei, rj)
-                     + t.basis_product(i, j).scale(weight))
-            return t.product(ri, rj) - r.apply(inner)
-        checks.append(scan_identity(
-            f"rota_baxter:{name}", iproduct(range(alg.dim), repeat=2), residual))
-    return CheckReport(tuple(checks))
+    n = alg.dim
+
+    def inner(mu, o, w, i, j):
+        return add(add(mu.product(o.cols[i], unit(n, j)),
+                       mu.product(unit(n, i), o.cols[j])),
+                   times(w, mu.table[i][j]))
+
+    return _self_map_checks(alg, r, "rota_baxter", inner, weight)
 
 
-def _split_residual(ctx: OperatorContext, tensor: StructureTensor,
-                    left: ActionTensor, right: ActionTensor):
-    t = ctx.t
+def _split_residual(t: IntMatrix, tensor: IntTensor, left: IntAction,
+                    right: IntAction):
+    # act(T e_i) for every carrier index, as columns (degree 2).
+    lefts = [left.at_cols(tu) for tu in t.cols]
+    rights = [right.at_cols(tv) for tv in t.cols]
 
     def residual(i, j):
-        tu, tv = t.col(i), t.col(j)
-        inner = left.at(tu).col(j) + right.at(tv).col(i)
-        return tensor.product(tu, tv) - t.apply(inner)
+        inner = add(lefts[i][j], rights[j][i])
+        return sub(tensor.product(t.cols[i], t.cols[j]), t.apply(inner))
 
     return residual
 
@@ -85,19 +110,25 @@ def _split_residual(ctx: OperatorContext, tensor: StructureTensor,
 def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
     """Relative Rota-Baxter test: ``T phi = alpha T`` plus, per table,
     ``mu(Tu, Tv) = T(act_l(Tu) v + act_r(Tv) u)`` on all carrier pairs."""
-    alg, rep, t = ctx.alg, ctx.rep, ctx.t
+    alg, rep = ctx.alg, ctx.rep
+    tensors, actions = alg.tensors(), rep.actions()
+    d = common_denominator(ctx.t, alg.alpha, rep.phi, *tensors.values(),
+                           *actions.values())
+    t, phi, alpha = IntMatrix(ctx.t, d), IntMatrix(rep.phi, d), IntMatrix(alg.alpha, d)
     checks = [scan_identity(
         "intertwines_twist", ((j,) for j in range(rep.carrier_dim)),
-        lambda j: t.apply(rep.phi.col(j)) - alg.alpha.apply(t.col(j)))]
+        lambda j: sub(t.apply(phi.cols[j]), alpha.apply(t.cols[j])),
+        denominator=d ** 2)]
     m = rep.carrier_dim
-    if alg.dot is not None:
-        checks.append(scan_identity(
-            "splits:dot", iproduct(range(m), repeat=2),
-            _split_residual(ctx, alg.dot, rep.lambda_l, rep.lambda_r)))
-    if alg.bracket is not None:
-        checks.append(scan_identity(
-            "splits:bracket", iproduct(range(m), repeat=2),
-            _split_residual(ctx, alg.bracket, rep.rho_l, rep.rho_r)))
+    for name, left, right in (("dot", "lambda_l", "lambda_r"),
+                              ("bracket", "rho_l", "rho_r")):
+        if name in tensors:
+            checks.append(scan_identity(
+                f"splits:{name}", iproduct(range(m), repeat=2),
+                _split_residual(t, IntTensor(tensors[name], d),
+                                IntAction(actions[left], d),
+                                IntAction(actions[right], d)),
+                denominator=d ** 3))
     return CheckReport(tuple(checks))
 
 
@@ -119,8 +150,10 @@ def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
     m = rep.carrier_dim
 
     def build(left: ActionTensor, right: ActionTensor) -> StructureTensor:
+        lefts = [left.at(t.col(i)) for i in range(m)]
+        rights = [right.at(t.col(j)) for j in range(m)]
         return StructureTensor.from_function(
-            m, lambda i, j: left.at(t.col(i)).col(j) + right.at(t.col(j)).col(i))
+            m, lambda i, j: lefts[i].col(j) + rights[j].col(i))
 
     dot = bracket = None
     if ctx.alg.dot is not None:
@@ -233,19 +266,14 @@ def check_nijenhuis(alg: HomAlgebra, n: Matrix) -> CheckReport:
     ``mu(Nx, Ny) = N(mu(Nx, y) + mu(x, Ny) - N mu(x, y))`` per table."""
     if not n.is_square() or n.rows != alg.dim:
         raise ShapeError("operator must be square of the algebra dim")
-    checks = [scan_identity(
-        "twist_commute", ((j,) for j in range(alg.dim)),
-        lambda j: n.apply(alg.alpha.col(j)) - alg.alpha.apply(n.col(j)))]
-    for name, t in alg.tensors().items():
-        def residual(i, j, t=t):
-            ni, nj = n.col(i), n.col(j)
-            ei, ej = Vector.unit(alg.dim, i), Vector.unit(alg.dim, j)
-            inner = (t.product(ni, ej) + t.product(ei, nj)
-                     - n.apply(t.basis_product(i, j)))
-            return t.product(ni, nj) - n.apply(inner)
-        checks.append(scan_identity(
-            f"torsion_free:{name}", iproduct(range(alg.dim), repeat=2), residual))
-    return CheckReport(tuple(checks))
+    dim = alg.dim
+
+    def inner(mu, o, w, i, j):
+        return sub(add(mu.product(o.cols[i], unit(dim, j)),
+                       mu.product(unit(dim, i), o.cols[j])),
+                   o.apply(mu.table[i][j]))
+
+    return _self_map_checks(alg, n, "torsion_free", inner)
 
 
 def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlgebra:
@@ -292,20 +320,13 @@ def graph_check(ctx: OperatorContext) -> CheckReport:
             return v.is_zero()
         return solve_linear(span, v) is not None
 
-    def scan_membership(name, indices, value):
-        for idx in indices:
-            v = value(*idx)
-            if not member(v):
-                return CheckResult(name, False, Witness(tuple(idx), v))
-        return CheckResult(name, True)
-
     checks = [scan_membership(
         "graph_twist_stable", ((i,) for i in range(m)),
-        lambda i: sd.alpha.apply(graph_cols[i]))]
+        lambda i: sd.alpha.apply(graph_cols[i]), member)]
     for name, t in sd.tensors().items():
         checks.append(scan_membership(
             f"graph_closed:{name}", iproduct(range(m), repeat=2),
-            lambda i, j, t=t: t.product(graph_cols[i], graph_cols[j])))
+            lambda i, j, t=t: t.product(graph_cols[i], graph_cols[j]), member))
     return CheckReport(tuple(checks))
 
 

@@ -9,6 +9,7 @@ offending value itself).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .linalg import Vector, format_lincomb
@@ -73,31 +74,53 @@ def concat(*reports: CheckReport) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
+def _witness_vector(residual, denominator: int) -> Vector:
+    return Vector(Fraction(r, denominator) for r in residual)
+
+
 def scan_identity(name: str, indices: Iterable[tuple[int, ...]],
-                  residual: Callable[..., Vector]) -> CheckResult:
+                  residual: Callable[..., list[int]], *,
+                  denominator: int = 1) -> CheckResult:
     """Evaluate ``residual`` on every index tuple; record the first failure.
 
+    ``residual`` returns the exact residual times ``denominator`` as a list
+    of ints (see :mod:`homkit.kernel`); only a witness divides it back.
     The scan order of ``indices`` must be lexicographic so that reported
     witnesses are deterministic.
     """
     for idx in indices:
         r = residual(*idx)
-        if not r.is_zero():
-            return CheckResult(name, False, Witness(tuple(idx), r))
+        if any(r):
+            return CheckResult(name, False,
+                               Witness(tuple(idx), _witness_vector(r, denominator)))
     return CheckResult(name, True)
 
 
 def scan_operator_identity(name: str, indices: Iterable[tuple[int, ...]],
-                           difference: Callable) -> CheckResult:
+                           difference: Callable[..., list[list[int]]], *,
+                           denominator: int = 1) -> CheckResult:
     """Like :func:`scan_identity` for operator equalities.
 
-    ``difference`` returns a matrix; on failure the witness appends the
-    first carrier index whose column is nonzero.
+    ``difference`` returns the rows of an int matrix; on failure the
+    witness appends the first carrier index whose column is nonzero.
     """
     for idx in indices:
         d = difference(*idx)
-        for k in range(d.cols):
-            col = d.col(k)
-            if not col.is_zero():
-                return CheckResult(name, False, Witness(tuple(idx) + (k,), col))
+        if any(map(any, d)):
+            for k, col in enumerate(zip(*d)):
+                if any(col):
+                    return CheckResult(name, False, Witness(
+                        tuple(idx) + (k,), _witness_vector(col, denominator)))
+    return CheckResult(name, True)
+
+
+def scan_membership(name: str, indices: Iterable[tuple[int, ...]],
+                    value: Callable[..., Vector],
+                    member: Callable[[Vector], bool]) -> CheckResult:
+    """Record the first index tuple whose ``value`` is not a ``member``;
+    the witness residual is that value itself."""
+    for idx in indices:
+        v = value(*idx)
+        if not member(v):
+            return CheckResult(name, False, Witness(tuple(idx), v))
     return CheckResult(name, True)

@@ -21,6 +21,10 @@ from .algebra import (
     check_ideal, check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
+from .kernel import (
+    IntAction, IntMatrix, IntTensor, common_denominator, mat_add, mat_mul,
+    mat_sub, mat_times,
+)
 from .linalg import Matrix, Vector, solve_linear
 from .reporting import CheckReport, scan_operator_identity
 
@@ -53,11 +57,10 @@ class ActionTensor:
     def at(self, x: Vector) -> Matrix:
         if x.dim != self.base_dim:
             raise ShapeError("action argument must have the base dimension")
-        out = Matrix.zero(self.carrier_dim, self.carrier_dim)
-        for i, xi in enumerate(x.entries):
-            if xi != 0:
-                out = out + self.mats[i].scale(xi)
-        return out
+        terms = [(xi, m.entries) for xi, m in zip(x.entries, self.mats) if xi]
+        size = self.carrier_dim
+        return Matrix([[sum(xi * rows[r][c] for xi, rows in terms if rows[r][c])
+                        for c in range(size)] for r in range(size)], size, size)
 
     def precompose(self, beta: Matrix) -> "ActionTensor":
         """New family x -> at(beta x)."""
@@ -164,77 +167,82 @@ def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     consistency check.
     """
     _require_match(rep, alg)
-    alpha, phi = alg.alpha, rep.phi
     n = alg.dim
+    tensors, actions = alg.tensors(), rep.actions()
+    d = common_denominator(alg.alpha, rep.phi, *tensors.values(), *actions.values())
+    alpha = IntMatrix(alg.alpha, d).cols
+    phi = IntMatrix(rep.phi, d).rows
+    table = {name: IntTensor(t, d).table for name, t in tensors.items()}
+    act = {name: IntAction(t, d) for name, t in actions.items()}
+    # x -> act(alpha x), degree 2, for every action family and basis index.
+    twisted = {name: [a.at(alpha[i]) for i in range(n)] for name, a in act.items()}
     checks = []
 
+    def scan(name, indices, difference):
+        checks.append(scan_operator_identity(name, indices, difference,
+                                             denominator=d ** 3))
+
+    def commutes(name, family):
+        a, ta = act[family].mats, twisted[family]
+        scan(name, ((i,) for i in range(n)),
+             lambda i: mat_sub(mat_times(d, mat_mul(phi, a[i])), mat_mul(ta[i], phi)))
+
+    def at_phi(family, v):
+        return mat_mul(act[family].at(v), phi)
+
+    def pairs():
+        return iproduct(range(n), repeat=2)
+
     if rep.kind in (ASSOCIATIVE, POISSON):
-        dot, ll, lr = alg.dot, rep.lambda_l, rep.lambda_r
-        checks.append(scan_operator_identity(
-            "phi_commutes_left_mult", ((i,) for i in range(n)),
-            lambda i: phi @ ll.mats[i] - ll.at(alpha.col(i)) @ phi))
-        checks.append(scan_operator_identity(
-            "phi_commutes_right_mult", ((i,) for i in range(n)),
-            lambda i: phi @ lr.mats[i] - lr.at(alpha.col(i)) @ phi))
-        checks.append(scan_operator_identity(
-            "left_mult_composition", iproduct(range(n), repeat=2),
-            lambda i, j: ll.at(dot.basis_product(i, j)) @ phi
-            - ll.at(alpha.col(i)) @ ll.mats[j]))
-        checks.append(scan_operator_identity(
-            "right_mult_composition", iproduct(range(n), repeat=2),
-            lambda i, j: lr.at(dot.basis_product(i, j)) @ phi
-            - lr.at(alpha.col(j)) @ lr.mats[i]))
-        checks.append(scan_operator_identity(
-            "left_right_mult_commute", iproduct(range(n), repeat=2),
-            lambda i, j: ll.at(alpha.col(i)) @ lr.mats[j]
-            - lr.at(alpha.col(j)) @ ll.mats[i]))
+        dot = table["dot"]
+        ll, lr = act["lambda_l"].mats, act["lambda_r"].mats
+        tll, tlr = twisted["lambda_l"], twisted["lambda_r"]
+        commutes("phi_commutes_left_mult", "lambda_l")
+        commutes("phi_commutes_right_mult", "lambda_r")
+        scan("left_mult_composition", pairs(),
+             lambda i, j: mat_sub(at_phi("lambda_l", dot[i][j]),
+                                  mat_mul(tll[i], ll[j])))
+        scan("right_mult_composition", pairs(),
+             lambda i, j: mat_sub(at_phi("lambda_r", dot[i][j]),
+                                  mat_mul(tlr[j], lr[i])))
+        scan("left_right_mult_commute", pairs(),
+             lambda i, j: mat_sub(mat_mul(tll[i], lr[j]), mat_mul(tlr[j], ll[i])))
 
     if rep.kind in (LEIBNIZ, POISSON):
-        br, rl, rr = alg.bracket, rep.rho_l, rep.rho_r
-        checks.append(scan_operator_identity(
-            "phi_commutes_left_bracket", ((i,) for i in range(n)),
-            lambda i: phi @ rl.mats[i] - rl.at(alpha.col(i)) @ phi))
-        checks.append(scan_operator_identity(
-            "phi_commutes_right_bracket", ((i,) for i in range(n)),
-            lambda i: phi @ rr.mats[i] - rr.at(alpha.col(i)) @ phi))
-        checks.append(scan_operator_identity(
-            "left_bracket_composition", iproduct(range(n), repeat=2),
-            lambda i, j: rl.at(br.basis_product(i, j)) @ phi
-            - rl.at(alpha.col(i)) @ rl.mats[j]
-            - rr.at(alpha.col(j)) @ rl.mats[i]))
-        checks.append(scan_operator_identity(
-            "mixed_bracket_exchange", iproduct(range(n), repeat=2),
-            lambda i, j: rr.at(alpha.col(j)) @ rl.mats[i]
-            - rl.at(alpha.col(i)) @ rr.mats[j]
-            - rl.at(br.basis_product(i, j)) @ phi))
-        checks.append(scan_operator_identity(
-            "right_bracket_composition", iproduct(range(n), repeat=2),
-            lambda i, j: rr.at(alpha.col(j)) @ rr.mats[i]
-            - rr.at(br.basis_product(i, j)) @ phi
-            - rr.at(alpha.col(i)) @ rr.mats[j]))
-        checks.append(scan_operator_identity(
-            "right_bracket_antisymmetry", iproduct(range(n), repeat=2),
-            lambda i, j: rr.at(br.basis_product(i, j)) @ phi
-            + rr.at(br.basis_product(j, i)) @ phi))
+        br = table["bracket"]
+        rl, rr = act["rho_l"].mats, act["rho_r"].mats
+        trl, trr = twisted["rho_l"], twisted["rho_r"]
+        commutes("phi_commutes_left_bracket", "rho_l")
+        commutes("phi_commutes_right_bracket", "rho_r")
+        scan("left_bracket_composition", pairs(),
+             lambda i, j: mat_sub(mat_sub(at_phi("rho_l", br[i][j]),
+                                          mat_mul(trl[i], rl[j])),
+                                  mat_mul(trr[j], rl[i])))
+        scan("mixed_bracket_exchange", pairs(),
+             lambda i, j: mat_sub(mat_sub(mat_mul(trr[j], rl[i]),
+                                          mat_mul(trl[i], rr[j])),
+                                  at_phi("rho_l", br[i][j])))
+        scan("right_bracket_composition", pairs(),
+             lambda i, j: mat_sub(mat_sub(mat_mul(trr[j], rr[i]),
+                                          at_phi("rho_r", br[i][j])),
+                                  mat_mul(trr[i], rr[j])))
+        scan("right_bracket_antisymmetry", pairs(),
+             lambda i, j: mat_add(at_phi("rho_r", br[i][j]),
+                                  at_phi("rho_r", br[j][i])))
 
     if rep.kind == POISSON:
-        dot, br = alg.dot, alg.bracket
-        ll, lr, rl, rr = rep.lambda_l, rep.lambda_r, rep.rho_l, rep.rho_r
-        checks.append(scan_operator_identity(
-            "bracket_acts_on_left_mult", iproduct(range(n), repeat=2),
-            lambda i, j: rr.at(alpha.col(j)) @ ll.mats[i]
-            - ll.at(alpha.col(i)) @ rr.mats[j]
-            - ll.at(br.basis_product(i, j)) @ phi))
-        checks.append(scan_operator_identity(
-            "bracket_acts_on_right_mult", iproduct(range(n), repeat=2),
-            lambda i, j: rr.at(alpha.col(j)) @ lr.mats[i]
-            - lr.at(br.basis_product(i, j)) @ phi
-            - lr.at(alpha.col(i)) @ rr.mats[j]))
-        checks.append(scan_operator_identity(
-            "left_bracket_of_product", iproduct(range(n), repeat=2),
-            lambda i, j: rl.at(dot.basis_product(i, j)) @ phi
-            - ll.at(alpha.col(i)) @ rl.mats[j]
-            - lr.at(alpha.col(j)) @ rl.mats[i]))
+        scan("bracket_acts_on_left_mult", pairs(),
+             lambda i, j: mat_sub(mat_sub(mat_mul(trr[j], ll[i]),
+                                          mat_mul(tll[i], rr[j])),
+                                  at_phi("lambda_l", br[i][j])))
+        scan("bracket_acts_on_right_mult", pairs(),
+             lambda i, j: mat_sub(mat_sub(mat_mul(trr[j], lr[i]),
+                                          at_phi("lambda_r", br[i][j])),
+                                  mat_mul(tlr[i], rr[j])))
+        scan("left_bracket_of_product", pairs(),
+             lambda i, j: mat_sub(mat_sub(at_phi("rho_l", dot[i][j]),
+                                          mat_mul(tll[i], rl[j])),
+                                  mat_mul(tlr[j], rl[i])))
 
     return CheckReport(tuple(checks))
 
@@ -296,28 +304,39 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
     return Representation(src.kind, n, m, dst.alpha, **kw)
 
 
+def _require_self_morphism(beta: Matrix, alg: HomAlgebra) -> None:
+    report = check_morphism(beta, alg, alg)
+    if not report.passed:
+        raise PreconditionError(
+            "twisting map is not a self-morphism: "
+            + "; ".join(c.render() for c in report.failures()))
+
+
 def twist_representation(rep: Representation, beta: Matrix, alg: HomAlgebra,
                          checked: bool = True) -> Representation:
     """Precompose every action family with a self-morphism beta of the base
     algebra: new action ``x -> lambda(beta x)``; phi unchanged."""
     _require_match(rep, alg)
     if checked:
-        report = check_morphism(beta, alg, alg)
-        if not report.passed:
-            raise PreconditionError(
-                "twisting map is not a self-morphism: "
-                + "; ".join(c.render() for c in report.failures()))
+        _require_self_morphism(beta, alg)
     kw = {name: t.precompose(beta) for name, t in rep.actions().items()}
     return Representation(rep.kind, rep.base_dim, rep.carrier_dim, rep.phi, **kw)
 
 
 def power_twist_representation(rep: Representation, alg: HomAlgebra,
                                n: int) -> Representation:
-    """Precompose every action with the n-th power of the algebra twist."""
-    out = rep
-    for _ in range(n):
-        out = twist_representation(out, alg.alpha, alg)
-    return out
+    """Precompose every action with the n-th power of the algebra twist.
+
+    The twist is checked to be a self-morphism once, for ``n >= 1``;
+    ``n <= 0`` returns ``rep`` itself."""
+    if n < 1:
+        return rep
+    _require_match(rep, alg)
+    _require_self_morphism(alg.alpha, alg)
+    power = alg.alpha
+    for _ in range(n - 1):
+        power = power @ alg.alpha
+    return twist_representation(rep, power, alg, checked=False)
 
 
 def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,

@@ -1,0 +1,547 @@
+"""Reference implementations of every identity checker, kept for the
+differential tests in ``test_kernel.py``.
+
+These are the checkers as they were written before the integer kernel:
+each residual is evaluated with ``Fraction`` vectors and matrices through
+``StructureTensor.product``, ``ActionTensor.at`` and ``Matrix`` arithmetic,
+and scanned by the ``Vector``-returning scans below.  The package's own
+checkers must give ``==`` reports: the same names, pass flags, witness
+tuples and exact residual vectors.
+"""
+
+from __future__ import annotations
+
+from itertools import product as iproduct
+from typing import Callable, Iterable
+
+from homkit.algebra import (
+    ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor,
+)
+from homkit.errors import KindMismatchError, PreconditionError, ShapeError
+from homkit.linalg import Matrix, Vector, frac
+from homkit.matched import MatchedPair
+from homkit.operators import OperatorContext
+from homkit.reporting import CheckReport, CheckResult, Witness, concat
+from homkit.representation import ActionTensor, Representation, _require_match
+
+
+# ---- from homkit/reporting.py --------------------------------------
+
+
+def scan_identity(name: str, indices: Iterable[tuple[int, ...]],
+                  residual: Callable[..., Vector]) -> CheckResult:
+    """Evaluate ``residual`` on every index tuple; record the first failure.
+
+    The scan order of ``indices`` must be lexicographic so that reported
+    witnesses are deterministic.
+    """
+    for idx in indices:
+        r = residual(*idx)
+        if not r.is_zero():
+            return CheckResult(name, False, Witness(tuple(idx), r))
+    return CheckResult(name, True)
+
+
+def scan_operator_identity(name: str, indices: Iterable[tuple[int, ...]],
+                           difference: Callable) -> CheckResult:
+    """Like :func:`scan_identity` for operator equalities.
+
+    ``difference`` returns a matrix; on failure the witness appends the
+    first carrier index whose column is nonzero.
+    """
+    for idx in indices:
+        d = difference(*idx)
+        for k in range(d.cols):
+            col = d.col(k)
+            if not col.is_zero():
+                return CheckResult(name, False, Witness(tuple(idx) + (k,), col))
+    return CheckResult(name, True)
+
+
+# ---- from homkit/algebra.py ----------------------------------------
+
+
+def _pairs(dim: int):
+    return iproduct(range(dim), repeat=2)
+
+
+def _triples(dim: int):
+    return iproduct(range(dim), repeat=3)
+
+
+def check_multiplicative(alg: HomAlgebra) -> CheckReport:
+    """Is alpha an endomorphism for every product?
+
+    Verifies ``alpha(mu(e_i, e_j)) = mu(alpha e_i, alpha e_j)`` on all
+    basis pairs, separately for each table.
+    """
+    alpha = alg.alpha
+    checks = []
+    for name, t in alg.tensors().items():
+        checks.append(scan_identity(
+            f"multiplicative:{name}", _pairs(alg.dim),
+            lambda i, j, t=t: alpha.apply(t.basis_product(i, j))
+            - t.product(alpha.col(i), alpha.col(j))))
+    return CheckReport(tuple(checks))
+
+
+def check_hom_associative(t: StructureTensor, alpha: Matrix) -> CheckReport:
+    """Twisted associator test: ``mu(mu(x,y), alpha z) = mu(alpha x, mu(y,z))``
+    on all basis triples."""
+    if alpha.rows != t.dim or alpha.cols != t.dim:
+        raise ShapeError("twist map size differs from tensor dim")
+    result = scan_identity(
+        "hom_associative", _triples(t.dim),
+        lambda i, j, k: t.product(t.basis_product(i, j), alpha.col(k))
+        - t.product(alpha.col(i), t.basis_product(j, k)))
+    return CheckReport((result,))
+
+
+def check_hom_leibniz(t: StructureTensor, alpha: Matrix) -> CheckReport:
+    """Right Leibniz test: ``[[x,y], alpha z] = [alpha x, [y,z]] + [[x,z], alpha y]``
+    on all basis triples."""
+    if alpha.rows != t.dim or alpha.cols != t.dim:
+        raise ShapeError("twist map size differs from tensor dim")
+    result = scan_identity(
+        "hom_leibniz", _triples(t.dim),
+        lambda i, j, k: t.product(t.basis_product(i, j), alpha.col(k))
+        - t.product(alpha.col(i), t.basis_product(j, k))
+        - t.product(t.basis_product(i, k), alpha.col(j)))
+    return CheckReport((result,))
+
+
+def check_poisson_compat(alg: HomAlgebra) -> CheckReport:
+    """Compatibility of the two products:
+    ``[x.y, alpha z] = (alpha x).[y,z] + [x,z].(alpha y)`` on basis triples."""
+    if alg.kind != POISSON:
+        raise KindMismatchError("poisson compatibility needs a poisson algebra")
+    dot, br, alpha = alg.dot, alg.bracket, alg.alpha
+    result = scan_identity(
+        "poisson_compatibility", _triples(alg.dim),
+        lambda i, j, k: br.product(dot.basis_product(i, j), alpha.col(k))
+        - dot.product(alpha.col(i), br.basis_product(j, k))
+        - dot.product(br.basis_product(i, k), alpha.col(j)))
+    return CheckReport((result,))
+
+
+def check_algebra(alg: HomAlgebra) -> CheckReport:
+    """All checks that apply to the algebra's kind, in a fixed order."""
+    reports = [check_multiplicative(alg)]
+    if alg.dot is not None:
+        reports.append(check_hom_associative(alg.dot, alg.alpha))
+    if alg.bracket is not None:
+        reports.append(check_hom_leibniz(alg.bracket, alg.alpha))
+    if alg.kind == POISSON:
+        reports.append(check_poisson_compat(alg))
+    return concat(*reports)
+
+
+def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
+    """Is ``f`` a morphism of Hom-algebras?
+
+    Verifies ``f . alpha_src = alpha_dst . f`` and, for each table,
+    ``f(mu_src(e_i, e_j)) = mu_dst(f e_i, f e_j)``.
+    """
+    if src.kind != dst.kind:
+        raise KindMismatchError("morphism endpoints must have the same kind")
+    if f.cols != src.dim or f.rows != dst.dim:
+        raise ShapeError("morphism matrix shape must be dst.dim x src.dim")
+    checks = [scan_identity(
+        "intertwines_twist", ((j,) for j in range(src.dim)),
+        lambda j: f.apply(src.alpha.col(j)) - dst.alpha.apply(f.col(j)))]
+    src_tensors = src.tensors()
+    dst_tensors = dst.tensors()
+    for name in src_tensors:
+        ts, td = src_tensors[name], dst_tensors[name]
+        checks.append(scan_identity(
+            f"preserves:{name}", _pairs(src.dim),
+            lambda i, j, ts=ts, td=td: f.apply(ts.basis_product(i, j))
+            - td.product(f.col(i), f.col(j))))
+    return CheckReport(tuple(checks))
+
+
+# ---- from homkit/representation.py ---------------------------------
+
+
+def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
+    """Verify every axiom of the representation kind as operator identities.
+
+    For the Leibniz part, the commutation axiom is taken as the two
+    conditions ``phi rho^l(x) = rho^l(alpha x) phi`` and
+    ``phi rho^r(x) = rho^r(alpha x) phi``, and the redundant consequence
+    ``rho^r([x,y]) phi + rho^r([y,x]) phi = 0`` is reported as an extra
+    consistency check.
+    """
+    _require_match(rep, alg)
+    alpha, phi = alg.alpha, rep.phi
+    n = alg.dim
+    checks = []
+
+    if rep.kind in (ASSOCIATIVE, POISSON):
+        dot, ll, lr = alg.dot, rep.lambda_l, rep.lambda_r
+        checks.append(scan_operator_identity(
+            "phi_commutes_left_mult", ((i,) for i in range(n)),
+            lambda i: phi @ ll.mats[i] - ll.at(alpha.col(i)) @ phi))
+        checks.append(scan_operator_identity(
+            "phi_commutes_right_mult", ((i,) for i in range(n)),
+            lambda i: phi @ lr.mats[i] - lr.at(alpha.col(i)) @ phi))
+        checks.append(scan_operator_identity(
+            "left_mult_composition", iproduct(range(n), repeat=2),
+            lambda i, j: ll.at(dot.basis_product(i, j)) @ phi
+            - ll.at(alpha.col(i)) @ ll.mats[j]))
+        checks.append(scan_operator_identity(
+            "right_mult_composition", iproduct(range(n), repeat=2),
+            lambda i, j: lr.at(dot.basis_product(i, j)) @ phi
+            - lr.at(alpha.col(j)) @ lr.mats[i]))
+        checks.append(scan_operator_identity(
+            "left_right_mult_commute", iproduct(range(n), repeat=2),
+            lambda i, j: ll.at(alpha.col(i)) @ lr.mats[j]
+            - lr.at(alpha.col(j)) @ ll.mats[i]))
+
+    if rep.kind in (LEIBNIZ, POISSON):
+        br, rl, rr = alg.bracket, rep.rho_l, rep.rho_r
+        checks.append(scan_operator_identity(
+            "phi_commutes_left_bracket", ((i,) for i in range(n)),
+            lambda i: phi @ rl.mats[i] - rl.at(alpha.col(i)) @ phi))
+        checks.append(scan_operator_identity(
+            "phi_commutes_right_bracket", ((i,) for i in range(n)),
+            lambda i: phi @ rr.mats[i] - rr.at(alpha.col(i)) @ phi))
+        checks.append(scan_operator_identity(
+            "left_bracket_composition", iproduct(range(n), repeat=2),
+            lambda i, j: rl.at(br.basis_product(i, j)) @ phi
+            - rl.at(alpha.col(i)) @ rl.mats[j]
+            - rr.at(alpha.col(j)) @ rl.mats[i]))
+        checks.append(scan_operator_identity(
+            "mixed_bracket_exchange", iproduct(range(n), repeat=2),
+            lambda i, j: rr.at(alpha.col(j)) @ rl.mats[i]
+            - rl.at(alpha.col(i)) @ rr.mats[j]
+            - rl.at(br.basis_product(i, j)) @ phi))
+        checks.append(scan_operator_identity(
+            "right_bracket_composition", iproduct(range(n), repeat=2),
+            lambda i, j: rr.at(alpha.col(j)) @ rr.mats[i]
+            - rr.at(br.basis_product(i, j)) @ phi
+            - rr.at(alpha.col(i)) @ rr.mats[j]))
+        checks.append(scan_operator_identity(
+            "right_bracket_antisymmetry", iproduct(range(n), repeat=2),
+            lambda i, j: rr.at(br.basis_product(i, j)) @ phi
+            + rr.at(br.basis_product(j, i)) @ phi))
+
+    if rep.kind == POISSON:
+        dot, br = alg.dot, alg.bracket
+        ll, lr, rl, rr = rep.lambda_l, rep.lambda_r, rep.rho_l, rep.rho_r
+        checks.append(scan_operator_identity(
+            "bracket_acts_on_left_mult", iproduct(range(n), repeat=2),
+            lambda i, j: rr.at(alpha.col(j)) @ ll.mats[i]
+            - ll.at(alpha.col(i)) @ rr.mats[j]
+            - ll.at(br.basis_product(i, j)) @ phi))
+        checks.append(scan_operator_identity(
+            "bracket_acts_on_right_mult", iproduct(range(n), repeat=2),
+            lambda i, j: rr.at(alpha.col(j)) @ lr.mats[i]
+            - lr.at(br.basis_product(i, j)) @ phi
+            - lr.at(alpha.col(i)) @ rr.mats[j]))
+        checks.append(scan_operator_identity(
+            "left_bracket_of_product", iproduct(range(n), repeat=2),
+            lambda i, j: rl.at(dot.basis_product(i, j)) @ phi
+            - ll.at(alpha.col(i)) @ rl.mats[j]
+            - lr.at(alpha.col(j)) @ rl.mats[i]))
+
+    return CheckReport(tuple(checks))
+
+
+# ---- from homkit/operators.py --------------------------------------
+
+
+def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
+    """Weight-lambda Rota-Baxter test for a self-map, per table:
+    ``mu(Rx, Ry) = R(mu(Rx, y) + mu(x, Ry) + weight mu(x, y))``,
+    together with twist compatibility ``R alpha = alpha R``."""
+    weight = frac(weight)
+    if not r.is_square() or r.rows != alg.dim:
+        raise ShapeError("operator must be square of the algebra dim")
+    checks = [scan_identity(
+        "twist_commute", ((j,) for j in range(alg.dim)),
+        lambda j: r.apply(alg.alpha.col(j)) - alg.alpha.apply(r.col(j)))]
+    for name, t in alg.tensors().items():
+        def residual(i, j, t=t):
+            ri, rj = r.col(i), r.col(j)
+            ei, ej = Vector.unit(alg.dim, i), Vector.unit(alg.dim, j)
+            inner = (t.product(ri, ej) + t.product(ei, rj)
+                     + t.basis_product(i, j).scale(weight))
+            return t.product(ri, rj) - r.apply(inner)
+        checks.append(scan_identity(
+            f"rota_baxter:{name}", iproduct(range(alg.dim), repeat=2), residual))
+    return CheckReport(tuple(checks))
+
+
+def _split_residual(ctx: OperatorContext, tensor: StructureTensor,
+                    left: ActionTensor, right: ActionTensor):
+    t = ctx.t
+
+    def residual(i, j):
+        tu, tv = t.col(i), t.col(j)
+        inner = left.at(tu).col(j) + right.at(tv).col(i)
+        return tensor.product(tu, tv) - t.apply(inner)
+
+    return residual
+
+
+def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
+    """Relative Rota-Baxter test: ``T phi = alpha T`` plus, per table,
+    ``mu(Tu, Tv) = T(act_l(Tu) v + act_r(Tv) u)`` on all carrier pairs."""
+    alg, rep, t = ctx.alg, ctx.rep, ctx.t
+    checks = [scan_identity(
+        "intertwines_twist", ((j,) for j in range(rep.carrier_dim)),
+        lambda j: t.apply(rep.phi.col(j)) - alg.alpha.apply(t.col(j)))]
+    m = rep.carrier_dim
+    if alg.dot is not None:
+        checks.append(scan_identity(
+            "splits:dot", iproduct(range(m), repeat=2),
+            _split_residual(ctx, alg.dot, rep.lambda_l, rep.lambda_r)))
+    if alg.bracket is not None:
+        checks.append(scan_identity(
+            "splits:bracket", iproduct(range(m), repeat=2),
+            _split_residual(ctx, alg.bracket, rep.rho_l, rep.rho_r)))
+    return CheckReport(tuple(checks))
+
+
+def check_nijenhuis(alg: HomAlgebra, n: Matrix) -> CheckReport:
+    """Nijenhuis test: ``N alpha = alpha N`` and vanishing torsion
+    ``mu(Nx, Ny) = N(mu(Nx, y) + mu(x, Ny) - N mu(x, y))`` per table."""
+    if not n.is_square() or n.rows != alg.dim:
+        raise ShapeError("operator must be square of the algebra dim")
+    checks = [scan_identity(
+        "twist_commute", ((j,) for j in range(alg.dim)),
+        lambda j: n.apply(alg.alpha.col(j)) - alg.alpha.apply(n.col(j)))]
+    for name, t in alg.tensors().items():
+        def residual(i, j, t=t):
+            ni, nj = n.col(i), n.col(j)
+            ei, ej = Vector.unit(alg.dim, i), Vector.unit(alg.dim, j)
+            inner = (t.product(ni, ej) + t.product(ei, nj)
+                     - n.apply(t.basis_product(i, j)))
+            return t.product(ni, nj) - n.apply(inner)
+        checks.append(scan_identity(
+            f"torsion_free:{name}", iproduct(range(alg.dim), repeat=2), residual))
+    return CheckReport(tuple(checks))
+
+
+# ---- from homkit/matched.py ----------------------------------------
+
+
+def _cross_conditions_associative(mp: MatchedPair, printed: bool) -> list:
+    """Six conditions coupling the dot products with the lambda actions.
+
+    Each lambda below is the linear extension of the action family; x, y
+    range over a basis of A1 and u, v over a basis of A2.
+    """
+    a1, a2 = mp.a1, mp.a2
+    n1, n2 = a1.dim, a2.dim
+    dot1, dot2 = a1.dot, a2.dot
+    al1, al2 = a1.alpha, a2.alpha
+    l1l, l1r = mp.actions_1_on_2.lambda_l, mp.actions_1_on_2.lambda_r
+    l2l, l2r = mp.actions_2_on_1.lambda_l, mp.actions_2_on_1.lambda_r
+
+    def e1(i):
+        return Vector.unit(n1, i)
+
+    def f2(i):
+        return Vector.unit(n2, i)
+
+    checks = []
+    # lambda1_l(alpha1 x)(u * v) = lambda1_l(lambda2_r(u) x)(alpha2 v)
+    #                              + (lambda1_l(x) u) * (alpha2 v)
+    checks.append(scan_identity(
+        "cross:assoc:1", iproduct(range(n1), range(n2), range(n2)),
+        lambda x, u, v: l1l.at(al1.col(x)).apply(dot2.basis_product(u, v))
+        - l1l.at(l2r.mats[u].col(x)).apply(al2.col(v))
+        - dot2.product(l1l.mats[x].col(u), al2.col(v))))
+    # lambda1_r(alpha1 x)(u * v) = lambda1_r(lambda2_l(v) x)(alpha2 u)
+    #                              + (alpha2 u) * (lambda1_r(x) v)
+    checks.append(scan_identity(
+        "cross:assoc:2", iproduct(range(n1), range(n2), range(n2)),
+        lambda x, u, v: l1r.at(al1.col(x)).apply(dot2.basis_product(u, v))
+        - l1r.at(l2l.mats[v].col(x)).apply(al2.col(u))
+        - dot2.product(al2.col(u), l1r.mats[x].col(v))))
+
+    # lambda2_l(alpha2 u)(x * y) = lambda2_l(lambda1_r(x) u)(alpha1 y) + T3
+    # where T3 is (lambda2_l(u) x) * (alpha1 y) in the corrected set and
+    # (lambda2_l(alpha2 u) x) * (alpha1 y) in the printed one.
+    if printed:
+        def third(u, x):
+            return l2l.at(al2.col(u)).apply(e1(x))
+    else:
+        def third(u, x):
+            return l2l.mats[u].col(x)
+    checks.append(scan_identity(
+        "cross:assoc:3", iproduct(range(n2), range(n1), range(n1)),
+        lambda u, x, y: l2l.at(al2.col(u)).apply(dot1.basis_product(x, y))
+        - l2l.at(l1r.mats[x].col(u)).apply(al1.col(y))
+        - dot1.product(third(u, x), al1.col(y))))
+    # lambda2_r(alpha2 u)(x * y) = lambda2_r(lambda1_l(y) u)(alpha1 x)
+    #                              + (alpha1 x) * (lambda2_r(u) y)
+    checks.append(scan_identity(
+        "cross:assoc:4", iproduct(range(n2), range(n1), range(n1)),
+        lambda u, x, y: l2r.at(al2.col(u)).apply(dot1.basis_product(x, y))
+        - l2r.at(l1l.mats[y].col(u)).apply(al1.col(x))
+        - dot1.product(al1.col(x), l2r.mats[u].col(y))))
+    # lambda1_l(lambda2_l(u) x)(alpha2 v) + (lambda1_r(x) u) * (alpha2 v)
+    #   - lambda1_r(lambda2_r(v) x)(alpha2 u) - (alpha2 u) * (lambda1_l(x) v) = 0
+    checks.append(scan_identity(
+        "cross:assoc:5", iproduct(range(n1), range(n2), range(n2)),
+        lambda x, u, v: l1l.at(l2l.mats[u].col(x)).apply(al2.col(v))
+        + dot2.product(l1r.mats[x].col(u), al2.col(v))
+        - l1r.at(l2r.mats[v].col(x)).apply(al2.col(u))
+        - dot2.product(al2.col(u), l1l.mats[x].col(v))))
+    # lambda2_l(lambda1_l(x) u)(alpha1 y) + (lambda2_r(u) x) * (alpha1 y)
+    #   - lambda2_r(lambda1_r(y) u)(alpha1 x) - (alpha1 x) * (lambda2_l(u) y) = 0
+    checks.append(scan_identity(
+        "cross:assoc:6", iproduct(range(n2), range(n1), range(n1)),
+        lambda u, x, y: l2l.at(l1l.mats[x].col(u)).apply(al1.col(y))
+        + dot1.product(l2r.mats[u].col(x), al1.col(y))
+        - l2r.at(l1r.mats[y].col(u)).apply(al1.col(x))
+        - dot1.product(al1.col(x), l2l.mats[u].col(y))))
+    return checks
+
+
+def _cross_conditions_leibniz(mp: MatchedPair) -> list:
+    """Six conditions coupling the brackets with the rho actions."""
+    a1, a2 = mp.a1, mp.a2
+    n1, n2 = a1.dim, a2.dim
+    br1, br2 = a1.bracket, a2.bracket
+    al1, al2 = a1.alpha, a2.alpha
+    r1l, r1r = mp.actions_1_on_2.rho_l, mp.actions_1_on_2.rho_r
+    r2l, r2r = mp.actions_2_on_1.rho_l, mp.actions_2_on_1.rho_r
+
+    checks = []
+    checks.append(scan_identity(
+        "cross:leibniz:1", iproduct(range(n1), range(n2), range(n2)),
+        lambda x, u, v: r1r.at(al1.col(x)).apply(br2.basis_product(u, v))
+        - br2.product(al2.col(u), r1r.mats[x].col(v))
+        - br2.product(r1r.mats[x].col(u), al2.col(v))
+        - r1r.at(r2l.mats[v].col(x)).apply(al2.col(u))
+        - r1l.at(r2l.mats[u].col(x)).apply(al2.col(v))))
+    checks.append(scan_identity(
+        "cross:leibniz:2", iproduct(range(n1), range(n2), range(n2)),
+        lambda x, u, v: r1l.at(al1.col(x)).apply(br2.basis_product(u, v))
+        - br2.product(r1l.mats[x].col(u), al2.col(v))
+        + br2.product(r1l.mats[x].col(v), al2.col(u))
+        - r1l.at(r2r.mats[u].col(x)).apply(al2.col(v))
+        + r1l.at(r2r.mats[v].col(x)).apply(al2.col(u))))
+    checks.append(scan_identity(
+        "cross:leibniz:3", iproduct(range(n1), range(n2), range(n2)),
+        lambda x, u, v: r1r.at(al1.col(x)).apply(br2.basis_product(u, v))
+        - br2.product(r1r.mats[x].col(u), al2.col(v))
+        + br2.product(al2.col(u), r1l.mats[x].col(v))
+        - r1l.at(r2l.mats[u].col(x)).apply(al2.col(v))
+        + r1r.at(r2r.mats[v].col(x)).apply(al2.col(u))))
+    checks.append(scan_identity(
+        "cross:leibniz:4", iproduct(range(n2), range(n1), range(n1)),
+        lambda u, x, y: r2r.at(al2.col(u)).apply(br1.basis_product(x, y))
+        - br1.product(al1.col(x), r2r.mats[u].col(y))
+        - br1.product(r2r.mats[u].col(x), al1.col(y))
+        - r2r.at(r1l.mats[y].col(u)).apply(al1.col(x))
+        - r2l.at(r1l.mats[x].col(u)).apply(al1.col(y))))
+    checks.append(scan_identity(
+        "cross:leibniz:5", iproduct(range(n2), range(n1), range(n1)),
+        lambda u, x, y: r2l.at(al2.col(u)).apply(br1.basis_product(x, y))
+        - br1.product(r2l.mats[u].col(x), al1.col(y))
+        + br1.product(r2l.mats[u].col(y), al1.col(x))
+        - r2l.at(r1r.mats[x].col(u)).apply(al1.col(y))
+        + r2l.at(r1r.mats[y].col(u)).apply(al1.col(x))))
+    checks.append(scan_identity(
+        "cross:leibniz:6", iproduct(range(n2), range(n1), range(n1)),
+        lambda u, x, y: r2r.at(al2.col(u)).apply(br1.basis_product(x, y))
+        - br1.product(r2r.mats[u].col(x), al1.col(y))
+        + br1.product(al1.col(x), r2l.mats[u].col(y))
+        - r2l.at(r1l.mats[x].col(u)).apply(al1.col(y))
+        + r2r.at(r1r.mats[y].col(u)).apply(al1.col(x))))
+    return checks
+
+
+def _cross_conditions_poisson(mp: MatchedPair) -> list:
+    """Six mixed conditions coupling dot products with bracket actions."""
+    a1, a2 = mp.a1, mp.a2
+    n1, n2 = a1.dim, a2.dim
+    dot1, dot2 = a1.dot, a2.dot
+    br1, br2 = a1.bracket, a2.bracket
+    al1, al2 = a1.alpha, a2.alpha
+    r12, r21 = mp.actions_1_on_2, mp.actions_2_on_1
+    l1l, l1r, r1l, r1r = r12.lambda_l, r12.lambda_r, r12.rho_l, r12.rho_r
+    l2l, l2r, r2l, r2r = r21.lambda_l, r21.lambda_r, r21.rho_l, r21.rho_r
+
+    checks = []
+    checks.append(scan_identity(
+        "cross:poisson:1", iproduct(range(n2), range(n1), range(n1)),
+        lambda u, x, y: l2l.at(al2.col(u)).apply(br1.basis_product(x, y))
+        + dot1.product(r2l.mats[u].col(y), al1.col(x))
+        + l2l.at(r1r.mats[y].col(u)).apply(al1.col(x))
+        - br1.product(l2l.mats[u].col(x), al1.col(y))
+        - r2l.at(l1r.mats[x].col(u)).apply(al1.col(y))))
+    checks.append(scan_identity(
+        "cross:poisson:2", iproduct(range(n2), range(n1), range(n1)),
+        lambda u, x, y: l2r.at(al2.col(u)).apply(br1.basis_product(x, y))
+        + dot1.product(al1.col(x), r2l.mats[u].col(y))
+        + l2r.at(r1r.mats[y].col(u)).apply(al1.col(x))
+        - br1.product(l2r.mats[u].col(x), al1.col(y))
+        - r2l.at(l1l.mats[x].col(u)).apply(al1.col(y))))
+    checks.append(scan_identity(
+        "cross:poisson:3", iproduct(range(n1), range(n2), range(n2)),
+        lambda x, u, v: l1l.at(al1.col(x)).apply(br2.basis_product(u, v))
+        + dot2.product(r1l.mats[x].col(v), al2.col(u))
+        + l1l.at(r2r.mats[v].col(x)).apply(al2.col(u))
+        - br2.product(l1l.mats[x].col(u), al2.col(v))
+        - r1l.at(l2r.mats[u].col(x)).apply(al2.col(v))))
+    checks.append(scan_identity(
+        "cross:poisson:4", iproduct(range(n1), range(n2), range(n2)),
+        lambda x, u, v: l1r.at(al1.col(x)).apply(br2.basis_product(u, v))
+        + dot2.product(al2.col(u), r1l.mats[x].col(v))
+        + l1r.at(r2r.mats[v].col(x)).apply(al2.col(u))
+        - br2.product(l1r.mats[x].col(u), al2.col(v))
+        - r1l.at(l2l.mats[u].col(x)).apply(al2.col(v))))
+    checks.append(scan_identity(
+        "cross:poisson:5", iproduct(range(n2), range(n1), range(n1)),
+        lambda u, x, y: r2r.at(al2.col(u)).apply(dot1.basis_product(x, y))
+        - dot1.product(al1.col(x), r2r.mats[u].col(y))
+        - l2r.at(r1l.mats[y].col(u)).apply(al1.col(x))
+        - dot1.product(r2r.mats[u].col(x), al1.col(y))
+        - l2l.at(r1l.mats[x].col(u)).apply(al1.col(y))))
+    checks.append(scan_identity(
+        "cross:poisson:6", iproduct(range(n1), range(n2), range(n2)),
+        lambda x, u, v: r1r.at(al1.col(x)).apply(dot2.basis_product(u, v))
+        - dot2.product(al2.col(u), r1r.mats[x].col(v))
+        - l1r.at(r2l.mats[v].col(x)).apply(al2.col(u))
+        - dot2.product(r1r.mats[x].col(u), al2.col(v))
+        - l1l.at(r2l.mats[u].col(x)).apply(al2.col(v))))
+    return checks
+
+
+def check_matched_pair(mp: MatchedPair,
+                       associative_conditions: str = "corrected") -> CheckReport:
+    """Verify everything the bicrossed sum theorem needs.
+
+    Both cross actions must pass their representation axioms (raised as a
+    precondition failure otherwise).  The report then contains each
+    constituent algebra's own checks followed by the kind's
+    cross-compatibility conditions on all basis tuples; a passing report
+    guarantees that :func:`matched_sum` passes the kind's algebra checks.
+    """
+    if associative_conditions not in ("corrected", "printed"):
+        raise ValueError("associative_conditions must be 'corrected' or 'printed'")
+    for rep, base, label in ((mp.actions_1_on_2, mp.a1, "actions_1_on_2"),
+                             (mp.actions_2_on_1, mp.a2, "actions_2_on_1")):
+        rep_report = check_representation(rep, base)
+        if not rep_report.passed:
+            raise PreconditionError(
+                f"{label} is not a representation: "
+                + "; ".join(c.render() for c in rep_report.failures()))
+    reports = [check_algebra(mp.a1).prefixed("algebra1:"),
+               check_algebra(mp.a2).prefixed("algebra2:")]
+    checks = []
+    if mp.a1.kind in (ASSOCIATIVE, POISSON):
+        checks.extend(_cross_conditions_associative(
+            mp, printed=associative_conditions == "printed"))
+    if mp.a1.kind in (LEIBNIZ, POISSON):
+        checks.extend(_cross_conditions_leibniz(mp))
+    if mp.a1.kind == POISSON:
+        checks.extend(_cross_conditions_poisson(mp))
+    reports.append(CheckReport(tuple(checks)))
+    return concat(*reports)

@@ -48,6 +48,19 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_huge_dim_is_a_parse_error(tmp_path, capsys):
+    huge = "99999999999999999999"
+    for text, where in (
+            (f"algebra A {{ dim {huge} kind assoc }}\n", "line 1, column 17"),
+            (f"algebra A {{ dim 1 kind assoc }}\n"
+             f"representation R on A {{\n  dim {huge}\n}}\n", "line 3, column 7")):
+        bad = tmp_path / "huge.hla"
+        bad.write_text(text)
+        code, _, err = run(capsys, "check", str(bad), "A")
+        assert code == 2
+        assert where in err and "too large" in err
+
+
 def test_check_rep(capsys):
     code, out, _ = run(capsys, "check-rep", FIXTURES, "A2leib", "reg")
     assert code == 0

@@ -134,6 +134,27 @@ def test_power_twist_representations_pass():
         assert check_representation(powered, l).passed
 
 
+def test_power_twist_matches_repeated_twists():
+    l = two_dim_leibniz()
+    rep = regular_representation(l)
+    repeated = rep
+    for n in range(1, 4):
+        repeated = twist_representation(repeated, l.alpha, l)
+        assert power_twist_representation(rep, l, n) == repeated
+
+
+def test_power_twist_edges():
+    # The associative fixture's twist is not multiplicative: power zero
+    # returns the representation itself without a check, any positive
+    # power is refused.
+    a = two_dim_associative()
+    rep = regular_representation(a)
+    assert power_twist_representation(rep, a, 0) is rep
+    for n in (1, 2):
+        with pytest.raises(PreconditionError):
+            power_twist_representation(rep, a, n)
+
+
 def test_twist_composition_property():
     l = two_dim_leibniz()
     rep = regular_representation(l)
