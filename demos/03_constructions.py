@@ -8,7 +8,7 @@ from homkit import (
     check_morphism, check_morphism_property, check_nijenhuis,
     check_relative_rbo, check_representation, check_rota_baxter, graph_check,
     induced_algebra, induced_representation, lift_operator, matched_sum,
-    nijenhuis_deform, nijenhuis_from_rbo, projection_context,
+    nijenhuis_deform, projection_context,
     regular_representation, semidirect_product, yau_twist,
 )
 from homkit.algebra import LEIBNIZ, HomAlgebra, StructureTensor
@@ -63,7 +63,7 @@ def main():
     lift = lift_operator(ctx)
     print("lifted block operator is Rota-Baxter of weight 0:",
           ok(check_rota_baxter(sd, lift, 0).passed))
-    n_t = nijenhuis_from_rbo(ctx)
+    n_t = lift_operator(ctx)
     print("same block matrix is a Nijenhuis operator:",
           ok(check_nijenhuis(sd, n_t).passed))
     print()

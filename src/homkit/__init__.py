@@ -8,8 +8,7 @@ small examples."""
 from .algebra import (
     ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor,
     check_algebra, check_hom_associative, check_hom_leibniz, check_ideal,
-    check_morphism, check_multiplicative, check_poisson_compat, eval_product,
-    yau_twist,
+    check_morphism, check_multiplicative, check_poisson_compat, yau_twist,
 )
 from .errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError,
@@ -17,14 +16,14 @@ from .errors import (
 )
 from .linalg import (
     AffineSolution, Matrix, Vector, frac, format_lincomb, kernel_basis,
-    mat_mul, solve_linear,
+    solve_linear,
 )
 from .matched import MatchedPair, check_matched_pair, matched_sum
 from .operators import (
     OperatorContext, check_morphism_property, check_nijenhuis,
     check_relative_rbo, check_rota_baxter, graph_check, induced_algebra,
     induced_representation, lift_operator, nijenhuis_deform,
-    nijenhuis_from_rbo, projection_context,
+    projection_context,
 )
 from .representation import (
     ActionTensor, Representation, check_representation, ideal_representation,

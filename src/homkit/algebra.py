@@ -9,13 +9,15 @@ construction or solver that does not require it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .errors import KindMismatchError, PreconditionError, ShapeError
+from .errors import KindMismatchError, ShapeError
 from .kernel import IntMatrix, IntTensor, common_denominator, sub, times
 from .linalg import Matrix, Vector, in_span
-from .reporting import CheckReport, CheckResult, scan_identity, scan_membership
+from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
 
 ASSOCIATIVE = "associative"
 LEIBNIZ = "leibniz"
@@ -29,37 +31,38 @@ TENSORS_BY_KIND = {
     POISSON: ("dot", "bracket"),
 }
 
+# The pairing table: each multiplication table and the (left, right)
+# action families a representation pairs with it.
+ACTIONS_OF = {"dot": ("lambda_l", "lambda_r"), "bracket": ("rho_l", "rho_r")}
 
+
+@dataclass(frozen=True, slots=True, repr=False)
 class StructureTensor:
     """Bilinear product on a dim-dimensional space, stored as the grid of
     basis products ``table[i][j] = mu(e_i, e_j)``."""
 
-    __slots__ = ("dim", "table")
+    dim: int
+    table: tuple[tuple[Vector, ...], ...]
 
-    def __init__(self, dim: int, table: Iterable[Iterable[Vector]]):
-        grid = tuple(tuple(row) for row in table)
-        if len(grid) != dim or any(len(row) != dim for row in grid):
+    def __post_init__(self):
+        grid = tuple(tuple(row) for row in self.table)
+        if len(grid) != self.dim or any(len(row) != self.dim for row in grid):
             raise ShapeError("structure tensor table must be dim x dim")
-        for row in grid:
-            for v in row:
-                if v.dim != dim:
-                    raise ShapeError("structure tensor values must have the algebra dim")
-        object.__setattr__(self, "dim", dim)
+        if any(v.dim != self.dim for row in grid for v in row):
+            raise ShapeError("structure tensor values must have the algebra dim")
         object.__setattr__(self, "table", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StructureTensor is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":
-        z = Vector.zero(dim)
-        return cls(dim, [[z] * dim for _ in range(dim)])
+        return cls.from_products(dim, {})
 
     @classmethod
     def from_products(cls, dim: int,
                       products: Mapping[tuple[int, int], Sequence]) -> "StructureTensor":
-        """Build from the nonzero basis products; unlisted entries are zero."""
-        table = [[Vector.zero(dim) for _ in range(dim)] for _ in range(dim)]
+        """Build from the nonzero basis products; unlisted entries share
+        one immutable zero vector."""
+        z = Vector.zero(dim)
+        table = [[z] * dim for _ in range(dim)]
         for (i, j), value in products.items():
             v = value if isinstance(value, Vector) else Vector(value)
             if v.dim != dim:
@@ -93,22 +96,11 @@ class StructureTensor:
         """Structure constant: coefficient of ``e_k`` in ``mu(e_i, e_j)``."""
         return self.table[i][j][k]
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, StructureTensor)
-                and self.dim == other.dim and self.table == other.table)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.table))
-
     def __repr__(self) -> str:
         return f"StructureTensor(dim={self.dim})"
 
 
-def eval_product(t: StructureTensor, x: Vector, y: Vector) -> Vector:
-    """Evaluate the bilinear product encoded by ``t`` on two vectors."""
-    return t.product(x, y)
-
-
+@dataclass(frozen=True, slots=True, repr=False)
 class HomAlgebra:
     """Finite-dimensional algebra with a twist map.
 
@@ -117,48 +109,28 @@ class HomAlgebra:
     both over one shared twist.
     """
 
-    __slots__ = ("dim", "kind", "dot", "bracket", "alpha")
+    dim: int
+    kind: str
+    alpha: Matrix
+    dot: StructureTensor | None = None
+    bracket: StructureTensor | None = None
 
-    def __init__(self, dim: int, kind: str, alpha: Matrix,
-                 dot: StructureTensor | None = None,
-                 bracket: StructureTensor | None = None):
-        if kind not in KINDS:
-            raise KindMismatchError(f"unknown kind {kind!r}")
-        needed = TENSORS_BY_KIND[kind]
-        present = {"dot": dot, "bracket": bracket}
-        for name in ("dot", "bracket"):
-            if (name in needed) != (present[name] is not None):
-                raise KindMismatchError(
-                    f"kind {kind!r} requires exactly the tensors {needed}")
-        if alpha.rows != dim or alpha.cols != dim:
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise KindMismatchError(f"unknown kind {self.kind!r}")
+        needed = TENSORS_BY_KIND[self.kind]
+        if any((name in needed) != (getattr(self, name) is not None)
+               for name in ACTIONS_OF):
+            raise KindMismatchError(
+                f"kind {self.kind!r} requires exactly the tensors {needed}")
+        if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
             raise ShapeError("alpha must be a square matrix of the algebra dim")
-        for t in (dot, bracket):
-            if t is not None and t.dim != dim:
-                raise ShapeError("structure tensor dim differs from algebra dim")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "dot", dot)
-        object.__setattr__(self, "bracket", bracket)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomAlgebra is immutable")
+        if any(t.dim != self.dim for t in self.tensors().values()):
+            raise ShapeError("structure tensor dim differs from algebra dim")
 
     def tensors(self) -> dict[str, StructureTensor]:
-        out = {}
-        if self.dot is not None:
-            out["dot"] = self.dot
-        if self.bracket is not None:
-            out["bracket"] = self.bracket
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HomAlgebra) and self.dim == other.dim
-                and self.kind == other.kind and self.alpha == other.alpha
-                and self.dot == other.dot and self.bracket == other.bracket)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.kind, self.alpha, self.dot, self.bracket))
+        """The tables of this kind by name, in the order of ``ACTIONS_OF``."""
+        return {name: getattr(self, name) for name in TENSORS_BY_KIND[self.kind]}
 
     def __repr__(self) -> str:
         return f"HomAlgebra(dim={self.dim}, kind={self.kind!r})"
@@ -303,10 +275,8 @@ def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
-def is_self_morphism(beta: Matrix, alg: HomAlgebra) -> bool:
-    """True iff beta is a morphism from the algebra to itself (this already
-    forces beta to commute with the twist)."""
-    return check_morphism(beta, alg, alg).passed
+def _require_self_morphism(beta: Matrix, alg: HomAlgebra) -> None:
+    require(check_morphism(beta, alg, alg), "twisting map is not a self-morphism")
 
 
 def check_ideal(basis: Sequence[Vector], alg: HomAlgebra) -> CheckReport:
@@ -320,9 +290,7 @@ def check_ideal(basis: Sequence[Vector], alg: HomAlgebra) -> CheckReport:
         if v.dim != alg.dim:
             raise ShapeError("ideal basis vectors must live in the algebra")
 
-    def member(v: Vector) -> bool:
-        return in_span(vecs, v)
-
+    member = partial(in_span, vecs)
     checks = [scan_membership(
         "twist_stable", ((b,) for b in range(len(vecs))),
         lambda b: alg.alpha.apply(vecs[b]), member)]
@@ -348,17 +316,11 @@ def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra
     if beta.rows != alg.dim or beta.cols != alg.dim:
         raise ShapeError("twisting map must be square of the algebra dim")
     if checked:
-        report = check_morphism(beta, alg, alg)
-        if not report.passed:
-            raise PreconditionError(
-                "twisting map is not a self-morphism: "
-                + "; ".join(c.render() for c in report.failures()))
+        _require_self_morphism(beta, alg)
 
     def twisted(t: StructureTensor) -> StructureTensor:
         return StructureTensor.from_function(
             alg.dim, lambda i, j: t.product(beta.col(i), beta.col(j)))
 
-    return HomAlgebra(
-        alg.dim, alg.kind, beta @ alg.alpha,
-        dot=twisted(alg.dot) if alg.dot is not None else None,
-        bracket=twisted(alg.bracket) if alg.bracket is not None else None)
+    return HomAlgebra(alg.dim, alg.kind, beta @ alg.alpha,
+                      **{name: twisted(t) for name, t in alg.tensors().items()})

@@ -34,17 +34,13 @@ import re
 import sys
 
 from .algebra import check_algebra, yau_twist
-from .dsl import (
-    DocAlgebra, DocMap, DocRepresentation, Document, parse, serialize,
-)
+from .dsl import DocAlgebra, DocRepresentation, Document, parse, serialize
 from .errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError,
 )
 from .linalg import format_lincomb
 from .matched import MatchedPair, matched_sum
-from .operators import (
-    OperatorContext, check_relative_rbo, induced_algebra, nijenhuis_deform,
-)
+from .operators import OperatorContext, induced_algebra, nijenhuis_deform
 from .representation import (
     check_representation, regular_representation, semidirect_product,
 )
@@ -88,28 +84,12 @@ def _emit_report(obj: str, report: CheckReport, fmt: str) -> int:
     return 0 if report.passed else 1
 
 
-def _get_algebra(doc: Document, name: str):
-    item = doc.get(name)
-    if not isinstance(item, DocAlgebra):
-        raise _Exit(2, f"no algebra named {name!r} in the file")
-    return item.algebra
-
-
 def _get_rep_for(doc: Document, name: str, alg_name: str):
-    item = doc.get(name)
-    if not isinstance(item, DocRepresentation):
-        raise _Exit(2, f"no representation named {name!r} in the file")
+    item = doc.representation(name)
     if item.base != alg_name:
         raise _Exit(2, f"representation {name!r} is on {item.base!r},"
                        f" not {alg_name!r}")
     return item.rep
-
-
-def _get_map(doc: Document, name: str):
-    item = doc.get(name)
-    if not isinstance(item, DocMap):
-        raise _Exit(2, f"no map named {name!r} in the file")
-    return item.matrix
 
 
 def cmd_check(args) -> int:
@@ -118,7 +98,7 @@ def cmd_check(args) -> int:
     if isinstance(item, DocAlgebra):
         return _emit_report(args.name, check_algebra(item.algebra), args.format)
     if isinstance(item, DocRepresentation):
-        base = _get_algebra(doc, item.base)
+        base = doc.algebra(item.base)
         return _emit_report(args.name, check_representation(item.rep, base),
                             args.format)
     raise _Exit(2, f"no algebra or representation named {args.name!r}")
@@ -126,7 +106,7 @@ def cmd_check(args) -> int:
 
 def cmd_check_rep(args) -> int:
     doc = _load(args.file)
-    alg = _get_algebra(doc, args.algebra)
+    alg = doc.algebra(args.algebra)
     rep = _get_rep_for(doc, args.rep, args.algebra)
     return _emit_report(args.rep, check_representation(rep, alg), args.format)
 
@@ -177,7 +157,7 @@ def _solution_json(sol: SolutionSet):
 
 def cmd_solve_rbo(args) -> int:
     doc = _load(args.file)
-    alg = _get_algebra(doc, args.algebra)
+    alg = doc.algebra(args.algebra)
     if args.rep:
         rep = _get_rep_for(doc, args.rep, args.algebra)
         symbol = "f"
@@ -235,7 +215,7 @@ def _verified(alg, verify: bool):
 
 def cmd_semidirect(args) -> int:
     doc = _load(args.file)
-    alg = _get_algebra(doc, args.algebra)
+    alg = doc.algebra(args.algebra)
     rep = _get_rep_for(doc, args.rep, args.algebra)
     out = semidirect_product(alg, rep)
     return _emit_construction(DocAlgebra(args.name, out),
@@ -244,8 +224,8 @@ def cmd_semidirect(args) -> int:
 
 def cmd_matched_sum(args) -> int:
     doc = _load(args.file)
-    a1 = _get_algebra(doc, args.a1)
-    a2 = _get_algebra(doc, args.a2)
+    a1 = doc.algebra(args.a1)
+    a2 = doc.algebra(args.a2)
     rep12 = _get_rep_for(doc, args.rep12, args.a1)
     rep21 = _get_rep_for(doc, args.rep21, args.a2)
     mp = MatchedPair(a1, a2, rep12, rep21)
@@ -256,8 +236,8 @@ def cmd_matched_sum(args) -> int:
 
 def cmd_twist(args) -> int:
     doc = _load(args.file)
-    alg = _get_algebra(doc, args.algebra)
-    beta = _get_map(doc, args.by)
+    alg = doc.algebra(args.algebra)
+    beta = doc.map(args.by).matrix
     out = yau_twist(alg, beta)
     return _emit_construction(DocAlgebra(args.name, out),
                               _verified(out, args.verify), args.format)
@@ -265,8 +245,8 @@ def cmd_twist(args) -> int:
 
 def cmd_deform(args) -> int:
     doc = _load(args.file)
-    alg = _get_algebra(doc, args.algebra)
-    n = _get_map(doc, args.nijenhuis)
+    alg = doc.algebra(args.algebra)
+    n = doc.map(args.nijenhuis).matrix
     out = nijenhuis_deform(alg, n)
     return _emit_construction(DocAlgebra(args.name, out),
                               _verified(out, args.verify), args.format)
@@ -274,19 +254,13 @@ def cmd_deform(args) -> int:
 
 def cmd_induce(args) -> int:
     doc = _load(args.file)
-    alg = _get_algebra(doc, args.algebra)
+    alg = doc.algebra(args.algebra)
     if args.rep:
         rep = _get_rep_for(doc, args.rep, args.algebra)
     else:
         rep = regular_representation(alg)
-    t = _get_map(doc, args.t)
-    ctx = OperatorContext(alg, rep, t)
-    gate = check_relative_rbo(ctx)
-    if not gate.passed:
-        raise PreconditionError(
-            "operator is not a relative Rota-Baxter operator: "
-            + "; ".join(c.render() for c in gate.failures()))
-    out = induced_algebra(ctx, checked=False)
+    t = doc.map(args.t).matrix
+    out = induced_algebra(OperatorContext(alg, rep, t))
     return _emit_construction(DocAlgebra(args.name, out),
                               _verified(out, args.verify), args.format)
 
@@ -379,7 +353,9 @@ def main(argv=None) -> int:
             print(e.message, file=sys.stderr)
         return e.code
     except INPUT_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message.
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -49,14 +49,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor
+from .algebra import (
+    ACTIONS_OF, ASSOCIATIVE, LEIBNIZ, POISSON, TENSORS_BY_KIND, HomAlgebra,
+    StructureTensor,
+)
 from .errors import ParseError
 from .linalg import Matrix, Vector, format_lincomb
 from .representation import ActionTensor, Representation
 
 KIND_TOKENS = {"assoc": ASSOCIATIVE, "leibniz": LEIBNIZ, "poisson": POISSON}
 KIND_NAMES = {v: k for k, v in KIND_TOKENS.items()}
-ACTION_NAMES = ("lambda_l", "lambda_r", "rho_l", "rho_r")
+# The table each action family pairs with, by the family's block name.
+_TABLE_OF = {action: name for name, pair in ACTIONS_OF.items() for action in pair}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -84,9 +88,6 @@ class DocRepresentation:
     rep: Representation
 
 
-DocItem = "DocAlgebra | DocMap | DocRepresentation"
-
-
 class Document:
     """Ordered collection of named definitions."""
 
@@ -105,23 +106,20 @@ class Document:
     def get(self, name: str):
         return self._by_name.get(name)
 
-    def algebra(self, name: str) -> HomAlgebra:
+    def _typed(self, name: str, cls: type, what: str):
         item = self.get(name)
-        if not isinstance(item, DocAlgebra):
-            raise KeyError(f"no algebra named {name!r}")
-        return item.algebra
+        if not isinstance(item, cls):
+            raise KeyError(f"no {what} named {name!r}")
+        return item
+
+    def algebra(self, name: str) -> HomAlgebra:
+        return self._typed(name, DocAlgebra, "algebra").algebra
 
     def representation(self, name: str) -> DocRepresentation:
-        item = self.get(name)
-        if not isinstance(item, DocRepresentation):
-            raise KeyError(f"no representation named {name!r}")
-        return item
+        return self._typed(name, DocRepresentation, "representation")
 
     def map(self, name: str) -> DocMap:
-        item = self.get(name)
-        if not isinstance(item, DocMap):
-            raise KeyError(f"no map named {name!r}")
-        return item
+        return self._typed(name, DocMap, "map")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Document) and self.items == other.items
@@ -136,9 +134,6 @@ class Token:
     text: str
     line: int
     col: int
-
-
-_PUNCT = ("->", "{", "}", "[", "]", ",", "*", "=", "+", "-", "/", ":")
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -328,10 +323,8 @@ class _Parser:
                 if ktok.text not in KIND_TOKENS:
                     self.fail("kind must be assoc, leibniz, or poisson", ktok)
                 kind = KIND_TOKENS[ktok.text]
-            elif field.text == "dot":
-                raw["dot"] = self.parse_product_block(star=True)
-            elif field.text == "bracket":
-                raw["bracket"] = self.parse_product_block(star=False)
+            elif field.text in ACTIONS_OF:
+                raw[field.text] = self.parse_product_block(star=field.text == "dot")
             elif field.text == "alpha":
                 raw["alpha"] = self.parse_arrow_block()
             else:
@@ -341,14 +334,12 @@ class _Parser:
             self.fail(f"algebra {name!r} has no dim", start)
         if kind is None:
             self.fail(f"algebra {name!r} has no kind", start)
-        allowed = {ASSOCIATIVE: ("dot",), LEIBNIZ: ("bracket",),
-                   POISSON: ("dot", "bracket")}[kind]
-        for block in ("dot", "bracket"):
-            if raw[block] and block not in allowed:
+        for block in ACTIONS_OF:
+            if raw[block] and block not in TENSORS_BY_KIND[kind]:
                 self.fail(f"kind {KIND_NAMES[kind]!r} does not take a"
                           f" {block} block", start)
         tensors = {}
-        for block in allowed:
+        for block in TENSORS_BY_KIND[kind]:
             products = {}
             for (itok, jtok, terms) in raw[block]:
                 i = self._basis_index(itok, "e", dim)
@@ -360,9 +351,7 @@ class _Parser:
                 products[(i, j)] = self._resolve_lincomb(terms, "e", dim)
             tensors[block] = StructureTensor.from_products(dim, products)
         alpha = self._resolve_columns(raw["alpha"], "e", dim, "e", dim)
-        return DocAlgebra(name, HomAlgebra(
-            dim, kind, alpha,
-            dot=tensors.get("dot"), bracket=tensors.get("bracket")))
+        return DocAlgebra(name, HomAlgebra(dim, kind, alpha, **tensors))
 
     def parse_product_block(self, star: bool) -> list:
         self.expect("PUNCT", "{")
@@ -441,7 +430,7 @@ class _Parser:
         self.expect("PUNCT", "{")
         dim: int | None = None
         phi_entries: list = []
-        actions: dict[str, dict[int, list]] = {a: {} for a in ACTION_NAMES}
+        actions: dict[str, dict[int, list]] = {a: {} for a in _TABLE_OF}
         while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
             field = self.expect_name("a representation field")
             if field.text == "dim":
@@ -452,11 +441,8 @@ class _Parser:
                 if phi_entries:
                     self.fail("duplicate field 'phi'", field)
                 phi_entries = self.parse_arrow_block()
-            elif field.text in ACTION_NAMES:
-                if field.text.startswith("lambda") and base.dot is None:
-                    self.fail(f"kind {KIND_NAMES[base.kind]!r} takes no"
-                              f" {field.text} block", field)
-                if field.text.startswith("rho") and base.bracket is None:
+            elif field.text in _TABLE_OF:
+                if _TABLE_OF[field.text] not in TENSORS_BY_KIND[base.kind]:
                     self.fail(f"kind {KIND_NAMES[base.kind]!r} takes no"
                               f" {field.text} block", field)
                 sel = self.expect_name("a base basis symbol")
@@ -472,20 +458,12 @@ class _Parser:
         phi = self._resolve_columns(phi_entries, "f", dim, "f", dim)
 
         def family(action: str) -> ActionTensor:
-            mats = []
-            for i in range(base.dim):
-                entries = actions[action].get(i, [])
-                mats.append(self._resolve_columns(entries, "f", dim, "f", dim))
-            return ActionTensor(base.dim, dim, mats)
+            return ActionTensor(base.dim, dim, [
+                self._resolve_columns(actions[action].get(i, []), "f", dim, "f", dim)
+                for i in range(base.dim)])
 
-        kw = {}
-        if base.dot is not None:
-            kw["lambda_l"] = family("lambda_l")
-            kw["lambda_r"] = family("lambda_r")
-        if base.bracket is not None:
-            kw["rho_l"] = family("rho_l")
-            kw["rho_r"] = family("rho_r")
-        rep = Representation(base.kind, base.dim, dim, phi, **kw)
+        rep = Representation(base.kind, base.dim, dim, phi, **{
+            a: family(a) for name in base.tensors() for a in ACTIONS_OF[name]})
         return DocRepresentation(name, base_tok.text, rep)
 
 
@@ -530,10 +508,8 @@ def _serialize_algebra(item: DocAlgebra) -> list[str]:
     lines = [f"algebra {item.name} {{",
              f"  dim {alg.dim}",
              f"  kind {KIND_NAMES[alg.kind]}"]
-    if alg.dot is not None:
-        lines.extend(_serialize_tensor("dot", alg.dot, star=True))
-    if alg.bracket is not None:
-        lines.extend(_serialize_tensor("bracket", alg.bracket, star=False))
+    for name, t in alg.tensors().items():
+        lines.extend(_serialize_tensor(name, t, star=name == "dot"))
     lines.extend(_serialize_columns("alpha", alg.alpha, "e", "e"))
     lines.append("}")
     return lines
@@ -554,10 +530,7 @@ def _serialize_representation(item: DocRepresentation) -> list[str]:
     lines = [f"representation {item.name} on {item.base} {{",
              f"  dim {rep.carrier_dim}"]
     lines.extend(_serialize_columns("phi", rep.phi, "f", "f"))
-    for action in ACTION_NAMES:
-        tensor = getattr(rep, action)
-        if tensor is None:
-            continue
+    for action, tensor in rep.actions().items():
         for i, mat in enumerate(tensor.mats):
             if mat.is_zero():
                 continue

@@ -234,11 +234,6 @@ class AffineSolution:
     kernel: tuple[Vector, ...]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product."""
-    return a @ b
-
-
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """In-place reduced row echelon form; pivot is the first nonzero entry
     of each column.  Returns the reduced rows and the pivot columns."""
@@ -321,10 +316,6 @@ def in_span(columns: Sequence[Vector], v: Vector) -> bool:
     return solve_linear(Matrix.from_cols(list(columns)), v) is not None
 
 
-def format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_lincomb(v: Vector, symbol: str = "e") -> str:
     """Render a vector as a linear combination such as ``3/2 e1 - e2``."""
     parts: list[str] = []
@@ -333,7 +324,7 @@ def format_lincomb(v: Vector, symbol: str = "e") -> str:
             continue
         name = f"{symbol}{i + 1}"
         mag = abs(c)
-        body = name if mag == 1 else f"{format_coeff(mag)} {name}"
+        body = name if mag == 1 else f"{mag} {name}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -15,20 +15,22 @@ variant is kept behind a switch for comparison.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebra import (
     ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor, check_algebra,
 )
-from .errors import KindMismatchError, PreconditionError, ShapeError
+from .errors import KindMismatchError, ShapeError
 from .kernel import (
     IntAction, IntMatrix, IntTensor, add, common_denominator, mat_vec, sub, times,
 )
 from .linalg import Matrix, Vector
-from .representation import Representation, check_representation
-from .reporting import CheckReport, concat, scan_identity
+from .representation import Representation, _require_match, check_representation
+from .reporting import CheckReport, concat, require, scan_identity
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class MatchedPair:
     """Two same-kind algebras with cross actions on each other.
 
@@ -37,28 +39,22 @@ class MatchedPair:
     bicrossed sum twists by alpha1 (+) alpha2.
     """
 
-    __slots__ = ("a1", "a2", "actions_1_on_2", "actions_2_on_1")
+    a1: HomAlgebra
+    a2: HomAlgebra
+    actions_1_on_2: Representation
+    actions_2_on_1: Representation
 
-    def __init__(self, a1: HomAlgebra, a2: HomAlgebra,
-                 actions_1_on_2: Representation, actions_2_on_1: Representation):
-        if a1.kind != a2.kind:
+    def __post_init__(self):
+        if self.a1.kind != self.a2.kind:
             raise KindMismatchError("matched pair needs algebras of one kind")
-        for rep, base, carrier in ((actions_1_on_2, a1, a2),
-                                   (actions_2_on_1, a2, a1)):
-            if rep.kind != base.kind:
-                raise KindMismatchError("cross action kind differs from the algebras")
-            if rep.base_dim != base.dim or rep.carrier_dim != carrier.dim:
+        for rep, base, carrier in ((self.actions_1_on_2, self.a1, self.a2),
+                                   (self.actions_2_on_1, self.a2, self.a1)):
+            _require_match(rep, base)
+            if rep.carrier_dim != carrier.dim:
                 raise ShapeError("cross action dimensions are inconsistent")
             if rep.phi != carrier.alpha:
                 raise ShapeError(
                     "cross action twist must equal the carrier algebra's twist")
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "actions_1_on_2", actions_1_on_2)
-        object.__setattr__(self, "actions_2_on_1", actions_2_on_1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatchedPair is immutable")
 
 
 class _IntPair:
@@ -79,6 +75,17 @@ class _IntPair:
         self.t2 = {name: IntTensor(t, d) for name, t in a2.tensors().items()}
         self.act12 = {name: IntAction(t, d) for name, t in r12.items()}
         self.act21 = {name: IntAction(t, d) for name, t in r21.items()}
+
+    def swapped(self) -> "_IntPair":
+        """The same pair seen from A2: every 1 and 2 exchanged."""
+        q = object.__new__(_IntPair)
+        q.d, q.n1, q.n2, q.al1, q.al2 = self.d, self.n2, self.n1, self.al2, self.al1
+        q.t1, q.t2, q.act12, q.act21 = self.t2, self.t1, self.act21, self.act12
+        return q
+
+    def triples(self):
+        """Index tuples ``(x, u, v)`` with x in A1 and u, v in A2."""
+        return iproduct(range(self.n1), range(self.n2), range(self.n2))
 
 
 def _scan(name: str, indices, residual, d: int, degree: int = 3):
@@ -159,125 +166,82 @@ def _cross_conditions_associative(p: _IntPair, printed: bool) -> list:
     return checks
 
 
-def _cross_conditions_leibniz(p: _IntPair) -> list:
-    """Six conditions coupling the brackets with the rho actions."""
-    n1, n2, d = p.n1, p.n2, p.d
-    br1, br2 = p.t1["bracket"], p.t2["bracket"]
-    al1, al2 = p.al1, p.al2
-    r1l, r1r = p.act12["rho_l"], p.act12["rho_r"]
-    r2l, r2r = p.act21["rho_l"], p.act21["rho_r"]
-
-    checks = []
-    checks.append(_scan(
-        "cross:leibniz:1", iproduct(range(n1), range(n2), range(n2)),
+def _leibniz_residuals(q: _IntPair) -> list:
+    """Three conditions coupling the brackets with the rho actions, with
+    x in A1 acting on u, v in A2."""
+    br2, al1, al2 = q.t2["bracket"], q.al1, q.al2
+    r1l, r1r = q.act12["rho_l"], q.act12["rho_r"]
+    r2l, r2r = q.act21["rho_l"], q.act21["rho_r"]
+    return [
         lambda x, u, v: sub(sub(sub(sub(
             mat_vec(r1r.at(al1[x]), br2.table[u][v]),
             br2.product(al2[u], r1r.cols[x][v])),
             br2.product(r1r.cols[x][u], al2[v])),
             mat_vec(r1r.at(r2l.cols[v][x]), al2[u])),
-            mat_vec(r1l.at(r2l.cols[u][x]), al2[v])), d))
-    checks.append(_scan(
-        "cross:leibniz:2", iproduct(range(n1), range(n2), range(n2)),
+            mat_vec(r1l.at(r2l.cols[u][x]), al2[v])),
         lambda x, u, v: add(sub(add(sub(
             mat_vec(r1l.at(al1[x]), br2.table[u][v]),
             br2.product(r1l.cols[x][u], al2[v])),
             br2.product(r1l.cols[x][v], al2[u])),
             mat_vec(r1l.at(r2r.cols[u][x]), al2[v])),
-            mat_vec(r1l.at(r2r.cols[v][x]), al2[u])), d))
-    checks.append(_scan(
-        "cross:leibniz:3", iproduct(range(n1), range(n2), range(n2)),
+            mat_vec(r1l.at(r2r.cols[v][x]), al2[u])),
         lambda x, u, v: add(sub(add(sub(
             mat_vec(r1r.at(al1[x]), br2.table[u][v]),
             br2.product(r1r.cols[x][u], al2[v])),
             br2.product(al2[u], r1l.cols[x][v])),
             mat_vec(r1l.at(r2l.cols[u][x]), al2[v])),
-            mat_vec(r1r.at(r2r.cols[v][x]), al2[u])), d))
-    checks.append(_scan(
-        "cross:leibniz:4", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: sub(sub(sub(sub(
-            mat_vec(r2r.at(al2[u]), br1.table[x][y]),
-            br1.product(al1[x], r2r.cols[u][y])),
-            br1.product(r2r.cols[u][x], al1[y])),
-            mat_vec(r2r.at(r1l.cols[y][u]), al1[x])),
-            mat_vec(r2l.at(r1l.cols[x][u]), al1[y])), d))
-    checks.append(_scan(
-        "cross:leibniz:5", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: add(sub(add(sub(
-            mat_vec(r2l.at(al2[u]), br1.table[x][y]),
-            br1.product(r2l.cols[u][x], al1[y])),
-            br1.product(r2l.cols[u][y], al1[x])),
-            mat_vec(r2l.at(r1r.cols[x][u]), al1[y])),
-            mat_vec(r2l.at(r1r.cols[y][u]), al1[x])), d))
-    checks.append(_scan(
-        "cross:leibniz:6", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: add(sub(add(sub(
-            mat_vec(r2r.at(al2[u]), br1.table[x][y]),
-            br1.product(r2r.cols[u][x], al1[y])),
-            br1.product(al1[x], r2l.cols[u][y])),
-            mat_vec(r2l.at(r1l.cols[x][u]), al1[y])),
-            mat_vec(r2r.at(r1r.cols[y][u]), al1[x])), d))
-    return checks
+            mat_vec(r1r.at(r2r.cols[v][x]), al2[u])),
+    ]
 
 
-def _cross_conditions_poisson(p: _IntPair) -> list:
-    """Six mixed conditions coupling dot products with bracket actions."""
-    n1, n2, d = p.n1, p.n2, p.d
-    dot1, dot2 = p.t1["dot"], p.t2["dot"]
-    br1, br2 = p.t1["bracket"], p.t2["bracket"]
-    al1, al2 = p.al1, p.al2
-    l1l, l1r, r1l, r1r = (p.act12[a] for a in ("lambda_l", "lambda_r", "rho_l", "rho_r"))
-    l2l, l2r, r2l, r2r = (p.act21[a] for a in ("lambda_l", "lambda_r", "rho_l", "rho_r"))
-
-    checks = []
-    checks.append(_scan(
-        "cross:poisson:1", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: sub(sub(add(add(
-            mat_vec(l2l.at(al2[u]), br1.table[x][y]),
-            dot1.product(r2l.cols[u][y], al1[x])),
-            mat_vec(l2l.at(r1r.cols[y][u]), al1[x])),
-            br1.product(l2l.cols[u][x], al1[y])),
-            mat_vec(r2l.at(l1r.cols[x][u]), al1[y])), d))
-    checks.append(_scan(
-        "cross:poisson:2", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: sub(sub(add(add(
-            mat_vec(l2r.at(al2[u]), br1.table[x][y]),
-            dot1.product(al1[x], r2l.cols[u][y])),
-            mat_vec(l2r.at(r1r.cols[y][u]), al1[x])),
-            br1.product(l2r.cols[u][x], al1[y])),
-            mat_vec(r2l.at(l1l.cols[x][u]), al1[y])), d))
-    checks.append(_scan(
-        "cross:poisson:3", iproduct(range(n1), range(n2), range(n2)),
+def _poisson_residuals(q: _IntPair) -> list:
+    """Three mixed conditions coupling dot products with bracket actions,
+    with x in A1 acting on u, v in A2."""
+    dot2, br2, al1, al2 = q.t2["dot"], q.t2["bracket"], q.al1, q.al2
+    l1l, l1r, r1l, r1r = (q.act12[a] for a in ("lambda_l", "lambda_r", "rho_l", "rho_r"))
+    l2l, l2r, r2l, r2r = (q.act21[a] for a in ("lambda_l", "lambda_r", "rho_l", "rho_r"))
+    return [
         lambda x, u, v: sub(sub(add(add(
             mat_vec(l1l.at(al1[x]), br2.table[u][v]),
             dot2.product(r1l.cols[x][v], al2[u])),
             mat_vec(l1l.at(r2r.cols[v][x]), al2[u])),
             br2.product(l1l.cols[x][u], al2[v])),
-            mat_vec(r1l.at(l2r.cols[u][x]), al2[v])), d))
-    checks.append(_scan(
-        "cross:poisson:4", iproduct(range(n1), range(n2), range(n2)),
+            mat_vec(r1l.at(l2r.cols[u][x]), al2[v])),
         lambda x, u, v: sub(sub(add(add(
             mat_vec(l1r.at(al1[x]), br2.table[u][v]),
             dot2.product(al2[u], r1l.cols[x][v])),
             mat_vec(l1r.at(r2r.cols[v][x]), al2[u])),
             br2.product(l1r.cols[x][u], al2[v])),
-            mat_vec(r1l.at(l2l.cols[u][x]), al2[v])), d))
-    checks.append(_scan(
-        "cross:poisson:5", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: sub(sub(sub(sub(
-            mat_vec(r2r.at(al2[u]), dot1.table[x][y]),
-            dot1.product(al1[x], r2r.cols[u][y])),
-            mat_vec(l2r.at(r1l.cols[y][u]), al1[x])),
-            dot1.product(r2r.cols[u][x], al1[y])),
-            mat_vec(l2l.at(r1l.cols[x][u]), al1[y])), d))
-    checks.append(_scan(
-        "cross:poisson:6", iproduct(range(n1), range(n2), range(n2)),
+            mat_vec(r1l.at(l2l.cols[u][x]), al2[v])),
         lambda x, u, v: sub(sub(sub(sub(
             mat_vec(r1r.at(al1[x]), dot2.table[u][v]),
             dot2.product(al2[u], r1r.cols[x][v])),
             mat_vec(l1r.at(r2l.cols[v][x]), al2[u])),
             dot2.product(r1r.cols[x][u], al2[v])),
-            mat_vec(l1l.at(r2l.cols[u][x]), al2[v])), d))
-    return checks
+            mat_vec(l1l.at(r2l.cols[u][x]), al2[v])),
+    ]
+
+
+def _scan_views(kind: str, order: list, d: int) -> list:
+    """Scan ``cross:<kind>:1``, ``:2``, ... for each ``(view, residual)``
+    in ``order``, over the view's index triples."""
+    return [_scan(f"cross:{kind}:{k}", view.triples(), residual, d)
+            for k, (view, residual) in enumerate(order, 1)]
+
+
+def _cross_conditions_leibniz(p: _IntPair) -> list:
+    """The three Leibniz conditions for A1 acting on A2 (1-3), then the
+    same three for A2 acting on A1 (4-6)."""
+    order = [(view, r) for view in (p, p.swapped()) for r in _leibniz_residuals(view)]
+    return _scan_views("leibniz", order, p.d)
+
+
+def _cross_conditions_poisson(p: _IntPair) -> list:
+    """The three Poisson conditions for A2 acting on A1 (numbered 1, 2
+    and 5) and for A1 acting on A2 (3, 4 and 6)."""
+    q = p.swapped()
+    (a, b, c), (a2, b2, c2) = _poisson_residuals(p), _poisson_residuals(q)
+    return _scan_views("poisson", [(q, a2), (q, b2), (p, a), (p, b), (q, c2), (p, c)], p.d)
 
 
 def check_matched_pair(mp: MatchedPair,
@@ -294,11 +258,7 @@ def check_matched_pair(mp: MatchedPair,
         raise ValueError("associative_conditions must be 'corrected' or 'printed'")
     for rep, base, label in ((mp.actions_1_on_2, mp.a1, "actions_1_on_2"),
                              (mp.actions_2_on_1, mp.a2, "actions_2_on_1")):
-        rep_report = check_representation(rep, base)
-        if not rep_report.passed:
-            raise PreconditionError(
-                f"{label} is not a representation: "
-                + "; ".join(c.render() for c in rep_report.failures()))
+        require(check_representation(rep, base), f"{label} is not a representation")
     reports = [check_algebra(mp.a1).prefixed("algebra1:"),
                check_algebra(mp.a2).prefixed("algebra2:")]
     pair = _IntPair(mp)
@@ -330,8 +290,11 @@ def matched_sum(mp: MatchedPair) -> HomAlgebra:
     def embed2(v: Vector) -> Vector:
         return Vector((0,) * n1 + tuple(v.entries))
 
-    def build(t1: StructureTensor, t2: StructureTensor,
-              act12_l, act12_r, act21_l, act21_r) -> StructureTensor:
+    def build(name: str) -> StructureTensor:
+        t1, t2 = getattr(a1, name), getattr(a2, name)
+        act12_l, act12_r = mp.actions_1_on_2.action_pair(name)
+        act21_l, act21_r = mp.actions_2_on_1.action_pair(name)
+
         def fn(i: int, j: int) -> Vector:
             if i < n1 and j < n1:
                 return embed1(t1.basis_product(i, j))
@@ -345,14 +308,5 @@ def matched_sum(mp: MatchedPair) -> HomAlgebra:
             return embed1(act21_l.mats[u].col(y)) + embed2(act12_r.mats[y].col(u))
         return StructureTensor.from_function(total, fn)
 
-    dot = bracket = None
-    if a1.dot is not None:
-        dot = build(a1.dot, a2.dot,
-                    mp.actions_1_on_2.lambda_l, mp.actions_1_on_2.lambda_r,
-                    mp.actions_2_on_1.lambda_l, mp.actions_2_on_1.lambda_r)
-    if a1.bracket is not None:
-        bracket = build(a1.bracket, a2.bracket,
-                        mp.actions_1_on_2.rho_l, mp.actions_1_on_2.rho_r,
-                        mp.actions_2_on_1.rho_l, mp.actions_2_on_1.rho_r)
     alpha = Matrix.block_diag(a1.alpha, a2.alpha)
-    return HomAlgebra(total, a1.kind, alpha, dot=dot, bracket=bracket)
+    return HomAlgebra(total, a1.kind, alpha, **{name: build(name) for name in a1.tensors()})

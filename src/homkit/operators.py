@@ -16,41 +16,38 @@ that satisfy the product identity but not the twist compatibility.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 
 from .algebra import HomAlgebra, StructureTensor, check_morphism
-from .errors import PreconditionError, ShapeError
+from .errors import ShapeError
 from .kernel import (
     IntAction, IntMatrix, IntTensor, add, common_denominator, scale, sub, times,
     unit,
 )
-from .linalg import Matrix, Vector, frac, solve_linear
+from .linalg import Matrix, Vector, frac, in_span
 from .representation import (
-    ActionTensor, Representation, check_representation, semidirect_product,
+    ActionTensor, Representation, _require_match, check_representation,
+    paired_families, semidirect_product,
 )
-from .reporting import CheckReport, scan_identity, scan_membership
+from .reporting import CheckReport, require, scan_identity, scan_membership
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class OperatorContext:
     """An algebra, a representation of it, and a candidate operator
     T: carrier -> algebra (as an alg.dim x carrier_dim matrix)."""
 
-    __slots__ = ("alg", "rep", "t")
+    alg: HomAlgebra
+    rep: Representation
+    t: Matrix
 
-    def __init__(self, alg: HomAlgebra, rep: Representation, t: Matrix):
-        if rep.kind != alg.kind:
-            raise ShapeError("representation kind differs from the algebra")
-        if rep.base_dim != alg.dim:
-            raise ShapeError("representation base dim differs from the algebra")
-        if t.rows != alg.dim or t.cols != rep.carrier_dim:
+    def __post_init__(self):
+        _require_match(self.rep, self.alg)
+        if self.t.rows != self.alg.dim or self.t.cols != self.rep.carrier_dim:
             raise ShapeError("operator must be alg.dim x carrier_dim")
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "t", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorContext is immutable")
 
 
 def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str, inner,
@@ -120,26 +117,18 @@ def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
         lambda j: sub(t.apply(phi.cols[j]), alpha.apply(t.cols[j])),
         denominator=d ** 2)]
     m = rep.carrier_dim
-    for name, left, right in (("dot", "lambda_l", "lambda_r"),
-                              ("bracket", "rho_l", "rho_r")):
-        if name in tensors:
-            checks.append(scan_identity(
-                f"splits:{name}", iproduct(range(m), repeat=2),
-                _split_residual(t, IntTensor(tensors[name], d),
-                                IntAction(actions[left], d),
-                                IntAction(actions[right], d)),
-                denominator=d ** 3))
+    for name, tensor in tensors.items():
+        left, right = (IntAction(a, d) for a in rep.action_pair(name))
+        checks.append(scan_identity(
+            f"splits:{name}", iproduct(range(m), repeat=2),
+            _split_residual(t, IntTensor(tensor, d), left, right),
+            denominator=d ** 3))
     return CheckReport(tuple(checks))
 
 
 def _gate(ctx: OperatorContext, checked: bool, what: str) -> None:
-    if not checked:
-        return
-    report = check_relative_rbo(ctx)
-    if not report.passed:
-        raise PreconditionError(
-            f"{what} needs a relative Rota-Baxter operator: "
-            + "; ".join(c.render() for c in report.failures()))
+    if checked:
+        require(check_relative_rbo(ctx), f"{what} needs a relative Rota-Baxter operator")
 
 
 def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
@@ -155,12 +144,8 @@ def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
         return StructureTensor.from_function(
             m, lambda i, j: lefts[i].col(j) + rights[j].col(i))
 
-    dot = bracket = None
-    if ctx.alg.dot is not None:
-        dot = build(rep.lambda_l, rep.lambda_r)
-    if ctx.alg.bracket is not None:
-        bracket = build(rep.rho_l, rep.rho_r)
-    return HomAlgebra(m, ctx.alg.kind, rep.phi, dot=dot, bracket=bracket)
+    return HomAlgebra(m, ctx.alg.kind, rep.phi,
+                      **{name: build(*rep.action_pair(name)) for name in ctx.alg.tensors()})
 
 
 def check_morphism_property(ctx: OperatorContext, checked: bool = True) -> CheckReport:
@@ -184,8 +169,9 @@ def induced_representation(ctx: OperatorContext, checked: bool = True) -> Repres
     alg, rep, t = ctx.alg, ctx.rep, ctx.t
     n, m = alg.dim, rep.carrier_dim
 
-    def family(tensor: StructureTensor, opposite: ActionTensor,
-               left: bool) -> ActionTensor:
+    def family(name: str, left: bool) -> ActionTensor:
+        tensor = getattr(alg, name)
+        opposite = rep.action_pair(name)[1 if left else 0]
         mats = []
         for u in range(m):
             tu = t.col(u)
@@ -197,14 +183,7 @@ def induced_representation(ctx: OperatorContext, checked: bool = True) -> Repres
             mats.append(Matrix.from_cols(cols))
         return ActionTensor(m, n, mats)
 
-    kw = {}
-    if alg.dot is not None:
-        kw["lambda_l"] = family(alg.dot, rep.lambda_r, True)
-        kw["lambda_r"] = family(alg.dot, rep.lambda_l, False)
-    if alg.bracket is not None:
-        kw["rho_l"] = family(alg.bracket, rep.rho_r, True)
-        kw["rho_r"] = family(alg.bracket, rep.rho_l, False)
-    return Representation(alg.kind, m, n, alg.alpha, **kw)
+    return Representation(alg.kind, m, n, alg.alpha, **paired_families(alg, family))
 
 
 def projection_context(alg: HomAlgebra, rep: Representation,
@@ -224,39 +203,29 @@ def projection_context(alg: HomAlgebra, rep: Representation,
     component), and the checkers confirm it.  T(a + v) = a is then always
     a relative Rota-Baxter operator for this extended representation.
     """
-    if rep.kind != alg.kind or rep.base_dim != alg.dim:
-        raise ShapeError("representation does not match the algebra")
+    _require_match(rep, alg)
     if checked:
-        report = check_representation(rep, alg)
-        if not report.passed:
-            raise PreconditionError(
-                "projection context needs a valid representation: "
-                + "; ".join(c.render() for c in report.failures()))
+        require(check_representation(rep, alg),
+                "projection context needs a valid representation")
     n, m = alg.dim, rep.carrier_dim
 
-    def full_family(tensor: StructureTensor, inner: ActionTensor,
-                    left: bool) -> ActionTensor:
+    def family(name: str, left: bool) -> ActionTensor:
+        tensor, inner = getattr(alg, name), rep.action_pair(name)[0 if left else 1]
+        # The regular part sits on the dot's left and the bracket's right action.
+        regular = left == (name == "dot")
         mats = []
         for a in range(n):
-            cols = [tensor.basis_product(a, j) if left
-                    else tensor.basis_product(j, a) for j in range(n)]
-            mats.append(Matrix.block_diag(Matrix.from_cols(cols), inner.mats[a]))
+            if regular:
+                block = Matrix.from_cols([tensor.basis_product(a, j) if left
+                                          else tensor.basis_product(j, a)
+                                          for j in range(n)])
+            else:
+                block = Matrix.zero(n, n)
+            mats.append(Matrix.block_diag(block, inner.mats[a]))
         return ActionTensor(n, n + m, mats)
 
-    def carrier_only_family(inner: ActionTensor) -> ActionTensor:
-        mats = [Matrix.block_diag(Matrix.zero(n, n), inner.mats[a])
-                for a in range(n)]
-        return ActionTensor(n, n + m, mats)
-
-    kw = {}
-    if alg.dot is not None:
-        kw["lambda_l"] = full_family(alg.dot, rep.lambda_l, left=True)
-        kw["lambda_r"] = carrier_only_family(rep.lambda_r)
-    if alg.bracket is not None:
-        kw["rho_l"] = carrier_only_family(rep.rho_l)
-        kw["rho_r"] = full_family(alg.bracket, rep.rho_r, left=False)
-    big = Representation(alg.kind, n, n + m,
-                         Matrix.block_diag(alg.alpha, rep.phi), **kw)
+    big = Representation(alg.kind, n, n + m, Matrix.block_diag(alg.alpha, rep.phi),
+                         **paired_families(alg, family))
     t = Matrix.block([[Matrix.identity(n), Matrix.zero(n, m)]])
     return OperatorContext(alg, big, t)
 
@@ -282,11 +251,7 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
     The operator then becomes a morphism from the deformed algebra to the
     original one."""
     if checked:
-        report = check_nijenhuis(alg, n)
-        if not report.passed:
-            raise PreconditionError(
-                "deformation needs a Nijenhuis operator: "
-                + "; ".join(c.render() for c in report.failures()))
+        require(check_nijenhuis(alg, n), "deformation needs a Nijenhuis operator")
 
     def deform(t: StructureTensor) -> StructureTensor:
         def fn(i, j):
@@ -296,10 +261,8 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
                     - n.apply(t.basis_product(i, j)))
         return StructureTensor.from_function(alg.dim, fn)
 
-    return HomAlgebra(
-        alg.dim, alg.kind, alg.alpha,
-        dot=deform(alg.dot) if alg.dot is not None else None,
-        bracket=deform(alg.bracket) if alg.bracket is not None else None)
+    return HomAlgebra(alg.dim, alg.kind, alg.alpha,
+                      **{name: deform(t) for name, t in alg.tensors().items()})
 
 
 def graph_check(ctx: OperatorContext) -> CheckReport:
@@ -313,13 +276,7 @@ def graph_check(ctx: OperatorContext) -> CheckReport:
     m = ctx.rep.carrier_dim
     graph_cols = [Vector(tuple(ctx.t.col(i).entries)
                          + tuple(Vector.unit(m, i).entries)) for i in range(m)]
-    span = Matrix.from_cols(graph_cols) if graph_cols else Matrix.zero(sd.dim, 0)
-
-    def member(v: Vector) -> bool:
-        if not graph_cols:
-            return v.is_zero()
-        return solve_linear(span, v) is not None
-
+    member = partial(in_span, graph_cols)
     checks = [scan_membership(
         "graph_twist_stable", ((i,) for i in range(m)),
         lambda i: sd.alpha.apply(graph_cols[i]), member)]
@@ -340,9 +297,3 @@ def lift_operator(ctx: OperatorContext) -> Matrix:
     return Matrix.block([[Matrix.zero(n, n), ctx.t],
                          [Matrix.zero(m, n), Matrix.zero(m, m)]])
 
-
-def nijenhuis_from_rbo(ctx: OperatorContext) -> Matrix:
-    """Same block matrix as :func:`lift_operator`; it is a Nijenhuis
-    operator on the semidirect product exactly when T is a relative
-    Rota-Baxter operator."""
-    return lift_operator(ctx)

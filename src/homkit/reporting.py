@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
+from .errors import PreconditionError
 from .linalg import Vector, format_lincomb
 
 
@@ -72,6 +73,14 @@ def concat(*reports: CheckReport) -> CheckReport:
     for r in reports:
         checks.extend(r.checks)
     return CheckReport(tuple(checks))
+
+
+def require(report: CheckReport, what: str) -> None:
+    """The precondition gate: raise :class:`PreconditionError` with
+    ``what`` and the rendered failures unless ``report`` passed."""
+    if not report.passed:
+        raise PreconditionError(
+            f"{what}: " + "; ".join(c.render() for c in report.failures()))
 
 
 def _witness_vector(residual, denominator: int) -> Vector:

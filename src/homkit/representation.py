@@ -13,12 +13,14 @@ multilinearity.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
-    ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor,
-    check_ideal, check_morphism,
+    ACTIONS_OF, ASSOCIATIVE, KINDS, LEIBNIZ, POISSON, TENSORS_BY_KIND,
+    HomAlgebra, StructureTensor, _require_self_morphism, check_ideal,
+    check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import (
@@ -26,28 +28,25 @@ from .kernel import (
     mat_sub, mat_times,
 )
 from .linalg import Matrix, Vector, solve_linear
-from .reporting import CheckReport, scan_operator_identity
+from .reporting import CheckReport, require, scan_operator_identity
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ActionTensor:
     """Linear family of carrier endomorphisms indexed by base basis
     elements; extends linearly to ``at(x) = sum_i x_i mats[i]``."""
 
-    __slots__ = ("base_dim", "carrier_dim", "mats")
+    base_dim: int
+    carrier_dim: int
+    mats: tuple[Matrix, ...]
 
-    def __init__(self, base_dim: int, carrier_dim: int, mats: Sequence[Matrix]):
-        mats = tuple(mats)
-        if len(mats) != base_dim:
+    def __post_init__(self):
+        mats = tuple(self.mats)
+        if len(mats) != self.base_dim:
             raise ShapeError("need one matrix per base basis element")
-        for m in mats:
-            if m.rows != carrier_dim or m.cols != carrier_dim:
-                raise ShapeError("action matrices must be carrier_dim square")
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "carrier_dim", carrier_dim)
+        if any(m.rows != self.carrier_dim or m.cols != self.carrier_dim for m in mats):
+            raise ShapeError("action matrices must be carrier_dim square")
         object.__setattr__(self, "mats", mats)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ActionTensor is immutable")
 
     @classmethod
     def zero(cls, base_dim: int, carrier_dim: int) -> "ActionTensor":
@@ -69,87 +68,63 @@ class ActionTensor:
         return ActionTensor(self.base_dim, self.carrier_dim,
                             [self.at(beta.col(i)) for i in range(self.base_dim)])
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ActionTensor)
-                and self.base_dim == other.base_dim
-                and self.carrier_dim == other.carrier_dim
-                and self.mats == other.mats)
 
-    def __hash__(self) -> int:
-        return hash((self.base_dim, self.carrier_dim, self.mats))
-
-
+@dataclass(frozen=True, slots=True, repr=False)
 class Representation:
-    """Carrier space with twist phi and the action families of its kind."""
+    """Carrier space with twist phi and the action families of its kind:
+    the pair ``ACTIONS_OF[name]`` for each of the kind's tables."""
 
-    __slots__ = ("kind", "base_dim", "carrier_dim", "phi",
-                 "lambda_l", "lambda_r", "rho_l", "rho_r")
+    kind: str
+    base_dim: int
+    carrier_dim: int
+    phi: Matrix
+    lambda_l: ActionTensor | None = None
+    lambda_r: ActionTensor | None = None
+    rho_l: ActionTensor | None = None
+    rho_r: ActionTensor | None = None
 
-    def __init__(self, kind: str, base_dim: int, carrier_dim: int, phi: Matrix,
-                 lambda_l: ActionTensor | None = None,
-                 lambda_r: ActionTensor | None = None,
-                 rho_l: ActionTensor | None = None,
-                 rho_r: ActionTensor | None = None):
-        if kind not in (ASSOCIATIVE, LEIBNIZ, POISSON):
-            raise KindMismatchError(f"unknown kind {kind!r}")
-        needs_lambda = kind in (ASSOCIATIVE, POISSON)
-        needs_rho = kind in (LEIBNIZ, POISSON)
-        given = {"lambda_l": lambda_l, "lambda_r": lambda_r,
-                 "rho_l": rho_l, "rho_r": rho_r}
-        for name, needed in (("lambda_l", needs_lambda), ("lambda_r", needs_lambda),
-                        ("rho_l", needs_rho), ("rho_r", needs_rho)):
-            if (given[name] is not None) != needed:
-                raise KindMismatchError(
-                    f"kind {kind!r} requires exactly its own action families"
-                    f" (unexpected state for {name})")
-        if phi.rows != carrier_dim or phi.cols != carrier_dim:
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise KindMismatchError(f"unknown kind {self.kind!r}")
+        needed = {a for name in TENSORS_BY_KIND[self.kind] for a in ACTIONS_OF[name]}
+        for pair in ACTIONS_OF.values():
+            for name in pair:
+                if (getattr(self, name) is not None) != (name in needed):
+                    raise KindMismatchError(
+                        f"kind {self.kind!r} requires exactly its own action families"
+                        f" (unexpected state for {name})")
+        if self.phi.rows != self.carrier_dim or self.phi.cols != self.carrier_dim:
             raise ShapeError("phi must be carrier_dim square")
-        for t in given.values():
-            if t is None:
-                continue
-            if t.base_dim != base_dim or t.carrier_dim != carrier_dim:
-                raise ShapeError("action family shape disagrees with the representation")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "carrier_dim", carrier_dim)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "lambda_l", lambda_l)
-        object.__setattr__(self, "lambda_r", lambda_r)
-        object.__setattr__(self, "rho_l", rho_l)
-        object.__setattr__(self, "rho_r", rho_r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
+        if any(t.base_dim != self.base_dim or t.carrier_dim != self.carrier_dim
+               for t in self.actions().values()):
+            raise ShapeError("action family shape disagrees with the representation")
 
     def actions(self) -> dict[str, ActionTensor]:
-        out = {}
-        for name in ("lambda_l", "lambda_r", "rho_l", "rho_r"):
-            t = getattr(self, name)
-            if t is not None:
-                out[name] = t
-        return out
+        """The action families of this kind by name, table by table."""
+        return {a: getattr(self, a)
+                for name in TENSORS_BY_KIND[self.kind] for a in ACTIONS_OF[name]}
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Representation)
-                and self.kind == other.kind
-                and self.base_dim == other.base_dim
-                and self.carrier_dim == other.carrier_dim
-                and self.phi == other.phi
-                and self.lambda_l == other.lambda_l
-                and self.lambda_r == other.lambda_r
-                and self.rho_l == other.rho_l
-                and self.rho_r == other.rho_r)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.base_dim, self.carrier_dim, self.phi,
-                     self.lambda_l, self.lambda_r, self.rho_l, self.rho_r))
+    def action_pair(self, name: str) -> tuple[ActionTensor, ActionTensor]:
+        """The (left, right) action families paired with table ``name``."""
+        left, right = ACTIONS_OF[name]
+        return getattr(self, left), getattr(self, right)
 
     def __repr__(self) -> str:
         return (f"Representation(kind={self.kind!r}, base_dim={self.base_dim}, "
                 f"carrier_dim={self.carrier_dim})")
 
 
+def paired_families(alg: HomAlgebra,
+                    family: Callable[[str, bool], ActionTensor]) -> dict[str, ActionTensor]:
+    """Action families of ``alg``'s kind as ``Representation`` keywords:
+    for each table ``name``, ``family(name, True)`` is its left action and
+    ``family(name, False)`` its right action."""
+    return {action: family(name, left) for name in alg.tensors()
+            for action, left in zip(ACTIONS_OF[name], (True, False))}
+
+
 def _require_match(rep: Representation, alg: HomAlgebra) -> None:
+    """The one kind and shape match check of a representation and its base."""
     if rep.kind != alg.kind:
         raise KindMismatchError(
             f"representation kind {rep.kind!r} differs from algebra kind {alg.kind!r}")
@@ -263,13 +238,8 @@ def regular_representation(alg: HomAlgebra) -> Representation:
     """The algebra acting on itself: left/right multiplication by each
     table, carrier twist alpha."""
     n = alg.dim
-    kw = {}
-    if alg.dot is not None:
-        kw["lambda_l"] = ActionTensor(n, n, _mult_tensors(alg.dot, True))
-        kw["lambda_r"] = ActionTensor(n, n, _mult_tensors(alg.dot, False))
-    if alg.bracket is not None:
-        kw["rho_l"] = ActionTensor(n, n, _mult_tensors(alg.bracket, True))
-        kw["rho_r"] = ActionTensor(n, n, _mult_tensors(alg.bracket, False))
+    kw = paired_families(alg, lambda name, left: ActionTensor(
+        n, n, _mult_tensors(getattr(alg, name), left)))
     return Representation(alg.kind, n, n, alg.alpha, **kw)
 
 
@@ -278,14 +248,11 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
     """Representation of ``src`` on ``dst``'s space along a morphism f:
     actions ``x . v = mu_dst(f x, v)`` etc., carrier twist ``dst.alpha``."""
     if checked:
-        report = check_morphism(f, src, dst)
-        if not report.passed:
-            raise PreconditionError(
-                "pullback needs a morphism: "
-                + "; ".join(c.render() for c in report.failures()))
+        require(check_morphism(f, src, dst), "pullback needs a morphism")
     n, m = src.dim, dst.dim
 
-    def family(t: StructureTensor, left: bool) -> ActionTensor:
+    def family(name: str, left: bool) -> ActionTensor:
+        t = getattr(dst, name)
         mats = []
         for i in range(n):
             fx = f.col(i)
@@ -294,22 +261,7 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
             mats.append(Matrix.from_cols(cols))
         return ActionTensor(n, m, mats)
 
-    kw = {}
-    if src.dot is not None:
-        kw["lambda_l"] = family(dst.dot, True)
-        kw["lambda_r"] = family(dst.dot, False)
-    if src.bracket is not None:
-        kw["rho_l"] = family(dst.bracket, True)
-        kw["rho_r"] = family(dst.bracket, False)
-    return Representation(src.kind, n, m, dst.alpha, **kw)
-
-
-def _require_self_morphism(beta: Matrix, alg: HomAlgebra) -> None:
-    report = check_morphism(beta, alg, alg)
-    if not report.passed:
-        raise PreconditionError(
-            "twisting map is not a self-morphism: "
-            + "; ".join(c.render() for c in report.failures()))
+    return Representation(src.kind, n, m, dst.alpha, **paired_families(src, family))
 
 
 def twist_representation(rep: Representation, beta: Matrix, alg: HomAlgebra,
@@ -345,11 +297,7 @@ def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
     basis; actions are the restricted multiplications."""
     vecs = list(basis)
     if checked:
-        report = check_ideal(vecs, alg)
-        if not report.passed:
-            raise PreconditionError(
-                "not a two-sided ideal: "
-                + "; ".join(c.render() for c in report.failures()))
+        require(check_ideal(vecs, alg), "not a two-sided ideal")
     k = len(vecs)
     span = Matrix.from_cols(vecs) if vecs else Matrix.zero(alg.dim, 0)
 
@@ -363,7 +311,8 @@ def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
     phi = Matrix.from_cols([coords(alg.alpha.apply(b)) for b in vecs]) if k \
         else Matrix.zero(0, 0)
 
-    def family(t: StructureTensor, left: bool) -> ActionTensor:
+    def family(name: str, left: bool) -> ActionTensor:
+        t = getattr(alg, name)
         mats = []
         for a in range(alg.dim):
             ea = Vector.unit(alg.dim, a)
@@ -372,14 +321,7 @@ def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
             mats.append(Matrix.from_cols(cols) if k else Matrix.zero(0, 0))
         return ActionTensor(alg.dim, k, mats)
 
-    kw = {}
-    if alg.dot is not None:
-        kw["lambda_l"] = family(alg.dot, True)
-        kw["lambda_r"] = family(alg.dot, False)
-    if alg.bracket is not None:
-        kw["rho_l"] = family(alg.bracket, True)
-        kw["rho_r"] = family(alg.bracket, False)
-    return Representation(alg.kind, alg.dim, k, phi, **kw)
+    return Representation(alg.kind, alg.dim, k, phi, **paired_families(alg, family))
 
 
 def semidirect_product(alg: HomAlgebra, rep: Representation) -> HomAlgebra:
@@ -407,10 +349,7 @@ def semidirect_product(alg: HomAlgebra, rep: Representation) -> HomAlgebra:
             return Vector.zero(total)
         return StructureTensor.from_function(total, fn)
 
-    dot = bracket = None
-    if alg.dot is not None:
-        dot = build(alg.dot, rep.lambda_l, rep.lambda_r)
-    if alg.bracket is not None:
-        bracket = build(alg.bracket, rep.rho_l, rep.rho_r)
     alpha = Matrix.block_diag(alg.alpha, rep.phi)
-    return HomAlgebra(total, alg.kind, alpha, dot=dot, bracket=bracket)
+    return HomAlgebra(total, alg.kind, alpha,
+                      **{name: build(t, *rep.action_pair(name))
+                         for name, t in alg.tensors().items()})

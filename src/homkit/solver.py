@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Callable, Mapping, Sequence
 
 from .algebra import HomAlgebra, StructureTensor
 from .errors import ShapeError, SoundnessError
-from .linalg import Matrix, Vector, frac, rational_sqrt, _rref
+from .linalg import Matrix, Vector, frac, in_span, rational_sqrt, _rref
 from .operators import OperatorContext, check_relative_rbo
-from .representation import ActionTensor, Representation
+from .representation import ActionTensor, Representation, _require_match
 from .reporting import CheckReport, CheckResult
 
 Monomial = tuple[int, ...]  # sorted variable ids; () is the constant monomial
@@ -150,20 +151,19 @@ class Polynomial:
         return f"Polynomial({self.render(lambda v: f'x{v}')})"
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class PolySystem:
     """Equations (each polynomial = 0) in the entries of an unknown
-    rows x cols matrix; variable id of entry (r, c) is r*cols + c."""
+    rows x cols matrix; variable id of entry (r, c) is r*cols + c.  Zero
+    equations are dropped."""
 
-    __slots__ = ("rows", "cols", "equations")
+    rows: int
+    cols: int
+    equations: tuple[Polynomial, ...]
 
-    def __init__(self, rows: int, cols: int, equations: Iterable[Polynomial]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+    def __post_init__(self):
         object.__setattr__(self, "equations",
-                           tuple(e for e in equations if not e.is_zero()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolySystem is immutable")
+                           tuple(e for e in self.equations if not e.is_zero()))
 
     @property
     def nvars(self) -> int:
@@ -191,8 +191,7 @@ class PolySystem:
 def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     """Polynomial system whose solutions are exactly the relative
     Rota-Baxter operators for (alg, rep)."""
-    if rep.kind != alg.kind or rep.base_dim != alg.dim:
-        raise ShapeError("representation does not match the algebra")
+    _require_match(rep, alg)
     n, m = alg.dim, rep.carrier_dim
     sys_shape = PolySystem(n, m, [])
 
@@ -245,10 +244,8 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
                             p = p - tv(k, q) * inner[q]
                     equations.append(p)
 
-    if alg.dot is not None:
-        add_table(alg.dot, rep.lambda_l, rep.lambda_r)
-    if alg.bracket is not None:
-        add_table(alg.bracket, rep.rho_l, rep.rho_r)
+    for name, tensor in alg.tensors().items():
+        add_table(tensor, *rep.action_pair(name))
     return PolySystem(n, m, equations)
 
 
@@ -480,19 +477,10 @@ def _vectorize(m: Matrix) -> Vector:
 
 
 def _family_contains(big: AffineFamily, small: AffineFamily) -> bool:
-    from .linalg import solve_linear, Matrix as M
     cols = [_vectorize(b) for b in big.basis]
-    size = big.particular.rows * big.particular.cols
-    span = M.from_cols(cols) if cols else M.zero(size, 0)
-
-    def in_span(v: Vector) -> bool:
-        if not cols:
-            return v.is_zero()
-        return solve_linear(span, v) is not None
-
-    if not in_span(_vectorize(small.particular) - _vectorize(big.particular)):
+    if not in_span(cols, _vectorize(small.particular) - _vectorize(big.particular)):
         return False
-    return all(in_span(_vectorize(b)) for b in small.basis)
+    return all(in_span(cols, _vectorize(b)) for b in small.basis)
 
 
 def solve(system: PolySystem) -> SolutionSet:
@@ -543,13 +531,7 @@ def parameter_sequence():
 
 
 def _take_parameters(count: int, offset: int = 0) -> list[Fraction]:
-    gen = parameter_sequence()
-    values = []
-    for _ in range(offset):
-        next(gen)
-    for _ in range(count):
-        values.append(next(gen))
-    return values
+    return list(islice(parameter_sequence(), offset, offset + count))
 
 
 def solve_relative_rbo(alg: HomAlgebra, rep: Representation) -> SolutionSet:

@@ -27,7 +27,6 @@ from homkit.operators import (
     OperatorContext, check_morphism_property, check_nijenhuis,
     check_relative_rbo, check_rota_baxter, graph_check, induced_algebra,
     induced_representation, lift_operator, nijenhuis_deform,
-    nijenhuis_from_rbo,
 )
 from homkit.representation import (
     check_representation, regular_representation, semidirect_product,
@@ -195,7 +194,7 @@ def test_criterion_6_characterization_equivalences():
             check_relative_rbo(ctx).passed,
             graph_check(ctx).passed,
             check_rota_baxter(sd, lift_operator(ctx), 0).passed,
-            check_nijenhuis(sd, nijenhuis_from_rbo(ctx)).passed,
+            check_nijenhuis(sd, lift_operator(ctx)).passed,
         ]
         assert len(set(verdicts)) == 1, (alg.kind, t, verdicts)
         cases += 1
@@ -212,7 +211,7 @@ def test_criterion_7_nijenhuis_deformation():
     operators = [
         (sd, Matrix.zero(4, 4)),
         (sd, Matrix.identity(4)),
-        (sd, nijenhuis_from_rbo(ctx)),
+        (sd, lift_operator(ctx)),
     ]
     for alg, n in operators:
         assert check_nijenhuis(alg, n).passed

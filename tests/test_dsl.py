@@ -1,6 +1,7 @@
 """Parser, resolver, and canonical serializer."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,3 +177,16 @@ def test_randomized_round_trips():
         again = parse(text)
         assert again == doc
         assert serialize(again) == text
+
+
+def test_empty_tables_share_one_zero():
+    # Unlisted products are one shared zero vector, so an empty header
+    # costs memory quadratic, not cubic, in the dimension.
+    tracemalloc.start()
+    try:
+        doc = parse("algebra A { dim 120 kind poisson }")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.algebra("A").dot.basis_product(119, 119).is_zero()
+    assert peak < 5_000_000

@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 import oracle
+from homkit import matched
 from homkit.algebra import (
-    ASSOCIATIVE, POISSON, HomAlgebra, StructureTensor, check_algebra,
+    ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor, check_algebra,
     check_hom_associative, check_hom_leibniz, check_morphism,
     check_multiplicative, check_poisson_compat, yau_twist,
 )
@@ -23,10 +24,10 @@ from homkit.fixtures import two_dim_associative, two_dim_leibniz, two_dim_poisso
 from homkit.kernel import common_denominator
 from homkit.linalg import Matrix, Vector
 from homkit.matched import MatchedPair, check_matched_pair
+from homkit.reporting import CheckReport
 from homkit.operators import (
     OperatorContext, check_nijenhuis, check_relative_rbo, check_rota_baxter,
     induced_algebra, induced_representation, lift_operator,
-    nijenhuis_from_rbo,
 )
 from homkit.representation import (
     ActionTensor, Representation, check_representation,
@@ -192,7 +193,7 @@ def test_rota_baxter_and_nijenhuis_operators(seed):
         for w in WEIGHTS:
             compare(tally, check_rota_baxter, oracle.check_rota_baxter,
                     sd, lift_operator(ctx), w)
-        n = nijenhuis_from_rbo(ctx)
+        n = lift_operator(ctx)
         for op in (n, shifted(n, rng)):
             compare(tally, check_nijenhuis, oracle.check_nijenhuis, sd, op)
     assert tally.failing > 10 and tally.fractional > 0
@@ -248,3 +249,38 @@ def test_matched_pairs():
                 compare(tally, check_matched_pair, oracle.check_matched_pair,
                         skewed(mp, rng), associative_conditions=variant)
     assert tally.failing > 5 and tally.fractional > 0
+
+
+def cross_conditions(module, pair, kind: str) -> CheckReport:
+    """Every cross condition of the kind, both associative variants."""
+    checks = []
+    if kind in (ASSOCIATIVE, POISSON):
+        for printed in (False, True):
+            checks += module._cross_conditions_associative(pair, printed)
+    if kind in (LEIBNIZ, POISSON):
+        checks += module._cross_conditions_leibniz(pair)
+    if kind == POISSON:
+        checks += module._cross_conditions_poisson(pair)
+    return CheckReport(tuple(checks))
+
+
+def test_cross_conditions_with_shifted_cross_actions():
+    # check_matched_pair refuses cross actions that are not
+    # representations, so the conditions are compared directly here,
+    # where shifted actions make every one of them fail somewhere.
+    tally = Tally()
+    failed = set()
+    rng = random.Random(23)
+    for mp in matched_pairs():
+        if not mp.a1.dim or not mp.a2.dim:
+            continue
+        for _ in range(2):
+            shifted_mp = MatchedPair(mp.a1, mp.a2, shifted_action(mp.actions_1_on_2, rng),
+                                     shifted_action(mp.actions_2_on_1, rng))
+            expected = cross_conditions(oracle, shifted_mp, mp.a1.kind)
+            tally.same(cross_conditions(matched, matched._IntPair(shifted_mp), mp.a1.kind),
+                       expected)
+            failed.update(c.identity for c in expected.failures())
+    assert failed == {f"cross:{kind}:{k}" for kind in ("assoc", "leibniz", "poisson")
+                      for k in range(1, 7)}
+    assert tally.fractional > 0

@@ -7,8 +7,8 @@ import pytest
 
 from homkit.errors import ShapeError
 from homkit.linalg import (
-    Matrix, Vector, frac, format_lincomb, kernel_basis, mat_mul,
-    rational_sqrt, solve_linear,
+    Matrix, Vector, frac, format_lincomb, kernel_basis, rational_sqrt,
+    solve_linear,
 )
 
 
@@ -28,23 +28,23 @@ def test_scalar_canonical_form():
 
 def test_mat_mul_identity():
     m = Matrix([[1, 2], [3, frac("1/2")]])
-    assert mat_mul(Matrix.identity(2), m) == m
+    assert Matrix.identity(2) @ m == m
 
 
 def test_mat_mul_nilpotent():
     n = Matrix([[0, 1], [0, 0]])
-    assert mat_mul(n, n) == Matrix.zero(2, 2)
+    assert n @ n == Matrix.zero(2, 2)
 
 
 def test_mat_mul_fixture_twist_is_involution():
     # Hand multiplication: [[-1,1],[0,1]]^2 = I.
     alpha = Matrix([[-1, 1], [0, 1]])
-    assert mat_mul(alpha, alpha) == Matrix.identity(2)
+    assert alpha @ alpha == Matrix.identity(2)
 
 
 def test_mat_mul_shape_error():
     with pytest.raises(ShapeError):
-        mat_mul(Matrix.zero(2, 3), Matrix.zero(2, 3))
+        Matrix.zero(2, 3) @ Matrix.zero(2, 3)
 
 
 def test_mat_mul_associative_randomized():

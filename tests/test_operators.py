@@ -19,7 +19,7 @@ from homkit.operators import (
     OperatorContext, check_morphism_property, check_nijenhuis,
     check_relative_rbo, check_rota_baxter, graph_check, induced_algebra,
     induced_representation, lift_operator, nijenhuis_deform,
-    nijenhuis_from_rbo, projection_context,
+    projection_context,
 )
 from homkit.representation import (
     ActionTensor, Representation, check_representation,
@@ -162,7 +162,7 @@ def test_nijenhuis_identity_and_zero():
 def test_nijenhuis_from_verified_rbo():
     ctx = leibniz_ctx(leibniz_rbo(1))
     sd = semidirect_product(ctx.alg, ctx.rep)
-    n = nijenhuis_from_rbo(ctx)
+    n = lift_operator(ctx)
     assert check_nijenhuis(sd, n).passed
     assert (n @ n).is_zero()
 
@@ -182,7 +182,7 @@ def test_nijenhuis_deform_zero_map():
 def test_nijenhuis_deform_block_operator():
     ctx = leibniz_ctx(leibniz_rbo(1))
     sd = semidirect_product(ctx.alg, ctx.rep)
-    n = nijenhuis_from_rbo(ctx)
+    n = lift_operator(ctx)
     deformed = nijenhuis_deform(sd, n)
     assert check_algebra(deformed).passed
     assert check_morphism(n, deformed, sd).passed
@@ -239,7 +239,7 @@ def test_four_way_equivalence_randomized():
             "relative": check_relative_rbo(ctx).passed,
             "graph": graph_check(ctx).passed,
             "lift": check_rota_baxter(sd, lift_operator(ctx), 0).passed,
-            "nijenhuis": check_nijenhuis(sd, nijenhuis_from_rbo(ctx)).passed,
+            "nijenhuis": check_nijenhuis(sd, lift_operator(ctx)).passed,
         }
         assert len(set(verdicts.values())) == 1, verdicts
 

@@ -7,16 +7,19 @@ import pytest
 from homkit.algebra import (
     LEIBNIZ, HomAlgebra, StructureTensor, check_algebra,
 )
-from homkit.errors import PreconditionError
+from homkit.errors import KindMismatchError, PreconditionError
 from homkit.fixtures import (
     TWIST, two_dim_associative, two_dim_leibniz, two_dim_poisson,
 )
 from homkit.linalg import Matrix, Vector
+from homkit.matched import MatchedPair
+from homkit.operators import OperatorContext, projection_context
 from homkit.representation import (
     ActionTensor, Representation, check_representation, ideal_representation,
     power_twist_representation, pullback_representation,
     regular_representation, semidirect_product, twist_representation,
 )
+from homkit.solver import generate_constraints
 
 
 def perturb(rep: Representation, action: str, base_idx: int, row: int,
@@ -270,3 +273,21 @@ def test_right_bracket_antisymmetry_follows_from_composition():
             assert report.result("right_bracket_antisymmetry").passed
             seen += 1
     assert seen >= 10
+
+
+def test_kind_mismatch_is_a_kind_error_at_every_entry_point():
+    # One match check serves every construction that pairs a
+    # representation with its base algebra.
+    leib = two_dim_leibniz()
+    assoc_rep = regular_representation(two_dim_associative())
+    calls = {
+        "check_representation": lambda: check_representation(assoc_rep, leib),
+        "OperatorContext": lambda: OperatorContext(leib, assoc_rep, Matrix.zero(2, 2)),
+        "projection_context": lambda: projection_context(leib, assoc_rep),
+        "generate_constraints": lambda: generate_constraints(leib, assoc_rep),
+        "MatchedPair": lambda: MatchedPair(leib, leib, assoc_rep,
+                                           regular_representation(leib)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(KindMismatchError):
+            call()
