@@ -10,13 +10,12 @@ construction or solver that does not require it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product as iproduct
 from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
 from .kernel import IntMatrix, IntTensor, common_denominator, sub, times
-from .linalg import Matrix, Vector, in_span
+from .linalg import Matrix, Vector, span_membership
 from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
 
 ASSOCIATIVE = "associative"
@@ -290,7 +289,7 @@ def check_ideal(basis: Sequence[Vector], alg: HomAlgebra) -> CheckReport:
         if v.dim != alg.dim:
             raise ShapeError("ideal basis vectors must live in the algebra")
 
-    member = partial(in_span, vecs)
+    member = span_membership(vecs)
     checks = [scan_membership(
         "twist_stable", ((b,) for b in range(len(vecs))),
         lambda b: alg.alpha.apply(vecs[b]), member)]

@@ -23,7 +23,9 @@ Constructions print the result in DSL form (name it with --as); --verify
 re-runs the applicable checks on the output and appends them as comment
 lines, failing with exit 1 if any check fails.  Every report has a
 machine readable variant via --format=json.  Exit codes: 0 success,
-1 check failure, 2 input error.
+1 check failure, 2 input error, 3 internal error (a fault in homkit
+itself, such as a solution failing its re-verification; reported as one
+``internal error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -357,6 +359,9 @@ def main(argv=None) -> int:
         message = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except Exception as e:  # anything else is a fault in homkit, not in the input
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,16 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ShapeError
 
 Rational = Union[Fraction, int, str]
 
 
+_ZERO = Fraction(0)
+
+
 def frac(value: Rational) -> Fraction:
-    """Coerce an int, a string like ``"3/2"``, or a Fraction to a Fraction."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """Coerce an int, a string like ``"3/2"``, or a Fraction to a Fraction.
+    A zero that is not yet a Fraction becomes one shared ``Fraction(0)``,
+    so the zero entries of vectors and matrices built from ints share it."""
+    if isinstance(value, Fraction):
+        return value
+    return _ZERO if value == 0 else Fraction(value)
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -236,22 +243,32 @@ class AffineSolution:
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """In-place reduced row echelon form; pivot is the first nonzero entry
-    of each column.  Returns the reduced rows and the pivot columns."""
+    of each column.  Returns the reduced rows and the pivot columns.
+
+    The pivot row is zero left of its pivot, so only its nonzero entries
+    are normalised, and it is subtracted from the other rows at those
+    columns alone."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        row = rows[r]
+        support = [k for k in range(c, ncols) if row[k]]
+        pv = row[c]
+        if pv != 1:
+            for k in support:
+                row[k] /= pv
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            other = rows[i]
+            f = other[c]
+            if f and i != r:
+                for k in support:
+                    other[k] -= f * row[k]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -309,11 +326,34 @@ def solve_linear(a: Matrix, b: Vector) -> AffineSolution | None:
     return AffineSolution(Vector(particular), tuple(kernel))
 
 
-def in_span(columns: Sequence[Vector], v: Vector) -> bool:
-    """Membership test: is ``v`` in the span of the given vectors?"""
+def span_membership(columns: Sequence[Vector]) -> Callable[[Vector], bool]:
+    """Membership test for the span of the given vectors.
+
+    The vectors are reduced once, as the rows of a matrix; each query is
+    then cleared against the reduced rows at their pivots and lies in the
+    span iff nothing is left.
+    """
     if not columns:
-        return v.is_zero()
-    return solve_linear(Matrix.from_cols(list(columns)), v) is not None
+        return Vector.is_zero
+    dim = columns[0].dim
+    if any(c.dim != dim for c in columns):
+        raise ShapeError("columns of differing dimension")
+    rows, pivots = _rref([list(c.entries) for c in columns])
+    reduced = [(p, [(k, row[k]) for k in range(p + 1, dim) if row[k]])
+               for p, row in zip(pivots, rows)]
+
+    def member(v: Vector) -> bool:
+        if v.dim != dim:
+            raise ShapeError(f"span lives in dim {dim} but vector has dim {v.dim}")
+        rest = list(v.entries)
+        for p, tail in reduced:
+            f = rest[p]
+            if f:
+                rest[p] = 0
+                for k, e in tail:
+                    rest[k] -= f * e
+        return not any(rest)
+    return member
 
 
 def format_lincomb(v: Vector, symbol: str = "e") -> str:

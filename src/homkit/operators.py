@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product as iproduct
 
 from .algebra import HomAlgebra, StructureTensor, check_morphism
@@ -27,7 +26,7 @@ from .kernel import (
     IntAction, IntMatrix, IntTensor, add, common_denominator, scale, sub, times,
     unit,
 )
-from .linalg import Matrix, Vector, frac, in_span
+from .linalg import Matrix, Vector, frac, span_membership
 from .representation import (
     ActionTensor, Representation, _require_match, check_representation,
     paired_families, semidirect_product,
@@ -276,7 +275,7 @@ def graph_check(ctx: OperatorContext) -> CheckReport:
     m = ctx.rep.carrier_dim
     graph_cols = [Vector(tuple(ctx.t.col(i).entries)
                          + tuple(Vector.unit(m, i).entries)) for i in range(m)]
-    member = partial(in_span, graph_cols)
+    member = span_membership(graph_cols)
     checks = [scan_membership(
         "graph_twist_stable", ((i,) for i in range(m)),
         lambda i: sd.alpha.apply(graph_cols[i]), member)]

@@ -19,18 +19,35 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Mapping, Sequence
 
-from .algebra import HomAlgebra, StructureTensor
+from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
-from .linalg import Matrix, Vector, frac, in_span, rational_sqrt, _rref
+from .linalg import Matrix, Vector, frac, rational_sqrt, span_membership, _rref
 from .operators import OperatorContext, check_relative_rbo
-from .representation import ActionTensor, Representation, _require_match
+from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
 
 Monomial = tuple[int, ...]  # sorted variable ids; () is the constant monomial
 
 
+def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
+    """Add ``(monomial, coefficient)`` pairs into ``out``; cancelled
+    entries stay as zeros until :func:`_nonzero`."""
+    for m, c in terms:
+        prev = out.get(m)
+        out[m] = c if prev is None else prev + c
+
+
+def _nonzero(terms: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    return {m: c for m, c in terms.items() if c}
+
+
 class Polynomial:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    ``terms`` maps sorted monomials to nonzero ``Fraction`` coefficients.
+    The constructor normalises any mapping; the arithmetic builds each
+    result in one dict and hands it to ``_clean``, which trusts it.
+    """
 
     __slots__ = ("terms",)
 
@@ -44,6 +61,13 @@ class Polynomial:
         object.__setattr__(self, "terms",
                            {m: c for m, c in clean.items() if c != 0})
 
+    @classmethod
+    def _clean(cls, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap terms that are already sorted, nonzero Fractions."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -53,7 +77,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, v: int) -> "Polynomial":
-        return cls({(v,): Fraction(1)})
+        return cls._clean({(v,): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -69,9 +93,8 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(out)
+        _accumulate(out, other.terms.items())
+        return Polynomial._clean(_nonzero(out))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
@@ -81,25 +104,33 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         c = frac(c)
-        return Polynomial({m: c * v for m, v in self.terms.items()})
+        if c == 0:
+            return Polynomial._clean({})
+        return Polynomial._clean({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+        _accumulate(out, ((tuple(sorted(m1 + m2)), c1 * c2)
+                          for m1, c1 in self.terms.items()
+                          for m2, c2 in other.terms.items()))
+        return Polynomial._clean(_nonzero(out))
 
     def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace each mapped variable by a polynomial."""
-        out = Polynomial()
+        """Replace each mapped variable by a polynomial; every term is
+        expanded straight into one accumulator."""
+        out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            term = Polynomial.constant(coeff)
-            for v in mono:
-                term = term * mapping.get(v, Polynomial.variable(v))
-            out = out + term
-        return out
+            images = [mapping[v].terms for v in mono if v in mapping]
+            if not images:
+                _accumulate(out, ((mono, coeff),))
+                continue
+            expansion = [(tuple(v for v in mono if v not in mapping), coeff)]
+            for image in images:
+                expansion = [(m1 + m2, c1 * c2) for m1, c1 in expansion
+                             for m2, c2 in image.items()]
+            _accumulate(out, ((m if len(m) < 2 else tuple(sorted(m)), c)
+                              for m, c in expansion))
+        return Polynomial._clean(_nonzero(out))
 
     def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -190,62 +221,62 @@ class PolySystem:
 
 def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     """Polynomial system whose solutions are exactly the relative
-    Rota-Baxter operators for (alg, rep)."""
+    Rota-Baxter operators for (alg, rep).
+
+    The nonzero entries of the twists, tables and actions are collected
+    once; each equation is then written straight into one
+    ``{monomial: coefficient}`` dict."""
     _require_match(rep, alg)
     n, m = alg.dim, rep.carrier_dim
-    sys_shape = PolySystem(n, m, [])
 
-    def tv(r: int, c: int) -> Polynomial:
-        return Polynomial.variable(sys_shape.var_id(r, c))
+    def pair(u: int, w: int) -> Monomial:
+        return (u, w) if u <= w else (w, u)
 
     equations: list[Polynomial] = []
 
     # Linear part: (T phi - alpha T)[a][j] = 0.
-    phi, alpha = rep.phi, alg.alpha
+    phi = rep.phi.entries
+    alpha = alg.alpha.entries
+    phi_cols = [[(q, phi[q][j]) for q in range(m) if phi[q][j]] for j in range(m)]
+    alpha_rows = [[(b, -alpha[a][b]) for b in range(n) if alpha[a][b]]
+                  for a in range(n)]
     for a in range(n):
         for j in range(m):
-            p = Polynomial()
-            for q in range(m):
-                if phi[q, j] != 0:
-                    p = p + tv(a, q).scale(phi[q, j])
-            for b in range(n):
-                if alpha[a, b] != 0:
-                    p = p - tv(b, j).scale(alpha[a, b])
-            equations.append(p)
+            out: dict[Monomial, Fraction] = {}
+            _accumulate(out, (((a * m + q,), c) for q, c in phi_cols[j]))
+            _accumulate(out, (((b * m + j,), c) for b, c in alpha_rows[a]))
+            equations.append(Polynomial._clean(_nonzero(out)))
 
     # Quadratic part, per table: for carrier pair (i, j) and output
     # coordinate k,
     #   sum_{a,b} C[a][b][k] T[a][i] T[b][j]
     #     - sum_q T[k][q] * (sum_a L_a[q][j] T[a][i] + sum_b R_b[q][i] T[b][j]) = 0.
-    def add_table(tensor: StructureTensor, left: ActionTensor, right: ActionTensor):
+    for name, tensor in alg.tensors().items():
+        left, right = rep.action_pair(name)
+        consts = [[] for _ in range(n)]  # k -> [(a, b, C[a][b][k])]
+        for a in range(n):
+            for b in range(n):
+                for k, c in enumerate(tensor.table[a][b].entries):
+                    if c:
+                        consts[k].append((a, b, c))
+        # j -> [(q, a, -L_a[q][j])] and i -> [(q, b, -R_b[q][i])]
+        lefts = [[(q, a, -mat[q, j]) for q in range(m)
+                  for a, mat in enumerate(left.mats) if mat[q, j]]
+                 for j in range(m)]
+        rights = [[(q, b, -mat[q, i]) for q in range(m)
+                   for b, mat in enumerate(right.mats) if mat[q, i]]
+                  for i in range(m)]
         for i in range(m):
             for j in range(m):
-                inner = []
-                for q in range(m):
-                    p = Polynomial()
-                    for a in range(n):
-                        c = left.mats[a][q, j]
-                        if c != 0:
-                            p = p + tv(a, i).scale(c)
-                    for b in range(n):
-                        c = right.mats[b][q, i]
-                        if c != 0:
-                            p = p + tv(b, j).scale(c)
-                    inner.append(p)
                 for k in range(n):
-                    p = Polynomial()
-                    for a in range(n):
-                        for b in range(n):
-                            c = tensor.coefficient(a, b, k)
-                            if c != 0:
-                                p = p + (tv(a, i) * tv(b, j)).scale(c)
-                    for q in range(m):
-                        if not inner[q].is_zero():
-                            p = p - tv(k, q) * inner[q]
-                    equations.append(p)
-
-    for name, tensor in alg.tensors().items():
-        add_table(tensor, *rep.action_pair(name))
+                    out = {}
+                    _accumulate(out, ((pair(a * m + i, b * m + j), c)
+                                      for a, b, c in consts[k]))
+                    _accumulate(out, ((pair(k * m + q, a * m + i), c)
+                                      for q, a, c in lefts[j]))
+                    _accumulate(out, ((pair(k * m + q, b * m + j), c)
+                                      for q, b, c in rights[i]))
+                    equations.append(Polynomial._clean(_nonzero(out)))
     return PolySystem(n, m, equations)
 
 
@@ -287,11 +318,10 @@ def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
         return None
     mapping: dict[int, Polynomial] = {}
     for r, p in enumerate(pivots):
-        expr = Polynomial.constant(-reduced[r][-1])
-        for c in range(len(ordered)):
-            if c != p and reduced[r][c] != 0:
-                expr = expr - Polynomial.variable(ordered[c]).scale(reduced[r][c])
-        mapping[ordered[p]] = expr
+        row = reduced[r]
+        terms = {(ordered[c],): -row[c] for c in range(p + 1, len(ordered)) if row[c]}
+        terms[()] = -row[-1]
+        mapping[ordered[p]] = Polynomial(terms)
     free = tuple(sorted(v for i, v in enumerate(ordered) if i not in pivots))
     return mapping, free
 
@@ -385,9 +415,9 @@ def _perfect_square_root(p: Polynomial) -> Polynomial | None:
 
 def _univariate_roots(p: Polynomial) -> list[Fraction] | None:
     """Rational roots of a polynomial in one variable of degree <= 2, or
-    None if the polynomial is not univariate."""
+    None if the polynomial is not univariate or has a higher degree."""
     vs = p.variables()
-    if len(vs) != 1:
+    if len(vs) != 1 or p.degree() > 2:
         return None
     (x,) = vs
     a = p.coefficient((x, x))
@@ -477,10 +507,10 @@ def _vectorize(m: Matrix) -> Vector:
 
 
 def _family_contains(big: AffineFamily, small: AffineFamily) -> bool:
-    cols = [_vectorize(b) for b in big.basis]
-    if not in_span(cols, _vectorize(small.particular) - _vectorize(big.particular)):
+    member = span_membership([_vectorize(b) for b in big.basis])
+    if not member(_vectorize(small.particular) - _vectorize(big.particular)):
         return False
-    return all(in_span(cols, _vectorize(b)) for b in small.basis)
+    return all(member(_vectorize(b)) for b in small.basis)
 
 
 def solve(system: PolySystem) -> SolutionSet:

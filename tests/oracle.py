@@ -1,5 +1,6 @@
 """Reference implementations of every identity checker, kept for the
-differential tests in ``test_kernel.py``.
+differential tests in ``test_kernel.py``, and of the solver's arithmetic,
+kept for those in ``test_solver_kernel.py``.
 
 These are the checkers as they were written before the integer kernel:
 each residual is evaluated with ``Fraction`` vectors and matrices through
@@ -7,22 +8,31 @@ each residual is evaluated with ``Fraction`` vectors and matrices through
 and scanned by the ``Vector``-returning scans below.  The package's own
 checkers must give ``==`` reports: the same names, pass flags, witness
 tuples and exact residual vectors.
+
+The solver's ``Polynomial``, ``generate_constraints`` and ``_rref`` are
+the versions written before the one-accumulator arithmetic: every ``+``,
+``scale`` and ``*`` goes through the normalising constructor, and
+``_rref`` works on dense rows.  The package must render the same systems
+and reach the same solution sets.  ``in_span`` is the membership test
+that solved one linear system per query, before ``span_membership``.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Callable, Iterable
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, Sequence
 
 from homkit.algebra import (
     ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor,
 )
 from homkit.errors import KindMismatchError, PreconditionError, ShapeError
-from homkit.linalg import Matrix, Vector, frac
+from homkit.linalg import Matrix, Vector, frac, solve_linear
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
 from homkit.reporting import CheckReport, CheckResult, Witness, concat
 from homkit.representation import ActionTensor, Representation, _require_match
+from homkit.solver import Monomial, PolySystem
 
 
 # ---- from homkit/reporting.py --------------------------------------
@@ -545,3 +555,227 @@ def check_matched_pair(mp: MatchedPair,
         checks.extend(_cross_conditions_poisson(mp))
     reports.append(CheckReport(tuple(checks)))
     return concat(*reports)
+
+
+# ---- from homkit/solver.py -----------------------------------------
+
+
+class Polynomial:
+    """Sparse multivariate polynomial with exact rational coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+        clean: dict[Monomial, Fraction] = {}
+        if terms:
+            for mono, coeff in terms.items():
+                c = frac(coeff)
+                if c != 0:
+                    clean[tuple(sorted(mono))] = clean.get(tuple(sorted(mono)), 0) + c
+        object.__setattr__(self, "terms",
+                           {m: c for m, c in clean.items() if c != 0})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def constant(cls, c) -> "Polynomial":
+        return cls({(): frac(c)})
+
+    @classmethod
+    def variable(cls, v: int) -> "Polynomial":
+        return cls({(v,): Fraction(1)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        return max((len(m) for m in self.terms), default=0)
+
+    def variables(self) -> set[int]:
+        return {v for m in self.terms for v in m}
+
+    def coefficient(self, mono: Monomial) -> Fraction:
+        return self.terms.get(tuple(sorted(mono)), Fraction(0))
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return Polynomial(out)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + other.scale(-1)
+
+    def __neg__(self) -> "Polynomial":
+        return self.scale(-1)
+
+    def scale(self, c) -> "Polynomial":
+        c = frac(c)
+        return Polynomial({m: c * v for m, v in self.terms.items()})
+
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        out: dict[Monomial, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        return Polynomial(out)
+
+    def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
+        """Replace each mapped variable by a polynomial."""
+        out = Polynomial()
+        for mono, coeff in self.terms.items():
+            term = Polynomial.constant(coeff)
+            for v in mono:
+                term = term * mapping.get(v, Polynomial.variable(v))
+            out = out + term
+        return out
+
+    def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
+        total = Fraction(0)
+        for mono, coeff in self.terms.items():
+            value = coeff
+            for v in mono:
+                value *= assignment[v]
+            total += value
+        return total
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Polynomial) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def render(self, name: Callable[[int], str]) -> str:
+        if not self.terms:
+            return "0"
+        def mono_str(m: Monomial) -> str:
+            if not m:
+                return ""
+            parts = []
+            i = 0
+            while i < len(m):
+                j = i
+                while j < len(m) and m[j] == m[i]:
+                    j += 1
+                parts.append(name(m[i]) if j - i == 1 else f"{name(m[i])}^{j - i}")
+                i = j
+            return "*".join(parts)
+        ordered = sorted(self.terms.items(), key=lambda kv: (-len(kv[0]), kv[0]))
+        out = []
+        for mono, coeff in ordered:
+            ms = mono_str(mono)
+            if not ms:
+                body = str(abs(coeff))
+            elif abs(coeff) == 1:
+                body = ms
+            else:
+                body = f"{abs(coeff)}*{ms}"
+            if not out:
+                out.append(body if coeff > 0 else f"-{body}")
+            else:
+                out.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        return " ".join(out)
+
+    def __repr__(self) -> str:
+        return f"Polynomial({self.render(lambda v: f'x{v}')})"
+
+
+
+def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
+    """Polynomial system whose solutions are exactly the relative
+    Rota-Baxter operators for (alg, rep)."""
+    _require_match(rep, alg)
+    n, m = alg.dim, rep.carrier_dim
+    sys_shape = PolySystem(n, m, [])
+
+    def tv(r: int, c: int) -> Polynomial:
+        return Polynomial.variable(sys_shape.var_id(r, c))
+
+    equations: list[Polynomial] = []
+
+    # Linear part: (T phi - alpha T)[a][j] = 0.
+    phi, alpha = rep.phi, alg.alpha
+    for a in range(n):
+        for j in range(m):
+            p = Polynomial()
+            for q in range(m):
+                if phi[q, j] != 0:
+                    p = p + tv(a, q).scale(phi[q, j])
+            for b in range(n):
+                if alpha[a, b] != 0:
+                    p = p - tv(b, j).scale(alpha[a, b])
+            equations.append(p)
+
+    # Quadratic part, per table: for carrier pair (i, j) and output
+    # coordinate k,
+    #   sum_{a,b} C[a][b][k] T[a][i] T[b][j]
+    #     - sum_q T[k][q] * (sum_a L_a[q][j] T[a][i] + sum_b R_b[q][i] T[b][j]) = 0.
+    def add_table(tensor: StructureTensor, left: ActionTensor, right: ActionTensor):
+        for i in range(m):
+            for j in range(m):
+                inner = []
+                for q in range(m):
+                    p = Polynomial()
+                    for a in range(n):
+                        c = left.mats[a][q, j]
+                        if c != 0:
+                            p = p + tv(a, i).scale(c)
+                    for b in range(n):
+                        c = right.mats[b][q, i]
+                        if c != 0:
+                            p = p + tv(b, j).scale(c)
+                    inner.append(p)
+                for k in range(n):
+                    p = Polynomial()
+                    for a in range(n):
+                        for b in range(n):
+                            c = tensor.coefficient(a, b, k)
+                            if c != 0:
+                                p = p + (tv(a, i) * tv(b, j)).scale(c)
+                    for q in range(m):
+                        if not inner[q].is_zero():
+                            p = p - tv(k, q) * inner[q]
+                    equations.append(p)
+
+    for name, tensor in alg.tensors().items():
+        add_table(tensor, *rep.action_pair(name))
+    return PolySystem(n, m, equations)
+
+
+
+# ---- from homkit/linalg.py -----------------------------------------
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form; pivot is the first nonzero entry
+    of each column.  Returns the reduced rows and the pivot columns."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def in_span(columns: Sequence[Vector], v: Vector) -> bool:
+    """Membership test: is ``v`` in the span of the given vectors?"""
+    if not columns:
+        return v.is_zero()
+    return solve_linear(Matrix.from_cols(list(columns)), v) is not None
+

@@ -3,8 +3,10 @@
 import json
 from pathlib import Path
 
+from homkit import cli
 from homkit.cli import main
 from homkit.dsl import parse
+from homkit.errors import SoundnessError
 
 FIXTURES = str(Path(__file__).resolve().parents[1] / "demos" / "fixtures.hla")
 
@@ -221,3 +223,23 @@ def test_check_rep_wrong_base_exit_two(capsys):
     code, _, err = run(capsys, "check-rep", FIXTURES, "A2assoc", "reg")
     assert code == 2
     assert "A2leib" in err
+
+
+def test_internal_error_is_exit_three(monkeypatch, capsys):
+    def broken(alg, rep):
+        raise SoundnessError("family verification failed on: t11 = 0")
+    monkeypatch.setattr(cli, "solve_relative_rbo", broken)
+    code, out, err = run(capsys, "solve-rbo", FIXTURES, "A2leib")
+    assert code == 3
+    assert out == ""
+    assert err == ("internal error: SoundnessError: "
+                   "family verification failed on: t11 = 0\n")
+
+
+def test_internal_error_is_not_an_input_error(monkeypatch, capsys):
+    def broken(alg, rep):
+        raise ZeroDivisionError("division by zero")
+    monkeypatch.setattr(cli, "solve_relative_rbo", broken)
+    code, _, err = run(capsys, "solve-rbo", FIXTURES, "A2leib", "--format", "json")
+    assert code == 3
+    assert err.splitlines() == ["internal error: ZeroDivisionError: division by zero"]

@@ -2,13 +2,22 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+import oracle
+from homkit import algebra, linalg, operators
+from homkit.algebra import check_ideal
 from homkit.errors import ShapeError
 from homkit.linalg import (
     Matrix, Vector, frac, format_lincomb, kernel_basis, rational_sqrt,
-    solve_linear,
+    solve_linear, span_membership,
+)
+from homkit.operators import OperatorContext, graph_check
+from support import (
+    random_operator, theorem_suite_contexts, valid_representations,
+    verified_algebra_pool,
 )
 
 
@@ -24,6 +33,16 @@ def test_scalar_canonical_form():
     assert s == Fraction(-3, 4)
     assert frac("3/2") + frac("-3/2") == 0
     assert (frac(2) / 6).numerator == 1
+
+
+def test_int_zeros_share_one_fraction():
+    zeros = [frac(0), Vector([0, 1])[0], Matrix.zero(2, 3)[1, 2],
+             Matrix.identity(2)[0, 1]]
+    assert all(z is zeros[0] for z in zeros)
+    assert type(zeros[0]) is Fraction and zeros[0] == 0
+    for bad in ("", None, "x"):
+        with pytest.raises((ValueError, TypeError)):
+            frac(bad)
 
 
 def test_mat_mul_identity():
@@ -153,3 +172,76 @@ def test_format_lincomb():
     assert format_lincomb(Vector([-1, 0])) == "-e1"
     assert format_lincomb(Vector([frac("3/2"), -1])) == "3/2 e1 - e2"
     assert format_lincomb(Vector([0, 0])) == "0"
+
+
+def test_span_membership_matches_one_solve_per_query():
+    rng = random.Random(29)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        cols = [Vector(rand_matrix(rng, 1, dim, -1, 1).entries[0])
+                for _ in range(rng.randint(0, 4))]
+        if cols and rng.random() < 0.5:
+            cols.append(cols[0].scale(rng.choice([2, Fraction(-1, 3)])))
+        member = span_membership(cols)
+        queries = [Vector(rand_matrix(rng, 1, dim).entries[0]) for _ in range(4)]
+        queries += [c.scale(3) + cols[-1] for c in cols]  # members
+        for v in queries:
+            assert member(v) == oracle.in_span(cols, v)
+
+
+def test_span_membership_shapes():
+    assert span_membership([])(Vector.zero(3))
+    assert not span_membership([])(Vector.unit(3, 1))
+    with pytest.raises(ShapeError):
+        span_membership([Vector.unit(2, 0), Vector.unit(3, 0)])
+    with pytest.raises(ShapeError):
+        span_membership([Vector.unit(2, 0)])(Vector.unit(3, 0))
+
+
+def _ideal_cases(rng):
+    cases = []
+    for alg in verified_algebra_pool():
+        n = alg.dim
+        v = Vector([rng.randint(-2, 2) for _ in range(n)])
+        for basis in ([Vector.unit(n, 0)], [Vector.unit(n, n - 1)],
+                      [Vector.unit(n, i) for i in range(n)], [v, v.scale(2)],
+                      [v, Vector.unit(n, 0)]):
+            if not all(b.is_zero() for b in basis):
+                cases.append((basis, alg))
+    return cases
+
+
+def _graph_cases(rng):
+    contexts = theorem_suite_contexts(rng, 16)
+    for alg in verified_algebra_pool()[:8]:
+        for rep in valid_representations(rng, alg):
+            t = random_operator(rng, alg.dim, rep.carrier_dim)
+            contexts.append(OperatorContext(alg, rep, t))
+    return [ctx for ctx in contexts if ctx.rep.carrier_dim]  # a nonzero span
+
+
+def test_membership_scans_reduce_the_span_once(monkeypatch):
+    # check_ideal and graph_check reduce their span once per call, and
+    # report the same verdicts and witnesses as one solve per query.
+    rng = random.Random(17)
+    ideals, graphs = _ideal_cases(rng), _graph_cases(rng)
+    one_solve_each = lambda cols: partial(oracle.in_span, cols)  # noqa: E731
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "span_membership", one_solve_each)
+        m.setattr(operators, "span_membership", one_solve_each)
+        want = ([check_ideal(basis, alg) for basis, alg in ideals]
+                + [graph_check(ctx) for ctx in graphs])
+    assert any(r.passed for r in want) and any(not r.passed for r in want)
+
+    reductions = []
+    real = linalg._rref
+    monkeypatch.setattr(linalg, "_rref",
+                        lambda rows: reductions.append(len(rows)) or real(rows))
+    monkeypatch.setattr(linalg, "solve_linear", None)  # no per-query solves
+    got = []
+    for scan in ([partial(check_ideal, basis, alg) for basis, alg in ideals]
+                 + [partial(graph_check, ctx) for ctx in graphs]):
+        reductions.clear()
+        got.append(scan())
+        assert len(reductions) == 1
+    assert got == want

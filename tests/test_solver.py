@@ -197,6 +197,20 @@ def test_solve_no_rational_roots_is_empty():
     assert sol.points == ()
 
 
+@pytest.mark.parametrize("equation", [
+    var(0) * var(0) * var(0) - var(0),             # roots -1, 0, 1
+    var(0) * var(0) * var(0) * var(0) - const(1),  # roots -1, 1
+    var(0) * var(0) * var(0) - const(1),           # root 1
+], ids=["x^3 - x", "x^4 - 1", "x^3 - 1"])
+def test_solve_univariate_above_degree_two_claims_nothing(equation):
+    # The quadratic formula reads only the terms of degree <= 2, so a
+    # higher-degree equation is handed back unsolved, never answered from
+    # its truncation.
+    sol = solve(PolySystem(1, 1, [equation]))
+    assert sol.status == "residual"
+    assert sol.residual.equations == (equation,)
+
+
 def test_solve_perfect_square_of_linear_form():
     # (x - 2y)^2 = 0 cuts out the line x = 2y.
     line = var(0) - var(1).scale(2)
