@@ -12,7 +12,7 @@ from .algebra import (
 )
 from .errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError,
-    SoundnessError,
+    SoundnessError, UnknownNameError,
 )
 from .linalg import (
     AffineSolution, Matrix, Vector, frac, format_lincomb, kernel_basis,

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
 from .kernel import IntMatrix, IntTensor, common_denominator, sub, times
-from .linalg import Matrix, Vector, span_membership
+from .linalg import _ZERO, Matrix, Vector, span_membership
 from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
 
 ASSOCIATIVE = "associative"
@@ -37,63 +39,70 @@ ACTIONS_OF = {"dot": ("lambda_l", "lambda_r"), "bracket": ("rho_l", "rho_r")}
 
 @dataclass(frozen=True, slots=True, repr=False)
 class StructureTensor:
-    """Bilinear product on a dim-dimensional space, stored as the grid of
-    basis products ``table[i][j] = mu(e_i, e_j)``."""
+    """Bilinear product on a dim-dimensional space, stored as its nonzero
+    basis products ``products[(i, j)] = mu(e_i, e_j)``.
+
+    ``products`` is a read-only mapping with its keys in sorted ``(i, j)``
+    order and no zero values, so two tensors with the same products are
+    equal and hash equal however they were built, and every pass over a
+    table costs time in its nonzero products only."""
 
     dim: int
-    table: tuple[tuple[Vector, ...], ...]
+    products: Mapping[tuple[int, int], Vector]
 
     def __post_init__(self):
-        grid = tuple(tuple(row) for row in self.table)
-        if len(grid) != self.dim or any(len(row) != self.dim for row in grid):
-            raise ShapeError("structure tensor table must be dim x dim")
-        if any(v.dim != self.dim for row in grid for v in row):
-            raise ShapeError("structure tensor values must have the algebra dim")
-        object.__setattr__(self, "table", grid)
+        dim, kept = self.dim, {}
+        for key, value in sorted(self.products.items(), key=itemgetter(0)):
+            i, j = key
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ShapeError(f"product index {key} out of range for dim {dim}")
+            v = value if isinstance(value, Vector) else Vector(value)
+            if v.dim != dim:
+                raise ShapeError("product value has wrong dimension")
+            if not v.is_zero():
+                kept[(i, j)] = v
+        object.__setattr__(self, "products", MappingProxyType(kept))
+
+    def __hash__(self) -> int:
+        return hash((self.dim, tuple(self.products.items())))
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":
-        return cls.from_products(dim, {})
+        return cls(dim, {})
 
     @classmethod
     def from_products(cls, dim: int,
                       products: Mapping[tuple[int, int], Sequence]) -> "StructureTensor":
-        """Build from the nonzero basis products; unlisted entries share
-        one immutable zero vector."""
-        z = Vector.zero(dim)
-        table = [[z] * dim for _ in range(dim)]
-        for (i, j), value in products.items():
-            v = value if isinstance(value, Vector) else Vector(value)
-            if v.dim != dim:
-                raise ShapeError("product value has wrong dimension")
-            table[i][j] = v
-        return cls(dim, table)
+        """Build from basis products; unlisted and zero entries are zero."""
+        return cls(dim, products)
 
     @classmethod
     def from_function(cls, dim: int,
                       fn: Callable[[int, int], Vector]) -> "StructureTensor":
-        return cls(dim, [[fn(i, j) for j in range(dim)] for i in range(dim)])
+        return cls(dim, {(i, j): fn(i, j) for i in range(dim) for j in range(dim)})
 
     def basis_product(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
+        v = self.products.get((i, j))
+        return Vector.zero(self.dim) if v is None else v
 
     def product(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension of the table to arbitrary vectors."""
         if x.dim != self.dim or y.dim != self.dim:
             raise ShapeError("operand dimension does not match the tensor")
-        out = Vector.zero(self.dim)
-        for i, xi in enumerate(x.entries):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y.entries):
-                if yj == 0:
-                    continue
-                out = out + self.table[i][j].scale(xi * yj)
-        return out
+        xs, ys = x.entries, y.entries
+        out = [_ZERO] * self.dim
+        for (i, j), v in self.products.items():
+            xi, yj = xs[i], ys[j]
+            if xi and yj:
+                c = xi * yj
+                for k, e in enumerate(v.entries):
+                    if e:
+                        out[k] += c * e
+        return Vector(out)
 
     def coefficient(self, i: int, j: int, k: int):
         """Structure constant: coefficient of ``e_k`` in ``mu(e_i, e_j)``."""
-        return self.table[i][j][k]
+        return self.basis_product(i, j)[k]
 
     def __repr__(self) -> str:
         return f"StructureTensor(dim={self.dim})"

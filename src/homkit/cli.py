@@ -38,7 +38,7 @@ import sys
 from .algebra import check_algebra, yau_twist
 from .dsl import DocAlgebra, DocRepresentation, Document, parse, serialize
 from .errors import (
-    KindMismatchError, ParseError, PreconditionError, ShapeError,
+    KindMismatchError, ParseError, PreconditionError, ShapeError, UnknownNameError,
 )
 from .linalg import format_lincomb
 from .matched import MatchedPair, matched_sum
@@ -49,8 +49,9 @@ from .representation import (
 from .reporting import CheckReport
 from .solver import SolutionSet, solve_relative_rbo
 
+# What bad input raises; a file that is not UTF-8 fails as it is read.
 INPUT_ERRORS = (ParseError, PreconditionError, ShapeError, KindMismatchError,
-                KeyError, OSError, ValueError)
+                UnknownNameError, OSError, UnicodeDecodeError)
 
 
 class _Exit(Exception):
@@ -355,9 +356,7 @@ def main(argv=None) -> int:
             print(e.message, file=sys.stderr)
         return e.code
     except INPUT_ERRORS as e:
-        # str() of a KeyError is the repr of its message.
-        message = e.args[0] if isinstance(e, KeyError) and e.args else e
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # anything else is a fault in homkit, not in the input
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

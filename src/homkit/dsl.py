@@ -47,14 +47,14 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import (
     ACTIONS_OF, ASSOCIATIVE, LEIBNIZ, POISSON, TENSORS_BY_KIND, HomAlgebra,
     StructureTensor,
 )
-from .errors import ParseError
-from .linalg import Matrix, Vector, format_lincomb
+from .errors import ParseError, UnknownNameError
+from .linalg import _ZERO, Matrix, Vector, format_lincomb
 from .representation import ActionTensor, Representation
 
 KIND_TOKENS = {"assoc": ASSOCIATIVE, "leibniz": LEIBNIZ, "poisson": POISSON}
@@ -62,8 +62,6 @@ KIND_NAMES = {v: k for k, v in KIND_TOKENS.items()}
 # The table each action family pairs with, by the family's block name.
 _TABLE_OF = {action: name for name, pair in ACTIONS_OF.items() for action in pair}
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
 _BASIS_RE = re.compile(r"([a-z])([1-9][0-9]*)$")
 
 
@@ -109,7 +107,7 @@ class Document:
     def _typed(self, name: str, cls: type, what: str):
         item = self.get(name)
         if not isinstance(item, cls):
-            raise KeyError(f"no {what} named {name!r}")
+            raise UnknownNameError(f"no {what} named {name!r}")
         return item
 
     def algebra(self, name: str) -> HomAlgebra:
@@ -128,45 +126,38 @@ class Document:
         return f"Document({[i.name for i in self.items]})"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME | INT | PUNCT | EOF
     text: str
     line: int
     col: int
 
 
+# One alternative per token kind; whitespace and comments are skipped and
+# any other character is an error, so every character of a line matches.
+_TOKEN_RE = re.compile(r"""
+    [ \t\r]+
+  | (?P<COMMENT>\#)
+  | (?P<PUNCT>->|[{}\[\],*=+\-/:])
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<INT>[0-9]+)
+  | (?P<BAD>.)
+""", re.VERBOSE)
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch in " \t\r":
-                pos += 1
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind is None:
                 continue
-            if ch == "#":
+            if kind == "COMMENT":
                 break
-            col = pos + 1
-            if line.startswith("->", pos):
-                tokens.append(Token("PUNCT", "->", lineno, col))
-                pos += 2
-                continue
-            m = _NAME_RE.match(line, pos)
-            if m:
-                tokens.append(Token("NAME", m.group(0), lineno, col))
-                pos = m.end()
-                continue
-            m = _INT_RE.match(line, pos)
-            if m:
-                tokens.append(Token("INT", m.group(0), lineno, col))
-                pos = m.end()
-                continue
-            if ch in "{}[],*=+-/:":
-                tokens.append(Token("PUNCT", ch, lineno, col))
-                pos += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", lineno, col)
+            if kind == "BAD":
+                raise ParseError(f"unexpected character {m.group()!r}",
+                                 lineno, m.start() + 1)
+            tokens.append(Token(kind, m.group(), lineno, m.start() + 1))
     last_line = text.count("\n") + 1
     tokens.append(Token("EOF", "", last_line, 1))
     return tokens
@@ -210,8 +201,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "INT":
             self.fail(f"expected {what}")
-        self.advance()
-        return int(tok.text)
+        return self._int_value(self.advance())
+
+    def _int_value(self, tok: Token) -> int:
+        """An INT token's value; one with more digits than the interpreter
+        converts is a parse error at its token."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.fail(f"number with {len(tok.text)} digits is too long", tok)
 
     def parse_dim(self, what: str) -> int:
         """A dimension; one beyond the platform's index range is a parse
@@ -239,14 +237,15 @@ class _Parser:
                 break
             if tok.kind == "INT":
                 num_tok = self.advance()
-                coeff = Fraction(int(num_tok.text))
+                coeff = Fraction(self._int_value(num_tok))
                 if self.peek().kind == "PUNCT" and self.peek().text == "/":
                     self.advance()
                     den_tok = self.peek()
-                    if den_tok.kind != "INT" or int(den_tok.text) == 0:
+                    den = self._int_value(den_tok) if den_tok.kind == "INT" else 0
+                    if den == 0:
                         self.fail("expected a nonzero denominator")
                     self.advance()
-                    coeff /= int(den_tok.text)
+                    coeff /= den
                 if self.peek().kind == "NAME":
                     sym = self.advance()
                     terms.append((sign * coeff, sym))
@@ -289,15 +288,16 @@ class _Parser:
             raise ParseError(
                 f"expected a basis symbol {prefix}1..{prefix}{dim}, found {tok.text!r}",
                 tok.line, tok.col)
-        index = int(m.group(2))
-        if index > dim:
+        digits = m.group(2)
+        # More digits than the dimension is out of range whatever the value.
+        if len(digits) > len(str(dim)) or int(digits) > dim:
             raise ParseError(
                 f"basis symbol {tok.text!r} out of range for dimension {dim}",
                 tok.line, tok.col)
-        return index - 1
+        return int(digits) - 1
 
     def _resolve_lincomb(self, terms, prefix: str, dim: int) -> Vector:
-        entries = [Fraction(0)] * dim
+        entries = [_ZERO] * dim
         for coeff, tok in terms:
             entries[self._basis_index(tok, prefix, dim)] += coeff
         return Vector(entries)
@@ -477,13 +477,9 @@ def parse(text: str) -> Document:
 
 def _serialize_tensor(name: str, t: StructureTensor, star: bool) -> list[str]:
     lines = []
-    for i in range(t.dim):
-        for j in range(t.dim):
-            v = t.basis_product(i, j)
-            if v.is_zero():
-                continue
-            head = f"e{i + 1}*e{j + 1}" if star else f"[e{i + 1},e{j + 1}]"
-            lines.append(f"    {head} = {format_lincomb(v, 'e')}")
+    for (i, j), v in t.products.items():
+        head = f"e{i + 1}*e{j + 1}" if star else f"[e{i + 1},e{j + 1}]"
+        lines.append(f"    {head} = {format_lincomb(v, 'e')}")
     if not lines:
         return []
     return [f"  {name} {{"] + lines + ["  }"]
@@ -492,12 +488,10 @@ def _serialize_tensor(name: str, t: StructureTensor, star: bool) -> list[str]:
 def _serialize_columns(name: str, m: Matrix, src_prefix: str, dst_prefix: str,
                        indent: str = "  ") -> list[str]:
     lines = []
-    for j in range(m.cols):
-        col = m.col(j)
-        if col.is_zero():
-            continue
-        lines.append(f"{indent}  {src_prefix}{j + 1} ->"
-                     f" {format_lincomb(col, dst_prefix)}")
+    for j, col in enumerate(zip(*m.entries)):
+        value = format_lincomb(col, dst_prefix)
+        if value != "0":
+            lines.append(f"{indent}  {src_prefix}{j + 1} -> {value}")
     if not lines:
         return []
     return [f"{indent}{name} {{"] + lines + [f"{indent}}}"]
@@ -532,10 +526,7 @@ def _serialize_representation(item: DocRepresentation) -> list[str]:
     lines.extend(_serialize_columns("phi", rep.phi, "f", "f"))
     for action, tensor in rep.actions().items():
         for i, mat in enumerate(tensor.mats):
-            if mat.is_zero():
-                continue
-            block = _serialize_columns(f"{action} e{i + 1}", mat, "f", "f")
-            lines.extend(block)
+            lines.extend(_serialize_columns(f"{action} e{i + 1}", mat, "f", "f"))
     lines.append("}")
     return lines
 

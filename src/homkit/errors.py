@@ -13,6 +13,13 @@ class PreconditionError(ValueError):
     """A construction was fed input that fails its precondition check."""
 
 
+class UnknownNameError(KeyError):
+    """A document has no object of the requested type under that name."""
+
+    def __str__(self) -> str:  # the message itself, not a KeyError's repr
+        return str(self.args[0]) if self.args else ""
+
+
 class SoundnessError(AssertionError):
     """A value advertised as a solution failed re-verification."""
 

@@ -31,8 +31,8 @@ def _entries(part):
         return (part,)
     if isinstance(part, Matrix):
         return chain.from_iterable(part.entries)
-    if hasattr(part, "table"):  # a structure tensor
-        return (q for row in part.table for v in row for q in v.entries)
+    if hasattr(part, "products"):  # a structure tensor
+        return (q for v in part.products.values() for q in v.entries)
     if hasattr(part, "mats"):  # an action tensor
         return (q for m in part.mats for row in m.entries for q in row)
     raise TypeError(f"no rational entries in {type(part).__name__}")
@@ -105,17 +105,19 @@ class IntMatrix:
 
 class IntTensor:
     """A structure tensor times ``D``: ``table[i][j]`` is ``D mu(e_i, e_j)``,
-    and :meth:`product` runs over its nonzero entries only."""
+    with every zero cell one shared list, and :meth:`product` runs over
+    the nonzero entries only."""
 
     __slots__ = ("dim", "table", "_nonzero")
 
     def __init__(self, t, d: int):
-        self.dim = t.dim
-        self.table = [[scale(v.entries, d) for v in row] for row in t.table]
-        self._nonzero = [
-            [(j, [(k, c) for k, c in enumerate(v) if c])
-             for j, v in enumerate(row) if any(v)]
-            for row in self.table]
+        n = self.dim = t.dim
+        zero = [0] * n
+        self.table = [[zero] * n for _ in range(n)]
+        self._nonzero = [[] for _ in range(n)]
+        for (i, j), v in t.products.items():
+            row = self.table[i][j] = scale(v.entries, d)
+            self._nonzero[i].append((j, [(k, c) for k, c in enumerate(row) if c]))
 
     def product(self, x: list[int], y: list[int]) -> list[int]:
         """Bilinear extension of the table; its degree is one more than

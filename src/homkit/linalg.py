@@ -59,20 +59,20 @@ class Vector:
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
-        return cls([Fraction(0)] * dim)
+        return cls([_ZERO] * dim)
 
     @classmethod
     def unit(cls, dim: int, index: int) -> "Vector":
         if not 0 <= index < dim:
             raise ShapeError(f"unit index {index} out of range for dim {dim}")
-        return cls([Fraction(1) if i == index else Fraction(0) for i in range(dim)])
+        return cls([Fraction(1) if i == index else _ZERO for i in range(dim)])
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     def scale(self, c: Rational) -> "Vector":
         c = frac(c)
@@ -181,7 +181,7 @@ class Matrix:
         return Vector(row[j] for row in self.entries)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
+        return not any(map(any, self.entries))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -356,11 +356,12 @@ def span_membership(columns: Sequence[Vector]) -> Callable[[Vector], bool]:
     return member
 
 
-def format_lincomb(v: Vector, symbol: str = "e") -> str:
-    """Render a vector as a linear combination such as ``3/2 e1 - e2``."""
+def format_lincomb(v: Iterable[Fraction], symbol: str = "e") -> str:
+    """Render a vector, or a sequence of its entries, as a linear
+    combination such as ``3/2 e1 - e2``; a zero vector is ``0``."""
     parts: list[str] = []
-    for i, c in enumerate(v.entries):
-        if c == 0:
+    for i, c in enumerate(v):
+        if c is _ZERO or not c:  # the shared zero needs no method call
             continue
         name = f"{symbol}{i + 1}"
         mag = abs(c)

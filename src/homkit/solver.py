@@ -254,11 +254,10 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     for name, tensor in alg.tensors().items():
         left, right = rep.action_pair(name)
         consts = [[] for _ in range(n)]  # k -> [(a, b, C[a][b][k])]
-        for a in range(n):
-            for b in range(n):
-                for k, c in enumerate(tensor.table[a][b].entries):
-                    if c:
-                        consts[k].append((a, b, c))
+        for (a, b), v in tensor.products.items():
+            for k, c in enumerate(v.entries):
+                if c:
+                    consts[k].append((a, b, c))
         # j -> [(q, a, -L_a[q][j])] and i -> [(q, b, -R_b[q][i])]
         lefts = [[(q, a, -mat[q, j]) for q in range(m)
                   for a, mat in enumerate(left.mats) if mat[q, j]]

@@ -15,10 +15,16 @@ the versions written before the one-accumulator arithmetic: every ``+``,
 ``_rref`` works on dense rows.  The package must render the same systems
 and reach the same solution sets.  ``in_span`` is the membership test
 that solved one linear system per query, before ``span_membership``.
+
+``_tokenize`` is the DSL tokenizer that matched one token kind at a time
+with its own regex, before the single alternation; the package's must
+give the same tokens and the same ``ParseError`` messages and positions.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from itertools import product as iproduct
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -26,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from homkit.algebra import (
     ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor,
 )
-from homkit.errors import KindMismatchError, PreconditionError, ShapeError
+from homkit.errors import KindMismatchError, ParseError, PreconditionError, ShapeError
 from homkit.linalg import Matrix, Vector, frac, solve_linear
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
@@ -779,3 +785,53 @@ def in_span(columns: Sequence[Vector], v: Vector) -> bool:
         return v.is_zero()
     return solve_linear(Matrix.from_cols(list(columns)), v) is not None
 
+
+
+# ---- from homkit/dsl.py --------------------------------------------
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"[0-9]+")
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # NAME | INT | PUNCT | EOF
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        pos = 0
+        while pos < len(line):
+            ch = line[pos]
+            if ch in " \t\r":
+                pos += 1
+                continue
+            if ch == "#":
+                break
+            col = pos + 1
+            if line.startswith("->", pos):
+                tokens.append(Token("PUNCT", "->", lineno, col))
+                pos += 2
+                continue
+            m = _NAME_RE.match(line, pos)
+            if m:
+                tokens.append(Token("NAME", m.group(0), lineno, col))
+                pos = m.end()
+                continue
+            m = _INT_RE.match(line, pos)
+            if m:
+                tokens.append(Token("INT", m.group(0), lineno, col))
+                pos = m.end()
+                continue
+            if ch in "{}[],*=+-/:":
+                tokens.append(Token("PUNCT", ch, lineno, col))
+                pos += 1
+                continue
+            raise ParseError(f"unexpected character {ch!r}", lineno, col)
+    last_line = text.count("\n") + 1
+    tokens.append(Token("EOF", "", last_line, 1))
+    return tokens

@@ -243,3 +243,31 @@ def test_internal_error_is_not_an_input_error(monkeypatch, capsys):
     code, _, err = run(capsys, "solve-rbo", FIXTURES, "A2leib", "--format", "json")
     assert code == 3
     assert err.splitlines() == ["internal error: ZeroDivisionError: division by zero"]
+
+
+def test_unknown_names_are_input_errors(capsys):
+    for args, message in (
+            (("check-rep", FIXTURES, "nope", "R"), "no algebra named 'nope'"),
+            (("check-rep", FIXTURES, "A2leib", "nope"), "no representation named 'nope'"),
+            (("twist", FIXTURES, "A2leib", "--by", "nope"), "no map named 'nope'")):
+        assert run(capsys, *args) == (2, "", f"error: {message}\n")
+
+
+def test_lookup_and_value_faults_inside_homkit_are_exit_three(monkeypatch, capsys):
+    # Only a missing name in the input is an input error; a KeyError or a
+    # ValueError raised by homkit itself is a fault.
+    for fault in (KeyError("v7"), ValueError("square root of a negative rational")):
+        def broken(alg, rep, fault=fault):
+            raise fault
+        monkeypatch.setattr(cli, "solve_relative_rbo", broken)
+        code, out, err = run(capsys, "solve-rbo", FIXTURES, "A2leib")
+        assert (code, out) == (3, "")
+        assert err == f"internal error: {type(fault).__name__}: {fault}\n"
+
+
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.hla"
+    bad.write_bytes(b"\xff\xfe algebra")
+    code, out, err = run(capsys, "check", str(bad), "A")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")

@@ -229,9 +229,10 @@ def skewed(mp: MatchedPair, rng: random.Random) -> MatchedPair:
     t = tables[name]
     i, j = rng.randrange(a1.dim), rng.randrange(a1.dim)
     k = rng.randrange(a1.dim)
-    entries = [[list(v.entries) for v in row] for row in t.table]
+    entries = [[list(t.basis_product(a, b).entries) for b in range(a1.dim)]
+               for a in range(a1.dim)]
     entries[i][j][k] += rng.choice(DELTAS)
-    table = StructureTensor(a1.dim, [[Vector(v) for v in row] for row in entries])
+    table = StructureTensor.from_function(a1.dim, lambda a, b: Vector(entries[a][b]))
     kw = dict(tables)
     kw[name] = table
     return MatchedPair(HomAlgebra(a1.dim, a1.kind, a1.alpha, **kw), mp.a2,
