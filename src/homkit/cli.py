@@ -31,9 +31,9 @@ itself, such as a solution failing its re-verification; reported as one
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from .algebra import check_algebra, yau_twist
 from .dsl import DocAlgebra, DocRepresentation, Document, parse, serialize
@@ -41,13 +41,15 @@ from .errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError, UnknownNameError,
 )
 from .linalg import format_lincomb
-from .matched import MatchedPair, matched_sum
-from .operators import OperatorContext, induced_algebra, nijenhuis_deform
 from .representation import (
     check_representation, regular_representation, semidirect_product,
 )
 from .reporting import CheckReport
-from .solver import SolutionSet, solve_relative_rbo
+
+# The solver, the operator constructions, matched pairs and ``json`` are
+# imported where they are used, so each subcommand loads only what it runs.
+if TYPE_CHECKING:
+    from .solver import SolutionSet
 
 # What bad input raises; a file that is not UTF-8 fails as it is read.
 INPUT_ERRORS = (ParseError, PreconditionError, ShapeError, KindMismatchError,
@@ -80,6 +82,7 @@ def _report_json(obj: str, report: CheckReport):
 
 def _emit_report(obj: str, report: CheckReport, fmt: str) -> int:
     if fmt == "json":
+        import json
         print(json.dumps(_report_json(obj, report), indent=2))
     else:
         for c in report:
@@ -159,6 +162,7 @@ def _solution_json(sol: SolutionSet):
 
 
 def cmd_solve_rbo(args) -> int:
+    from .solver import solve_relative_rbo
     doc = _load(args.file)
     alg = doc.algebra(args.algebra)
     if args.rep:
@@ -169,6 +173,7 @@ def cmd_solve_rbo(args) -> int:
         symbol = "e"
     sol = solve_relative_rbo(alg, rep)
     if args.format == "json":
+        import json
         print(json.dumps(_solution_json(sol), indent=2))
         return 0
     if sol.status == "finite":
@@ -198,6 +203,7 @@ def _emit_construction(doc_item, report: CheckReport | None, fmt: str) -> int:
         raise _Exit(2, f"invalid object name {doc_item.name!r}")
     text = serialize(Document([doc_item]))
     if fmt == "json":
+        import json
         payload = {"object": doc_item.name, "dsl": text}
         if report is not None:
             payload["checks"] = _report_json(doc_item.name, report)
@@ -226,6 +232,7 @@ def cmd_semidirect(args) -> int:
 
 
 def cmd_matched_sum(args) -> int:
+    from .matched import MatchedPair, matched_sum
     doc = _load(args.file)
     a1 = doc.algebra(args.a1)
     a2 = doc.algebra(args.a2)
@@ -247,6 +254,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    from .operators import nijenhuis_deform
     doc = _load(args.file)
     alg = doc.algebra(args.algebra)
     n = doc.map(args.nijenhuis).matrix
@@ -256,6 +264,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_induce(args) -> int:
+    from .operators import OperatorContext, induced_algebra
     doc = _load(args.file)
     alg = doc.algebra(args.algebra)
     if args.rep:

@@ -52,7 +52,11 @@ class Vector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Rational]):
-        object.__setattr__(self, "entries", tuple(frac(e) for e in entries))
+        entries = tuple(entries)
+        # Most vectors are built from entries that are already Fractions.
+        if not set(map(type, entries)) <= {Fraction}:
+            entries = tuple(map(frac, entries))
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")

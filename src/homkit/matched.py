@@ -25,7 +25,7 @@ from .errors import KindMismatchError, ShapeError
 from .kernel import (
     IntAction, IntMatrix, IntTensor, add, common_denominator, mat_vec, sub, times,
 )
-from .linalg import Matrix, Vector
+from .linalg import _ZERO, Matrix, Vector
 from .representation import Representation, _require_match, check_representation
 from .reporting import CheckReport, concat, require, scan_identity
 
@@ -283,30 +283,27 @@ def matched_sum(mp: MatchedPair) -> HomAlgebra:
     a1, a2 = mp.a1, mp.a2
     n1, n2 = a1.dim, a2.dim
     total = n1 + n2
-
-    def embed1(v: Vector) -> Vector:
-        return Vector(tuple(v.entries) + (0,) * n2)
-
-    def embed2(v: Vector) -> Vector:
-        return Vector((0,) * n1 + tuple(v.entries))
+    zeros1, zeros2 = (_ZERO,) * n1, (_ZERO,) * n2
 
     def build(name: str) -> StructureTensor:
         t1, t2 = getattr(a1, name), getattr(a2, name)
         act12_l, act12_r = mp.actions_1_on_2.action_pair(name)
         act21_l, act21_r = mp.actions_2_on_1.action_pair(name)
-
-        def fn(i: int, j: int) -> Vector:
-            if i < n1 and j < n1:
-                return embed1(t1.basis_product(i, j))
-            if i >= n1 and j >= n1:
-                return embed2(t2.basis_product(i - n1, j - n1))
-            if i < n1:  # x in A1, v in A2: lambda2_r(v) x + lambda1_l(x) v
-                x, v = i, j - n1
-                return embed1(act21_r.mats[v].col(x)) + embed2(act12_l.mats[x].col(v))
-            # u in A2, y in A1: lambda2_l(u) y + lambda1_r(y) u
-            u, y = i - n1, j
-            return embed1(act21_l.mats[u].col(y)) + embed2(act12_r.mats[y].col(u))
-        return StructureTensor.from_function(total, fn)
+        products = {key: Vector(v.entries + zeros2) for key, v in t1.products.items()}
+        products.update({(n1 + i, n1 + j): Vector(zeros1 + v.entries)
+                         for (i, j), v in t2.products.items()})
+        # A mixed product has an A1 part and an A2 part: [A1 column, A2 column].
+        mixed: dict[tuple[int, int], list] = {}
+        for v, x, col in act21_r.columns():  # x in A1, v in A2: lambda2_r(v) x
+            mixed.setdefault((x, n1 + v), [zeros1, zeros2])[0] = col
+        for x, v, col in act12_l.columns():  # ... + lambda1_l(x) v
+            mixed.setdefault((x, n1 + v), [zeros1, zeros2])[1] = col
+        for u, y, col in act21_l.columns():  # u in A2, y in A1: lambda2_l(u) y
+            mixed.setdefault((n1 + u, y), [zeros1, zeros2])[0] = col
+        for y, u, col in act12_r.columns():  # ... + lambda1_r(y) u
+            mixed.setdefault((n1 + u, y), [zeros1, zeros2])[1] = col
+        products.update({key: Vector(part1 + part2) for key, (part1, part2) in mixed.items()})
+        return StructureTensor.from_products(total, products)
 
     alpha = Matrix.block_diag(a1.alpha, a2.alpha)
     return HomAlgebra(total, a1.kind, alpha, **{name: build(name) for name in a1.tensors()})

@@ -27,7 +27,7 @@ from .kernel import (
     IntAction, IntMatrix, IntTensor, common_denominator, mat_add, mat_mul,
     mat_sub, mat_times,
 )
-from .linalg import Matrix, Vector, solve_linear
+from .linalg import _ZERO, Matrix, Vector, solve_linear
 from .reporting import CheckReport, require, scan_operator_identity
 
 
@@ -60,6 +60,14 @@ class ActionTensor:
         size = self.carrier_dim
         return Matrix([[sum(xi * rows[r][c] for xi, rows in terms if rows[r][c])
                         for c in range(size)] for r in range(size)], size, size)
+
+    def columns(self):
+        """Every nonzero column as ``(i, c, entries)``: column ``c`` of the
+        matrix of base basis element ``i``, as a tuple of Fractions."""
+        for i, m in enumerate(self.mats):
+            for c, col in enumerate(zip(*m.entries)):
+                if any(col):
+                    yield i, c, col
 
     def precompose(self, beta: Matrix) -> "ActionTensor":
         """New family x -> at(beta x)."""
@@ -330,24 +338,16 @@ def semidirect_product(alg: HomAlgebra, rep: Representation) -> HomAlgebra:
     _require_match(rep, alg)
     n, m = alg.dim, rep.carrier_dim
     total = n + m
-
-    def embed_a(v: Vector) -> Vector:
-        return Vector(tuple(v.entries) + (0,) * m)
-
-    def embed_v(v: Vector) -> Vector:
-        return Vector((0,) * n + tuple(v.entries))
+    zeros_a, zeros_v = (_ZERO,) * n, (_ZERO,) * m
 
     def build(t: StructureTensor, left: ActionTensor,
               right: ActionTensor) -> StructureTensor:
-        def fn(i: int, j: int) -> Vector:
-            if i < n and j < n:
-                return embed_a(t.basis_product(i, j))
-            if i < n:  # A times V: left action
-                return embed_v(left.mats[i].col(j - n))
-            if j < n:  # V times A: right action
-                return embed_v(right.mats[j].col(i - n))
-            return Vector.zero(total)
-        return StructureTensor.from_function(total, fn)
+        products = {key: Vector(v.entries + zeros_v) for key, v in t.products.items()}
+        for i, c, col in left.columns():  # A times V: left action
+            products[(i, n + c)] = Vector(zeros_a + col)
+        for j, c, col in right.columns():  # V times A: right action
+            products[(n + c, j)] = Vector(zeros_a + col)
+        return StructureTensor.from_products(total, products)
 
     alpha = Matrix.block_diag(alg.alpha, rep.phi)
     return HomAlgebra(total, alg.kind, alpha,

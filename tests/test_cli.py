@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from homkit import cli
+from homkit import solver
 from homkit.cli import main
 from homkit.dsl import parse
 from homkit.errors import SoundnessError
@@ -228,7 +228,7 @@ def test_check_rep_wrong_base_exit_two(capsys):
 def test_internal_error_is_exit_three(monkeypatch, capsys):
     def broken(alg, rep):
         raise SoundnessError("family verification failed on: t11 = 0")
-    monkeypatch.setattr(cli, "solve_relative_rbo", broken)
+    monkeypatch.setattr(solver, "solve_relative_rbo", broken)
     code, out, err = run(capsys, "solve-rbo", FIXTURES, "A2leib")
     assert code == 3
     assert out == ""
@@ -239,7 +239,7 @@ def test_internal_error_is_exit_three(monkeypatch, capsys):
 def test_internal_error_is_not_an_input_error(monkeypatch, capsys):
     def broken(alg, rep):
         raise ZeroDivisionError("division by zero")
-    monkeypatch.setattr(cli, "solve_relative_rbo", broken)
+    monkeypatch.setattr(solver, "solve_relative_rbo", broken)
     code, _, err = run(capsys, "solve-rbo", FIXTURES, "A2leib", "--format", "json")
     assert code == 3
     assert err.splitlines() == ["internal error: ZeroDivisionError: division by zero"]
@@ -259,7 +259,7 @@ def test_lookup_and_value_faults_inside_homkit_are_exit_three(monkeypatch, capsy
     for fault in (KeyError("v7"), ValueError("square root of a negative rational")):
         def broken(alg, rep, fault=fault):
             raise fault
-        monkeypatch.setattr(cli, "solve_relative_rbo", broken)
+        monkeypatch.setattr(solver, "solve_relative_rbo", broken)
         code, out, err = run(capsys, "solve-rbo", FIXTURES, "A2leib")
         assert (code, out) == (3, "")
         assert err == f"internal error: {type(fault).__name__}: {fault}\n"

@@ -36,13 +36,19 @@ def test_scalar_canonical_form():
 
 
 def test_int_zeros_share_one_fraction():
-    zeros = [frac(0), Vector([0, 1])[0], Matrix.zero(2, 3)[1, 2],
+    # A vector keeps Fraction entries as they are and coerces the others.
+    mixed = Vector([Fraction(1, 2), 0, "3/4"])
+    zeros = [frac(0), Vector([0, 1])[0], mixed[1], Matrix.zero(2, 3)[1, 2],
              Matrix.identity(2)[0, 1]]
     assert all(z is zeros[0] for z in zeros)
     assert type(zeros[0]) is Fraction and zeros[0] == 0
+    assert mixed.entries == (Fraction(1, 2), 0, Fraction(3, 4))
+    assert all(type(e) is Fraction for e in mixed)
     for bad in ("", None, "x"):
         with pytest.raises((ValueError, TypeError)):
             frac(bad)
+        with pytest.raises((ValueError, TypeError)):
+            Vector([Fraction(1), bad])
 
 
 def test_mat_mul_identity():

@@ -1,0 +1,125 @@
+"""The ``homkit`` namespace loads its submodules on first use, and each CLI
+subcommand imports only the modules it runs."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import homkit
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = str(ROOT / "demos" / "fixtures.hla")
+
+SUBMODULES = ("algebra", "errors", "kernel", "linalg", "matched", "operators",
+              "representation", "reporting", "solver")
+PUBLIC = [
+    "ASSOCIATIVE", "ActionTensor", "AffineFamily", "AffineSolution", "CheckReport",
+    "CheckResult", "Elimination", "HomAlgebra", "KindMismatchError", "LEIBNIZ",
+    "MatchedPair", "Matrix", "OperatorContext", "POISSON", "ParseError",
+    "PolySystem", "Polynomial", "PreconditionError", "Representation", "ShapeError",
+    "SolutionSet", "SoundnessError", "StructureTensor", "UnknownNameError", "Vector",
+    "Witness", "algebra", "check_algebra", "check_hom_associative",
+    "check_hom_leibniz", "check_ideal", "check_matched_pair", "check_morphism",
+    "check_morphism_property", "check_multiplicative", "check_nijenhuis",
+    "check_poisson_compat", "check_relative_rbo", "check_representation",
+    "check_rota_baxter", "eliminate_linear", "errors", "format_lincomb", "frac",
+    "generate_constraints", "graph_check", "ideal_representation",
+    "induced_algebra", "induced_representation", "kernel", "kernel_basis",
+    "lift_operator", "linalg", "matched", "matched_sum", "nijenhuis_deform",
+    "operators", "parameter_sequence", "power_twist_representation",
+    "projection_context", "pullback_representation", "regular_representation",
+    "reporting", "representation", "semidirect_product", "solve", "solve_linear",
+    "solve_relative_rbo", "solver", "twist_representation", "verify_solution",
+    "yau_twist",
+]
+
+
+def test_all_lists_every_public_name_in_order():
+    assert homkit.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(homkit))
+
+
+def test_every_name_is_the_object_its_submodule_defines():
+    modules = [importlib.import_module(f"homkit.{m}") for m in SUBMODULES]
+    for name in PUBLIC:
+        value = getattr(homkit, name)
+        if name in SUBMODULES:
+            assert value is sys.modules[f"homkit.{name}"]
+            continue
+        holders = [m for m in modules if hasattr(m, name)]
+        assert holders, name
+        assert all(getattr(m, name) is value for m in holders), name
+        ns = {}
+        exec(f"from homkit import {name}", ns)
+        assert ns[name] is value
+
+
+def test_star_import_binds_every_public_name():
+    ns = {}
+    exec("from homkit import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == PUBLIC
+    assert all(ns[name] is getattr(homkit, name) for name in PUBLIC)
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        homkit.no_such_name
+    assert not hasattr(homkit, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from homkit import no_such_name", {})
+
+
+# Runs the CLI in-process and prints, after its output, the homkit modules
+# and ``json`` it left in ``sys.modules``.
+PROBE = """\
+import sys
+from homkit.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("homkit.") or m == "json"))
+"""
+
+
+def fresh(code: str, *argv: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter, with this
+    checkout's ``src`` first on the path."""
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_by(*argv: str) -> tuple[int, set[str]]:
+    """Exit code of one CLI call and the modules it loaded."""
+    code, *modules = fresh(PROBE, *argv).splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_import_homkit_loads_no_submodule():
+    code = "import sys, homkit; print(*sorted(m for m in sys.modules if 'homkit' in m))"
+    assert fresh(code).split() == ["homkit"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", FIXTURES, "A2leib"),
+    ("check-rep", FIXTURES, "A2leib", "reg"),
+    ("semidirect", FIXTURES, "A2leib", "reg", "--verify"),
+    ("twist", FIXTURES, "A2leib", "--by", "beta"),
+], ids=lambda argv: argv[0])
+def test_checks_and_light_constructions_skip_the_heavy_modules(argv):
+    code, modules = loaded_by(*argv)
+    assert code == 0
+    assert "homkit.algebra" in modules
+    assert not modules & {"homkit.solver", "homkit.matched", "homkit.operators", "json"}
+
+
+def test_solve_rbo_loads_the_solver_but_not_matched_pairs():
+    code, modules = loaded_by("solve-rbo", FIXTURES, "A2leib")
+    assert code == 0
+    assert "homkit.solver" in modules
+    assert "homkit.matched" not in modules

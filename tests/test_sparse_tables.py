@@ -1,6 +1,6 @@
 """Structure tensors stored as their nonzero basis products: canonical
 storage, index checks, and costs that follow the nonzero products of a
-document rather than the square of its dimension."""
+document or a construction rather than the square of its dimension."""
 
 import random
 from collections import Counter
@@ -13,6 +13,7 @@ from homkit.algebra import POISSON, HomAlgebra, StructureTensor
 from homkit.dsl import DocAlgebra, DocMap, Document, parse, serialize
 from homkit.errors import ShapeError
 from homkit.linalg import Matrix, Vector
+from homkit.representation import ActionTensor, Representation, semidirect_product
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -118,3 +119,36 @@ def test_document_costs_follow_its_nonzero_products(monkeypatch):
         calls.clear()
         assert run()
         assert calls["is_zero"] + calls["=="] <= bound, (step, calls)
+
+
+def _sparse_action(rng: random.Random, base_dim: int, carrier_dim: int,
+                   columns: int) -> ActionTensor:
+    """An action family with exactly ``columns`` nonzero columns."""
+    mats = [[[0] * carrier_dim for _ in range(carrier_dim)] for _ in range(base_dim)]
+    cells = [(i, c) for i in range(base_dim) for c in range(carrier_dim)]
+    for i, c in rng.sample(cells, columns):
+        mats[i][rng.randrange(carrier_dim)][c] = rng.choice((1, -2, Fraction(1, 3)))
+    return ActionTensor(base_dim, carrier_dim, [Matrix(m) for m in mats])
+
+
+def test_semidirect_product_costs_follow_its_nonzero_entries(monkeypatch):
+    """A sparse dim-200 algebra acting on a dim-10 carrier: the product
+    builds one vector per nonzero product and per nonzero action column,
+    not one per basis pair of the dim-210 result (88,200 for two tables)."""
+    rng = random.Random(7)
+    dim, carrier, nonzero, columns = 200, 10, 300, 40
+    alg = _sparse_document(rng, dim, nonzero).algebra("L")
+    families = {name: _sparse_action(rng, dim, carrier, columns)
+                for name in ("lambda_l", "lambda_r", "rho_l", "rho_r")}
+    rep = Representation(POISSON, dim, carrier, Matrix.identity(carrier), **families)
+    built = Counter()
+    init = Vector.__init__
+
+    def counted(self, entries):
+        built["vectors"] += 1
+        init(self, entries)
+    monkeypatch.setattr(Vector, "__init__", counted)
+    out = semidirect_product(alg, rep)
+    expected = 2 * nonzero + 4 * columns
+    assert built["vectors"] == expected
+    assert sum(len(t.products) for t in out.tensors().values()) == expected
