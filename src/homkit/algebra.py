@@ -16,7 +16,9 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
-from .kernel import IntMatrix, IntTensor, common_denominator, sub, times
+from .kernel import (
+    Accumulator, IntMatrix, IntTensor, common_denominator, sparse, sub, times,
+)
 from .linalg import _ZERO, Matrix, Vector, span_membership
 from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
 
@@ -326,9 +328,20 @@ def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra
     if checked:
         _require_self_morphism(beta, alg)
 
-    def twisted(t: StructureTensor) -> StructureTensor:
-        return StructureTensor.from_function(
-            alg.dim, lambda i, j: t.product(beta.col(i), beta.col(j)))
+    dim = alg.dim
+    d = common_denominator(beta, *alg.tensors().values())
+    rows = [sparse(row, d) for row in beta.entries]
 
-    return HomAlgebra(alg.dim, alg.kind, beta @ alg.alpha,
+    def twisted(t: StructureTensor) -> StructureTensor:
+        # mu(beta e_i, beta e_j) = sum_{k,l} beta[k][i] beta[l][j] mu(e_k, e_l),
+        # over the nonzero products mu(e_k, e_l).
+        acc = Accumulator(dim)
+        for (k, l), v in t.products.items():
+            terms = sparse(v.entries, d)
+            for i, x in rows[k]:
+                for j, y in rows[l]:
+                    acc.add((i, j), x * y, terms)
+        return StructureTensor.from_products(dim, acc.rationals(d ** 3))
+
+    return HomAlgebra(dim, alg.kind, beta @ alg.alpha,
                       **{name: twisted(t) for name, t in alg.tensors().items()})

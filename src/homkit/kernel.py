@@ -1,4 +1,4 @@
-"""Exact integer kernel for the identity checkers.
+"""Exact integer kernel for the identity checkers and the constructions.
 
 A check first fixes one common denominator ``D``: the least common
 multiple of the denominators of every rational constant it reads
@@ -9,6 +9,11 @@ identity whose terms have degree at most ``k`` multiplies every
 lower-degree term up by the missing powers of ``D`` and compares pure
 ``int`` lists; the exact rational residual is that list over ``D**k``,
 and :func:`homkit.reporting.scan_identity` builds it only for a witness.
+
+A construction works the same way: it sums degree-``k`` terms into an
+:class:`Accumulator`, walking only the nonzero products, action columns
+and operator entries (:func:`sparse`), and builds each ``Fraction`` once,
+at the end, over ``D**k``.
 
 Vectors are ``list[int]``, matrices are lists of ``int`` rows.  The
 column convention of :mod:`homkit.linalg` holds unchanged.
@@ -21,7 +26,7 @@ from itertools import chain
 from math import lcm
 from operator import mul
 
-from .linalg import Matrix
+from .linalg import _ZERO, Matrix
 
 
 def _entries(part):
@@ -49,6 +54,40 @@ def scale(values, d: int) -> list[int]:
     """``d`` times each rational of ``values``; ``d`` must be a multiple
     of every denominator."""
     return [q.numerator * (d // q.denominator) for q in values]
+
+
+def sparse(values, d: int) -> list[tuple[int, int]]:
+    """The nonzero entries of ``d`` times ``values`` as ``(index, int)``
+    pairs; ``d`` must be a multiple of every denominator."""
+    return [(k, q.numerator * (d // q.denominator))
+            for k, q in enumerate(values) if q is not _ZERO and q.numerator]
+
+
+class Accumulator(dict):
+    """Integer vectors of one dimension by key, each zero until first
+    added to: the products or action columns a construction sums."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def __missing__(self, key):
+        out = self[key] = [0] * self.dim
+        return out
+
+    def add(self, key, c: int, terms: list[tuple[int, int]]) -> None:
+        """Add ``c`` times the :func:`sparse` vector ``terms`` at ``key``."""
+        out = self[key]
+        for k, x in terms:
+            out[k] += c * x
+
+    def rationals(self, den: int) -> dict:
+        """Every nonzero sum over ``den`` as a tuple of Fractions, each
+        zero the shared ``linalg._ZERO``: the products of a
+        ``StructureTensor`` or the columns of an ``ActionTensor``."""
+        return {key: tuple([Fraction(x, den) if x else _ZERO for x in v])
+                for key, v in self.items() if any(v)}
 
 
 def unit(dim: int, index: int) -> list[int]:

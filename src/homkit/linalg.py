@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import chain
+from math import isqrt, lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ShapeError
@@ -24,6 +25,7 @@ Rational = Union[Fraction, int, str]
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(value: Rational) -> Fraction:
@@ -46,17 +48,22 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+def _fraction_row(entries: Iterable[Rational]) -> tuple[Fraction, ...]:
+    """The entries as a tuple of Fractions.  Most rows are built from
+    entries that are already Fractions, and such a tuple is kept as it is."""
+    row = tuple(entries)
+    if set(map(type, row)) <= {Fraction}:
+        return row
+    return tuple(map(frac, row))
+
+
 class Vector:
     """Immutable vector with exact rational entries."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Rational]):
-        entries = tuple(entries)
-        # Most vectors are built from entries that are already Fractions.
-        if not set(map(type, entries)) <= {Fraction}:
-            entries = tuple(map(frac, entries))
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _fraction_row(entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -69,7 +76,7 @@ class Vector:
     def unit(cls, dim: int, index: int) -> "Vector":
         if not 0 <= index < dim:
             raise ShapeError(f"unit index {index} out of range for dim {dim}")
-        return cls([Fraction(1) if i == index else _ZERO for i in range(dim)])
+        return cls([_ONE if i == index else _ZERO for i in range(dim)])
 
     @property
     def dim(self) -> int:
@@ -123,7 +130,7 @@ class Matrix:
 
     def __init__(self, entries: Iterable[Iterable[Rational]], rows: int | None = None,
                  cols: int | None = None):
-        grid = tuple(tuple(frac(e) for e in row) for row in entries)
+        grid = tuple(map(_fraction_row, entries))
         if rows is None:
             rows = len(grid)
         if cols is None:
@@ -139,11 +146,11 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
+        return cls([(_ZERO,) * cols] * rows, rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
+        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n, n)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Vector]) -> "Matrix":
@@ -156,23 +163,25 @@ class Matrix:
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
-        """Assemble a matrix from a grid of consistently sized blocks."""
+        """Assemble a matrix from a grid of consistently sized blocks; its
+        width is that of the block rows, even of a block row of height 0."""
+        cols = sum(b.cols for b in grid[0]) if grid else 0
         rows = []
         for block_row in grid:
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise ShapeError("block row heights differ")
+            if sum(b.cols for b in block_row) != cols:
+                raise ShapeError("block row widths differ")
             for i in range(height):
-                row: list[Fraction] = []
-                for b in block_row:
-                    row.extend(b.entries[i])
-                rows.append(row)
-        return cls(rows)
+                rows.append(tuple(chain.from_iterable(b.entries[i] for b in block_row)))
+        return cls(rows, len(rows), cols)
 
     @classmethod
     def block_diag(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        return cls.block([[a, cls.zero(a.rows, b.cols)],
-                          [cls.zero(b.rows, a.cols), b]])
+        right, left = (_ZERO,) * b.cols, (_ZERO,) * a.cols
+        return cls([row + right for row in a.entries] + [left + row for row in b.entries],
+                   a.rows + b.rows, a.cols + b.cols)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -189,10 +198,6 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.entries), self.cols, self.rows) if self.entries \
-            else Matrix.zero(self.cols, self.rows)
 
     def scale(self, c: Rational) -> "Matrix":
         c = frac(c)
@@ -214,11 +219,21 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in ot]
-             for row in self.entries],
-            self.rows, other.cols)
+        # Both factors times their common denominator d, skipping zeros:
+        # the product is an int matrix over d**2.
+        d = lcm(*{q.denominator for m in (self, other) for row in m.entries for q in row})
+        right = [[(j, q.numerator * (d // q.denominator)) for j, q in enumerate(row)
+                  if q.numerator] for row in other.entries]
+        rows = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for x, terms in zip(row, right):
+                if x.numerator:
+                    c = x.numerator * (d // x.denominator)
+                    for j, y in terms:
+                        acc[j] += c * y
+            rows.append(tuple([Fraction(v, d * d) if v else _ZERO for v in acc]))
+        return Matrix(rows, self.rows, other.cols)
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != v.dim:

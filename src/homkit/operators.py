@@ -23,13 +23,13 @@ from itertools import product as iproduct
 from .algebra import HomAlgebra, StructureTensor, check_morphism
 from .errors import ShapeError
 from .kernel import (
-    IntAction, IntMatrix, IntTensor, add, common_denominator, scale, sub, times,
-    unit,
+    Accumulator, IntAction, IntMatrix, IntTensor, add, common_denominator, scale,
+    sparse, sub, times, unit,
 )
-from .linalg import Matrix, Vector, frac, span_membership
+from .linalg import _ZERO, Matrix, Vector, frac, span_membership
 from .representation import (
     ActionTensor, Representation, _require_match, check_representation,
-    paired_families, semidirect_product,
+    paired_families, pulled_back, semidirect_product,
 )
 from .reporting import CheckReport, require, scan_identity, scan_membership
 
@@ -47,6 +47,11 @@ class OperatorContext:
         _require_match(self.rep, self.alg)
         if self.t.rows != self.alg.dim or self.t.cols != self.rep.carrier_dim:
             raise ShapeError("operator must be alg.dim x carrier_dim")
+
+
+def _require_square(alg: HomAlgebra, op: Matrix) -> None:
+    if not op.is_square() or op.rows != alg.dim:
+        raise ShapeError("operator must be square of the algebra dim")
 
 
 def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str, inner,
@@ -78,8 +83,7 @@ def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
     ``mu(Rx, Ry) = R(mu(Rx, y) + mu(x, Ry) + weight mu(x, y))``,
     together with twist compatibility ``R alpha = alpha R``."""
     weight = frac(weight)
-    if not r.is_square() or r.rows != alg.dim:
-        raise ShapeError("operator must be square of the algebra dim")
+    _require_square(alg, r)
     n = alg.dim
 
     def inner(mu, o, w, i, j):
@@ -134,14 +138,22 @@ def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
     """Algebra structure on the carrier induced by the operator:
     ``u o v = act_l(Tu) v + act_r(Tv) u`` per table, twist phi."""
     _gate(ctx, checked, "induced algebra")
-    rep, t = ctx.rep, ctx.t
-    m = rep.carrier_dim
+    rep, m = ctx.rep, ctx.rep.carrier_dim
+    d = common_denominator(ctx.t, *rep.actions().values())
+    t_rows = [sparse(row, d) for row in ctx.t.entries]
 
     def build(left: ActionTensor, right: ActionTensor) -> StructureTensor:
-        lefts = [left.at(t.col(i)) for i in range(m)]
-        rights = [right.at(t.col(j)) for j in range(m)]
-        return StructureTensor.from_function(
-            m, lambda i, j: lefts[i].col(j) + rights[j].col(i))
+        # act_l(Tu) e_c = sum_k T[k][u] act_l(e_k) e_c, and alike on the right.
+        acc = Accumulator(m)
+        for k, c, col in left.columns():
+            terms = sparse(col, d)
+            for u, x in t_rows[k]:
+                acc.add((u, c), x, terms)
+        for k, c, col in right.columns():
+            terms = sparse(col, d)
+            for v, x in t_rows[k]:
+                acc.add((c, v), x, terms)
+        return StructureTensor.from_products(m, acc.rationals(d * d))
 
     return HomAlgebra(m, ctx.alg.kind, rep.phi,
                       **{name: build(*rep.action_pair(name)) for name in ctx.alg.tensors()})
@@ -167,20 +179,19 @@ def induced_representation(ctx: OperatorContext, checked: bool = True) -> Repres
     _gate(ctx, checked, "induced representation")
     alg, rep, t = ctx.alg, ctx.rep, ctx.t
     n, m = alg.dim, rep.carrier_dim
+    d = common_denominator(t, *alg.tensors().values(), *rep.actions().values())
+    t_rows = [sparse(row, d) for row in t.entries]
+    t_cols = [sparse(col, d) for col in zip(*t.entries)]
 
     def family(name: str, left: bool) -> ActionTensor:
-        tensor = getattr(alg, name)
+        # Column x of the u-th matrix: (Tu) . e_x (or e_x . Tu) pulled back
+        # along T, minus T(opposite(e_x) e_u) = sum_r opposite(e_x)[r][u] T e_r.
+        acc = pulled_back(getattr(alg, name), t_rows, d, left)
         opposite = rep.action_pair(name)[1 if left else 0]
-        mats = []
-        for u in range(m):
-            tu = t.col(u)
-            cols = []
-            for j in range(n):
-                ej = Vector.unit(n, j)
-                direct = tensor.product(tu, ej) if left else tensor.product(ej, tu)
-                cols.append(direct - t.apply(opposite.mats[j].col(u)))
-            mats.append(Matrix.from_cols(cols))
-        return ActionTensor(m, n, mats)
+        for x, u, col in opposite.columns():
+            for r, c in sparse(col, d):
+                acc.add((u, x), -c, t_cols[r])
+        return ActionTensor.from_columns(m, n, acc.rationals(d * d))
 
     return Representation(alg.kind, m, n, alg.alpha, **paired_families(alg, family))
 
@@ -207,33 +218,27 @@ def projection_context(alg: HomAlgebra, rep: Representation,
         require(check_representation(rep, alg),
                 "projection context needs a valid representation")
     n, m = alg.dim, rep.carrier_dim
+    zeros_a, zeros_v = (_ZERO,) * n, (_ZERO,) * m
 
     def family(name: str, left: bool) -> ActionTensor:
-        tensor, inner = getattr(alg, name), rep.action_pair(name)[0 if left else 1]
+        inner = rep.action_pair(name)[0 if left else 1]
+        columns = {(a, n + c): zeros_a + col for a, c, col in inner.columns()}
         # The regular part sits on the dot's left and the bracket's right action.
-        regular = left == (name == "dot")
-        mats = []
-        for a in range(n):
-            if regular:
-                block = Matrix.from_cols([tensor.basis_product(a, j) if left
-                                          else tensor.basis_product(j, a)
-                                          for j in range(n)])
-            else:
-                block = Matrix.zero(n, n)
-            mats.append(Matrix.block_diag(block, inner.mats[a]))
-        return ActionTensor(n, n + m, mats)
+        if left == (name == "dot"):
+            columns.update({(i, j) if left else (j, i): v.entries + zeros_v
+                            for (i, j), v in getattr(alg, name).products.items()})
+        return ActionTensor.from_columns(n, n + m, columns)
 
     big = Representation(alg.kind, n, n + m, Matrix.block_diag(alg.alpha, rep.phi),
                          **paired_families(alg, family))
-    t = Matrix.block([[Matrix.identity(n), Matrix.zero(n, m)]])
+    t = Matrix([row + zeros_v for row in Matrix.identity(n).entries], n, n + m)
     return OperatorContext(alg, big, t)
 
 
 def check_nijenhuis(alg: HomAlgebra, n: Matrix) -> CheckReport:
     """Nijenhuis test: ``N alpha = alpha N`` and vanishing torsion
     ``mu(Nx, Ny) = N(mu(Nx, y) + mu(x, Ny) - N mu(x, y))`` per table."""
-    if not n.is_square() or n.rows != alg.dim:
-        raise ShapeError("operator must be square of the algebra dim")
+    _require_square(alg, n)
     dim = alg.dim
 
     def inner(mu, o, w, i, j):
@@ -249,18 +254,30 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
     ``mu_N(x, y) = mu(Nx, y) + mu(x, Ny) - N mu(x, y)``; twist unchanged.
     The operator then becomes a morphism from the deformed algebra to the
     original one."""
+    _require_square(alg, n)
     if checked:
         require(check_nijenhuis(alg, n), "deformation needs a Nijenhuis operator")
+    dim = alg.dim
+    d = common_denominator(n, *alg.tensors().values())
+    n_rows = [sparse(row, d) for row in n.entries]
+    n_cols = [sparse(col, d) for col in zip(*n.entries)]
 
     def deform(t: StructureTensor) -> StructureTensor:
-        def fn(i, j):
-            ni, nj = n.col(i), n.col(j)
-            ei, ej = Vector.unit(alg.dim, i), Vector.unit(alg.dim, j)
-            return (t.product(ni, ej) + t.product(ei, nj)
-                    - n.apply(t.basis_product(i, j)))
-        return StructureTensor.from_function(alg.dim, fn)
+        # Three sums over the nonzero products mu(e_k, e_l) = v:
+        # mu(N e_i, e_l) gets N[k][i] v, mu(e_k, N e_j) gets N[l][j] v,
+        # and N mu(e_k, e_l) is sum_s v_s N e_s.
+        acc = Accumulator(dim)
+        for (k, l), v in t.products.items():
+            terms = sparse(v.entries, d)
+            for i, x in n_rows[k]:
+                acc.add((i, l), x, terms)
+            for j, x in n_rows[l]:
+                acc.add((k, j), x, terms)
+            for s, x in terms:
+                acc.add((k, l), -x, n_cols[s])
+        return StructureTensor.from_products(dim, acc.rationals(d * d))
 
-    return HomAlgebra(alg.dim, alg.kind, alg.alpha,
+    return HomAlgebra(dim, alg.kind, alg.alpha,
                       **{name: deform(t) for name, t in alg.tensors().items()})
 
 

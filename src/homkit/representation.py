@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     ACTIONS_OF, ASSOCIATIVE, KINDS, LEIBNIZ, POISSON, TENSORS_BY_KIND,
@@ -24,8 +24,8 @@ from .algebra import (
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import (
-    IntAction, IntMatrix, IntTensor, common_denominator, mat_add, mat_mul,
-    mat_sub, mat_times,
+    Accumulator, IntAction, IntMatrix, IntTensor, common_denominator, mat_add,
+    mat_mul, mat_sub, mat_times, sparse,
 )
 from .linalg import _ZERO, Matrix, Vector, solve_linear
 from .reporting import CheckReport, require, scan_operator_identity
@@ -50,8 +50,26 @@ class ActionTensor:
 
     @classmethod
     def zero(cls, base_dim: int, carrier_dim: int) -> "ActionTensor":
-        z = Matrix.zero(carrier_dim, carrier_dim)
-        return cls(base_dim, carrier_dim, [z] * base_dim)
+        return cls.from_columns(base_dim, carrier_dim, {})
+
+    @classmethod
+    def from_columns(cls, base_dim: int, carrier_dim: int,
+                     columns: Mapping[tuple[int, int], Sequence]) -> "ActionTensor":
+        """Build from nonzero columns: ``columns[(i, c)]`` is column ``c`` of
+        the matrix of base basis element ``i``; unlisted columns are zero."""
+        grids = {}
+        for (i, c), col in columns.items():
+            if not (0 <= i < base_dim and 0 <= c < carrier_dim) or len(col) != carrier_dim:
+                raise ShapeError(f"column {(i, c)} does not fit the action family")
+            if i not in grids:
+                grids[i] = [[_ZERO] * carrier_dim for _ in range(carrier_dim)]
+            for row, x in zip(grids[i], col):
+                if x is not _ZERO and x:  # every zero stays the shared one
+                    row[c] = x
+        zero = Matrix.zero(carrier_dim, carrier_dim)
+        return cls(base_dim, carrier_dim,
+                   [Matrix(grids[i], carrier_dim, carrier_dim) if i in grids else zero
+                    for i in range(base_dim)])
 
     def at(self, x: Vector) -> Matrix:
         if x.dim != self.base_dim:
@@ -66,7 +84,8 @@ class ActionTensor:
         matrix of base basis element ``i``, as a tuple of Fractions."""
         for i, m in enumerate(self.mats):
             for c, col in enumerate(zip(*m.entries)):
-                if any(col):
+                # The shared zero is counted by identity, with no method call.
+                if col.count(_ZERO) != len(col):
                     yield i, c, col
 
     def precompose(self, beta: Matrix) -> "ActionTensor":
@@ -230,25 +249,32 @@ def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
-def _mult_tensors(t: StructureTensor, left: bool) -> list[Matrix]:
-    """Multiplication operator matrices: column j of the i-th matrix is
-    ``mu(e_i, e_j)`` (left) or ``mu(e_j, e_i)`` (right)."""
-    dim = t.dim
-    mats = []
-    for i in range(dim):
-        cols = [t.basis_product(i, j) if left else t.basis_product(j, i)
-                for j in range(dim)]
-        mats.append(Matrix.from_cols(cols))
-    return mats
-
-
 def regular_representation(alg: HomAlgebra) -> Representation:
     """The algebra acting on itself: left/right multiplication by each
     table, carrier twist alpha."""
     n = alg.dim
-    kw = paired_families(alg, lambda name, left: ActionTensor(
-        n, n, _mult_tensors(getattr(alg, name), left)))
-    return Representation(alg.kind, n, n, alg.alpha, **kw)
+
+    def family(name: str, left: bool) -> ActionTensor:
+        # Column j of the i-th matrix is mu(e_i, e_j) (left) or mu(e_j, e_i).
+        return ActionTensor.from_columns(n, n, {
+            (i, j) if left else (j, i): v.entries
+            for (i, j), v in getattr(alg, name).products.items()})
+
+    return Representation(alg.kind, n, n, alg.alpha, **paired_families(alg, family))
+
+
+def pulled_back(t: StructureTensor, f_rows: list, d: int, left: bool) -> Accumulator:
+    """``d**2`` times ``mu(f e_i, e_j)`` (left) or ``mu(e_j, f e_i)`` at
+    ``(i, j)``, where ``f_rows[k]`` is row ``k`` of ``f`` as a ``sparse``
+    vector over ``d``: ``f[k][i] mu(e_k, e_j)`` summed over the nonzero
+    products."""
+    acc = Accumulator(t.dim)
+    for (a, b), v in t.products.items():
+        k, j = (a, b) if left else (b, a)
+        terms = sparse(v.entries, d)
+        for i, x in f_rows[k]:
+            acc.add((i, j), x, terms)
+    return acc
 
 
 def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
@@ -258,16 +284,12 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
     if checked:
         require(check_morphism(f, src, dst), "pullback needs a morphism")
     n, m = src.dim, dst.dim
+    d = common_denominator(f, *dst.tensors().values())
+    f_rows = [sparse(row, d) for row in f.entries]
 
     def family(name: str, left: bool) -> ActionTensor:
-        t = getattr(dst, name)
-        mats = []
-        for i in range(n):
-            fx = f.col(i)
-            cols = [t.product(fx, Vector.unit(m, j)) if left
-                    else t.product(Vector.unit(m, j), fx) for j in range(m)]
-            mats.append(Matrix.from_cols(cols))
-        return ActionTensor(n, m, mats)
+        columns = pulled_back(getattr(dst, name), f_rows, d, left)
+        return ActionTensor.from_columns(n, m, columns.rationals(d * d))
 
     return Representation(src.kind, n, m, dst.alpha, **paired_families(src, family))
 
@@ -320,14 +342,10 @@ def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
         else Matrix.zero(0, 0)
 
     def family(name: str, left: bool) -> ActionTensor:
-        t = getattr(alg, name)
-        mats = []
-        for a in range(alg.dim):
-            ea = Vector.unit(alg.dim, a)
-            cols = [coords(t.product(ea, b) if left else t.product(b, ea))
-                    for b in vecs]
-            mats.append(Matrix.from_cols(cols) if k else Matrix.zero(0, 0))
-        return ActionTensor(alg.dim, k, mats)
+        t, units = getattr(alg, name), [Vector.unit(alg.dim, a) for a in range(alg.dim)]
+        return ActionTensor.from_columns(alg.dim, k, {
+            (a, c): coords(t.product(ea, b) if left else t.product(b, ea)).entries
+            for a, ea in enumerate(units) for c, b in enumerate(vecs)})
 
     return Representation(alg.kind, alg.dim, k, phi, **paired_families(alg, family))
 

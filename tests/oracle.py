@@ -19,6 +19,14 @@ that solved one linear system per query, before ``span_membership``.
 ``_tokenize`` is the DSL tokenizer that matched one token kind at a time
 with its own regex, before the single alternation; the package's must
 give the same tokens and the same ``ParseError`` messages and positions.
+
+The constructions at the end (induced algebra and representation,
+projection context, Nijenhuis deformation, Yau twist, regular and
+pullback representations, and the matrix product) are the dense
+``Fraction`` versions that built every basis pair, before they summed
+over nonzero entries in kernel integers; their gates run the reference
+checkers above.  The package must build ``==`` structures and refuse the
+same inputs, for ``test_constructions.py``.
 """
 
 from __future__ import annotations
@@ -36,8 +44,10 @@ from homkit.errors import KindMismatchError, ParseError, PreconditionError, Shap
 from homkit.linalg import Matrix, Vector, frac, solve_linear
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
-from homkit.reporting import CheckReport, CheckResult, Witness, concat
-from homkit.representation import ActionTensor, Representation, _require_match
+from homkit.reporting import CheckReport, CheckResult, Witness, concat, require
+from homkit.representation import (
+    ActionTensor, Representation, _require_match, paired_families,
+)
 from homkit.solver import Monomial, PolySystem
 
 
@@ -835,3 +845,162 @@ def _tokenize(text: str) -> list[Token]:
     last_line = text.count("\n") + 1
     tokens.append(Token("EOF", "", last_line, 1))
     return tokens
+
+
+# ---- constructions, from homkit/linalg.py, algebra.py, representation.py
+# ---- and operators.py ----------------------------------------------
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(zip(*m.entries), m.cols, m.rows) if m.entries \
+        else Matrix.zero(m.cols, m.rows)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """``Matrix.__matmul__``."""
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by "
+                         f"{b.rows}x{b.cols}")
+    ot = transpose(b).entries
+    return Matrix(
+        [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in ot]
+         for row in a.entries],
+        a.rows, b.cols)
+
+
+def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra:
+    if beta.rows != alg.dim or beta.cols != alg.dim:
+        raise ShapeError("twisting map must be square of the algebra dim")
+    if checked:
+        require(check_morphism(beta, alg, alg), "twisting map is not a self-morphism")
+
+    def twisted(t: StructureTensor) -> StructureTensor:
+        return StructureTensor.from_function(
+            alg.dim, lambda i, j: t.product(beta.col(i), beta.col(j)))
+
+    return HomAlgebra(alg.dim, alg.kind, matmul(beta, alg.alpha),
+                      **{name: twisted(t) for name, t in alg.tensors().items()})
+
+
+def _mult_tensors(t: StructureTensor, left: bool) -> list[Matrix]:
+    dim = t.dim
+    mats = []
+    for i in range(dim):
+        cols = [t.basis_product(i, j) if left else t.basis_product(j, i)
+                for j in range(dim)]
+        mats.append(Matrix.from_cols(cols))
+    return mats
+
+
+def regular_representation(alg: HomAlgebra) -> Representation:
+    n = alg.dim
+    kw = paired_families(alg, lambda name, left: ActionTensor(
+        n, n, _mult_tensors(getattr(alg, name), left)))
+    return Representation(alg.kind, n, n, alg.alpha, **kw)
+
+
+def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
+                            checked: bool = True) -> Representation:
+    if checked:
+        require(check_morphism(f, src, dst), "pullback needs a morphism")
+    n, m = src.dim, dst.dim
+
+    def family(name: str, left: bool) -> ActionTensor:
+        t = getattr(dst, name)
+        mats = []
+        for i in range(n):
+            fx = f.col(i)
+            cols = [t.product(fx, Vector.unit(m, j)) if left
+                    else t.product(Vector.unit(m, j), fx) for j in range(m)]
+            mats.append(Matrix.from_cols(cols))
+        return ActionTensor(n, m, mats)
+
+    return Representation(src.kind, n, m, dst.alpha, **paired_families(src, family))
+
+
+def _gate(ctx: OperatorContext, checked: bool, what: str) -> None:
+    if checked:
+        require(check_relative_rbo(ctx), f"{what} needs a relative Rota-Baxter operator")
+
+
+def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
+    _gate(ctx, checked, "induced algebra")
+    rep, t = ctx.rep, ctx.t
+    m = rep.carrier_dim
+
+    def build(left: ActionTensor, right: ActionTensor) -> StructureTensor:
+        lefts = [left.at(t.col(i)) for i in range(m)]
+        rights = [right.at(t.col(j)) for j in range(m)]
+        return StructureTensor.from_function(
+            m, lambda i, j: lefts[i].col(j) + rights[j].col(i))
+
+    return HomAlgebra(m, ctx.alg.kind, rep.phi,
+                      **{name: build(*rep.action_pair(name)) for name in ctx.alg.tensors()})
+
+
+def induced_representation(ctx: OperatorContext, checked: bool = True) -> Representation:
+    _gate(ctx, checked, "induced representation")
+    alg, rep, t = ctx.alg, ctx.rep, ctx.t
+    n, m = alg.dim, rep.carrier_dim
+
+    def family(name: str, left: bool) -> ActionTensor:
+        tensor = getattr(alg, name)
+        opposite = rep.action_pair(name)[1 if left else 0]
+        mats = []
+        for u in range(m):
+            tu = t.col(u)
+            cols = []
+            for j in range(n):
+                ej = Vector.unit(n, j)
+                direct = tensor.product(tu, ej) if left else tensor.product(ej, tu)
+                cols.append(direct - t.apply(opposite.mats[j].col(u)))
+            mats.append(Matrix.from_cols(cols))
+        return ActionTensor(m, n, mats)
+
+    return Representation(alg.kind, m, n, alg.alpha, **paired_families(alg, family))
+
+
+def projection_context(alg: HomAlgebra, rep: Representation,
+                       checked: bool = True) -> OperatorContext:
+    """The parent's version, except that ``Matrix.block`` now keeps the
+    width of a block row of height 0 (a dim-0 algebra used to fail)."""
+    _require_match(rep, alg)
+    if checked:
+        require(check_representation(rep, alg),
+                "projection context needs a valid representation")
+    n, m = alg.dim, rep.carrier_dim
+
+    def family(name: str, left: bool) -> ActionTensor:
+        tensor, inner = getattr(alg, name), rep.action_pair(name)[0 if left else 1]
+        regular = left == (name == "dot")
+        mats = []
+        for a in range(n):
+            if regular:
+                block = Matrix.from_cols([tensor.basis_product(a, j) if left
+                                          else tensor.basis_product(j, a)
+                                          for j in range(n)])
+            else:
+                block = Matrix.zero(n, n)
+            mats.append(Matrix.block_diag(block, inner.mats[a]))
+        return ActionTensor(n, n + m, mats)
+
+    big = Representation(alg.kind, n, n + m, Matrix.block_diag(alg.alpha, rep.phi),
+                         **paired_families(alg, family))
+    t = Matrix.block([[Matrix.identity(n), Matrix.zero(n, m)]])
+    return OperatorContext(alg, big, t)
+
+
+def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlgebra:
+    if checked:
+        require(check_nijenhuis(alg, n), "deformation needs a Nijenhuis operator")
+
+    def deform(t: StructureTensor) -> StructureTensor:
+        def fn(i, j):
+            ni, nj = n.col(i), n.col(j)
+            ei, ej = Vector.unit(alg.dim, i), Vector.unit(alg.dim, j)
+            return (t.product(ni, ej) + t.product(ei, nj)
+                    - n.apply(t.basis_product(i, j)))
+        return StructureTensor.from_function(alg.dim, fn)
+
+    return HomAlgebra(alg.dim, alg.kind, alg.alpha,
+                      **{name: deform(t) for name, t in alg.tensors().items()})

@@ -171,6 +171,19 @@ def test_block_assembly():
     assert m == Matrix([[1, 2, 3]])
     d = Matrix.block_diag(Matrix.identity(1), Matrix([[5]]))
     assert d == Matrix([[1, 0], [0, 5]])
+    assert Matrix.block_diag(Matrix.zero(0, 2), Matrix.zero(3, 0)) == Matrix.zero(3, 2)
+
+
+def test_block_keeps_the_width_of_an_empty_block_row():
+    # The width used to come from the first assembled row, so a block row
+    # of height 0 gave a 0x0 matrix.
+    m = Matrix.block([[Matrix.zero(0, 0), Matrix.zero(0, 3)]])
+    assert (m.rows, m.cols) == (0, 3)
+    assert Matrix.block([]) == Matrix.zero(0, 0)
+    with pytest.raises(ShapeError):
+        Matrix.block([[Matrix.zero(1, 1)], [Matrix.zero(1, 2)]])
+    with pytest.raises(ShapeError):
+        Matrix.block([[Matrix.zero(0, 1)], [Matrix.zero(2, 2)]])
 
 
 def test_format_lincomb():

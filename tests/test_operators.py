@@ -153,6 +153,19 @@ def test_projection_context_poisson_fixture_unchecked():
     assert check_relative_rbo(ctx).passed
 
 
+def test_projection_context_of_a_dim_zero_algebra():
+    # T = [I_0 | 0] is 0x2; it used to be assembled as 0x0 and refused.
+    alg = HomAlgebra(0, LEIBNIZ, Matrix.zero(0, 0), bracket=StructureTensor.zero(0))
+    rep = Representation(LEIBNIZ, 0, 2, Matrix.identity(2),
+                         rho_l=ActionTensor.zero(0, 2), rho_r=ActionTensor.zero(0, 2))
+    ctx = projection_context(alg, rep)
+    assert (ctx.t.rows, ctx.t.cols) == (0, 2)
+    assert check_relative_rbo(ctx).passed
+    induced = induced_algebra(ctx)
+    assert induced.dim == 2 and induced.bracket == StructureTensor.zero(2)
+    assert check_algebra(induced).passed
+
+
 def test_nijenhuis_identity_and_zero():
     for alg in (two_dim_leibniz(), two_dim_poisson()):
         assert check_nijenhuis(alg, Matrix.identity(2)).passed
