@@ -17,7 +17,8 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
 from .kernel import (
-    Accumulator, IntMatrix, IntTensor, common_denominator, sparse, sub, times,
+    Accumulator, IntMatrix, IntTensor, common_denominator, grouped, sparse, sub,
+    times,
 )
 from .linalg import _ZERO, Matrix, Vector, span_membership
 from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
@@ -150,60 +151,99 @@ def _pairs(dim: int):
     return iproduct(range(dim), repeat=2)
 
 
-def _triples(dim: int):
-    return iproduct(range(dim), repeat=3)
+class _Sparse:
+    """A twist and its tables over their common denominator ``d`` and any
+    ``more`` parts: the twist's nonzero rows and columns (``rows[a]``
+    lists ``(k, d alpha[a][k])``, ``cols[k]`` lists ``(a, d alpha[a][k])``),
+    each table's nonzero products as ``sparse`` vectors, and each table
+    twisted on one side, built on first use."""
 
+    __slots__ = ("d", "rows", "cols", "tables", "_twisted")
 
-class _IntAlgebra:
-    """An algebra's twist and tables over their common denominator."""
+    def __init__(self, alpha: Matrix, tensors: dict[str, StructureTensor], *more):
+        d = self.d = common_denominator(alpha, *tensors.values(), *more)
+        self.rows = [sparse(row, d) for row in alpha.entries]
+        self.cols = [sparse(col, d) for col in zip(*alpha.entries)]
+        self.tables = {name: {key: sparse(v.entries, d) for key, v in t.products.items()}
+                       for name, t in tensors.items()}
+        self._twisted = {}
 
-    __slots__ = ("dim", "d", "alpha", "tensors")
+    def twisted(self, name: str, left: bool) -> dict:
+        """``mu(alpha e_r, e_a)`` grouped by ``r`` (``left``), or
+        ``mu(e_a, alpha e_r)`` grouped by ``a``, as ``sparse`` vectors of
+        degree 2, over the nonzero products and twist entries."""
+        if (name, left) not in self._twisted:
+            acc = Accumulator(len(self.rows))
+            for (a, b), t in self.tables[name].items():
+                for r, x in self.rows[a if left else b]:
+                    acc.add((r, b) if left else (a, r), x, t)
+            self._twisted[name, left] = grouped(acc.terms())
+        return self._twisted[name, left]
 
-    def __init__(self, alg: HomAlgebra):
-        tensors = alg.tensors()
-        self.dim = alg.dim
-        self.d = common_denominator(alg.alpha, *tensors.values())
-        self.alpha = IntMatrix(alg.alpha, self.d)
-        self.tensors = {name: IntTensor(t, self.d) for name, t in tensors.items()}
+    def scan(self, name: str, *adders) -> CheckResult:
+        """Scan a degree-3 residual slice by slice (:meth:`Accumulator.slices`):
+        an untouched tuple's residual is exactly zero, so the first failing
+        key is the lexicographically first failing tuple."""
+        n = len(self.rows)
+        acc = Accumulator(n)
+        return scan_identity(name, acc.slices(n, adders), lambda *key: acc[key],
+                             denominator=self.d ** 3)
 
+    def outer_left(self, sign: int, inner: str, outer: str, swap: bool = False):
+        """Slices of ``sign mu_outer(mu_inner(e_i, e_j), alpha e_r)`` at
+        ``(i, j, r)``, or at ``(i, r, j)`` if ``swap``."""
+        by_left, twisted = grouped(self.tables[inner]), self.twisted(outer, False)
 
-def _multiplicative(a: _IntAlgebra) -> list[CheckResult]:
-    d, alpha = a.d, a.alpha
-    ac = alpha.cols
-    return [scan_identity(
-        f"multiplicative:{name}", _pairs(a.dim),
-        lambda i, j, mu=mu: sub(times(d, alpha.apply(mu.table[i][j])),
-                                mu.product(ac[i], ac[j])),
-        denominator=d ** 3) for name, mu in a.tensors.items()]
+        def add(i, acc):
+            for j, terms in by_left.get(i, ()):
+                for a, c in terms:
+                    for r, v in twisted.get(a, ()):
+                        acc.add((i, r, j) if swap else (i, j, r), sign * c, v)
+        return add
 
+    def outer_right(self, sign: int, inner: str, outer: str):
+        """Slices of ``sign mu_outer(alpha e_i, mu_inner(e_p, e_q))`` at
+        ``(i, p, q)``."""
+        by_entry, twisted = {}, self.twisted(outer, True)
+        for (p, q), terms in self.tables[inner].items():
+            for a, c in terms:
+                by_entry.setdefault(a, []).append((p, q, sign * c))
 
-def _hom_associative(mu: IntTensor, alpha: IntMatrix, d: int) -> CheckResult:
-    ac, table = alpha.cols, mu.table
-    return scan_identity(
-        "hom_associative", _triples(mu.dim),
-        lambda i, j, k: sub(mu.product(table[i][j], ac[k]),
-                            mu.product(ac[i], table[j][k])),
-        denominator=d ** 3)
+        def add(i, acc):
+            for a, v in twisted.get(i, ()):
+                for p, q, c in by_entry.get(a, ()):
+                    acc.add((i, p, q), c, v)
+        return add
 
+    def multiplicative(self, name: str) -> CheckResult:
+        by_left, twisted = grouped(self.tables[name]), self.twisted(name, True)
+        d, rows, cols = self.d, self.rows, self.cols
 
-def _hom_leibniz(mu: IntTensor, alpha: IntMatrix, d: int) -> CheckResult:
-    ac, table = alpha.cols, mu.table
-    return scan_identity(
-        "hom_leibniz", _triples(mu.dim),
-        lambda i, j, k: sub(sub(mu.product(table[i][j], ac[k]),
-                                mu.product(ac[i], table[j][k])),
-                            mu.product(table[i][k], ac[j])),
-        denominator=d ** 3)
+        def add(i, acc):
+            # d alpha(mu(e_i, e_j)) - mu(alpha e_i, alpha e_j) at (i, j), the
+            # second term as the sum of alpha[b][j] mu(alpha e_i, e_b)
+            for j, terms in by_left.get(i, ()):
+                for a, c in terms:
+                    acc.add((i, j), d * c, cols[a])
+            for b, v in twisted.get(i, ()):
+                for j, y in rows[b]:
+                    acc.add((i, j), -y, v)
+        return self.scan(f"multiplicative:{name}", add)
 
+    def hom_associative(self, mu: str) -> CheckResult:
+        return self.scan("hom_associative", self.outer_left(1, mu, mu),
+                         self.outer_right(-1, mu, mu))
 
-def _poisson_compat(a: _IntAlgebra) -> CheckResult:
-    dot, br, ac = a.tensors["dot"], a.tensors["bracket"], a.alpha.cols
-    return scan_identity(
-        "poisson_compatibility", _triples(a.dim),
-        lambda i, j, k: sub(sub(br.product(dot.table[i][j], ac[k]),
-                                dot.product(ac[i], br.table[j][k])),
-                            dot.product(br.table[i][k], ac[j])),
-        denominator=a.d ** 3)
+    def hom_leibniz(self, mu: str) -> CheckResult:
+        return self.scan("hom_leibniz", self.outer_left(1, mu, mu),
+                         self.outer_right(-1, mu, mu),
+                         self.outer_left(-1, mu, mu, swap=True))
+
+    def poisson_compat(self) -> CheckResult:
+        return self.scan("poisson_compatibility",
+                         self.outer_left(1, "dot", "bracket"),
+                         self.outer_right(-1, "bracket", "dot"),
+                         self.outer_left(-1, "bracket", "dot", swap=True))
 
 
 def check_multiplicative(alg: HomAlgebra) -> CheckReport:
@@ -212,26 +252,26 @@ def check_multiplicative(alg: HomAlgebra) -> CheckReport:
     Verifies ``alpha(mu(e_i, e_j)) = mu(alpha e_i, alpha e_j)`` on all
     basis pairs, separately for each table.
     """
-    return CheckReport(tuple(_multiplicative(_IntAlgebra(alg))))
+    a = _Sparse(alg.alpha, alg.tensors())
+    return CheckReport(tuple(a.multiplicative(name) for name in a.tables))
 
 
-def _tensor_and_twist(t: StructureTensor, alpha: Matrix):
+def _table_and_twist(t: StructureTensor, alpha: Matrix) -> _Sparse:
     if alpha.rows != t.dim or alpha.cols != t.dim:
         raise ShapeError("twist map size differs from tensor dim")
-    d = common_denominator(t, alpha)
-    return IntTensor(t, d), IntMatrix(alpha, d), d
+    return _Sparse(alpha, {"mu": t})
 
 
 def check_hom_associative(t: StructureTensor, alpha: Matrix) -> CheckReport:
     """Twisted associator test: ``mu(mu(x,y), alpha z) = mu(alpha x, mu(y,z))``
     on all basis triples."""
-    return CheckReport((_hom_associative(*_tensor_and_twist(t, alpha)),))
+    return CheckReport((_table_and_twist(t, alpha).hom_associative("mu"),))
 
 
 def check_hom_leibniz(t: StructureTensor, alpha: Matrix) -> CheckReport:
     """Right Leibniz test: ``[[x,y], alpha z] = [alpha x, [y,z]] + [[x,z], alpha y]``
     on all basis triples."""
-    return CheckReport((_hom_leibniz(*_tensor_and_twist(t, alpha)),))
+    return CheckReport((_table_and_twist(t, alpha).hom_leibniz("mu"),))
 
 
 def check_poisson_compat(alg: HomAlgebra) -> CheckReport:
@@ -239,19 +279,23 @@ def check_poisson_compat(alg: HomAlgebra) -> CheckReport:
     ``[x.y, alpha z] = (alpha x).[y,z] + [x,z].(alpha y)`` on basis triples."""
     if alg.kind != POISSON:
         raise KindMismatchError("poisson compatibility needs a poisson algebra")
-    return CheckReport((_poisson_compat(_IntAlgebra(alg)),))
+    return CheckReport((_Sparse(alg.alpha, alg.tensors()).poisson_compat(),))
 
 
 def check_algebra(alg: HomAlgebra) -> CheckReport:
-    """All checks that apply to the algebra's kind, in a fixed order."""
-    a = _IntAlgebra(alg)
-    checks = _multiplicative(a)
-    if "dot" in a.tensors:
-        checks.append(_hom_associative(a.tensors["dot"], a.alpha, a.d))
-    if "bracket" in a.tensors:
-        checks.append(_hom_leibniz(a.tensors["bracket"], a.alpha, a.d))
+    """All checks that apply to the algebra's kind, in a fixed order.
+
+    Each identity sums its terms over the nonzero products and twist
+    entries only, so a sparse algebra costs time in its nonzero structure
+    constants, not in its ``dim**3`` basis triples."""
+    a = _Sparse(alg.alpha, alg.tensors())
+    checks = [a.multiplicative(name) for name in a.tables]
+    if "dot" in a.tables:
+        checks.append(a.hom_associative("dot"))
+    if "bracket" in a.tables:
+        checks.append(a.hom_leibniz("bracket"))
     if alg.kind == POISSON:
-        checks.append(_poisson_compat(a))
+        checks.append(a.poisson_compat())
     return CheckReport(tuple(checks))
 
 

@@ -13,7 +13,10 @@ and :func:`homkit.reporting.scan_identity` builds it only for a witness.
 A construction works the same way: it sums degree-``k`` terms into an
 :class:`Accumulator`, walking only the nonzero products, action columns
 and operator entries (:func:`sparse`), and builds each ``Fraction`` once,
-at the end, over ``D**k``.
+at the end, over ``D**k``.  The algebra and representation checks sum
+each identity's terms into an :class:`Accumulator` keyed by basis tuple,
+one slice of tuples with the same first index at a time
+(:meth:`Accumulator.slices`): a tuple no term touches has a zero residual.
 
 Vectors are ``list[int]``, matrices are lists of ``int`` rows.  The
 column convention of :mod:`homkit.linalg` holds unchanged.
@@ -25,6 +28,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
+from typing import Iterator
 
 from .linalg import _ZERO, Matrix
 
@@ -37,17 +41,17 @@ def _entries(part):
     if isinstance(part, Matrix):
         return chain.from_iterable(part.entries)
     if hasattr(part, "products"):  # a structure tensor
-        return (q for v in part.products.values() for q in v.entries)
+        return chain.from_iterable(v.entries for v in part.products.values())
     if hasattr(part, "mats"):  # an action tensor
-        return (q for m in part.mats for row in m.entries for q in row)
+        return chain.from_iterable(row for m in part.mats for row in m.entries)
     raise TypeError(f"no rational entries in {type(part).__name__}")
 
 
 def common_denominator(*parts) -> int:
     """Least common multiple of the denominators of every entry of the
     given rationals, matrices, structure tensors and action tensors
-    (``None`` parts are skipped)."""
-    return lcm(*{q.denominator for part in parts for q in _entries(part)})
+    (``None`` parts and the shared zero are skipped)."""
+    return lcm(*{q.denominator for part in parts for q in _entries(part) if q is not _ZERO})
 
 
 def scale(values, d: int) -> list[int]:
@@ -76,11 +80,29 @@ class Accumulator(dict):
         out = self[key] = [0] * self.dim
         return out
 
-    def add(self, key, c: int, terms: list[tuple[int, int]]) -> None:
-        """Add ``c`` times the :func:`sparse` vector ``terms`` at ``key``."""
+    def add(self, key, c: int, terms: list[tuple[int, int]], offset: int = 0) -> None:
+        """Add ``c`` times the :func:`sparse` vector ``terms``, shifted by
+        ``offset``, at ``key``."""
         out = self[key]
         for k, x in terms:
-            out[k] += c * x
+            out[offset + k] += c * x
+
+    def terms(self) -> dict:
+        """Every sum as a :func:`sparse` vector of its nonzero entries."""
+        return {key: [(k, x) for k, x in enumerate(v) if x] for key, v in self.items()}
+
+    def slices(self, count: int, adders) -> Iterator:
+        """The touched keys in sorted order, one slice at a time: for each
+        first key index ``i < count``, every ``adder(i, part)`` adds its
+        terms at keys starting with ``i``; the sums join this accumulator
+        and their keys are yielded.  Lazily, so a scan that stops at a
+        witness adds no later slice."""
+        for i in range(count):
+            part = Accumulator(self.dim)
+            for add in adders:
+                add(i, part)
+            self.update(part)
+            yield from sorted(part)
 
     def rationals(self, den: int) -> dict:
         """Every nonzero sum over ``den`` as a tuple of Fractions, each
@@ -88,6 +110,14 @@ class Accumulator(dict):
         ``StructureTensor`` or the columns of an ``ActionTensor``."""
         return {key: tuple([Fraction(x, den) if x else _ZERO for x in v])
                 for key, v in self.items() if any(v)}
+
+
+def grouped(mapping: dict, by: int = 0) -> dict:
+    """``{(k0, k1): value}`` as ``{k_by: [(k_other, value), ...]}``."""
+    out = {}
+    for key, value in mapping.items():
+        out.setdefault(key[by], []).append((key[1 - by], value))
+    return out
 
 
 def unit(dim: int, index: int) -> list[int]:
@@ -110,23 +140,6 @@ def times(c: int, a: list[int]) -> list[int]:
 
 def mat_vec(rows: list[list[int]], v: list[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in rows]
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def mat_add(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-
-def mat_sub(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-
-def mat_times(c: int, a: list[list[int]]) -> list[list[int]]:
-    return [[c * x for x in r] for r in a]
 
 
 class IntMatrix:

@@ -83,7 +83,11 @@ class Vector:
         return len(self.entries)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        # The shared zero is skipped by identity, with no method call.
+        for q in self.entries:
+            if q is not _ZERO and q:
+                return False
+        return True
 
     def scale(self, c: Rational) -> "Vector":
         c = frac(c)

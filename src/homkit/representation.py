@@ -14,21 +14,16 @@ multilinearity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
-    ACTIONS_OF, ASSOCIATIVE, KINDS, LEIBNIZ, POISSON, TENSORS_BY_KIND,
-    HomAlgebra, StructureTensor, _require_self_morphism, check_ideal,
-    check_morphism,
+    ACTIONS_OF, KINDS, POISSON, TENSORS_BY_KIND, HomAlgebra, StructureTensor,
+    _require_self_morphism, _Sparse, check_ideal, check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
-from .kernel import (
-    Accumulator, IntAction, IntMatrix, IntTensor, common_denominator, mat_add,
-    mat_mul, mat_sub, mat_times, sparse,
-)
+from .kernel import Accumulator, common_denominator, grouped, sparse
 from .linalg import _ZERO, Matrix, Vector, solve_linear
-from .reporting import CheckReport, require, scan_operator_identity
+from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -159,6 +154,137 @@ def _require_match(rep: Representation, alg: HomAlgebra) -> None:
         raise ShapeError("representation base dim differs from algebra dim")
 
 
+# Each action family's commutation axiom with phi.
+_COMMUTES = {"lambda_l": "phi_commutes_left_mult", "lambda_r": "phi_commutes_right_mult",
+             "rho_l": "phi_commutes_left_bracket", "rho_r": "phi_commutes_right_bracket"}
+
+# The pair axioms of each table, then the Poisson cross axioms, as signed
+# terms at a basis pair (i, j): ``(sign, F, table, swap)`` is
+# ``F(mu(e_i, e_j)) phi`` and ``(sign, F, G, swap)`` is
+# ``F(alpha e_i) G(e_j)``, with i and j exchanged if ``swap``.
+_PAIR_AXIOMS = {
+    "dot": (
+        ("left_mult_composition", (1, "lambda_l", "dot", 0), (-1, "lambda_l", "lambda_l", 0)),
+        ("right_mult_composition", (1, "lambda_r", "dot", 0), (-1, "lambda_r", "lambda_r", 1)),
+        ("left_right_mult_commute", (1, "lambda_l", "lambda_r", 0),
+         (-1, "lambda_r", "lambda_l", 1)),
+    ),
+    "bracket": (
+        ("left_bracket_composition", (1, "rho_l", "bracket", 0), (-1, "rho_l", "rho_l", 0),
+         (-1, "rho_r", "rho_l", 1)),
+        ("mixed_bracket_exchange", (1, "rho_r", "rho_l", 1), (-1, "rho_l", "rho_r", 0),
+         (-1, "rho_l", "bracket", 0)),
+        ("right_bracket_composition", (1, "rho_r", "rho_r", 1), (-1, "rho_r", "bracket", 0),
+         (-1, "rho_r", "rho_r", 0)),
+        ("right_bracket_antisymmetry", (1, "rho_r", "bracket", 0), (1, "rho_r", "bracket", 1)),
+    ),
+    POISSON: (
+        ("bracket_acts_on_left_mult", (1, "rho_r", "lambda_l", 1),
+         (-1, "lambda_l", "rho_r", 0), (-1, "lambda_l", "bracket", 0)),
+        ("bracket_acts_on_right_mult", (1, "rho_r", "lambda_r", 1),
+         (-1, "lambda_r", "bracket", 0), (-1, "lambda_r", "rho_r", 0)),
+        ("left_bracket_of_product", (1, "rho_l", "dot", 0), (-1, "lambda_l", "rho_l", 0),
+         (-1, "lambda_r", "rho_l", 1)),
+    ),
+}
+
+
+class _SparseRepresentation:
+    """A representation and its base over one common denominator ``d``,
+    indexed for the slice walks of the axioms.  For each action family
+    ``F``: its nonzero columns by base index (``cols``) and its nonzero
+    entries by row (``by_row[r]`` lists ``(j, c, F(e_j)[r][c])``); the
+    columns of ``F(alpha e_x)`` by ``x`` (``twisted``) and by column
+    (``twisted_by_col``); and ``F(e_a) phi`` as a column-major ``m*m``
+    ``sparse`` vector (``times_phi``)."""
+
+    def __init__(self, rep: Representation, alg: HomAlgebra):
+        actions = rep.actions()
+        self.n, m = alg.dim, rep.carrier_dim
+        self.base = base = _Sparse(alg.alpha, alg.tensors(), rep.phi, *actions.values())
+        d = base.d
+        self.phi = [sparse(col, d) for col in zip(*rep.phi.entries)]
+        self.cols, self.by_row, self.twisted, self.twisted_by_col, self.times_phi = (
+            {}, {}, {}, {}, {})
+        for name, family in actions.items():
+            cols = {(i, c): sparse(col, d) for i, c, col in family.columns()}
+            self.cols[name] = grouped(cols)
+            by_row = self.by_row[name] = {}
+            twisted = Accumulator(m)
+            for (i, c), col in cols.items():
+                for r, g in col:
+                    by_row.setdefault(r, []).append((i, c, g))
+                for x, w in base.rows[i]:
+                    twisted.add((x, c), w, col)
+            twisted = twisted.terms()
+            self.twisted[name] = grouped(twisted)
+            self.twisted_by_col[name] = grouped(twisted, 1)
+            times_phi, by_col = Accumulator(m * m), grouped(cols, 1)
+            for c, col in enumerate(self.phi):
+                for r, p in col:
+                    for i, fcol in by_col.get(r, ()):
+                        times_phi.add(i, p, fcol, c * m)
+            self.times_phi[name] = times_phi.terms()
+
+    def scan(self, name: str, *adders) -> CheckResult:
+        m, d = len(self.phi), self.base.d
+        acc = Accumulator(m * m)
+
+        def difference(*key):
+            v = acc[key]
+            return [v[r::m] for r in range(m)]
+        return scan_operator_identity(name, acc.slices(self.n, adders), difference,
+                                      denominator=d ** 3)
+
+    def commutes(self, family: str):
+        """Slices of ``d phi F(e_i) - F(alpha e_i) phi`` at ``(i,)``."""
+        m, d, phi, alpha_cols = len(self.phi), self.base.d, self.phi, self.base.cols
+        cols, times_phi = self.cols[family], self.times_phi[family]
+
+        def add(i, acc):
+            for c, col in cols.get(i, ()):
+                for r, g in col:
+                    acc.add((i,), d * g, phi[r], c * m)
+            for a, w in alpha_cols[i]:
+                if a in times_phi:
+                    acc.add((i,), -w, times_phi[a])
+        return add
+
+    def composed(self, sign: int, outer: str, inner: str, swap: bool):
+        """Slices of ``sign F(alpha e_i) G(e_j)`` at ``(i, j)``, or of
+        ``sign F(alpha e_j) G(e_i)`` if ``swap``, for ``F, G = outer, inner``."""
+        m = len(self.phi)
+        if swap:
+            cols, twisted = self.cols[inner], self.twisted_by_col[outer]
+
+            def add(i, acc):
+                for c, col in cols.get(i, ()):
+                    for r, g in col:
+                        for x, tcol in twisted.get(r, ()):
+                            acc.add((i, x), sign * g, tcol, c * m)
+        else:
+            twisted, by_row = self.twisted[outer], self.by_row[inner]
+
+            def add(i, acc):
+                for r, tcol in twisted.get(i, ()):
+                    for j, c, g in by_row.get(r, ()):
+                        acc.add((i, j), sign * g, tcol, c * m)
+        return add
+
+    def through_phi(self, sign: int, family: str, table: str, swap: bool):
+        """Slices of ``sign F(mu(e_i, e_j)) phi`` at ``(i, j)``, or of
+        ``sign F(mu(e_j, e_i)) phi`` if ``swap``."""
+        products = grouped(self.base.tables[table], int(swap))
+        times_phi = self.times_phi[family]
+
+        def add(i, acc):
+            for j, terms in products.get(i, ()):
+                for a, t in terms:
+                    if a in times_phi:
+                        acc.add((i, j), sign * t, times_phi[a])
+        return add
+
+
 def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     """Verify every axiom of the representation kind as operator identities.
 
@@ -167,85 +293,20 @@ def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     ``phi rho^r(x) = rho^r(alpha x) phi``, and the redundant consequence
     ``rho^r([x,y]) phi + rho^r([y,x]) phi = 0`` is reported as an extra
     consistency check.
+
+    Each residual is summed over the nonzero products, twist entries and
+    action columns only, keyed by basis tuple; an untouched tuple's
+    residual is exactly zero.
     """
     _require_match(rep, alg)
-    n = alg.dim
-    tensors, actions = alg.tensors(), rep.actions()
-    d = common_denominator(alg.alpha, rep.phi, *tensors.values(), *actions.values())
-    alpha = IntMatrix(alg.alpha, d).cols
-    phi = IntMatrix(rep.phi, d).rows
-    table = {name: IntTensor(t, d).table for name, t in tensors.items()}
-    act = {name: IntAction(t, d) for name, t in actions.items()}
-    # x -> act(alpha x), degree 2, for every action family and basis index.
-    twisted = {name: [a.at(alpha[i]) for i in range(n)] for name, a in act.items()}
+    r = _SparseRepresentation(rep, alg)
     checks = []
-
-    def scan(name, indices, difference):
-        checks.append(scan_operator_identity(name, indices, difference,
-                                             denominator=d ** 3))
-
-    def commutes(name, family):
-        a, ta = act[family].mats, twisted[family]
-        scan(name, ((i,) for i in range(n)),
-             lambda i: mat_sub(mat_times(d, mat_mul(phi, a[i])), mat_mul(ta[i], phi)))
-
-    def at_phi(family, v):
-        return mat_mul(act[family].at(v), phi)
-
-    def pairs():
-        return iproduct(range(n), repeat=2)
-
-    if rep.kind in (ASSOCIATIVE, POISSON):
-        dot = table["dot"]
-        ll, lr = act["lambda_l"].mats, act["lambda_r"].mats
-        tll, tlr = twisted["lambda_l"], twisted["lambda_r"]
-        commutes("phi_commutes_left_mult", "lambda_l")
-        commutes("phi_commutes_right_mult", "lambda_r")
-        scan("left_mult_composition", pairs(),
-             lambda i, j: mat_sub(at_phi("lambda_l", dot[i][j]),
-                                  mat_mul(tll[i], ll[j])))
-        scan("right_mult_composition", pairs(),
-             lambda i, j: mat_sub(at_phi("lambda_r", dot[i][j]),
-                                  mat_mul(tlr[j], lr[i])))
-        scan("left_right_mult_commute", pairs(),
-             lambda i, j: mat_sub(mat_mul(tll[i], lr[j]), mat_mul(tlr[j], ll[i])))
-
-    if rep.kind in (LEIBNIZ, POISSON):
-        br = table["bracket"]
-        rl, rr = act["rho_l"].mats, act["rho_r"].mats
-        trl, trr = twisted["rho_l"], twisted["rho_r"]
-        commutes("phi_commutes_left_bracket", "rho_l")
-        commutes("phi_commutes_right_bracket", "rho_r")
-        scan("left_bracket_composition", pairs(),
-             lambda i, j: mat_sub(mat_sub(at_phi("rho_l", br[i][j]),
-                                          mat_mul(trl[i], rl[j])),
-                                  mat_mul(trr[j], rl[i])))
-        scan("mixed_bracket_exchange", pairs(),
-             lambda i, j: mat_sub(mat_sub(mat_mul(trr[j], rl[i]),
-                                          mat_mul(trl[i], rr[j])),
-                                  at_phi("rho_l", br[i][j])))
-        scan("right_bracket_composition", pairs(),
-             lambda i, j: mat_sub(mat_sub(mat_mul(trr[j], rr[i]),
-                                          at_phi("rho_r", br[i][j])),
-                                  mat_mul(trr[i], rr[j])))
-        scan("right_bracket_antisymmetry", pairs(),
-             lambda i, j: mat_add(at_phi("rho_r", br[i][j]),
-                                  at_phi("rho_r", br[j][i])))
-
-    if rep.kind == POISSON:
-        scan("bracket_acts_on_left_mult", pairs(),
-             lambda i, j: mat_sub(mat_sub(mat_mul(trr[j], ll[i]),
-                                          mat_mul(tll[i], rr[j])),
-                                  at_phi("lambda_l", br[i][j])))
-        scan("bracket_acts_on_right_mult", pairs(),
-             lambda i, j: mat_sub(mat_sub(mat_mul(trr[j], lr[i]),
-                                          at_phi("lambda_r", br[i][j])),
-                                  mat_mul(tlr[i], rr[j])))
-        scan("left_bracket_of_product", pairs(),
-             lambda i, j: mat_sub(mat_sub(at_phi("rho_l", dot[i][j]),
-                                          mat_mul(tll[i], rl[j])),
-                                  mat_mul(tlr[j], rl[i])))
-
+    for group in [*alg.tensors(), POISSON] if alg.kind == POISSON else alg.tensors():
+        for family in ACTIONS_OF.get(group, ()):
+            checks.append(r.scan(_COMMUTES[family], r.commutes(family)))
+        for name, *terms in _PAIR_AXIOMS[group]:
+            checks.append(r.scan(name, *(r.composed(*term) if term[2] in r.cols
+                                         else r.through_phi(*term) for term in terms)))
     return CheckReport(tuple(checks))
 
 

@@ -31,6 +31,19 @@ def test_check_failing_algebra_exit_one(capsys):
     assert "PASS hom_associative" in out
 
 
+def test_check_large_empty_algebra(tmp_path, capsys):
+    # The checks walk the nonzero products only: an empty dim-300 table
+    # is checked at once, not over its 27 million basis triples.
+    dim = 300
+    twist = "\n".join(f"    e{i} -> e{i}" for i in range(1, dim + 1))
+    path = tmp_path / "empty.hla"
+    path.write_text(f"algebra E {{\n  dim {dim}\n  kind leibniz\n"
+                    f"  alpha {{\n{twist}\n  }}\n}}\n")
+    code, out, _ = run(capsys, "check", str(path), "E")
+    assert code == 0
+    assert out == "PASS multiplicative:bracket\nPASS hom_leibniz\n"
+
+
 def test_check_unknown_name_exit_two(capsys):
     code, _, err = run(capsys, "check", FIXTURES, "nope")
     assert code == 2

@@ -11,18 +11,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from homkit import matched
 from homkit.algebra import (
-    ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor, check_algebra,
-    check_hom_associative, check_hom_leibniz, check_morphism,
-    check_multiplicative, check_poisson_compat, yau_twist,
+    ACTIONS_OF, ASSOCIATIVE, LEIBNIZ, POISSON, TENSORS_BY_KIND, HomAlgebra,
+    StructureTensor, check_algebra, check_hom_associative, check_hom_leibniz,
+    check_morphism, check_multiplicative, check_poisson_compat, yau_twist,
 )
 from homkit.errors import PreconditionError
 from homkit.fixtures import two_dim_associative, two_dim_leibniz, two_dim_poisson
 from homkit.kernel import common_denominator
-from homkit.linalg import Matrix, Vector
+from homkit.linalg import _ZERO, Matrix, Vector
 from homkit.matched import MatchedPair, check_matched_pair
 from homkit.reporting import CheckReport
 from homkit.operators import (
@@ -30,7 +31,7 @@ from homkit.operators import (
     induced_algebra, induced_representation, lift_operator,
 )
 from homkit.representation import (
-    ActionTensor, Representation, check_representation,
+    ActionTensor, Representation, check_representation, pullback_representation,
     regular_representation, semidirect_product,
 )
 from support import (
@@ -41,6 +42,7 @@ from test_matched import (
     classical_poisson, degenerate_pair, matrix_algebra_2x2,
     nilpotent_cross_pair, split_into_matched_pair, unital_dual_numbers,
 )
+from test_sparse_tables import _sparse_document
 
 DELTAS = (Fraction(1, 2), Fraction(1, 3), Fraction(-2, 7))
 WEIGHTS = (0, 1, Fraction(-3, 2))
@@ -116,6 +118,11 @@ def test_common_denominator():
     m = Matrix([[Fraction(1, 2), 3], [Fraction(-2, 7), 0]])
     assert common_denominator(m, Fraction(1, 3), None) == 42
     assert common_denominator() == 1
+    # Zeros that are not the shared one count like any other entry.
+    fresh = Matrix([[Fraction(0), Fraction(5, 6)], [Fraction(0), Fraction(0)]])
+    assert fresh[0, 0] is not _ZERO and fresh[1, 1] is not _ZERO
+    assert common_denominator(fresh, Fraction(1, 4)) == 12
+    assert common_denominator(Matrix([[Fraction(0)] * 3] * 3), Matrix.zero(4, 4)) == 1
 
 
 def test_algebra_pool_and_morphisms():
@@ -285,3 +292,175 @@ def test_cross_conditions_with_shifted_cross_actions():
     assert failed == {f"cross:{kind}:{k}" for kind in ("assoc", "leibniz", "poisson")
                       for k in range(1, 7)}
     assert tally.fractional > 0
+
+
+# ---- sparse inputs ---------------------------------------------------------
+
+
+def direct_sum(algebras: list) -> HomAlgebra:
+    """The block sum of algebras of one kind, with no product across
+    blocks: a Hom-algebra of that kind when every summand is one."""
+    n = sum(a.dim for a in algebras)
+    alpha = [[0] * n for _ in range(n)]
+    tables = {name: {} for name in algebras[0].tensors()}
+    start = 0
+    for a in algebras:
+        for r, row in enumerate(a.alpha.entries):
+            alpha[start + r][start:start + a.dim] = row
+        for name, t in a.tensors().items():
+            for (i, j), v in t.products.items():
+                value = [0] * n
+                value[start:start + a.dim] = v.entries
+                tables[name][(start + i, start + j)] = value
+        start += a.dim
+    return HomAlgebra(n, algebras[0].kind, Matrix(alpha),
+                      **{name: StructureTensor.from_products(n, p)
+                         for name, p in tables.items()})
+
+
+def projection(dim: int, start: int, size: int) -> Matrix:
+    """The projection of a direct sum onto its block at ``start``: a morphism."""
+    return Matrix([[1 if c == start + r else 0 for c in range(dim)] for r in range(size)],
+                  size, dim)
+
+
+def fresh(m: Matrix) -> Matrix:
+    """A copy whose every entry, each zero included, is a new Fraction."""
+    return Matrix([[Fraction(q.numerator, q.denominator) for q in row] for row in m.entries],
+                  m.rows, m.cols)
+
+
+def fresh_algebra(alg: HomAlgebra) -> HomAlgebra:
+    """A copy with new Fractions for every entry, and a product of new
+    zeros (which the table drops) wherever a product is missing."""
+    n = alg.dim
+
+    def table(t):
+        products = {(i, j): [Fraction(0)] * n for i in range(n) for j in range(n)}
+        products.update({key: [Fraction(q.numerator, q.denominator) for q in v]
+                         for key, v in t.products.items()})
+        return StructureTensor.from_products(n, products)
+    return HomAlgebra(n, alg.kind, fresh(alg.alpha),
+                      **{name: table(t) for name, t in alg.tensors().items()})
+
+
+def fresh_representation(rep: Representation) -> Representation:
+    kw = {name: ActionTensor(a.base_dim, a.carrier_dim, [fresh(m) for m in a.mats])
+          for name, a in rep.actions().items()}
+    return Representation(rep.kind, rep.base_dim, rep.carrier_dim, fresh(rep.phi), **kw)
+
+
+def has_fresh_zeros(*matrices) -> bool:
+    return any(q == 0 and q is not _ZERO for m in matrices for row in m.entries for q in row)
+
+
+@pytest.mark.parametrize("dim", (12, 20, 30))
+def test_sparse_algebras_and_their_representations(dim):
+    """Sparse Poisson algebras with about ``2 dim`` nonzero products per
+    table, their regular representation, the pullback along a sparse map
+    and the pullback to carrier dim 0, each also with new zero objects."""
+    tally = Tally()
+    doc = _sparse_document(random.Random(dim), dim, 2 * dim)
+    alg, beta = doc.algebra("L"), doc.map("beta").matrix
+    zero = HomAlgebra(0, POISSON, Matrix.zero(0, 0), dot=StructureTensor.zero(0),
+                      bracket=StructureTensor.zero(0))
+    copy = fresh_algebra(alg)
+    assert copy == alg and has_fresh_zeros(copy.alpha)
+    algebra_checks(tally, alg)
+    algebra_checks(tally, copy)
+    reps = [regular_representation(alg),
+            pullback_representation(beta, alg, alg, checked=False),
+            pullback_representation(Matrix.zero(0, dim), alg, zero, checked=False)]
+    copies = [fresh_representation(r) for r in reps]
+    assert has_fresh_zeros(copies[0].phi, *copies[0].lambda_l.mats)
+    for rep in reps + copies:
+        compare(tally, check_representation, oracle.check_representation, rep, alg)
+    compare(tally, check_representation, oracle.check_representation, copies[0], copy)
+    assert reps[-1].carrier_dim == 0 and check_representation(reps[-1], alg).passed
+    assert tally.failing > 10 and tally.fractional > 5
+
+
+@pytest.mark.parametrize("kind", (ASSOCIATIVE, LEIBNIZ, POISSON))
+def test_late_witnesses_in_direct_sums(kind):
+    """A verified algebra of dim 12-14 summed from the pool, and its
+    pullback to the last summand, with one entry corrupted in the last
+    block: every witness lies in that block, late in lexicographic order,
+    after the reference has scanned every earlier tuple."""
+    rng = random.Random(31)
+    summands = [a for a in verified_algebra_pool() if a.kind == kind]
+    parts = []
+    while sum(a.dim for a in parts) < 12:
+        parts.append(rng.choice(summands))
+    alg, last = direct_sum(parts), parts[-1]
+    n, start = alg.dim, alg.dim - last.dim
+    rep = pullback_representation(projection(n, start, last.dim), alg, last)
+    assert check_algebra(alg).passed and check_representation(rep, alg).passed
+
+    name = sorted(alg.tensors())[0]
+    products = {key: list(v) for key, v in getattr(alg, name).products.items()}
+    products.setdefault((n - 1, n - 1), [0] * n)[n - 1] += Fraction(1, 3)
+    late_alg = HomAlgebra(n, kind, alg.alpha, **dict(
+        alg.tensors(), **{name: StructureTensor.from_products(n, products)}))
+    family = sorted(rep.actions())[0]
+    mats = list(rep.actions()[family].mats)
+    rows = [list(r) for r in mats[n - 1].entries]
+    rows[-1][-1] += Fraction(-2, 7)
+    mats[n - 1] = Matrix(rows)
+    late_rep = Representation(kind, n, rep.carrier_dim, rep.phi, **dict(
+        rep.actions(), **{family: ActionTensor(n, rep.carrier_dim, mats)}))
+
+    tally = Tally()
+    compare(tally, check_algebra, oracle.check_algebra, alg)
+    algebra_checks(tally, late_alg)
+    compare(tally, check_algebra, oracle.check_algebra, fresh_algebra(late_alg))
+    for r in (rep, late_rep, fresh_representation(late_rep)):
+        compare(tally, check_representation, oracle.check_representation, r, alg)
+    for report in (check_algebra(late_alg), check_representation(late_rep, alg)):
+        assert report.failures()
+        assert all(c.witness.indices[0] >= start for c in report.failures())
+    assert tally.fractional > 0
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+SMALL_POOL = [alg for alg in verified_algebra_pool() if alg.dim <= 3]
+entries = st.one_of(st.just(0), st.just(0), st.builds(Fraction, st.just(0)),
+                    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])))
+
+
+@st.composite
+def structures(draw):
+    """An algebra and a representation of its kind: a verified algebra
+    with its regular representation, one entry of either perhaps shifted;
+    or random structures of dim 0-3, mostly zero, where some zeros are
+    not the shared one."""
+    if draw(st.booleans()):
+        alg = draw(st.sampled_from(SMALL_POOL))
+        rep, rng = regular_representation(alg), random.Random(draw(st.integers(0, 999)))
+        how = draw(st.sampled_from(("valid", "algebra", "representation")))
+        if how == "algebra":
+            alg = shifted_algebra(alg, rng)
+        elif how == "representation":
+            rep = shifted_action(rep, rng)
+        return alg, rep
+    kind = draw(st.sampled_from((ASSOCIATIVE, LEIBNIZ, POISSON)))
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def matrix(rows, cols):
+        return Matrix([[draw(entries) for _ in range(cols)] for _ in range(rows)], rows, cols)
+
+    def table():
+        return StructureTensor.from_products(n, {
+            (i, j): [draw(entries) for _ in range(n)] for i in range(n) for j in range(n)})
+    names = TENSORS_BY_KIND[kind]
+    alg = HomAlgebra(n, kind, matrix(n, n), **{name: table() for name in names})
+    families = {a: ActionTensor(n, m, [matrix(m, m) for _ in range(n)])
+                for name in names for a in ACTIONS_OF[name]}
+    return alg, Representation(kind, n, m, matrix(m, m), **families)
+
+
+@PROPERTY
+@given(structures())
+def test_checkers_match_the_reference_over_generated_structures(pair):
+    alg, rep = pair
+    assert check_algebra(alg) == oracle.check_algebra(alg)
+    assert check_representation(rep, alg) == oracle.check_representation(rep, alg)

@@ -51,6 +51,17 @@ def test_int_zeros_share_one_fraction():
             Vector([Fraction(1), bad])
 
 
+def test_is_zero_reads_shared_and_other_zeros_alike():
+    fresh = Fraction(0)
+    assert fresh is not linalg._ZERO
+    for v, zero in ((Vector(()), True), (Vector([0, 0, 0]), True),
+                    (Vector([fresh, 0, Fraction(0)]), True),
+                    (Vector([0, 0, Fraction(1, 3)]), False),
+                    (Vector([fresh, -1, 0]), False), (Vector([Fraction(-2, 7)]), False)):
+        assert v.is_zero() is zero, v
+    assert Vector([fresh, 0]).entries[0] is fresh
+
+
 def test_mat_mul_identity():
     m = Matrix([[1, 2], [3, frac("1/2")]])
     assert Matrix.identity(2) @ m == m

@@ -1,6 +1,7 @@
 """Structure tensors stored as their nonzero basis products: canonical
 storage, index checks, and costs that follow the nonzero products of a
-document or a construction rather than the square of its dimension."""
+document, a construction or a check rather than the square or the cube
+of its dimension."""
 
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homkit.algebra import POISSON, HomAlgebra, StructureTensor
+from homkit.algebra import LEIBNIZ, POISSON, HomAlgebra, StructureTensor
 from homkit.dsl import DocAlgebra, DocMap, Document, parse, serialize
 from homkit.errors import ShapeError
 from homkit.linalg import Matrix, Vector
@@ -152,3 +153,117 @@ def test_semidirect_product_costs_follow_its_nonzero_entries(monkeypatch):
     expected = 2 * nonzero + 4 * columns
     assert built["vectors"] == expected
     assert sum(len(t.products) for t in out.tensors().values()) == expected
+
+
+def _nonzero(*parts) -> int:
+    """The nonzero entries of matrices, structure tensors and action families."""
+    rows = []
+    for part in parts:
+        if isinstance(part, Matrix):
+            rows += part.entries
+        elif isinstance(part, ActionTensor):
+            rows += [row for m in part.mats for row in m.entries]
+        else:
+            rows += [v.entries for v in part.products.values()]
+    return sum(1 for row in rows for q in row if q)
+
+
+def _handed(monkeypatch, module, attr: str, bound: int) -> Counter:
+    """Count the basis tuples handed to the scan ``module.attr``, failing
+    as soon as they pass ``bound`` (a dense scan would hand ``dim**3``)."""
+    handed = Counter()
+    scan = getattr(module, attr)
+
+    def counted(name, indices, residual, **kwargs):
+        listed = []
+        for idx in indices:
+            listed.append(idx)
+            handed[name] += 1
+            if sum(handed.values()) > bound:
+                raise AssertionError(f"{name}: over {bound} tuples handed to the scans")
+        return scan(name, listed, residual, **kwargs)
+    monkeypatch.setattr(module, attr, counted)
+    return handed
+
+
+def test_check_algebra_costs_follow_its_nonzero_terms(monkeypatch):
+    """An empty dim-300 Leibniz algebra hands the scans no tuple at all, and
+    a sparse dim-200 Poisson algebra a few per nonzero structure constant,
+    where the dense scans hand every basis pair and triple (over 24
+    million for the Poisson algebra)."""
+    import homkit.algebra as algebra
+    dim = 300
+    empty = HomAlgebra(dim, LEIBNIZ, Matrix.identity(dim), bracket=StructureTensor.zero(dim))
+    _handed(monkeypatch, algebra, "scan_identity", 0)
+    report = algebra.check_algebra(empty)
+    assert report.render() == "PASS multiplicative:bracket\nPASS hom_leibniz"
+
+    monkeypatch.undo()
+    alg = _sparse_document(random.Random(5), 200, 300).algebra("L")
+    bound = 16 * _nonzero(alg.alpha, alg.dot, alg.bracket)
+    handed = _handed(monkeypatch, algebra, "scan_identity", bound)
+    report = algebra.check_algebra(alg)
+    assert set(handed) == {c.identity for c in report} and not report.passed
+    monkeypatch.undo()  # a scan that reads its tuples lazily finds the same witnesses
+    assert algebra.check_algebra(alg) == report
+
+
+def test_check_representation_costs_follow_its_nonzero_terms(monkeypatch):
+    """The same sparse dim-200 algebra acting on a dim-10 carrier through
+    families with 40 nonzero columns each: the scans get a few tuples per
+    nonzero entry, where the dense scans hand 400,800 basis pairs."""
+    import homkit.representation as representation
+    rng = random.Random(7)
+    dim, carrier, columns = 200, 10, 40
+    alg = _sparse_document(random.Random(5), dim, 300).algebra("L")
+    families = {name: _sparse_action(rng, dim, carrier, columns)
+                for name in ("lambda_l", "lambda_r", "rho_l", "rho_r")}
+    rep = Representation(POISSON, dim, carrier, Matrix.identity(carrier), **families)
+    bound = 16 * _nonzero(alg.alpha, alg.dot, alg.bracket, rep.phi, *families.values())
+    handed = _handed(monkeypatch, representation, "scan_operator_identity", bound)
+    report = representation.check_representation(rep, alg)
+    assert set(handed) == {c.identity for c in report} and len(handed) == 14
+    monkeypatch.undo()
+    assert representation.check_representation(rep, alg) == report
+
+
+def test_failing_checks_stop_after_the_witness_slice(monkeypatch):
+    """A dense dim-12 algebra and representation that fail at their first
+    basis tuples: the checks add the terms of the first slice of tuples
+    (those with first index 0) and of no later one, as a dense scan stops
+    at its first witness."""
+    import homkit.algebra as algebra
+    import homkit.representation as representation
+    from homkit.kernel import Accumulator
+    rng = random.Random(4)
+    n, m = 12, 4
+
+    def matrix(rows, cols):
+        return Matrix([[Fraction(rng.randint(1, 5), rng.choice((1, 2))) for _ in range(cols)]
+                       for _ in range(rows)])
+
+    def table():
+        return StructureTensor.from_products(n, {(i, j): matrix(1, n).entries[0]
+                                                 for i in range(n) for j in range(n)})
+    alg = HomAlgebra(n, POISSON, matrix(n, n), dot=table(), bracket=table())
+    rep = Representation(POISSON, n, m, matrix(m, m), **{
+        name: ActionTensor(n, m, [matrix(m, m) for _ in range(n)])
+        for name in ("lambda_l", "lambda_r", "rho_l", "rho_r")})
+    adds = Counter()
+    add = Accumulator.add
+
+    def counted(self, *args):
+        adds["terms"] += 1
+        add(self, *args)
+    monkeypatch.setattr(Accumulator, "add", counted)
+    for module, attr, check in ((algebra, "scan_identity", lambda: algebra.check_algebra(alg)),
+                                (representation, "scan_operator_identity",
+                                 lambda: representation.check_representation(rep, alg))):
+        adds.clear()
+        report = check()
+        assert all(c.witness.indices[0] == 0 for c in report)
+        early = adds["terms"]
+        _handed(monkeypatch, module, attr, n ** 4)  # lists every slice
+        adds.clear()
+        assert check() == report
+        assert early < adds["terms"] / 4, (attr, early, adds["terms"])
