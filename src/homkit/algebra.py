@@ -17,8 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
 from .kernel import (
-    Accumulator, IntMatrix, IntTensor, common_denominator, grouped, sparse, sub,
-    times,
+    Accumulator, common_denominator, grouped, sparse, sparse_cols,
 )
 from .linalg import _ZERO, Matrix, Vector, span_membership
 from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
@@ -147,8 +146,9 @@ class HomAlgebra:
         return f"HomAlgebra(dim={self.dim}, kind={self.kind!r})"
 
 
-def _pairs(dim: int):
-    return iproduct(range(dim), repeat=2)
+def _sparse_table(t: StructureTensor, d: int) -> dict:
+    """The nonzero products of ``t`` as ``sparse`` vectors over ``d``."""
+    return {key: sparse(v.entries, d) for key, v in t.products.items()}
 
 
 class _Sparse:
@@ -158,14 +158,13 @@ class _Sparse:
     each table's nonzero products as ``sparse`` vectors, and each table
     twisted on one side, built on first use."""
 
-    __slots__ = ("d", "rows", "cols", "tables", "_twisted")
+    __slots__ = ("d", "alpha", "rows", "cols", "tables", "_twisted")
 
     def __init__(self, alpha: Matrix, tensors: dict[str, StructureTensor], *more):
         d = self.d = common_denominator(alpha, *tensors.values(), *more)
-        self.rows = [sparse(row, d) for row in alpha.entries]
-        self.cols = [sparse(col, d) for col in zip(*alpha.entries)]
-        self.tables = {name: {key: sparse(v.entries, d) for key, v in t.products.items()}
-                       for name, t in tensors.items()}
+        self.alpha = _SparseMap(alpha, d)
+        self.rows, self.cols = self.alpha.rows, self.alpha.cols
+        self.tables = {name: _sparse_table(t, d) for name, t in tensors.items()}
         self._twisted = {}
 
     def twisted(self, name: str, left: bool) -> dict:
@@ -173,10 +172,8 @@ class _Sparse:
         ``mu(e_a, alpha e_r)`` grouped by ``a``, as ``sparse`` vectors of
         degree 2, over the nonzero products and twist entries."""
         if (name, left) not in self._twisted:
-            acc = Accumulator(len(self.rows))
-            for (a, b), t in self.tables[name].items():
-                for r, x in self.rows[a if left else b]:
-                    acc.add((r, b) if left else (a, r), x, t)
+            a = self.alpha
+            acc = a.sums(len(self.rows), a.term(1, grouped(self.tables[name]), left, not left))
             self._twisted[name, left] = grouped(acc.terms())
         return self._twisted[name, left]
 
@@ -246,6 +243,71 @@ class _Sparse:
                          self.outer_left(-1, "bracket", "dot", swap=True))
 
 
+class _SparseMap:
+    """A linear map ``T: V -> A`` over a common denominator ``d``: its
+    nonzero rows (``rows[a]`` lists ``(u, d T[a][u])``), columns and unit
+    vectors, and the adders of the terms of "product of images minus image
+    of a degree-2 sum" at ``(u, v)`` in ``V x V``, checked by :meth:`walk`
+    or summed by :meth:`sums` over the nonzero entries only."""
+
+    __slots__ = ("rows", "cols", "units")
+
+    def __init__(self, t: Matrix, d: int):
+        self.rows, self.cols = [sparse(row, d) for row in t.entries], sparse_cols(t, d)
+        self.units = [((k, 1),) for k in range(max(t.rows, t.cols))]
+
+    def images(self, columns: dict) -> dict:
+        """``T`` applied once to each ``sparse`` column, by the same key and
+        one degree higher; zero images are left out."""
+        acc = Accumulator(len(self.rows))
+        for key, col in columns.items():
+            for r, c in col:
+                acc.add(key, c, self.cols[r])
+        return {key: image for key, image in acc.terms().items() if image}
+
+    def walk(self, *adders):
+        """The ``indices`` and ``residual`` of ``scan_identity``: the touched
+        keys slice by slice (:meth:`Accumulator.slices`) and their sums."""
+        acc = Accumulator(len(self.rows))
+        return acc.slices(len(self.cols), adders), lambda *key: acc[key]
+
+    def sums(self, dim: int, *adders) -> Accumulator:
+        """A construction's products or columns: the adders' terms, summed."""
+        acc = Accumulator(dim)
+        for u in range(len(self.cols)):
+            for add in adders:
+                add(u, acc)
+        return acc
+
+    def intertwines(self, phi_cols: list, alpha: "_SparseMap"):
+        """Adds ``T(phi e_j) - alpha(T e_j)`` at ``(j,)`` (degree 2), from
+        the ``sparse`` columns of the twist of V and the twist of A."""
+        sides = ((1, self.images(dict(enumerate(phi_cols)))),
+                 (-1, alpha.images(dict(enumerate(self.cols)))))
+
+        def add(j, acc):
+            for c, images in sides:
+                if j in images:
+                    acc.add((j,), c, images[j])
+        return add
+
+    def term(self, c: int, by_first: dict, left: bool = True, right: bool = True):
+        """Adds ``c X(a, b)`` at ``(u, v)`` for each ``(b, X(a, b))`` in
+        ``by_first[a]``, with ``a = T e_u`` if ``left`` (else ``u``) and
+        ``b = T e_v`` if ``right`` (else ``v``): ``mu(T e_u, T e_v)`` from
+        the products ``mu(e_a, e_b)``, ``T(act(T e_u) e_v)`` from the
+        :meth:`images` of the action's columns, and so on."""
+        firsts = self.cols if left else self.units
+        seconds = self.rows if right else self.units
+
+        def add(u, acc):
+            for a, x in firsts[u]:
+                for b, terms in by_first.get(a, ()):
+                    for v, y in seconds[b]:
+                        acc.add((u, v), c * x * y, terms)
+        return add
+
+
 def check_multiplicative(alg: HomAlgebra) -> CheckReport:
     """Is alpha an endomorphism for every product?
 
@@ -309,22 +371,18 @@ def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
         raise KindMismatchError("morphism endpoints must have the same kind")
     if f.cols != src.dim or f.rows != dst.dim:
         raise ShapeError("morphism matrix shape must be dst.dim x src.dim")
-    src_tensors = src.tensors()
     dst_tensors = dst.tensors()
-    d = common_denominator(f, src.alpha, dst.alpha,
-                           *src_tensors.values(), *dst_tensors.values())
-    fi = IntMatrix(f, d)
-    src_alpha, dst_alpha = IntMatrix(src.alpha, d), IntMatrix(dst.alpha, d)
+    a = _Sparse(src.alpha, src.tensors(), f, dst.alpha, *dst_tensors.values())
+    d, fm = a.d, _SparseMap(f, a.d)
     checks = [scan_identity(
-        "intertwines_twist", ((j,) for j in range(src.dim)),
-        lambda j: sub(fi.apply(src_alpha.cols[j]), dst_alpha.apply(fi.cols[j])),
+        "intertwines_twist", *fm.walk(fm.intertwines(a.cols, _SparseMap(dst.alpha, d))),
         denominator=d ** 2)]
-    for name in src_tensors:
-        ts, td = IntTensor(src_tensors[name], d), IntTensor(dst_tensors[name], d)
+    for name, table in a.tables.items():
+        # d f(mu_src(e_i, e_j)) - mu_dst(f e_i, f e_j)
         checks.append(scan_identity(
-            f"preserves:{name}", _pairs(src.dim),
-            lambda i, j, ts=ts, td=td: sub(times(d, fi.apply(ts.table[i][j])),
-                                           td.product(fi.cols[i], fi.cols[j])),
+            f"preserves:{name}",
+            *fm.walk(fm.term(d, grouped(fm.images(table)), False, False),
+                     fm.term(-1, grouped(_sparse_table(dst_tensors[name], d)))),
             denominator=d ** 3))
     return CheckReport(tuple(checks))
 
@@ -374,17 +432,11 @@ def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra
 
     dim = alg.dim
     d = common_denominator(beta, *alg.tensors().values())
-    rows = [sparse(row, d) for row in beta.entries]
+    b = _SparseMap(beta, d)
 
     def twisted(t: StructureTensor) -> StructureTensor:
-        # mu(beta e_i, beta e_j) = sum_{k,l} beta[k][i] beta[l][j] mu(e_k, e_l),
-        # over the nonzero products mu(e_k, e_l).
-        acc = Accumulator(dim)
-        for (k, l), v in t.products.items():
-            terms = sparse(v.entries, d)
-            for i, x in rows[k]:
-                for j, y in rows[l]:
-                    acc.add((i, j), x * y, terms)
+        # mu(beta e_i, beta e_j), over the nonzero products and entries of beta.
+        acc = b.sums(dim, b.term(1, grouped(_sparse_table(t, d))))
         return StructureTensor.from_products(dim, acc.rationals(d ** 3))
 
     return HomAlgebra(dim, alg.kind, beta @ alg.alpha,

@@ -13,13 +13,15 @@ and :func:`homkit.reporting.scan_identity` builds it only for a witness.
 A construction works the same way: it sums degree-``k`` terms into an
 :class:`Accumulator`, walking only the nonzero products, action columns
 and operator entries (:func:`sparse`), and builds each ``Fraction`` once,
-at the end, over ``D**k``.  The algebra and representation checks sum
-each identity's terms into an :class:`Accumulator` keyed by basis tuple,
-one slice of tuples with the same first index at a time
-(:meth:`Accumulator.slices`): a tuple no term touches has a zero residual.
+at the end, over ``D**k``.  The checks sum each identity's terms into an
+:class:`Accumulator` keyed by basis tuple, one slice of tuples with the
+same first index at a time (:meth:`Accumulator.slices`): a tuple no term
+touches has a zero residual.
 
-Vectors are ``list[int]``, matrices are lists of ``int`` rows.  The
-column convention of :mod:`homkit.linalg` holds unchanged.
+Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
+entries; only the matched-pair conditions still read dense ``int`` lists
+(:class:`IntTensor`, :class:`IntAction`).  The column convention of
+:mod:`homkit.linalg` holds unchanged.
 """
 
 from __future__ import annotations
@@ -65,6 +67,14 @@ def sparse(values, d: int) -> list[tuple[int, int]]:
     pairs; ``d`` must be a multiple of every denominator."""
     return [(k, q.numerator * (d // q.denominator))
             for k, q in enumerate(values) if q is not _ZERO and q.numerator]
+
+
+def sparse_cols(m: Matrix, d: int) -> list:
+    """The columns of ``m`` as :func:`sparse` vectors over ``d``, one for
+    each of its ``m.cols`` columns even when ``m`` has no rows."""
+    if not m.rows:
+        return [[] for _ in range(m.cols)]
+    return [sparse(col, d) for col in zip(*m.entries)]
 
 
 class Accumulator(dict):
@@ -120,12 +130,6 @@ def grouped(mapping: dict, by: int = 0) -> dict:
     return out
 
 
-def unit(dim: int, index: int) -> list[int]:
-    out = [0] * dim
-    out[index] = 1
-    return out
-
-
 def add(a: list[int], b: list[int]) -> list[int]:
     return [x + y for x, y in zip(a, b)]
 
@@ -140,19 +144,6 @@ def times(c: int, a: list[int]) -> list[int]:
 
 def mat_vec(rows: list[list[int]], v: list[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in rows]
-
-
-class IntMatrix:
-    """A matrix times ``D``, as rows and as columns."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, m: Matrix, d: int):
-        self.rows = [scale(row, d) for row in m.entries]
-        self.cols = [[row[j] for row in self.rows] for j in range(m.cols)]
-
-    def apply(self, v: list[int]) -> list[int]:
-        return mat_vec(self.rows, v)
 
 
 class IntTensor:
@@ -187,34 +178,23 @@ class IntTensor:
 
 
 class IntAction:
-    """An action tensor times ``D``: ``mats[i]`` as rows, ``cols[i]`` as
-    columns, and :meth:`at` for its linear extension."""
+    """An action tensor times ``D``: ``cols[i]`` holds the columns of the
+    matrix of ``e_i``, and :meth:`at` is the linear extension."""
 
-    __slots__ = ("size", "mats", "cols", "_flat")
+    __slots__ = ("size", "cols", "_flat")
 
     def __init__(self, a, d: int):
         self.size = a.carrier_dim
-        mats = [IntMatrix(m, d) for m in a.mats]
-        self.mats = [m.rows for m in mats]
-        self.cols = [m.cols for m in mats]
-        self._flat = [list(chain.from_iterable(rows)) for rows in self.mats]
-
-    def _sum(self, x: list[int]) -> list[int]:
-        acc = [0] * (self.size * self.size)
-        for xi, flat in zip(x, self._flat):
-            if xi:
-                acc = [a + xi * b for a, b in zip(acc, flat)]
-        return acc
+        mats = [[scale(row, d) for row in m.entries] for m in a.mats]
+        self.cols = [list(zip(*rows)) for rows in mats]
+        self._flat = [list(chain.from_iterable(rows)) for rows in mats]
 
     def at(self, x: list[int]) -> list[list[int]]:
         """Rows of ``sum_i x_i mats[i]``; its degree is one more than the
         degree of ``x``."""
         m = self.size
-        acc = self._sum(x)
+        acc = [0] * (m * m)
+        for xi, flat in zip(x, self._flat):
+            if xi:
+                acc = [a + xi * b for a, b in zip(acc, flat)]
         return [acc[r * m:(r + 1) * m] for r in range(m)]
-
-    def at_cols(self, x: list[int]) -> list[list[int]]:
-        """Columns of :meth:`at`."""
-        m = self.size
-        acc = self._sum(x)
-        return [acc[c::m] for c in range(m)]

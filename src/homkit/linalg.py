@@ -149,6 +149,16 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _trusted(cls, grid: tuple, rows: int, cols: int) -> "Matrix":
+        """A matrix of ``grid``, a tuple of ``rows`` tuples of ``cols``
+        Fractions each, kept as it is with no check or copy."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "cols", cols)
+        object.__setattr__(out, "entries", grid)
+        return out
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls([(_ZERO,) * cols] * rows, rows, cols)
 

@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .errors import KindMismatchError, ShapeError
 from .kernel import (
-    IntAction, IntMatrix, IntTensor, add, common_denominator, mat_vec, sub, times,
+    IntAction, IntTensor, add, common_denominator, mat_vec, scale, sub, times,
 )
 from .linalg import _ZERO, Matrix, Vector
 from .representation import Representation, _require_match, check_representation
@@ -70,7 +70,8 @@ class _IntPair:
         d = common_denominator(a1.alpha, a2.alpha, *a1.tensors().values(),
                                *a2.tensors().values(), *r12.values(), *r21.values())
         self.d, self.n1, self.n2 = d, a1.dim, a2.dim
-        self.al1, self.al2 = IntMatrix(a1.alpha, d).cols, IntMatrix(a2.alpha, d).cols
+        self.al1, self.al2 = ([scale(col, d) for col in zip(*a.alpha.entries)]
+                              for a in (a1, a2))
         self.t1 = {name: IntTensor(t, d) for name, t in a1.tensors().items()}
         self.t2 = {name: IntTensor(t, d) for name, t in a2.tensors().items()}
         self.act12 = {name: IntAction(t, d) for name, t in r12.items()}
@@ -128,7 +129,7 @@ def _cross_conditions_associative(p: _IntPair, printed: bool) -> list:
         lift, degree = d, 4
 
         def third(u, x):
-            return l2l.at_cols(al2[u])[x]
+            return [row[x] for row in l2l.at(al2[u])]
     else:
         lift, degree = 1, 3
 

@@ -14,15 +14,16 @@ multilinearity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     ACTIONS_OF, KINDS, POISSON, TENSORS_BY_KIND, HomAlgebra, StructureTensor,
-    _require_self_morphism, _Sparse, check_ideal, check_morphism,
+    _require_self_morphism, _Sparse, _sparse_table, _SparseMap, check_ideal, check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
-from .kernel import Accumulator, common_denominator, grouped, sparse
-from .linalg import _ZERO, Matrix, Vector, solve_linear
+from .kernel import Accumulator, common_denominator, grouped, sparse, sparse_cols
+from .linalg import _ZERO, Matrix, Vector, frac, solve_linear
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
 
@@ -59,12 +60,14 @@ class ActionTensor:
             if i not in grids:
                 grids[i] = [[_ZERO] * carrier_dim for _ in range(carrier_dim)]
             for row, x in zip(grids[i], col):
+                if type(x) is not Fraction:
+                    x = frac(x)
                 if x is not _ZERO and x:  # every zero stays the shared one
                     row[c] = x
         zero = Matrix.zero(carrier_dim, carrier_dim)
         return cls(base_dim, carrier_dim,
-                   [Matrix(grids[i], carrier_dim, carrier_dim) if i in grids else zero
-                    for i in range(base_dim)])
+                   [Matrix._trusted(tuple(map(tuple, grids[i])), carrier_dim, carrier_dim)
+                    if i in grids else zero for i in range(base_dim)])
 
     def at(self, x: Vector) -> Matrix:
         if x.dim != self.base_dim:
@@ -82,6 +85,10 @@ class ActionTensor:
                 # The shared zero is counted by identity, with no method call.
                 if col.count(_ZERO) != len(col):
                     yield i, c, col
+
+    def sparse_columns(self, d: int) -> dict:
+        """Every nonzero column ``(i, c)`` as a ``sparse`` vector over ``d``."""
+        return {(i, c): sparse(col, d) for i, c, col in self.columns()}
 
     def precompose(self, beta: Matrix) -> "ActionTensor":
         """New family x -> at(beta x)."""
@@ -203,11 +210,11 @@ class _SparseRepresentation:
         self.n, m = alg.dim, rep.carrier_dim
         self.base = base = _Sparse(alg.alpha, alg.tensors(), rep.phi, *actions.values())
         d = base.d
-        self.phi = [sparse(col, d) for col in zip(*rep.phi.entries)]
+        self.phi = sparse_cols(rep.phi, d)
         self.cols, self.by_row, self.twisted, self.twisted_by_col, self.times_phi = (
             {}, {}, {}, {}, {})
         for name, family in actions.items():
-            cols = {(i, c): sparse(col, d) for i, c, col in family.columns()}
+            cols = family.sparse_columns(d)
             self.cols[name] = grouped(cols)
             by_row = self.by_row[name] = {}
             twisted = Accumulator(m)
@@ -324,20 +331,6 @@ def regular_representation(alg: HomAlgebra) -> Representation:
     return Representation(alg.kind, n, n, alg.alpha, **paired_families(alg, family))
 
 
-def pulled_back(t: StructureTensor, f_rows: list, d: int, left: bool) -> Accumulator:
-    """``d**2`` times ``mu(f e_i, e_j)`` (left) or ``mu(e_j, f e_i)`` at
-    ``(i, j)``, where ``f_rows[k]`` is row ``k`` of ``f`` as a ``sparse``
-    vector over ``d``: ``f[k][i] mu(e_k, e_j)`` summed over the nonzero
-    products."""
-    acc = Accumulator(t.dim)
-    for (a, b), v in t.products.items():
-        k, j = (a, b) if left else (b, a)
-        terms = sparse(v.entries, d)
-        for i, x in f_rows[k]:
-            acc.add((i, j), x, terms)
-    return acc
-
-
 def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
                             checked: bool = True) -> Representation:
     """Representation of ``src`` on ``dst``'s space along a morphism f:
@@ -346,10 +339,12 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
         require(check_morphism(f, src, dst), "pullback needs a morphism")
     n, m = src.dim, dst.dim
     d = common_denominator(f, *dst.tensors().values())
-    f_rows = [sparse(row, d) for row in f.entries]
+    fm = _SparseMap(f, d)
 
     def family(name: str, left: bool) -> ActionTensor:
-        columns = pulled_back(getattr(dst, name), f_rows, d, left)
+        # mu_dst(f e_i, e_j) (left) or mu_dst(e_j, f e_i) at (i, j).
+        table = grouped(_sparse_table(getattr(dst, name), d), 0 if left else 1)
+        columns = fm.sums(m, fm.term(1, table, True, False))
         return ActionTensor.from_columns(n, m, columns.rationals(d * d))
 
     return Representation(src.kind, n, m, dst.alpha, **paired_families(src, family))

@@ -28,7 +28,7 @@ from homkit.matched import MatchedPair, check_matched_pair
 from homkit.reporting import CheckReport
 from homkit.operators import (
     OperatorContext, check_nijenhuis, check_relative_rbo, check_rota_baxter,
-    induced_algebra, induced_representation, lift_operator,
+    induced_algebra, induced_representation, lift_operator, projection_context,
 )
 from homkit.representation import (
     ActionTensor, Representation, check_representation, pullback_representation,
@@ -419,6 +419,116 @@ def test_late_witnesses_in_direct_sums(kind):
         assert report.failures()
         assert all(c.witness.indices[0] >= start for c in report.failures())
     assert tally.fractional > 0
+
+
+def empty_algebra(kind: str) -> HomAlgebra:
+    return HomAlgebra(0, kind, Matrix.zero(0, 0),
+                      **{name: StructureTensor.zero(0) for name in TENSORS_BY_KIND[kind]})
+
+
+def pool_algebra(kind: str) -> HomAlgebra:
+    """The first verified pool algebra of ``kind`` with dim at least 2."""
+    return next(a for a in verified_algebra_pool() if a.kind == kind and a.dim >= 2)
+
+
+@pytest.mark.parametrize("dim", (12, 20, 30))
+def test_projection_contexts_of_sparse_algebras(dim):
+    """The projection context of a sparse Poisson algebra (carrier dim
+    ``dim``, and ``2 dim`` for its regular representation at dim 12),
+    which passes, and copies with one entry of ``T`` shifted, which fail.
+    The reference scans every carrier pair of a passing context, some
+    seconds at dim 30, so it checks one passing context, at dim 12."""
+    tally = Tally()
+    rng = random.Random(dim)
+    alg = _sparse_document(random.Random(dim), dim, 2 * dim).algebra("L")
+    reps = [pullback_representation(Matrix.zero(0, dim), alg, empty_algebra(POISSON),
+                                    checked=False)]
+    if dim == 12:
+        reps.append(regular_representation(alg))
+    for k, rep in enumerate(reps):
+        ctx = projection_context(alg, rep, checked=False)
+        assert check_relative_rbo(ctx).passed
+        passing = [ctx.t] if dim == 12 and k == 0 else []
+        for t in passing + [shifted(ctx.t, rng) for _ in range(2)]:
+            compare(tally, check_relative_rbo, oracle.check_relative_rbo,
+                    OperatorContext(ctx.alg, ctx.rep, t))
+    assert tally.failing >= 2 and tally.fractional > 0
+
+
+def test_operator_checks_on_spaces_of_dim_zero():
+    """A dim-0 algebra acting on a dim-2 carrier (``T`` is 0 x 2) and a
+    dim-2 algebra on a dim-0 carrier (``T`` is 2 x 0), morphisms to and
+    from a dim-0 algebra, and self-maps of one: every check agrees with
+    the reference and passes, since every residual is empty."""
+    tally = Tally()
+    for kind in (ASSOCIATIVE, LEIBNIZ, POISSON):
+        alg, empty = pool_algebra(kind), empty_algebra(kind)
+        n = alg.dim
+        families = {a: ActionTensor.zero(0, 2)
+                    for name in TENSORS_BY_KIND[kind] for a in ACTIONS_OF[name]}
+        on_carrier = Representation(kind, 0, 2, Matrix([[1, Fraction(1, 2)], [0, 3]]),
+                                    **families)
+        to_nothing = pullback_representation(Matrix.zero(0, n), alg, empty, checked=False)
+        contexts = [OperatorContext(empty, on_carrier, Matrix.zero(0, 2)),
+                    OperatorContext(alg, to_nothing, Matrix.zero(n, 0))]
+        for ctx in contexts:
+            compare(tally, check_relative_rbo, oracle.check_relative_rbo, ctx)
+            assert check_relative_rbo(ctx).passed
+            assert induced_algebra(ctx) == oracle.induced_algebra(ctx)
+            assert induced_representation(ctx) == oracle.induced_representation(ctx)
+        for f, src, dst in ((Matrix.zero(0, n), alg, empty), (Matrix.zero(n, 0), empty, alg)):
+            compare(tally, check_morphism, oracle.check_morphism, f, src, dst)
+            assert check_morphism(f, src, dst).passed
+        for w in WEIGHTS:
+            compare(tally, check_rota_baxter, oracle.check_rota_baxter,
+                    empty, Matrix.zero(0, 0), w)
+        compare(tally, check_nijenhuis, oracle.check_nijenhuis, empty, Matrix.zero(0, 0))
+    assert tally.failing == 0
+
+
+@pytest.mark.parametrize("dim", (12, 20, 30))
+def test_morphisms_into_yau_twists_of_sparse_algebras(dim):
+    """Maps from a sparse Poisson algebra to its Yau twist along its map
+    ``beta``, and back.  The zero map passes, and the reference scans
+    every basis pair for it, some seconds at dim 30, so it is compared at
+    dim 12 only; the others fail with fractional residuals."""
+    tally = Tally()
+    rng = random.Random(dim)
+    doc = _sparse_document(random.Random(dim), dim, 2 * dim)
+    alg, beta = doc.algebra("L"), doc.map("beta").matrix
+    twisted = yau_twist(alg, beta, checked=False)
+    zero = Matrix.zero(dim, dim)
+    maps = ([zero] if dim == 12 else []) + [Matrix.identity(dim), beta, shifted(beta, rng)]
+    for f in maps:
+        for src, dst in ((alg, twisted), (twisted, alg)):
+            compare(tally, check_morphism, oracle.check_morphism, f, src, dst)
+    assert check_morphism(zero, alg, twisted).passed
+    assert check_morphism(zero, twisted, alg).passed
+    assert tally.failing >= 6 and tally.fractional > 0
+
+
+@pytest.mark.parametrize("den", (2, 3, 7))
+def test_rota_baxter_and_nijenhuis_with_denominators(den):
+    """Operators and weights over ``den``: ``c I`` is a Nijenhuis operator
+    and a Rota-Baxter operator of weight ``-c``, a random operator over
+    ``den`` is neither; on pool algebras and on a sparse dim-12 algebra."""
+    tally = Tally()
+    rng = random.Random(den)
+    c = Fraction(1, den)
+    algebras = rng.sample(verified_algebra_pool(), 6)
+    algebras.append(_sparse_document(random.Random(den), 12, 24).algebra("L"))
+    for alg in algebras:
+        n = alg.dim
+        scaled = Matrix([[c if i == j else 0 for j in range(n)] for i in range(n)])
+        noisy = Matrix([[Fraction(rng.randint(-3, 3), den) for _ in range(n)]
+                        for _ in range(n)])
+        for op in (scaled, noisy, shifted(scaled, rng)):
+            for w in (-c, Fraction(2, den), 0):
+                compare(tally, check_rota_baxter, oracle.check_rota_baxter, alg, op, w)
+            compare(tally, check_nijenhuis, oracle.check_nijenhuis, alg, op)
+        assert check_nijenhuis(alg, scaled).passed
+        assert check_rota_baxter(alg, scaled, -c).passed
+    assert tally.failing > 10 and tally.fractional > 5
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)

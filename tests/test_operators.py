@@ -1,6 +1,8 @@
 """Operator-level checks: Rota-Baxter, relative operators, induced
 structures, Nijenhuis deformations, and the characterization equivalences."""
 
+import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -277,3 +279,63 @@ def test_gates_reject_failing_context_everywhere():
     assert induced_representation(bad, checked=False).carrier_dim == 2
     report = check_morphism_property(bad, checked=False)
     assert not report.passed
+
+
+# ---- one relative Rota-Baxter verdict per context ----------------------------
+
+BAD_SPLIT = ("needs a relative Rota-Baxter operator: FAIL intertwines_twist at (2): "
+             "residual = e1; FAIL splits:bracket at (1, 2): residual = -e1")
+
+
+def test_relative_rbo_report_is_kept_by_its_context(monkeypatch):
+    import homkit.operators as operators
+    ctx = leibniz_ctx(leibniz_rbo(1))
+    report = check_relative_rbo(ctx)
+    assert report.passed and check_relative_rbo(ctx) is report
+    # The gates read the kept report and scan nothing again.
+    scans = []
+    monkeypatch.setattr(operators, "scan_identity", lambda *args, **kw: scans.append(args))
+    induced = induced_algebra(ctx)
+    check_morphism_property(ctx)
+    induced_representation(ctx)
+    assert scans == [] and check_relative_rbo(ctx) is report
+    monkeypatch.undo()
+    assert induced == induced_algebra(leibniz_ctx(leibniz_rbo(1)))
+
+
+def test_every_gate_gives_the_same_message_on_a_failing_context():
+    bad = leibniz_ctx(Matrix([[1, 0], [0, 0]]))
+    for what, gate in (("induced algebra", induced_algebra),
+                       ("morphism property", check_morphism_property),
+                       ("induced representation", induced_representation)):
+        with pytest.raises(PreconditionError) as err:
+            gate(bad)
+        assert str(err.value) == f"{what} {BAD_SPLIT}"
+    assert "; ".join(c.render() for c in check_relative_rbo(bad).failures()) in BAD_SPLIT
+
+
+def test_a_new_operator_is_checked_afresh():
+    ctx = leibniz_ctx(leibniz_rbo(1))
+    assert check_relative_rbo(ctx).passed
+    shifted = Matrix([[1, 0], [0, 0]])
+    for other in (OperatorContext(ctx.alg, ctx.rep, shifted),
+                  dataclasses.replace(ctx, t=shifted)):
+        assert other.t is shifted and not check_relative_rbo(other).passed
+        with pytest.raises(PreconditionError):
+            induced_algebra(other)
+    again = dataclasses.replace(ctx)
+    assert again is not ctx and check_relative_rbo(again) == check_relative_rbo(ctx)
+    assert check_relative_rbo(again) is not check_relative_rbo(ctx)
+
+
+def test_operator_context_keeps_its_signature_equality_and_repr():
+    assert list(inspect.signature(OperatorContext).parameters) == ["alg", "rep", "t"]
+    l = two_dim_leibniz()
+    rep, t = regular_representation(l), leibniz_rbo(1)
+    a, b = OperatorContext(l, rep, t), OperatorContext(l, rep, t)
+    assert a == a and a != b and hash(a) != hash(b)  # equality is identity
+    assert repr(a) == object.__repr__(a)
+    check_relative_rbo(a)
+    assert repr(a) == object.__repr__(a) and a != b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.t = t

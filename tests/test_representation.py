@@ -1,17 +1,18 @@
 """Representation axioms, constructions, and the semidirect equivalence."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from homkit.algebra import (
     LEIBNIZ, HomAlgebra, StructureTensor, check_algebra,
 )
-from homkit.errors import KindMismatchError, PreconditionError
+from homkit.errors import KindMismatchError, PreconditionError, ShapeError
 from homkit.fixtures import (
     TWIST, two_dim_associative, two_dim_leibniz, two_dim_poisson,
 )
-from homkit.linalg import Matrix, Vector
+from homkit.linalg import _ZERO, Matrix, Vector
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext, projection_context
 from homkit.representation import (
@@ -291,3 +292,27 @@ def test_kind_mismatch_is_a_kind_error_at_every_entry_point():
     for name, call in calls.items():
         with pytest.raises(KindMismatchError):
             call()
+
+
+def test_from_columns_takes_rationals_of_any_form_and_shares_its_zeros():
+    """Columns of ints, strings, shared and new zeros give the same family
+    as the matrices they describe, with Fraction entries and every zero
+    the shared one."""
+    columns = {(0, 1): [1, 0, "1/2"], (2, 0): [Fraction(0), Fraction(-3, 4), 0],
+               (2, 2): ["0", 2, Fraction(5)]}
+    family = ActionTensor.from_columns(3, 3, columns)
+    grids = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, c), col in columns.items():
+        for r, x in enumerate(col):
+            grids[i][r][c] = Fraction(x)
+    assert family == ActionTensor(3, 3, [Matrix(g) for g in grids])
+    for m in family.mats:
+        assert (m.rows, m.cols) == (3, 3)
+        for row in m.entries:
+            assert type(row) is tuple
+            assert all(type(q) is Fraction and (q or q is _ZERO) for q in row)
+    assert [(i, c) for i, c, _ in family.columns()] == [(0, 1), (2, 0), (2, 2)]
+    with pytest.raises(ShapeError):
+        ActionTensor.from_columns(3, 3, {(0, 3): [1, 0, 0]})
+    with pytest.raises(ShapeError):
+        ActionTensor.from_columns(3, 3, {(0, 0): [1, 0]})

@@ -227,6 +227,44 @@ def test_check_representation_costs_follow_its_nonzero_terms(monkeypatch):
     assert representation.check_representation(rep, alg) == report
 
 
+def test_operator_checks_hand_the_scans_only_their_touched_keys(monkeypatch):
+    """A zero and a scalar operator on a sparse dim-200 Poisson algebra,
+    and the projection context of a sparse dim-100 one, all of which pass:
+    the scans get no tuple for the zero operator and otherwise at most one
+    per basis index (the twist identity) and one per nonzero product (the
+    table identities), where the dense scans handed 80,200 and 20,100."""
+    import homkit.operators as operators
+    from homkit.operators import projection_context
+    from homkit.representation import pullback_representation
+
+    def handed_by(check, bound: int) -> int:
+        handed = _handed(monkeypatch, operators, "scan_identity", bound)
+        report = check()
+        monkeypatch.undo()
+        assert report.passed and check() == report
+        return sum(handed.values())
+
+    dim = 200
+    alg = _sparse_document(random.Random(5), dim, 300).algebra("L")
+    products = sum(len(t.products) for t in alg.tensors().values())
+    c = Fraction(2, 3)
+    for op, bound in ((Matrix.zero(dim, dim), 0),
+                      (Matrix([[c if i == j else 0 for j in range(dim)] for i in range(dim)]),
+                       dim + products)):
+        for check in (lambda: operators.check_rota_baxter(alg, op, -c),
+                      lambda: operators.check_nijenhuis(alg, op)):
+            assert handed_by(check, bound) >= bound - dim
+
+    dim = 100
+    alg = _sparse_document(random.Random(6), dim, 150).algebra("L")
+    empty = HomAlgebra(0, POISSON, Matrix.zero(0, 0), dot=StructureTensor.zero(0),
+                       bracket=StructureTensor.zero(0))
+    rep = pullback_representation(Matrix.zero(0, dim), alg, empty, checked=False)
+    ctx = projection_context(alg, rep, checked=False)
+    products = sum(len(t.products) for t in alg.tensors().values())
+    assert handed_by(lambda: operators.check_relative_rbo(ctx), dim + products) >= products
+
+
 def test_failing_checks_stop_after_the_witness_slice(monkeypatch):
     """A dense dim-12 algebra and representation that fail at their first
     basis tuples: the checks add the terms of the first slice of tuples
