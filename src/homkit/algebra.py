@@ -167,15 +167,16 @@ class _Sparse:
         self.tables = {name: _sparse_table(t, d) for name, t in tensors.items()}
         self._twisted = {}
 
-    def twisted(self, name: str, left: bool) -> dict:
-        """``mu(alpha e_r, e_a)`` grouped by ``r`` (``left``), or
-        ``mu(e_a, alpha e_r)`` grouped by ``a``, as ``sparse`` vectors of
-        degree 2, over the nonzero products and twist entries."""
-        if (name, left) not in self._twisted:
+    def twisted(self, name: str, left: bool, by: int = 0) -> dict:
+        """``mu(alpha e_r, e_a)`` at ``(r, a)`` (``left``), or
+        ``mu(e_a, alpha e_r)`` at ``(a, r)``, grouped by the first index
+        of the key or, if ``by`` is 1, the second, as ``sparse`` vectors
+        of degree 2, over the nonzero products and twist entries."""
+        if (name, left, by) not in self._twisted:
             a = self.alpha
             acc = a.sums(len(self.rows), a.term(1, grouped(self.tables[name]), left, not left))
-            self._twisted[name, left] = grouped(acc.terms())
-        return self._twisted[name, left]
+            self._twisted[name, left, by] = grouped(acc.terms(), by)
+        return self._twisted[name, left, by]
 
     def scan(self, name: str, *adders) -> CheckResult:
         """Scan a degree-3 residual slice by slice (:meth:`Accumulator.slices`):
@@ -198,13 +199,19 @@ class _Sparse:
                         acc.add((i, r, j) if swap else (i, j, r), sign * c, v)
         return add
 
+    def by_entry(self, name: str, sign: int) -> dict:
+        """The products of table ``name`` by entry: ``by_entry[a]`` lists
+        ``(p, q, sign c)`` for each entry ``c`` at ``e_a`` of ``mu(e_p, e_q)``."""
+        out = {}
+        for (p, q), terms in self.tables[name].items():
+            for a, c in terms:
+                out.setdefault(a, []).append((p, q, sign * c))
+        return out
+
     def outer_right(self, sign: int, inner: str, outer: str):
         """Slices of ``sign mu_outer(alpha e_i, mu_inner(e_p, e_q))`` at
         ``(i, p, q)``."""
-        by_entry, twisted = {}, self.twisted(outer, True)
-        for (p, q), terms in self.tables[inner].items():
-            for a, c in terms:
-                by_entry.setdefault(a, []).append((p, q, sign * c))
+        by_entry, twisted = self.by_entry(inner, sign), self.twisted(outer, True)
 
         def add(i, acc):
             for a, v in twisted.get(i, ()):

@@ -19,9 +19,7 @@ same first index at a time (:meth:`Accumulator.slices`): a tuple no term
 touches has a zero residual.
 
 Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
-entries; only the matched-pair conditions still read dense ``int`` lists
-(:class:`IntTensor`, :class:`IntAction`).  The column convention of
-:mod:`homkit.linalg` holds unchanged.
+entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import mul
 from typing import Iterator
 
 from .linalg import _ZERO, Matrix
@@ -54,12 +51,6 @@ def common_denominator(*parts) -> int:
     given rationals, matrices, structure tensors and action tensors
     (``None`` parts and the shared zero are skipped)."""
     return lcm(*{q.denominator for part in parts for q in _entries(part) if q is not _ZERO})
-
-
-def scale(values, d: int) -> list[int]:
-    """``d`` times each rational of ``values``; ``d`` must be a multiple
-    of every denominator."""
-    return [q.numerator * (d // q.denominator) for q in values]
 
 
 def sparse(values, d: int) -> list[tuple[int, int]]:
@@ -128,73 +119,3 @@ def grouped(mapping: dict, by: int = 0) -> dict:
     for key, value in mapping.items():
         out.setdefault(key[by], []).append((key[1 - by], value))
     return out
-
-
-def add(a: list[int], b: list[int]) -> list[int]:
-    return [x + y for x, y in zip(a, b)]
-
-
-def sub(a: list[int], b: list[int]) -> list[int]:
-    return [x - y for x, y in zip(a, b)]
-
-
-def times(c: int, a: list[int]) -> list[int]:
-    return [c * x for x in a]
-
-
-def mat_vec(rows: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(map(mul, row, v)) for row in rows]
-
-
-class IntTensor:
-    """A structure tensor times ``D``: ``table[i][j]`` is ``D mu(e_i, e_j)``,
-    with every zero cell one shared list, and :meth:`product` runs over
-    the nonzero entries only."""
-
-    __slots__ = ("dim", "table", "_nonzero")
-
-    def __init__(self, t, d: int):
-        n = self.dim = t.dim
-        zero = [0] * n
-        self.table = [[zero] * n for _ in range(n)]
-        self._nonzero = [[] for _ in range(n)]
-        for (i, j), v in t.products.items():
-            row = self.table[i][j] = scale(v.entries, d)
-            self._nonzero[i].append((j, [(k, c) for k, c in enumerate(row) if c]))
-
-    def product(self, x: list[int], y: list[int]) -> list[int]:
-        """Bilinear extension of the table; its degree is one more than
-        the degrees of ``x`` and ``y`` together."""
-        out = [0] * self.dim
-        for xi, row in zip(x, self._nonzero):
-            if xi:
-                for j, terms in row:
-                    yj = y[j]
-                    if yj:
-                        c = xi * yj
-                        for k, tk in terms:
-                            out[k] += c * tk
-        return out
-
-
-class IntAction:
-    """An action tensor times ``D``: ``cols[i]`` holds the columns of the
-    matrix of ``e_i``, and :meth:`at` is the linear extension."""
-
-    __slots__ = ("size", "cols", "_flat")
-
-    def __init__(self, a, d: int):
-        self.size = a.carrier_dim
-        mats = [[scale(row, d) for row in m.entries] for m in a.mats]
-        self.cols = [list(zip(*rows)) for rows in mats]
-        self._flat = [list(chain.from_iterable(rows)) for rows in mats]
-
-    def at(self, x: list[int]) -> list[list[int]]:
-        """Rows of ``sum_i x_i mats[i]``; its degree is one more than the
-        degree of ``x``."""
-        m = self.size
-        acc = [0] * (m * m)
-        for xi, flat in zip(x, self._flat):
-            if xi:
-                acc = [a + xi * b for a, b in zip(acc, flat)]
-        return [acc[r * m:(r + 1) * m] for r in range(m)]

@@ -28,7 +28,7 @@ from .algebra import (
     HomAlgebra, StructureTensor, _Sparse, _sparse_table, _SparseMap, check_morphism,
 )
 from .errors import ShapeError
-from .kernel import common_denominator, grouped, scale, sparse_cols
+from .kernel import common_denominator, grouped, sparse_cols
 from .linalg import _ZERO, Matrix, Vector, frac, span_membership
 from .representation import (
     ActionTensor, Representation, _require_match, check_representation,
@@ -76,7 +76,8 @@ def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str,
         by_i = grouped(images)
         # -op(c(i, j)): op(op mu(e_i, e_j)), or -weight op(mu(e_i, e_j)).
         clause = (o.term(1, grouped(o.images(images)), False, False) if weight is None
-                  else o.term(-scale((weight,), d)[0], by_i if weight else {}, False, False))
+                  else o.term(-weight.numerator * (d // weight.denominator),
+                              by_i if weight else {}, False, False))
         checks.append(scan_identity(
             f"{name}:{tname}", *o.walk(o.term(1, grouped(table)),
                                        o.term(-1, by_i, True, False),

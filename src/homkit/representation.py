@@ -197,25 +197,28 @@ _PAIR_AXIOMS = {
 
 
 class _SparseRepresentation:
-    """A representation and its base over one common denominator ``d``,
-    indexed for the slice walks of the axioms.  For each action family
-    ``F``: its nonzero columns by base index (``cols``) and its nonzero
-    entries by row (``by_row[r]`` lists ``(j, c, F(e_j)[r][c])``); the
-    columns of ``F(alpha e_x)`` by ``x`` (``twisted``) and by column
+    """A representation and its base over one common denominator ``d`` of
+    both and any ``more`` parts, indexed for the slice walks of the axioms.
+    For each action family ``F``: its nonzero columns by base index
+    (``cols``) and by column (``by_col``), and its nonzero entries by row
+    (``by_row[r]`` lists ``(j, c, F(e_j)[r][c])``); the columns of
+    ``F(alpha e_x)`` by ``x`` (``twisted``) and by column
     (``twisted_by_col``); and ``F(e_a) phi`` as a column-major ``m*m``
     ``sparse`` vector (``times_phi``)."""
 
-    def __init__(self, rep: Representation, alg: HomAlgebra):
+    def __init__(self, rep: Representation, alg: HomAlgebra, *more):
         actions = rep.actions()
         self.n, m = alg.dim, rep.carrier_dim
-        self.base = base = _Sparse(alg.alpha, alg.tensors(), rep.phi, *actions.values())
+        self.base = base = _Sparse(alg.alpha, alg.tensors(), rep.phi, *actions.values(),
+                                   *more)
         d = base.d
         self.phi = sparse_cols(rep.phi, d)
-        self.cols, self.by_row, self.twisted, self.twisted_by_col, self.times_phi = (
-            {}, {}, {}, {}, {})
+        (self.cols, self.by_col, self.by_row, self.twisted, self.twisted_by_col,
+         self.times_phi) = ({}, {}, {}, {}, {}, {})
         for name, family in actions.items():
             cols = family.sparse_columns(d)
             self.cols[name] = grouped(cols)
+            by_col = self.by_col[name] = grouped(cols, 1)
             by_row = self.by_row[name] = {}
             twisted = Accumulator(m)
             for (i, c), col in cols.items():
@@ -226,7 +229,7 @@ class _SparseRepresentation:
             twisted = twisted.terms()
             self.twisted[name] = grouped(twisted)
             self.twisted_by_col[name] = grouped(twisted, 1)
-            times_phi, by_col = Accumulator(m * m), grouped(cols, 1)
+            times_phi = Accumulator(m * m)
             for c, col in enumerate(self.phi):
                 for r, p in col:
                     for i, fcol in by_col.get(r, ()):

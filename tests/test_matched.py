@@ -159,18 +159,6 @@ def test_cross_twist_must_match():
                     zero_rep(LEIBNIZ, 2, 2, l.alpha))
 
 
-def test_printed_variant_switch():
-    alg = unital_dual_numbers()
-    mp = degenerate_pair(alg, regular_representation(alg))
-    corrected = check_matched_pair(mp, associative_conditions="corrected")
-    printed = check_matched_pair(mp, associative_conditions="printed")
-    # On degenerate pairs the variants provably coincide (the differing
-    # term is killed by the zero action); both must pass here.
-    assert corrected.passed and printed.passed
-    with pytest.raises(ValueError):
-        check_matched_pair(mp, associative_conditions="bogus")
-
-
 def test_poisson_pair_includes_all_condition_groups():
     alg = classical_poisson()
     mp = degenerate_pair(alg, regular_representation(alg))

@@ -305,3 +305,43 @@ def test_failing_checks_stop_after_the_witness_slice(monkeypatch):
         adds.clear()
         assert check() == report
         assert early < adds["terms"] / 4, (attr, early, adds["terms"])
+
+
+def test_check_matched_pair_costs_follow_its_nonzero_terms(monkeypatch):
+    """Degenerate pairs of a Leibniz (dim 43) and a Poisson (dim 28) direct
+    sum of pool algebras acting on themselves, and the splits of the 2x2
+    matrices into two halves that act on each other: the cross conditions
+    hand the scans at most four tuples per nonzero entry of the pair,
+    where the dense scans hand ``n1 n2**2`` per condition (79,507 at dim
+    43)."""
+    import homkit.matched as matched
+    from homkit.algebra import ASSOCIATIVE
+    from homkit.representation import regular_representation
+    from support import verified_algebra_pool
+    from test_kernel import direct_sum
+    from test_matched import degenerate_pair, matrix_algebra_2x2, split_into_matched_pair
+    rng = random.Random(3)
+    pairs = []
+    for kind, dim in ((LEIBNIZ, 42), (POISSON, 28)):
+        pool = [a for a in verified_algebra_pool() if a.kind == kind]
+        summands = []
+        while sum(a.dim for a in summands) < dim:
+            summands.append(rng.choice(pool))
+        alg = direct_sum(summands)
+        pairs.append(degenerate_pair(alg, regular_representation(alg)))
+    for kind in (ASSOCIATIVE, POISSON):
+        pairs.append(split_into_matched_pair(matrix_algebra_2x2(kind), 3))
+    assert not pairs[-1].actions_1_on_2.rho_l.mats[0].is_zero()
+    assert not pairs[-1].actions_2_on_1.rho_l.mats[0].is_zero()
+    totals = []
+    for mp in pairs:
+        bound = 4 * _nonzero(mp.a1.alpha, mp.a2.alpha, *mp.a1.tensors().values(),
+                             *mp.a2.tensors().values(), *mp.actions_1_on_2.actions().values(),
+                             *mp.actions_2_on_1.actions().values())
+        handed = _handed(monkeypatch, matched, "scan_identity", bound)
+        report = matched.check_matched_pair(mp)
+        monkeypatch.undo()
+        assert report.passed and matched.check_matched_pair(mp) == report
+        totals.append(sum(handed.values()))
+    # B acts by zero and has no products, so no degenerate cross term is nonzero.
+    assert totals[:2] == [0, 0] and all(totals[2:])
