@@ -9,17 +9,15 @@ construction or solver that does not require it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
-from .kernel import (
-    Accumulator, common_denominator, grouped, sparse, sparse_cols,
-)
-from .linalg import _ZERO, Matrix, Vector, span_membership
+from .kernel import Accumulator, common_denominator, grouped, rationals, sparse
+from .linalg import _ZERO, Matrix, Vector, _nonzero_ints, span_membership
 from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
 
 ASSOCIATIVE = "associative"
@@ -51,6 +49,7 @@ class StructureTensor:
 
     dim: int
     products: Mapping[tuple[int, int], Vector]
+    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim, kept = self.dim, {}
@@ -77,6 +76,22 @@ class StructureTensor:
                       products: Mapping[tuple[int, int], Sequence]) -> "StructureTensor":
         """Build from basis products; unlisted and zero entries are zero."""
         return cls(dim, products)
+
+    @classmethod
+    def _from_form(cls, dim: int, den: int, products: dict) -> "StructureTensor":
+        """The tensor of the sparse int ``products`` over ``den``, kept as :meth:`stored`."""
+        form, fractions = rationals(den, products, dim)
+        out = cls(dim, fractions)
+        object.__setattr__(out, "_ints", form)
+        return out
+
+    def stored(self) -> tuple[int, dict]:
+        """``(den, products)``: the lcm of the entry denominators and each nonzero
+        product times it as a sparse vector, in key order; kept once computed."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _nonzero_ints(
+                {key: v.entries for key, v in self.products.items()}))
+        return self._ints
 
     @classmethod
     def from_function(cls, dim: int,
@@ -146,25 +161,22 @@ class HomAlgebra:
         return f"HomAlgebra(dim={self.dim}, kind={self.kind!r})"
 
 
-def _sparse_table(t: StructureTensor, d: int) -> dict:
-    """The nonzero products of ``t`` as ``sparse`` vectors over ``d``."""
-    return {key: sparse(v.entries, d) for key, v in t.products.items()}
-
-
 class _Sparse:
     """A twist and its tables over their common denominator ``d`` and any
     ``more`` parts: the twist's nonzero rows and columns (``rows[a]``
     lists ``(k, d alpha[a][k])``, ``cols[k]`` lists ``(a, d alpha[a][k])``),
-    each table's nonzero products as ``sparse`` vectors, and each table
-    twisted on one side, built on first use."""
+    each table's nonzero products as ``sparse`` vectors, also grouped by
+    their first index (``by_first``), and each table twisted on one side,
+    built on first use."""
 
-    __slots__ = ("d", "alpha", "rows", "cols", "tables", "_twisted")
+    __slots__ = ("d", "alpha", "rows", "cols", "tables", "by_first", "_twisted")
 
     def __init__(self, alpha: Matrix, tensors: dict[str, StructureTensor], *more):
         d = self.d = common_denominator(alpha, *tensors.values(), *more)
         self.alpha = _SparseMap(alpha, d)
         self.rows, self.cols = self.alpha.rows, self.alpha.cols
-        self.tables = {name: _sparse_table(t, d) for name, t in tensors.items()}
+        self.tables = {name: sparse(t, d) for name, t in tensors.items()}
+        self.by_first = {name: grouped(table) for name, table in self.tables.items()}
         self._twisted = {}
 
     def twisted(self, name: str, left: bool, by: int = 0) -> dict:
@@ -174,7 +186,7 @@ class _Sparse:
         of degree 2, over the nonzero products and twist entries."""
         if (name, left, by) not in self._twisted:
             a = self.alpha
-            acc = a.sums(len(self.rows), a.term(1, grouped(self.tables[name]), left, not left))
+            acc = a.sums(len(self.rows), a.term(1, self.by_first[name], left, not left))
             self._twisted[name, left, by] = grouped(acc.terms(), by)
         return self._twisted[name, left, by]
 
@@ -190,7 +202,7 @@ class _Sparse:
     def outer_left(self, sign: int, inner: str, outer: str, swap: bool = False):
         """Slices of ``sign mu_outer(mu_inner(e_i, e_j), alpha e_r)`` at
         ``(i, j, r)``, or at ``(i, r, j)`` if ``swap``."""
-        by_left, twisted = grouped(self.tables[inner]), self.twisted(outer, False)
+        by_left, twisted = self.by_first[inner], self.twisted(outer, False)
 
         def add(i, acc):
             for j, terms in by_left.get(i, ()):
@@ -220,7 +232,7 @@ class _Sparse:
         return add
 
     def multiplicative(self, name: str) -> CheckResult:
-        by_left, twisted = grouped(self.tables[name]), self.twisted(name, True)
+        by_left, twisted = self.by_first[name], self.twisted(name, True)
         d, rows, cols = self.d, self.rows, self.cols
 
         def add(i, acc):
@@ -260,7 +272,10 @@ class _SparseMap:
     __slots__ = ("rows", "cols", "units")
 
     def __init__(self, t: Matrix, d: int):
-        self.rows, self.cols = [sparse(row, d) for row in t.entries], sparse_cols(t, d)
+        self.rows, self.cols = sparse(t, d), {j: [] for j in range(t.cols)}
+        for i, row in self.rows.items():
+            for j, x in row:
+                self.cols[j].append((i, x))
         self.units = [((k, 1),) for k in range(max(t.rows, t.cols))]
 
     def images(self, columns: dict) -> dict:
@@ -286,11 +301,10 @@ class _SparseMap:
                 add(u, acc)
         return acc
 
-    def intertwines(self, phi_cols: list, alpha: "_SparseMap"):
+    def intertwines(self, phi_cols: dict, alpha: "_SparseMap"):
         """Adds ``T(phi e_j) - alpha(T e_j)`` at ``(j,)`` (degree 2), from
         the ``sparse`` columns of the twist of V and the twist of A."""
-        sides = ((1, self.images(dict(enumerate(phi_cols)))),
-                 (-1, alpha.images(dict(enumerate(self.cols)))))
+        sides = ((1, self.images(phi_cols)), (-1, alpha.images(self.cols)))
 
         def add(j, acc):
             for c, images in sides:
@@ -389,7 +403,7 @@ def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
         checks.append(scan_identity(
             f"preserves:{name}",
             *fm.walk(fm.term(d, grouped(fm.images(table)), False, False),
-                     fm.term(-1, grouped(_sparse_table(dst_tensors[name], d)))),
+                     fm.term(-1, grouped(sparse(dst_tensors[name], d)))),
             denominator=d ** 3))
     return CheckReport(tuple(checks))
 
@@ -443,8 +457,8 @@ def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra
 
     def twisted(t: StructureTensor) -> StructureTensor:
         # mu(beta e_i, beta e_j), over the nonzero products and entries of beta.
-        acc = b.sums(dim, b.term(1, grouped(_sparse_table(t, d))))
-        return StructureTensor.from_products(dim, acc.rationals(d ** 3))
+        acc = b.sums(dim, b.term(1, grouped(sparse(t, d))))
+        return StructureTensor._from_form(dim, d ** 3, acc.terms())
 
     return HomAlgebra(dim, alg.kind, beta @ alg.alpha,
                       **{name: twisted(t) for name, t in alg.tensors().items()})

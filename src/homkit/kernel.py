@@ -1,22 +1,23 @@
 """Exact integer kernel for the identity checkers and the constructions.
 
-A check first fixes one common denominator ``D``: the least common
-multiple of the denominators of every rational constant it reads
-(structure tables, twists, action families, operators, weights).  Each
-constant times ``D`` is an ``int``, so a term of an identity that
-multiplies ``d`` constants is an ``int`` multiple of ``1/D**d``.  An
-identity whose terms have degree at most ``k`` multiplies every
-lower-degree term up by the missing powers of ``D`` and compares pure
-``int`` lists; the exact rational residual is that list over ``D**k``,
-and :func:`homkit.reporting.scan_identity` builds it only for a witness.
+The ints live on the objects: every ``Matrix``, ``StructureTensor`` and
+``ActionTensor`` keeps its nonzero entries once, as ints over its own
+denominator (the lcm of its entries' reduced denominators), computed on
+first use or handed over by the construction that built it
+(``stored()``).  A check fixes one common denominator ``D``, the lcm of
+the stored ones (:func:`common_denominator`), and rescales each stored
+list by ``D // den`` (:func:`sparse`).  A term of an identity that
+multiplies ``d`` constants is then an ``int`` multiple of ``1/D**d``; an
+identity of degree at most ``k`` multiplies lower-degree terms up by the
+missing powers of ``D`` and compares pure ``int`` lists.  The exact
+rational residual is that list over ``D**k``, and
+:func:`homkit.reporting.scan_identity` builds it only for a witness.
 
-A construction works the same way: it sums degree-``k`` terms into an
-:class:`Accumulator`, walking only the nonzero products, action columns
-and operator entries (:func:`sparse`), and builds each ``Fraction`` once,
-at the end, over ``D**k``.  The checks sum each identity's terms into an
-:class:`Accumulator` keyed by basis tuple, one slice of tuples with the
-same first index at a time (:meth:`Accumulator.slices`): a tuple no term
-touches has a zero residual.
+The checks sum each identity's terms into an :class:`Accumulator` keyed
+by basis tuple, one slice of tuples with the same first index at a time
+(:meth:`Accumulator.slices`): a tuple no term touches has a zero residual.
+A construction sums its degree-``k`` terms the same way and keeps them as
+its result's stored form, building each ``Fraction`` once (:func:`rationals`).
 
 Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
 entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
@@ -25,47 +26,45 @@ entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator
 
-from .linalg import _ZERO, Matrix
-
-
-def _entries(part):
-    if part is None:
-        return ()
-    if isinstance(part, (Fraction, int)):
-        return (part,)
-    if isinstance(part, Matrix):
-        return chain.from_iterable(part.entries)
-    if hasattr(part, "products"):  # a structure tensor
-        return chain.from_iterable(v.entries for v in part.products.values())
-    if hasattr(part, "mats"):  # an action tensor
-        return chain.from_iterable(row for m in part.mats for row in m.entries)
-    raise TypeError(f"no rational entries in {type(part).__name__}")
+from .linalg import _ZERO
 
 
 def common_denominator(*parts) -> int:
-    """Least common multiple of the denominators of every entry of the
-    given rationals, matrices, structure tensors and action tensors
-    (``None`` parts and the shared zero are skipped)."""
-    return lcm(*{q.denominator for part in parts for q in _entries(part) if q is not _ZERO})
+    """Least common multiple of the stored denominators of the given
+    matrices, structure tensors and action tensors and of the given
+    rationals (``None`` parts are skipped)."""
+    return lcm(*[p.denominator if isinstance(p, (Fraction, int)) else p.stored()[0]
+                 for p in parts if p is not None])
 
 
-def sparse(values, d: int) -> list[tuple[int, int]]:
-    """The nonzero entries of ``d`` times ``values`` as ``(index, int)``
-    pairs; ``d`` must be a multiple of every denominator."""
-    return [(k, q.numerator * (d // q.denominator))
-            for k, q in enumerate(values) if q is not _ZERO and q.numerator]
+def sparse(part, d: int) -> dict:
+    """The stored rows of a matrix, products of a structure tensor or columns
+    of an action tensor as sparse vectors over ``d``, a multiple of their
+    denominator: rescaled, or the stored dict itself (read only)."""
+    den, ints = part.stored()
+    if d == den:
+        return ints
+    f = d // den
+    return {key: [(k, f * x) for k, x in v] for key, v in ints.items()}
 
 
-def sparse_cols(m: Matrix, d: int) -> list:
-    """The columns of ``m`` as :func:`sparse` vectors over ``d``, one for
-    each of its ``m.cols`` columns even when ``m`` has no rows."""
-    if not m.rows:
-        return [[] for _ in range(m.cols)]
-    return [sparse(col, d) for col in zip(*m.entries)]
+def rationals(den: int, ints: dict, dim: int) -> tuple[tuple[int, dict], dict]:
+    """The nonzero sparse vectors ``ints / den`` as a stored form, in key
+    order and reduced by the gcd of ``den`` and every int, and as tuples of
+    ``dim`` Fractions, each zero ``linalg._ZERO`` and each value built once."""
+    ints = {key: ints[key] for key in sorted(ints) if ints[key]}
+    g = gcd(den, *(x for v in ints.values() for _, x in v))
+    if g > 1:
+        den, ints = den // g, {key: [(k, x // g) for k, x in v] for key, v in ints.items()}
+    made, out = {}, {}
+    for key, v in ints.items():
+        row = out[key] = [_ZERO] * dim
+        for k, x in v:
+            row[k] = made[x] if x in made else made.setdefault(x, Fraction(x, den))
+    return (den, ints), {key: tuple(row) for key, row in out.items()}
 
 
 class Accumulator(dict):
@@ -104,13 +103,6 @@ class Accumulator(dict):
                 add(i, part)
             self.update(part)
             yield from sorted(part)
-
-    def rationals(self, den: int) -> dict:
-        """Every nonzero sum over ``den`` as a tuple of Fractions, each
-        zero the shared ``linalg._ZERO``: the products of a
-        ``StructureTensor`` or the columns of an ``ActionTensor``."""
-        return {key: tuple([Fraction(x, den) if x else _ZERO for x in v])
-                for key, v in self.items() if any(v)}
 
 
 def grouped(mapping: dict, by: int = 0) -> dict:

@@ -48,6 +48,17 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+def _nonzero_ints(vectors: dict) -> tuple[int, dict]:
+    """``(den, ints)`` of a dict of Fraction sequences: ``den`` is the lcm
+    of their entries' denominators and ``ints[key]`` lists ``(k, den q)``
+    for each nonzero entry ``q`` at index ``k`` of ``vectors[key]``."""
+    nonzero = {key: [(k, q) for k, q in enumerate(v) if q is not _ZERO and q]
+               for key, v in vectors.items()}
+    den = lcm(*{q.denominator for v in nonzero.values() for _, q in v})
+    return den, {key: [(k, q.numerator * (den // q.denominator)) for k, q in v]
+                 for key, v in nonzero.items()}
+
+
 def _fraction_row(entries: Iterable[Rational]) -> tuple[Fraction, ...]:
     """The entries as a tuple of Fractions.  Most rows are built from
     entries that are already Fractions, and such a tuple is kept as it is."""
@@ -130,7 +141,7 @@ class Vector:
 class Matrix:
     """Immutable rows x cols matrix with exact rational entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_ints")
 
     def __init__(self, entries: Iterable[Iterable[Rational]], rows: int | None = None,
                  cols: int | None = None):
@@ -193,9 +204,26 @@ class Matrix:
 
     @classmethod
     def block_diag(cls, a: "Matrix", b: "Matrix") -> "Matrix":
+        """``a (+) b``, its :meth:`stored` rows built from theirs."""
         right, left = (_ZERO,) * b.cols, (_ZERO,) * a.cols
-        return cls([row + right for row in a.entries] + [left + row for row in b.entries],
-                   a.rows + b.rows, a.cols + b.cols)
+        out = cls([row + right for row in a.entries] + [left + row for row in b.entries],
+                  a.rows + b.rows, a.cols + b.cols)
+        (da, rows_a), (db, rows_b) = a.stored(), b.stored()
+        d = lcm(da, db)
+        rows = {i: [(k, d // da * x) for k, x in row] for i, row in rows_a.items()}
+        rows.update({a.rows + i: [(a.cols + k, d // db * x) for k, x in row]
+                     for i, row in rows_b.items()})
+        object.__setattr__(out, "_ints", (d, rows))
+        return out
+
+    def stored(self) -> tuple[int, dict]:
+        """``(den, rows)``: the lcm of the entry denominators and, for each row
+        ``i``, ``rows[i]`` listing ``(j, den M[i][j])`` if nonzero; kept once computed."""
+        try:
+            return self._ints
+        except AttributeError:
+            object.__setattr__(self, "_ints", _nonzero_ints(dict(enumerate(self.entries))))
+            return self._ints
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -233,20 +261,16 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        # Both factors times their common denominator d, skipping zeros:
-        # the product is an int matrix over d**2.
-        d = lcm(*{q.denominator for m in (self, other) for row in m.entries for q in row})
-        right = [[(j, q.numerator * (d // q.denominator)) for j, q in enumerate(row)
-                  if q.numerator] for row in other.entries]
+        # Both factors' stored ints: the product is an int matrix over da db.
+        da, left = self.stored()
+        db, right = other.stored()
         rows = []
-        for row in self.entries:
+        for i in range(self.rows):
             acc = [0] * other.cols
-            for x, terms in zip(row, right):
-                if x.numerator:
-                    c = x.numerator * (d // x.denominator)
-                    for j, y in terms:
-                        acc[j] += c * y
-            rows.append(tuple([Fraction(v, d * d) if v else _ZERO for v in acc]))
+            for k, x in left[i]:
+                for j, y in right[k]:
+                    acc[j] += x * y
+            rows.append(tuple([Fraction(v, da * db) if v else _ZERO for v in acc]))
         return Matrix(rows, self.rows, other.cols)
 
     def apply(self, v: Vector) -> Vector:

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 from .algebra import POISSON, HomAlgebra, StructureTensor, check_algebra
 from .errors import KindMismatchError, ShapeError
-from .kernel import Accumulator, grouped
-from .linalg import _ZERO, Matrix, Vector
-from .representation import (
-    Representation, _require_match, _SparseRepresentation, check_representation,
-)
+from .kernel import Accumulator, common_denominator, grouped, sparse
+from .linalg import Matrix
+from .representation import Representation, _require_match, _SparseRepresentation
 from .reporting import CheckReport, CheckResult, concat, require, scan_identity
 
 
@@ -128,16 +126,20 @@ class _Cross:
         return add
 
 
-def _cross_conditions(mp: MatchedPair) -> list:
-    """Every cross condition of the pair's kind, group by group, each
-    summed over the nonzero entries of both directions."""
+def _directions(mp: MatchedPair) -> tuple:
+    """A1 acting on A2 and back, indexed over the pair's common denominator."""
     a1, a2, r12, r21 = mp.a1, mp.a2, mp.actions_1_on_2, mp.actions_2_on_1
     parts = (*a1.tensors().values(), *a2.tensors().values(),
              *r12.actions().values(), *r21.actions().values())
-    p, q = _SparseRepresentation(r12, a1, *parts), _SparseRepresentation(r21, a2, *parts)
+    return _SparseRepresentation(r12, a1, *parts), _SparseRepresentation(r21, a2, *parts)
+
+
+def _cross_conditions(p: _SparseRepresentation, q: _SparseRepresentation) -> list:
+    """Every cross condition of the pair's kind, group by group, each
+    summed over the nonzero entries of both directions (:func:`_directions`)."""
     views = {"p": _Cross(p, q), "q": _Cross(q, p)}
     checks = []
-    for group in [*a1.tensors(), POISSON] if a1.kind == POISSON else a1.tensors():
+    for group in p.groups:
         kind, order, templates = _CROSS[group]
         checks += [views[view].scan(f"cross:{kind}:{k}", templates[int(t) - 1])
                    for k, (view, t) in enumerate(order.split(), 1)]
@@ -152,14 +154,14 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
     constituent algebra's own checks followed by the kind's
     cross-compatibility conditions, each summed over the nonzero entries
     only; a passing report guarantees that :func:`matched_sum` passes the
-    kind's algebra checks.
+    kind's algebra checks.  Axioms and cross conditions read one index.
     """
-    for rep, base, label in ((mp.actions_1_on_2, mp.a1, "actions_1_on_2"),
-                             (mp.actions_2_on_1, mp.a2, "actions_2_on_1")):
-        require(check_representation(rep, base), f"{label} is not a representation")
+    p, q = _directions(mp)
+    require(p.axioms(), "actions_1_on_2 is not a representation")
+    require(q.axioms(), "actions_2_on_1 is not a representation")
     return concat(check_algebra(mp.a1).prefixed("algebra1:"),
                   check_algebra(mp.a2).prefixed("algebra2:"),
-                  CheckReport(tuple(_cross_conditions(mp))))
+                  CheckReport(tuple(_cross_conditions(p, q))))
 
 
 def matched_sum(mp: MatchedPair) -> HomAlgebra:
@@ -169,29 +171,26 @@ def matched_sum(mp: MatchedPair) -> HomAlgebra:
     axioms is decided by the checkers.  Basis order: A1 basis, then A2.
     """
     a1, a2 = mp.a1, mp.a2
-    n1, n2 = a1.dim, a2.dim
-    total = n1 + n2
-    zeros1, zeros2 = (_ZERO,) * n1, (_ZERO,) * n2
+    n1, total = a1.dim, a1.dim + a2.dim
 
     def build(name: str) -> StructureTensor:
         t1, t2 = getattr(a1, name), getattr(a2, name)
         act12_l, act12_r = mp.actions_1_on_2.action_pair(name)
         act21_l, act21_r = mp.actions_2_on_1.action_pair(name)
-        products = {key: Vector(v.entries + zeros2) for key, v in t1.products.items()}
-        products.update({(n1 + i, n1 + j): Vector(zeros1 + v.entries)
-                         for (i, j), v in t2.products.items()})
-        # A mixed product has an A1 part and an A2 part: [A1 column, A2 column].
-        mixed: dict[tuple[int, int], list] = {}
-        for v, x, col in act21_r.columns():  # x in A1, v in A2: lambda2_r(v) x
-            mixed.setdefault((x, n1 + v), [zeros1, zeros2])[0] = col
-        for x, v, col in act12_l.columns():  # ... + lambda1_l(x) v
-            mixed.setdefault((x, n1 + v), [zeros1, zeros2])[1] = col
-        for u, y, col in act21_l.columns():  # u in A2, y in A1: lambda2_l(u) y
-            mixed.setdefault((n1 + u, y), [zeros1, zeros2])[0] = col
-        for y, u, col in act12_r.columns():  # ... + lambda1_r(y) u
-            mixed.setdefault((n1 + u, y), [zeros1, zeros2])[1] = col
-        products.update({key: Vector(part1 + part2) for key, (part1, part2) in mixed.items()})
-        return StructureTensor.from_products(total, products)
+        d = common_denominator(t1, t2, act12_l, act12_r, act21_l, act21_r)
+        products = dict(sparse(t1, d))
+        products.update({(n1 + i, n1 + j): [(n1 + k, x) for k, x in v]
+                         for (i, j), v in sparse(t2, d).items()})
+        # A mixed product is an A1 column, then an A2 column.
+        for (v, x), col in sparse(act21_r, d).items():  # lambda2_r(v) x, x in A1
+            products[(x, n1 + v)] = list(col)
+        for (u, y), col in sparse(act21_l, d).items():  # lambda2_l(u) y, u in A2
+            products[(n1 + u, y)] = list(col)
+        for (x, v), col in sparse(act12_l, d).items():  # ... + lambda1_l(x) v
+            products.setdefault((x, n1 + v), []).extend((n1 + k, z) for k, z in col)
+        for (y, u), col in sparse(act12_r, d).items():  # ... + lambda1_r(y) u
+            products.setdefault((n1 + u, y), []).extend((n1 + k, z) for k, z in col)
+        return StructureTensor._from_form(total, d, products)
 
     alpha = Matrix.block_diag(a1.alpha, a2.alpha)
     return HomAlgebra(total, a1.kind, alpha, **{name: build(name) for name in a1.tensors()})

@@ -25,11 +25,11 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .algebra import (
-    HomAlgebra, StructureTensor, _Sparse, _sparse_table, _SparseMap, check_morphism,
+    HomAlgebra, StructureTensor, _Sparse, _SparseMap, check_morphism,
 )
 from .errors import ShapeError
-from .kernel import common_denominator, grouped, sparse_cols
-from .linalg import _ZERO, Matrix, Vector, frac, span_membership
+from .kernel import common_denominator, grouped, sparse
+from .linalg import Matrix, Vector, frac, span_membership
 from .representation import (
     ActionTensor, Representation, _require_match, check_representation,
     paired_families, semidirect_product,
@@ -79,7 +79,7 @@ def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str,
                   else o.term(-weight.numerator * (d // weight.denominator),
                               by_i if weight else {}, False, False))
         checks.append(scan_identity(
-            f"{name}:{tname}", *o.walk(o.term(1, grouped(table)),
+            f"{name}:{tname}", *o.walk(o.term(1, a.by_first[tname]),
                                        o.term(-1, by_i, True, False),
                                        o.term(-1, by_i, False, True), clause),
             denominator=d ** 3))
@@ -103,12 +103,12 @@ def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
     a = _Sparse(alg.alpha, alg.tensors(), ctx.t, rep.phi, *rep.actions().values())
     d, t = a.d, _SparseMap(ctx.t, a.d)
     checks = [scan_identity(
-        "intertwines_twist", *t.walk(t.intertwines(sparse_cols(rep.phi, d), a.alpha)),
+        "intertwines_twist", *t.walk(t.intertwines(_SparseMap(rep.phi, d).cols, a.alpha)),
         denominator=d ** 2)]
     for name, table in a.tables.items():
-        left, right = (t.images(f.sparse_columns(d)) for f in rep.action_pair(name))
+        left, right = (t.images(sparse(f, d)) for f in rep.action_pair(name))
         checks.append(scan_identity(
-            f"splits:{name}", *t.walk(t.term(1, grouped(table)),
+            f"splits:{name}", *t.walk(t.term(1, a.by_first[name]),
                                       t.term(-1, grouped(left), True, False),
                                       t.term(-1, grouped(right, 1), False, True)),
             denominator=d ** 3))
@@ -131,9 +131,9 @@ def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
 
     def build(left: ActionTensor, right: ActionTensor) -> StructureTensor:
         # act_l(T e_u) e_v + act_r(T e_v) e_u, over the nonzero action columns.
-        acc = t.sums(m, t.term(1, grouped(left.sparse_columns(d)), True, False),
-                     t.term(1, grouped(right.sparse_columns(d), 1), False, True))
-        return StructureTensor.from_products(m, acc.rationals(d * d))
+        acc = t.sums(m, t.term(1, grouped(sparse(left, d)), True, False),
+                     t.term(1, grouped(sparse(right, d), 1), False, True))
+        return StructureTensor._from_form(m, d * d, acc.terms())
 
     return HomAlgebra(m, ctx.alg.kind, rep.phi,
                       **{name: build(*rep.action_pair(name)) for name in ctx.alg.tensors()})
@@ -165,11 +165,11 @@ def induced_representation(ctx: OperatorContext, checked: bool = True) -> Repres
     def family(name: str, left: bool) -> ActionTensor:
         # Column x of the u-th matrix: (Tu) . e_x (or e_x . Tu) minus
         # T(opposite(e_x) e_u), from the images of the opposite's columns.
-        table = grouped(_sparse_table(getattr(alg, name), d), 0 if left else 1)
-        opposite = o.images(rep.action_pair(name)[1 if left else 0].sparse_columns(d))
+        table = grouped(sparse(getattr(alg, name), d), 0 if left else 1)
+        opposite = o.images(sparse(rep.action_pair(name)[1 if left else 0], d))
         acc = o.sums(n, o.term(1, table, True, False),
                      o.term(-1, grouped(opposite, 1), False, False))
-        return ActionTensor.from_columns(m, n, acc.rationals(d * d))
+        return ActionTensor._from_form(m, n, d * d, acc.terms())
 
     return Representation(alg.kind, m, n, alg.alpha, **paired_families(alg, family))
 
@@ -196,20 +196,21 @@ def projection_context(alg: HomAlgebra, rep: Representation,
         require(check_representation(rep, alg),
                 "projection context needs a valid representation")
     n, m = alg.dim, rep.carrier_dim
-    zeros_a, zeros_v = (_ZERO,) * n, (_ZERO,) * m
 
     def family(name: str, left: bool) -> ActionTensor:
-        inner = rep.action_pair(name)[0 if left else 1]
-        columns = {(a, n + c): zeros_a + col for a, c, col in inner.columns()}
+        inner, table = rep.action_pair(name)[0 if left else 1], getattr(alg, name)
+        d = common_denominator(inner, table)
+        columns = {(a, n + c): [(n + r, x) for r, x in col]
+                   for (a, c), col in sparse(inner, d).items()}
         # The regular part sits on the dot's left and the bracket's right action.
         if left == (name == "dot"):
-            columns.update({(i, j) if left else (j, i): v.entries + zeros_v
-                            for (i, j), v in getattr(alg, name).products.items()})
-        return ActionTensor.from_columns(n, n + m, columns)
+            columns.update({(i, j) if left else (j, i): v
+                            for (i, j), v in sparse(table, d).items()})
+        return ActionTensor._from_form(n, n + m, d, columns)
 
     big = Representation(alg.kind, n, n + m, Matrix.block_diag(alg.alpha, rep.phi),
                          **paired_families(alg, family))
-    t = Matrix([row + zeros_v for row in Matrix.identity(n).entries], n, n + m)
+    t = Matrix.block_diag(Matrix.identity(n), Matrix.zero(0, m))  # a -> a, v -> 0
     return OperatorContext(alg, big, t)
 
 
@@ -234,11 +235,11 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
     def deform(t: StructureTensor) -> StructureTensor:
         # mu(N e_i, e_j) + mu(e_i, N e_j) - N mu(e_i, e_j), over the nonzero
         # products and entries of N.
-        table = _sparse_table(t, d)
+        table = sparse(t, d)
         products = grouped(table)
         acc = o.sums(dim, o.term(1, products, True, False), o.term(1, products, False, True),
                      o.term(-1, grouped(o.images(table)), False, False))
-        return StructureTensor.from_products(dim, acc.rationals(d * d))
+        return StructureTensor._from_form(dim, d * d, acc.terms())
 
     return HomAlgebra(dim, alg.kind, alg.alpha,
                       **{name: deform(t) for name, t in alg.tensors().items()})

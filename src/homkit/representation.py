@@ -13,17 +13,17 @@ multilinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     ACTIONS_OF, KINDS, POISSON, TENSORS_BY_KIND, HomAlgebra, StructureTensor,
-    _require_self_morphism, _Sparse, _sparse_table, _SparseMap, check_ideal, check_morphism,
+    _require_self_morphism, _Sparse, _SparseMap, check_ideal, check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
-from .kernel import Accumulator, common_denominator, grouped, sparse, sparse_cols
-from .linalg import _ZERO, Matrix, Vector, frac, solve_linear
+from .kernel import Accumulator, common_denominator, grouped, rationals, sparse
+from .linalg import _ZERO, Matrix, Vector, _nonzero_ints, frac, solve_linear
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
 
@@ -35,6 +35,7 @@ class ActionTensor:
     base_dim: int
     carrier_dim: int
     mats: tuple[Matrix, ...]
+    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = tuple(self.mats)
@@ -69,6 +70,24 @@ class ActionTensor:
                    [Matrix._trusted(tuple(map(tuple, grids[i])), carrier_dim, carrier_dim)
                     if i in grids else zero for i in range(base_dim)])
 
+    @classmethod
+    def _from_form(cls, base_dim: int, carrier_dim: int, den: int,
+                   columns: dict) -> "ActionTensor":
+        """The family of the sparse int ``columns`` over ``den``, kept as :meth:`stored`."""
+        form, fractions = rationals(den, columns, carrier_dim)
+        out = cls.from_columns(base_dim, carrier_dim, fractions)
+        object.__setattr__(out, "_ints", form)
+        return out
+
+    def stored(self) -> tuple[int, dict]:
+        """``(den, columns)``: the lcm of the entry denominators and each nonzero
+        column ``(i, c)`` times it as a sparse vector, in key order; kept once computed."""
+        if self._ints is None:
+            den, cols = _nonzero_ints({(i, c): col for i, m in enumerate(self.mats)
+                                       for c, col in enumerate(zip(*m.entries))})
+            object.__setattr__(self, "_ints", (den, {key: v for key, v in cols.items() if v}))
+        return self._ints
+
     def at(self, x: Vector) -> Matrix:
         if x.dim != self.base_dim:
             raise ShapeError("action argument must have the base dimension")
@@ -76,19 +95,6 @@ class ActionTensor:
         size = self.carrier_dim
         return Matrix([[sum(xi * rows[r][c] for xi, rows in terms if rows[r][c])
                         for c in range(size)] for r in range(size)], size, size)
-
-    def columns(self):
-        """Every nonzero column as ``(i, c, entries)``: column ``c`` of the
-        matrix of base basis element ``i``, as a tuple of Fractions."""
-        for i, m in enumerate(self.mats):
-            for c, col in enumerate(zip(*m.entries)):
-                # The shared zero is counted by identity, with no method call.
-                if col.count(_ZERO) != len(col):
-                    yield i, c, col
-
-    def sparse_columns(self, d: int) -> dict:
-        """Every nonzero column ``(i, c)`` as a ``sparse`` vector over ``d``."""
-        return {(i, c): sparse(col, d) for i, c, col in self.columns()}
 
     def precompose(self, beta: Matrix) -> "ActionTensor":
         """New family x -> at(beta x)."""
@@ -198,8 +204,8 @@ _PAIR_AXIOMS = {
 
 class _SparseRepresentation:
     """A representation and its base over one common denominator ``d`` of
-    both and any ``more`` parts, indexed for the slice walks of the axioms.
-    For each action family ``F``: its nonzero columns by base index
+    both and any ``more`` parts, indexed for the slice walks of the axiom
+    groups of its kind (``groups``).  For each action family ``F``: its nonzero columns by base index
     (``cols``) and by column (``by_col``), and its nonzero entries by row
     (``by_row[r]`` lists ``(j, c, F(e_j)[r][c])``); the columns of
     ``F(alpha e_x)`` by ``x`` (``twisted``) and by column
@@ -209,19 +215,20 @@ class _SparseRepresentation:
     def __init__(self, rep: Representation, alg: HomAlgebra, *more):
         actions = rep.actions()
         self.n, m = alg.dim, rep.carrier_dim
+        self.groups = [*alg.tensors(), POISSON] if alg.kind == POISSON else [*alg.tensors()]
         self.base = base = _Sparse(alg.alpha, alg.tensors(), rep.phi, *actions.values(),
                                    *more)
         d = base.d
-        self.phi = sparse_cols(rep.phi, d)
+        self.phi = _SparseMap(rep.phi, d).cols
         (self.cols, self.by_col, self.by_row, self.twisted, self.twisted_by_col,
          self.times_phi) = ({}, {}, {}, {}, {}, {})
         for name, family in actions.items():
-            cols = family.sparse_columns(d)
-            self.cols[name] = grouped(cols)
-            by_col = self.by_col[name] = grouped(cols, 1)
-            by_row = self.by_row[name] = {}
+            by_i, by_col, by_row = self.cols[name], self.by_col[name], self.by_row[name] = (
+                {}, {}, {})
             twisted = Accumulator(m)
-            for (i, c), col in cols.items():
+            for (i, c), col in sparse(family, d).items():
+                by_i.setdefault(i, []).append((c, col))
+                by_col.setdefault(c, []).append((i, col))
                 for r, g in col:
                     by_row.setdefault(r, []).append((i, c, g))
                 for x, w in base.rows[i]:
@@ -230,11 +237,23 @@ class _SparseRepresentation:
             self.twisted[name] = grouped(twisted)
             self.twisted_by_col[name] = grouped(twisted, 1)
             times_phi = Accumulator(m * m)
-            for c, col in enumerate(self.phi):
+            for c, col in self.phi.items():
                 for r, p in col:
                     for i, fcol in by_col.get(r, ()):
                         times_phi.add(i, p, fcol, c * m)
             self.times_phi[name] = times_phi.terms()
+
+    def axioms(self) -> CheckReport:
+        """Every axiom of the kind, group by group (:func:`check_representation`)."""
+        checks = []
+        for group in self.groups:
+            for family in ACTIONS_OF.get(group, ()):
+                checks.append(self.scan(_COMMUTES[family], self.commutes(family)))
+            for name, *terms in _PAIR_AXIOMS[group]:
+                checks.append(self.scan(name, *(
+                    self.composed(*term) if term[2] in self.cols else self.through_phi(*term)
+                    for term in terms)))
+        return CheckReport(tuple(checks))
 
     def scan(self, name: str, *adders) -> CheckResult:
         m, d = len(self.phi), self.base.d
@@ -284,7 +303,7 @@ class _SparseRepresentation:
     def through_phi(self, sign: int, family: str, table: str, swap: bool):
         """Slices of ``sign F(mu(e_i, e_j)) phi`` at ``(i, j)``, or of
         ``sign F(mu(e_j, e_i)) phi`` if ``swap``."""
-        products = grouped(self.base.tables[table], int(swap))
+        products = grouped(self.base.tables[table], 1) if swap else self.base.by_first[table]
         times_phi = self.times_phi[family]
 
         def add(i, acc):
@@ -309,15 +328,7 @@ def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     residual is exactly zero.
     """
     _require_match(rep, alg)
-    r = _SparseRepresentation(rep, alg)
-    checks = []
-    for group in [*alg.tensors(), POISSON] if alg.kind == POISSON else alg.tensors():
-        for family in ACTIONS_OF.get(group, ()):
-            checks.append(r.scan(_COMMUTES[family], r.commutes(family)))
-        for name, *terms in _PAIR_AXIOMS[group]:
-            checks.append(r.scan(name, *(r.composed(*term) if term[2] in r.cols
-                                         else r.through_phi(*term) for term in terms)))
-    return CheckReport(tuple(checks))
+    return _SparseRepresentation(rep, alg).axioms()
 
 
 def regular_representation(alg: HomAlgebra) -> Representation:
@@ -327,9 +338,9 @@ def regular_representation(alg: HomAlgebra) -> Representation:
 
     def family(name: str, left: bool) -> ActionTensor:
         # Column j of the i-th matrix is mu(e_i, e_j) (left) or mu(e_j, e_i).
-        return ActionTensor.from_columns(n, n, {
-            (i, j) if left else (j, i): v.entries
-            for (i, j), v in getattr(alg, name).products.items()})
+        den, products = getattr(alg, name).stored()
+        return ActionTensor._from_form(n, n, den, {
+            (i, j) if left else (j, i): v for (i, j), v in products.items()})
 
     return Representation(alg.kind, n, n, alg.alpha, **paired_families(alg, family))
 
@@ -346,9 +357,9 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
 
     def family(name: str, left: bool) -> ActionTensor:
         # mu_dst(f e_i, e_j) (left) or mu_dst(e_j, f e_i) at (i, j).
-        table = grouped(_sparse_table(getattr(dst, name), d), 0 if left else 1)
+        table = grouped(sparse(getattr(dst, name), d), 0 if left else 1)
         columns = fm.sums(m, fm.term(1, table, True, False))
-        return ActionTensor.from_columns(n, m, columns.rationals(d * d))
+        return ActionTensor._from_form(n, m, d * d, columns.terms())
 
     return Representation(src.kind, n, m, dst.alpha, **paired_families(src, family))
 
@@ -414,19 +425,18 @@ def semidirect_product(alg: HomAlgebra, rep: Representation) -> HomAlgebra:
     families, twist is alpha (+) phi.  Basis order: A basis first, then V."""
     _require_match(rep, alg)
     n, m = alg.dim, rep.carrier_dim
-    total = n + m
-    zeros_a, zeros_v = (_ZERO,) * n, (_ZERO,) * m
 
     def build(t: StructureTensor, left: ActionTensor,
               right: ActionTensor) -> StructureTensor:
-        products = {key: Vector(v.entries + zeros_v) for key, v in t.products.items()}
-        for i, c, col in left.columns():  # A times V: left action
-            products[(i, n + c)] = Vector(zeros_a + col)
-        for j, c, col in right.columns():  # V times A: right action
-            products[(n + c, j)] = Vector(zeros_a + col)
-        return StructureTensor.from_products(total, products)
+        d = common_denominator(t, left, right)
+        products = dict(sparse(t, d))
+        for (i, c), col in sparse(left, d).items():  # A times V: left action
+            products[(i, n + c)] = [(n + r, x) for r, x in col]
+        for (j, c), col in sparse(right, d).items():  # V times A: right action
+            products[(n + c, j)] = [(n + r, x) for r, x in col]
+        return StructureTensor._from_form(n + m, d, products)
 
     alpha = Matrix.block_diag(alg.alpha, rep.phi)
-    return HomAlgebra(total, alg.kind, alpha,
+    return HomAlgebra(n + m, alg.kind, alpha,
                       **{name: build(t, *rep.action_pair(name))
                          for name, t in alg.tensors().items()})

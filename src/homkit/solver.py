@@ -254,17 +254,16 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     for name, tensor in alg.tensors().items():
         left, right = rep.action_pair(name)
         consts = [[] for _ in range(n)]  # k -> [(a, b, C[a][b][k])]
-        for (a, b), v in tensor.products.items():
-            for k, c in enumerate(v.entries):
-                if c:
-                    consts[k].append((a, b, c))
-        # j -> [(q, a, -L_a[q][j])] and i -> [(q, b, -R_b[q][i])]
-        lefts = [[(q, a, -mat[q, j]) for q in range(m)
-                  for a, mat in enumerate(left.mats) if mat[q, j]]
-                 for j in range(m)]
-        rights = [[(q, b, -mat[q, i]) for q in range(m)
-                   for b, mat in enumerate(right.mats) if mat[q, i]]
-                  for i in range(m)]
+        for (a, b), v in tensor.stored()[1].items():
+            for k, _ in v:
+                consts[k].append((a, b, tensor.products[a, b][k]))
+        # j -> [(q, a, -L_a[q][j])] and i -> [(q, b, -R_b[q][i])], sorted
+        lefts, rights = [[] for _ in range(m)], [[] for _ in range(m)]
+        for family, out in ((left, lefts), (right, rights)):
+            for (a, j), col in family.stored()[1].items():
+                out[j] += [(q, a, -family.mats[a].entries[q][j]) for q, _ in col]
+        for terms in (*lefts, *rights):
+            terms.sort()
         for i in range(m):
             for j in range(m):
                 for k in range(n):

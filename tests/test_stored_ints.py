@@ -1,0 +1,250 @@
+"""Stored ints: every matrix, structure tensor and action family keeps its
+nonzero entries once, as ints over its own denominator.
+
+The stored form must equal the form recomputed from the ``Fraction``
+entries, whether it was computed on first use or handed over by the
+construction that built the object; equality and hashing must not depend
+on it; and a check that has read an object once reads none of its
+``Fraction`` entries again."""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings, strategies as st
+
+from homkit import algebra, linalg, representation
+from homkit.algebra import POISSON, HomAlgebra, StructureTensor, check_algebra, yau_twist
+from homkit.errors import PreconditionError
+from homkit.kernel import common_denominator
+from homkit.linalg import Matrix
+from homkit.matched import MatchedPair, check_matched_pair, matched_sum
+from homkit.operators import (
+    OperatorContext, induced_algebra, induced_representation, nijenhuis_deform,
+    projection_context,
+)
+from homkit.representation import (
+    ActionTensor, Representation, check_representation, pullback_representation,
+    regular_representation, semidirect_product, twist_representation,
+)
+from support import (
+    corrupt_one_entry, theorem_suite_contexts, valid_representations, verified_algebra_pool,
+)
+from test_matched import (
+    degenerate_pair, matrix_algebra_2x2, nilpotent_cross_pair, split_into_matched_pair,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+# Zeros come as the int 0 (stored as the shared zero) and as Fractions of
+# their own, which every reader must treat like the shared one.
+entries = st.one_of(st.just(0), st.builds(Fraction),
+                    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 6])))
+
+
+def recomputed(vectors: dict, keep_empty: bool) -> tuple:
+    """The reference form: the lcm of the nonzero entries' denominators and
+    each nonzero entry times it, by key (empty vectors dropped unless
+    ``keep_empty``)."""
+    nonzero = {key: [(k, q) for k, q in enumerate(v) if q != 0] for key, v in vectors.items()}
+    den = lcm(*(q.denominator for v in nonzero.values() for _, q in v))
+    return den, {key: [(k, int(q * den)) for k, q in v]
+                 for key, v in nonzero.items() if v or keep_empty}
+
+
+def reference(part) -> tuple:
+    if isinstance(part, Matrix):
+        return recomputed(dict(enumerate(part.entries)), True)
+    if isinstance(part, StructureTensor):
+        return recomputed({key: v.entries for key, v in part.products.items()}, False)
+    return recomputed({(i, c): col for i, m in enumerate(part.mats)
+                       for c, col in enumerate(zip(*m.entries))}, False)
+
+
+def fresh(part):
+    """An equal copy built from the Fractions, with nothing stored yet."""
+    if isinstance(part, Matrix):
+        return Matrix(part.entries, part.rows, part.cols)
+    if isinstance(part, StructureTensor):
+        return StructureTensor.from_products(part.dim, dict(part.products))
+    return ActionTensor(part.base_dim, part.carrier_dim, part.mats)
+
+
+def parts(*objects) -> list:
+    """The matrices, tables and action families of algebras and
+    representations."""
+    out = []
+    for obj in objects:
+        if isinstance(obj, HomAlgebra):
+            out += [obj.alpha, *obj.tensors().values()]
+        else:
+            out += [obj.phi, *obj.actions().values()]
+    return out
+
+
+def assert_stored_as_recomputed(part):
+    copy = fresh(part)
+    assert copy == part and hash(copy) == hash(part)
+    den, ints = part.stored()
+    assert (den, ints) == reference(part)
+    assert list(ints) == sorted(ints)
+    assert copy.stored() == (den, ints)
+    assert copy == part and hash(copy) == hash(part)
+
+
+def matrices(rows: int, cols: int):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(lambda grid: Matrix(grid, rows, cols))
+
+
+def tables(dim: int):
+    keys = st.tuples(st.integers(0, max(dim - 1, 0)), st.integers(0, max(dim - 1, 0)))
+    vectors = st.lists(entries, min_size=dim, max_size=dim)
+    return st.dictionaries(keys, vectors, max_size=4 if dim else 0).map(
+        lambda products: StructureTensor.from_products(dim, products))
+
+
+def families(draw, base: int, carrier: int) -> ActionTensor:
+    return ActionTensor(base, carrier, [draw(matrices(carrier, carrier)) for _ in range(base)])
+
+
+def poisson_algebra(draw, dim: int) -> HomAlgebra:
+    return HomAlgebra(dim, POISSON, draw(matrices(dim, dim)), dot=draw(tables(dim)),
+                      bracket=draw(tables(dim)))
+
+
+def poisson_representation(draw, base: HomAlgebra, carrier: int, phi=None) -> Representation:
+    phi = draw(matrices(carrier, carrier)) if phi is None else phi
+    return Representation(POISSON, base.dim, carrier, phi, **{
+        name: families(draw, base.dim, carrier)
+        for name in ("lambda_l", "lambda_r", "rho_l", "rho_r")})
+
+
+@st.composite
+def structures(draw):
+    """A random Poisson algebra, a representation of it, a second algebra
+    and a matched pair of the two, each entry a rational, an int zero or a
+    zero Fraction of its own, with no axiom required."""
+    n, m, k = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    alg = poisson_algebra(draw, n)
+    rep = poisson_representation(draw, alg, m)
+    other = poisson_algebra(draw, k)
+    pair = MatchedPair(alg, other, poisson_representation(draw, alg, k, other.alpha),
+                       poisson_representation(draw, other, n, alg.alpha))
+    maps = draw(matrices(n, m)), draw(matrices(n, n)), draw(matrices(n, n))
+    return alg, rep, pair, maps
+
+
+@PROPERTY
+@given(structures())
+def test_stored_form_equals_the_recomputed_one(structure):
+    alg, rep, pair, (t, op, beta) = structure
+    ctx = OperatorContext(alg, rep, t)
+    built = [
+        semidirect_product(alg, rep), regular_representation(alg),
+        induced_algebra(ctx, checked=False), induced_representation(ctx, checked=False),
+        nijenhuis_deform(alg, op, checked=False), yau_twist(alg, beta, checked=False),
+        matched_sum(pair), pullback_representation(beta, alg, alg, checked=False),
+        twist_representation(rep, beta, alg, checked=False),
+    ]
+    projection = projection_context(alg, rep, checked=False)
+    for part in (*parts(alg, rep, pair.a2, pair.actions_1_on_2, pair.actions_2_on_1, *built),
+                 projection.t, *parts(projection.rep), t, op, beta):
+        assert_stored_as_recomputed(part)
+
+
+def test_zero_fractions_of_their_own_store_nothing():
+    """Families, tables and matrices of zero Fractions that are not the
+    shared zero store no column, product or row entry."""
+    zero = Matrix([[Fraction(0)] * 3] * 3)
+    assert zero.entries[0][0] is not linalg._ZERO
+    family = ActionTensor(2, 3, [zero, zero])
+    assert family.stored() == (1, {})
+    assert zero.stored() == (1, {0: [], 1: [], 2: []})
+    table = StructureTensor.from_products(2, {(0, 1): [Fraction(0), Fraction(1, 4)]})
+    assert table.stored() == (4, {(0, 1): [(1, 1)]})
+
+
+def _counted_reads(m) -> Counter:
+    """Count, under the monkeypatch context ``m``, every read of a
+    ``Fraction``'s numerator or denominator and every computation of a
+    stored form from Fraction entries (a dense scan of an action family's
+    columns is one)."""
+    reads = Counter()
+    for name in ("numerator", "denominator"):
+        prop = getattr(Fraction, name)
+        m.setattr(Fraction, name,
+                  property(lambda q, prop=prop, name=name: reads.update([name]) or prop.fget(q)))
+    fill = linalg._nonzero_ints
+
+    def counted(vectors):
+        reads["stored forms"] += 1
+        return fill(vectors)
+    for module in (linalg, algebra, representation):
+        m.setattr(module, "_nonzero_ints", counted)
+    return reads
+
+
+def test_a_second_check_reads_no_fraction(monkeypatch):
+    """After one ``check_representation(rep, alg)``, a second call on the
+    same objects reads no Fraction and scans no dense action column, for
+    passing and failing representations, with and without fractions."""
+    rng = random.Random(8)
+    pairs = []
+    for alg in verified_algebra_pool():
+        for rep in valid_representations(rng, alg)[:3]:
+            pairs.append((alg, rep))
+            if rep.carrier_dim:
+                pairs.append((alg, corrupt_one_entry(rng, rep)))
+    assert any(not check_representation(rep, alg).passed for alg, rep in pairs)
+    for alg, rep in pairs:
+        first = check_representation(rep, alg)
+        with monkeypatch.context() as m:
+            reads = _counted_reads(m)
+            second = check_representation(rep, alg)
+        assert not reads, reads
+        assert second == first
+
+
+def test_checking_an_induced_algebra_reads_none_of_its_fractions(monkeypatch):
+    """The induced tables keep the ints their construction summed, so
+    ``check_algebra`` reads none of their Fraction entries."""
+    for ctx in theorem_suite_contexts(random.Random(5), 16):
+        induced = induced_algebra(ctx)
+        common_denominator(induced.alpha)  # the representation's own twist
+        with monkeypatch.context() as m:
+            reads = _counted_reads(m)
+            report = check_algebra(induced)
+        assert not reads, reads
+        assert report.passed
+
+
+def test_check_matched_pair_indexes_each_direction_once(monkeypatch):
+    """One ``_SparseRepresentation`` per direction serves both the
+    representation gate and the cross conditions, when the pair passes,
+    fails or is refused."""
+    pairs = [nilpotent_cross_pair(scale) for scale in (0, 1, Fraction(1, 2))]
+    pairs += [split_into_matched_pair(matrix_algebra_2x2(kind), 2) for kind in ("associative",
+                                                                                  POISSON)]
+    pairs += [degenerate_pair(alg, regular_representation(alg))
+              for alg in verified_algebra_pool()[:4]]
+    bad = nilpotent_cross_pair(1)
+    pairs.append(MatchedPair(bad.a2, bad.a1, bad.actions_2_on_1,
+                             corrupt_one_entry(random.Random(2), bad.actions_1_on_2)))
+    built = Counter()
+    init = representation._SparseRepresentation.__init__
+
+    def counted(self, *args):
+        built["indexes"] += 1
+        init(self, *args)
+    monkeypatch.setattr(representation._SparseRepresentation, "__init__", counted)
+    outcomes = set()
+    for mp in pairs:
+        built.clear()
+        try:
+            outcomes.add(check_matched_pair(mp).passed)
+        except PreconditionError:
+            outcomes.add(None)
+        assert built["indexes"] == 2
+    assert outcomes == {True, False, None}
