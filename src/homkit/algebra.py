@@ -16,7 +16,10 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
-from .kernel import Accumulator, common_denominator, grouped, rationals, sparse
+from .kernel import (
+    Accumulator, Lazy, by_entry, common_denominator, entries_then_index, grouped, rationals,
+    sparse, twisted_then_entries, walk,
+)
 from .linalg import _ZERO, Matrix, Vector, _nonzero_ints, span_membership
 from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
 
@@ -161,113 +164,76 @@ class HomAlgebra:
         return f"HomAlgebra(dim={self.dim}, kind={self.kind!r})"
 
 
+# The identity groups of each kind: its tables, then the Poisson cross group.
+_GROUPS = {**TENSORS_BY_KIND, POISSON: (*TENSORS_BY_KIND[POISSON], POISSON)}
+
+
+# The degree-3 identity of each group at a basis triple (i, j, k), as
+# signed terms: ``(sign, inner, outer, swap)`` is
+# ``mu_outer(mu_inner(e_i, e_j), alpha e_k)``, with j and k exchanged if
+# ``swap``, and ``(sign, inner, outer)`` is ``mu_outer(alpha e_i, mu_inner(e_j, e_k))``.
+_TRIPLES = {
+    "dot": ("hom_associative", (1, "dot", "dot", 0), (-1, "dot", "dot")),
+    "bracket": ("hom_leibniz", (1, "bracket", "bracket", 0), (-1, "bracket", "bracket"),
+                (-1, "bracket", "bracket", 1)),
+    POISSON: ("poisson_compatibility", (1, "dot", "bracket", 0), (-1, "bracket", "dot"),
+              (-1, "bracket", "dot", 1)),
+}
+
+
 class _Sparse:
-    """A twist and its tables over their common denominator ``d`` and any
-    ``more`` parts: the twist's nonzero rows and columns (``rows[a]``
-    lists ``(k, d alpha[a][k])``, ``cols[k]`` lists ``(a, d alpha[a][k])``),
-    each table's nonzero products as ``sparse`` vectors, also grouped by
-    their first index (``by_first``), and each table twisted on one side,
-    built on first use."""
+    """A twist and its parts, tables and action families, over their common
+    denominator ``d`` and any ``more`` parts: the twist as a :class:`_SparseMap`
+    (``alpha``) and each part's nonzero vectors (``parts``), also, on first
+    lookup, grouped by the first or second key index (``by_first``,
+    ``by_second``), by entry (``entries``) and twisted:
+    ``twisted[name, left, by]`` holds ``mu(alpha e_r, e_a)`` at ``(r, a)``
+    (``left``) or ``mu(e_a, alpha e_r)`` at ``(a, r)``, or column ``a`` of
+    ``F(alpha e_r)`` at ``(r, a)`` for a family, grouped by key index ``by``."""
 
-    __slots__ = ("d", "alpha", "rows", "cols", "tables", "by_first", "_twisted")
+    __slots__ = ("d", "alpha", "parts", "by_first", "by_second", "entries", "twisted")
 
-    def __init__(self, alpha: Matrix, tensors: dict[str, StructureTensor], *more):
-        d = self.d = common_denominator(alpha, *tensors.values(), *more)
+    def __init__(self, alpha: Matrix, parts: dict, *more):
+        d = self.d = common_denominator(alpha, *parts.values(), *more)
         self.alpha = _SparseMap(alpha, d)
-        self.rows, self.cols = self.alpha.rows, self.alpha.cols
-        self.tables = {name: sparse(t, d) for name, t in tensors.items()}
-        self.by_first = {name: grouped(table) for name, table in self.tables.items()}
-        self._twisted = {}
+        rows = self.alpha.rows
+        widths = {name: getattr(p, "carrier_dim", len(rows)) for name, p in parts.items()}
+        parts = self.parts = {name: sparse(p, d) for name, p in parts.items()}
+        self.by_first = Lazy(lambda name: grouped(parts[name]))
+        self.by_second = Lazy(lambda name: grouped(parts[name], 1))
+        self.entries = Lazy(lambda name: by_entry(parts[name]))
 
-    def twisted(self, name: str, left: bool, by: int = 0) -> dict:
-        """``mu(alpha e_r, e_a)`` at ``(r, a)`` (``left``), or
-        ``mu(e_a, alpha e_r)`` at ``(a, r)``, grouped by the first index
-        of the key or, if ``by`` is 1, the second, as ``sparse`` vectors
-        of degree 2, over the nonzero products and twist entries."""
-        if (name, left, by) not in self._twisted:
-            a = self.alpha
-            acc = a.sums(len(self.rows), a.term(1, self.by_first[name], left, not left))
-            self._twisted[name, left, by] = grouped(acc.terms(), by)
-        return self._twisted[name, left, by]
+        def twist(key):
+            name, left = key
+            acc = Accumulator(widths[name])
+            for (p, q), v in parts[name].items():
+                if left:
+                    for x, w in rows[p]:
+                        acc.add((x, q), w, v)
+                else:
+                    for x, w in rows[q]:
+                        acc.add((p, x), w, v)
+            return acc.terms()
+        sums = Lazy(twist)
+        self.twisted = Lazy(lambda key: grouped(sums[key[:2]], key[2]))
 
-    def scan(self, name: str, *adders) -> CheckResult:
-        """Scan a degree-3 residual slice by slice (:meth:`Accumulator.slices`):
-        an untouched tuple's residual is exactly zero, so the first failing
-        key is the lexicographically first failing tuple."""
-        n = len(self.rows)
-        acc = Accumulator(n)
-        return scan_identity(name, acc.slices(n, adders), lambda *key: acc[key],
-                             denominator=self.d ** 3)
-
-    def outer_left(self, sign: int, inner: str, outer: str, swap: bool = False):
-        """Slices of ``sign mu_outer(mu_inner(e_i, e_j), alpha e_r)`` at
-        ``(i, j, r)``, or at ``(i, r, j)`` if ``swap``."""
-        by_left, twisted = self.by_first[inner], self.twisted(outer, False)
-
-        def add(i, acc):
-            for j, terms in by_left.get(i, ()):
-                for a, c in terms:
-                    for r, v in twisted.get(a, ()):
-                        acc.add((i, r, j) if swap else (i, j, r), sign * c, v)
-        return add
-
-    def by_entry(self, name: str, sign: int) -> dict:
-        """The products of table ``name`` by entry: ``by_entry[a]`` lists
-        ``(p, q, sign c)`` for each entry ``c`` at ``e_a`` of ``mu(e_p, e_q)``."""
-        out = {}
-        for (p, q), terms in self.tables[name].items():
-            for a, c in terms:
-                out.setdefault(a, []).append((p, q, sign * c))
-        return out
-
-    def outer_right(self, sign: int, inner: str, outer: str):
-        """Slices of ``sign mu_outer(alpha e_i, mu_inner(e_p, e_q))`` at
-        ``(i, p, q)``."""
-        by_entry, twisted = self.by_entry(inner, sign), self.twisted(outer, True)
-
-        def add(i, acc):
-            for a, v in twisted.get(i, ()):
-                for p, q, c in by_entry.get(a, ()):
-                    acc.add((i, p, q), c, v)
-        return add
-
-    def multiplicative(self, name: str) -> CheckResult:
-        by_left, twisted = self.by_first[name], self.twisted(name, True)
-        d, rows, cols = self.d, self.rows, self.cols
-
-        def add(i, acc):
-            # d alpha(mu(e_i, e_j)) - mu(alpha e_i, alpha e_j) at (i, j), the
-            # second term as the sum of alpha[b][j] mu(alpha e_i, e_b)
-            for j, terms in by_left.get(i, ()):
-                for a, c in terms:
-                    acc.add((i, j), d * c, cols[a])
-            for b, v in twisted.get(i, ()):
-                for j, y in rows[b]:
-                    acc.add((i, j), -y, v)
-        return self.scan(f"multiplicative:{name}", add)
-
-    def hom_associative(self, mu: str) -> CheckResult:
-        return self.scan("hom_associative", self.outer_left(1, mu, mu),
-                         self.outer_right(-1, mu, mu))
-
-    def hom_leibniz(self, mu: str) -> CheckResult:
-        return self.scan("hom_leibniz", self.outer_left(1, mu, mu),
-                         self.outer_right(-1, mu, mu),
-                         self.outer_left(-1, mu, mu, swap=True))
-
-    def poisson_compat(self) -> CheckResult:
-        return self.scan("poisson_compatibility",
-                         self.outer_left(1, "dot", "bracket"),
-                         self.outer_right(-1, "bracket", "dot"),
-                         self.outer_left(-1, "bracket", "dot", swap=True))
+    def identity(self, group: str) -> CheckResult:
+        """The degree-3 identity of ``group`` (:data:`_TRIPLES`), scanned slice by
+        slice (:func:`walk`): the first failing touched key is the first failing tuple."""
+        name, *terms = _TRIPLES[group]
+        n = len(self.alpha.rows)
+        first, twisted, entries = self.by_first, self.twisted, self.entries
+        return scan_identity(name, *walk(n, n, [
+            entries_then_index(sign, first[inner], twisted[outer, False, 0], *swap) if swap
+            else twisted_then_entries(sign, twisted[outer, True, 0], entries[inner])
+            for sign, inner, outer, *swap in terms]), denominator=self.d ** 3)
 
 
 class _SparseMap:
     """A linear map ``T: V -> A`` over a common denominator ``d``: its
     nonzero rows (``rows[a]`` lists ``(u, d T[a][u])``), columns and unit
-    vectors, and the adders of the terms of "product of images minus image
-    of a degree-2 sum" at ``(u, v)`` in ``V x V``, checked by :meth:`walk`
-    or summed by :meth:`sums` over the nonzero entries only."""
+    vectors, and the adders of the terms of a degree-2 sum at ``(u, v)``
+    in ``V x V``, summed over the nonzero entries only (:meth:`sums`)."""
 
     __slots__ = ("rows", "cols", "units")
 
@@ -287,12 +253,6 @@ class _SparseMap:
                 acc.add(key, c, self.cols[r])
         return {key: image for key, image in acc.terms().items() if image}
 
-    def walk(self, *adders):
-        """The ``indices`` and ``residual`` of ``scan_identity``: the touched
-        keys slice by slice (:meth:`Accumulator.slices`) and their sums."""
-        acc = Accumulator(len(self.rows))
-        return acc.slices(len(self.cols), adders), lambda *key: acc[key]
-
     def sums(self, dim: int, *adders) -> Accumulator:
         """A construction's products or columns: the adders' terms, summed."""
         acc = Accumulator(dim)
@@ -301,23 +261,12 @@ class _SparseMap:
                 add(u, acc)
         return acc
 
-    def intertwines(self, phi_cols: dict, alpha: "_SparseMap"):
-        """Adds ``T(phi e_j) - alpha(T e_j)`` at ``(j,)`` (degree 2), from
-        the ``sparse`` columns of the twist of V and the twist of A."""
-        sides = ((1, self.images(phi_cols)), (-1, alpha.images(self.cols)))
-
-        def add(j, acc):
-            for c, images in sides:
-                if j in images:
-                    acc.add((j,), c, images[j])
-        return add
-
     def term(self, c: int, by_first: dict, left: bool = True, right: bool = True):
         """Adds ``c X(a, b)`` at ``(u, v)`` for each ``(b, X(a, b))`` in
         ``by_first[a]``, with ``a = T e_u`` if ``left`` (else ``u``) and
         ``b = T e_v`` if ``right`` (else ``v``): ``mu(T e_u, T e_v)`` from
-        the products ``mu(e_a, e_b)``, ``T(act(T e_u) e_v)`` from the
-        :meth:`images` of the action's columns, and so on."""
+        the products ``mu(e_a, e_b)``, ``act_l(T e_u) e_v`` from the
+        action's columns, and so on."""
         firsts = self.cols if left else self.units
         seconds = self.rows if right else self.units
 
@@ -329,32 +278,69 @@ class _SparseMap:
         return add
 
 
+def _carries(o: _SparseMap, d: int, twist: tuple | None, products,
+             sign: int = 1) -> CheckReport:
+    """Does ``O: V -> A`` carry source products on V onto A's tables?
+    First, for a ``twist`` ``(name, phi, alpha)``, ``O(phi e_j) - alpha(O e_j)``
+    at ``(j,)``, from the ``sparse`` columns of phi and the map of alpha;
+    then, for each ``(name, target, source)`` of ``products``,
+    ``sign (mu(O e_u, O e_v) - O(src(e_u, e_v)))`` at ``(u, v)``, from the
+    target table grouped by first index and the source product as degree-2
+    ``sparse`` vectors.  The multiplicative, morphism, relative Rota-Baxter,
+    Rota-Baxter and Nijenhuis checks are all this walk."""
+    width, count = len(o.rows), len(o.cols)
+    checks = []
+    if twist is not None:
+        name, phi, alpha = twist
+        acc = Accumulator(width)
+        for c, images in ((1, o.images(phi)), (-1, alpha.images(o.cols))):
+            for j, image in images.items():
+                acc.add((j,), c, image)
+        checks.append(scan_identity(name, sorted(acc), acc, denominator=d ** 2))
+    for name, target, source in products:
+        def carried(u, acc, source=grouped(source), cols=o.cols):
+            # O(src(e_u, e_v)), applying O to each entry, slice by slice
+            for v, terms in source.get(u, ()):
+                for r, c in terms:
+                    if cols[r]:
+                        acc.add((u, v), -sign * c, cols[r])
+        checks.append(scan_identity(name, *walk(width, count, [o.term(sign, target), carried]),
+                                    denominator=d ** 3))
+    return CheckReport(tuple(checks))
+
+
+def _multiplicative(alg: HomAlgebra, a: _Sparse) -> CheckReport:
+    # d alpha(mu(e_i, e_j)) - mu(alpha e_i, alpha e_j): alpha carries each table onto itself
+    products = ((f"multiplicative:{name}", a.by_first[name], sparse(t, a.d ** 2))
+                for name, t in alg.tensors().items())
+    return _carries(a.alpha, a.d, None, products, sign=-1)
+
+
 def check_multiplicative(alg: HomAlgebra) -> CheckReport:
     """Is alpha an endomorphism for every product?
 
     Verifies ``alpha(mu(e_i, e_j)) = mu(alpha e_i, alpha e_j)`` on all
     basis pairs, separately for each table.
     """
-    a = _Sparse(alg.alpha, alg.tensors())
-    return CheckReport(tuple(a.multiplicative(name) for name in a.tables))
+    return _multiplicative(alg, _Sparse(alg.alpha, alg.tensors()))
 
 
-def _table_and_twist(t: StructureTensor, alpha: Matrix) -> _Sparse:
+def _one_table(t: StructureTensor, alpha: Matrix, name: str) -> CheckReport:
     if alpha.rows != t.dim or alpha.cols != t.dim:
         raise ShapeError("twist map size differs from tensor dim")
-    return _Sparse(alpha, {"mu": t})
+    return CheckReport((_Sparse(alpha, {name: t}).identity(name),))
 
 
 def check_hom_associative(t: StructureTensor, alpha: Matrix) -> CheckReport:
     """Twisted associator test: ``mu(mu(x,y), alpha z) = mu(alpha x, mu(y,z))``
     on all basis triples."""
-    return CheckReport((_table_and_twist(t, alpha).hom_associative("mu"),))
+    return _one_table(t, alpha, "dot")
 
 
 def check_hom_leibniz(t: StructureTensor, alpha: Matrix) -> CheckReport:
     """Right Leibniz test: ``[[x,y], alpha z] = [alpha x, [y,z]] + [[x,z], alpha y]``
     on all basis triples."""
-    return CheckReport((_table_and_twist(t, alpha).hom_leibniz("mu"),))
+    return _one_table(t, alpha, "bracket")
 
 
 def check_poisson_compat(alg: HomAlgebra) -> CheckReport:
@@ -362,7 +348,7 @@ def check_poisson_compat(alg: HomAlgebra) -> CheckReport:
     ``[x.y, alpha z] = (alpha x).[y,z] + [x,z].(alpha y)`` on basis triples."""
     if alg.kind != POISSON:
         raise KindMismatchError("poisson compatibility needs a poisson algebra")
-    return CheckReport((_Sparse(alg.alpha, alg.tensors()).poisson_compat(),))
+    return CheckReport((_Sparse(alg.alpha, alg.tensors()).identity(POISSON),))
 
 
 def check_algebra(alg: HomAlgebra) -> CheckReport:
@@ -372,14 +358,8 @@ def check_algebra(alg: HomAlgebra) -> CheckReport:
     entries only, so a sparse algebra costs time in its nonzero structure
     constants, not in its ``dim**3`` basis triples."""
     a = _Sparse(alg.alpha, alg.tensors())
-    checks = [a.multiplicative(name) for name in a.tables]
-    if "dot" in a.tables:
-        checks.append(a.hom_associative("dot"))
-    if "bracket" in a.tables:
-        checks.append(a.hom_leibniz("bracket"))
-    if alg.kind == POISSON:
-        checks.append(a.poisson_compat())
-    return CheckReport(tuple(checks))
+    return CheckReport(_multiplicative(alg, a).checks
+                       + tuple(a.identity(group) for group in _GROUPS[alg.kind]))
 
 
 def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
@@ -392,20 +372,18 @@ def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
         raise KindMismatchError("morphism endpoints must have the same kind")
     if f.cols != src.dim or f.rows != dst.dim:
         raise ShapeError("morphism matrix shape must be dst.dim x src.dim")
-    dst_tensors = dst.tensors()
-    a = _Sparse(src.alpha, src.tensors(), f, dst.alpha, *dst_tensors.values())
-    d, fm = a.d, _SparseMap(f, a.d)
-    checks = [scan_identity(
-        "intertwines_twist", *fm.walk(fm.intertwines(a.cols, _SparseMap(dst.alpha, d))),
-        denominator=d ** 2)]
-    for name, table in a.tables.items():
-        # d f(mu_src(e_i, e_j)) - mu_dst(f e_i, f e_j)
-        checks.append(scan_identity(
-            f"preserves:{name}",
-            *fm.walk(fm.term(d, grouped(fm.images(table)), False, False),
-                     fm.term(-1, grouped(sparse(dst_tensors[name], d)))),
-            denominator=d ** 3))
-    return CheckReport(tuple(checks))
+    d = common_denominator(f, src.alpha, dst.alpha, *src.tensors().values(),
+                           *dst.tensors().values())
+    # d f(mu_src(e_i, e_j)) - mu_dst(f e_i, f e_j), the source at degree 2
+    twist = ("intertwines_twist", _SparseMap(src.alpha, d).cols, _SparseMap(dst.alpha, d))
+    products = ((f"preserves:{name}", grouped(sparse(getattr(dst, name), d)), sparse(t, d * d))
+                for name, t in src.tensors().items())
+    return _carries(_SparseMap(f, d), d, twist, products, sign=-1)
+
+
+def _require_square(alg: HomAlgebra, op: Matrix, what: str) -> None:
+    if not op.is_square() or op.rows != alg.dim:
+        raise ShapeError(f"{what} must be square of the algebra dim")
 
 
 def _require_self_morphism(beta: Matrix, alg: HomAlgebra) -> None:
@@ -446,19 +424,13 @@ def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra
     ``beta`` must be a self-morphism of the algebra (hence commuting with
     the twist); this is verified unless ``checked`` is False.
     """
-    if beta.rows != alg.dim or beta.cols != alg.dim:
-        raise ShapeError("twisting map must be square of the algebra dim")
+    _require_square(alg, beta, "twisting map")
     if checked:
         _require_self_morphism(beta, alg)
-
-    dim = alg.dim
-    d = common_denominator(beta, *alg.tensors().values())
+    dim, d = alg.dim, common_denominator(beta, *alg.tensors().values())
     b = _SparseMap(beta, d)
-
-    def twisted(t: StructureTensor) -> StructureTensor:
-        # mu(beta e_i, beta e_j), over the nonzero products and entries of beta.
-        acc = b.sums(dim, b.term(1, grouped(sparse(t, d))))
-        return StructureTensor._from_form(dim, d ** 3, acc.terms())
-
-    return HomAlgebra(dim, alg.kind, beta @ alg.alpha,
-                      **{name: twisted(t) for name, t in alg.tensors().items()})
+    # mu(beta e_i, beta e_j), over the nonzero products and entries of beta.
+    return HomAlgebra(dim, alg.kind, beta @ alg.alpha, **{
+        name: StructureTensor._from_form(
+            dim, d ** 3, b.sums(dim, b.term(1, grouped(sparse(t, d)))).terms())
+        for name, t in alg.tensors().items()})

@@ -198,15 +198,17 @@ def cmd_solve_rbo(args) -> int:
     return 0
 
 
-def _emit_construction(doc_item, report: CheckReport | None, fmt: str) -> int:
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", doc_item.name):
-        raise _Exit(2, f"invalid object name {doc_item.name!r}")
-    text = serialize(Document([doc_item]))
-    if fmt == "json":
+def _emit_algebra(args, out) -> int:
+    """Print a constructed algebra as ``--as`` and, with ``--verify``, its checks."""
+    report = check_algebra(out) if args.verify else None
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", args.name):
+        raise _Exit(2, f"invalid object name {args.name!r}")
+    text = serialize(Document([DocAlgebra(args.name, out)]))
+    if args.format == "json":
         import json
-        payload = {"object": doc_item.name, "dsl": text}
+        payload = {"object": args.name, "dsl": text}
         if report is not None:
-            payload["checks"] = _report_json(doc_item.name, report)
+            payload["checks"] = _report_json(args.name, report)
         print(json.dumps(payload, indent=2))
     else:
         sys.stdout.write(text)
@@ -218,17 +220,11 @@ def _emit_construction(doc_item, report: CheckReport | None, fmt: str) -> int:
     return 0
 
 
-def _verified(alg, verify: bool):
-    return check_algebra(alg) if verify else None
-
-
 def cmd_semidirect(args) -> int:
     doc = _load(args.file)
     alg = doc.algebra(args.algebra)
     rep = _get_rep_for(doc, args.rep, args.algebra)
-    out = semidirect_product(alg, rep)
-    return _emit_construction(DocAlgebra(args.name, out),
-                              _verified(out, args.verify), args.format)
+    return _emit_algebra(args, semidirect_product(alg, rep))
 
 
 def cmd_matched_sum(args) -> int:
@@ -238,19 +234,14 @@ def cmd_matched_sum(args) -> int:
     a2 = doc.algebra(args.a2)
     rep12 = _get_rep_for(doc, args.rep12, args.a1)
     rep21 = _get_rep_for(doc, args.rep21, args.a2)
-    mp = MatchedPair(a1, a2, rep12, rep21)
-    out = matched_sum(mp)
-    return _emit_construction(DocAlgebra(args.name, out),
-                              _verified(out, args.verify), args.format)
+    return _emit_algebra(args, matched_sum(MatchedPair(a1, a2, rep12, rep21)))
 
 
 def cmd_twist(args) -> int:
     doc = _load(args.file)
     alg = doc.algebra(args.algebra)
     beta = doc.map(args.by).matrix
-    out = yau_twist(alg, beta)
-    return _emit_construction(DocAlgebra(args.name, out),
-                              _verified(out, args.verify), args.format)
+    return _emit_algebra(args, yau_twist(alg, beta))
 
 
 def cmd_deform(args) -> int:
@@ -258,9 +249,7 @@ def cmd_deform(args) -> int:
     doc = _load(args.file)
     alg = doc.algebra(args.algebra)
     n = doc.map(args.nijenhuis).matrix
-    out = nijenhuis_deform(alg, n)
-    return _emit_construction(DocAlgebra(args.name, out),
-                              _verified(out, args.verify), args.format)
+    return _emit_algebra(args, nijenhuis_deform(alg, n))
 
 
 def cmd_induce(args) -> int:
@@ -272,9 +261,7 @@ def cmd_induce(args) -> int:
     else:
         rep = regular_representation(alg)
     t = doc.map(args.t).matrix
-    out = induced_algebra(OperatorContext(alg, rep, t))
-    return _emit_construction(DocAlgebra(args.name, out),
-                              _verified(out, args.verify), args.format)
+    return _emit_algebra(args, induced_algebra(OperatorContext(alg, rep, t)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -429,7 +429,7 @@ class _Parser:
         base = base_item.algebra
         self.expect("PUNCT", "{")
         dim: int | None = None
-        phi_entries: list = []
+        phi_entries: list | None = None
         actions: dict[str, dict[int, list]] = {a: {} for a in _TABLE_OF}
         while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
             field = self.expect_name("a representation field")
@@ -438,7 +438,7 @@ class _Parser:
                     self.fail("duplicate field 'dim'", field)
                 dim = self.parse_dim("the carrier dimension")
             elif field.text == "phi":
-                if phi_entries:
+                if phi_entries is not None:
                     self.fail("duplicate field 'phi'", field)
                 phi_entries = self.parse_arrow_block()
             elif field.text in _TABLE_OF:
@@ -455,7 +455,7 @@ class _Parser:
         self.expect("PUNCT", "}")
         if dim is None:
             self.fail(f"representation {name!r} has no dim", start)
-        phi = self._resolve_columns(phi_entries, "f", dim, "f", dim)
+        phi = self._resolve_columns(phi_entries or [], "f", dim, "f", dim)
 
         def family(action: str) -> ActionTensor:
             return ActionTensor(base.dim, dim, [
@@ -475,26 +475,19 @@ def parse(text: str) -> Document:
 # ---- serialization -----------------------------------------------------
 
 
-def _serialize_tensor(name: str, t: StructureTensor, star: bool) -> list[str]:
-    lines = []
-    for (i, j), v in t.products.items():
-        head = f"e{i + 1}*e{j + 1}" if star else f"[e{i + 1},e{j + 1}]"
-        lines.append(f"    {head} = {format_lincomb(v, 'e')}")
-    if not lines:
-        return []
-    return [f"  {name} {{"] + lines + ["  }"]
+def _block(head: str, lines: list[str]) -> list[str]:
+    """``lines`` inside a ``head { ... }`` block, or nothing if empty."""
+    return [f"  {head} {{", *lines, "  }"] if lines else []
 
 
-def _serialize_columns(name: str, m: Matrix, src_prefix: str, dst_prefix: str,
-                       indent: str = "  ") -> list[str]:
+def _serialize_columns(m: Matrix, src_prefix: str, dst_prefix: str,
+                       indent: str = "    ") -> list[str]:
     lines = []
     for j, col in enumerate(zip(*m.entries)):
         value = format_lincomb(col, dst_prefix)
         if value != "0":
-            lines.append(f"{indent}  {src_prefix}{j + 1} -> {value}")
-    if not lines:
-        return []
-    return [f"{indent}{name} {{"] + lines + [f"{indent}}}"]
+            lines.append(f"{indent}{src_prefix}{j + 1} -> {value}")
+    return lines
 
 
 def _serialize_algebra(item: DocAlgebra) -> list[str]:
@@ -503,30 +496,27 @@ def _serialize_algebra(item: DocAlgebra) -> list[str]:
              f"  dim {alg.dim}",
              f"  kind {KIND_NAMES[alg.kind]}"]
     for name, t in alg.tensors().items():
-        lines.extend(_serialize_tensor(name, t, star=name == "dot"))
-    lines.extend(_serialize_columns("alpha", alg.alpha, "e", "e"))
+        head = "e{}*e{}" if name == "dot" else "[e{},e{}]"
+        lines.extend(_block(name, [f"    {head.format(i + 1, j + 1)} = {format_lincomb(v, 'e')}"
+                                   for (i, j), v in t.products.items()]))
+    lines.extend(_block("alpha", _serialize_columns(alg.alpha, "e", "e")))
     lines.append("}")
     return lines
 
 
 def _serialize_map(item: DocMap) -> list[str]:
-    lines = [f"map {item.name} : {item.src} -> {item.dst} {{"]
-    body = _serialize_columns("", item.matrix, "e", "e", indent="")
-    # strip the wrapper emitted by _serialize_columns
-    if body:
-        lines.extend(body[1:-1])
-    lines.append("}")
-    return lines
+    return [f"map {item.name} : {item.src} -> {item.dst} {{",
+            *_serialize_columns(item.matrix, "e", "e", indent="  "), "}"]
 
 
 def _serialize_representation(item: DocRepresentation) -> list[str]:
     rep = item.rep
     lines = [f"representation {item.name} on {item.base} {{",
              f"  dim {rep.carrier_dim}"]
-    lines.extend(_serialize_columns("phi", rep.phi, "f", "f"))
+    lines.extend(_block("phi", _serialize_columns(rep.phi, "f", "f")))
     for action, tensor in rep.actions().items():
         for i, mat in enumerate(tensor.mats):
-            lines.extend(_serialize_columns(f"{action} e{i + 1}", mat, "f", "f"))
+            lines.extend(_block(f"{action} e{i + 1}", _serialize_columns(mat, "f", "f")))
     lines.append("}")
     return lines
 

@@ -15,7 +15,10 @@ rational residual is that list over ``D**k``, and
 
 The checks sum each identity's terms into an :class:`Accumulator` keyed
 by basis tuple, one slice of tuples with the same first index at a time
-(:meth:`Accumulator.slices`): a tuple no term touches has a zero residual.
+(:func:`walk`): a tuple no term touches has a zero residual.  Each
+degree-3 term of an algebra, representation or matched-pair identity is
+one of two walks over nonzero entries (:func:`entries_then_index`,
+:func:`twisted_then_entries`).
 A construction sums its degree-``k`` terms the same way and keeps them as
 its result's stored form, building each ``Fraction`` once (:func:`rationals`).
 
@@ -87,6 +90,10 @@ class Accumulator(dict):
         for k, x in terms:
             out[offset + k] += c * x
 
+    def __call__(self, *key) -> list[int]:
+        """The sum at ``key``: the ``residual`` of a scan."""
+        return self[key]
+
     def terms(self) -> dict:
         """Every sum as a :func:`sparse` vector of its nonzero entries."""
         return {key: [(k, x) for k, x in enumerate(v) if x] for key, v in self.items()}
@@ -105,9 +112,81 @@ class Accumulator(dict):
             yield from sorted(part)
 
 
+class Lazy(dict):
+    """Values by key, each made by ``make(key)`` on first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def grouped(mapping: dict, by: int = 0) -> dict:
     """``{(k0, k1): value}`` as ``{k_by: [(k_other, value), ...]}``."""
     out = {}
     for key, value in mapping.items():
         out.setdefault(key[by], []).append((key[1 - by], value))
     return out
+
+
+def by_entry(part: dict) -> dict:
+    """``{(p, q): sparse vector}`` by entry: ``by_entry[a]`` lists
+    ``(p, q, c)`` for each entry ``c`` at ``a`` of the vector at ``(p, q)``."""
+    out = {}
+    for (p, q), terms in part.items():
+        for a, c in terms:
+            out.setdefault(a, []).append((p, q, c))
+    return out
+
+
+def walk(width: int, count: int, adders) -> tuple:
+    """The ``indices`` and ``residual`` of a scan: the keys the adders touch, slice by
+    slice over first indices below ``count``, and the accumulator of their sums."""
+    acc = Accumulator(width)
+    return acc.slices(count, adders), acc
+
+
+def entries_then_index(sign: int, firsts: dict, seconds: dict, swap: bool = False,
+                       width: int = 0):
+    """Adds ``sign g v`` at ``(i, w, z)``, or ``(i, z, w)`` if ``swap``, for
+    each ``(w, col)`` in ``firsts[i]``, each entry ``g`` of ``col`` at ``a``
+    and each ``(z, v)`` in ``seconds[a]``.  With a ``width``, ``w`` is a
+    carrier column: ``v`` goes to ``(i, z)`` from offset ``w * width`` of a
+    flat column-major layout."""
+    if width:
+        def add(i, acc):
+            for w, col in firsts.get(i, ()):
+                offset = w * width
+                for a, g in col:
+                    c = sign * g
+                    for z, v in seconds.get(a, ()):
+                        acc.add((i, z), c, v, offset)
+    else:
+        def add(i, acc):
+            for w, col in firsts.get(i, ()):
+                for a, g in col:
+                    c = sign * g
+                    for z, v in seconds.get(a, ()):
+                        acc.add((i, z, w) if swap else (i, w, z), c, v)
+    return add
+
+
+def twisted_then_entries(sign: int, twisted: dict, entries: dict, width: int = 0):
+    """Adds ``sign c v`` at ``(i, p, q)`` for each ``(a, v)`` in ``twisted[i]``
+    and each ``(p, q, c)`` in ``entries[a]`` (:func:`by_entry`); with a ``width``,
+    at ``(i, p)`` from offset ``q * width``, ``q`` being a carrier column."""
+    if width:
+        def add(i, acc):
+            for a, v in twisted.get(i, ()):
+                for p, q, c in entries.get(a, ()):
+                    acc.add((i, p), sign * c, v, q * width)
+    else:
+        def add(i, acc):
+            for a, v in twisted.get(i, ()):
+                for p, q, c in entries.get(a, ()):
+                    acc.add((i, p, q), sign * c, v)
+    return add

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from .algebra import POISSON, HomAlgebra, StructureTensor, check_algebra
 from .errors import KindMismatchError, ShapeError
-from .kernel import Accumulator, common_denominator, grouped, sparse
+from .kernel import common_denominator, entries_then_index, sparse, twisted_then_entries, walk
 from .linalg import Matrix
 from .representation import Representation, _require_match, _SparseRepresentation
-from .reporting import CheckReport, CheckResult, concat, require, scan_identity
+from .reporting import CheckReport, concat, require, scan_identity
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
@@ -81,49 +81,20 @@ _CROSS = {
 }
 
 
-class _Cross:
-    """A acting on B in a matched pair, indexed for the slice walks of the
-    cross conditions: the families F of A on B from ``act``, the families G
-    of B on A from ``back``, and B's tables and twist from ``back.base``,
-    all over one common denominator.  ``F(e_a) alpha``, where ``alpha`` is
-    B's twist and ``act``'s phi, is kept as its nonzero columns."""
-
-    def __init__(self, act: _SparseRepresentation, back: _SparseRepresentation):
-        self.act, self.back, self.b = act, back, back.base
-        m = len(act.phi)
-        self.times_phi = {name: {a: list(grouped({divmod(k, m): g for k, g in v}).items())
-                                 for a, v in flat.items()}
-                          for name, flat in act.times_phi.items()}
-
-    def scan(self, name: str, terms) -> CheckResult:
-        acc = Accumulator(len(self.act.phi))
-        adders = [self.term(*t) for t in terms]
-        return scan_identity(name, acc.slices(self.act.n, adders), lambda *key: acc[key],
-                             denominator=self.b.d ** 3)
-
-    def term(self, sign: int, family: str, other: str, swap=None, first=None):
-        """The adder of one term of :data:`_CROSS`, ``other`` being its
-        table or its family G, at ``(x, w, z)`` or, if ``swap``, ``(x, z, w)``."""
-        if swap is None:  # F(alpha e_x) mu(e_u, e_v)
-            twisted, by_entry = self.act.twisted[family], self.b.by_entry(other, sign)
-
-            def add(i, acc):
-                for c, col in twisted.get(i, ()):
-                    for u, v, t in by_entry.get(c, ()):
-                        acc.add((i, u, v), t, col)
-            return add
-        if first is None:  # F(G(e_w) e_x) alpha e_z, from the entries of G(e_w) e_x
-            firsts, seconds = self.back.by_col[other], self.times_phi[family]
-        else:  # mu(F(e_x) e_w, alpha e_z), from the entries of F(e_x) e_w
-            firsts = self.act.cols[family]
-            seconds = self.b.twisted(other, not first, int(not first))
-
-        def add(i, acc):
-            for w, col in firsts.get(i, ()):
-                for a, g in col:
-                    for z, v in seconds.get(a, ()):
-                        acc.add((i, z, w) if swap else (i, w, z), sign * g, v)
-        return add
+def _cross_term(act: _SparseRepresentation, back: _SparseRepresentation, sign: int,
+                family: str, other: str, swap=None, first=None):
+    """The adder of one term of :data:`_CROSS` for A acting on B, ``other``
+    being its table or its family G, at ``(x, w, z)`` or, if ``swap``,
+    ``(x, z, w)``: the families F of A on B are read from ``act``, and G,
+    B's tables and B's twist from ``back``, over one common denominator."""
+    a, b = act.base, back.base
+    if swap is None:  # F(alpha e_x) mu(e_u, e_v)
+        return twisted_then_entries(sign, a.twisted[family, True, 0], b.entries[other])
+    if first is None:  # F(G(e_w) e_x) alpha e_z, from the entries of G(e_w) e_x
+        return entries_then_index(sign, b.by_second[other], act.phi_columns[family], swap)
+    # mu(F(e_x) e_w, alpha e_z), from the entries of F(e_x) e_w
+    return entries_then_index(sign, a.by_first[family],
+                              b.twisted[other, not first, int(not first)], swap)
 
 
 def _directions(mp: MatchedPair) -> tuple:
@@ -137,12 +108,14 @@ def _directions(mp: MatchedPair) -> tuple:
 def _cross_conditions(p: _SparseRepresentation, q: _SparseRepresentation) -> list:
     """Every cross condition of the pair's kind, group by group, each
     summed over the nonzero entries of both directions (:func:`_directions`)."""
-    views = {"p": _Cross(p, q), "q": _Cross(q, p)}
     checks = []
     for group in p.groups:
         kind, order, templates = _CROSS[group]
-        checks += [views[view].scan(f"cross:{kind}:{k}", templates[int(t) - 1])
-                   for k, (view, t) in enumerate(order.split(), 1)]
+        for k, (view, t) in enumerate(order.split(), 1):
+            act, back = (p, q) if view == "p" else (q, p)
+            adders = [_cross_term(act, back, *term) for term in templates[int(t) - 1]]
+            checks.append(scan_identity(f"cross:{kind}:{k}", *walk(len(act.phi), act.n, adders),
+                                        denominator=act.base.d ** 3))
     return checks
 
 

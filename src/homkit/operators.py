@@ -7,9 +7,13 @@ representation back to the algebra that intertwines the twists and splits
 each product through the corresponding action pair.  Weight-zero
 Rota-Baxter operators are the special case of the regular representation.
 
-Every check sums its residuals over the nonzero operator entries,
-products and action columns only, and a context's relative Rota-Baxter
-verdict is computed once and kept for every gate built on it.
+Every operator identity is a morphism check, one walk over the nonzero
+entries (:func:`homkit.algebra._carries`): the operator carries a source
+product onto the target table.  The source is the induced product for a
+relative Rota-Baxter operator (summed as :func:`induced_algebra` sums it)
+and the deformed product for a Nijenhuis or, with a weight clause,
+Rota-Baxter operator (as :func:`nijenhuis_deform` sums it).  A context's
+relative Rota-Baxter verdict is computed once and kept for every gate.
 
 Note on the Rota-Baxter check: besides the weight identity it also
 verifies that the operator commutes with the twist.  Without that clause
@@ -25,7 +29,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .algebra import (
-    HomAlgebra, StructureTensor, _Sparse, _SparseMap, check_morphism,
+    ACTIONS_OF, HomAlgebra, StructureTensor, _carries, _require_square, _Sparse, _SparseMap,
+    check_morphism,
 )
 from .errors import ShapeError
 from .kernel import common_denominator, grouped, sparse
@@ -34,7 +39,7 @@ from .representation import (
     ActionTensor, Representation, _require_match, check_representation,
     paired_families, semidirect_product,
 )
-from .reporting import CheckReport, require, scan_identity, scan_membership
+from .reporting import CheckReport, require, scan_membership
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
@@ -54,9 +59,23 @@ class OperatorContext:
             raise ShapeError("operator must be alg.dim x carrier_dim")
 
 
-def _require_square(alg: HomAlgebra, op: Matrix) -> None:
-    if not op.is_square() or op.rows != alg.dim:
-        raise ShapeError("operator must be square of the algebra dim")
+def _induced(t: _SparseMap, left: dict, right: dict, *more) -> dict:
+    """``act_l(T e_u) e_v + act_r(T e_v) e_u`` at ``(u, v)``, and the ``more``
+    terms, as degree-2 ``sparse`` vectors, from the columns of an action
+    pair grouped by base index (``left``) and by column (``right``)."""
+    return t.sums(len(t.cols), t.term(1, left, True, False), t.term(1, right, False, True),
+                  *more).terms()
+
+
+def _deformed(o: _SparseMap, table: dict, weight: int | None = None) -> dict:
+    """``mu(O e_u, e_v) + mu(e_u, O e_v) + c(u, v)`` at ``(u, v)`` as degree-2
+    ``sparse`` vectors from the ``sparse`` products ``table`` of a square
+    ``O``: the :func:`_induced` product of the regular representation plus
+    ``c = -O mu``, or ``weight mu`` for an int ``weight`` (times ``d``)."""
+    products = grouped(table)
+    clause = (o.term(-1, grouped(o.images(table)), False, False) if weight is None
+              else o.term(weight, products, False, False))
+    return _induced(o, products, products, *([clause] if weight != 0 else []))
 
 
 def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str,
@@ -64,26 +83,14 @@ def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str,
     """``op alpha = alpha op``, then per table ``name:<table>`` the identity
     ``mu(op e_i, op e_j) = op(mu(op e_i, e_j) + mu(e_i, op e_j) + c(i, j))``
     on all basis pairs, where ``c`` is ``weight mu`` or, if ``weight`` is
-    None, ``-op mu``."""
-    _require_square(alg, op)
+    None, ``-op mu``: ``op`` carries the :func:`_deformed` product onto ``mu``."""
+    _require_square(alg, op, "operator")
     a = _Sparse(alg.alpha, alg.tensors(), op, weight)
     d, o = a.d, _SparseMap(op, a.d)
-    checks = [scan_identity("twist_commute", *o.walk(o.intertwines(a.cols, a.alpha)),
-                            denominator=d ** 2)]
-    for tname, table in a.tables.items():
-        # The action columns of a self-map are the products themselves.
-        images = o.images(table)
-        by_i = grouped(images)
-        # -op(c(i, j)): op(op mu(e_i, e_j)), or -weight op(mu(e_i, e_j)).
-        clause = (o.term(1, grouped(o.images(images)), False, False) if weight is None
-                  else o.term(-weight.numerator * (d // weight.denominator),
-                              by_i if weight else {}, False, False))
-        checks.append(scan_identity(
-            f"{name}:{tname}", *o.walk(o.term(1, a.by_first[tname]),
-                                       o.term(-1, by_i, True, False),
-                                       o.term(-1, by_i, False, True), clause),
-            denominator=d ** 3))
-    return CheckReport(tuple(checks))
+    w = None if weight is None else weight.numerator * (d // weight.denominator)
+    return _carries(o, d, ("twist_commute", a.alpha.cols, a.alpha), (
+        (f"{name}:{tname}", a.by_first[tname], _deformed(o, table, w))
+        for tname, table in a.parts.items()))
 
 
 def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
@@ -100,20 +107,14 @@ def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
     if ctx._report is not None:
         return ctx._report
     alg, rep = ctx.alg, ctx.rep
-    a = _Sparse(alg.alpha, alg.tensors(), ctx.t, rep.phi, *rep.actions().values())
+    tables = alg.tensors()
+    a = _Sparse(alg.alpha, {**tables, **rep.actions()}, ctx.t, rep.phi)
     d, t = a.d, _SparseMap(ctx.t, a.d)
-    checks = [scan_identity(
-        "intertwines_twist", *t.walk(t.intertwines(_SparseMap(rep.phi, d).cols, a.alpha)),
-        denominator=d ** 2)]
-    for name, table in a.tables.items():
-        left, right = (t.images(sparse(f, d)) for f in rep.action_pair(name))
-        checks.append(scan_identity(
-            f"splits:{name}", *t.walk(t.term(1, a.by_first[name]),
-                                      t.term(-1, grouped(left), True, False),
-                                      t.term(-1, grouped(right, 1), False, True)),
-            denominator=d ** 3))
-    object.__setattr__(ctx, "_report", CheckReport(tuple(checks)))
-    return ctx._report
+    report = _carries(t, d, ("intertwines_twist", _SparseMap(rep.phi, d).cols, a.alpha), (
+        (f"splits:{name}", a.by_first[name], _induced(t, a.by_first[left], a.by_second[right]))
+        for name, (left, right) in ACTIONS_OF.items() if name in tables))
+    object.__setattr__(ctx, "_report", report)
+    return report
 
 
 def _gate(ctx: OperatorContext, checked: bool, what: str) -> None:
@@ -130,10 +131,8 @@ def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
     t = _SparseMap(ctx.t, d)
 
     def build(left: ActionTensor, right: ActionTensor) -> StructureTensor:
-        # act_l(T e_u) e_v + act_r(T e_v) e_u, over the nonzero action columns.
-        acc = t.sums(m, t.term(1, grouped(sparse(left, d)), True, False),
-                     t.term(1, grouped(sparse(right, d), 1), False, True))
-        return StructureTensor._from_form(m, d * d, acc.terms())
+        return StructureTensor._from_form(m, d * d, _induced(
+            t, grouped(sparse(left, d)), grouped(sparse(right, d), 1)))
 
     return HomAlgebra(m, ctx.alg.kind, rep.phi,
                       **{name: build(*rep.action_pair(name)) for name in ctx.alg.tensors()})
@@ -225,24 +224,15 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
     ``mu_N(x, y) = mu(Nx, y) + mu(x, Ny) - N mu(x, y)``; twist unchanged.
     The operator then becomes a morphism from the deformed algebra to the
     original one."""
-    _require_square(alg, n)
+    _require_square(alg, n, "operator")
     if checked:
         require(check_nijenhuis(alg, n), "deformation needs a Nijenhuis operator")
     dim = alg.dim
     d = common_denominator(n, *alg.tensors().values())
     o = _SparseMap(n, d)
-
-    def deform(t: StructureTensor) -> StructureTensor:
-        # mu(N e_i, e_j) + mu(e_i, N e_j) - N mu(e_i, e_j), over the nonzero
-        # products and entries of N.
-        table = sparse(t, d)
-        products = grouped(table)
-        acc = o.sums(dim, o.term(1, products, True, False), o.term(1, products, False, True),
-                     o.term(-1, grouped(o.images(table)), False, False))
-        return StructureTensor._from_form(dim, d * d, acc.terms())
-
-    return HomAlgebra(dim, alg.kind, alg.alpha,
-                      **{name: deform(t) for name, t in alg.tensors().items()})
+    return HomAlgebra(dim, alg.kind, alg.alpha, **{
+        name: StructureTensor._from_form(dim, d * d, _deformed(o, sparse(t, d)))
+        for name, t in alg.tensors().items()})
 
 
 def graph_check(ctx: OperatorContext) -> CheckReport:

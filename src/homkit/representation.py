@@ -18,11 +18,14 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
-    ACTIONS_OF, KINDS, POISSON, TENSORS_BY_KIND, HomAlgebra, StructureTensor,
-    _require_self_morphism, _Sparse, _SparseMap, check_ideal, check_morphism,
+    ACTIONS_OF, KINDS, POISSON, TENSORS_BY_KIND, HomAlgebra, StructureTensor, _GROUPS,
+    _require_self_morphism, _require_square, _Sparse, _SparseMap, check_ideal, check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
-from .kernel import Accumulator, common_denominator, grouped, rationals, sparse
+from .kernel import (
+    Accumulator, Lazy, common_denominator, entries_then_index, grouped, rationals, sparse,
+    twisted_then_entries, walk,
+)
 from .linalg import _ZERO, Matrix, Vector, _nonzero_ints, frac, solve_linear
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
@@ -95,13 +98,6 @@ class ActionTensor:
         size = self.carrier_dim
         return Matrix([[sum(xi * rows[r][c] for xi, rows in terms if rows[r][c])
                         for c in range(size)] for r in range(size)], size, size)
-
-    def precompose(self, beta: Matrix) -> "ActionTensor":
-        """New family x -> at(beta x)."""
-        if beta.rows != self.base_dim or beta.cols != self.base_dim:
-            raise ShapeError("precompose map must be square of the base dim")
-        return ActionTensor(self.base_dim, self.carrier_dim,
-                            [self.at(beta.col(i)) for i in range(self.base_dim)])
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -205,43 +201,29 @@ _PAIR_AXIOMS = {
 class _SparseRepresentation:
     """A representation and its base over one common denominator ``d`` of
     both and any ``more`` parts, indexed for the slice walks of the axiom
-    groups of its kind (``groups``).  For each action family ``F``: its nonzero columns by base index
-    (``cols``) and by column (``by_col``), and its nonzero entries by row
-    (``by_row[r]`` lists ``(j, c, F(e_j)[r][c])``); the columns of
-    ``F(alpha e_x)`` by ``x`` (``twisted``) and by column
-    (``twisted_by_col``); and ``F(e_a) phi`` as a column-major ``m*m``
-    ``sparse`` vector (``times_phi``)."""
+    groups of its kind (``groups``): the base's tables and the action
+    families are the parts of one :class:`~homkit.algebra._Sparse`
+    (``base``), and for each family ``F``, ``F(e_a) phi`` as a flat
+    column-major ``m*m`` ``sparse`` vector (``times_phi``), the layout of
+    the axioms' sums, and on first lookup as its columns ``(c, F(e_a) phi e_c)``
+    by ``a`` (``phi_columns``)."""
 
     def __init__(self, rep: Representation, alg: HomAlgebra, *more):
         actions = rep.actions()
         self.n, m = alg.dim, rep.carrier_dim
-        self.groups = [*alg.tensors(), POISSON] if alg.kind == POISSON else [*alg.tensors()]
-        self.base = base = _Sparse(alg.alpha, alg.tensors(), rep.phi, *actions.values(),
-                                   *more)
-        d = base.d
-        self.phi = _SparseMap(rep.phi, d).cols
-        (self.cols, self.by_col, self.by_row, self.twisted, self.twisted_by_col,
-         self.times_phi) = ({}, {}, {}, {}, {}, {})
-        for name, family in actions.items():
-            by_i, by_col, by_row = self.cols[name], self.by_col[name], self.by_row[name] = (
-                {}, {}, {})
-            twisted = Accumulator(m)
-            for (i, c), col in sparse(family, d).items():
-                by_i.setdefault(i, []).append((c, col))
-                by_col.setdefault(c, []).append((i, col))
-                for r, g in col:
-                    by_row.setdefault(r, []).append((i, c, g))
-                for x, w in base.rows[i]:
-                    twisted.add((x, c), w, col)
-            twisted = twisted.terms()
-            self.twisted[name] = grouped(twisted)
-            self.twisted_by_col[name] = grouped(twisted, 1)
+        self.groups = _GROUPS[alg.kind]
+        self.base = base = _Sparse(alg.alpha, {**alg.tensors(), **actions}, rep.phi, *more)
+        phi, flat = _SparseMap(rep.phi, base.d), {}
+        self.phi, self.times_phi = phi.cols, flat
+        for name in actions:
             times_phi = Accumulator(m * m)
-            for c, col in self.phi.items():
-                for r, p in col:
-                    for i, fcol in by_col.get(r, ()):
-                        times_phi.add(i, p, fcol, c * m)
-            self.times_phi[name] = times_phi.terms()
+            for (a, r), col in base.parts[name].items():
+                for c, p in phi.rows[r]:
+                    times_phi.add(a, p, col, c * m)
+            flat[name] = times_phi.terms()
+        self.phi_columns = Lazy(lambda name: {
+            a: list(grouped({divmod(k, m): g for k, g in v}).items())
+            for a, v in flat[name].items()})
 
     def axioms(self) -> CheckReport:
         """Every axiom of the kind, group by group (:func:`check_representation`)."""
@@ -251,24 +233,21 @@ class _SparseRepresentation:
                 checks.append(self.scan(_COMMUTES[family], self.commutes(family)))
             for name, *terms in _PAIR_AXIOMS[group]:
                 checks.append(self.scan(name, *(
-                    self.composed(*term) if term[2] in self.cols else self.through_phi(*term)
+                    self.through_phi(*term) if term[2] in ACTIONS_OF else self.composed(*term)
                     for term in terms)))
         return CheckReport(tuple(checks))
 
     def scan(self, name: str, *adders) -> CheckResult:
-        m, d = len(self.phi), self.base.d
-        acc = Accumulator(m * m)
-
-        def difference(*key):
-            v = acc[key]
-            return [v[r::m] for r in range(m)]
-        return scan_operator_identity(name, acc.slices(self.n, adders), difference,
-                                      denominator=d ** 3)
+        m = len(self.phi)
+        indices, acc = walk(m * m, self.n, adders)
+        return scan_operator_identity(
+            name, indices, lambda *key: [v[r::m] for v in (acc[key],) for r in range(m)],
+            denominator=self.base.d ** 3)
 
     def commutes(self, family: str):
         """Slices of ``d phi F(e_i) - F(alpha e_i) phi`` at ``(i,)``."""
-        m, d, phi, alpha_cols = len(self.phi), self.base.d, self.phi, self.base.cols
-        cols, times_phi = self.cols[family], self.times_phi[family]
+        m, d, phi, alpha_cols = len(self.phi), self.base.d, self.phi, self.base.alpha.cols
+        cols, times_phi = self.base.by_first[family], self.times_phi[family]
 
         def add(i, acc):
             for c, col in cols.get(i, ()):
@@ -282,28 +261,16 @@ class _SparseRepresentation:
     def composed(self, sign: int, outer: str, inner: str, swap: bool):
         """Slices of ``sign F(alpha e_i) G(e_j)`` at ``(i, j)``, or of
         ``sign F(alpha e_j) G(e_i)`` if ``swap``, for ``F, G = outer, inner``."""
-        m = len(self.phi)
+        base, m = self.base, len(self.phi)
         if swap:
-            cols, twisted = self.cols[inner], self.twisted_by_col[outer]
-
-            def add(i, acc):
-                for c, col in cols.get(i, ()):
-                    for r, g in col:
-                        for x, tcol in twisted.get(r, ()):
-                            acc.add((i, x), sign * g, tcol, c * m)
-        else:
-            twisted, by_row = self.twisted[outer], self.by_row[inner]
-
-            def add(i, acc):
-                for r, tcol in twisted.get(i, ()):
-                    for j, c, g in by_row.get(r, ()):
-                        acc.add((i, j), sign * g, tcol, c * m)
-        return add
+            return entries_then_index(sign, base.by_first[inner], base.twisted[outer, True, 1],
+                                      width=m)
+        return twisted_then_entries(sign, base.twisted[outer, True, 0], base.entries[inner], m)
 
     def through_phi(self, sign: int, family: str, table: str, swap: bool):
         """Slices of ``sign F(mu(e_i, e_j)) phi`` at ``(i, j)``, or of
         ``sign F(mu(e_j, e_i)) phi`` if ``swap``."""
-        products = grouped(self.base.tables[table], 1) if swap else self.base.by_first[table]
+        products = self.base.by_second[table] if swap else self.base.by_first[table]
         times_phi = self.times_phi[family]
 
         def add(i, acc):
@@ -349,6 +316,10 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
                             checked: bool = True) -> Representation:
     """Representation of ``src`` on ``dst``'s space along a morphism f:
     actions ``x . v = mu_dst(f x, v)`` etc., carrier twist ``dst.alpha``."""
+    if src.kind != dst.kind:
+        raise KindMismatchError("pullback endpoints must have the same kind")
+    if f.rows != dst.dim or f.cols != src.dim:
+        raise ShapeError("pullback map shape must be dst.dim x src.dim")
     if checked:
         require(check_morphism(f, src, dst), "pullback needs a morphism")
     n, m = src.dim, dst.dim
@@ -369,10 +340,15 @@ def twist_representation(rep: Representation, beta: Matrix, alg: HomAlgebra,
     """Precompose every action family with a self-morphism beta of the base
     algebra: new action ``x -> lambda(beta x)``; phi unchanged."""
     _require_match(rep, alg)
+    _require_square(alg, beta, "twisting map")
     if checked:
         _require_self_morphism(beta, alg)
-    kw = {name: t.precompose(beta) for name, t in rep.actions().items()}
-    return Representation(rep.kind, rep.base_dim, rep.carrier_dim, rep.phi, **kw)
+    b = _Sparse(beta, rep.actions())
+    # Column c of F(beta e_x) at (x, c), over the nonzero entries of beta and F.
+    return Representation(rep.kind, rep.base_dim, rep.carrier_dim, rep.phi, **{
+        name: ActionTensor._from_form(rep.base_dim, rep.carrier_dim, b.d ** 2, {
+            (x, c): col for x, cols in b.twisted[name, True, 0].items() for c, col in cols})
+        for name in b.parts})
 
 
 def power_twist_representation(rep: Representation, alg: HomAlgebra,

@@ -74,6 +74,8 @@ def test_unknown_basis_symbol_reports_line():
     ("representation r on nope { dim 1 }", 1),
     ("algebra X { dim 1 kind leibniz }\n"
      "representation r on X { dim 1 lambda_l e1 { f1 -> f1 } }", 2),
+    ("algebra X { dim 1 kind leibniz }\n"              # phi given twice, the first empty
+     "representation r on X {\n  dim 1\n  phi { }\n  phi { f1 -> 2 f1 }\n}", 5),
 ])
 def test_syntax_and_resolution_errors_carry_lines(bad, line):
     with pytest.raises(ParseError) as err:

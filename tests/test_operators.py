@@ -294,7 +294,7 @@ def test_relative_rbo_report_is_kept_by_its_context(monkeypatch):
     assert report.passed and check_relative_rbo(ctx) is report
     # The gates read the kept report and scan nothing again.
     scans = []
-    monkeypatch.setattr(operators, "scan_identity", lambda *args, **kw: scans.append(args))
+    monkeypatch.setattr(operators, "_carries", lambda *args, **kw: scans.append(args))
     induced = induced_algebra(ctx)
     check_morphism_property(ctx)
     induced_representation(ctx)

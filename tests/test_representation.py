@@ -117,6 +117,28 @@ def test_pullback_rejects_non_morphism():
         pullback_representation(Matrix([[1, 1], [0, 1]]), l, l)
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 3), (2, 1), (3, 2)])
+def test_pullback_refuses_a_mis_shaped_map_even_unchecked(rows, cols):
+    l = two_dim_leibniz()
+    f = Matrix([[1] * cols for _ in range(rows)])
+    with pytest.raises(ShapeError):
+        pullback_representation(f, l, l, checked=False)
+
+
+def test_pullback_refuses_endpoints_of_two_kinds_even_unchecked():
+    with pytest.raises(KindMismatchError):
+        pullback_representation(Matrix.identity(2), two_dim_leibniz(), two_dim_associative(),
+                                checked=False)
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 3), (2, 3), (3, 2), (1, 1)])
+def test_twist_refuses_a_mis_shaped_map_even_unchecked(rows, cols):
+    l = two_dim_leibniz()
+    beta = Matrix([[1] * cols for _ in range(rows)])
+    with pytest.raises(ShapeError):
+        twist_representation(regular_representation(l), beta, l, checked=False)
+
+
 def test_twist_by_identity_is_noop():
     l = two_dim_leibniz()
     rep = regular_representation(l)

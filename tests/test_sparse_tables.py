@@ -233,12 +233,13 @@ def test_operator_checks_hand_the_scans_only_their_touched_keys(monkeypatch):
     the scans get no tuple for the zero operator and otherwise at most one
     per basis index (the twist identity) and one per nonzero product (the
     table identities), where the dense scans handed 80,200 and 20,100."""
+    import homkit.algebra as algebra
     import homkit.operators as operators
     from homkit.operators import projection_context
     from homkit.representation import pullback_representation
 
     def handed_by(check, bound: int) -> int:
-        handed = _handed(monkeypatch, operators, "scan_identity", bound)
+        handed = _handed(monkeypatch, algebra, "scan_identity", bound)
         report = check()
         monkeypatch.undo()
         assert report.passed and check() == report
