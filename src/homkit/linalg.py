@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import isqrt, lcm
+from math import lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ShapeError
@@ -31,21 +31,13 @@ _ONE = Fraction(1)
 def frac(value: Rational) -> Fraction:
     """Coerce an int, a string like ``"3/2"``, or a Fraction to a Fraction.
     A zero that is not yet a Fraction becomes one shared ``Fraction(0)``,
-    so the zero entries of vectors and matrices built from ints share it."""
+    so the zero entries of vectors and matrices built from ints share it.
+    A float is refused with ``TypeError``: ``0.1`` is not ``1/10``."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact float {value!r}: give an int, a Fraction or a string")
     return _ZERO if value == 0 else Fraction(value)
-
-
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None if irrational."""
-    if value < 0:
-        raise ValueError("square root of a negative rational")
-    num, den = value.numerator, value.denominator
-    sn, sd = isqrt(num), isqrt(den)
-    if sn * sn == num and sd * sd == den:
-        return Fraction(sn, sd)
-    return None
 
 
 def _nonzero_ints(vectors: dict) -> tuple[int, dict]:

