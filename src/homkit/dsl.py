@@ -146,6 +146,9 @@ _TOKEN_RE = re.compile(r"""
 
 
 def _tokenize(text: str) -> list[Token]:
+    """Every token with its kind, line and column, then ``EOF``; an
+    unexpected character raises its ``ParseError``.  The parser reads the
+    token texts of ``_SCAN_RE`` and calls this only to locate an error."""
     tokens: list[Token] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         for m in _TOKEN_RE.finditer(line):
@@ -163,173 +166,243 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-class _Parser:
+# The reader's lexer.  In front of each token it skips blanks, the
+# characters at which ``str.splitlines`` breaks a line, and comments, which
+# end at such a character; its group is the token's text, and the empty
+# text at the end of the input.
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_SKIP = rf"[ \t{_BREAKS}]*"
+_SCAN_RE = re.compile(
+    rf"{_SKIP}(?:\#[^{_BREAKS}]*{_SKIP})*"
+    r"(->|[{}\[\],*=+\-/:]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|)")
+_COMMENT_RE = re.compile(rf"\#[^{_BREAKS}]*")
+# Outside comments, a character that no token, blank or line break holds;
+# a ``>`` is one unless it ends a ``->``.
+_BAD_RE = re.compile(rf"[^ \t{_BREAKS}A-Za-z0-9_{{}}\[\],*=+\-/:](?<!->)")
+
+
+class _Reader:
+    """The parser: it walks ``toks``, the token texts of the whole text, by
+    index.  A name is a text that ``isidentifier()``, a number one that
+    ``isdigit()``, and ``""`` is the end of input.  An error re-tokenizes
+    the text with :func:`_tokenize` for the line and column of the token at
+    fault, which has the same index there: both lexers give the same texts."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        plain = _COMMENT_RE.sub("", text) if "#" in text else text
+        if _BAD_RE.search(plain):
+            _tokenize(text)  # raises at the first unexpected character
+        self.text = text
+        self.toks: list[str] = _SCAN_RE.findall(text)
         self.pos = 0
+        self.symbols: dict[tuple[str, str, int], int] = {}
+        self.fracs: dict[tuple[int, int], Fraction] = {}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
+    def fail(self, message: str, pos: int | None = None):
+        tok = _tokenize(self.text)[self.pos if pos is None else pos]
         raise ParseError(message, tok.line, tok.col)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text if tok.text else "end of input"
-            self.fail(f"expected {want!r}, found {got!r}")
-        return self.advance()
+    def expect(self, text: str) -> int:
+        pos = self.pos
+        tok = self.toks[pos]
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.pos = pos + 1
+        return pos
 
-    def expect_name(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            got = repr(tok.text) if tok.text else "end of input"
-            self.fail(f"expected {what}, found {got}")
-        return self.advance()
+    def expect_name(self, what: str) -> int:
+        pos = self.pos
+        tok = self.toks[pos]
+        if not tok.isidentifier():
+            self.fail(f"expected {what}, found {repr(tok) if tok else 'end of input'}")
+        self.pos = pos + 1
+        return pos
 
     # ---- shared pieces -------------------------------------------------
 
-    def parse_int(self, what: str) -> int:
-        tok = self.peek()
-        if tok.kind != "INT":
-            self.fail(f"expected {what}")
-        return self._int_value(self.advance())
-
-    def _int_value(self, tok: Token) -> int:
-        """An INT token's value; one with more digits than the interpreter
-        converts is a parse error at its token."""
+    def _int_value(self, pos: int) -> int:
+        """The value of the INT token at ``pos``; one with more digits than
+        the interpreter converts is a parse error at its token."""
         try:
-            return int(tok.text)
+            return int(self.toks[pos])
         except ValueError:
-            self.fail(f"number with {len(tok.text)} digits is too long", tok)
+            self.fail(f"number with {len(self.toks[pos])} digits is too long", pos)
 
     def parse_dim(self, what: str) -> int:
         """A dimension; one beyond the platform's index range is a parse
         error at its token, since no list of that length can exist."""
-        tok = self.peek()
-        dim = self.parse_int(what)
+        pos = self.pos
+        if not self.toks[pos].isdigit():
+            self.fail(f"expected {what}")
+        dim = self._int_value(pos)
         if dim > sys.maxsize:
-            self.fail(f"dimension {dim} is too large to index", tok)
+            self.fail(f"dimension {dim} is too large to index", pos)
+        self.pos = pos + 1
         return dim
 
-    def parse_lincomb(self) -> list[tuple[Fraction, Token]]:
-        """Terms as (coefficient, basis-symbol token); a lone 0 is empty."""
-        terms: list[tuple[Fraction, Token]] = []
-        first = True
+    def parse_lincomb(self) -> list[tuple[int, int, int]]:
+        """Terms as ``(num, den, pos)``: the coefficient ``num/den`` of the
+        basis symbol at token ``pos``, ``den > 0``; a lone 0 is empty."""
+        toks = self.toks
+        pos = self.pos
+        terms = []
+        sign = 1
+        tok = toks[pos]
+        if tok == "-":
+            sign = -1
+            pos += 1
+            tok = toks[pos]
+        elif tok == "+":
+            self.fail("a linear combination cannot start with '+'", pos)
         while True:
-            sign = Fraction(1)
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text in ("+", "-"):
-                if first and tok.text == "+":
-                    self.fail("a linear combination cannot start with '+'")
-                sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-                self.advance()
-                tok = self.peek()
-            elif not first:
-                break
-            if tok.kind == "INT":
-                num_tok = self.advance()
-                coeff = Fraction(self._int_value(num_tok))
-                if self.peek().kind == "PUNCT" and self.peek().text == "/":
-                    self.advance()
-                    den_tok = self.peek()
-                    den = self._int_value(den_tok) if den_tok.kind == "INT" else 0
+            if tok.isidentifier():
+                terms.append((sign, 1, pos))
+                pos += 1
+            elif tok.isdigit():
+                num = self._int_value(pos)
+                pos += 1
+                den = 1
+                if toks[pos] == "/":
+                    pos += 1
+                    den = self._int_value(pos) if toks[pos].isdigit() else 0
                     if den == 0:
-                        self.fail("expected a nonzero denominator")
-                    self.advance()
-                    coeff /= den
-                if self.peek().kind == "NAME":
-                    sym = self.advance()
-                    terms.append((sign * coeff, sym))
-                elif coeff == 0:
-                    pass  # a literal zero term
-                else:
-                    self.fail("expected a basis symbol after the coefficient")
-            elif tok.kind == "NAME":
-                sym = self.advance()
-                terms.append((sign, sym))
+                        self.fail("expected a nonzero denominator", pos)
+                    pos += 1
+                if toks[pos].isidentifier():
+                    terms.append((sign * num, den, pos))
+                    pos += 1
+                elif num:
+                    self.fail("expected a basis symbol after the coefficient", pos)
             else:
-                self.fail("expected a term")
-            first = False
+                self.fail("expected a term", pos)
+            tok = toks[pos]
+            if tok == "-":
+                sign = -1
+            elif tok == "+":
+                sign = 1
+            else:
+                break
+            pos += 1
+            tok = toks[pos]
+        self.pos = pos
         return terms
+
+    # ---- resolution ----------------------------------------------------
+
+    def _basis_index(self, pos: int, prefix: str, dim: int) -> int:
+        """The index of the basis symbol at token ``pos``, resolved once per
+        ``(text, prefix, dim)`` and kept in ``symbols``."""
+        text = self.toks[pos]
+        k = self.symbols.get((text, prefix, dim))
+        if k is not None:
+            return k
+        m = _BASIS_RE.match(text)
+        if not m or m.group(1) != prefix:
+            self.fail(f"expected a basis symbol {prefix}1..{prefix}{dim}, found {text!r}",
+                      pos)
+        digits = m.group(2)
+        # More digits than the dimension is out of range whatever the value.
+        if len(digits) > len(str(dim)) or int(digits) > dim:
+            self.fail(f"basis symbol {text!r} out of range for dimension {dim}", pos)
+        k = self.symbols[(text, prefix, dim)] = int(digits) - 1
+        return k
+
+    def _terms(self, terms, prefix: str, dim: int) -> list[tuple[int, Fraction]]:
+        """``(k, q)`` for each term: the basis index of its symbol and its
+        coefficient as a ``Fraction``, each built once per parse."""
+        toks, symbols, fracs = self.toks, self.symbols, self.fracs
+        out = []
+        for num, den, pos in terms:
+            k = symbols.get((toks[pos], prefix, dim))
+            if k is None:
+                k = self._basis_index(pos, prefix, dim)
+            q = fracs.get((num, den))
+            if q is None:
+                q = fracs[(num, den)] = Fraction(num, den)
+            out.append((k, q))
+        return out
+
+    def _resolve_lincomb(self, terms, prefix: str, dim: int) -> Vector:
+        entries = [_ZERO] * dim
+        for k, q in self._terms(terms, prefix, dim):
+            x = entries[k]
+            entries[k] = q if x is _ZERO else x + q
+        return Vector(entries)
+
+    def _resolve_columns(self, entries, src_prefix: str, src_dim: int,
+                         dst_prefix: str, dst_dim: int) -> Matrix:
+        """The matrix whose column ``j`` is the linear combination given for
+        basis symbol ``j``, built row by row; a row with no entry is one
+        shared tuple of the shared zero."""
+        rows: dict[int, list] = {}
+        seen = set()
+        for (pos, terms) in entries:
+            j = self._basis_index(pos, src_prefix, src_dim)
+            if j in seen:
+                self.fail(f"duplicate entry for {self.toks[pos]!r}", pos)
+            seen.add(j)
+            for i, q in self._terms(terms, dst_prefix, dst_dim):
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = [_ZERO] * src_dim
+                x = row[j]
+                row[j] = q if x is _ZERO else x + q
+        zero = (_ZERO,) * src_dim
+        return Matrix._trusted(tuple(tuple(rows[i]) if i in rows else zero
+                                     for i in range(dst_dim)), dst_dim, src_dim)
 
     # ---- items ---------------------------------------------------------
 
     def parse_document(self) -> Document:
         doc = Document()
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "NAME":
+        toks = self.toks
+        while toks[self.pos]:
+            start = self.pos
+            tok = toks[start]
+            if not tok.isidentifier():
                 self.fail("expected 'algebra', 'map', or 'representation'")
-            if tok.text == "algebra":
+            if tok == "algebra":
                 item = self.parse_algebra()
-            elif tok.text == "map":
+            elif tok == "map":
                 item = self.parse_map(doc)
-            elif tok.text == "representation":
+            elif tok == "representation":
                 item = self.parse_representation(doc)
             else:
-                self.fail(f"unknown item {tok.text!r}")
+                self.fail(f"unknown item {tok!r}")
             if doc.get(item.name) is not None:
-                self.fail(f"duplicate name {item.name!r}", tok)
+                self.fail(f"duplicate name {item.name!r}", start)
             doc.add(item)
         return doc
 
-    def _basis_index(self, tok: Token, prefix: str, dim: int) -> int:
-        m = _BASIS_RE.match(tok.text)
-        if not m or m.group(1) != prefix:
-            raise ParseError(
-                f"expected a basis symbol {prefix}1..{prefix}{dim}, found {tok.text!r}",
-                tok.line, tok.col)
-        digits = m.group(2)
-        # More digits than the dimension is out of range whatever the value.
-        if len(digits) > len(str(dim)) or int(digits) > dim:
-            raise ParseError(
-                f"basis symbol {tok.text!r} out of range for dimension {dim}",
-                tok.line, tok.col)
-        return int(digits) - 1
-
-    def _resolve_lincomb(self, terms, prefix: str, dim: int) -> Vector:
-        entries = [_ZERO] * dim
-        for coeff, tok in terms:
-            entries[self._basis_index(tok, prefix, dim)] += coeff
-        return Vector(entries)
-
     def parse_algebra(self) -> DocAlgebra:
-        start = self.expect("NAME", "algebra")
-        name = self.expect_name("an algebra name").text
-        self.expect("PUNCT", "{")
+        toks = self.toks
+        start = self.expect("algebra")
+        name = toks[self.expect_name("an algebra name")]
+        self.expect("{")
         dim: int | None = None
         kind: str | None = None
         raw: dict[str, list] = {"dot": [], "bracket": [], "alpha": []}
         seen: set[str] = set()
-        while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
-            field = self.expect_name("an algebra field")
-            if field.text in seen and field.text in ("dim", "kind", "dot",
-                                                     "bracket", "alpha"):
-                self.fail(f"duplicate field {field.text!r}", field)
-            seen.add(field.text)
-            if field.text == "dim":
+        while toks[self.pos] != "}":
+            at = self.expect_name("an algebra field")
+            field = toks[at]
+            if field in seen and field in ("dim", "kind", "dot", "bracket", "alpha"):
+                self.fail(f"duplicate field {field!r}", at)
+            seen.add(field)
+            if field == "dim":
                 dim = self.parse_dim("the dimension")
-            elif field.text == "kind":
-                ktok = self.expect_name("a kind")
-                if ktok.text not in KIND_TOKENS:
-                    self.fail("kind must be assoc, leibniz, or poisson", ktok)
-                kind = KIND_TOKENS[ktok.text]
-            elif field.text in ACTIONS_OF:
-                raw[field.text] = self.parse_product_block(star=field.text == "dot")
-            elif field.text == "alpha":
+            elif field == "kind":
+                k = self.expect_name("a kind")
+                if toks[k] not in KIND_TOKENS:
+                    self.fail("kind must be assoc, leibniz, or poisson", k)
+                kind = KIND_TOKENS[toks[k]]
+            elif field in ACTIONS_OF:
+                raw[field] = self.parse_product_block(star=field == "dot")
+            elif field == "alpha":
                 raw["alpha"] = self.parse_arrow_block()
             else:
-                self.fail(f"unknown algebra field {field.text!r}", field)
-        self.expect("PUNCT", "}")
+                self.fail(f"unknown algebra field {field!r}", at)
+        self.expect("}")
         if dim is None:
             self.fail(f"algebra {name!r} has no dim", start)
         if kind is None:
@@ -341,118 +414,111 @@ class _Parser:
         tensors = {}
         for block in TENSORS_BY_KIND[kind]:
             products = {}
-            for (itok, jtok, terms) in raw[block]:
-                i = self._basis_index(itok, "e", dim)
-                j = self._basis_index(jtok, "e", dim)
+            for (ipos, jpos, terms) in raw[block]:
+                i = self._basis_index(ipos, "e", dim)
+                j = self._basis_index(jpos, "e", dim)
                 if (i, j) in products:
-                    raise ParseError(
-                        f"duplicate product entry for ({itok.text},{jtok.text})",
-                        itok.line, itok.col)
+                    self.fail(f"duplicate product entry for ({toks[ipos]},{toks[jpos]})",
+                              ipos)
                 products[(i, j)] = self._resolve_lincomb(terms, "e", dim)
             tensors[block] = StructureTensor.from_products(dim, products)
         alpha = self._resolve_columns(raw["alpha"], "e", dim, "e", dim)
         return DocAlgebra(name, HomAlgebra(dim, kind, alpha, **tensors))
 
     def parse_product_block(self, star: bool) -> list:
-        self.expect("PUNCT", "{")
+        self.expect("{")
+        toks = self.toks
         entries = []
-        while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
+        while toks[self.pos] != "}":
             if star:
-                itok = self.expect_name("a basis symbol")
-                self.expect("PUNCT", "*")
-                jtok = self.expect_name("a basis symbol")
+                ipos = self.expect_name("a basis symbol")
+                self.expect("*")
+                jpos = self.expect_name("a basis symbol")
             else:
-                self.expect("PUNCT", "[")
-                itok = self.expect_name("a basis symbol")
-                self.expect("PUNCT", ",")
-                jtok = self.expect_name("a basis symbol")
-                self.expect("PUNCT", "]")
-            self.expect("PUNCT", "=")
-            entries.append((itok, jtok, self.parse_lincomb()))
-        self.expect("PUNCT", "}")
+                self.expect("[")
+                ipos = self.expect_name("a basis symbol")
+                self.expect(",")
+                jpos = self.expect_name("a basis symbol")
+                self.expect("]")
+            self.expect("=")
+            entries.append((ipos, jpos, self.parse_lincomb()))
+        self.expect("}")
         return entries
 
     def parse_arrow_block(self) -> list:
-        self.expect("PUNCT", "{")
+        self.expect("{")
+        toks = self.toks
         entries = []
-        while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
+        while toks[self.pos] != "}":
             src = self.expect_name("a basis symbol")
-            self.expect("PUNCT", "->")
+            self.expect("->")
             entries.append((src, self.parse_lincomb()))
-        self.expect("PUNCT", "}")
+        self.expect("}")
         return entries
 
-    def _resolve_columns(self, entries, src_prefix: str, src_dim: int,
-                         dst_prefix: str, dst_dim: int) -> Matrix:
-        cols = [Vector.zero(dst_dim) for _ in range(src_dim)]
-        seen = set()
-        for (tok, terms) in entries:
-            j = self._basis_index(tok, src_prefix, src_dim)
-            if j in seen:
-                raise ParseError(f"duplicate entry for {tok.text!r}",
-                                 tok.line, tok.col)
-            seen.add(j)
-            cols[j] = self._resolve_lincomb(terms, dst_prefix, dst_dim)
-        return Matrix.from_cols(cols) if src_dim else Matrix.zero(dst_dim, 0)
-
-    def _space_dim(self, doc: Document, name_tok: Token) -> int:
-        item = doc.get(name_tok.text)
+    def _space_dim(self, doc: Document, pos: int) -> int:
+        name = self.toks[pos]
+        item = doc.get(name)
         if item is None:
-            self.fail(f"unknown name {name_tok.text!r}", name_tok)
+            self.fail(f"unknown name {name!r}", pos)
         if isinstance(item, DocAlgebra):
             return item.algebra.dim
         if isinstance(item, DocRepresentation):
             return item.rep.carrier_dim
-        self.fail(f"{name_tok.text!r} is a map, not a space", name_tok)
+        self.fail(f"{name!r} is a map, not a space", pos)
 
     def parse_map(self, doc: Document) -> DocMap:
-        self.expect("NAME", "map")
-        name = self.expect_name("a map name").text
-        self.expect("PUNCT", ":")
-        src_tok = self.expect_name("a source space")
-        self.expect("PUNCT", "->")
-        dst_tok = self.expect_name("a destination space")
-        src_dim = self._space_dim(doc, src_tok)
-        dst_dim = self._space_dim(doc, dst_tok)
+        toks = self.toks
+        self.expect("map")
+        name = toks[self.expect_name("a map name")]
+        self.expect(":")
+        src = self.expect_name("a source space")
+        self.expect("->")
+        dst = self.expect_name("a destination space")
+        src_dim = self._space_dim(doc, src)
+        dst_dim = self._space_dim(doc, dst)
         entries = self.parse_arrow_block()
         matrix = self._resolve_columns(entries, "e", src_dim, "e", dst_dim)
-        return DocMap(name, src_tok.text, dst_tok.text, matrix)
+        return DocMap(name, toks[src], toks[dst], matrix)
 
     def parse_representation(self, doc: Document) -> DocRepresentation:
-        start = self.expect("NAME", "representation")
-        name = self.expect_name("a representation name").text
-        self.expect("NAME", "on")
-        base_tok = self.expect_name("a base algebra")
-        base_item = doc.get(base_tok.text)
+        toks = self.toks
+        start = self.expect("representation")
+        name = toks[self.expect_name("a representation name")]
+        self.expect("on")
+        base_pos = self.expect_name("a base algebra")
+        base_name = toks[base_pos]
+        base_item = doc.get(base_name)
         if not isinstance(base_item, DocAlgebra):
-            self.fail(f"unknown algebra {base_tok.text!r}", base_tok)
+            self.fail(f"unknown algebra {base_name!r}", base_pos)
         base = base_item.algebra
-        self.expect("PUNCT", "{")
+        self.expect("{")
         dim: int | None = None
         phi_entries: list | None = None
         actions: dict[str, dict[int, list]] = {a: {} for a in _TABLE_OF}
-        while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
-            field = self.expect_name("a representation field")
-            if field.text == "dim":
+        while toks[self.pos] != "}":
+            at = self.expect_name("a representation field")
+            field = toks[at]
+            if field == "dim":
                 if dim is not None:
-                    self.fail("duplicate field 'dim'", field)
+                    self.fail("duplicate field 'dim'", at)
                 dim = self.parse_dim("the carrier dimension")
-            elif field.text == "phi":
+            elif field == "phi":
                 if phi_entries is not None:
-                    self.fail("duplicate field 'phi'", field)
+                    self.fail("duplicate field 'phi'", at)
                 phi_entries = self.parse_arrow_block()
-            elif field.text in _TABLE_OF:
-                if _TABLE_OF[field.text] not in TENSORS_BY_KIND[base.kind]:
+            elif field in _TABLE_OF:
+                if _TABLE_OF[field] not in TENSORS_BY_KIND[base.kind]:
                     self.fail(f"kind {KIND_NAMES[base.kind]!r} takes no"
-                              f" {field.text} block", field)
+                              f" {field} block", at)
                 sel = self.expect_name("a base basis symbol")
                 i = self._basis_index(sel, "e", base.dim)
-                if i in actions[field.text]:
-                    self.fail(f"duplicate block {field.text} {sel.text}", sel)
-                actions[field.text][i] = self.parse_arrow_block()
+                if i in actions[field]:
+                    self.fail(f"duplicate block {field} {toks[sel]}", sel)
+                actions[field][i] = self.parse_arrow_block()
             else:
-                self.fail(f"unknown representation field {field.text!r}", field)
-        self.expect("PUNCT", "}")
+                self.fail(f"unknown representation field {field!r}", at)
+        self.expect("}")
         if dim is None:
             self.fail(f"representation {name!r} has no dim", start)
         phi = self._resolve_columns(phi_entries or [], "f", dim, "f", dim)
@@ -464,12 +530,12 @@ class _Parser:
 
         rep = Representation(base.kind, base.dim, dim, phi, **{
             a: family(a) for name in base.tensors() for a in ACTIONS_OF[name]})
-        return DocRepresentation(name, base_tok.text, rep)
+        return DocRepresentation(name, base_name, rep)
 
 
 def parse(text: str) -> Document:
     """Parse DSL text into a resolved document."""
-    return _Parser(text).parse_document()
+    return _Reader(text).parse_document()
 
 
 # ---- serialization -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Parser, resolver, and canonical serializer."""
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from homkit.errors import ParseError
 from homkit.fixtures import (
     TWIST, leibniz_rbo, two_dim_associative, two_dim_leibniz, two_dim_poisson,
 )
-from homkit.linalg import Matrix, Vector
+from homkit.linalg import _ZERO, Matrix, Vector
 from homkit.representation import regular_representation
 
 FIXTURES_PATH = Path(__file__).resolve().parents[1] / "demos" / "fixtures.hla"
@@ -192,3 +193,93 @@ def test_empty_tables_share_one_zero():
         tracemalloc.stop()
     assert doc.algebra("A").dot.basis_product(119, 119).is_zero()
     assert peak < 5_000_000
+
+
+# Every character at which ``str.splitlines`` breaks a line, and ``\r\n``.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+def test_line_breaks_are_those_of_splitlines():
+    # Unicode has no line break above U+2029.
+    breaks = {chr(c) for c in range(0x3000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert breaks == {sep for sep in LINE_BREAKS if len(sep) == 1}
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS)
+def test_every_line_break_separates_lines(sep):
+    # The fixture file has comments, so each separator also ends a comment.
+    text = FIXTURES_PATH.read_text()
+    assert parse(text.replace("\n", sep)) == parse(text)
+
+
+def test_comment_may_hold_any_character():
+    doc = parse("# é -> > ∂ \x00\nalgebra A { dim 1 kind assoc } # é>\n")
+    assert doc.algebra("A").dim == 1
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("algebra A { dim 1 > kind assoc }", "unexpected character '>'", 1, 19),
+    ("map f : A -> B {\n e1 => e1 }", "unexpected character '>'", 2, 6),
+    ("algebra A {\n  dim 1\n  kind assoc\n  dot { e1*e1 = e1 }\x00\n}",
+     "unexpected character '\\x00'", 4, 21),
+    ("algebra A {\n  dim 1 kind assoc\n  alpha { e1 -> é1 }\n}",
+     "unexpected character 'é'", 3, 17),
+    # An unexpected character is reported before an earlier syntax error.
+    ("algebra { dim 1 } !", "unexpected character '!'", 1, 19),
+])
+def test_unexpected_characters_are_located(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line {line}, column {column}: {message}", line, column)
+
+
+def test_unexpected_character_after_many_comments_fails_fast():
+    text = "# a comment -> with > and é\n" * 2000 + "!"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.line, err.value.column) == (2001, 1)
+
+
+def parsed_matrices(doc: Document):
+    """Every matrix a parsed document holds, by where it was found."""
+    for item in doc.items:
+        if isinstance(item, DocAlgebra):
+            yield f"{item.name}.alpha", item.algebra.alpha
+        elif isinstance(item, DocMap):
+            yield item.name, item.matrix
+        else:
+            yield f"{item.name}.phi", item.rep.phi
+            for action, tensor in item.rep.actions().items():
+                for i, m in enumerate(tensor.mats):
+                    yield f"{item.name}.{action}[{i}]", m
+
+
+def test_entries_the_text_leaves_out_are_the_shared_zero():
+    # Canonical text leaves out exactly the zero entries.
+    rng = random.Random(7)
+    docs = [parse(FIXTURES_PATH.read_text())] + [
+        parse(serialize(random_document(rng))) for _ in range(40)]
+    for doc in docs:
+        for where, m in parsed_matrices(doc):
+            assert all(x is _ZERO for row in m.entries for x in row if x == 0), where
+        for item in doc.items:
+            if isinstance(item, DocAlgebra):
+                for t in item.algebra.tensors().values():
+                    assert all(x is _ZERO for v in t.products.values()
+                               for x in v if x == 0)
+
+
+def test_empty_header_holds_no_dense_matrix():
+    # The rows of an unlisted alpha are one shared tuple of the shared zero.
+    tracemalloc.start()
+    try:
+        doc = parse("algebra A { dim 1500 kind poisson }")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.algebra("A").alpha == Matrix.zero(1500, 1500)
+    assert peak < 1_000_000

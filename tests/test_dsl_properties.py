@@ -1,6 +1,7 @@
 """Properties of the DSL on generated documents and on damaged text:
 round trips, idempotent serialization, ``ParseError`` as the only
-failure, and the tokenizer against the reference one in ``oracle.py``."""
+failure, and the parser and tokenizer against the reference ones in
+``oracle.py``."""
 
 import sys
 from fractions import Fraction
@@ -115,6 +116,35 @@ def test_damaged_text_raises_only_parse_errors(text):
     except ParseError:
         return
     assert parse(serialize(doc)) == doc
+
+
+def document_or_error(parse_text, text):
+    try:
+        doc = parse_text(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.column)
+    return ("document", doc, serialize(doc))
+
+
+@PROPERTY
+@given(st.one_of(documents().map(serialize), damaged_texts()))
+def test_parser_matches_reference(text):
+    assert document_or_error(parse, text) == document_or_error(oracle.parse, text)
+
+
+# Right-hand sides of every shape a linear combination may take or get
+# wrong: signs, literal zeros, fractions, repeated symbols, missing pieces.
+LINCOMBS = ["e1", "-e1", "+ e1", "- - e1", "2 e1", "-3/6 e2", "2/4 e1 - e1",
+            "0", "-0", "0/3", "0 e1", "0 + e2", "e1 + 0", "e1 - e1", "e1 + e1 - 1/2 e1",
+            "1", "3", "1 + e1", "1/0 e1", "2/", "2/ e1", "2/e1", "e1 +", "e1 e2",
+            "e3", "e0", "f1", "e01", "x", "", "}", "7/-2 e1", "1 / 2 e2 + -e1"]
+
+
+@pytest.mark.parametrize("body", LINCOMBS)
+def test_linear_combinations_match_reference(body):
+    for text in (f"algebra A {{ dim 2 kind assoc alpha {{ e1 -> {body} }} }}",
+                 f"algebra A {{ dim 2 kind assoc dot {{ e2*e1 = {body} }} }}"):
+        assert document_or_error(parse, text) == document_or_error(oracle.parse, text)
 
 
 def tokens_or_error(tokenize, text):
