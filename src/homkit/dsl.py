@@ -47,7 +47,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable
 
 from .algebra import (
     ACTIONS_OF, ASSOCIATIVE, LEIBNIZ, POISSON, TENSORS_BY_KIND, HomAlgebra,
@@ -126,46 +127,6 @@ class Document:
         return f"Document({[i.name for i in self.items]})"
 
 
-class Token(NamedTuple):
-    kind: str  # NAME | INT | PUNCT | EOF
-    text: str
-    line: int
-    col: int
-
-
-# One alternative per token kind; whitespace and comments are skipped and
-# any other character is an error, so every character of a line matches.
-_TOKEN_RE = re.compile(r"""
-    [ \t\r]+
-  | (?P<COMMENT>\#)
-  | (?P<PUNCT>->|[{}\[\],*=+\-/:])
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<INT>[0-9]+)
-  | (?P<BAD>.)
-""", re.VERBOSE)
-
-
-def _tokenize(text: str) -> list[Token]:
-    """Every token with its kind, line and column, then ``EOF``; an
-    unexpected character raises its ``ParseError``.  The parser reads the
-    token texts of ``_SCAN_RE`` and calls this only to locate an error."""
-    tokens: list[Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for m in _TOKEN_RE.finditer(line):
-            kind = m.lastgroup
-            if kind is None:
-                continue
-            if kind == "COMMENT":
-                break
-            if kind == "BAD":
-                raise ParseError(f"unexpected character {m.group()!r}",
-                                 lineno, m.start() + 1)
-            tokens.append(Token(kind, m.group(), lineno, m.start() + 1))
-    last_line = text.count("\n") + 1
-    tokens.append(Token("EOF", "", last_line, 1))
-    return tokens
-
-
 # The reader's lexer.  In front of each token it skips blanks, the
 # characters at which ``str.splitlines`` breaks a line, and comments, which
 # end at such a character; its group is the token's text, and the empty
@@ -181,17 +142,27 @@ _COMMENT_RE = re.compile(rf"\#[^{_BREAKS}]*")
 _BAD_RE = re.compile(rf"[^ \t{_BREAKS}A-Za-z0-9_{{}}\[\],*=+\-/:](?<!->)")
 
 
+def _error(message: str, text: str, at: int | None) -> ParseError:
+    """The error at offset ``at`` of ``text``, on the line after the ``str.splitlines``
+    breaks before it; ``None`` is the end of input, after the last line feed."""
+    if at is None:
+        return ParseError(message, text.count("\n") + 1, 1)
+    lines = text[:at + 1].splitlines()
+    return ParseError(message, len(lines), len(lines[-1]))
+
+
 class _Reader:
     """The parser: it walks ``toks``, the token texts of the whole text, by
     index.  A name is a text that ``isidentifier()``, a number one that
-    ``isdigit()``, and ``""`` is the end of input.  An error re-tokenizes
-    the text with :func:`_tokenize` for the line and column of the token at
-    fault, which has the same index there: both lexers give the same texts."""
+    ``isdigit()``, and ``""`` is the end of input.  Only an error needs a
+    position: that of the token at fault is read from ``_SCAN_RE.finditer``,
+    and an unexpected character is where the scan first finds no token."""
 
     def __init__(self, text: str):
         plain = _COMMENT_RE.sub("", text) if "#" in text else text
         if _BAD_RE.search(plain):
-            _tokenize(text)  # raises at the first unexpected character
+            at = next(m.start(1) for m in _SCAN_RE.finditer(text) if not m.group(1))
+            raise _error(f"unexpected character {text[at]!r}", text, at)
         self.text = text
         self.toks: list[str] = _SCAN_RE.findall(text)
         self.pos = 0
@@ -199,8 +170,9 @@ class _Reader:
         self.fracs: dict[tuple[int, int], Fraction] = {}
 
     def fail(self, message: str, pos: int | None = None):
-        tok = _tokenize(self.text)[self.pos if pos is None else pos]
-        raise ParseError(message, tok.line, tok.col)
+        pos = self.pos if pos is None else pos
+        at = next(islice(_SCAN_RE.finditer(self.text), pos, None)).start(1)
+        raise _error(message, self.text, at if self.toks[pos] else None)
 
     def expect(self, text: str) -> int:
         pos = self.pos
@@ -390,7 +362,7 @@ class _Reader:
                 self.fail(f"duplicate field {field!r}", at)
             seen.add(field)
             if field == "dim":
-                dim = self.parse_dim("the dimension")
+                dim_at, dim = self.pos, self.parse_dim("the dimension")
             elif field == "kind":
                 k = self.expect_name("a kind")
                 if toks[k] not in KIND_TOKENS:
@@ -411,19 +383,22 @@ class _Reader:
             if raw[block] and block not in TENSORS_BY_KIND[kind]:
                 self.fail(f"kind {KIND_NAMES[kind]!r} does not take a"
                           f" {block} block", start)
-        tensors = {}
-        for block in TENSORS_BY_KIND[kind]:
-            products = {}
-            for (ipos, jpos, terms) in raw[block]:
-                i = self._basis_index(ipos, "e", dim)
-                j = self._basis_index(jpos, "e", dim)
-                if (i, j) in products:
-                    self.fail(f"duplicate product entry for ({toks[ipos]},{toks[jpos]})",
-                              ipos)
-                products[(i, j)] = self._resolve_lincomb(terms, "e", dim)
-            tensors[block] = StructureTensor.from_products(dim, products)
-        alpha = self._resolve_columns(raw["alpha"], "e", dim, "e", dim)
-        return DocAlgebra(name, HomAlgebra(dim, kind, alpha, **tensors))
+        try:
+            tensors = {}
+            for block in TENSORS_BY_KIND[kind]:
+                products = {}
+                for (ipos, jpos, terms) in raw[block]:
+                    i = self._basis_index(ipos, "e", dim)
+                    j = self._basis_index(jpos, "e", dim)
+                    if (i, j) in products:
+                        self.fail(f"duplicate product entry for ({toks[ipos]},{toks[jpos]})",
+                                  ipos)
+                    products[(i, j)] = self._resolve_lincomb(terms, "e", dim)
+                tensors[block] = StructureTensor.from_products(dim, products)
+            alpha = self._resolve_columns(raw["alpha"], "e", dim, "e", dim)
+            return DocAlgebra(name, HomAlgebra(dim, kind, alpha, **tensors))
+        except MemoryError:
+            self.fail(f"dimension {dim} is too large to allocate", dim_at)
 
     def parse_product_block(self, star: bool) -> list:
         self.expect("{")
@@ -502,7 +477,7 @@ class _Reader:
             if field == "dim":
                 if dim is not None:
                     self.fail("duplicate field 'dim'", at)
-                dim = self.parse_dim("the carrier dimension")
+                dim_at, dim = self.pos, self.parse_dim("the carrier dimension")
             elif field == "phi":
                 if phi_entries is not None:
                     self.fail("duplicate field 'phi'", at)
@@ -521,15 +496,18 @@ class _Reader:
         self.expect("}")
         if dim is None:
             self.fail(f"representation {name!r} has no dim", start)
-        phi = self._resolve_columns(phi_entries or [], "f", dim, "f", dim)
 
         def family(action: str) -> ActionTensor:
             return ActionTensor(base.dim, dim, [
                 self._resolve_columns(actions[action].get(i, []), "f", dim, "f", dim)
                 for i in range(base.dim)])
 
-        rep = Representation(base.kind, base.dim, dim, phi, **{
-            a: family(a) for name in base.tensors() for a in ACTIONS_OF[name]})
+        try:
+            phi = self._resolve_columns(phi_entries or [], "f", dim, "f", dim)
+            rep = Representation(base.kind, base.dim, dim, phi, **{
+                a: family(a) for name in base.tensors() for a in ACTIONS_OF[name]})
+        except MemoryError:
+            self.fail(f"dimension {dim} is too large to allocate", dim_at)
         return DocRepresentation(name, base_name, rep)
 
 

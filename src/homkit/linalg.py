@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ShapeError
@@ -290,39 +290,61 @@ class AffineSolution:
     kernel: tuple[Vector, ...]
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; pivot is the first nonzero entry
-    of each column.  Returns the reduced rows and the pivot columns.
+def _clear(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
+    """``row`` with column ``c`` cleared by an integer combination with
+    ``pivot`` (nonzero at ``c``), divided by its content."""
+    f, p = row[c], pivot[c]
+    g = gcd(f, p)
+    f, p = f // g, p // g
+    out = {k: p * x for k, x in row.items()}
+    for k, y in pivot.items():
+        v = out.get(k, 0) - f * y
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return out if g == 1 else {k: x // g for k, x in out.items()}
 
-    The pivot row is zero left of its pivot, so only its nonzero entries
-    are normalised, and it is subtracted from the other rows at those
-    columns alone."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Fraction-free Gauss-Jordan on sparse int rows ``{column: int}``:
+    ``{pivot column: reduced row}``.  A row is cleared at each pivot column
+    it holds, then, if nonzero, pivots at its first column and is cleared
+    from the other pivot rows.  Rows are kept divided by their content with
+    a positive pivot entry; divided by it, each is its row of the (unique)
+    reduced row echelon form."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        for c in [c for c in row if c in pivots]:
+            row = _clear(row, pivots[c], c)
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        row = rows[r]
-        support = [k for k in range(c, ncols) if row[k]]
-        pv = row[c]
-        if pv != 1:
-            for k in support:
-                row[k] /= pv
-        for i in range(nrows):
-            other = rows[i]
-            f = other[c]
-            if f and i != r:
-                for k in support:
-                    other[k] -= f * row[k]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        lead = min(row)
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = {k: x // g for k, x in row.items()}
+        for c, other in pivots.items():
+            if lead in other:
+                pivots[c] = _clear(other, row, lead)
+        pivots[lead] = row
+    return pivots
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of dense rational rows, by :func:`_echelon`
+    on their ints: the pivot rows, 1 at their pivots, then the zero rows.
+    Returns the reduced rows and the pivot columns."""
+    ncols = len(rows[0]) if rows else 0
+    echelon = _echelon(map(dict, _nonzero_ints(dict(enumerate(rows)))[1].values()))
+    pivots = sorted(echelon)
+    reduced = [[_ZERO] * ncols for _ in rows]
+    for out, c in zip(reduced, pivots):
+        for k, x in echelon[c].items():
+            out[k] = Fraction(x, echelon[c][c])
+    return reduced, pivots
 
 
 def _kernel_from_rref(rows: list[list[Fraction]], pivots: list[int],

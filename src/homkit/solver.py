@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
-from .linalg import Matrix, Rational, Vector, _ZERO, frac, span_membership
+from .linalg import Matrix, Rational, Vector, _ZERO, _echelon, frac, span_membership
 from .operators import OperatorContext, check_relative_rbo
 from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
@@ -339,23 +339,6 @@ class Elimination:
     inconsistent: bool = False
 
 
-def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
-    """``row`` with column ``c`` cleared by an integer combination with
-    ``pivot`` (nonzero at ``c``), divided by its content."""
-    f, p = row[c], pivot[c]
-    g = gcd(f, p)
-    f, p = f // g, p // g
-    out = {k: p * x for k, x in row.items()}
-    for k, y in pivot.items():
-        v = out.get(k, 0) - f * y
-        if v:
-            out[k] = v
-        else:
-            del out[k]
-    g = gcd(*out.values())
-    return out if g == 1 else {k: x // g for k, x in out.items()}
-
-
 def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
     """Solve linear polynomials over the given variables.
 
@@ -365,35 +348,18 @@ def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
     usual presentation of parameter families.
 
     Each equation's ints are a sparse row ``{column: int}`` (variables in
-    descending order, then the constant).  Gauss-Jordan runs fraction-free:
-    a row is cleared at each pivot column by an integer combination with
-    that pivot's row, and every row is kept divided by its content, with a
-    positive pivot entry.  The reduced row echelon form is unique, so the
-    pivots and images are those of ``linalg._rref`` on the same rows; each
+    descending order, then the constant), reduced by ``linalg._echelon``,
+    the Gauss-Jordan that ``linalg._rref`` also calls.  The system is
+    inconsistent iff the constant column is a pivot; otherwise each pivot's
     image is an int polynomial over its pivot entry.
     """
     ordered = sorted(variables, reverse=True)
     const = len(ordered)
     column = {v: i for i, v in enumerate(ordered)}
-    pivots: dict[int, dict[int, int]] = {}  # pivot column -> its reduced row
-    for p in linear:
-        row = {column[mono[0]] if mono else const: c for mono, c in p.ints.items()}
-        for c in [c for c in row if c in pivots]:
-            row = _eliminate(row, pivots[c], c)
-        if not row:
-            continue
-        lead = min(row)
-        if lead == const:
-            return None
-        g = gcd(*row.values())
-        if row[lead] < 0:
-            g = -g
-        if g != 1:
-            row = {k: x // g for k, x in row.items()}
-        for c, other in pivots.items():
-            if lead in other:
-                pivots[c] = _eliminate(other, row, lead)
-        pivots[lead] = row
+    pivots = _echelon({column[mono[0]] if mono else const: c for mono, c in p.ints.items()}
+                      for p in linear)
+    if const in pivots:
+        return None
     mapping: dict[int, Polynomial] = {}
     for c in sorted(pivots):
         row = pivots[c]

@@ -23,12 +23,11 @@ same systems and reach the same eliminations and solution sets.
 query, before ``span_membership``.
 
 ``_tokenize`` is the DSL tokenizer that matched one token kind at a time
-with its own regex, before the single alternation; the package's must
-give the same tokens and the same ``ParseError`` messages and positions.
-``parse`` is the DSL parser that read those tokens one at a time, each
-with its line and column, and summed ``Fraction`` coefficients into
-per-column vectors; the package's must return equal documents and raise
-the same ``ParseError`` messages at the same lines and columns.
+with its own regex, and ``parse`` the parser that read its tokens one at
+a time, each with its line and column, and summed ``Fraction``
+coefficients into per-column vectors; the package's must return equal
+documents and raise the same ``ParseError`` messages at the same lines
+and columns.
 
 The constructions at the end (induced algebra and representation,
 projection context, Nijenhuis deformation, Yau twist, regular and

@@ -76,6 +76,20 @@ def test_huge_dim_is_a_parse_error(tmp_path, capsys):
         assert where in err and "too large" in err
 
 
+def test_dim_too_large_to_allocate_is_a_parse_error(tmp_path, capsys):
+    # A dim of 10**15 fails its first allocation at once: no memory is taken.
+    huge = 10**15
+    for text, where in (
+            (f"algebra A {{ dim {huge} kind assoc }}\n", "line 1, column 17"),
+            (f"algebra A {{ dim 1 kind assoc }}\n"
+             f"representation R on A {{\n  dim {huge}\n}}\n", "line 3, column 7")):
+        bad = tmp_path / "huge.hla"
+        bad.write_text(text)
+        code, out, err = run(capsys, "check", str(bad), "A")
+        assert (code, out) == (2, "")
+        assert err == f"error: {where}: dimension {huge} is too large to allocate\n"
+
+
 def test_check_rep(capsys):
     code, out, _ = run(capsys, "check-rep", FIXTURES, "A2leib", "reg")
     assert code == 0

@@ -283,3 +283,18 @@ def test_empty_header_holds_no_dense_matrix():
         tracemalloc.stop()
     assert doc.algebra("A").alpha == Matrix.zero(1500, 1500)
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("algebra A { dim 1000000000000000 kind assoc }", 1, 17),
+    ("algebra A {\n dim 10000000000000000\n kind leibniz\n bracket { [e1,e1] = e1 }\n}", 2, 6),
+    ("algebra A { dim 1 kind assoc }\nrepresentation R on A {\n  dim 1000000000000000\n}", 3, 7),
+    ("algebra A { dim 1 kind assoc }\nrepresentation R on A { dim 10000000000000000\n"
+     "  phi { f1 -> f1 } lambda_l e1 { f1 -> f1 } }", 2, 29),
+])
+def test_dim_too_large_to_allocate_is_a_parse_error(text, line, column):
+    # Dims of 10**15 and more fail their first allocation at once.
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value).endswith(" is too large to allocate")

@@ -1,7 +1,6 @@
 """Properties of the DSL on generated documents and on damaged text:
 round trips, idempotent serialization, ``ParseError`` as the only
-failure, and the parser and tokenizer against the reference ones in
-``oracle.py``."""
+failure, and the parser against the reference one in ``oracle.py``."""
 
 import sys
 from fractions import Fraction
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from homkit.algebra import ACTIONS_OF, KINDS, TENSORS_BY_KIND, HomAlgebra, StructureTensor
 from homkit.dsl import (
-    DocAlgebra, DocMap, DocRepresentation, Document, _tokenize, parse, serialize,
+    DocAlgebra, DocMap, DocRepresentation, Document, parse, serialize,
 )
 from homkit.errors import ParseError
 from homkit.linalg import Matrix, Vector
@@ -126,8 +125,9 @@ def document_or_error(parse_text, text):
     return ("document", doc, serialize(doc))
 
 
-@PROPERTY
-@given(st.one_of(documents().map(serialize), damaged_texts()))
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(documents().map(serialize), damaged_texts(),
+                 st.lists(pieces, max_size=40).map("".join), st.text(max_size=40)))
 def test_parser_matches_reference(text):
     assert document_or_error(parse, text) == document_or_error(oracle.parse, text)
 
@@ -145,20 +145,6 @@ def test_linear_combinations_match_reference(body):
     for text in (f"algebra A {{ dim 2 kind assoc alpha {{ e1 -> {body} }} }}",
                  f"algebra A {{ dim 2 kind assoc dot {{ e2*e1 = {body} }} }}"):
         assert document_or_error(parse, text) == document_or_error(oracle.parse, text)
-
-
-def tokens_or_error(tokenize, text):
-    try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
-    except ParseError as e:
-        return ("error", str(e), e.line, e.column)
-
-
-@PROPERTY
-@given(st.one_of(damaged_texts(), st.lists(pieces, max_size=40).map("".join),
-                 st.text(max_size=40)))
-def test_tokenizer_matches_reference(text):
-    assert tokens_or_error(_tokenize, text) == tokens_or_error(oracle._tokenize, text)
 
 
 def test_overlong_numbers_are_parse_errors():

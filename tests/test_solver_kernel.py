@@ -1,6 +1,7 @@
 """Differential and property tests: the solver's int ``Polynomial``
 arithmetic, ``generate_constraints``, the fraction-free linear stage and
-the sparse ``_rref`` against their references in ``oracle.py``.
+``_rref``, which share one reducer, against their references in
+``oracle.py``.
 
 Systems, eliminations and solution sets must be equal term for term, so
 everything the package renders from them is byte-identical.  The
@@ -200,14 +201,15 @@ def test_arithmetic_results_are_clean_and_match_reference(p, q, c, mapping):
 
 
 def rref_stage(linear, variables):
-    """What ``_solve_linear_part`` must return, read off ``linalg._rref``
-    on the dense Fraction rows: the pivot images as ``{variable: terms}``
-    and the free variables, or None if the constant column is a pivot."""
+    """What ``_solve_linear_part`` must return, read off the reference
+    ``_rref`` on the dense Fraction rows (``linalg._rref`` shares the
+    stage's reducer): the pivot images as ``{variable: terms}`` and the
+    free variables, or None if the constant column is a pivot."""
     ordered = sorted(variables, reverse=True)
     rows = [[p.coefficient((v,)) for v in ordered] + [p.coefficient(())] for p in linear]
     if not rows:
         return {}, tuple(sorted(variables))
-    reduced, pivots = _rref(rows)
+    reduced, pivots = oracle._rref(rows)
     if len(ordered) in pivots:
         return None
     images = {}
