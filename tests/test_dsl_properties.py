@@ -1,6 +1,7 @@
 """Properties of the DSL on generated documents and on damaged text:
 round trips, idempotent serialization, ``ParseError`` as the only
-failure, and the parser against the reference one in ``oracle.py``."""
+failure, and the parser and its lexer against the reference ones in
+``oracle.py``."""
 
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from homkit.algebra import ACTIONS_OF, KINDS, TENSORS_BY_KIND, HomAlgebra, StructureTensor
 from homkit.dsl import (
-    DocAlgebra, DocMap, DocRepresentation, Document, parse, serialize,
+    DocAlgebra, DocMap, DocRepresentation, Document, _Reader, parse, serialize,
 )
 from homkit.errors import ParseError
 from homkit.linalg import Matrix, Vector
@@ -145,6 +146,39 @@ def test_linear_combinations_match_reference(body):
     for text in (f"algebra A {{ dim 2 kind assoc alpha {{ e1 -> {body} }} }}",
                  f"algebra A {{ dim 2 kind assoc dot {{ e2*e1 = {body} }} }}"):
         assert document_or_error(parse, text) == document_or_error(oracle.parse, text)
+
+
+def tokens_or_error(text):
+    """The reader's tokens of ``text`` as ``oracle._tokenize`` gives them:
+    kind, text, and the line and column at which ``_Reader.fail`` places an
+    error at that token, up to the first end of input (a text ending in
+    blanks scans one more); or the unexpected-character error."""
+    try:
+        reader = _Reader(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.column)
+    tokens = []
+    for pos, tok in enumerate(reader.toks[:reader.toks.index("") + 1]):
+        with pytest.raises(ParseError) as info:
+            reader.fail("", pos)
+        kind = ("EOF" if not tok else "NAME" if tok.isidentifier()
+                else "INT" if tok.isdigit() else "PUNCT")
+        tokens.append((kind, tok, info.value.line, info.value.column))
+    return tokens
+
+
+def oracle_tokens_or_error(text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in oracle._tokenize(text)]
+    except ParseError as e:
+        return ("error", str(e), e.line, e.column)
+
+
+@PROPERTY
+@given(st.one_of(damaged_texts(), st.lists(pieces, max_size=40).map("".join),
+                 st.text(max_size=40)))
+def test_tokenizer_matches_reference(text):
+    assert tokens_or_error(text) == oracle_tokens_or_error(text)
 
 
 def test_overlong_numbers_are_parse_errors():
