@@ -9,7 +9,7 @@ construction or solver that does not require it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 from types import MappingProxyType
@@ -17,10 +17,10 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
 from .kernel import (
-    Accumulator, Lazy, by_entry, common_denominator, entries_then_index, grouped, rationals,
-    sparse, twisted_then_entries, walk,
+    Accumulator, Lazy, common_denominator, entries_then_index, grouped, rationals, sparse,
+    transposed, twisted_then_entries, walk,
 )
-from .linalg import _ZERO, Matrix, Vector, _nonzero_ints, span_membership
+from .linalg import _ZERO, Matrix, Vector, _dense, _nonzero_ints, _Stored, span_membership
 from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
 
 ASSOCIATIVE = "associative"
@@ -40,39 +40,36 @@ TENSORS_BY_KIND = {
 ACTIONS_OF = {"dot": ("lambda_l", "lambda_r"), "bracket": ("rho_l", "rho_r")}
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class StructureTensor:
-    """Bilinear product on a dim-dimensional space, stored as its nonzero
-    basis products ``products[(i, j)] = mu(e_i, e_j)``.
+class StructureTensor(_Stored):
+    """Bilinear product on a dim-dimensional space, kept as :meth:`stored`
+    ``(den, products)``: each nonzero basis product ``mu(e_i, e_j)``, keys
+    in sorted order, as the sparse vector of its entries times ``den``.
 
-    ``products`` is a read-only mapping with its keys in sorted ``(i, j)``
-    order and no zero values, so two tensors with the same products are
-    equal and hash equal however they were built, and every pass over a
-    table costs time in its nonzero products only."""
+    ``products``, the read-only mapping ``(i, j) -> Vector`` of the nonzero
+    products, is a view built on first read.  Two tensors with the same
+    products are equal and hash equal however they were built, and every
+    pass over a table costs time in its nonzero products only."""
 
-    dim: int
-    products: Mapping[tuple[int, int], Vector]
-    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("dim",)
 
-    def __post_init__(self):
-        dim, kept = self.dim, {}
-        for key, value in sorted(self.products.items(), key=itemgetter(0)):
+    def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence]):
+        vectors = {}
+        for key, value in sorted(products.items(), key=itemgetter(0)):
             i, j = key
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ShapeError(f"product index {key} out of range for dim {dim}")
-            v = value if isinstance(value, Vector) else Vector(value)
-            if v.dim != dim:
+            vectors[key] = value.entries if isinstance(value, Vector) else tuple(value)
+            if len(vectors[key]) != dim:
                 raise ShapeError("product value has wrong dimension")
-            if not v.is_zero():
-                kept[(i, j)] = v
-        object.__setattr__(self, "products", MappingProxyType(kept))
+        den, ints = _nonzero_ints(vectors)
+        self._set((den, {key: v for key, v in ints.items() if v}), dim)
 
-    def __hash__(self) -> int:
-        return hash((self.dim, tuple(self.products.items())))
+    def _shape(self) -> int:
+        return self.dim
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":
-        return cls(dim, {})
+        return cls._from_form(dim, 1, {})
 
     @classmethod
     def from_products(cls, dim: int,
@@ -82,19 +79,17 @@ class StructureTensor:
 
     @classmethod
     def _from_form(cls, dim: int, den: int, products: dict) -> "StructureTensor":
-        """The tensor of the sparse int ``products`` over ``den``, kept as :meth:`stored`."""
-        form, fractions = rationals(den, products, dim)
-        out = cls(dim, fractions)
-        object.__setattr__(out, "_ints", form)
-        return out
+        """The tensor of the sparse int ``products`` over ``den``, in lowest
+        terms (:func:`~homkit.kernel.rationals`), kept as :meth:`stored`."""
+        return cls._new(rationals(den, products), dim)
 
-    def stored(self) -> tuple[int, dict]:
-        """``(den, products)``: the lcm of the entry denominators and each nonzero
-        product times it as a sparse vector, in key order; kept once computed."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints", _nonzero_ints(
-                {key: v.entries for key, v in self.products.items()}))
-        return self._ints
+    @property
+    def products(self) -> Mapping[tuple[int, int], Vector]:
+        def build():
+            (den, ints), made = self._ints, {}
+            return MappingProxyType({key: Vector(_dense(den, v, self.dim, made))
+                                     for key, v in ints.items()})
+        return self._cached(build)
 
     @classmethod
     def from_function(cls, dim: int,
@@ -110,15 +105,15 @@ class StructureTensor:
         if x.dim != self.dim or y.dim != self.dim:
             raise ShapeError("operand dimension does not match the tensor")
         xs, ys = x.entries, y.entries
+        den, ints = self._ints
         out = [_ZERO] * self.dim
-        for (i, j), v in self.products.items():
+        for (i, j), v in ints.items():
             xi, yj = xs[i], ys[j]
             if xi and yj:
                 c = xi * yj
-                for k, e in enumerate(v.entries):
-                    if e:
-                        out[k] += c * e
-        return Vector(out)
+                for k, e in v:
+                    out[k] += c * e
+        return Vector([q / den if q else _ZERO for q in out])
 
     def coefficient(self, i: int, j: int, k: int):
         """Structure constant: coefficient of ``e_k`` in ``mu(e_i, e_j)``."""
@@ -201,7 +196,7 @@ class _Sparse:
         parts = self.parts = {name: sparse(p, d) for name, p in parts.items()}
         self.by_first = Lazy(lambda name: grouped(parts[name]))
         self.by_second = Lazy(lambda name: grouped(parts[name], 1))
-        self.entries = Lazy(lambda name: by_entry(parts[name]))
+        self.entries = Lazy(lambda name: transposed(parts[name]))
 
         def twist(key):
             name, left = key

@@ -48,6 +48,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Iterable
 
 from .algebra import (
@@ -55,7 +56,8 @@ from .algebra import (
     StructureTensor,
 )
 from .errors import ParseError, UnknownNameError
-from .linalg import _ZERO, Matrix, Vector, format_lincomb
+from .kernel import grouped, transposed
+from .linalg import Matrix, _format_terms, _lowest_terms
 from .representation import ActionTensor, Representation
 
 KIND_TOKENS = {"assoc": ASSOCIATIVE, "leibniz": LEIBNIZ, "poisson": POISSON}
@@ -167,7 +169,7 @@ class _Reader:
         self.toks: list[str] = _SCAN_RE.findall(text)
         self.pos = 0
         self.symbols: dict[tuple[str, str, int], int] = {}
-        self.fracs: dict[tuple[int, int], Fraction] = {}
+        self.lowest: dict[tuple[int, int], tuple[int, int]] = {}
 
     def fail(self, message: str, pos: int | None = None):
         pos = self.pos if pos is None else pos
@@ -279,49 +281,47 @@ class _Reader:
         k = self.symbols[(text, prefix, dim)] = int(digits) - 1
         return k
 
-    def _terms(self, terms, prefix: str, dim: int) -> list[tuple[int, Fraction]]:
-        """``(k, q)`` for each term: the basis index of its symbol and its
-        coefficient as a ``Fraction``, each built once per parse."""
-        toks, symbols, fracs = self.toks, self.symbols, self.fracs
-        out = []
+    def _terms(self, terms, prefix: str, dim: int) -> dict[int, tuple[int, int]]:
+        """``{k: (num, den)}``: for each basis index ``k`` the terms name,
+        the sum of its coefficients in lowest terms (perhaps zero); each
+        coefficient is reduced once per parse."""
+        toks, symbols, lowest = self.toks, self.symbols, self.lowest
+        out: dict[int, tuple[int, int]] = {}
         for num, den, pos in terms:
             k = symbols.get((toks[pos], prefix, dim))
             if k is None:
                 k = self._basis_index(pos, prefix, dim)
-            q = fracs.get((num, den))
+            q = lowest.get((num, den))
             if q is None:
-                q = fracs[(num, den)] = Fraction(num, den)
-            out.append((k, q))
+                g = gcd(num, den)
+                q = lowest[(num, den)] = (num // g, den // g)
+            if k in out:  # a symbol named twice
+                q = Fraction(*out[k]) + Fraction(*q)
+                q = q.numerator, q.denominator
+            out[k] = q
         return out
 
-    def _resolve_lincomb(self, terms, prefix: str, dim: int) -> Vector:
-        entries = [_ZERO] * dim
-        for k, q in self._terms(terms, prefix, dim):
-            x = entries[k]
-            entries[k] = q if x is _ZERO else x + q
-        return Vector(entries)
-
-    def _resolve_columns(self, entries, src_prefix: str, src_dim: int,
-                         dst_prefix: str, dst_dim: int) -> Matrix:
-        """The matrix whose column ``j`` is the linear combination given for
-        basis symbol ``j``, built row by row; a row with no entry is one
-        shared tuple of the shared zero."""
-        rows: dict[int, list] = {}
+    def _columns(self, entries, src_prefix: str, src_dim: int, dst_prefix: str,
+                 dst_dim: int) -> list[tuple[int, int, tuple[int, int]]]:
+        """``(j, i, (num, den))`` for each coefficient of ``e_i`` in the linear
+        combination given for basis symbol ``j``, each ``(j, i)`` once."""
+        out = []
         seen = set()
         for (pos, terms) in entries:
             j = self._basis_index(pos, src_prefix, src_dim)
             if j in seen:
                 self.fail(f"duplicate entry for {self.toks[pos]!r}", pos)
             seen.add(j)
-            for i, q in self._terms(terms, dst_prefix, dst_dim):
-                row = rows.get(i)
-                if row is None:
-                    row = rows[i] = [_ZERO] * src_dim
-                x = row[j]
-                row[j] = q if x is _ZERO else x + q
-        zero = (_ZERO,) * src_dim
-        return Matrix._trusted(tuple(tuple(rows[i]) if i in rows else zero
-                                     for i in range(dst_dim)), dst_dim, src_dim)
+            out += [(j, i, q) for i, q in self._terms(terms, dst_prefix, dst_dim).items()]
+        return out
+
+    def _matrix(self, entries, src_prefix: str, src_dim: int,
+                dst_prefix: str, dst_dim: int) -> Matrix:
+        """The matrix whose column ``j`` is the linear combination given for
+        basis symbol ``j``, built from its nonzero entries only."""
+        cells = [((i, j), q) for j, i, q in
+                 self._columns(entries, src_prefix, src_dim, dst_prefix, dst_dim)]
+        return Matrix._from_form(dst_dim, src_dim, *_lowest_terms(cells))
 
     # ---- items ---------------------------------------------------------
 
@@ -386,16 +386,16 @@ class _Reader:
         try:
             tensors = {}
             for block in TENSORS_BY_KIND[kind]:
-                products = {}
+                seen, cells = set(), []
                 for (ipos, jpos, terms) in raw[block]:
-                    i = self._basis_index(ipos, "e", dim)
-                    j = self._basis_index(jpos, "e", dim)
-                    if (i, j) in products:
+                    key = (self._basis_index(ipos, "e", dim), self._basis_index(jpos, "e", dim))
+                    if key in seen:
                         self.fail(f"duplicate product entry for ({toks[ipos]},{toks[jpos]})",
                                   ipos)
-                    products[(i, j)] = self._resolve_lincomb(terms, "e", dim)
-                tensors[block] = StructureTensor.from_products(dim, products)
-            alpha = self._resolve_columns(raw["alpha"], "e", dim, "e", dim)
+                    seen.add(key)
+                    cells += [((key, k), q) for k, q in self._terms(terms, "e", dim).items()]
+                tensors[block] = StructureTensor._from_form(dim, *_lowest_terms(cells))
+            alpha = self._matrix(raw["alpha"], "e", dim, "e", dim)
             return DocAlgebra(name, HomAlgebra(dim, kind, alpha, **tensors))
         except MemoryError:
             self.fail(f"dimension {dim} is too large to allocate", dim_at)
@@ -453,7 +453,7 @@ class _Reader:
         src_dim = self._space_dim(doc, src)
         dst_dim = self._space_dim(doc, dst)
         entries = self.parse_arrow_block()
-        matrix = self._resolve_columns(entries, "e", src_dim, "e", dst_dim)
+        matrix = self._matrix(entries, "e", src_dim, "e", dst_dim)
         return DocMap(name, toks[src], toks[dst], matrix)
 
     def parse_representation(self, doc: Document) -> DocRepresentation:
@@ -498,12 +498,15 @@ class _Reader:
             self.fail(f"representation {name!r} has no dim", start)
 
         def family(action: str) -> ActionTensor:
-            return ActionTensor(base.dim, dim, [
-                self._resolve_columns(actions[action].get(i, []), "f", dim, "f", dim)
-                for i in range(base.dim)])
+            # Column c of the matrix of e_a is the family's column (a, c).
+            cells: list = []
+            for a in sorted(actions[action]):
+                cells += [(((a, c), r), q) for c, r, q in
+                          self._columns(actions[action][a], "f", dim, "f", dim)]
+            return ActionTensor._from_form(base.dim, dim, *_lowest_terms(cells))
 
         try:
-            phi = self._resolve_columns(phi_entries or [], "f", dim, "f", dim)
+            phi = self._matrix(phi_entries or [], "f", dim, "f", dim)
             rep = Representation(base.kind, base.dim, dim, phi, **{
                 a: family(a) for name in base.tensors() for a in ACTIONS_OF[name]})
         except MemoryError:
@@ -524,14 +527,17 @@ def _block(head: str, lines: list[str]) -> list[str]:
     return [f"  {head} {{", *lines, "  }"] if lines else []
 
 
+def _lincomb(terms: list[tuple[int, int]], den: int, prefix: str) -> str:
+    """The text of the sparse int vector ``terms`` over ``den``."""
+    return _format_terms(((k, x, den) for k, x in terms), prefix)
+
+
 def _serialize_columns(m: Matrix, src_prefix: str, dst_prefix: str,
                        indent: str = "    ") -> list[str]:
-    lines = []
-    for j, col in enumerate(zip(*m.entries)):
-        value = format_lincomb(col, dst_prefix)
-        if value != "0":
-            lines.append(f"{indent}{src_prefix}{j + 1} -> {value}")
-    return lines
+    """One line per nonzero column, read off the nonzero entries by row."""
+    den, rows = m.stored()
+    return [f"{indent}{src_prefix}{j + 1} -> {_lincomb(col, den, dst_prefix)}"
+            for j, col in transposed(rows).items()]
 
 
 def _serialize_algebra(item: DocAlgebra) -> list[str]:
@@ -541,8 +547,9 @@ def _serialize_algebra(item: DocAlgebra) -> list[str]:
              f"  kind {KIND_NAMES[alg.kind]}"]
     for name, t in alg.tensors().items():
         head = "e{}*e{}" if name == "dot" else "[e{},e{}]"
-        lines.extend(_block(name, [f"    {head.format(i + 1, j + 1)} = {format_lincomb(v, 'e')}"
-                                   for (i, j), v in t.products.items()]))
+        den, products = t.stored()
+        lines.extend(_block(name, [f"    {head.format(i + 1, j + 1)} = {_lincomb(v, den, 'e')}"
+                                   for (i, j), v in products.items()]))
     lines.extend(_block("alpha", _serialize_columns(alg.alpha, "e", "e")))
     lines.append("}")
     return lines
@@ -559,8 +566,10 @@ def _serialize_representation(item: DocRepresentation) -> list[str]:
              f"  dim {rep.carrier_dim}"]
     lines.extend(_block("phi", _serialize_columns(rep.phi, "f", "f")))
     for action, tensor in rep.actions().items():
-        for i, mat in enumerate(tensor.mats):
-            lines.extend(_block(f"{action} e{i + 1}", _serialize_columns(mat, "f", "f")))
+        den, columns = tensor.stored()
+        for i, cols in grouped(columns).items():
+            lines.extend(_block(f"{action} e{i + 1}", [
+                f"    f{c + 1} -> {_lincomb(col, den, 'f')}" for c, col in cols]))
     lines.append("}")
     return lines
 

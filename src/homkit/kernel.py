@@ -1,15 +1,16 @@
 """Exact integer kernel for the identity checkers and the constructions.
 
-The ints live on the objects: every ``Matrix``, ``StructureTensor`` and
-``ActionTensor`` keeps its nonzero entries once, as ints over its own
-denominator (the lcm of its entries' reduced denominators), computed on
-first use or handed over by the construction that built it
-(``stored()``).  A check fixes one common denominator ``D``, the lcm of
-the stored ones (:func:`common_denominator`), and rescales each stored
-list by ``D // den`` (:func:`sparse`).  A term of an identity that
-multiplies ``d`` constants is then an ``int`` multiple of ``1/D**d``; an
-identity of degree at most ``k`` multiplies lower-degree terms up by the
-missing powers of ``D`` and compares pure ``int`` lists.  The exact
+The ints are the objects: every ``Matrix``, ``StructureTensor`` and
+``ActionTensor`` keeps only its nonzero entries, as ints over its own
+denominator (the lcm of its entries' reduced denominators), converted
+once from the input of a public constructor or handed over by the
+construction that built it (``stored()``).  A check fixes one common
+denominator ``D``, the lcm of the stored ones (:func:`common_denominator`),
+and rescales each stored list by ``D // den`` (:func:`sparse`).  A term
+of an identity that multiplies ``d`` constants is then an ``int``
+multiple of ``1/D**d``; an identity of degree at most ``k`` multiplies
+lower-degree terms up by the missing powers of ``D`` and compares pure
+``int`` lists.  The exact
 rational residual is that list over ``D**k``, and
 :func:`homkit.reporting.scan_identity` builds it only for a witness.
 
@@ -19,8 +20,8 @@ by basis tuple, one slice of tuples with the same first index at a time
 degree-3 term of an algebra, representation or matched-pair identity is
 one of two walks over nonzero entries (:func:`entries_then_index`,
 :func:`twisted_then_entries`).
-A construction sums its degree-``k`` terms the same way and keeps them as
-its result's stored form, building each ``Fraction`` once (:func:`rationals`).
+A construction sums its degree-``k`` terms the same way and hands them
+over as its result's stored form, reduced to lowest terms (:func:`rationals`).
 
 Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
 entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
@@ -31,8 +32,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator
-
-from .linalg import _ZERO
 
 
 def common_denominator(*parts) -> int:
@@ -54,20 +53,16 @@ def sparse(part, d: int) -> dict:
     return {key: [(k, f * x) for k, x in v] for key, v in ints.items()}
 
 
-def rationals(den: int, ints: dict, dim: int) -> tuple[tuple[int, dict], dict]:
-    """The nonzero sparse vectors ``ints / den`` as a stored form, in key
-    order and reduced by the gcd of ``den`` and every int, and as tuples of
-    ``dim`` Fractions, each zero ``linalg._ZERO`` and each value built once."""
+def rationals(den: int, ints: dict) -> tuple[int, dict]:
+    """The stored form of the rationals ``ints / den``, sparse vectors by
+    key: the nonzero vectors in key order, reduced by the gcd of ``den``
+    and every int, so that ``den`` is the lcm of the entries' reduced
+    denominators."""
     ints = {key: ints[key] for key in sorted(ints) if ints[key]}
     g = gcd(den, *(x for v in ints.values() for _, x in v))
     if g > 1:
         den, ints = den // g, {key: [(k, x // g) for k, x in v] for key, v in ints.items()}
-    made, out = {}, {}
-    for key, v in ints.items():
-        row = out[key] = [_ZERO] * dim
-        for k, x in v:
-            row[k] = made[x] if x in made else made.setdefault(x, Fraction(x, den))
-    return (den, ints), {key: tuple(row) for key, row in out.items()}
+    return den, ints
 
 
 class Accumulator(dict):
@@ -104,12 +99,14 @@ class Accumulator(dict):
         terms at keys starting with ``i``; the sums join this accumulator
         and their keys are yielded.  Lazily, so a scan that stops at a
         witness adds no later slice."""
+        part = Accumulator(self.dim)
         for i in range(count):
-            part = Accumulator(self.dim)
             for add in adders:
                 add(i, part)
-            self.update(part)
-            yield from sorted(part)
+            if part:  # an untouched slice costs only its adders' calls
+                self.update(part)
+                yield from sorted(part)
+                part = Accumulator(self.dim)
 
 
 class Lazy(dict):
@@ -133,14 +130,15 @@ def grouped(mapping: dict, by: int = 0) -> dict:
     return out
 
 
-def by_entry(part: dict) -> dict:
-    """``{(p, q): sparse vector}`` by entry: ``by_entry[a]`` lists
-    ``(p, q, c)`` for each entry ``c`` at ``a`` of the vector at ``(p, q)``."""
-    out = {}
-    for (p, q), terms in part.items():
-        for a, c in terms:
-            out.setdefault(a, []).append((p, q, c))
-    return out
+def transposed(vectors: dict) -> dict:
+    """Sparse vectors ``{key: [(k, x), ...]}`` by entry index:
+    ``{k: [(key, x), ...]}``, in order of ``k`` and then of ``key``; the
+    rows of a matrix as its columns, or a table's products by entry."""
+    out: dict = {}
+    for key, v in vectors.items():
+        for k, x in v:
+            out.setdefault(k, []).append((key, x))
+    return {k: out[k] for k in sorted(out)}
 
 
 def walk(width: int, count: int, adders) -> tuple:
@@ -177,16 +175,16 @@ def entries_then_index(sign: int, firsts: dict, seconds: dict, swap: bool = Fals
 
 def twisted_then_entries(sign: int, twisted: dict, entries: dict, width: int = 0):
     """Adds ``sign c v`` at ``(i, p, q)`` for each ``(a, v)`` in ``twisted[i]``
-    and each ``(p, q, c)`` in ``entries[a]`` (:func:`by_entry`); with a ``width``,
-    at ``(i, p)`` from offset ``q * width``, ``q`` being a carrier column."""
+    and each ``((p, q), c)`` in ``entries[a]`` (a part :func:`transposed`); with a
+    ``width``, at ``(i, p)`` from offset ``q * width``, ``q`` being a carrier column."""
     if width:
         def add(i, acc):
             for a, v in twisted.get(i, ()):
-                for p, q, c in entries.get(a, ()):
+                for (p, q), c in entries.get(a, ()):
                     acc.add((i, p), sign * c, v, q * width)
     else:
         def add(i, acc):
             for a, v in twisted.get(i, ()):
-                for p, q, c in entries.get(a, ()):
+                for (p, q), c in entries.get(a, ()):
                     acc.add((i, p, q), sign * c, v)
     return add

@@ -1,8 +1,11 @@
 """Exact rational vectors, matrices, and Gaussian elimination.
 
-Every entry is a :class:`fractions.Fraction`, so all arithmetic in the
-package is exact; there is no tolerance anywhere.  Values are immutable
-after construction and all operations are pure functions.
+Every entry is an exact rational: a :class:`fractions.Fraction` in a
+vector, and in a matrix one of its nonzero ints over the matrix's
+denominator, read as Fractions through the ``entries`` view.  So all
+arithmetic in the package is exact; there is no tolerance anywhere.
+Values are immutable after construction and all operations are pure
+functions.
 
 Conventions fixed once for the whole package:
 
@@ -15,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ShapeError
+from .kernel import rationals
 
 Rational = Union[Fraction, int, str]
 
@@ -31,7 +34,7 @@ _ONE = Fraction(1)
 def frac(value: Rational) -> Fraction:
     """Coerce an int, a string like ``"3/2"``, or a Fraction to a Fraction.
     A zero that is not yet a Fraction becomes one shared ``Fraction(0)``,
-    so the zero entries of vectors and matrices built from ints share it.
+    so the zero entries of vectors built from ints share it.
     A float is refused with ``TypeError``: ``0.1`` is not ``1/10``."""
     if isinstance(value, Fraction):
         return value
@@ -40,24 +43,90 @@ def frac(value: Rational) -> Fraction:
     return _ZERO if value == 0 else Fraction(value)
 
 
+_EXACT = {Fraction, int}
+
+
 def _nonzero_ints(vectors: dict) -> tuple[int, dict]:
-    """``(den, ints)`` of a dict of Fraction sequences: ``den`` is the lcm
-    of their entries' denominators and ``ints[key]`` lists ``(k, den q)``
-    for each nonzero entry ``q`` at index ``k`` of ``vectors[key]``."""
-    nonzero = {key: [(k, q) for k, q in enumerate(v) if q is not _ZERO and q]
-               for key, v in vectors.items()}
+    """``(den, ints)`` of a dict of sequences of rationals: ``den`` is the
+    lcm of their nonzero entries' denominators and ``ints[key]`` lists
+    ``(k, den q)`` for each nonzero entry ``q`` at index ``k`` of
+    ``vectors[key]``.  Entries other than ints and Fractions go through
+    :func:`frac`."""
+    nonzero = {}
+    for key, v in vectors.items():
+        if not set(map(type, v)) <= _EXACT:
+            v = map(frac, v)
+        nonzero[key] = [(k, q) for k, q in enumerate(v) if q is not _ZERO and q]
     den = lcm(*{q.denominator for v in nonzero.values() for _, q in v})
     return den, {key: [(k, q.numerator * (den // q.denominator)) for k, q in v]
                  for key, v in nonzero.items()}
 
 
-def _fraction_row(entries: Iterable[Rational]) -> tuple[Fraction, ...]:
-    """The entries as a tuple of Fractions.  Most rows are built from
-    entries that are already Fractions, and such a tuple is kept as it is."""
-    row = tuple(entries)
-    if set(map(type, row)) <= {Fraction}:
-        return row
-    return tuple(map(frac, row))
+def _lowest_terms(cells: Iterable[tuple[tuple, tuple[int, int]]]) -> tuple[int, dict]:
+    """``(den, ints)`` of the coefficients ``((key, k), (num, den))``, each
+    in lowest terms with ``den > 0`` and each ``(key, k)`` once: the lcm of
+    the nonzero ones' denominators and, by key in sorted order, ``(k, int)``
+    for each nonzero one in order of ``k``."""
+    cells = sorted(cell for cell in cells if cell[1][0])
+    den = lcm(*{d for _, (_, d) in cells})
+    ints: dict = {}
+    for (key, k), (n, d) in cells:
+        ints.setdefault(key, []).append((k, n * (den // d)))
+    return den, ints
+
+
+def _dense(den: int, terms: list, width: int, made: dict) -> tuple[Fraction, ...]:
+    """The ``width`` Fraction entries of the sparse int vector ``terms``
+    over ``den``: each zero the shared one, each value built once per ``made``."""
+    out = [_ZERO] * width
+    for k, x in terms:
+        out[k] = made[x] if x in made else made.setdefault(x, Fraction(x, den))
+    return tuple(out)
+
+
+class _Stored:
+    """An immutable value kept only as its shape and its nonzero entries,
+    ints over one denominator (:meth:`stored`).  Equality and hashing
+    compare those; a view of the entries as Fractions is built on first
+    read and then kept (:meth:`_cached`)."""
+
+    __slots__ = ("_ints", "_view")
+
+    def _set(self, form: tuple[int, dict], *shape) -> None:
+        """Keep ``form`` and the shape, the values of the class's own slots."""
+        for name, value in zip(type(self).__slots__, shape):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_ints", form)
+
+    @classmethod
+    def _new(cls, form: tuple[int, dict], *shape):
+        out = object.__new__(cls)
+        out._set(form, *shape)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def stored(self) -> tuple[int, dict]:
+        """``(den, ints)``: the lcm of the entries' reduced denominators and
+        each row, product or column (by key, in key order) as the sparse
+        vector of its nonzero entries times ``den``."""
+        return self._ints
+
+    def _cached(self, build: Callable):
+        try:
+            return self._view
+        except AttributeError:
+            object.__setattr__(self, "_view", build())
+            return self._view
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._shape() == other._shape()
+                and self._ints == other._ints)
+
+    def __hash__(self) -> int:
+        den, ints = self._ints
+        return hash((self._shape(), den, tuple((key, tuple(v)) for key, v in ints.items())))
 
 
 class Vector:
@@ -66,7 +135,11 @@ class Vector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Rational]):
-        object.__setattr__(self, "entries", _fraction_row(entries))
+        # Most vectors are built from entries that are already Fractions.
+        row = tuple(entries)
+        if not set(map(type, row)) <= {Fraction}:
+            row = tuple(map(frac, row))
+        object.__setattr__(self, "entries", row)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -130,44 +203,47 @@ class Vector:
         return f"Vector({list(self.entries)!r})"
 
 
-class Matrix:
-    """Immutable rows x cols matrix with exact rational entries."""
+class Matrix(_Stored):
+    """Immutable rows x cols matrix with exact rational entries, kept as
+    :meth:`stored` ``(den, rows)``: ``rows[i]`` lists ``(j, den M[i][j])``
+    for each nonzero entry, every row index kept.  ``entries``, the dense
+    tuple of ``Fraction`` rows, is a read-only view built on first read;
+    arithmetic reads the ints."""
 
-    __slots__ = ("rows", "cols", "entries", "_ints")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable[Rational]], rows: int | None = None,
                  cols: int | None = None):
-        grid = tuple(map(_fraction_row, entries))
+        grid = list(map(tuple, entries))
         if rows is None:
             rows = len(grid)
         if cols is None:
             cols = len(grid[0]) if grid else 0
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise ShapeError("ragged or mis-sized matrix data")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", grid)
+        self._set(_nonzero_ints(dict(enumerate(grid))), rows, cols)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    def _shape(self) -> tuple[int, int]:
+        return self.rows, self.cols
 
     @classmethod
-    def _trusted(cls, grid: tuple, rows: int, cols: int) -> "Matrix":
-        """A matrix of ``grid``, a tuple of ``rows`` tuples of ``cols``
-        Fractions each, kept as it is with no check or copy."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "rows", rows)
-        object.__setattr__(out, "cols", cols)
-        object.__setattr__(out, "entries", grid)
-        return out
+    def _from_form(cls, rows: int, cols: int, den: int, ints: dict) -> "Matrix":
+        """The matrix of the sparse int rows ``ints`` over ``den``, each
+        listing ``(j, int)`` in column order with no zero; rows left out are
+        zero.  Reduced to lowest terms and kept as :meth:`stored`."""
+        den, ints = rationals(den, ints)
+        # The rows are allocated at once, so a count beyond memory fails here.
+        full = dict(enumerate([[]] * rows))
+        full.update(ints)
+        return cls._new((den, full), rows, cols)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([(_ZERO,) * cols] * rows, rows, cols)
+        return cls._from_form(rows, cols, 1, {})
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n, n)
+        return cls._from_form(n, n, 1, {i: [(i, 1)] for i in range(n)})
 
     @classmethod
     def from_cols(cls, cols: Sequence[Vector]) -> "Matrix":
@@ -176,46 +252,42 @@ class Matrix:
         dim = cols[0].dim
         if any(c.dim != dim for c in cols):
             raise ShapeError("columns of differing dimension")
-        return cls([[c[i] for c in cols] for i in range(dim)], dim, len(cols))
+        return cls(zip(*(c.entries for c in cols)), dim, len(cols))
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """Assemble a matrix from a grid of consistently sized blocks; its
         width is that of the block rows, even of a block row of height 0."""
         cols = sum(b.cols for b in grid[0]) if grid else 0
-        rows = []
+        d = lcm(*(b._ints[0] for block_row in grid for b in block_row))
+        rows: dict = {}
         for block_row in grid:
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise ShapeError("block row heights differ")
             if sum(b.cols for b in block_row) != cols:
                 raise ShapeError("block row widths differ")
-            for i in range(height):
-                rows.append(tuple(chain.from_iterable(b.entries[i] for b in block_row)))
-        return cls(rows, len(rows), cols)
+            top, left = len(rows), 0
+            for b in block_row:
+                den, ints = b._ints
+                for i, row in ints.items():
+                    rows.setdefault(top + i, []).extend((left + j, d // den * x) for j, x in row)
+                left += b.cols
+        return cls._from_form(len(rows), cols, d, rows)
 
     @classmethod
     def block_diag(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        """``a (+) b``, its :meth:`stored` rows built from theirs."""
-        right, left = (_ZERO,) * b.cols, (_ZERO,) * a.cols
-        out = cls([row + right for row in a.entries] + [left + row for row in b.entries],
-                  a.rows + b.rows, a.cols + b.cols)
-        (da, rows_a), (db, rows_b) = a.stored(), b.stored()
-        d = lcm(da, db)
-        rows = {i: [(k, d // da * x) for k, x in row] for i, row in rows_a.items()}
-        rows.update({a.rows + i: [(a.cols + k, d // db * x) for k, x in row]
-                     for i, row in rows_b.items()})
-        object.__setattr__(out, "_ints", (d, rows))
-        return out
+        """``a (+) b``."""
+        return cls.block([[a, cls.zero(a.rows, b.cols)], [cls.zero(b.rows, a.cols), b]])
 
-    def stored(self) -> tuple[int, dict]:
-        """``(den, rows)``: the lcm of the entry denominators and, for each row
-        ``i``, ``rows[i]`` listing ``(j, den M[i][j])`` if nonzero; kept once computed."""
-        try:
-            return self._ints
-        except AttributeError:
-            object.__setattr__(self, "_ints", _nonzero_ints(dict(enumerate(self.entries))))
-            return self._ints
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        def build():
+            den, ints = self._ints
+            zero, made = (_ZERO,) * self.cols, {}
+            return tuple(_dense(den, row, self.cols, made) if row else zero
+                         for row in ints.values())
+        return self._cached(build)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -228,20 +300,33 @@ class Matrix:
         return Vector(row[j] for row in self.entries)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
+        return not any(self._ints[1].values())
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def _combine(self, *terms: tuple["Matrix", Rational]) -> "Matrix":
+        """``sum c M`` over the ``(M, c)`` terms, all of this shape, on their ints."""
+        scaled = [(m._ints, frac(c)) for m, c in terms]
+        d = lcm(*(den * c.denominator for (den, _), c in scaled))
+        sums: dict = {}
+        for (den, ints), c in scaled:
+            f = c.numerator * (d // (den * c.denominator))
+            for i, row in ints.items():
+                if row and f:
+                    acc = sums.setdefault(i, {})
+                    for j, x in row:
+                        acc[j] = acc.get(j, 0) + f * x
+        return Matrix._from_form(self.rows, self.cols, d, {
+            i: [(j, acc[j]) for j in sorted(acc) if acc[j]] for i, acc in sums.items()})
+
     def scale(self, c: Rational) -> "Matrix":
-        c = frac(c)
-        return Matrix((c * e for e in row) for row in self.entries)
+        return self._combine((self, c))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix shapes differ in addition")
-        return Matrix((a + b for a, b in zip(r1, r2))
-                      for r1, r2 in zip(self.entries, other.entries))
+        return self._combine((self, 1), (other, 1))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
@@ -254,29 +339,24 @@ class Matrix:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
         # Both factors' stored ints: the product is an int matrix over da db.
-        da, left = self.stored()
-        db, right = other.stored()
-        rows = []
-        for i in range(self.rows):
+        (da, left), (db, right) = self._ints, other._ints
+        rows = {}
+        for i, row in left.items():
+            if not row:
+                continue
             acc = [0] * other.cols
-            for k, x in left[i]:
+            for k, x in row:
                 for j, y in right[k]:
                     acc[j] += x * y
-            rows.append(tuple([Fraction(v, da * db) if v else _ZERO for v in acc]))
-        return Matrix(rows, self.rows, other.cols)
+            rows[i] = [(j, v) for j, v in enumerate(acc) if v]
+        return Matrix._from_form(self.rows, other.cols, da * db, rows)
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != v.dim:
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} to dim-{v.dim}")
-        return Vector(sum((a * b for a, b in zip(row, v.entries)), Fraction(0))
-                      for row in self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        den, ints = self._ints
+        sums = [sum([x * v.entries[j] for j, x in row], _ZERO) for row in ints.values()]
+        return Vector([s / den if s else _ZERO for s in sums])
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self.entries]!r})"
@@ -347,27 +427,24 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return reduced, pivots
 
 
-def _kernel_from_rref(rows: list[list[Fraction]], pivots: list[int],
-                      ncols: int) -> list[Vector]:
-    free = [c for c in range(ncols) if c not in pivots]
+def _null_space(echelon: dict[int, dict[int, int]], ncols: int) -> list[Vector]:
+    """The null space basis read off :func:`_echelon` rows: for each free
+    column ``f < ncols``, 1 at ``f`` and ``-row[f] / row[p]`` at each pivot ``p``."""
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(Vector(v))
+    for f in range(ncols):
+        if f not in echelon:
+            v = [_ZERO] * ncols
+            v[f] = _ONE
+            for p, row in echelon.items():
+                if f in row:
+                    v[p] = Fraction(-row[f], row[p])
+            basis.append(Vector(v))
     return basis
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
     """Basis of the null space of ``a``; empty iff ``a`` is injective."""
-    if a.cols == 0:
-        return []
-    if a.rows == 0:
-        return [Vector.unit(a.cols, j) for j in range(a.cols)]
-    rows, pivots = _rref([list(r) for r in a.entries])
-    return _kernel_from_rref(rows, pivots, a.cols)
+    return _null_space(_echelon(map(dict, a.stored()[1].values())), a.cols)
 
 
 def solve_linear(a: Matrix, b: Vector) -> AffineSolution | None:
@@ -378,23 +455,21 @@ def solve_linear(a: Matrix, b: Vector) -> AffineSolution | None:
     """
     if a.rows != b.dim:
         raise ShapeError(f"matrix has {a.rows} rows but rhs has dim {b.dim}")
-    if a.cols == 0:
-        if b.is_zero():
-            return AffineSolution(Vector.zero(0), ())
+    # Row i of the stored ints, with b_i at column a.cols, both times den b_i.denominator.
+    den, ints = a.stored()
+    rows = []
+    for row, q in zip(ints.values(), b.entries):
+        rows.append({j: q.denominator * x for j, x in row})
+        if q:
+            rows[-1][a.cols] = den * q.numerator
+    echelon = _echelon(rows)
+    if a.cols in echelon:
         return None
-    if a.rows == 0:
-        return AffineSolution(Vector.zero(a.cols),
-                              tuple(Vector.unit(a.cols, j) for j in range(a.cols)))
-    aug = [list(r) + [be] for r, be in zip(a.entries, b.entries)]
-    rows, pivots = _rref(aug)
-    if a.cols in pivots:
-        return None
-    particular = [Fraction(0)] * a.cols
-    for r, p in enumerate(pivots):
-        particular[p] = rows[r][a.cols]
-    plain = [row[:a.cols] for row in rows]
-    kernel = _kernel_from_rref(plain, pivots, a.cols)
-    return AffineSolution(Vector(particular), tuple(kernel))
+    particular = [_ZERO] * a.cols
+    for p, row in echelon.items():
+        if a.cols in row:
+            particular[p] = Fraction(row[a.cols], row[p])
+    return AffineSolution(Vector(particular), tuple(_null_space(echelon, a.cols)))
 
 
 def span_membership(columns: Sequence[Vector]) -> Callable[[Vector], bool]:
@@ -427,18 +502,23 @@ def span_membership(columns: Sequence[Vector]) -> Callable[[Vector], bool]:
     return member
 
 
+def _format_terms(terms: Iterable[tuple[int, int, int]], symbol: str) -> str:
+    """Render ``(i, num, den)`` terms, nonzero coefficients ``num/den`` with
+    ``den > 0`` by index, as a linear combination such as ``3/2 e1 - e2``;
+    no term is ``0``."""
+    parts: list[str] = []
+    for i, n, d in terms:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        mag = f"{abs(n)}/{d} " if d != 1 else "" if n in (1, -1) else f"{abs(n)} "
+        sign = ("- " if n < 0 else "+ ") if parts else "-" if n < 0 else ""
+        parts.append(f"{sign}{mag}{symbol}{i + 1}")
+    return " ".join(parts) if parts else "0"
+
+
 def format_lincomb(v: Iterable[Fraction], symbol: str = "e") -> str:
     """Render a vector, or a sequence of its entries, as a linear
     combination such as ``3/2 e1 - e2``; a zero vector is ``0``."""
-    parts: list[str] = []
-    for i, c in enumerate(v):
-        if c is _ZERO or not c:  # the shared zero needs no method call
-            continue
-        name = f"{symbol}{i + 1}"
-        mag = abs(c)
-        body = name if mag == 1 else f"{mag} {name}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
+    # The shared zero needs no method call.
+    return _format_terms(((i, c.numerator, c.denominator) for i, c in enumerate(v)
+                          if c is not _ZERO and c), symbol)

@@ -13,8 +13,8 @@ multilinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
@@ -24,80 +24,74 @@ from .algebra import (
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import (
     Accumulator, Lazy, common_denominator, entries_then_index, grouped, rationals, sparse,
-    twisted_then_entries, walk,
+    transposed, twisted_then_entries, walk,
 )
-from .linalg import _ZERO, Matrix, Vector, _nonzero_ints, frac, solve_linear
+from .linalg import Matrix, Vector, _nonzero_ints, _Stored, solve_linear
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class ActionTensor:
+class ActionTensor(_Stored):
     """Linear family of carrier endomorphisms indexed by base basis
-    elements; extends linearly to ``at(x) = sum_i x_i mats[i]``."""
+    elements; extends linearly to ``at(x) = sum_i x_i mats[i]``.
 
-    base_dim: int
-    carrier_dim: int
-    mats: tuple[Matrix, ...]
-    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    It is kept as :meth:`stored` ``(den, columns)``: each nonzero column
+    ``(i, c)``, column ``c`` of the matrix of ``e_i``, keys in sorted order,
+    as the sparse vector of its entries times ``den``.  ``mats``, one
+    ``Matrix`` per base basis element, is a read-only view built on first read."""
 
-    def __post_init__(self):
-        mats = tuple(self.mats)
-        if len(mats) != self.base_dim:
+    __slots__ = ("base_dim", "carrier_dim")
+
+    def __init__(self, base_dim: int, carrier_dim: int, mats: Sequence[Matrix]):
+        mats = tuple(mats)
+        if len(mats) != base_dim:
             raise ShapeError("need one matrix per base basis element")
-        if any(m.rows != self.carrier_dim or m.cols != self.carrier_dim for m in mats):
+        if any(m.rows != carrier_dim or m.cols != carrier_dim for m in mats):
             raise ShapeError("action matrices must be carrier_dim square")
-        object.__setattr__(self, "mats", mats)
+        den, columns = lcm(*(m.stored()[0] for m in mats)), {}
+        for i, m in enumerate(mats):
+            dm, rows = m.stored()
+            columns.update(((i, c), [(r, den // dm * x) for r, x in col])
+                           for c, col in transposed(rows).items())
+        self._set((den, columns), base_dim, carrier_dim)
+
+    def _shape(self) -> tuple[int, int]:
+        return self.base_dim, self.carrier_dim
 
     @classmethod
     def zero(cls, base_dim: int, carrier_dim: int) -> "ActionTensor":
-        return cls.from_columns(base_dim, carrier_dim, {})
+        return cls._from_form(base_dim, carrier_dim, 1, {})
 
     @classmethod
     def from_columns(cls, base_dim: int, carrier_dim: int,
                      columns: Mapping[tuple[int, int], Sequence]) -> "ActionTensor":
         """Build from nonzero columns: ``columns[(i, c)]`` is column ``c`` of
         the matrix of base basis element ``i``; unlisted columns are zero."""
-        grids = {}
         for (i, c), col in columns.items():
             if not (0 <= i < base_dim and 0 <= c < carrier_dim) or len(col) != carrier_dim:
                 raise ShapeError(f"column {(i, c)} does not fit the action family")
-            if i not in grids:
-                grids[i] = [[_ZERO] * carrier_dim for _ in range(carrier_dim)]
-            for row, x in zip(grids[i], col):
-                if type(x) is not Fraction:
-                    x = frac(x)
-                if x is not _ZERO and x:  # every zero stays the shared one
-                    row[c] = x
-        zero = Matrix.zero(carrier_dim, carrier_dim)
-        return cls(base_dim, carrier_dim,
-                   [Matrix._trusted(tuple(map(tuple, grids[i])), carrier_dim, carrier_dim)
-                    if i in grids else zero for i in range(base_dim)])
+        return cls._from_form(base_dim, carrier_dim, *_nonzero_ints(columns))
 
     @classmethod
     def _from_form(cls, base_dim: int, carrier_dim: int, den: int,
                    columns: dict) -> "ActionTensor":
-        """The family of the sparse int ``columns`` over ``den``, kept as :meth:`stored`."""
-        form, fractions = rationals(den, columns, carrier_dim)
-        out = cls.from_columns(base_dim, carrier_dim, fractions)
-        object.__setattr__(out, "_ints", form)
-        return out
+        """The family of the sparse int ``columns`` over ``den``, in lowest
+        terms (:func:`~homkit.kernel.rationals`), kept as :meth:`stored`."""
+        return cls._new(rationals(den, columns), base_dim, carrier_dim)
 
-    def stored(self) -> tuple[int, dict]:
-        """``(den, columns)``: the lcm of the entry denominators and each nonzero
-        column ``(i, c)`` times it as a sparse vector, in key order; kept once computed."""
-        if self._ints is None:
-            den, cols = _nonzero_ints({(i, c): col for i, m in enumerate(self.mats)
-                                       for c, col in enumerate(zip(*m.entries))})
-            object.__setattr__(self, "_ints", (den, {key: v for key, v in cols.items() if v}))
-        return self._ints
+    @property
+    def mats(self) -> tuple[Matrix, ...]:
+        def build():
+            (den, columns), m = self._ints, self.carrier_dim
+            by_first, zero = grouped(columns), Matrix.zero(m, m)
+            return tuple(Matrix._from_form(m, m, den, transposed(dict(by_first[i])))
+                         if i in by_first else zero for i in range(self.base_dim))
+        return self._cached(build)
 
     def at(self, x: Vector) -> Matrix:
         if x.dim != self.base_dim:
             raise ShapeError("action argument must have the base dimension")
-        terms = [(xi, m.entries) for xi, m in zip(x.entries, self.mats) if xi]
-        size = self.carrier_dim
-        return Matrix([[sum(xi * rows[r][c] for xi, rows in terms if rows[r][c])
-                        for c in range(size)] for r in range(size)], size, size)
+        zero = Matrix.zero(self.carrier_dim, self.carrier_dim)
+        return zero._combine(*((m, xi) for xi, m in zip(x.entries, self.mats) if xi))
 
 
 @dataclass(frozen=True, slots=True, repr=False)

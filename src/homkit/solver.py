@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
-from .linalg import Matrix, Rational, Vector, _ZERO, _echelon, frac, span_membership
+from .linalg import Matrix, Rational, Vector, _echelon, _lowest_terms, frac, span_membership
 from .operators import OperatorContext, check_relative_rbo
 from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
@@ -403,13 +403,7 @@ class AffineFamily:
     def member(self, values: Sequence) -> Matrix:
         if len(values) != len(self.basis):
             raise ShapeError("need one value per free parameter")
-        grid = [list(row) for row in self.particular.entries]
-        for v, b in zip(map(frac, values), self.basis):
-            for out, row in zip(grid, b.entries):
-                for j, x in enumerate(row):
-                    if x is not _ZERO and x:
-                        out[j] += v * x
-        return Matrix(grid, self.particular.rows, self.particular.cols)
+        return self.particular._combine((self.particular, 1), *zip(self.basis, values))
 
 
 @dataclass(frozen=True)
@@ -542,12 +536,14 @@ def _leaf_family(leaf: _Leaf, system: PolySystem) -> AffineFamily:
     filled in one pass over the substitution."""
     rows, cols = system.rows, system.cols
     slot = {f: k for k, f in enumerate(leaf.free, 1)}  # 0: the particular
-    grids = [[[_ZERO] * cols for _ in range(rows)] for _ in range(len(slot) + 1)]
+    cells = [{} for _ in range(len(slot) + 1)]
     for v, p in leaf.subst.items():
         r, c = system.var_rc(v)
         for mono, x in p.ints.items():
-            grids[slot[mono[0]] if mono else 0][r][c] = Fraction(x, p.den)
-    particular, *basis = (Matrix(grid, rows, cols) for grid in grids)
+            g = gcd(x, p.den)
+            cells[slot[mono[0]] if mono else 0][r, c] = (x // g, p.den // g)
+    particular, *basis = (Matrix._from_form(rows, cols, *_lowest_terms(m.items()))
+                         for m in cells)
     return AffineFamily(particular, tuple(basis),
                         tuple(system.var_name(f) for f in leaf.free))
 

@@ -20,7 +20,9 @@ and substitute into every equation, the solved linear ones too.  Run
 together, they are the reference pipeline: the package must render the
 same systems and reach the same eliminations and solution sets.
 ``in_span`` is the membership test that solved one linear system per
-query, before ``span_membership``.
+query, before ``span_membership``, with ``solve_linear`` and
+``kernel_basis`` as they were before they eliminated a matrix's stored
+ints: on its dense ``Fraction`` rows, through ``_rref``.
 
 ``_tokenize`` is the DSL tokenizer that matched one token kind at a time
 with its own regex, and ``parse`` the parser that read its tokens one at
@@ -28,6 +30,11 @@ a time, each with its line and column, and summed ``Fraction``
 coefficients into per-column vectors; the package's must return equal
 documents and raise the same ``ParseError`` messages at the same lines
 and columns.
+
+``matrix_eq``, ``matrix_hash``, ``tensor_eq`` and ``tensor_hash`` are
+``Matrix`` and ``StructureTensor`` equality and hashing as they were when
+both kept dense ``Fraction`` entries: they compare the ``entries`` rows
+and the ``products`` vectors, where the package compares the stored ints.
 
 The constructions at the end (induced algebra and representation,
 projection context, Nijenhuis deformation, Yau twist, regular and
@@ -59,7 +66,7 @@ from homkit.dsl import (
 from homkit.errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError, SoundnessError,
 )
-from homkit.linalg import _ZERO, Matrix, Vector, frac, solve_linear, span_membership
+from homkit.linalg import _ZERO, AffineSolution, Matrix, Vector, frac, span_membership
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
 from homkit.reporting import CheckReport, CheckResult, Witness, concat, require
@@ -1033,6 +1040,52 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
+def _kernel_from_rref(rows: list[list[Fraction]], pivots: list[int],
+                      ncols: int) -> list[Vector]:
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(Vector(v))
+    return basis
+
+
+def kernel_basis(a: Matrix) -> list[Vector]:
+    """``linalg.kernel_basis`` on the dense ``Fraction`` rows."""
+    if a.cols == 0:
+        return []
+    if a.rows == 0:
+        return [Vector.unit(a.cols, j) for j in range(a.cols)]
+    rows, pivots = _rref([list(r) for r in a.entries])
+    return _kernel_from_rref(rows, pivots, a.cols)
+
+
+def solve_linear(a: Matrix, b: Vector) -> AffineSolution | None:
+    """``linalg.solve_linear`` on the dense augmented ``Fraction`` rows."""
+    if a.rows != b.dim:
+        raise ShapeError(f"matrix has {a.rows} rows but rhs has dim {b.dim}")
+    if a.cols == 0:
+        if b.is_zero():
+            return AffineSolution(Vector.zero(0), ())
+        return None
+    if a.rows == 0:
+        return AffineSolution(Vector.zero(a.cols),
+                              tuple(Vector.unit(a.cols, j) for j in range(a.cols)))
+    aug = [list(r) + [be] for r, be in zip(a.entries, b.entries)]
+    rows, pivots = _rref(aug)
+    if a.cols in pivots:
+        return None
+    particular = [Fraction(0)] * a.cols
+    for r, p in enumerate(pivots):
+        particular[p] = rows[r][a.cols]
+    plain = [row[:a.cols] for row in rows]
+    kernel = _kernel_from_rref(plain, pivots, a.cols)
+    return AffineSolution(Vector(particular), tuple(kernel))
+
+
 def in_span(columns: Sequence[Vector], v: Vector) -> bool:
     """Membership test: is ``v`` in the span of the given vectors?"""
     if not columns:
@@ -1398,6 +1451,28 @@ class _Parser:
 def parse(text: str) -> Document:
     """Parse DSL text into a resolved document."""
     return _Parser(text).parse_document()
+
+
+# ---- equality and hashing, from homkit/linalg.py and algebra.py ----------
+
+
+def matrix_eq(a: Matrix, b) -> bool:
+    """``Matrix.__eq__`` over dense ``Fraction`` entries."""
+    return (isinstance(b, Matrix) and a.rows == b.rows
+            and a.cols == b.cols and a.entries == b.entries)
+
+
+def matrix_hash(a: Matrix) -> int:
+    return hash((a.rows, a.cols, a.entries))
+
+
+def tensor_eq(a: StructureTensor, b) -> bool:
+    """The dataclass ``StructureTensor.__eq__``: dims and product mappings."""
+    return isinstance(b, StructureTensor) and (a.dim, a.products) == (b.dim, b.products)
+
+
+def tensor_hash(a: StructureTensor) -> int:
+    return hash((a.dim, tuple(a.products.items())))
 
 
 # ---- constructions, from homkit/linalg.py, algebra.py, representation.py

@@ -208,13 +208,20 @@ def scaled_permutation(rng: random.Random, rows: int, cols: int) -> Matrix:
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts the ``Vector`` and ``Matrix`` objects built."""
+    """Counts the ``Vector`` and ``Matrix`` objects built, a matrix by its
+    public constructor or from a stored form."""
     counts = Counter()
     for cls in (Vector, Matrix):
         def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
             counts[name] += 1
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
+    from_form = Matrix._from_form.__func__
+
+    def counted_form(cls, *args):
+        counts["Matrix"] += 1
+        return from_form(cls, *args)
+    monkeypatch.setattr(Matrix, "_from_form", classmethod(counted_form))
     return counts
 
 

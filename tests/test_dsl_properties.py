@@ -17,6 +17,7 @@ from homkit.dsl import (
 from homkit.errors import ParseError
 from homkit.linalg import Matrix, Vector
 from homkit.representation import ActionTensor, Representation
+from test_stored_ints import reference
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -75,6 +76,66 @@ def test_round_trip_and_idempotent_serialization(doc):
     again = parse(text)
     assert again == doc
     assert serialize(again) == text
+
+
+def stored_parts(doc: Document):
+    """Every matrix, table and action family of a document."""
+    for item in doc.items:
+        if isinstance(item, DocAlgebra):
+            yield item.algebra.alpha
+            yield from item.algebra.tensors().values()
+        elif isinstance(item, DocMap):
+            yield item.matrix
+        else:
+            yield item.rep.phi
+            yield from item.rep.actions().values()
+
+
+def assert_canonical_forms(doc: Document):
+    for part in stored_parts(doc):
+        assert part.stored() == reference(part), part
+
+
+@PROPERTY
+@given(documents())
+def test_parsed_forms_are_canonical(doc):
+    """The reader's forms equal those recomputed from their Fractions: the
+    lcm of the reduced denominators, nonzero entries only, keys in order."""
+    assert_canonical_forms(parse(serialize(doc)))
+
+
+def test_forms_of_cancelling_repeated_and_unreduced_terms_are_canonical():
+    text = """
+    algebra A {
+      dim 3
+      kind poisson
+      dot { e1*e2 = e1 - e1  e2*e2 = 1/2 e3 + 1/2 e3  e1*e1 = 2/4 e1 + 6/4 e2 }
+      bracket { [e1,e2] = 0 e1 + 3/6 e2 - 1/3 e2  [e3,e3] = 4/6 e3 - 2/3 e3 }
+      alpha { e1 -> e2 - e2 + 4/8 e1  e2 -> 2/2 e2  e3 -> 10/5 e3 }
+    }
+    map m : A -> A { e3 -> 1/3 e1 + 2/3 e1 - e1  e2 -> 3/9 e1 + 0 e3 }
+    representation R on A {
+      dim 2
+      phi { f1 -> 2/4 f1 + 1/4 f1  f2 -> f2 - f2 }
+      lambda_l e1 { f1 -> f2 - f2 }
+      lambda_r e2 { f2 -> 10/4 f1 + 1/2 f1 }
+      rho_l e3 { f1 -> 6/8 f2  f2 -> 1/6 f1 + 1/3 f1 }
+      rho_r e1 { f2 -> 2/2 f2 }
+    }
+    """
+    doc = parse(text)
+    assert_canonical_forms(doc)
+    alg, h = doc.algebra("A"), Fraction(1, 2)
+    assert alg.dot.stored() == (2, {(0, 0): [(0, 1), (1, 3)], (1, 1): [(2, 2)]})
+    assert alg.bracket.stored() == (6, {(0, 1): [(1, 1)]})
+    assert alg.alpha == Matrix([[h, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert doc.map("m").matrix == Matrix([[0, Fraction(1, 3), 0], [0, 0, 0], [0, 0, 0]])
+    rep = doc.representation("R").rep
+    assert rep.phi == Matrix([[Fraction(3, 4), 0], [0, 0]])
+    assert rep.lambda_l == ActionTensor.zero(3, 2)
+    assert rep.lambda_r.stored() == (1, {(1, 1): [(0, 3)]})
+    assert rep.rho_l.stored() == (4, {(2, 0): [(1, 3)], (2, 1): [(0, 2)]})
+    assert serialize(doc) == serialize(oracle.parse(text))
 
 
 # Characters and words a damaged document may gain: the DSL's own, odd

@@ -119,9 +119,9 @@ def test_common_denominator():
     assert common_denominator(m, Fraction(1, 3), None) == 42
     assert common_denominator() == 1
     # Zeros that are not the shared one count like any other entry.
-    fresh = Matrix([[Fraction(0), Fraction(5, 6)], [Fraction(0), Fraction(0)]])
-    assert fresh[0, 0] is not _ZERO and fresh[1, 1] is not _ZERO
-    assert common_denominator(fresh, Fraction(1, 4)) == 12
+    grid = [[Fraction(0), Fraction(5, 6)], [Fraction(0), Fraction(0)]]
+    assert grid[0][0] is not _ZERO and grid[1][1] is not _ZERO
+    assert common_denominator(Matrix(grid), Fraction(1, 4)) == 12
     assert common_denominator(Matrix([[Fraction(0)] * 3] * 3), Matrix.zero(4, 4)) == 1
 
 
@@ -328,10 +328,14 @@ def projection(dim: int, start: int, size: int) -> Matrix:
                   size, dim)
 
 
+def fresh_grid(m: Matrix) -> list[list[Fraction]]:
+    """The entries of ``m``, each zero included, as new Fractions."""
+    return [[Fraction(q.numerator, q.denominator) for q in row] for row in m.entries]
+
+
 def fresh(m: Matrix) -> Matrix:
-    """A copy whose every entry, each zero included, is a new Fraction."""
-    return Matrix([[Fraction(q.numerator, q.denominator) for q in row] for row in m.entries],
-                  m.rows, m.cols)
+    """A copy built from :func:`fresh_grid`."""
+    return Matrix(fresh_grid(m), m.rows, m.cols)
 
 
 def fresh_algebra(alg: HomAlgebra) -> HomAlgebra:
@@ -355,7 +359,8 @@ def fresh_representation(rep: Representation) -> Representation:
 
 
 def has_fresh_zeros(*matrices) -> bool:
-    return any(q == 0 and q is not _ZERO for m in matrices for row in m.entries for q in row)
+    """Does the :func:`fresh_grid` of one of the matrices hold a zero?"""
+    return any(q == 0 and q is not _ZERO for m in matrices for row in fresh_grid(m) for q in row)
 
 
 @pytest.mark.parametrize("dim", (12, 20, 30))
@@ -369,14 +374,14 @@ def test_sparse_algebras_and_their_representations(dim):
     zero = HomAlgebra(0, POISSON, Matrix.zero(0, 0), dot=StructureTensor.zero(0),
                       bracket=StructureTensor.zero(0))
     copy = fresh_algebra(alg)
-    assert copy == alg and has_fresh_zeros(copy.alpha)
+    assert copy == alg and has_fresh_zeros(alg.alpha)
     algebra_checks(tally, alg)
     algebra_checks(tally, copy)
     reps = [regular_representation(alg),
             pullback_representation(beta, alg, alg, checked=False),
             pullback_representation(Matrix.zero(0, dim), alg, zero, checked=False)]
     copies = [fresh_representation(r) for r in reps]
-    assert has_fresh_zeros(copies[0].phi, *copies[0].lambda_l.mats)
+    assert has_fresh_zeros(reps[0].phi, *reps[0].lambda_l.mats)
     for rep in reps + copies:
         compare(tally, check_representation, oracle.check_representation, rep, alg)
     compare(tally, check_representation, oracle.check_representation, copies[0], copy)

@@ -1,11 +1,12 @@
-"""Stored ints: every matrix, structure tensor and action family keeps its
-nonzero entries once, as ints over its own denominator.
+"""Stored ints: every matrix, structure tensor and action family is kept
+only as its nonzero entries, ints over its own denominator.
 
 The stored form must equal the form recomputed from the ``Fraction``
-entries, whether it was computed on first use or handed over by the
-construction that built the object; equality and hashing must not depend
-on it; and a check that has read an object once reads none of its
-``Fraction`` entries again."""
+views, whether it was converted from a constructor's input or handed over
+by the construction that built the object; equality and hashing, which
+compare the stored forms, must agree with the dense ``Fraction``
+comparison of ``oracle.py``; the views must equal the constructor's
+input; and a check reads no ``Fraction`` and builds no view."""
 
 import random
 from collections import Counter
@@ -14,11 +15,13 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from homkit import algebra, linalg, representation
 from homkit.algebra import POISSON, HomAlgebra, StructureTensor, check_algebra, yau_twist
+from homkit.dsl import DocAlgebra, DocMap, DocRepresentation, Document, parse, serialize
 from homkit.errors import PreconditionError
 from homkit.kernel import common_denominator
-from homkit.linalg import Matrix
+from homkit.linalg import Matrix, Vector
 from homkit.matched import MatchedPair, check_matched_pair, matched_sum
 from homkit.operators import (
     OperatorContext, induced_algebra, induced_representation, nijenhuis_deform,
@@ -157,8 +160,9 @@ def test_stored_form_equals_the_recomputed_one(structure):
 def test_zero_fractions_of_their_own_store_nothing():
     """Families, tables and matrices of zero Fractions that are not the
     shared zero store no column, product or row entry."""
-    zero = Matrix([[Fraction(0)] * 3] * 3)
-    assert zero.entries[0][0] is not linalg._ZERO
+    row = [Fraction(0)] * 3
+    assert row[0] is not linalg._ZERO
+    zero = Matrix([row] * 3)
     family = ActionTensor(2, 3, [zero, zero])
     assert family.stored() == (1, {})
     assert zero.stored() == (1, {0: [], 1: [], 2: []})
@@ -248,3 +252,100 @@ def test_check_matched_pair_indexes_each_direction_once(monkeypatch):
             outcomes.add(None)
         assert built["indexes"] == 2
     assert outcomes == {True, False, None}
+
+
+@st.composite
+def equal_or_near(draw):
+    """A shape and two grids of it: the second has each zero of the first
+    drawn anew, as an int or a zero Fraction of its own, and half the time
+    one entry drawn anew."""
+    cols = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, min(3, cols * cols)))
+    grid = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    zeros = st.one_of(st.just(0), st.builds(Fraction))
+    other = [[draw(zeros) if q == 0 else q for q in row] for row in grid]
+    change = draw(st.sampled_from(("none", "entry", "scale")))
+    if rows and change == "entry":
+        other[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(entries)
+    elif change == "scale":  # the same ints over another denominator
+        c = draw(st.sampled_from((2, -1, Fraction(1, 2), Fraction(2, 3))))
+        other = [[c * q for q in row] for row in other]
+    return rows, cols, grid, other
+
+
+@PROPERTY
+@given(equal_or_near())
+def test_equality_and_hashing_agree_with_the_dense_reference(case):
+    """Matrices of the grids, and tables of ``cols`` with the grids' rows
+    as products: ``==`` is the dense ``Fraction`` comparison, equal objects
+    hash equal, and the views give back the constructor's input."""
+    rows, cols, *grids = case
+    keys = [(i, j) for i in range(cols) for j in range(cols)][:rows]
+    same = grids[0] == grids[1]  # int and Fraction zeros compare equal
+    ma, mb = (Matrix(g, rows, cols) for g in grids)
+    ta, tb = (StructureTensor.from_products(cols, dict(zip(keys, g))) for g in grids)
+    assert (ma == mb) == oracle.matrix_eq(ma, mb) == same
+    assert (ta == tb) == oracle.tensor_eq(ta, tb) == same
+    if same:
+        assert hash(ma) == hash(mb) and hash(ta) == hash(tb)
+    for g, m, t in zip(grids, (ma, mb), (ta, tb)):
+        assert m.entries == tuple(map(tuple, g))
+        assert dict(t.products) == {key: Vector(v) for key, v in zip(keys, g) if any(v)}
+        assert hash(m) == hash(fresh(m)) and hash(t) == hash(fresh(t))
+
+
+@st.composite
+def operands(draw):
+    n, m, k = (draw(st.integers(0, 3)) for _ in range(3))
+    return (draw(matrices(n, m)), draw(matrices(n, m)), draw(matrices(m, k)),
+            draw(entries), draw(st.lists(entries, min_size=m, max_size=m)))
+
+
+@PROPERTY
+@given(operands())
+def test_matrix_arithmetic_keeps_the_stored_form_canonical(case):
+    """Sums, scalings, products, blocks and images computed on the ints
+    are in lowest terms, as if built from their Fractions."""
+    a, b, c, x, v = case
+    for m in (a + b, a - b, -a, a.scale(x), a @ c, Matrix.block([[a, b]]),
+              Matrix.block_diag(a, c), Matrix.from_cols([Vector(v)] * 2)):
+        assert_stored_as_recomputed(m)
+    assert a.apply(Vector(v)) == oracle.matmul(a, Matrix([[q] for q in v], len(v), 1)).col(0)
+
+
+@PROPERTY
+@given(structures())
+def test_a_document_of_any_zeros_equals_its_parsed_text(structure):
+    alg, rep, pair, (t, op, beta) = structure
+    doc = Document([DocAlgebra("A", alg), DocRepresentation("R", "A", rep),
+                    DocMap("f", "A", "A", beta), DocAlgebra("B", pair.a2)])
+    parsed = parse(serialize(doc))
+    assert parsed == doc
+    for got, want in zip(parts(*(parsed.algebra(n) for n in "AB"), parsed.representation("R").rep),
+                         parts(alg, pair.a2, rep)):
+        if isinstance(got, Matrix):
+            assert oracle.matrix_eq(got, want)
+        elif isinstance(got, StructureTensor):
+            assert oracle.tensor_eq(got, want)
+        else:
+            assert all(map(oracle.matrix_eq, got.mats, want.mats))
+    assert oracle.matrix_eq(parsed.map("f").matrix, beta)
+
+
+def test_an_empty_high_dim_header_builds_no_dense_view(monkeypatch):
+    """A parsed empty ``dim 3000`` Poisson algebra serializes and passes
+    ``check_algebra`` without a ``Fraction`` read, a stored form computed
+    from dense entries, or a matrix or table view: both walk the nonzero
+    entries, of which there are none."""
+    doc = parse("algebra A { dim 3000 kind poisson }")
+    with monkeypatch.context() as m:
+        reads = _counted_reads(m)
+        for cls, name in ((Matrix, "entries"), (StructureTensor, "products")):
+            view = getattr(cls, name)
+            m.setattr(cls, name, property(
+                lambda self, view=view, name=name: reads.update([name]) or view.fget(self)))
+        text = serialize(doc)
+        report = check_algebra(doc.algebra("A"))
+    assert not reads, reads
+    assert report.passed and text == "algebra A {\n  dim 3000\n  kind poisson\n}\n"
