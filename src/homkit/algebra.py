@@ -9,7 +9,6 @@ construction or solver that does not require it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 from types import MappingProxyType
@@ -20,7 +19,9 @@ from .kernel import (
     Accumulator, Lazy, common_denominator, entries_then_index, grouped, rationals, sparse,
     transposed, twisted_then_entries, walk,
 )
-from .linalg import _ZERO, Matrix, Vector, _dense, _nonzero_ints, _Stored, span_membership
+from .linalg import (
+    _ZERO, Matrix, Vector, _dense, _nonzero_ints, _put, _Stored, _Value, span_membership,
+)
 from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
 
 ASSOCIATIVE = "associative"
@@ -63,9 +64,6 @@ class StructureTensor(_Stored):
                 raise ShapeError("product value has wrong dimension")
         den, ints = _nonzero_ints(vectors)
         self._set((den, {key: v for key, v in ints.items() if v}), dim)
-
-    def _shape(self) -> int:
-        return self.dim
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":
@@ -123,8 +121,7 @@ class StructureTensor(_Stored):
         return f"StructureTensor(dim={self.dim})"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class HomAlgebra:
+class HomAlgebra(_Value):
     """Finite-dimensional algebra with a twist map.
 
     ``kind`` decides which tables are present: associative algebras carry
@@ -132,13 +129,16 @@ class HomAlgebra:
     both over one shared twist.
     """
 
-    dim: int
-    kind: str
-    alpha: Matrix
-    dot: StructureTensor | None = None
-    bracket: StructureTensor | None = None
+    __slots__ = ("dim", "kind", "alpha", "dot", "bracket")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, kind: str, alpha: Matrix,
+                 dot: StructureTensor | None = None,
+                 bracket: StructureTensor | None = None):
+        _put(self, "dim", dim)
+        _put(self, "kind", kind)
+        _put(self, "alpha", alpha)
+        _put(self, "dot", dot)
+        _put(self, "bracket", bracket)
         if self.kind not in KINDS:
             raise KindMismatchError(f"unknown kind {self.kind!r}")
         needed = TENSORS_BY_KIND[self.kind]

@@ -56,13 +56,6 @@ INPUT_ERRORS = (ParseError, PreconditionError, ShapeError, KindMismatchError,
                 UnknownNameError, OSError, UnicodeDecodeError)
 
 
-class _Exit(Exception):
-    def __init__(self, code: int, message: str = ""):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
 def _load(path: str) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
@@ -93,8 +86,8 @@ def _emit_report(obj: str, report: CheckReport, fmt: str) -> int:
 def _get_rep_for(doc: Document, name: str, alg_name: str):
     item = doc.representation(name)
     if item.base != alg_name:
-        raise _Exit(2, f"representation {name!r} is on {item.base!r},"
-                       f" not {alg_name!r}")
+        raise UnknownNameError(f"representation {name!r} is on {item.base!r},"
+                               f" not {alg_name!r}")
     return item.rep
 
 
@@ -107,7 +100,7 @@ def cmd_check(args) -> int:
         base = doc.algebra(item.base)
         return _emit_report(args.name, check_representation(item.rep, base),
                             args.format)
-    raise _Exit(2, f"no algebra or representation named {args.name!r}")
+    raise UnknownNameError(f"no algebra or representation named {args.name!r}")
 
 
 def cmd_check_rep(args) -> int:
@@ -200,9 +193,9 @@ def cmd_solve_rbo(args) -> int:
 
 def _emit_algebra(args, out) -> int:
     """Print a constructed algebra as ``--as`` and, with ``--verify``, its checks."""
-    report = check_algebra(out) if args.verify else None
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", args.name):
-        raise _Exit(2, f"invalid object name {args.name!r}")
+        raise PreconditionError(f"invalid object name {args.name!r}")
+    report = check_algebra(out) if args.verify else None
     text = serialize(Document([DocAlgebra(args.name, out)]))
     if args.format == "json":
         import json
@@ -347,10 +340,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _Exit as e:
-        if e.message:
-            print(e.message, file=sys.stderr)
-        return e.code
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -57,7 +56,7 @@ from .algebra import (
 )
 from .errors import ParseError, UnknownNameError
 from .kernel import grouped, transposed
-from .linalg import Matrix, _format_terms, _lowest_terms
+from .linalg import Matrix, _format_terms, _lowest_terms, _put, _Value
 from .representation import ActionTensor, Representation
 
 KIND_TOKENS = {"assoc": ASSOCIATIVE, "leibniz": LEIBNIZ, "poisson": POISSON}
@@ -68,25 +67,31 @@ _TABLE_OF = {action: name for name, pair in ACTIONS_OF.items() for action in pai
 _BASIS_RE = re.compile(r"([a-z])([1-9][0-9]*)$")
 
 
-@dataclass(frozen=True)
-class DocAlgebra:
-    name: str
-    algebra: HomAlgebra
+class DocAlgebra(_Value):
+    __slots__ = ("name", "algebra")
+
+    def __init__(self, name: str, algebra: HomAlgebra):
+        _put(self, "name", name)
+        _put(self, "algebra", algebra)
 
 
-@dataclass(frozen=True)
-class DocMap:
-    name: str
-    src: str
-    dst: str
-    matrix: Matrix
+class DocMap(_Value):
+    __slots__ = ("name", "src", "dst", "matrix")
+
+    def __init__(self, name: str, src: str, dst: str, matrix: Matrix):
+        _put(self, "name", name)
+        _put(self, "src", src)
+        _put(self, "dst", dst)
+        _put(self, "matrix", matrix)
 
 
-@dataclass(frozen=True)
-class DocRepresentation:
-    name: str
-    base: str
-    rep: Representation
+class DocRepresentation(_Value):
+    __slots__ = ("name", "base", "rep")
+
+    def __init__(self, name: str, base: str, rep: Representation):
+        _put(self, "name", name)
+        _put(self, "base", base)
+        _put(self, "rep", rep)
 
 
 class Document:

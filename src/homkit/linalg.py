@@ -16,9 +16,9 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ShapeError
@@ -84,19 +84,68 @@ def _dense(den: int, terms: list, width: int, made: dict) -> tuple[Fraction, ...
     return tuple(out)
 
 
-class _Stored:
-    """An immutable value kept only as its shape and its nonzero entries,
-    ints over one denominator (:meth:`stored`).  Equality and hashing
-    compare those; a view of the entries as Fractions is built on first
-    read and then kept (:meth:`_cached`)."""
+# Sets a slot of an immutable value, past its ``__setattr__``.
+_put = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's immutable values: assignment and deletion
+    raise ``AttributeError``, so a constructor sets its slots with
+    ``object.__setattr__``.  A subclass lists its own ``__slots__`` in the
+    order of its constructor's parameters: ``_key(value)`` is the tuple of
+    the value's type and those slots' values, and by default a pickle or a
+    copy calls the constructor with the slots' values again (:meth:`__reduce__`)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter("__class__", *cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._key(self)[1:]
+
+
+class _Value(_Frozen):
+    """An immutable value with fields, its slots: equal to a value of the
+    same type with equal fields, hashed by type and fields, shown as
+    ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Stored(_Frozen):
+    """An immutable value kept only as its shape, the values of the class's
+    own slots, and its nonzero entries, ints over one denominator
+    (:meth:`stored`).  Equality and hashing compare those, and a pickle or
+    copy is rebuilt from them; a view of the entries as Fractions is built
+    on first read and then kept (:meth:`_cached`)."""
 
     __slots__ = ("_ints", "_view")
 
     def _set(self, form: tuple[int, dict], *shape) -> None:
         """Keep ``form`` and the shape, the values of the class's own slots."""
         for name, value in zip(type(self).__slots__, shape):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_ints", form)
+            _put(self, name, value)
+        _put(self, "_ints", form)
 
     @classmethod
     def _new(cls, form: tuple[int, dict], *shape):
@@ -104,8 +153,8 @@ class _Stored:
         out._set(form, *shape)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __reduce__(self):
+        return type(self)._new, (self._ints, *self._key(self)[1:])
 
     def stored(self) -> tuple[int, dict]:
         """``(den, ints)``: the lcm of the entries' reduced denominators and
@@ -117,19 +166,19 @@ class _Stored:
         try:
             return self._view
         except AttributeError:
-            object.__setattr__(self, "_view", build())
+            _put(self, "_view", build())
             return self._view
 
     def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self._shape() == other._shape()
+        return (type(other) is type(self) and self._key(self) == other._key(other)
                 and self._ints == other._ints)
 
     def __hash__(self) -> int:
         den, ints = self._ints
-        return hash((self._shape(), den, tuple((key, tuple(v)) for key, v in ints.items())))
+        return hash((self._key(self), den, tuple((key, tuple(v)) for key, v in ints.items())))
 
 
-class Vector:
+class Vector(_Frozen):
     """Immutable vector with exact rational entries."""
 
     __slots__ = ("entries",)
@@ -139,10 +188,7 @@ class Vector:
         row = tuple(entries)
         if not set(map(type, row)) <= {Fraction}:
             row = tuple(map(frac, row))
-        object.__setattr__(self, "entries", row)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
+        _put(self, "entries", row)
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
@@ -222,9 +268,6 @@ class Matrix(_Stored):
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise ShapeError("ragged or mis-sized matrix data")
         self._set(_nonzero_ints(dict(enumerate(grid))), rows, cols)
-
-    def _shape(self) -> tuple[int, int]:
-        return self.rows, self.cols
 
     @classmethod
     def _from_form(cls, rows: int, cols: int, den: int, ints: dict) -> "Matrix":
@@ -362,12 +405,14 @@ class Matrix(_Stored):
         return f"Matrix({[list(r) for r in self.entries]!r})"
 
 
-@dataclass(frozen=True)
-class AffineSolution:
+class AffineSolution(_Value):
     """Solution set of a consistent linear system: particular + kernel span."""
 
-    particular: Vector
-    kernel: tuple[Vector, ...]
+    __slots__ = ("particular", "kernel")
+
+    def __init__(self, particular: Vector, kernel: tuple[Vector, ...]):
+        _put(self, "particular", particular)
+        _put(self, "kernel", kernel)
 
 
 def _clear(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:

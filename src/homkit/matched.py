@@ -9,35 +9,33 @@ own checks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import POISSON, HomAlgebra, StructureTensor, check_algebra
 from .errors import KindMismatchError, ShapeError
 from .kernel import common_denominator, entries_then_index, sparse, twisted_then_entries, walk
-from .linalg import Matrix
+from .linalg import Matrix, _Frozen, _put
 from .representation import Representation, _require_match, _SparseRepresentation
 from .reporting import CheckReport, concat, require, scan_identity
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
-class MatchedPair:
+class MatchedPair(_Frozen):
     """Two same-kind algebras with cross actions on each other.
 
     ``actions_1_on_2`` is a representation of ``a1`` on ``a2``'s space and
     must carry ``a2.alpha`` as its twist (and symmetrically), because the
-    bicrossed sum twists by alpha1 (+) alpha2.
+    bicrossed sum twists by alpha1 (+) alpha2.  Pairs compare by identity.
     """
 
-    a1: HomAlgebra
-    a2: HomAlgebra
-    actions_1_on_2: Representation
-    actions_2_on_1: Representation
+    __slots__ = ("a1", "a2", "actions_1_on_2", "actions_2_on_1")
 
-    def __post_init__(self):
-        if self.a1.kind != self.a2.kind:
+    def __init__(self, a1: HomAlgebra, a2: HomAlgebra, actions_1_on_2: Representation,
+                 actions_2_on_1: Representation):
+        _put(self, "a1", a1)
+        _put(self, "a2", a2)
+        _put(self, "actions_1_on_2", actions_1_on_2)
+        _put(self, "actions_2_on_1", actions_2_on_1)
+        if a1.kind != a2.kind:
             raise KindMismatchError("matched pair needs algebras of one kind")
-        for rep, base, carrier in ((self.actions_1_on_2, self.a1, self.a2),
-                                   (self.actions_2_on_1, self.a2, self.a1)):
+        for rep, base, carrier in ((actions_1_on_2, a1, a2), (actions_2_on_1, a2, a1)):
             _require_match(rep, base)
             if rep.carrier_dim != carrier.dim:
                 raise ShapeError("cross action dimensions are inconsistent")

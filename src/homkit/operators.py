@@ -24,7 +24,6 @@ that satisfy the product identity but not the twist compatibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -34,7 +33,7 @@ from .algebra import (
 )
 from .errors import ShapeError
 from .kernel import common_denominator, grouped, sparse
-from .linalg import Matrix, Vector, frac, span_membership
+from .linalg import Matrix, Vector, _Frozen, _put, frac, span_membership
 from .representation import (
     ActionTensor, Representation, _require_match, check_representation,
     paired_families, semidirect_product,
@@ -42,21 +41,26 @@ from .representation import (
 from .reporting import CheckReport, require, scan_membership
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
-class OperatorContext:
+class OperatorContext(_Frozen):
     """An algebra, a representation of it, and a candidate operator
     T: carrier -> algebra (as an alg.dim x carrier_dim matrix), with the
-    relative Rota-Baxter report of the three, kept once computed."""
+    relative Rota-Baxter report of the three, kept once computed.
+    Contexts compare by identity."""
 
-    alg: HomAlgebra
-    rep: Representation
-    t: Matrix
-    _report: CheckReport | None = field(default=None, init=False, repr=False)
+    __slots__ = ("alg", "rep", "t", "_report")
 
-    def __post_init__(self):
-        _require_match(self.rep, self.alg)
-        if self.t.rows != self.alg.dim or self.t.cols != self.rep.carrier_dim:
+    def __init__(self, alg: HomAlgebra, rep: Representation, t: Matrix):
+        _put(self, "alg", alg)
+        _put(self, "rep", rep)
+        _put(self, "t", t)
+        _put(self, "_report", None)
+        _require_match(rep, alg)
+        if t.rows != alg.dim or t.cols != rep.carrier_dim:
             raise ShapeError("operator must be alg.dim x carrier_dim")
+
+    def __reduce__(self):
+        # The kept report is no field: a copy checks afresh.
+        return OperatorContext, (self.alg, self.rep, self.t)
 
 
 def _induced(t: _SparseMap, left: dict, right: dict, *more) -> dict:
@@ -113,7 +117,7 @@ def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
     report = _carries(t, d, ("intertwines_twist", _SparseMap(rep.phi, d).cols, a.alpha), (
         (f"splits:{name}", a.by_first[name], _induced(t, a.by_first[left], a.by_second[right]))
         for name, (left, right) in ACTIONS_OF.items() if name in tables))
-    object.__setattr__(ctx, "_report", report)
+    _put(ctx, "_report", report)
     return report
 
 

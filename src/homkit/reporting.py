@@ -8,29 +8,32 @@ offending value itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionError
-from .linalg import Vector, format_lincomb
+from .linalg import Vector, _put, _Value, format_lincomb
 
 
-@dataclass(frozen=True)
-class Witness:
-    indices: tuple[int, ...]
-    residual: Vector
+class Witness(_Value):
+    __slots__ = ("indices", "residual")
+
+    def __init__(self, indices: tuple[int, ...], residual: Vector):
+        _put(self, "indices", indices)
+        _put(self, "residual", residual)
 
     def render(self) -> str:
         where = ", ".join(str(i + 1) for i in self.indices)
         return f"at ({where}): residual = {format_lincomb(self.residual)}"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    identity: str
-    passed: bool
-    witness: Witness | None = None
+class CheckResult(_Value):
+    __slots__ = ("identity", "passed", "witness")
+
+    def __init__(self, identity: str, passed: bool, witness: Witness | None = None):
+        _put(self, "identity", identity)
+        _put(self, "passed", passed)
+        _put(self, "witness", witness)
 
     def render(self) -> str:
         if self.passed:
@@ -39,9 +42,11 @@ class CheckResult:
         return f"FAIL {self.identity}{tail}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    checks: tuple[CheckResult, ...]
+class CheckReport(_Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        _put(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

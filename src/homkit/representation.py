@@ -13,7 +13,6 @@ multilinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
@@ -26,7 +25,7 @@ from .kernel import (
     Accumulator, Lazy, common_denominator, entries_then_index, grouped, rationals, sparse,
     transposed, twisted_then_entries, walk,
 )
-from .linalg import Matrix, Vector, _nonzero_ints, _Stored, solve_linear
+from .linalg import Matrix, Vector, _nonzero_ints, _put, _Stored, _Value, solve_linear
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
 
@@ -53,9 +52,6 @@ class ActionTensor(_Stored):
             columns.update(((i, c), [(r, den // dm * x) for r, x in col])
                            for c, col in transposed(rows).items())
         self._set((den, columns), base_dim, carrier_dim)
-
-    def _shape(self) -> tuple[int, int]:
-        return self.base_dim, self.carrier_dim
 
     @classmethod
     def zero(cls, base_dim: int, carrier_dim: int) -> "ActionTensor":
@@ -94,21 +90,24 @@ class ActionTensor(_Stored):
         return zero._combine(*((m, xi) for xi, m in zip(x.entries, self.mats) if xi))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Representation:
+class Representation(_Value):
     """Carrier space with twist phi and the action families of its kind:
     the pair ``ACTIONS_OF[name]`` for each of the kind's tables."""
 
-    kind: str
-    base_dim: int
-    carrier_dim: int
-    phi: Matrix
-    lambda_l: ActionTensor | None = None
-    lambda_r: ActionTensor | None = None
-    rho_l: ActionTensor | None = None
-    rho_r: ActionTensor | None = None
+    __slots__ = ("kind", "base_dim", "carrier_dim", "phi", "lambda_l", "lambda_r",
+                 "rho_l", "rho_r")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, base_dim: int, carrier_dim: int, phi: Matrix,
+                 lambda_l: ActionTensor | None = None, lambda_r: ActionTensor | None = None,
+                 rho_l: ActionTensor | None = None, rho_r: ActionTensor | None = None):
+        _put(self, "kind", kind)
+        _put(self, "base_dim", base_dim)
+        _put(self, "carrier_dim", carrier_dim)
+        _put(self, "phi", phi)
+        _put(self, "lambda_l", lambda_l)
+        _put(self, "lambda_r", lambda_r)
+        _put(self, "rho_l", rho_l)
+        _put(self, "rho_r", rho_r)
         if self.kind not in KINDS:
             raise KindMismatchError(f"unknown kind {self.kind!r}")
         needed = {a for name in TENSORS_BY_KIND[self.kind] for a in ACTIONS_OF[name]}

@@ -19,7 +19,6 @@ sparse int rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
@@ -27,7 +26,10 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
-from .linalg import Matrix, Rational, Vector, _echelon, _lowest_terms, frac, span_membership
+from .linalg import (
+    Matrix, Rational, Vector, _echelon, _Frozen, _lowest_terms, _put, _Value, frac,
+    span_membership,
+)
 from .operators import OperatorContext, check_relative_rbo
 from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
@@ -47,7 +49,7 @@ def _nonzero(terms: dict[Monomial, int]) -> dict[Monomial, int]:
     return {m: c for m, c in terms.items() if c}
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Sparse multivariate polynomial with exact rational coefficients,
     kept as nonzero ints over one denominator.
 
@@ -67,9 +69,8 @@ class Polynomial:
             coeffs[key] = coeffs.get(key, 0) + frac(c)
         coeffs = {m: c for m, c in coeffs.items() if c}
         den = lcm(*(c.denominator for c in coeffs.values()))
-        object.__setattr__(self, "ints", {m: c.numerator * (den // c.denominator)
-                                          for m, c in coeffs.items()})
-        object.__setattr__(self, "den", den)
+        _put(self, "ints", {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()})
+        _put(self, "den", den)
 
     @classmethod
     def _of(cls, ints: dict[Monomial, int], den: int = 1) -> "Polynomial":
@@ -81,12 +82,12 @@ class Polynomial:
                 ints = {m: c // g for m, c in ints.items()}
                 den //= g
         p = object.__new__(cls)
-        object.__setattr__(p, "ints", ints)
-        object.__setattr__(p, "den", den)
+        _put(p, "ints", ints)
+        _put(p, "den", den)
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    def __reduce__(self):
+        return Polynomial._of, (self.ints, self.den)
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
@@ -226,19 +227,17 @@ class Polynomial:
         return f"Polynomial({self.render(lambda v: f'x{v}')})"
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
-class PolySystem:
+class PolySystem(_Frozen):
     """Equations (each polynomial = 0) in the entries of an unknown
     rows x cols matrix; variable id of entry (r, c) is r*cols + c.  Zero
-    equations are dropped."""
+    equations are dropped.  Systems compare by identity."""
 
-    rows: int
-    cols: int
-    equations: tuple[Polynomial, ...]
+    __slots__ = ("rows", "cols", "equations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "equations",
-                           tuple(e for e in self.equations if not e.is_zero()))
+    def __init__(self, rows: int, cols: int, equations: tuple[Polynomial, ...]):
+        _put(self, "rows", rows)
+        _put(self, "cols", cols)
+        _put(self, "equations", tuple(e for e in equations if not e.is_zero()))
 
     @property
     def nvars(self) -> int:
@@ -327,16 +326,19 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     return PolySystem(n, m, equations)
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(_Value):
     """Result of solving the linear part: a substitution for the pinned
     variables, the surviving system over the free ones, and a flag for an
     inconsistent linear part (then there are no solutions at all)."""
 
-    system: PolySystem
-    substitution: dict[int, Polynomial]
-    free_vars: tuple[int, ...]
-    inconsistent: bool = False
+    __slots__ = ("system", "substitution", "free_vars", "inconsistent")
+
+    def __init__(self, system: PolySystem, substitution: dict[int, Polynomial],
+                 free_vars: tuple[int, ...], inconsistent: bool = False):
+        _put(self, "system", system)
+        _put(self, "substitution", substitution)
+        _put(self, "free_vars", free_vars)
+        _put(self, "inconsistent", inconsistent)
 
 
 def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
@@ -387,14 +389,17 @@ def eliminate_linear(system: PolySystem) -> Elimination:
                        mapping, free)
 
 
-@dataclass(frozen=True)
-class AffineFamily:
+class AffineFamily(_Value):
     """Affine set of solution matrices: particular + span of the basis,
     one basis matrix per free parameter."""
 
-    particular: Matrix
-    basis: tuple[Matrix, ...]
-    params: tuple[str, ...]
+    __slots__ = ("particular", "basis", "params")
+
+    def __init__(self, particular: Matrix, basis: tuple[Matrix, ...],
+                 params: tuple[str, ...]):
+        _put(self, "particular", particular)
+        _put(self, "basis", basis)
+        _put(self, "params", params)
 
     @property
     def dim(self) -> int:
@@ -406,8 +411,7 @@ class AffineFamily:
         return self.particular._combine((self.particular, 1), *zip(self.basis, values))
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Value):
     """Outcome of :func:`solve`.
 
     * ``finite``: all solutions listed in ``points`` (possibly none);
@@ -417,17 +421,25 @@ class SolutionSet:
       unsolved system after linear elimination, with no claim attached.
     """
 
-    status: str
-    points: tuple[Matrix, ...] = ()
-    family: AffineFamily | None = None
-    residual: PolySystem | None = None
+    __slots__ = ("status", "points", "family", "residual")
+
+    def __init__(self, status: str, points: tuple[Matrix, ...] = (),
+                 family: AffineFamily | None = None,
+                 residual: PolySystem | None = None):
+        _put(self, "status", status)
+        _put(self, "points", points)
+        _put(self, "family", family)
+        _put(self, "residual", residual)
 
 
-@dataclass
-class _Leaf:
-    subst: dict[int, Polynomial]
-    free: tuple[int, ...]
-    residual: tuple[Polynomial, ...] = ()
+class _Leaf(_Value):
+    __slots__ = ("subst", "free", "residual")
+
+    def __init__(self, subst: dict[int, Polynomial], free: tuple[int, ...],
+                 residual: tuple[Polynomial, ...] = ()):
+        _put(self, "subst", subst)
+        _put(self, "free", free)
+        _put(self, "residual", residual)
 
 
 def _perfect_square_root(p: Polynomial) -> Polynomial | None:

@@ -298,3 +298,25 @@ def test_undecodable_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(bad), "A")
     assert (code, out) == (2, "")
     assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_every_bad_input_message_starts_with_error(monkeypatch, capsys):
+    import homkit.cli as cli
+    for args, message in (
+            (("check", FIXTURES, "nope"), "no algebra or representation named 'nope'"),
+            (("check", FIXTURES, "beta"), "no algebra or representation named 'beta'"),
+            (("check-rep", FIXTURES, "A2assoc", "reg"),
+             "representation 'reg' is on 'A2leib', not 'A2assoc'"),
+            (("solve-rbo", FIXTURES, "A2assoc", "--rep", "reg"),
+             "representation 'reg' is on 'A2leib', not 'A2assoc'"),
+            (("twist", FIXTURES, "A2leib", "--by", "beta", "--as", "1bad"),
+             "invalid object name '1bad'"),
+            (("semidirect", FIXTURES, "A2leib", "reg", "--as", "a-b", "--format", "json"),
+             "invalid object name 'a-b'")):
+        assert run(capsys, *args) == (2, "", f"error: {message}\n")
+    # The name is refused before ``--verify`` checks the output.
+    checked = []
+    monkeypatch.setattr(cli, "check_algebra", lambda alg: checked.append(alg))
+    assert run(capsys, "twist", FIXTURES, "A2leib", "--by", "beta", "--verify",
+               "--as", "no good") == (2, "", "error: invalid object name 'no good'\n")
+    assert checked == []

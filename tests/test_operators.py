@@ -1,7 +1,6 @@
 """Operator-level checks: Rota-Baxter, relative operators, induced
 structures, Nijenhuis deformations, and the characterization equivalences."""
 
-import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -319,11 +318,11 @@ def test_a_new_operator_is_checked_afresh():
     assert check_relative_rbo(ctx).passed
     shifted = Matrix([[1, 0], [0, 0]])
     for other in (OperatorContext(ctx.alg, ctx.rep, shifted),
-                  dataclasses.replace(ctx, t=shifted)):
+                  OperatorContext(ctx.alg, ctx.rep, t=shifted)):
         assert other.t is shifted and not check_relative_rbo(other).passed
         with pytest.raises(PreconditionError):
             induced_algebra(other)
-    again = dataclasses.replace(ctx)
+    again = OperatorContext(ctx.alg, ctx.rep, ctx.t)
     assert again is not ctx and check_relative_rbo(again) == check_relative_rbo(ctx)
     assert check_relative_rbo(again) is not check_relative_rbo(ctx)
 
@@ -337,5 +336,5 @@ def test_operator_context_keeps_its_signature_equality_and_repr():
     assert repr(a) == object.__repr__(a)
     check_relative_rbo(a)
     assert repr(a) == object.__repr__(a) and a != b
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         a.t = t

@@ -73,13 +73,18 @@ def test_unknown_attribute_is_an_attribute_error():
         exec("from homkit import no_such_name", {})
 
 
-# Runs the CLI in-process and prints, after its output, the homkit modules
-# and ``json`` it left in ``sys.modules``.
+# Modules no CLI process loads: importing ``dataclasses``, which imports
+# ``inspect``, ``ast``, ``dis`` and ``tokenize``, adds about 10 ms to a call.
+STARTUP_HEAVY = {"dataclasses", "inspect"}
+
+# Runs the CLI in-process and prints, after its output, the homkit modules,
+# ``json`` and the start-up heavy modules it left in ``sys.modules``.
 PROBE = """\
 import sys
 from homkit.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("homkit.") or m == "json"))
+print(code, *sorted(m for m in sys.modules
+                    if m.startswith("homkit.") or m in ("json", "dataclasses", "inspect")))
 """
 
 
@@ -115,11 +120,24 @@ def test_checks_and_light_constructions_skip_the_heavy_modules(argv):
     code, modules = loaded_by(*argv)
     assert code == 0
     assert "homkit.algebra" in modules
-    assert not modules & {"homkit.solver", "homkit.matched", "homkit.operators", "json"}
+    assert not modules & {"homkit.solver", "homkit.matched", "homkit.operators", "json",
+                          *STARTUP_HEAVY}
 
 
 def test_solve_rbo_loads_the_solver_but_not_matched_pairs():
     code, modules = loaded_by("solve-rbo", FIXTURES, "A2leib")
     assert code == 0
     assert "homkit.solver" in modules
-    assert "homkit.matched" not in modules
+    assert not modules & {"homkit.matched", *STARTUP_HEAVY}
+
+
+def test_induce_loads_the_operators_but_not_the_start_up_heavy_modules():
+    code, modules = loaded_by("induce", FIXTURES, "A2leib", "--t", "T")
+    assert code == 0
+    assert "homkit.operators" in modules
+    assert not modules & STARTUP_HEAVY
+
+
+def test_import_of_the_cli_loads_no_start_up_heavy_module():
+    code = "import sys, homkit.cli; print(*sorted(sys.modules))"
+    assert not set(fresh(code).split()) & STARTUP_HEAVY
