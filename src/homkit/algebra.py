@@ -9,7 +9,6 @@ construction or solver that does not require it.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -20,9 +19,9 @@ from .kernel import (
     transposed, twisted_then_entries, walk,
 )
 from .linalg import (
-    _ZERO, Matrix, Vector, _dense, _nonzero_ints, _put, _Stored, _Value, span_membership,
+    _ZERO, Matrix, Vector, _dense, _echelon, _nonzero_ints, _put, _remainder, _Stored, _Value,
 )
-from .reporting import CheckReport, CheckResult, require, scan_identity, scan_membership
+from .reporting import CheckReport, CheckResult, Witness, require, scan_identity
 
 ASSOCIATIVE = "associative"
 LEIBNIZ = "leibniz"
@@ -385,31 +384,34 @@ def _require_self_morphism(beta: Matrix, alg: HomAlgebra) -> None:
     require(check_morphism(beta, alg, alg), "twisting map is not a self-morphism")
 
 
-def check_ideal(basis: Sequence[Vector], alg: HomAlgebra) -> CheckReport:
-    """Two-sided ideal test for the span of the given vectors.
-
-    Verifies twist stability and two-sided absorption for every table via
-    exact membership solves.  The witness residual is the offending value.
-    """
+def _ideal(basis: Sequence[Vector], alg: HomAlgebra) -> tuple[int, dict, dict, CheckReport]:
+    """``(d, cols, values, report)`` of :func:`check_ideal`: the basis ``v_b`` as ``sparse``
+    columns over ``d`` and, by check, the values ``alpha v_b`` at ``(b,)`` and per table
+    ``mu(v_b, e_a)``, ``mu(e_a, v_b)`` at ``(b, a)``, from nonzero entries, over ``d**2``."""
     vecs = list(basis)
-    for v in vecs:
-        if v.dim != alg.dim:
-            raise ShapeError("ideal basis vectors must live in the algebra")
+    if any(v.dim != alg.dim for v in vecs):
+        raise ShapeError("ideal basis vectors must live in the algebra")
+    span = Matrix.from_cols(vecs)
+    a = _Sparse(alg.alpha, alg.tensors(), span)
+    s = _SparseMap(span, a.d)
+    values = {"twist_stable": {(b,): v for b, v in a.alpha.images(s.cols).items()}}
+    for name in alg.tensors():
+        for side, by in (("right", a.by_first), ("left", a.by_second)):
+            values[f"closed_{side}:{name}"] = s.sums(
+                alg.dim, s.term(1, by[name], right=False)).terms()
+    pivots, checks = _echelon(map(dict, s.cols.values())), []
+    for check, sums in values.items():
+        # The witness: the first value in key order not cleared at the pivots.
+        bad = next((key for key in sorted(sums) if _remainder(dict(sums[key]), pivots)), None)
+        checks.append(CheckResult(check, bad is None, bad and Witness(
+            bad, Vector(_dense(a.d ** 2, sums[bad], alg.dim, {})))))
+    return a.d, s.cols, values, CheckReport(tuple(checks))
 
-    member = span_membership(vecs)
-    checks = [scan_membership(
-        "twist_stable", ((b,) for b in range(len(vecs))),
-        lambda b: alg.alpha.apply(vecs[b]), member)]
-    for name, t in alg.tensors().items():
-        checks.append(scan_membership(
-            f"closed_right:{name}",
-            iproduct(range(len(vecs)), range(alg.dim)),
-            lambda b, a, t=t: t.product(vecs[b], Vector.unit(alg.dim, a)), member))
-        checks.append(scan_membership(
-            f"closed_left:{name}",
-            iproduct(range(len(vecs)), range(alg.dim)),
-            lambda b, a, t=t: t.product(Vector.unit(alg.dim, a), vecs[b]), member))
-    return CheckReport(tuple(checks))
+
+def check_ideal(basis: Sequence[Vector], alg: HomAlgebra) -> CheckReport:
+    """Two-sided ideal test for the span of the given vectors: twist stability and
+    absorption on both sides per table.  The witness residual is the offending value."""
+    return _ideal(basis, alg)[3]
 
 
 def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra:

@@ -432,6 +432,13 @@ def _clear(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]
     return out if g == 1 else {k: x // g for k, x in out.items()}
 
 
+def _remainder(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+    """``row`` cleared at the pivots of an :func:`_echelon`: empty iff in their span."""
+    for c in [c for c in row if c in pivots]:
+        row = _clear(row, pivots[c], c)
+    return row
+
+
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Fraction-free Gauss-Jordan on sparse int rows ``{column: int}``:
     ``{pivot column: reduced row}``.  A row is cleared at each pivot column
@@ -441,8 +448,7 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     reduced row echelon form."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        for c in [c for c in row if c in pivots]:
-            row = _clear(row, pivots[c], c)
+        row = _remainder(row, pivots)
         if not row:
             continue
         lead = min(row)

@@ -13,7 +13,8 @@ product onto the target table.  The source is the induced product for a
 relative Rota-Baxter operator (summed as :func:`induced_algebra` sums it)
 and the deformed product for a Nijenhuis or, with a weight clause,
 Rota-Baxter operator (as :func:`nijenhuis_deform` sums it).  A context's
-relative Rota-Baxter verdict is computed once and kept for every gate.
+relative Rota-Baxter verdict is computed once and kept for every gate and
+for :func:`graph_check`, which reads it: ``(a, v)`` lies in the graph iff ``a = Tv``.
 
 Note on the Rota-Baxter check: besides the weight identity it also
 verifies that the operator commutes with the twist.  Without that clause
@@ -25,20 +26,19 @@ that satisfy the product identity but not the twist compatibility.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 
 from .algebra import (
     ACTIONS_OF, HomAlgebra, StructureTensor, _carries, _require_square, _Sparse, _SparseMap,
     check_morphism,
 )
 from .errors import ShapeError
-from .kernel import common_denominator, grouped, sparse
-from .linalg import Matrix, Vector, _Frozen, _put, frac, span_membership
+from .kernel import Accumulator, common_denominator, grouped, sparse
+from .linalg import Matrix, Vector, _Frozen, _put, frac
 from .representation import (
     ActionTensor, Representation, _require_match, check_representation,
     paired_families, semidirect_product,
 )
-from .reporting import CheckReport, require, scan_membership
+from .reporting import CheckReport, CheckResult, Witness, require
 
 
 class OperatorContext(_Frozen):
@@ -239,25 +239,28 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
         for name, t in alg.tensors().items()})
 
 
-def graph_check(ctx: OperatorContext) -> CheckReport:
-    """Is the graph ``{(Tv, v)}`` a subalgebra of the semidirect product?
+def _graph_value(ctx: OperatorContext, check: str, at: tuple[int, ...]) -> Vector:
+    """The value a failing ``check`` at ``at`` leaves outside the graph: the semidirect
+    twist of ``g_i = (T e_i, e_i)``, or the semidirect product of ``g_i`` and ``g_j``."""
+    sd, name = semidirect_product(ctx.alg, ctx.rep), check.partition(":")[2]
+    graph = Matrix.block([[ctx.t], [Matrix.identity(ctx.rep.carrier_dim)]])
+    if not name:
+        return (sd.alpha @ graph).col(at[0])
+    a, acc = _Sparse(sd.alpha, {name: getattr(sd, name)}, graph), Accumulator(sd.dim)
+    _SparseMap(graph, a.d).term(1, a.by_first[name])(at[0], acc)  # over d**3
+    return Vector(Fraction(x, a.d ** 3) for x in acc[at])
 
-    Checks stability under the semidirect twist and closure under every
-    product, via exact membership solves against the graph basis.  This
-    passes exactly when the relative Rota-Baxter check passes.
-    """
-    sd = semidirect_product(ctx.alg, ctx.rep)
-    m = ctx.rep.carrier_dim
-    graph_cols = [Vector(tuple(ctx.t.col(i).entries)
-                         + tuple(Vector.unit(m, i).entries)) for i in range(m)]
-    member = span_membership(graph_cols)
-    checks = [scan_membership(
-        "graph_twist_stable", ((i,) for i in range(m)),
-        lambda i: sd.alpha.apply(graph_cols[i]), member)]
-    for name, t in sd.tensors().items():
-        checks.append(scan_membership(
-            f"graph_closed:{name}", iproduct(range(m), repeat=2),
-            lambda i, j, t=t: t.product(graph_cols[i], graph_cols[j]), member))
+
+def graph_check(ctx: OperatorContext) -> CheckReport:
+    """Is the graph ``{(Tv, v)}`` a subalgebra of the semidirect product?  ``(a, v)``
+    lies in it iff ``a = Tv``, so each check is :func:`check_relative_rbo`'s, renamed,
+    with the offending value (:func:`_graph_value`) as its witness residual."""
+    checks = []
+    for c in check_relative_rbo(ctx):
+        name = c.identity.replace("intertwines_twist", "graph_twist_stable")
+        at = c.witness and c.witness.indices
+        checks.append(CheckResult(name.replace("splits:", "graph_closed:"), c.passed,
+                                  at and Witness(at, _graph_value(ctx, c.identity, at))))
     return CheckReport(tuple(checks))
 
 

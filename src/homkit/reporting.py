@@ -127,14 +127,3 @@ def scan_operator_identity(name: str, indices: Iterable[tuple[int, ...]],
                         tuple(idx) + (k,), _witness_vector(col, denominator)))
     return CheckResult(name, True)
 
-
-def scan_membership(name: str, indices: Iterable[tuple[int, ...]],
-                    value: Callable[..., Vector],
-                    member: Callable[[Vector], bool]) -> CheckResult:
-    """Record the first index tuple whose ``value`` is not a ``member``;
-    the witness residual is that value itself."""
-    for idx in indices:
-        v = value(*idx)
-        if not member(v):
-            return CheckResult(name, False, Witness(tuple(idx), v))
-    return CheckResult(name, True)

@@ -18,14 +18,14 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     ACTIONS_OF, KINDS, POISSON, TENSORS_BY_KIND, HomAlgebra, StructureTensor, _GROUPS,
-    _require_self_morphism, _require_square, _Sparse, _SparseMap, check_ideal, check_morphism,
+    _ideal, _require_self_morphism, _require_square, _Sparse, _SparseMap, check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import (
     Accumulator, Lazy, common_denominator, entries_then_index, grouped, rationals, sparse,
     transposed, twisted_then_entries, walk,
 )
-from .linalg import Matrix, Vector, _nonzero_ints, _put, _Stored, _Value, solve_linear
+from .linalg import Matrix, Vector, _echelon, _nonzero_ints, _put, _Stored, _Value
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
 
@@ -363,30 +363,30 @@ def power_twist_representation(rep: Representation, alg: HomAlgebra,
 def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
                          checked: bool = True) -> Representation:
     """Representation on a two-sided ideal, in the coordinates of the given
-    basis; actions are the restricted multiplications."""
-    vecs = list(basis)
+    basis (all read off one reduction); actions are the restricted multiplications."""
+    d, cols, values, report = _ideal(basis, alg)
     if checked:
-        require(check_ideal(vecs, alg), "not a two-sided ideal")
-    k = len(vecs)
-    span = Matrix.from_cols(vecs) if vecs else Matrix.zero(alg.dim, 0)
-
-    def coords(v: Vector) -> Vector:
-        sol = solve_linear(span, v)
-        if sol is None or sol.kernel:
-            raise PreconditionError(
-                "ideal basis must be independent and closed (membership solve failed)")
-        return sol.particular
-
-    phi = Matrix.from_cols([coords(alg.alpha.apply(b)) for b in vecs]) if k \
-        else Matrix.zero(0, 0)
+        require(report, "not a two-sided ideal")
+    k, keys = len(cols), [(check, key) for check, sums in values.items() for key in sums]
+    columns = {**cols, **{j: values[check][key] for j, (check, key) in enumerate(keys, k)}}
+    echelon = _echelon(map(dict, transposed(columns).values()))
+    if set(echelon) != set(range(k)):  # a value outside the span, or a dependent basis
+        raise PreconditionError(
+            "ideal basis must be independent and closed (membership solve failed)")
+    # Coordinate p of the value in column j is echelon[p][j] / (d echelon[p][p]);
+    # the value mu(e_a, v_c) (or mu(v_c, e_a)) is column c of the a-th matrix.
+    scale, forms = lcm(*(echelon[p][p] for p in range(k))), {check: {} for check in values}
+    for p, j, x in ((p, j, x) for p in range(k) for j, x in echelon[p].items() if j >= k):
+        check, (c, *a) = keys[j - k]
+        forms[check].setdefault((*a, c), []).append((p, scale // echelon[p][p] * x))
+    phi = transposed({c: v for (c,), v in sorted(forms["twist_stable"].items())})
 
     def family(name: str, left: bool) -> ActionTensor:
-        t, units = getattr(alg, name), [Vector.unit(alg.dim, a) for a in range(alg.dim)]
-        return ActionTensor.from_columns(alg.dim, k, {
-            (a, c): coords(t.product(ea, b) if left else t.product(b, ea)).entries
-            for a, ea in enumerate(units) for c, b in enumerate(vecs)})
+        return ActionTensor._from_form(
+            alg.dim, k, d * scale, forms[f"closed_{'left' if left else 'right'}:{name}"])
 
-    return Representation(alg.kind, alg.dim, k, phi, **paired_families(alg, family))
+    return Representation(alg.kind, alg.dim, k, Matrix._from_form(k, k, d * scale, phi),
+                          **paired_families(alg, family))
 
 
 def semidirect_product(alg: HomAlgebra, rep: Representation) -> HomAlgebra:

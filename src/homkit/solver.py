@@ -530,8 +530,8 @@ def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
         if line is not None:
             rest = equations[:idx] + equations[idx + 1:] + [line]
             return _reduce(rest, subst, free)
-        if len(eq.terms) == 1:
-            (mono,) = eq.terms
+        if len(eq.ints) == 1:
+            (mono,) = eq.ints
             leaves = []
             for x in sorted(set(mono)):
                 mapping = {x: Polynomial.constant(0)}

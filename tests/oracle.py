@@ -43,6 +43,14 @@ pullback representations, and the matrix product) are the dense
 over nonzero entries in kernel integers; their gates run the reference
 checkers above.  The package must build ``==`` structures and refuse the
 same inputs, for ``test_constructions.py``.
+
+``check_ideal``, ``graph_check`` and ``ideal_representation`` at the very
+end are the membership checks as they were before they read the sparse
+index: each value is a dense ``Fraction`` product (``StructureTensor.product``,
+``Matrix.apply``), tested against the span by ``span_membership``
+(``scan_membership``), and each coordinate is one ``solve_linear``.  The
+package's must give ``==`` reports and representations and raise the same
+errors, for ``test_linalg.py``.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
 from homkit.reporting import CheckReport, CheckResult, Witness, concat, require
 from homkit.representation import (
-    ActionTensor, Representation, _require_match, paired_families,
+    ActionTensor, Representation, _require_match, paired_families, semidirect_product,
 )
 from homkit.solver import (
     AffineFamily, Elimination, Monomial, PolySystem, SolutionSet, _Leaf,
@@ -1632,3 +1640,84 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
 
     return HomAlgebra(alg.dim, alg.kind, alg.alpha,
                       **{name: deform(t) for name, t in alg.tensors().items()})
+
+
+# ---- the membership checks, from homkit/algebra.py, operators.py and
+# representation.py: dense values, membership by elimination --------
+
+
+def scan_membership(name: str, indices: Iterable[tuple[int, ...]],
+                    value: Callable[..., Vector],
+                    member: Callable[[Vector], bool]) -> CheckResult:
+    """Record the first index tuple whose ``value`` is not a ``member``;
+    the witness residual is that value itself."""
+    for idx in indices:
+        v = value(*idx)
+        if not member(v):
+            return CheckResult(name, False, Witness(tuple(idx), v))
+    return CheckResult(name, True)
+
+
+def check_ideal(basis: Sequence[Vector], alg: HomAlgebra) -> CheckReport:
+    vecs = list(basis)
+    for v in vecs:
+        if v.dim != alg.dim:
+            raise ShapeError("ideal basis vectors must live in the algebra")
+
+    member = span_membership(vecs)
+    checks = [scan_membership(
+        "twist_stable", ((b,) for b in range(len(vecs))),
+        lambda b: alg.alpha.apply(vecs[b]), member)]
+    for name, t in alg.tensors().items():
+        checks.append(scan_membership(
+            f"closed_right:{name}",
+            iproduct(range(len(vecs)), range(alg.dim)),
+            lambda b, a, t=t: t.product(vecs[b], Vector.unit(alg.dim, a)), member))
+        checks.append(scan_membership(
+            f"closed_left:{name}",
+            iproduct(range(len(vecs)), range(alg.dim)),
+            lambda b, a, t=t: t.product(Vector.unit(alg.dim, a), vecs[b]), member))
+    return CheckReport(tuple(checks))
+
+
+def graph_check(ctx: OperatorContext) -> CheckReport:
+    sd = semidirect_product(ctx.alg, ctx.rep)
+    m = ctx.rep.carrier_dim
+    graph_cols = [Vector(tuple(ctx.t.col(i).entries)
+                         + tuple(Vector.unit(m, i).entries)) for i in range(m)]
+    member = span_membership(graph_cols)
+    checks = [scan_membership(
+        "graph_twist_stable", ((i,) for i in range(m)),
+        lambda i: sd.alpha.apply(graph_cols[i]), member)]
+    for name, t in sd.tensors().items():
+        checks.append(scan_membership(
+            f"graph_closed:{name}", iproduct(range(m), repeat=2),
+            lambda i, j, t=t: t.product(graph_cols[i], graph_cols[j]), member))
+    return CheckReport(tuple(checks))
+
+
+def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
+                         checked: bool = True) -> Representation:
+    vecs = list(basis)
+    if checked:
+        require(check_ideal(vecs, alg), "not a two-sided ideal")
+    k = len(vecs)
+    span = Matrix.from_cols(vecs) if vecs else Matrix.zero(alg.dim, 0)
+
+    def coords(v: Vector) -> Vector:
+        sol = solve_linear(span, v)
+        if sol is None or sol.kernel:
+            raise PreconditionError(
+                "ideal basis must be independent and closed (membership solve failed)")
+        return sol.particular
+
+    phi = Matrix.from_cols([coords(alg.alpha.apply(b)) for b in vecs]) if k \
+        else Matrix.zero(0, 0)
+
+    def family(name: str, left: bool) -> ActionTensor:
+        t, units = getattr(alg, name), [Vector.unit(alg.dim, a) for a in range(alg.dim)]
+        return ActionTensor.from_columns(alg.dim, k, {
+            (a, c): coords(t.product(ea, b) if left else t.product(b, ea)).entries
+            for a, ea in enumerate(units) for c, b in enumerate(vecs)})
+
+    return Representation(alg.kind, alg.dim, k, phi, **paired_families(alg, family))

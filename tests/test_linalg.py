@@ -1,21 +1,24 @@
 """Exact linear algebra kernel."""
 
 import random
+from contextlib import suppress
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 import oracle
-from homkit import algebra, linalg, operators
-from homkit.algebra import check_ideal
-from homkit.errors import ShapeError
+from homkit import algebra, linalg, operators, representation
+from homkit.algebra import POISSON, HomAlgebra, StructureTensor, check_ideal
+from homkit.errors import PreconditionError, ShapeError
 from homkit.linalg import (
     Matrix, Vector, frac, format_lincomb, kernel_basis, solve_linear,
     span_membership,
 )
-from homkit.fixtures import two_dim_associative
-from homkit.operators import OperatorContext, check_rota_baxter, graph_check
+from homkit.fixtures import two_dim_associative, two_dim_leibniz
+from homkit.operators import (
+    OperatorContext, check_relative_rbo, check_rota_baxter, graph_check,
+)
+from homkit.representation import ideal_representation, regular_representation
 from homkit.solver import Polynomial
 from support import (
     random_operator, theorem_suite_contexts, valid_representations,
@@ -271,28 +274,126 @@ def _graph_cases(rng):
     return [ctx for ctx in contexts if ctx.rep.carrier_dim]  # a nonzero span
 
 
-def test_membership_scans_reduce_the_span_once(monkeypatch):
-    # check_ideal and graph_check reduce their span once per call, and
-    # report the same verdicts and witnesses as one solve per query.
-    rng = random.Random(17)
-    ideals, graphs = _ideal_cases(rng), _graph_cases(rng)
-    one_solve_each = lambda cols: partial(oracle.in_span, cols)  # noqa: E731
-    with monkeypatch.context() as m:
-        m.setattr(algebra, "span_membership", one_solve_each)
-        m.setattr(operators, "span_membership", one_solve_each)
-        want = ([check_ideal(basis, alg) for basis, alg in ideals]
-                + [graph_check(ctx) for ctx in graphs])
-    assert any(r.passed for r in want) and any(not r.passed for r in want)
+def _block_sum(rng, b):
+    """A Poisson algebra on two dense random ``b``-dim blocks whose products
+    with each other vanish, with a block-diagonal random twist: the span of
+    any basis of the first block is an ideal."""
+    n = 2 * b
 
-    reductions = []
-    real = linalg._rref
-    monkeypatch.setattr(linalg, "_rref",
-                        lambda rows: reductions.append(len(rows)) or real(rows))
-    monkeypatch.setattr(linalg, "solve_linear", None)  # no per-query solves
-    got = []
-    for scan in ([partial(check_ideal, basis, alg) for basis, alg in ideals]
-                 + [partial(graph_check, ctx) for ctx in graphs]):
-        reductions.clear()
-        got.append(scan())
-        assert len(reductions) == 1
-    assert got == want
+    def table():
+        return StructureTensor.from_products(n, {
+            (i, j): [0] * (i // b * b) + [Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+                                          for _ in range(b)] + [0] * (n - b - i // b * b)
+            for i in range(n) for j in range(n) if i // b == j // b})
+    alpha = Matrix.block_diag(rand_matrix(rng, b, b), rand_matrix(rng, b, b))
+    return HomAlgebra(n, POISSON, alpha, dot=table(), bracket=table())
+
+
+def _dense_ideal_cases(rng):
+    """Block sums with a random basis of the first block (an ideal), two of
+    its vectors, and the basis with one vector spilling into the second block."""
+    cases = []
+    for b in (2, 3, 4):
+        alg = _block_sum(rng, b)
+        basis = [Vector(list(rand_matrix(rng, 1, b).entries[0]) + [0] * b) for _ in range(b)]
+        spilled = basis[:-1] + [basis[-1] + Vector.unit(2 * b, 2 * b - 1)]
+        cases += [(basis, alg), (basis[:2], alg), (spilled, alg)]
+    return cases
+
+
+def _dense_graph_cases(rng):
+    """Dense random operators, and the zero operator, on the regular
+    representations of block sums."""
+    contexts = []
+    for b in (2, 3):
+        alg = _block_sum(rng, b)
+        rep = regular_representation(alg)
+        contexts += [OperatorContext(alg, rep, random_operator(rng, 2 * b, 2 * b)),
+                     OperatorContext(alg, rep, Matrix.zero(2 * b, 2 * b))]
+    return contexts
+
+
+def _membership_cases():
+    rng = random.Random(17)
+    return (_ideal_cases(rng) + _dense_ideal_cases(rng),
+            _graph_cases(rng) + _dense_graph_cases(rng))
+
+
+def _same_ideal_representation(basis, alg, checked):
+    try:
+        want = oracle.ideal_representation(basis, alg, checked)
+    except PreconditionError as err:
+        with pytest.raises(PreconditionError) as got:
+            ideal_representation(basis, alg, checked)
+        assert str(got.value) == str(err)
+        return False
+    assert ideal_representation(basis, alg, checked) == want
+    return True
+
+
+def test_membership_checks_match_the_reference():
+    # Reports (names, flags, witness tuples, exact values) and ideal
+    # representations equal the dense membership checks of oracle.py.
+    ideals, graphs = _membership_cases()
+    reports = []
+    for basis, alg in ideals:
+        reports.append(check_ideal(basis, alg))
+        assert reports[-1] == oracle.check_ideal(basis, alg)
+    for ctx in graphs:
+        reports.append(graph_check(ctx))
+        assert reports[-1] == oracle.graph_check(ctx)
+        assert reports[-1].passed == check_relative_rbo(ctx).passed
+    assert any(r.passed for r in reports) and any(not r.passed for r in reports)
+    built = [_same_ideal_representation(basis, alg, checked)
+             for basis, alg in ideals for checked in (True, False)]
+    assert any(built) and not all(built)
+
+
+def test_membership_checks_form_no_dense_value(monkeypatch):
+    # check_ideal, ideal_representation and a passing graph_check form no
+    # Fraction product and eliminate no Fraction rows; a failing graph_check
+    # forms one value, the witness, per failing check.
+    ideals, graphs = _membership_cases()
+    for module in (algebra, operators, representation):
+        assert not hasattr(module, "span_membership") and not hasattr(module, "solve_linear")
+
+    def refuse(*args):
+        raise AssertionError("dense membership path")
+    for owner, name in ((StructureTensor, "product"), (Matrix, "apply"),
+                        (linalg, "solve_linear"), (linalg, "span_membership"),
+                        (linalg, "_rref")):
+        monkeypatch.setattr(owner, name, refuse)
+    witnesses = []
+    value = operators._graph_value
+    monkeypatch.setattr(operators, "_graph_value",
+                        lambda *args: witnesses.append(args) or value(*args))
+    for basis, alg in ideals:
+        check_ideal(basis, alg)
+        for checked in (True, False):
+            with suppress(PreconditionError):
+                ideal_representation(basis, alg, checked)
+    for ctx in graphs:
+        witnesses.clear()
+        report = graph_check(ctx)
+        assert len(witnesses) == len(report.failures())
+
+
+@pytest.mark.parametrize("checked", [True, False])
+def test_ideal_representation_refusals(checked):
+    l = two_dim_leibniz()
+    e1, e2, zero = Vector.unit(2, 0), Vector.unit(2, 1), Vector.zero(2)
+    failed = "ideal basis must be independent and closed (membership solve failed)"
+    for basis in ([e1, e1.scale(2)], [zero], [e1, zero]):  # dependent
+        with pytest.raises(PreconditionError) as err:
+            ideal_representation(basis, l, checked)
+        assert str(err.value) == failed
+    with pytest.raises(PreconditionError) as err:
+        ideal_representation([e2], l, checked)
+    assert str(err.value) == (
+        "not a two-sided ideal: FAIL twist_stable at (1): residual = e1 + e2; FAIL"
+        " closed_right:bracket at (1, 1): residual = -e1; FAIL closed_left:bracket at"
+        " (1, 1): residual = e1" if checked else failed)
+    empty = ideal_representation([], l, checked)
+    assert empty.carrier_dim == 0 and empty == oracle.ideal_representation([], l, checked)
+    with pytest.raises(ShapeError, match="^ideal basis vectors must live in the algebra$"):
+        check_ideal([e1, Vector.unit(3, 0)], l)
