@@ -384,8 +384,8 @@ def _require_self_morphism(beta: Matrix, alg: HomAlgebra) -> None:
     require(check_morphism(beta, alg, alg), "twisting map is not a self-morphism")
 
 
-def _ideal(basis: Sequence[Vector], alg: HomAlgebra) -> tuple[int, dict, dict, CheckReport]:
-    """``(d, cols, values, report)`` of :func:`check_ideal`: the basis ``v_b`` as ``sparse``
+def _ideal(basis: Sequence[Vector], alg: HomAlgebra) -> tuple[int, dict, dict]:
+    """``(d, cols, values)`` of :func:`check_ideal`: the basis ``v_b`` as ``sparse``
     columns over ``d`` and, by check, the values ``alpha v_b`` at ``(b,)`` and per table
     ``mu(v_b, e_a)``, ``mu(e_a, v_b)`` at ``(b, a)``, from nonzero entries, over ``d**2``."""
     vecs = list(basis)
@@ -399,19 +399,20 @@ def _ideal(basis: Sequence[Vector], alg: HomAlgebra) -> tuple[int, dict, dict, C
         for side, by in (("right", a.by_first), ("left", a.by_second)):
             values[f"closed_{side}:{name}"] = s.sums(
                 alg.dim, s.term(1, by[name], right=False)).terms()
-    pivots, checks = _echelon(map(dict, s.cols.values())), []
-    for check, sums in values.items():
-        # The witness: the first value in key order not cleared at the pivots.
-        bad = next((key for key in sorted(sums) if _remainder(dict(sums[key]), pivots)), None)
-        checks.append(CheckResult(check, bad is None, bad and Witness(
-            bad, Vector(_dense(a.d ** 2, sums[bad], alg.dim, {})))))
-    return a.d, s.cols, values, CheckReport(tuple(checks))
+    return a.d, s.cols, values
 
 
 def check_ideal(basis: Sequence[Vector], alg: HomAlgebra) -> CheckReport:
     """Two-sided ideal test for the span of the given vectors: twist stability and
     absorption on both sides per table.  The witness residual is the offending value."""
-    return _ideal(basis, alg)[3]
+    d, cols, values = _ideal(basis, alg)
+    pivots, checks = _echelon(map(dict, cols.values())), []
+    for check, sums in values.items():
+        # The witness: the first value in key order not cleared at the pivots.
+        bad = next((key for key in sorted(sums) if _remainder(dict(sums[key]), pivots)), None)
+        checks.append(CheckResult(check, bad is None, bad and Witness(
+            bad, Vector(_dense(d ** 2, sums[bad], alg.dim, {})))))
+    return CheckReport(tuple(checks))
 
 
 def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra:

@@ -239,11 +239,11 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
         for name, t in alg.tensors().items()})
 
 
-def _graph_value(ctx: OperatorContext, check: str, at: tuple[int, ...]) -> Vector:
-    """The value a failing ``check`` at ``at`` leaves outside the graph: the semidirect
-    twist of ``g_i = (T e_i, e_i)``, or the semidirect product of ``g_i`` and ``g_j``."""
-    sd, name = semidirect_product(ctx.alg, ctx.rep), check.partition(":")[2]
-    graph = Matrix.block([[ctx.t], [Matrix.identity(ctx.rep.carrier_dim)]])
+def _graph_value(sd: HomAlgebra, graph: Matrix, check: str, at: tuple[int, ...]) -> Vector:
+    """The value a failing ``check`` at ``at`` leaves outside the graph, in the semidirect
+    product ``sd`` with the graph columns ``g_i = (T e_i, e_i)``: the twist of ``g_i``,
+    or the product of ``g_i`` and ``g_j``."""
+    name = check.partition(":")[2]
     if not name:
         return (sd.alpha @ graph).col(at[0])
     a, acc = _Sparse(sd.alpha, {name: getattr(sd, name)}, graph), Accumulator(sd.dim)
@@ -255,12 +255,15 @@ def graph_check(ctx: OperatorContext) -> CheckReport:
     """Is the graph ``{(Tv, v)}`` a subalgebra of the semidirect product?  ``(a, v)``
     lies in it iff ``a = Tv``, so each check is :func:`check_relative_rbo`'s, renamed,
     with the offending value (:func:`_graph_value`) as its witness residual."""
-    checks = []
-    for c in check_relative_rbo(ctx):
+    report, checks = check_relative_rbo(ctx), []
+    # The semidirect product and the graph columns, built once if a check fails.
+    graph = () if report.passed else (semidirect_product(ctx.alg, ctx.rep), Matrix.block(
+        [[ctx.t], [Matrix.identity(ctx.rep.carrier_dim)]]))
+    for c in report:
         name = c.identity.replace("intertwines_twist", "graph_twist_stable")
         at = c.witness and c.witness.indices
         checks.append(CheckResult(name.replace("splits:", "graph_closed:"), c.passed,
-                                  at and Witness(at, _graph_value(ctx, c.identity, at))))
+                                  at and Witness(at, _graph_value(*graph, c.identity, at))))
     return CheckReport(tuple(checks))
 
 

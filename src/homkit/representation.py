@@ -18,7 +18,8 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     ACTIONS_OF, KINDS, POISSON, TENSORS_BY_KIND, HomAlgebra, StructureTensor, _GROUPS,
-    _ideal, _require_self_morphism, _require_square, _Sparse, _SparseMap, check_morphism,
+    _ideal, _require_self_morphism, _require_square, _Sparse, _SparseMap, check_ideal,
+    check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import (
@@ -364,13 +365,14 @@ def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
                          checked: bool = True) -> Representation:
     """Representation on a two-sided ideal, in the coordinates of the given
     basis (all read off one reduction); actions are the restricted multiplications."""
-    d, cols, values, report = _ideal(basis, alg)
-    if checked:
-        require(report, "not a two-sided ideal")
+    basis = list(basis)  # read again by check_ideal if a value lies outside the span
+    d, cols, values = _ideal(basis, alg)
     k, keys = len(cols), [(check, key) for check, sums in values.items() for key in sums]
     columns = {**cols, **{j: values[check][key] for j, (check, key) in enumerate(keys, k)}}
     echelon = _echelon(map(dict, transposed(columns).values()))
     if set(echelon) != set(range(k)):  # a value outside the span, or a dependent basis
+        if checked and any(p >= k for p in echelon):  # a value outside the span
+            require(check_ideal(basis, alg), "not a two-sided ideal")
         raise PreconditionError(
             "ideal basis must be independent and closed (membership solve failed)")
     # Coordinate p of the value in column j is echelon[p][j] / (d echelon[p][p]);

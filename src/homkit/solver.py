@@ -14,7 +14,8 @@ guessed at.
 Every stage computes in ints: a polynomial keeps its coefficients as ints
 over one denominator, the generator reads the stored ints of the twists,
 tables and actions, and the linear stage eliminates fraction-free on
-sparse int rows.
+sparse int rows.  Each substitution round makes one substitution object,
+which expands each monomial once for all the polynomials of the round.
 """
 
 from __future__ import annotations
@@ -35,18 +36,6 @@ from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
 
 Monomial = tuple[int, ...]  # sorted variable ids; () is the constant monomial
-
-
-def _accumulate(out: dict[Monomial, int], terms) -> None:
-    """Add ``(monomial, coefficient)`` pairs into ``out``; cancelled
-    entries stay as zeros until :func:`_nonzero`."""
-    for m, c in terms:
-        prev = out.get(m)
-        out[m] = c if prev is None else prev + c
-
-
-def _nonzero(terms: dict[Monomial, int]) -> dict[Monomial, int]:
-    return {m: c for m, c in terms.items() if c}
 
 
 class Polynomial(_Frozen):
@@ -120,9 +109,9 @@ class Polynomial(_Frozen):
         d = lcm(self.den, other.den)
         s1, s2 = d // self.den, d // other.den
         out = dict(self.ints) if s1 == 1 else {m: c * s1 for m, c in self.ints.items()}
-        _accumulate(out, other.ints.items() if s2 == 1
-                    else ((m, c * s2) for m, c in other.ints.items()))
-        return Polynomial._of(_nonzero(out), d)
+        for m, c in other.ints.items():
+            out[m] = out.get(m, 0) + c * s2
+        return Polynomial._of({m: c for m, c in out.items() if c}, d)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
@@ -137,44 +126,18 @@ class Polynomial(_Frozen):
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: dict[Monomial, int] = {}
-        _accumulate(out, ((tuple(sorted(m1 + m2)), c1 * c2)
-                          for m1, c1 in self.ints.items()
-                          for m2, c2 in other.ints.items()))
-        return Polynomial._of(_nonzero(out), self.den * other.den)
+        for m1, c1 in self.ints.items():
+            for m2, c2 in other.ints.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return Polynomial._of({m: c for m, c in out.items() if c}, self.den * other.den)
 
-    def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace each mapped variable by a polynomial.  Every term is
-        expanded in ints, into one accumulator per product of its images'
-        denominators; the accumulators are combined once, over their lcm.
-        A polynomial with no mapped variable is returned as it is."""
-        groups: dict[int, dict[Monomial, int]] = {}
-        touched = False
-        for mono, coeff in self.ints.items():
-            images = [mapping[v] for v in mono if v in mapping]
-            if images:
-                touched = True
-                expansion = [(tuple(v for v in mono if v not in mapping), coeff)]
-                den = 1
-                for image in images:
-                    den *= image.den
-                    expansion = [(m1 + m2, c1 * c2) for m1, c1 in expansion
-                                 for m2, c2 in image.ints.items()]
-            else:
-                expansion, den = ((mono, coeff),), 1
-            _accumulate(groups.setdefault(den, {}),
-                        ((m if len(m) < 2 else tuple(sorted(m)), c) for m, c in expansion))
-        if not touched:
-            return self
-        if len(groups) == 1:
-            ((den, out),) = groups.items()
-        else:
-            den = lcm(*groups)
-            out = {}
-            for d, part in groups.items():
-                s = den // d
-                _accumulate(out, part.items() if s == 1
-                            else ((m, c * s) for m, c in part.items()))
-        return Polynomial._of(_nonzero(out), self.den * den)
+    def substitute(self, mapping: "Mapping[int, Polynomial] | _Substitution") -> "Polynomial":
+        """Replace each mapped variable by a polynomial (one-shot, unless ``mapping`` is a
+        shared :class:`_Substitution`); an unmapped polynomial is returned as it is."""
+        if not isinstance(mapping, _Substitution):
+            mapping = _Substitution(mapping)
+        return mapping.apply(self)
 
     def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -227,6 +190,53 @@ class Polynomial(_Frozen):
         return f"Polynomial({self.render(lambda v: f'x{v}')})"
 
 
+class _Substitution:
+    """A mapping ``{variable: Polynomial}`` to apply to many polynomials.
+    Each monomial is expanded once, as ints over the product of its images'
+    denominators, for every polynomial holding it; a polynomial sums its
+    expansions in one dict, over their lcm."""
+
+    __slots__ = ("mapping", "expansions")
+
+    def __init__(self, mapping: Mapping[int, Polynomial]):
+        self.mapping = mapping
+        self.expansions: dict[Monomial, tuple[int, list]] = {}
+
+    def _expand(self, mono: Monomial) -> tuple[int, list]:
+        """``(den, [(monomial, int), ...])``, the image of ``mono`` as ints over ``den``;
+        kept for the next polynomial holding ``mono``."""
+        mapping, den = self.mapping, 1
+        expansion = {tuple([v for v in mono if v not in mapping]): 1}
+        for image in [mapping[v] for v in mono if v in mapping]:
+            if not image.ints:  # a zero image: the monomial vanishes
+                expansion, den = {}, 1
+                break
+            den *= image.den
+            out: dict[Monomial, int] = {}
+            for m1, c1 in expansion.items():
+                for m2, c2 in image.ints.items():
+                    m = tuple(sorted(m1 + m2))
+                    out[m] = out.get(m, 0) + c1 * c2
+            expansion = out
+        found = self.expansions[mono] = den, [(m, c) for m, c in expansion.items() if c]
+        return found
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        expansions, out, den = self.expansions, {}, 1
+        for mono, coeff in p.ints.items():
+            d, terms = expansions.get(mono) or self._expand(mono)
+            if den % d:  # bring the sum over lcm(den, d)
+                s = d // gcd(den, d)
+                out = {m: c * s for m, c in out.items()}
+                den *= s
+            coeff *= den // d
+            for m, c in terms:
+                out[m] = out.get(m, 0) + c * coeff
+        if den == 1 and out == p.ints:  # unmapped, or mapped onto itself
+            return p
+        return Polynomial._of({m: c for m, c in out.items() if c}, p.den * den)
+
+
 class PolySystem(_Frozen):
     """Equations (each polynomial = 0) in the entries of an unknown
     rows x cols matrix; variable id of entry (r, c) is r*cols + c.  Zero
@@ -268,13 +278,10 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
 
     The stored ints of the twists, tables and actions are read once and
     brought over the lcm of their denominators; each equation is then
-    written straight into one ``{monomial: int}`` dict over that lcm."""
+    written straight into one ``{monomial: int}`` dict over that lcm, by
+    plain loops over its terms.  An equation with no term is not built."""
     _require_match(rep, alg)
     n, m = alg.dim, rep.carrier_dim
-
-    def pair(u: int, w: int) -> Monomial:
-        return (u, w) if u <= w else (w, u)
-
     equations: list[Polynomial] = []
 
     # Linear part: (T phi - alpha T)[a][j] = 0.
@@ -284,13 +291,14 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     for q, row in phi.items():
         for j, x in row:
             phi_cols[j].append((q, x * (d // dphi)))
-    alpha_rows = [[(b, -x * (d // dalpha)) for b, x in alpha[a]] for a in range(n)]
     for a in range(n):
+        alpha_row = [(b * m, -x * (d // dalpha)) for b, x in alpha.get(a, ())]
         for j in range(m):
-            out: dict[Monomial, int] = {}
-            _accumulate(out, (((a * m + q,), c) for q, c in phi_cols[j]))
-            _accumulate(out, (((b * m + j,), c) for b, c in alpha_rows[a]))
-            equations.append(Polynomial._of(_nonzero(out), d))
+            out = {(a * m + q,): c for q, c in phi_cols[j]}
+            for b, c in alpha_row:
+                out[b + j,] = out.get((b + j,), 0) + c
+            if out:
+                equations.append(Polynomial._of({u: c for u, c in out.items() if c}, d))
 
     # Quadratic part, per table: for carrier pair (i, j) and output
     # coordinate k,
@@ -301,10 +309,10 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
         (dt, products), (dl, lcols), (dr, rcols) = (tensor.stored(), left.stored(),
                                                      right.stored())
         d = lcm(dt, dl, dr)
-        consts = [[] for _ in range(n)]  # k -> [(a, b, C[a][b][k])]
+        consts = [[] for _ in range(n)]  # k -> [(a*m, b*m, C[a][b][k])]
         for (a, b), v in products.items():
             for k, x in v:
-                consts[k].append((a, b, x * (d // dt)))
+                consts[k].append((a * m, b * m, x * (d // dt)))
         # j -> [(q, a, -L_a[q][j])] and i -> [(q, b, -R_b[q][i])], sorted
         lefts, rights = [[] for _ in range(m)], [[] for _ in range(m)]
         for cols, s, out in ((lcols, d // dl, lefts), (rcols, d // dr, rights)):
@@ -314,15 +322,21 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
             terms.sort()
         for i in range(m):
             for j in range(m):
+                # (q, w, c): the action terms c T[k][q] T_w, the same for every k
+                acts = ([(q, a * m + i, c) for q, a, c in lefts[j]]
+                        + [(q, b * m + j, c) for q, b, c in rights[i]])
                 for k in range(n):
                     out = {}
-                    _accumulate(out, ((pair(a * m + i, b * m + j), c)
-                                      for a, b, c in consts[k]))
-                    _accumulate(out, ((pair(k * m + q, a * m + i), c)
-                                      for q, a, c in lefts[j]))
-                    _accumulate(out, ((pair(k * m + q, b * m + j), c)
-                                      for q, b, c in rights[i]))
-                    equations.append(Polynomial._of(_nonzero(out), d))
+                    for a, b, c in consts[k]:
+                        u, w = a + i, b + j
+                        key = (u, w) if u <= w else (w, u)
+                        out[key] = out.get(key, 0) + c
+                    for q, w, c in acts:
+                        u = k * m + q
+                        key = (u, w) if u <= w else (w, u)
+                        out[key] = out.get(key, 0) + c
+                    if out:
+                        equations.append(Polynomial._of({u: c for u, c in out.items() if c}, d))
     return PolySystem(n, m, equations)
 
 
@@ -384,7 +398,8 @@ def eliminate_linear(system: PolySystem) -> Elimination:
         return Elimination(PolySystem(system.rows, system.cols, []),
                            {}, (), inconsistent=True)
     mapping, free = solved
-    residual = [e.substitute(mapping) for e in rest]
+    sub = _Substitution(mapping)
+    residual = [e.substitute(sub) for e in rest]
     return Elimination(PolySystem(system.rows, system.cols, residual),
                        mapping, free)
 
@@ -488,9 +503,8 @@ def _univariate_roots(p: Polynomial) -> list[Fraction] | None:
     return sorted({Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)})
 
 
-def _apply(subst: dict[int, Polynomial],
-           mapping: dict[int, Polynomial]) -> dict[int, Polynomial]:
-    return {v: p.substitute(mapping) for v, p in subst.items()}
+def _apply(subst: dict[int, Polynomial], sub: _Substitution) -> dict[int, Polynomial]:
+    return {v: p.substitute(sub) for v, p in subst.items()}
 
 
 def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
@@ -506,11 +520,11 @@ def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
         solved = _solve_linear_part(linear, free)
         if solved is None:
             return []
-        mapping, free = solved
-        subst = _apply(subst, mapping)
+        sub, free = _Substitution(solved[0]), solved[1]
+        subst = _apply(subst, sub)
         # The linear equations vanish under their own solution.
         equations = [e2 for e, k in zip(equations, degrees)
-                     if k > 1 and not (e2 := e.substitute(mapping)).is_zero()]
+                     if k > 1 and not (e2 := e.substitute(sub)).is_zero()]
     if not equations:
         return [_Leaf(subst, free)]
 
@@ -520,10 +534,9 @@ def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
             (x,) = eq.variables()
             leaves: list[_Leaf] = []
             for r in roots:
-                mapping = {x: Polynomial.constant(r)}
-                rest = [e.substitute(mapping) for e in equations[:idx]
-                        + equations[idx + 1:]]
-                leaves.extend(_reduce(rest, _apply(subst, mapping),
+                sub = _Substitution({x: Polynomial.constant(r)})
+                rest = [e.substitute(sub) for e in equations[:idx] + equations[idx + 1:]]
+                leaves.extend(_reduce(rest, _apply(subst, sub),
                                       tuple(v for v in free if v != x)))
             return leaves
         line = _perfect_square_root(eq)
@@ -534,9 +547,9 @@ def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
             (mono,) = eq.ints
             leaves = []
             for x in sorted(set(mono)):
-                mapping = {x: Polynomial.constant(0)}
-                rest = [e.substitute(mapping) for e in equations]
-                leaves.extend(_reduce(rest, _apply(subst, mapping),
+                sub = _Substitution({x: Polynomial.constant(0)})
+                rest = [e.substitute(sub) for e in equations]
+                leaves.extend(_reduce(rest, _apply(subst, sub),
                                       tuple(v for v in free if v != x)))
             return leaves
     return [_Leaf(subst, free, tuple(equations))]
@@ -598,9 +611,9 @@ def solve(system: PolySystem) -> SolutionSet:
                         key=lambda m: tuple(tuple(r) for r in m.entries))
         return SolutionSet("finite", points=tuple(points))
     if len(kept) == 1 and kept[0].dim >= 1:
-        leaf = leaves[families.index(kept[0])]
+        sub = _Substitution(leaves[families.index(kept[0])].subst)
         for eq in system.equations:
-            if not eq.substitute(leaf.subst).is_zero():
+            if not eq.substitute(sub).is_zero():
                 raise SoundnessError(
                     "family verification failed on: " + eq.render(system.var_name))
         return SolutionSet("affine_family", family=kept[0])

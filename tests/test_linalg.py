@@ -378,6 +378,31 @@ def test_membership_checks_form_no_dense_value(monkeypatch):
         assert len(witnesses) == len(report.failures())
 
 
+def test_membership_reports_are_built_only_on_failure(monkeypatch):
+    # ideal_representation builds check_ideal's report (a _remainder per
+    # value) only when checked and a value lies outside the span, and
+    # graph_check builds the semidirect product once, only if a check fails.
+    ideals, graphs = _membership_cases()
+    passed = [check_ideal(basis, alg).passed for basis, alg in ideals]
+    remainders, products = [], []
+    remainder, product = algebra._remainder, operators.semidirect_product
+    monkeypatch.setattr(algebra, "_remainder",
+                        lambda *args: remainders.append(args) or remainder(*args))
+    monkeypatch.setattr(operators, "semidirect_product",
+                        lambda *args: products.append(args) or product(*args))
+    for (basis, alg), ok in zip(ideals, passed):
+        for checked in (False, True):
+            remainders.clear()
+            with suppress(PreconditionError):
+                ideal_representation(basis, alg, checked)
+            assert bool(remainders) == (checked and not ok)
+    assert not all(passed)
+    for ctx in graphs:
+        products.clear()
+        report = graph_check(ctx)
+        assert len(products) == (not report.passed)
+
+
 @pytest.mark.parametrize("checked", [True, False])
 def test_ideal_representation_refusals(checked):
     l = two_dim_leibniz()

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from homkit import linalg, solver
-from homkit.linalg import _rref
+from homkit.linalg import Matrix, _rref
 from homkit.solver import Polynomial, eliminate_linear, generate_constraints, solve
 from support import corrupt_one_entry, valid_representations, verified_algebra_pool
 
@@ -137,6 +137,21 @@ def test_integral_inputs_build_no_fraction(monkeypatch):
     assert dens > {1}
 
 
+def test_generator_reads_a_missing_twist_row_as_empty(monkeypatch):
+    """``generate_constraints`` reads a row the stored twist leaves out as
+    empty, so a matrix that keeps no empty row writes the same system."""
+    pairs = [(alg, rep) for alg, rep in PAIRS
+             if not all(alg.alpha.stored()[1].values())]
+    want = [generate_constraints(alg, rep).render() for alg, rep in pairs]
+    stored = Matrix.stored
+
+    def without_empty_rows(m):
+        den, rows = stored(m)
+        return den, {i: row for i, row in rows.items() if row}
+    monkeypatch.setattr(Matrix, "stored", without_empty_rows)
+    assert pairs and [generate_constraints(alg, rep).render() for alg, rep in pairs] == want
+
+
 # ---- properties ------------------------------------------------------------
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
@@ -198,6 +213,53 @@ def test_arithmetic_results_are_clean_and_match_reference(p, q, c, mapping):
     for got, want in results:
         assert_clean(got)
         assert got.terms == want.terms
+
+
+constants = st.one_of(  # zero, or a nonzero value with one of four denominators
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.sampled_from([-2, -1, 1, 3]), st.sampled_from([1, 2, 3, 4])),
+).map(lambda c: (Polynomial.constant(c), oracle.Polynomial.constant(c)))
+images = st.dictionaries(st.integers(0, VARS - 1), st.one_of(polynomial_pairs(), constants),
+                         max_size=VARS)
+
+
+@PROPERTY
+@given(st.lists(polynomial_pairs(), min_size=1, max_size=6), images)
+def test_shared_substitution_matches_reference(polys, mapping):
+    """One substitution applied to a list of polynomials equals the
+    reference substitution of each.  The polynomials share monomials (few
+    variables, and the list ends with the sum of its first and last); the
+    images mix denominators, zero, constants and other polynomials, and
+    may leave variables unmapped, whose polynomials come back as they are."""
+    (first, ref_first), (last, ref_last) = polys[0], polys[-1]
+    polys.append((first + last, ref_first + ref_last))
+    sub = solver._Substitution({v: new for v, (new, _) in mapping.items()})
+    reference = {v: ref for v, (_, ref) in mapping.items()}
+    for p, ref_p in polys:
+        got = p.substitute(sub)
+        assert_clean(got)
+        assert got.terms == ref_p.substitute(reference).terms
+        if not p.variables() & mapping.keys():
+            assert got is p
+
+
+def test_each_monomial_is_expanded_once_per_substitution(monkeypatch):
+    """A substitution (a round of ``_reduce``, the residual of
+    ``eliminate_linear``, the family check of ``solve``) expands each
+    distinct monomial once, however many of its polynomials hold it."""
+    expanded, occurrences = Counter(), Counter()
+    expand, apply = solver._Substitution._expand, solver._Substitution.apply
+    monkeypatch.setattr(solver._Substitution, "_expand", lambda self, mono: (
+        expanded.update([(self, mono)]) or expand(self, mono)))
+    monkeypatch.setattr(solver._Substitution, "apply", lambda self, p: (
+        occurrences.update((self, mono) for mono in p.ints) or apply(self, p)))
+    for alg, rep in PAIRS:
+        system = generate_constraints(alg, rep)
+        eliminate_linear(system)
+        solve(system)
+    assert expanded.keys() == occurrences.keys()
+    assert set(expanded.values()) == {1}
+    assert sum(occurrences.values()) > len(expanded)  # shared monomials
 
 
 def rref_stage(linear, variables):
