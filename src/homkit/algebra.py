@@ -19,7 +19,7 @@ from .kernel import (
     transposed, twisted_then_entries, walk,
 )
 from .linalg import (
-    _ZERO, Matrix, Vector, _dense, _echelon, _nonzero_ints, _put, _remainder, _Stored, _Value,
+    _ZERO, Matrix, Vector, _dense, _echelon, _nonzero_ints, _remainder, _Stored, _Value,
 )
 from .reporting import CheckReport, CheckResult, Witness, require, scan_identity
 
@@ -133,11 +133,7 @@ class HomAlgebra(_Value):
     def __init__(self, dim: int, kind: str, alpha: Matrix,
                  dot: StructureTensor | None = None,
                  bracket: StructureTensor | None = None):
-        _put(self, "dim", dim)
-        _put(self, "kind", kind)
-        _put(self, "alpha", alpha)
-        _put(self, "dot", dot)
-        _put(self, "bracket", bracket)
+        self._set(dim, kind, alpha, dot, bracket)
         if self.kind not in KINDS:
             raise KindMismatchError(f"unknown kind {self.kind!r}")
         needed = TENSORS_BY_KIND[self.kind]

@@ -23,9 +23,10 @@ Constructions print the result in DSL form (name it with --as); --verify
 re-runs the applicable checks on the output and appends them as comment
 lines, failing with exit 1 if any check fails.  Every report has a
 machine readable variant via --format=json.  Exit codes: 0 success,
-1 check failure, 2 input error, 3 internal error (a fault in homkit
-itself, such as a solution failing its re-verification; reported as one
-``internal error: ...`` line on stderr).
+1 check failure, 2 input error (including a FILE that cannot be read or
+is not UTF-8), 3 internal error (a fault in homkit itself, such as a
+solution failing its re-verification, or a failure to write the output;
+reported as one ``internal error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -33,32 +34,111 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import TYPE_CHECKING
 
-from .algebra import check_algebra, yau_twist
+import homkit
+
+from .algebra import HomAlgebra, check_algebra, yau_twist
 from .dsl import DocAlgebra, DocRepresentation, Document, parse, serialize
 from .errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError, UnknownNameError,
 )
-from .linalg import format_lincomb
+from .linalg import _format_terms, format_lincomb
 from .representation import (
     check_representation, regular_representation, semidirect_product,
 )
 from .reporting import CheckReport
 
-# The solver, the operator constructions, matched pairs and ``json`` are
-# imported where they are used, so each subcommand loads only what it runs.
-if TYPE_CHECKING:
-    from .solver import SolutionSet
-
-# What bad input raises; a file that is not UTF-8 fails as it is read.
+# What bad input raises once the file is read.
 INPUT_ERRORS = (ParseError, PreconditionError, ShapeError, KindMismatchError,
-                UnknownNameError, OSError, UnicodeDecodeError)
+                UnknownNameError)
 
 
-def _load(path: str) -> Document:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+def _rep(doc: Document, alg: str, name: str | None):
+    """The representation ``name`` of the algebra named ``alg``, or its
+    regular representation if ``name`` is None; an unknown algebra is
+    reported before an unknown representation."""
+    base = doc.algebra(alg)
+    if name is None:
+        return regular_representation(base)
+    item = doc.representation(name)
+    if item.base != alg:
+        raise UnknownNameError(f"representation {name!r} is on {item.base!r},"
+                               f" not {alg!r}")
+    return item.rep
+
+
+def _check(doc: Document, args) -> CheckReport:
+    name = args.name
+    item = doc.get(name)
+    if isinstance(item, DocAlgebra):
+        return check_algebra(item.algebra)
+    if isinstance(item, DocRepresentation):
+        return check_representation(item.rep, doc.algebra(item.base))
+    raise UnknownNameError(f"no algebra or representation named {name!r}")
+
+
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_BUILD = (_FORMAT,
+          ("--as", {"dest": "name", "default": "result",
+                    "help": "name for the constructed object"}),
+          ("--verify", {"action": "store_true", "help": "re-check the output and report"}))
+
+# Each subcommand: its help, its arguments after FILE (a name, or a flag
+# and its options), and what it runs on the loaded document and the parsed
+# arguments.  The result is printed by its type: a check report of the
+# object ``name``, a solution set, or a constructed algebra (``_BUILD``).
+# The solver, the operator constructions and matched pairs load on first
+# use (``homkit.<module>``), so each subcommand imports only what it runs.
+COMMANDS = {
+    "check": ("run all applicable checks on one object", ("name", _FORMAT), _check),
+    "check-rep": ("representation axioms", ("algebra", ("name", {"metavar": "rep"}), _FORMAT),
+                  lambda doc, a: check_representation(_rep(doc, a.algebra, a.name),
+                                                      doc.algebra(a.algebra))),
+    "solve-rbo": ("solve for relative Rota-Baxter operators",
+                  ("algebra", ("--rep", {"default": None}), _FORMAT),
+                  lambda doc, a: homkit.solver.solve_relative_rbo(
+                      doc.algebra(a.algebra), _rep(doc, a.algebra, a.rep))),
+    "semidirect": ("semidirect product algebra", ("algebra", "rep", *_BUILD),
+                   lambda doc, a: semidirect_product(doc.algebra(a.algebra),
+                                                     _rep(doc, a.algebra, a.rep))),
+    "matched-sum": ("bicrossed sum of a matched pair", (
+        "a1", "a2", ("rep12", {"help": "representation of A1 on A2's space"}),
+        ("rep21", {"help": "representation of A2 on A1's space"}), *_BUILD),
+        lambda doc, a: homkit.matched.matched_sum(homkit.matched.MatchedPair(
+            doc.algebra(a.a1), doc.algebra(a.a2),
+            _rep(doc, a.a1, a.rep12), _rep(doc, a.a2, a.rep21)))),
+    "twist": ("twist products by a self-morphism",
+              ("algebra", ("--by", {"required": True, "help": "name of the twisting map"}),
+               *_BUILD),
+              lambda doc, a: yau_twist(doc.algebra(a.algebra), doc.map(a.by).matrix)),
+    "deform": ("deform products by a Nijenhuis operator",
+               ("algebra", ("--nijenhuis", {"required": True,
+                                            "help": "name of the operator map"}), *_BUILD),
+               lambda doc, a: homkit.operators.nijenhuis_deform(
+                   doc.algebra(a.algebra), doc.map(a.nijenhuis).matrix)),
+    "induce": ("algebra induced by a relative Rota-Baxter operator",
+               ("algebra", ("--t", {"required": True, "help": "name of the operator map"}),
+                ("--rep", {"default": None}), *_BUILD),
+               lambda doc, a: homkit.operators.induced_algebra(homkit.operators.OperatorContext(
+                   doc.algebra(a.algebra), _rep(doc, a.algebra, a.rep),
+                   doc.map(a.t).matrix))),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="homkit",
+        description="Exact checks, constructions, and operator solving for "
+                    "Hom-associative, Hom-Leibniz, and Hom-Leibniz Poisson "
+                    "algebras given by structure constants.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, arguments, run) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for arg in ("file", *arguments):
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run)
+    return parser
 
 
 def _witness_json(witness):
@@ -73,277 +153,92 @@ def _report_json(obj: str, report: CheckReport):
              "witness": _witness_json(c.witness)} for c in report]
 
 
-def _emit_report(obj: str, report: CheckReport, fmt: str) -> int:
-    if fmt == "json":
-        import json
-        print(json.dumps(_report_json(obj, report), indent=2))
-    else:
-        for c in report:
-            print(c.render())
-    return 0 if report.passed else 1
-
-
-def _get_rep_for(doc: Document, name: str, alg_name: str):
-    item = doc.representation(name)
-    if item.base != alg_name:
-        raise UnknownNameError(f"representation {name!r} is on {item.base!r},"
-                               f" not {alg_name!r}")
-    return item.rep
-
-
-def cmd_check(args) -> int:
-    doc = _load(args.file)
-    item = doc.get(args.name)
-    if isinstance(item, DocAlgebra):
-        return _emit_report(args.name, check_algebra(item.algebra), args.format)
-    if isinstance(item, DocRepresentation):
-        base = doc.algebra(item.base)
-        return _emit_report(args.name, check_representation(item.rep, base),
-                            args.format)
-    raise UnknownNameError(f"no algebra or representation named {args.name!r}")
-
-
-def cmd_check_rep(args) -> int:
-    doc = _load(args.file)
-    alg = doc.algebra(args.algebra)
-    rep = _get_rep_for(doc, args.rep, args.algebra)
-    return _emit_report(args.rep, check_representation(rep, alg), args.format)
-
-
-def _symbolic_columns(family, cols: int, rows: int, symbol: str):
-    """Render each column of a parameterized matrix as a string."""
-    out = []
-    for j in range(cols):
-        parts = []
-        for i in range(rows):
-            terms = []
-            const = family.particular[i, j]
-            if const != 0:
-                terms.append(str(const))
-            for name, basis in zip(family.params, family.basis):
-                c = basis[i, j]
-                if c == 0:
-                    continue
-                terms.append(name if c == 1 else f"{c} {name}")
-            if not terms:
-                continue
-            coeff = " + ".join(terms)
-            if len(terms) > 1:
-                coeff = f"({coeff})"
-            parts.append(f"{coeff} e{i + 1}")
-        out.append(f"T({symbol}{j + 1}) = " + (" + ".join(parts) if parts else "0"))
-    return out
-
-
 def _matrix_json(m):
     return [[str(e) for e in row] for row in m.entries]
 
 
-def _solution_json(sol: SolutionSet):
-    data = {"status": sol.status}
-    if sol.status == "finite":
-        data["points"] = [_matrix_json(p) for p in sol.points]
-    elif sol.status == "affine_family":
-        data["family"] = {
-            "params": list(sol.family.params),
-            "particular": _matrix_json(sol.family.particular),
-            "basis": [_matrix_json(b) for b in sol.family.basis],
-        }
-    else:
-        data["residual"] = sol.residual.render().splitlines()
-    return data
+def _family_columns(family, symbol: str) -> list[str]:
+    """``T(<symbol>j) = ...`` for each column of the family's general
+    member; the coefficient of each ``e<i>`` is the constant and the
+    parameter terms, in parentheses if more than one."""
+    labels = ("", *family.params)
+    out = []
+    for j in range(family.particular.cols):
+        terms = []
+        for i in range(family.particular.rows):
+            values = (family.particular[i, j], *(b[i, j] for b in family.basis))
+            coeff = [(label, c.numerator, c.denominator) for label, c in zip(labels, values) if c]
+            if len(coeff) == 1:
+                (label, n, d), = coeff
+                terms.append((f"{label} e{i + 1}".lstrip(), n, d))
+            elif coeff:
+                terms.append((f"({_format_terms(coeff)}) e{i + 1}", 1, 1))
+        out.append(f"T({symbol}{j + 1}) = {_format_terms(terms)}")
+    return out
 
 
-def cmd_solve_rbo(args) -> int:
-    from .solver import solve_relative_rbo
-    doc = _load(args.file)
-    alg = doc.algebra(args.algebra)
-    if args.rep:
-        rep = _get_rep_for(doc, args.rep, args.algebra)
-        symbol = "f"
-    else:
-        rep = regular_representation(alg)
-        symbol = "e"
-    sol = solve_relative_rbo(alg, rep)
-    if args.format == "json":
-        import json
-        print(json.dumps(_solution_json(sol), indent=2))
-        return 0
+def _solution(sol, symbol: str) -> tuple[dict, list[str]]:
+    """The JSON data and the text lines of a solution set."""
     if sol.status == "finite":
+        data = {"status": sol.status, "points": [_matrix_json(p) for p in sol.points]}
         if len(sol.points) == 1 and sol.points[0].is_zero():
-            print("finite: { T = 0 }")
-        else:
-            print(f"finite: {len(sol.points)} solution(s)")
-            for p in sol.points:
-                cols = "; ".join(
-                    f"T({symbol}{j + 1}) = {format_lincomb(p.col(j), 'e')}"
-                    for j in range(p.cols))
-                print(f"  {{ {cols} }}")
-    elif sol.status == "affine_family":
-        print(f"family: {', '.join(sol.family.params)} free; "
-              + "; ".join(_symbolic_columns(
-                  sol.family, sol.family.particular.cols,
-                  sol.family.particular.rows, symbol)))
+            return data, ["finite: { T = 0 }"]
+        return data, [f"finite: {len(sol.points)} solution(s)", *(
+            "  { " + "; ".join(f"T({symbol}{j + 1}) = {format_lincomb(p.col(j))}"
+                               for j in range(p.cols)) + " }" for p in sol.points)]
+    if sol.status == "affine_family":
+        f = sol.family
+        data = {"status": sol.status, "family": {
+            "params": list(f.params), "particular": _matrix_json(f.particular),
+            "basis": [_matrix_json(b) for b in f.basis]}}
+        return data, [f"family: {', '.join(f.params)} free; "
+                      + "; ".join(_family_columns(f, symbol))]
+    lines = sol.residual.render().splitlines()
+    return ({"status": sol.status, "residual": lines},
+            ["residual: unsolved equations remain", *(f"  {line}" for line in lines)])
+
+
+def _show(result, args) -> int:
+    """Print a command's result as text or JSON; exit 1 if it holds a
+    failed check."""
+    report = None
+    if isinstance(result, CheckReport):
+        report = result
+        data, lines = _report_json(args.name, report), [c.render() for c in report]
+    elif isinstance(result, HomAlgebra):
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", args.name):
+            raise PreconditionError(f"invalid object name {args.name!r}")
+        report = check_algebra(result) if args.verify else None
+        dsl = serialize(Document([DocAlgebra(args.name, result)]))
+        data, lines = {"object": args.name, "dsl": dsl}, [dsl.rstrip("\n")]
+        if report is not None:
+            data["checks"] = _report_json(args.name, report)
+            lines += [f"# {c.render()}" for c in report]
     else:
-        print("residual: unsolved equations remain")
-        for line in sol.residual.render().splitlines():
-            print(f"  {line}")
-    return 0
-
-
-def _emit_algebra(args, out) -> int:
-    """Print a constructed algebra as ``--as`` and, with ``--verify``, its checks."""
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", args.name):
-        raise PreconditionError(f"invalid object name {args.name!r}")
-    report = check_algebra(out) if args.verify else None
-    text = serialize(Document([DocAlgebra(args.name, out)]))
+        data, lines = _solution(result, "f" if args.rep else "e")
     if args.format == "json":
         import json
-        payload = {"object": args.name, "dsl": text}
-        if report is not None:
-            payload["checks"] = _report_json(args.name, report)
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(data, indent=2))
     else:
-        sys.stdout.write(text)
-        if report is not None:
-            for c in report:
-                print(f"# {c.render()}")
-    if report is not None and not report.passed:
-        return 1
-    return 0
-
-
-def cmd_semidirect(args) -> int:
-    doc = _load(args.file)
-    alg = doc.algebra(args.algebra)
-    rep = _get_rep_for(doc, args.rep, args.algebra)
-    return _emit_algebra(args, semidirect_product(alg, rep))
-
-
-def cmd_matched_sum(args) -> int:
-    from .matched import MatchedPair, matched_sum
-    doc = _load(args.file)
-    a1 = doc.algebra(args.a1)
-    a2 = doc.algebra(args.a2)
-    rep12 = _get_rep_for(doc, args.rep12, args.a1)
-    rep21 = _get_rep_for(doc, args.rep21, args.a2)
-    return _emit_algebra(args, matched_sum(MatchedPair(a1, a2, rep12, rep21)))
-
-
-def cmd_twist(args) -> int:
-    doc = _load(args.file)
-    alg = doc.algebra(args.algebra)
-    beta = doc.map(args.by).matrix
-    return _emit_algebra(args, yau_twist(alg, beta))
-
-
-def cmd_deform(args) -> int:
-    from .operators import nijenhuis_deform
-    doc = _load(args.file)
-    alg = doc.algebra(args.algebra)
-    n = doc.map(args.nijenhuis).matrix
-    return _emit_algebra(args, nijenhuis_deform(alg, n))
-
-
-def cmd_induce(args) -> int:
-    from .operators import OperatorContext, induced_algebra
-    doc = _load(args.file)
-    alg = doc.algebra(args.algebra)
-    if args.rep:
-        rep = _get_rep_for(doc, args.rep, args.algebra)
-    else:
-        rep = regular_representation(alg)
-    t = doc.map(args.t).matrix
-    return _emit_algebra(args, induced_algebra(OperatorContext(alg, rep, t)))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="homkit",
-        description="Exact checks, constructions, and operator solving for "
-                    "Hom-associative, Hom-Leibniz, and Hom-Leibniz Poisson "
-                    "algebras given by structure constants.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, construction=False):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if construction:
-            p.add_argument("--as", dest="name", default="result",
-                           help="name for the constructed object")
-            p.add_argument("--verify", action="store_true",
-                           help="re-check the output and report")
-
-    p = sub.add_parser("check", help="run all applicable checks on one object")
-    p.add_argument("file")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("check-rep", help="representation axioms")
-    p.add_argument("file")
-    p.add_argument("algebra")
-    p.add_argument("rep")
-    common(p)
-    p.set_defaults(fn=cmd_check_rep)
-
-    p = sub.add_parser("solve-rbo",
-                       help="solve for relative Rota-Baxter operators")
-    p.add_argument("file")
-    p.add_argument("algebra")
-    p.add_argument("--rep", default=None)
-    common(p)
-    p.set_defaults(fn=cmd_solve_rbo)
-
-    p = sub.add_parser("semidirect", help="semidirect product algebra")
-    p.add_argument("file")
-    p.add_argument("algebra")
-    p.add_argument("rep")
-    common(p, construction=True)
-    p.set_defaults(fn=cmd_semidirect)
-
-    p = sub.add_parser("matched-sum", help="bicrossed sum of a matched pair")
-    p.add_argument("file")
-    p.add_argument("a1")
-    p.add_argument("a2")
-    p.add_argument("rep12", help="representation of A1 on A2's space")
-    p.add_argument("rep21", help="representation of A2 on A1's space")
-    common(p, construction=True)
-    p.set_defaults(fn=cmd_matched_sum)
-
-    p = sub.add_parser("twist", help="twist products by a self-morphism")
-    p.add_argument("file")
-    p.add_argument("algebra")
-    p.add_argument("--by", required=True, help="name of the twisting map")
-    common(p, construction=True)
-    p.set_defaults(fn=cmd_twist)
-
-    p = sub.add_parser("deform", help="deform products by a Nijenhuis operator")
-    p.add_argument("file")
-    p.add_argument("algebra")
-    p.add_argument("--nijenhuis", required=True, help="name of the operator map")
-    common(p, construction=True)
-    p.set_defaults(fn=cmd_deform)
-
-    p = sub.add_parser("induce",
-                       help="algebra induced by a relative Rota-Baxter operator")
-    p.add_argument("file")
-    p.add_argument("algebra")
-    p.add_argument("--t", required=True, help="name of the operator map")
-    p.add_argument("--rep", default=None)
-    common(p, construction=True)
-    p.set_defaults(fn=cmd_induce)
-    return parser
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+    sys.stdout.flush()  # a failed write surfaces here, not at interpreter exit
+    return 0 if report is None or report.passed else 1
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:  # the file, not homkit, is at fault
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    try:
+        return _show(args.run(parse(text), args), args)
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # anything else is a fault in homkit, not in the input
+    except Exception as e:  # a fault in homkit, or the output cannot be written
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

@@ -56,7 +56,7 @@ from .algebra import (
 )
 from .errors import ParseError, UnknownNameError
 from .kernel import grouped, transposed
-from .linalg import Matrix, _format_terms, _lowest_terms, _put, _Value
+from .linalg import Matrix, _format_terms, _lowest_terms, _Value
 from .representation import ActionTensor, Representation
 
 KIND_TOKENS = {"assoc": ASSOCIATIVE, "leibniz": LEIBNIZ, "poisson": POISSON}
@@ -71,27 +71,21 @@ class DocAlgebra(_Value):
     __slots__ = ("name", "algebra")
 
     def __init__(self, name: str, algebra: HomAlgebra):
-        _put(self, "name", name)
-        _put(self, "algebra", algebra)
+        self._set(name, algebra)
 
 
 class DocMap(_Value):
     __slots__ = ("name", "src", "dst", "matrix")
 
     def __init__(self, name: str, src: str, dst: str, matrix: Matrix):
-        _put(self, "name", name)
-        _put(self, "src", src)
-        _put(self, "dst", dst)
-        _put(self, "matrix", matrix)
+        self._set(name, src, dst, matrix)
 
 
 class DocRepresentation(_Value):
     __slots__ = ("name", "base", "rep")
 
     def __init__(self, name: str, base: str, rep: Representation):
-        _put(self, "name", name)
-        _put(self, "base", base)
-        _put(self, "rep", rep)
+        self._set(name, base, rep)
 
 
 class Document:
@@ -534,7 +528,7 @@ def _block(head: str, lines: list[str]) -> list[str]:
 
 def _lincomb(terms: list[tuple[int, int]], den: int, prefix: str) -> str:
     """The text of the sparse int vector ``terms`` over ``den``."""
-    return _format_terms(((k, x, den) for k, x in terms), prefix)
+    return _format_terms((f"{prefix}{k + 1}", x, den) for k, x in terms)
 
 
 def _serialize_columns(m: Matrix, src_prefix: str, dst_prefix: str,

@@ -90,8 +90,8 @@ _put = object.__setattr__
 
 class _Frozen:
     """Base of the package's immutable values: assignment and deletion
-    raise ``AttributeError``, so a constructor sets its slots with
-    ``object.__setattr__``.  A subclass lists its own ``__slots__`` in the
+    raise ``AttributeError``, so a constructor sets its slots with one
+    :meth:`_set` call.  A subclass lists its own ``__slots__`` in the
     order of its constructor's parameters: ``_key(value)`` is the tuple of
     the value's type and those slots' values, and by default a pickle or a
     copy calls the constructor with the slots' values again (:meth:`__reduce__`)."""
@@ -100,6 +100,11 @@ class _Frozen:
 
     def __init_subclass__(cls):
         cls._key = attrgetter("__class__", *cls.__slots__)
+
+    def _set(self, *values) -> None:
+        """Set the class's own slots to ``values``, in slot order."""
+        for name, value in zip(type(self).__slots__, values):
+            _put(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -143,8 +148,7 @@ class _Stored(_Frozen):
 
     def _set(self, form: tuple[int, dict], *shape) -> None:
         """Keep ``form`` and the shape, the values of the class's own slots."""
-        for name, value in zip(type(self).__slots__, shape):
-            _put(self, name, value)
+        _Frozen._set(self, *shape)
         _put(self, "_ints", form)
 
     @classmethod
@@ -188,7 +192,7 @@ class Vector(_Frozen):
         row = tuple(entries)
         if not set(map(type, row)) <= {Fraction}:
             row = tuple(map(frac, row))
-        _put(self, "entries", row)
+        self._set(row)
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
@@ -411,8 +415,7 @@ class AffineSolution(_Value):
     __slots__ = ("particular", "kernel")
 
     def __init__(self, particular: Vector, kernel: tuple[Vector, ...]):
-        _put(self, "particular", particular)
-        _put(self, "kernel", kernel)
+        self._set(particular, kernel)
 
 
 def _clear(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
@@ -553,17 +556,17 @@ def span_membership(columns: Sequence[Vector]) -> Callable[[Vector], bool]:
     return member
 
 
-def _format_terms(terms: Iterable[tuple[int, int, int]], symbol: str) -> str:
-    """Render ``(i, num, den)`` terms, nonzero coefficients ``num/den`` with
-    ``den > 0`` by index, as a linear combination such as ``3/2 e1 - e2``;
-    no term is ``0``."""
+def _format_terms(terms: Iterable[tuple[str, int, int]]) -> str:
+    """Render ``(label, num, den)`` terms, nonzero coefficients ``num/den``
+    with ``den > 0``, as a linear combination such as ``3/2 e1 - e2``; an
+    empty label marks a constant term, and no terms is ``0``."""
     parts: list[str] = []
-    for i, n, d in terms:
+    for label, n, d in terms:
         g = gcd(n, d)
         n, d = n // g, d // g
-        mag = f"{abs(n)}/{d} " if d != 1 else "" if n in (1, -1) else f"{abs(n)} "
+        mag = f"{abs(n)}/{d}" if d != 1 else "" if n in (1, -1) and label else str(abs(n))
         sign = ("- " if n < 0 else "+ ") if parts else "-" if n < 0 else ""
-        parts.append(f"{sign}{mag}{symbol}{i + 1}")
+        parts.append(f"{sign}{mag} {label}" if mag and label else f"{sign}{mag}{label}")
     return " ".join(parts) if parts else "0"
 
 
@@ -571,5 +574,5 @@ def format_lincomb(v: Iterable[Fraction], symbol: str = "e") -> str:
     """Render a vector, or a sequence of its entries, as a linear
     combination such as ``3/2 e1 - e2``; a zero vector is ``0``."""
     # The shared zero needs no method call.
-    return _format_terms(((i, c.numerator, c.denominator) for i, c in enumerate(v)
-                          if c is not _ZERO and c), symbol)
+    return _format_terms((f"{symbol}{i + 1}", c.numerator, c.denominator)
+                         for i, c in enumerate(v) if c is not _ZERO and c)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebra import POISSON, HomAlgebra, StructureTensor, check_algebra
 from .errors import KindMismatchError, ShapeError
 from .kernel import common_denominator, entries_then_index, sparse, twisted_then_entries, walk
-from .linalg import Matrix, _Frozen, _put
+from .linalg import Matrix, _Frozen
 from .representation import Representation, _require_match, _SparseRepresentation
 from .reporting import CheckReport, concat, require, scan_identity
 
@@ -29,10 +29,7 @@ class MatchedPair(_Frozen):
 
     def __init__(self, a1: HomAlgebra, a2: HomAlgebra, actions_1_on_2: Representation,
                  actions_2_on_1: Representation):
-        _put(self, "a1", a1)
-        _put(self, "a2", a2)
-        _put(self, "actions_1_on_2", actions_1_on_2)
-        _put(self, "actions_2_on_1", actions_2_on_1)
+        self._set(a1, a2, actions_1_on_2, actions_2_on_1)
         if a1.kind != a2.kind:
             raise KindMismatchError("matched pair needs algebras of one kind")
         for rep, base, carrier in ((actions_1_on_2, a1, a2), (actions_2_on_1, a2, a1)):

@@ -50,10 +50,7 @@ class OperatorContext(_Frozen):
     __slots__ = ("alg", "rep", "t", "_report")
 
     def __init__(self, alg: HomAlgebra, rep: Representation, t: Matrix):
-        _put(self, "alg", alg)
-        _put(self, "rep", rep)
-        _put(self, "t", t)
-        _put(self, "_report", None)
+        self._set(alg, rep, t, None)
         _require_match(rep, alg)
         if t.rows != alg.dim or t.cols != rep.carrier_dim:
             raise ShapeError("operator must be alg.dim x carrier_dim")

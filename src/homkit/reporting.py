@@ -12,15 +12,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionError
-from .linalg import Vector, _put, _Value, format_lincomb
+from .linalg import Vector, _Value, format_lincomb
 
 
 class Witness(_Value):
     __slots__ = ("indices", "residual")
 
     def __init__(self, indices: tuple[int, ...], residual: Vector):
-        _put(self, "indices", indices)
-        _put(self, "residual", residual)
+        self._set(indices, residual)
 
     def render(self) -> str:
         where = ", ".join(str(i + 1) for i in self.indices)
@@ -31,9 +30,7 @@ class CheckResult(_Value):
     __slots__ = ("identity", "passed", "witness")
 
     def __init__(self, identity: str, passed: bool, witness: Witness | None = None):
-        _put(self, "identity", identity)
-        _put(self, "passed", passed)
-        _put(self, "witness", witness)
+        self._set(identity, passed, witness)
 
     def render(self) -> str:
         if self.passed:
@@ -46,7 +43,7 @@ class CheckReport(_Value):
     __slots__ = ("checks",)
 
     def __init__(self, checks: tuple[CheckResult, ...]):
-        _put(self, "checks", checks)
+        self._set(checks)
 
     @property
     def passed(self) -> bool:

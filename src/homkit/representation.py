@@ -26,7 +26,7 @@ from .kernel import (
     Accumulator, Lazy, common_denominator, entries_then_index, grouped, rationals, sparse,
     transposed, twisted_then_entries, walk,
 )
-from .linalg import Matrix, Vector, _echelon, _nonzero_ints, _put, _Stored, _Value
+from .linalg import Matrix, Vector, _echelon, _nonzero_ints, _Stored, _Value
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
 
@@ -101,14 +101,7 @@ class Representation(_Value):
     def __init__(self, kind: str, base_dim: int, carrier_dim: int, phi: Matrix,
                  lambda_l: ActionTensor | None = None, lambda_r: ActionTensor | None = None,
                  rho_l: ActionTensor | None = None, rho_r: ActionTensor | None = None):
-        _put(self, "kind", kind)
-        _put(self, "base_dim", base_dim)
-        _put(self, "carrier_dim", carrier_dim)
-        _put(self, "phi", phi)
-        _put(self, "lambda_l", lambda_l)
-        _put(self, "lambda_r", lambda_r)
-        _put(self, "rho_l", rho_l)
-        _put(self, "rho_r", rho_r)
+        self._set(kind, base_dim, carrier_dim, phi, lambda_l, lambda_r, rho_l, rho_r)
         if self.kind not in KINDS:
             raise KindMismatchError(f"unknown kind {self.kind!r}")
         needed = {a for name in TENSORS_BY_KIND[self.kind] for a in ACTIONS_OF[name]}

@@ -58,8 +58,7 @@ class Polynomial(_Frozen):
             coeffs[key] = coeffs.get(key, 0) + frac(c)
         coeffs = {m: c for m, c in coeffs.items() if c}
         den = lcm(*(c.denominator for c in coeffs.values()))
-        _put(self, "ints", {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()})
-        _put(self, "den", den)
+        self._set({m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den)
 
     @classmethod
     def _of(cls, ints: dict[Monomial, int], den: int = 1) -> "Polynomial":
@@ -70,6 +69,9 @@ class Polynomial(_Frozen):
             if g != 1:
                 ints = {m: c // g for m, c in ints.items()}
                 den //= g
+        # The solver makes tens of thousands of these per solve: two direct
+        # slot writes, as ``_set``'s generic loop costs about a tenth of a
+        # pass over the benchmark's ``solve`` pool.
         p = object.__new__(cls)
         _put(p, "ints", ints)
         _put(p, "den", den)
@@ -245,9 +247,7 @@ class PolySystem(_Frozen):
     __slots__ = ("rows", "cols", "equations")
 
     def __init__(self, rows: int, cols: int, equations: tuple[Polynomial, ...]):
-        _put(self, "rows", rows)
-        _put(self, "cols", cols)
-        _put(self, "equations", tuple(e for e in equations if not e.is_zero()))
+        self._set(rows, cols, tuple(e for e in equations if not e.is_zero()))
 
     @property
     def nvars(self) -> int:
@@ -349,10 +349,7 @@ class Elimination(_Value):
 
     def __init__(self, system: PolySystem, substitution: dict[int, Polynomial],
                  free_vars: tuple[int, ...], inconsistent: bool = False):
-        _put(self, "system", system)
-        _put(self, "substitution", substitution)
-        _put(self, "free_vars", free_vars)
-        _put(self, "inconsistent", inconsistent)
+        self._set(system, substitution, free_vars, inconsistent)
 
 
 def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
@@ -412,9 +409,7 @@ class AffineFamily(_Value):
 
     def __init__(self, particular: Matrix, basis: tuple[Matrix, ...],
                  params: tuple[str, ...]):
-        _put(self, "particular", particular)
-        _put(self, "basis", basis)
-        _put(self, "params", params)
+        self._set(particular, basis, params)
 
     @property
     def dim(self) -> int:
@@ -441,10 +436,7 @@ class SolutionSet(_Value):
     def __init__(self, status: str, points: tuple[Matrix, ...] = (),
                  family: AffineFamily | None = None,
                  residual: PolySystem | None = None):
-        _put(self, "status", status)
-        _put(self, "points", points)
-        _put(self, "family", family)
-        _put(self, "residual", residual)
+        self._set(status, points, family, residual)
 
 
 class _Leaf(_Value):
@@ -452,9 +444,7 @@ class _Leaf(_Value):
 
     def __init__(self, subst: dict[int, Polynomial], free: tuple[int, ...],
                  residual: tuple[Polynomial, ...] = ()):
-        _put(self, "subst", subst)
-        _put(self, "free", free)
-        _put(self, "residual", residual)
+        self._set(subst, free, residual)
 
 
 def _perfect_square_root(p: Polynomial) -> Polynomial | None:
@@ -532,26 +522,22 @@ def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
         roots = _univariate_roots(eq)
         if roots is not None:
             (x,) = eq.variables()
-            leaves: list[_Leaf] = []
-            for r in roots:
-                sub = _Substitution({x: Polynomial.constant(r)})
-                rest = [e.substitute(sub) for e in equations[:idx] + equations[idx + 1:]]
-                leaves.extend(_reduce(rest, _apply(subst, sub),
-                                      tuple(v for v in free if v != x)))
-            return leaves
-        line = _perfect_square_root(eq)
-        if line is not None:
-            rest = equations[:idx] + equations[idx + 1:] + [line]
-            return _reduce(rest, subst, free)
-        if len(eq.ints) == 1:
+            pins = [(x, r) for r in roots]
+        elif (line := _perfect_square_root(eq)) is not None:
+            return _reduce(equations[:idx] + equations[idx + 1:] + [line], subst, free)
+        elif len(eq.ints) == 1:
             (mono,) = eq.ints
-            leaves = []
-            for x in sorted(set(mono)):
-                sub = _Substitution({x: Polynomial.constant(0)})
-                rest = [e.substitute(sub) for e in equations]
-                leaves.extend(_reduce(rest, _apply(subst, sub),
-                                      tuple(v for v in free if v != x)))
-            return leaves
+            pins = [(x, 0) for x in sorted(set(mono))]
+        else:
+            continue
+        # Branch on each pin; ``eq`` vanishes under every one of them.
+        rest = equations[:idx] + equations[idx + 1:]
+        leaves: list[_Leaf] = []
+        for x, value in pins:
+            sub = _Substitution({x: Polynomial.constant(value)})
+            leaves.extend(_reduce([e.substitute(sub) for e in rest], _apply(subst, sub),
+                                  tuple(v for v in free if v != x)))
+        return leaves
     return [_Leaf(subst, free, tuple(equations))]
 
 

@@ -1,14 +1,24 @@
 """Command line surface: reports, constructions, exit codes, JSON."""
 
+import importlib
 import json
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from homkit import solver
 from homkit.cli import main
 from homkit.dsl import parse
 from homkit.errors import SoundnessError
+from homkit.linalg import Matrix
 
-FIXTURES = str(Path(__file__).resolve().parents[1] / "demos" / "fixtures.hla")
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = str(ROOT / "demos" / "fixtures.hla")
 
 
 def run(capsys, *args):
@@ -320,3 +330,61 @@ def test_every_bad_input_message_starts_with_error(monkeypatch, capsys):
     assert run(capsys, "twist", FIXTURES, "A2leib", "--by", "beta", "--verify",
                "--as", "no good") == (2, "", "error: invalid object name 'no good'\n")
     assert checked == []
+
+
+def test_family_text_uses_the_lincomb_sign_and_unit_rules(monkeypatch, capsys):
+    # Constant, unit, negative and mixed entries, one column per case.
+    family = solver.AffineFamily(
+        Matrix([[1, -1, 0], [0, 0, -1]]),
+        (Matrix([[0, 0, 0], [Fraction(-3, 5), 1, 0]]),
+         Matrix([[0, 1, 0], [0, -1, 0]])),
+        ("t11", "t21"))
+    monkeypatch.setattr(solver, "solve_relative_rbo",
+                        lambda alg, rep: solver.SolutionSet("affine_family", family=family))
+    assert run(capsys, "solve-rbo", FIXTURES, "A2leib") == (0, (
+        "family: t11, t21 free; T(e1) = e1 - 3/5 t11 e2; "
+        "T(e2) = (-1 + t21) e1 + (t11 - t21) e2; T(e3) = -e2\n"), "")
+
+
+def run_process(*args, stdout) -> subprocess.CompletedProcess:
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "homkit.cli", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_output_device_is_an_internal_error_not_bad_input():
+    with open("/dev/full", "w") as full:
+        proc = run_process("check", FIXTURES, "A2leib", stdout=full)
+    assert proc.returncode == 3
+    assert proc.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
+
+
+def test_a_closed_pipe_is_an_internal_error_not_bad_input():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_process("solve-rbo", FIXTURES, "A2leib", "--format", "json",
+                           stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 3
+    assert proc.stderr == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+def test_an_unreadable_file_is_still_bad_input(tmp_path, capsys):
+    assert run(capsys, "check", str(tmp_path), "A") == (
+        2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+def test_the_console_script_target_imports_and_runs(monkeypatch, capsys):
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^homkit = "(.+)"$', scripts, re.M)
+    module, attr = target.split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["homkit", "check", FIXTURES, "A2assoc"])
+    assert entry() == 1
+    assert "FAIL multiplicative:dot" in capsys.readouterr().out
