@@ -62,7 +62,7 @@ class StructureTensor(_Stored):
             if len(vectors[key]) != dim:
                 raise ShapeError("product value has wrong dimension")
         den, ints = _nonzero_ints(vectors)
-        self._set((den, {key: v for key, v in ints.items() if v}), dim)
+        self._store((den, {key: v for key, v in ints.items() if v}), dim)
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":

@@ -32,6 +32,7 @@ reported as one ``internal error: ...`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -67,14 +68,35 @@ def _rep(doc: Document, alg: str, name: str | None):
     return item.rep
 
 
-def _check(doc: Document, args) -> CheckReport:
+def _check(doc: Document, args) -> tuple[str, CheckReport]:
     name = args.name
     item = doc.get(name)
     if isinstance(item, DocAlgebra):
-        return check_algebra(item.algebra)
+        return name, check_algebra(item.algebra)
     if isinstance(item, DocRepresentation):
-        return check_representation(item.rep, doc.algebra(item.base))
+        return name, check_representation(item.rep, doc.algebra(item.base))
     raise UnknownNameError(f"no algebra or representation named {name!r}")
+
+
+def _solve(doc: Document, args):
+    """The solution set, written in ``f<j>`` for a named representation and
+    in ``e<j>`` for the regular one."""
+    sol = homkit.solver.solve_relative_rbo(doc.algebra(args.algebra),
+                                           _rep(doc, args.algebra, args.rep))
+    return ("f" if args.rep else "e"), sol
+
+
+def _matched_sum(doc: Document, args) -> tuple[str, HomAlgebra]:
+    pair = homkit.matched.MatchedPair(doc.algebra(args.a1), doc.algebra(args.a2),
+                                      _rep(doc, args.a1, args.rep12),
+                                      _rep(doc, args.a2, args.rep21))
+    return args.name, homkit.matched.matched_sum(pair)
+
+
+def _induce(doc: Document, args) -> tuple[str, HomAlgebra]:
+    context = homkit.operators.OperatorContext(
+        doc.algebra(args.algebra), _rep(doc, args.algebra, args.rep), doc.map(args.t).matrix)
+    return args.name, homkit.operators.induced_algebra(context)
 
 
 _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
@@ -85,43 +107,37 @@ _BUILD = (_FORMAT,
 
 # Each subcommand: its help, its arguments after FILE (a name, or a flag
 # and its options), and what it runs on the loaded document and the parsed
-# arguments.  The result is printed by its type: a check report of the
-# object ``name``, a solution set, or a constructed algebra (``_BUILD``).
-# The solver, the operator constructions and matched pairs load on first
-# use (``homkit.<module>``), so each subcommand imports only what it runs.
+# arguments.  That returns a label and a result, printed by the result's
+# type: the check report of the object so named, a solution set written in
+# the label's symbol, or an algebra constructed under the ``--as`` name
+# (``_BUILD``).  The solver, the operator constructions and matched pairs
+# load on first use (``homkit.<module>``), so each subcommand imports only
+# what it runs.
 COMMANDS = {
     "check": ("run all applicable checks on one object", ("name", _FORMAT), _check),
-    "check-rep": ("representation axioms", ("algebra", ("name", {"metavar": "rep"}), _FORMAT),
-                  lambda doc, a: check_representation(_rep(doc, a.algebra, a.name),
-                                                      doc.algebra(a.algebra))),
+    "check-rep": ("representation axioms", ("algebra", "rep", _FORMAT),
+                  lambda doc, a: (a.rep, check_representation(_rep(doc, a.algebra, a.rep),
+                                                              doc.algebra(a.algebra)))),
     "solve-rbo": ("solve for relative Rota-Baxter operators",
-                  ("algebra", ("--rep", {"default": None}), _FORMAT),
-                  lambda doc, a: homkit.solver.solve_relative_rbo(
-                      doc.algebra(a.algebra), _rep(doc, a.algebra, a.rep))),
+                  ("algebra", ("--rep", {"default": None}), _FORMAT), _solve),
     "semidirect": ("semidirect product algebra", ("algebra", "rep", *_BUILD),
-                   lambda doc, a: semidirect_product(doc.algebra(a.algebra),
-                                                     _rep(doc, a.algebra, a.rep))),
+                   lambda doc, a: (a.name, semidirect_product(doc.algebra(a.algebra),
+                                                              _rep(doc, a.algebra, a.rep)))),
     "matched-sum": ("bicrossed sum of a matched pair", (
         "a1", "a2", ("rep12", {"help": "representation of A1 on A2's space"}),
-        ("rep21", {"help": "representation of A2 on A1's space"}), *_BUILD),
-        lambda doc, a: homkit.matched.matched_sum(homkit.matched.MatchedPair(
-            doc.algebra(a.a1), doc.algebra(a.a2),
-            _rep(doc, a.a1, a.rep12), _rep(doc, a.a2, a.rep21)))),
+        ("rep21", {"help": "representation of A2 on A1's space"}), *_BUILD), _matched_sum),
     "twist": ("twist products by a self-morphism",
               ("algebra", ("--by", {"required": True, "help": "name of the twisting map"}),
                *_BUILD),
-              lambda doc, a: yau_twist(doc.algebra(a.algebra), doc.map(a.by).matrix)),
+              lambda doc, a: (a.name, yau_twist(doc.algebra(a.algebra), doc.map(a.by).matrix))),
     "deform": ("deform products by a Nijenhuis operator",
                ("algebra", ("--nijenhuis", {"required": True,
                                             "help": "name of the operator map"}), *_BUILD),
-               lambda doc, a: homkit.operators.nijenhuis_deform(
-                   doc.algebra(a.algebra), doc.map(a.nijenhuis).matrix)),
+               lambda doc, a: (a.name, homkit.operators.nijenhuis_deform(
+                   doc.algebra(a.algebra), doc.map(a.nijenhuis).matrix))),
     "induce": ("algebra induced by a relative Rota-Baxter operator",
                ("algebra", ("--t", {"required": True, "help": "name of the operator map"}),
-                ("--rep", {"default": None}), *_BUILD),
-               lambda doc, a: homkit.operators.induced_algebra(homkit.operators.OperatorContext(
-                   doc.algebra(a.algebra), _rep(doc, a.algebra, a.rep),
-                   doc.map(a.t).matrix))),
+                ("--rep", {"default": None}), *_BUILD), _induce),
 }
 
 
@@ -198,30 +214,36 @@ def _solution(sol, symbol: str) -> tuple[dict, list[str]]:
             ["residual: unsolved equations remain", *(f"  {line}" for line in lines)])
 
 
-def _show(result, args) -> int:
+def _show(label: str, result, args) -> int:
     """Print a command's result as text or JSON; exit 1 if it holds a
     failed check."""
     report = None
     if isinstance(result, CheckReport):
         report = result
-        data, lines = _report_json(args.name, report), [c.render() for c in report]
+        data, lines = _report_json(label, report), [c.render() for c in report]
     elif isinstance(result, HomAlgebra):
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", args.name):
-            raise PreconditionError(f"invalid object name {args.name!r}")
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", label):
+            raise PreconditionError(f"invalid object name {label!r}")
         report = check_algebra(result) if args.verify else None
-        dsl = serialize(Document([DocAlgebra(args.name, result)]))
-        data, lines = {"object": args.name, "dsl": dsl}, [dsl.rstrip("\n")]
+        dsl = serialize(Document([DocAlgebra(label, result)]))
+        data, lines = {"object": label, "dsl": dsl}, [dsl.rstrip("\n")]
         if report is not None:
-            data["checks"] = _report_json(args.name, report)
+            data["checks"] = _report_json(label, report)
             lines += [f"# {c.render()}" for c in report]
     else:
-        data, lines = _solution(result, "f" if args.rep else "e")
-    if args.format == "json":
-        import json
-        print(json.dumps(data, indent=2))
-    else:
-        sys.stdout.write("".join(f"{line}\n" for line in lines))
-    sys.stdout.flush()  # a failed write surfaces here, not at interpreter exit
+        data, lines = _solution(result, label)
+    try:
+        if args.format == "json":
+            import json
+            print(json.dumps(data, indent=2))
+        else:
+            sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.flush()
+    except OSError:
+        # The unwritten output stays buffered, and flushing it again at
+        # interpreter exit would fail with a second report and exit 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
     return 0 if report is None or report.passed else 1
 
 
@@ -234,7 +256,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        return _show(args.run(parse(text), args), args)
+        return _show(*args.run(parse(text), args), args)
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

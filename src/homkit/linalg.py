@@ -103,7 +103,7 @@ class _Frozen:
 
     def _set(self, *values) -> None:
         """Set the class's own slots to ``values``, in slot order."""
-        for name, value in zip(type(self).__slots__, values):
+        for name, value in zip(type(self).__slots__, values, strict=True):
             _put(self, name, value)
 
     def __setattr__(self, name, value):
@@ -146,15 +146,15 @@ class _Stored(_Frozen):
 
     __slots__ = ("_ints", "_view")
 
-    def _set(self, form: tuple[int, dict], *shape) -> None:
+    def _store(self, form: tuple[int, dict], *shape) -> None:
         """Keep ``form`` and the shape, the values of the class's own slots."""
-        _Frozen._set(self, *shape)
+        self._set(*shape)
         _put(self, "_ints", form)
 
     @classmethod
     def _new(cls, form: tuple[int, dict], *shape):
         out = object.__new__(cls)
-        out._set(form, *shape)
+        out._store(form, *shape)
         return out
 
     def __reduce__(self):
@@ -271,7 +271,7 @@ class Matrix(_Stored):
             cols = len(grid[0]) if grid else 0
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise ShapeError("ragged or mis-sized matrix data")
-        self._set(_nonzero_ints(dict(enumerate(grid))), rows, cols)
+        self._store(_nonzero_ints(dict(enumerate(grid))), rows, cols)
 
     @classmethod
     def _from_form(cls, rows: int, cols: int, den: int, ints: dict) -> "Matrix":

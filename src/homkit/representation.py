@@ -52,7 +52,7 @@ class ActionTensor(_Stored):
             dm, rows = m.stored()
             columns.update(((i, c), [(r, den // dm * x) for r, x in col])
                            for c, col in transposed(rows).items())
-        self._set((den, columns), base_dim, carrier_dim)
+        self._store((den, columns), base_dim, carrier_dim)
 
     @classmethod
     def zero(cls, base_dim: int, carrier_dim: int) -> "ActionTensor":

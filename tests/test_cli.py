@@ -346,28 +346,35 @@ def test_family_text_uses_the_lincomb_sign_and_unit_rules(monkeypatch, capsys):
         "T(e2) = (-1 + t21) e1 + (t11 - t21) e2; T(e3) = -e2\n"), "")
 
 
-def run_process(*args, stdout) -> subprocess.CompletedProcess:
+def run_process(*args, stdout, buffered) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "homkit.cli", *args], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          stderr=subprocess.PIPE, text=True, timeout=60, env=env)
 
 
+# With a buffered stdout the unwritten bytes outlive the failed write, and
+# the interpreter's own flush at exit must not report them a second time.
+@pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_full_output_device_is_an_internal_error_not_bad_input():
+def test_a_full_output_device_is_an_internal_error_not_bad_input(buffered):
     with open("/dev/full", "w") as full:
-        proc = run_process("check", FIXTURES, "A2leib", stdout=full)
+        proc = run_process("check", FIXTURES, "A2leib", stdout=full, buffered=buffered)
     assert proc.returncode == 3
     assert proc.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
 
 
-def test_a_closed_pipe_is_an_internal_error_not_bad_input():
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_pipe_is_an_internal_error_not_bad_input(buffered):
     read, write = os.pipe()
     os.close(read)
     try:
         proc = run_process("solve-rbo", FIXTURES, "A2leib", "--format", "json",
-                           stdout=write)
+                           stdout=write, buffered=buffered)
     finally:
         os.close(write)
     assert proc.returncode == 3
