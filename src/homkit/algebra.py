@@ -286,7 +286,7 @@ def _carries(o: _SparseMap, d: int, twist: tuple | None, products,
         for c, images in ((1, o.images(phi)), (-1, alpha.images(o.cols))):
             for j, image in images.items():
                 acc.add((j,), c, image)
-        checks.append(scan_identity(name, sorted(acc), acc, denominator=d ** 2))
+        checks.append(scan_identity(name, sorted(acc), acc.__getitem__, denominator=d ** 2))
     for name, target, source in products:
         def carried(u, acc, source=grouped(source), cols=o.cols):
             # O(src(e_u, e_v)), applying O to each entry, slice by slice

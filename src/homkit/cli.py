@@ -19,6 +19,10 @@ Subcommands::
                                       algebra induced on the carrier by a
                                       relative Rota-Baxter operator
 
+A map named by twist or deform must be declared ``ALG -> ALG``, and one
+named by induce must map into ALG (and, without --rep, out of it);
+any other map is an input error.
+
 Constructions print the result in DSL form (name it with --as); --verify
 re-runs the applicable checks on the output and appends them as comment
 lines, failing with exit 1 if any check fails.  Every report has a
@@ -68,6 +72,19 @@ def _rep(doc: Document, alg: str, name: str | None):
     return item.rep
 
 
+def _map(doc: Document, name: str, alg: str, source: bool = True):
+    """The matrix of the map ``name``, declared into the algebra named
+    ``alg`` and, if ``source``, out of it too."""
+    item = doc.map(name)
+    if item.dst != alg:
+        where = f"on {item.dst!r}" if item.src == item.dst else f"into {item.dst!r}"
+    elif source and item.src != alg:
+        where = f"from {item.src!r}"
+    else:
+        return item.matrix
+    raise UnknownNameError(f"map {name!r} is {where}, not {alg!r}")
+
+
 def _check(doc: Document, args) -> tuple[str, CheckReport]:
     name = args.name
     item = doc.get(name)
@@ -94,8 +111,10 @@ def _matched_sum(doc: Document, args) -> tuple[str, HomAlgebra]:
 
 
 def _induce(doc: Document, args) -> tuple[str, HomAlgebra]:
+    """The operator maps into the algebra, out of it for the regular representation."""
     context = homkit.operators.OperatorContext(
-        doc.algebra(args.algebra), _rep(doc, args.algebra, args.rep), doc.map(args.t).matrix)
+        doc.algebra(args.algebra), _rep(doc, args.algebra, args.rep),
+        _map(doc, args.t, args.algebra, source=args.rep is None))
     return args.name, homkit.operators.induced_algebra(context)
 
 
@@ -129,12 +148,13 @@ COMMANDS = {
     "twist": ("twist products by a self-morphism",
               ("algebra", ("--by", {"required": True, "help": "name of the twisting map"}),
                *_BUILD),
-              lambda doc, a: (a.name, yau_twist(doc.algebra(a.algebra), doc.map(a.by).matrix))),
+              lambda doc, a: (a.name, yau_twist(doc.algebra(a.algebra),
+                                                _map(doc, a.by, a.algebra)))),
     "deform": ("deform products by a Nijenhuis operator",
                ("algebra", ("--nijenhuis", {"required": True,
                                             "help": "name of the operator map"}), *_BUILD),
                lambda doc, a: (a.name, homkit.operators.nijenhuis_deform(
-                   doc.algebra(a.algebra), doc.map(a.nijenhuis).matrix))),
+                   doc.algebra(a.algebra), _map(doc, a.nijenhuis, a.algebra)))),
     "induce": ("algebra induced by a relative Rota-Baxter operator",
                ("algebra", ("--t", {"required": True, "help": "name of the operator map"}),
                 ("--rep", {"default": None}), *_BUILD), _induce),

@@ -16,7 +16,10 @@ rational residual is that list over ``D**k``, and
 
 The checks sum each identity's terms into an :class:`Accumulator` keyed
 by basis tuple, one slice of tuples with the same first index at a time
-(:func:`walk`): a tuple no term touches has a zero residual.  Each
+(:func:`walk`): a tuple no term touches has a zero residual, and a scan
+reads the residual of a touched tuple by that tuple, straight from the
+accumulator.  An operator identity keeps each residual as one flat
+column-major vector of its carrier matrix, ``m * m`` ints.  Each
 degree-3 term of an algebra, representation or matched-pair identity is
 one of two walks over nonzero entries (:func:`entries_then_index`,
 :func:`twisted_then_entries`).
@@ -85,10 +88,6 @@ class Accumulator(dict):
         for k, x in terms:
             out[offset + k] += c * x
 
-    def __call__(self, *key) -> list[int]:
-        """The sum at ``key``: the ``residual`` of a scan."""
-        return self[key]
-
     def terms(self) -> dict:
         """Every sum as a :func:`sparse` vector of its nonzero entries."""
         return {key: [(k, x) for k, x in enumerate(v) if x] for key, v in self.items()}
@@ -143,9 +142,10 @@ def transposed(vectors: dict) -> dict:
 
 def walk(width: int, count: int, adders) -> tuple:
     """The ``indices`` and ``residual`` of a scan: the keys the adders touch, slice by
-    slice over first indices below ``count``, and the accumulator of their sums."""
+    slice over first indices below ``count``, and the lookup of their sums by key tuple
+    (the accumulator's ``__getitem__``), each a list of ``width`` ints."""
     acc = Accumulator(width)
-    return acc.slices(count, adders), acc
+    return acc.slices(count, adders), acc.__getitem__
 
 
 def entries_then_index(sign: int, firsts: dict, seconds: dict, swap: bool = False,

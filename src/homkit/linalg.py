@@ -324,8 +324,14 @@ class Matrix(_Stored):
 
     @classmethod
     def block_diag(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        """``a (+) b``."""
-        return cls.block([[a, cls.zero(a.rows, b.cols)], [cls.zero(b.rows, a.cols), b]])
+        """``a (+) b``: the rows of ``a``, then those of ``b`` shifted past
+        ``a``'s columns, over the lcm of both denominators (so in lowest terms)."""
+        (da, ra), (db, rb) = a._ints, b._ints
+        d = lcm(da, db)
+        fa, fb, top, left = d // da, d // db, a.rows, a.cols
+        rows = {i: [(j, fa * x) for j, x in row] for i, row in ra.items()}
+        rows.update((top + i, [(left + j, fb * x) for j, x in row]) for i, row in rb.items())
+        return cls._new((d, rows), a.rows + b.rows, a.cols + b.cols)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -44,19 +44,19 @@ from .reporting import CheckReport, CheckResult, Witness, require
 class OperatorContext(_Frozen):
     """An algebra, a representation of it, and a candidate operator
     T: carrier -> algebra (as an alg.dim x carrier_dim matrix), with the
-    relative Rota-Baxter report of the three, kept once computed.
-    Contexts compare by identity."""
+    relative Rota-Baxter report of the three and the induced algebra,
+    each kept once computed.  Contexts compare by identity."""
 
-    __slots__ = ("alg", "rep", "t", "_report")
+    __slots__ = ("alg", "rep", "t", "_report", "_algebra")
 
     def __init__(self, alg: HomAlgebra, rep: Representation, t: Matrix):
-        self._set(alg, rep, t, None)
+        self._set(alg, rep, t, None, None)
         _require_match(rep, alg)
         if t.rows != alg.dim or t.cols != rep.carrier_dim:
             raise ShapeError("operator must be alg.dim x carrier_dim")
 
     def __reduce__(self):
-        # The kept report is no field: a copy checks afresh.
+        # The kept report and algebra are no fields: a copy computes afresh.
         return OperatorContext, (self.alg, self.rep, self.t)
 
 
@@ -125,8 +125,11 @@ def _gate(ctx: OperatorContext, checked: bool, what: str) -> None:
 
 def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
     """Algebra structure on the carrier induced by the operator:
-    ``u o v = act_l(Tu) v + act_r(Tv) u`` per table, twist phi."""
+    ``u o v = act_l(Tu) v + act_r(Tv) u`` per table, twist phi; built
+    once per context and kept, and returned only past the ``checked`` gate."""
     _gate(ctx, checked, "induced algebra")
+    if ctx._algebra is not None:
+        return ctx._algebra
     rep, m = ctx.rep, ctx.rep.carrier_dim
     d = common_denominator(ctx.t, *rep.actions().values())
     t = _SparseMap(ctx.t, d)
@@ -135,8 +138,10 @@ def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
         return StructureTensor._from_form(m, d * d, _induced(
             t, grouped(sparse(left, d)), grouped(sparse(right, d), 1)))
 
-    return HomAlgebra(m, ctx.alg.kind, rep.phi,
-                      **{name: build(*rep.action_pair(name)) for name in ctx.alg.tensors()})
+    induced = HomAlgebra(m, ctx.alg.kind, rep.phi,
+                         **{name: build(*rep.action_pair(name)) for name in ctx.alg.tensors()})
+    _put(ctx, "_algebra", induced)
+    return induced
 
 
 def check_morphism_property(ctx: OperatorContext, checked: bool = True) -> CheckReport:
@@ -210,7 +215,7 @@ def projection_context(alg: HomAlgebra, rep: Representation,
 
     big = Representation(alg.kind, n, n + m, Matrix.block_diag(alg.alpha, rep.phi),
                          **paired_families(alg, family))
-    t = Matrix.block_diag(Matrix.identity(n), Matrix.zero(0, m))  # a -> a, v -> 0
+    t = Matrix._from_form(n, n + m, 1, {i: [(i, 1)] for i in range(n)})  # a -> a, v -> 0
     return OperatorContext(alg, big, t)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionError
-from .linalg import Vector, _Value, format_lincomb
+from .linalg import Vector, _put, _Value, format_lincomb
 
 
 class Witness(_Value):
@@ -30,7 +30,11 @@ class CheckResult(_Value):
     __slots__ = ("identity", "passed", "witness")
 
     def __init__(self, identity: str, passed: bool, witness: Witness | None = None):
-        self._set(identity, passed, witness)
+        # Every identity of every check makes one, about half the slot
+        # settings of an ``audit`` pass: direct writes, as ``Polynomial._of``.
+        _put(self, "identity", identity)
+        _put(self, "passed", passed)
+        _put(self, "witness", witness)
 
     def render(self) -> str:
         if self.passed:
@@ -43,7 +47,7 @@ class CheckReport(_Value):
     __slots__ = ("checks",)
 
     def __init__(self, checks: tuple[CheckResult, ...]):
-        self._set(checks)
+        _put(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -90,17 +94,19 @@ def _witness_vector(residual, denominator: int) -> Vector:
 
 
 def scan_identity(name: str, indices: Iterable[tuple[int, ...]],
-                  residual: Callable[..., list[int]], *,
+                  residual: Callable[[tuple[int, ...]], list[int]], *,
                   denominator: int = 1) -> CheckResult:
     """Evaluate ``residual`` on every index tuple; record the first failure.
 
-    ``residual`` returns the exact residual times ``denominator`` as a list
-    of ints (see :mod:`homkit.kernel`); only a witness divides it back.
-    The scan order of ``indices`` must be lexicographic so that reported
-    witnesses are deterministic.
+    ``residual(idx)`` takes the key tuple itself (such as an accumulator's
+    ``__getitem__``, :func:`homkit.kernel.walk`) and returns the exact
+    residual times ``denominator`` as a list of ints (see
+    :mod:`homkit.kernel`); only a witness divides it back.  The scan order
+    of ``indices`` must be lexicographic so that reported witnesses are
+    deterministic.
     """
     for idx in indices:
-        r = residual(*idx)
+        r = residual(idx)
         if any(r):
             return CheckResult(name, False,
                                Witness(tuple(idx), _witness_vector(r, denominator)))
@@ -108,19 +114,22 @@ def scan_identity(name: str, indices: Iterable[tuple[int, ...]],
 
 
 def scan_operator_identity(name: str, indices: Iterable[tuple[int, ...]],
-                           difference: Callable[..., list[list[int]]], *,
-                           denominator: int = 1) -> CheckResult:
-    """Like :func:`scan_identity` for operator equalities.
+                           residual: Callable[[tuple[int, ...]], list[int]], *,
+                           width: int, denominator: int = 1) -> CheckResult:
+    """Like :func:`scan_identity` for operator equalities on a carrier of
+    dimension ``width``.
 
-    ``difference`` returns the rows of an int matrix; on failure the
-    witness appends the first carrier index whose column is nonzero.
+    ``residual(idx)`` returns an int matrix as one flat column-major list
+    of ``width * width`` ints, column ``k`` at ``[k * width, (k + 1) * width)``.
+    Each is tested whole; on failure the witness appends the first carrier
+    index whose column is nonzero, and that column is its residual.
     """
     for idx in indices:
-        d = difference(*idx)
-        if any(map(any, d)):
-            for k, col in enumerate(zip(*d)):
+        r = residual(idx)
+        if any(r):
+            for k in range(0, len(r), width):
+                col = r[k:k + width]
                 if any(col):
                     return CheckResult(name, False, Witness(
-                        tuple(idx) + (k,), _witness_vector(col, denominator)))
+                        tuple(idx) + (k // width,), _witness_vector(col, denominator)))
     return CheckResult(name, True)
-

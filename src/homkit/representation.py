@@ -226,10 +226,8 @@ class _SparseRepresentation:
 
     def scan(self, name: str, *adders) -> CheckResult:
         m = len(self.phi)
-        indices, acc = walk(m * m, self.n, adders)
-        return scan_operator_identity(
-            name, indices, lambda *key: [v[r::m] for v in (acc[key],) for r in range(m)],
-            denominator=self.base.d ** 3)
+        return scan_operator_identity(name, *walk(m * m, self.n, adders), width=m,
+                                      denominator=self.base.d ** 3)
 
     def commutes(self, family: str):
         """Slices of ``d phi F(e_i) - F(alpha e_i) phi`` at ``(i,)``."""

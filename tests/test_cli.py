@@ -220,6 +220,36 @@ def test_induce_rejects_non_operator(tmp_path, capsys):
     assert "Rota-Baxter" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("twist", "A2assoc", "--by", "beta"), "map 'beta' is on 'A2leib', not 'A2assoc'"),
+    (("twist", "A2leib", "--by", "fromassoc"), "map 'fromassoc' is from 'A2assoc', not 'A2leib'"),
+    (("twist", "A2leib", "--by", "intoassoc"), "map 'intoassoc' is into 'A2assoc', not 'A2leib'"),
+    (("deform", "A2assoc", "--nijenhuis", "beta"), "map 'beta' is on 'A2leib', not 'A2assoc'"),
+    (("induce", "A2assoc", "--t", "T"), "map 'T' is on 'A2leib', not 'A2assoc'"),
+    (("induce", "A2leib", "--t", "fromassoc"), "map 'fromassoc' is from 'A2assoc', not 'A2leib'"),
+    (("induce", "A2leib", "--t", "intoassoc", "--rep", "reg"),
+     "map 'intoassoc' is into 'A2assoc', not 'A2leib'"),
+])
+def test_a_map_on_another_algebra_is_bad_input(tmp_path, capsys, argv, err):
+    """twist and deform take a map declared ALG -> ALG; induce one into ALG,
+    and out of it too for the regular representation."""
+    f = tmp_path / "maps.hla"
+    f.write_text(Path(FIXTURES).read_text() + (
+        "\nmap fromassoc : A2assoc -> A2leib {\n  e2 -> e1 + 2 e2\n}\n"
+        "\nmap intoassoc : A2leib -> A2assoc {\n  e1 -> e1\n  e2 -> e2\n}\n"))
+    command, *rest = argv
+    assert run(capsys, command, str(f), *rest) == (2, "", f"error: {err}\n")
+
+
+def test_induce_with_a_named_representation_needs_only_the_target(tmp_path, capsys):
+    # The operator T of the fixtures, declared out of another algebra of its carrier's dim.
+    f = tmp_path / "maps.hla"
+    f.write_text(Path(FIXTURES).read_text()
+                 + "\nmap Tassoc : A2assoc -> A2leib {\n  e2 -> e1 + 2 e2\n}\n")
+    assert (run(capsys, "induce", str(f), "A2leib", "--t", "Tassoc", "--rep", "reg")
+            == run(capsys, "induce", FIXTURES, "A2leib", "--t", "T", "--rep", "reg"))
+
+
 def test_matched_sum_command(tmp_path, capsys):
     # Degenerate matched pair: abelian second factor acting by zero.
     src = Path(FIXTURES).read_text() + """

@@ -25,7 +25,7 @@ from homkit.fixtures import two_dim_associative, two_dim_leibniz, two_dim_poisso
 from homkit.kernel import common_denominator
 from homkit.linalg import _ZERO, Matrix, Vector
 from homkit.matched import MatchedPair, check_matched_pair
-from homkit.reporting import CheckReport
+from homkit.reporting import CheckReport, CheckResult, Witness, scan_operator_identity
 from homkit.operators import (
     OperatorContext, check_nijenhuis, check_relative_rbo, check_rota_baxter,
     induced_algebra, induced_representation, lift_operator, projection_context,
@@ -493,6 +493,47 @@ def test_operator_checks_on_spaces_of_dim_zero():
                     empty, Matrix.zero(0, 0), w)
         compare(tally, check_nijenhuis, oracle.check_nijenhuis, empty, Matrix.zero(0, 0))
     assert tally.failing == 0
+
+
+def _row_split_scan(name, indices, residual, denominator):
+    """The reference operator scan: each residual given as the ``m`` rows
+    of its carrier matrix, the witness column read off them."""
+    for idx in indices:
+        rows = residual(*idx)
+        if any(map(any, rows)):
+            for k, col in enumerate(zip(*rows)):
+                if any(col):
+                    return CheckResult(name, False, Witness(
+                        idx + (k,), Vector(Fraction(x, denominator) for x in col)))
+    return CheckResult(name, True)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_operator_scans_read_the_flat_layout_as_the_row_split(m):
+    """A carrier matrix kept as one flat column-major list of ``m * m``
+    ints (column ``k`` at ``[k m, (k + 1) m)``) gives the witness tuple and
+    column that splitting it into rows gave, on keys that pass, that fail
+    in the first column or that fail only in a later one."""
+    rng = random.Random(m)
+    outcomes = set()
+    for _ in range(60):
+        keys = sorted({tuple(rng.randrange(3) for _ in range(2)) for _ in range(5)})
+        sums = {key: [rng.choice((1, -2)) if rng.random() < 0.04 else 0
+                      for _ in range(m * m)] for key in keys}
+        den = rng.choice((1, 4, 6))
+        got = scan_operator_identity("op", keys, sums.__getitem__, width=m, denominator=den)
+        want = _row_split_scan("op", keys, lambda *key: [sums[key][r::m] for r in range(m)],
+                               den)
+        assert got == want
+        outcomes.add(got.witness and min(got.witness.indices[-1], 1))
+    assert outcomes == ({None, 0, 1} if m > 1 else {None, 0})
+
+
+def test_operator_scans_of_a_zero_carrier_pass():
+    keys = [(0,), (1,), (1, 2)]
+    empty = dict.fromkeys(keys, [])
+    assert scan_operator_identity("op", keys, empty.__getitem__, width=0) == CheckResult(
+        "op", True)
 
 
 @pytest.mark.parametrize("dim", (12, 20, 30))

@@ -209,6 +209,31 @@ def test_block_assembly():
     assert Matrix.block_diag(Matrix.zero(0, 2), Matrix.zero(3, 0)) == Matrix.zero(3, 2)
 
 
+def test_block_diag_is_the_block_grid_with_zero_blocks():
+    """Built straight from the two stored forms, ``a (+) b`` equals the
+    grid with zero off-diagonal blocks in value, stored form (keys in
+    order) and hash, over mixed denominators and blocks with no rows or
+    no columns."""
+    rng = random.Random(12)
+
+    def matrix(rows, cols):
+        return Matrix([[Fraction(rng.choice((0, 0, 1, -2, 3)), rng.choice((1, 2, 3, 4)))
+                        for _ in range(cols)] for _ in range(rows)], rows, cols)
+    shapes = [(2, 2, 2, 2), (1, 3, 2, 1), (3, 1, 1, 3), (0, 2, 3, 0), (0, 0, 2, 2),
+              (2, 2, 0, 0), (3, 0, 0, 2), (2, 2, 0, 3), (0, 3, 2, 0), (0, 0, 0, 0)]
+    cases = [(Matrix.identity(3), Matrix.zero(0, 2)), (Matrix([["1/2"]]), Matrix([["2/3"]]))]
+    for ar, ac, br, bc in shapes:
+        cases += [(matrix(ar, ac), matrix(br, bc)) for _ in range(4)]
+    for a, b in cases:
+        got = Matrix.block_diag(a, b)
+        want = Matrix.block([[a, Matrix.zero(a.rows, b.cols)], [Matrix.zero(b.rows, a.cols), b]])
+        assert (got.rows, got.cols) == (want.rows, want.cols) == (a.rows + b.rows,
+                                                                   a.cols + b.cols)
+        assert got == want and got.entries == want.entries
+        assert got.stored() == want.stored() and list(got.stored()[1]) == list(want.stored()[1])
+        assert hash(got) == hash(want)
+
+
 def test_block_keeps_the_width_of_an_empty_block_row():
     # The width used to come from the first assembled row, so a block row
     # of height 0 gave a 0x0 matrix.

@@ -1,7 +1,9 @@
 """Operator-level checks: Rota-Baxter, relative operators, induced
 structures, Nijenhuis deformations, and the characterization equivalences."""
 
+import copy
 import inspect
+import pickle
 import random
 from fractions import Fraction
 
@@ -300,6 +302,40 @@ def test_relative_rbo_report_is_kept_by_its_context(monkeypatch):
     assert scans == [] and check_relative_rbo(ctx) is report
     monkeypatch.undo()
     assert induced == induced_algebra(leibniz_ctx(leibniz_rbo(1)))
+
+
+def test_the_induced_algebra_is_built_once_per_context(monkeypatch):
+    import homkit.operators as operators
+    ctx = leibniz_ctx(leibniz_rbo(1))
+    induced = induced_algebra(ctx)
+    assert induced_algebra(ctx) is induced and induced_algebra(ctx, checked=False) is induced
+    seen = []
+    monkeypatch.setattr(operators, "check_morphism",
+                        lambda f, src, dst: seen.append(src) or check_morphism(f, src, dst))
+    assert check_morphism_property(ctx).passed and seen == [induced]
+    assert seen[0] is induced
+
+
+def test_a_kept_induced_algebra_stays_behind_the_gate():
+    # Built unchecked and kept, it is still refused by the checked gates.
+    bad = leibniz_ctx(Matrix([[1, 0], [0, 0]]))
+    kept = induced_algebra(bad, checked=False)
+    assert induced_algebra(bad, checked=False) is kept
+    for what, gate in (("induced algebra", induced_algebra),
+                       ("morphism property", check_morphism_property)):
+        with pytest.raises(PreconditionError) as err:
+            gate(bad)
+        assert str(err.value) == f"{what} {BAD_SPLIT}"
+
+
+def test_a_copied_context_keeps_no_induced_algebra():
+    ctx = leibniz_ctx(leibniz_rbo(1))
+    induced, report = induced_algebra(ctx), check_relative_rbo(ctx)
+    for back in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx)):
+        assert back._algebra is None and back._report is None
+        again = induced_algebra(back)
+        assert again == induced and again is not induced
+        assert check_relative_rbo(back) == report
 
 
 def test_every_gate_gives_the_same_message_on_a_failing_context():
