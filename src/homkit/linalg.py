@@ -346,9 +346,6 @@ class Matrix(_Stored):
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vector:
-        return Vector(self.entries[i])
-
     def col(self, j: int) -> Vector:
         return Vector(row[j] for row in self.entries)
 
@@ -476,7 +473,9 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of dense rational rows, by :func:`_echelon`
     on their ints: the pivot rows, 1 at their pivots, then the zero rows.
-    Returns the reduced rows and the pivot columns."""
+    Returns the reduced rows and the pivot columns.  Nothing in the package
+    calls it; it is kept for its differential test and for the benchmark's
+    tracer, which wraps it."""
     ncols = len(rows[0]) if rows else 0
     echelon = _echelon(map(dict, _nonzero_ints(dict(enumerate(rows)))[1].values()))
     pivots = sorted(echelon)
@@ -530,36 +529,6 @@ def solve_linear(a: Matrix, b: Vector) -> AffineSolution | None:
         if a.cols in row:
             particular[p] = Fraction(row[a.cols], row[p])
     return AffineSolution(Vector(particular), tuple(_null_space(echelon, a.cols)))
-
-
-def span_membership(columns: Sequence[Vector]) -> Callable[[Vector], bool]:
-    """Membership test for the span of the given vectors.
-
-    The vectors are reduced once, as the rows of a matrix; each query is
-    then cleared against the reduced rows at their pivots and lies in the
-    span iff nothing is left.
-    """
-    if not columns:
-        return Vector.is_zero
-    dim = columns[0].dim
-    if any(c.dim != dim for c in columns):
-        raise ShapeError("columns of differing dimension")
-    rows, pivots = _rref([list(c.entries) for c in columns])
-    reduced = [(p, [(k, row[k]) for k in range(p + 1, dim) if row[k]])
-               for p, row in zip(pivots, rows)]
-
-    def member(v: Vector) -> bool:
-        if v.dim != dim:
-            raise ShapeError(f"span lives in dim {dim} but vector has dim {v.dim}")
-        rest = list(v.entries)
-        for p, tail in reduced:
-            f = rest[p]
-            if f:
-                rest[p] = 0
-                for k, e in tail:
-                    rest[k] -= f * e
-        return not any(rest)
-    return member
 
 
 def _format_terms(terms: Iterable[tuple[str, int, int]]) -> str:

@@ -3,19 +3,24 @@ operators with unknown matrix entries.
 
 The unknowns are the entries of T.  Intertwining the twists contributes
 linear equations; each product-splitting condition contributes quadratic
-equations, one per carrier basis pair and output coordinate.  The solver
-eliminates the linear part exactly, then reduces the quadratic residue by
-substitution: univariate equations with rational roots, single-monomial
-equations (a product of unknowns forced to vanish branches on its
-factors), and rank-one quadrics ``c * L^2`` with L linear.  Anything
-outside that class is returned unsolved as a residual system rather than
-guessed at.
+equations, one per carrier basis pair and output coordinate.  ``solve``
+runs four stages.  Generate: :func:`generate_constraints`.  Eliminate:
+:func:`eliminate_linear`, the first linear round (:func:`_linear_round`),
+over every unknown.  Reduce: :func:`_reduce`, further linear rounds and
+the branch rules: univariate equations with rational roots,
+single-monomial equations (a product of unknowns forced to vanish
+branches on its factors), and rank-one quadrics ``c * L^2`` with L
+linear; anything outside that class is returned unsolved as a residual
+system rather than guessed at.  Verify: the leaves' affine families are
+compared, and a family is substituted back into every equation.
 
 Every stage computes in ints: a polynomial keeps its coefficients as ints
 over one denominator, the generator reads the stored ints of the twists,
-tables and actions, and the linear stage eliminates fraction-free on
-sparse int rows.  Each substitution round makes one substitution object,
-which expands each monomial once for all the polynomials of the round.
+tables and actions, and the linear rounds and the family comparison
+eliminate fraction-free on sparse int rows.  A leaf's substitution maps
+only its pinned variables; the free ones stay themselves.  Each
+substitution round makes one substitution object, which expands each
+monomial once for all the polynomials of the round.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from typing import Callable, Mapping, Sequence
 from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
 from .linalg import (
-    Matrix, Rational, Vector, _echelon, _Frozen, _lowest_terms, _put, _Value, frac,
-    span_membership,
+    Matrix, Rational, _echelon, _Frozen, _lowest_terms, _put, _remainder, _Value, frac,
 )
 from .operators import OperatorContext, check_relative_rbo
 from .representation import Representation, _require_match
@@ -361,10 +365,9 @@ def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
     usual presentation of parameter families.
 
     Each equation's ints are a sparse row ``{column: int}`` (variables in
-    descending order, then the constant), reduced by ``linalg._echelon``,
-    the Gauss-Jordan that ``linalg._rref`` also calls.  The system is
-    inconsistent iff the constant column is a pivot; otherwise each pivot's
-    image is an int polynomial over its pivot entry.
+    descending order, then the constant), reduced by ``linalg._echelon``.
+    The system is inconsistent iff the constant column is a pivot;
+    otherwise each pivot's image is an int polynomial over its pivot entry.
     """
     ordered = sorted(variables, reverse=True)
     const = len(ordered)
@@ -383,22 +386,34 @@ def _solve_linear_part(linear: Sequence[Polynomial], variables: Sequence[int]):
     return mapping, free
 
 
+def _linear_round(equations: Sequence[Polynomial], free: Sequence[int]):
+    """One linear round over the variables ``free``: solve the equations
+    of degree <= 1, substitute into the others and drop those that become
+    zero.  Returns ``(substitution, free variables left, remaining
+    equations)``, or None if the round is inconsistent (a nonzero constant
+    among the equations, or linear equations with no common solution)."""
+    linear, rest = [], []
+    for e in equations:
+        (rest if e.degree() > 1 else linear).append(e)
+    solved = _solve_linear_part(linear, free)
+    if solved is None:
+        return None
+    sub = _Substitution(solved[0])
+    if sub.mapping:
+        rest = [e2 for e in rest if not (e2 := e.substitute(sub)).is_zero()]
+    return sub, solved[1], rest
+
+
 def eliminate_linear(system: PolySystem) -> Elimination:
     """Eliminate the degree-one subsystem exactly and substitute into the
-    rest.  The substitution sends every pinned variable to an affine
-    polynomial in the free variables."""
-    variables = list(range(system.nvars))
-    linear = [e for e in system.equations if e.degree() <= 1]
-    rest = [e for e in system.equations if e.degree() > 1]
-    solved = _solve_linear_part(linear, variables)
+    rest: the first linear round, over every variable.  The substitution
+    sends every pinned variable to an affine polynomial in the free ones."""
+    solved = _linear_round(system.equations, range(system.nvars))
     if solved is None:
-        return Elimination(PolySystem(system.rows, system.cols, []),
+        return Elimination(PolySystem(system.rows, system.cols, ()),
                            {}, (), inconsistent=True)
-    mapping, free = solved
-    sub = _Substitution(mapping)
-    residual = [e.substitute(sub) for e in rest]
-    return Elimination(PolySystem(system.rows, system.cols, residual),
-                       mapping, free)
+    sub, free, rest = solved
+    return Elimination(PolySystem(system.rows, system.cols, rest), sub.mapping, free)
 
 
 class AffineFamily(_Value):
@@ -494,27 +509,21 @@ def _univariate_roots(p: Polynomial) -> list[Fraction] | None:
 
 
 def _apply(subst: dict[int, Polynomial], sub: _Substitution) -> dict[int, Polynomial]:
-    return {v: p.substitute(sub) for v, p in subst.items()}
+    """``subst`` after the round ``sub``: its images substituted, the round's pins added."""
+    return {**{v: p.substitute(sub) for v, p in subst.items()}, **sub.mapping}
 
 
 def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
             free: tuple[int, ...]) -> list[_Leaf]:
-    equations = [e for e in equations if not e.is_zero()]
-    while True:
-        degrees = [e.degree() for e in equations]
-        if 0 in degrees:
-            return []  # a nonzero constant: no solutions on this branch
-        linear = [e for e, k in zip(equations, degrees) if k == 1]
-        if not linear:
-            break
-        solved = _solve_linear_part(linear, free)
+    """The leaves of a branch: ``subst`` maps its pinned variables into the
+    ``free`` ones, which the nonzero ``equations`` hold.  Linear rounds run
+    while an equation has degree <= 1, then the first branch rule applies."""
+    while any(e.degree() <= 1 for e in equations):
+        solved = _linear_round(equations, free)
         if solved is None:
-            return []
-        sub, free = _Substitution(solved[0]), solved[1]
+            return []  # no solutions on this branch
+        sub, free, equations = solved
         subst = _apply(subst, sub)
-        # The linear equations vanish under their own solution.
-        equations = [e2 for e, k in zip(equations, degrees)
-                     if k > 1 and not (e2 := e.substitute(sub)).is_zero()]
     if not equations:
         return [_Leaf(subst, free)]
 
@@ -535,19 +544,22 @@ def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
         leaves: list[_Leaf] = []
         for x, value in pins:
             sub = _Substitution({x: Polynomial.constant(value)})
-            leaves.extend(_reduce([e.substitute(sub) for e in rest], _apply(subst, sub),
-                                  tuple(v for v in free if v != x)))
+            leaves.extend(_reduce([e2 for e in rest if not (e2 := e.substitute(sub)).is_zero()],
+                                  _apply(subst, sub), tuple(v for v in free if v != x)))
         return leaves
     return [_Leaf(subst, free, tuple(equations))]
 
 
 def _leaf_family(leaf: _Leaf, system: PolySystem) -> AffineFamily:
     """The affine family of a resolved leaf, whose substitution sends each
-    variable to an affine polynomial in the free ones; every matrix is
-    filled in one pass over the substitution."""
+    pinned variable to an affine polynomial in the free ones; every matrix
+    is filled in one pass over the substitution, and each free variable is
+    1 at its own cell of its basis matrix."""
     rows, cols = system.rows, system.cols
     slot = {f: k for k, f in enumerate(leaf.free, 1)}  # 0: the particular
     cells = [{} for _ in range(len(slot) + 1)]
+    for f, k in slot.items():
+        cells[k][system.var_rc(f)] = (1, 1)
     for v, p in leaf.subst.items():
         r, c = system.var_rc(v)
         for mono, x in p.ints.items():
@@ -559,15 +571,19 @@ def _leaf_family(leaf: _Leaf, system: PolySystem) -> AffineFamily:
                         tuple(system.var_name(f) for f in leaf.free))
 
 
-def _vectorize(m: Matrix) -> Vector:
-    return Vector([e for row in m.entries for e in row])
+def _flat(m: Matrix) -> dict[int, int]:
+    """The stored ints of ``m`` as one sparse row ``{r*cols + c: int}``."""
+    cols = m.cols
+    return {r * cols + c: x for r, row in m.stored()[1].items() for c, x in row}
 
 
 def _family_contains(big: AffineFamily, small: AffineFamily) -> bool:
-    member = span_membership([_vectorize(b) for b in big.basis])
-    if not member(_vectorize(small.particular) - _vectorize(big.particular)):
-        return False
-    return all(member(_vectorize(b)) for b in small.basis)
+    """Whether ``small`` lies in ``big``: ``small.particular - big.particular``
+    and each matrix of ``small.basis`` clear at one :func:`linalg._echelon`
+    of ``big.basis``, all as flat int rows."""
+    pivots = _echelon(map(_flat, big.basis))
+    return all(not _remainder(_flat(m), pivots)
+               for m in (small.particular - big.particular, *small.basis))
 
 
 def solve(system: PolySystem) -> SolutionSet:
@@ -577,9 +593,9 @@ def solve(system: PolySystem) -> SolutionSet:
     substituted back into every input equation, which must vanish
     identically in the free parameters.
     """
-    identity_subst = {v: Polynomial.variable(v) for v in range(system.nvars)}
-    leaves = _reduce(list(system.equations), dict(identity_subst),
-                     tuple(range(system.nvars)))
+    elim = eliminate_linear(system)
+    leaves = [] if elim.inconsistent else _reduce(
+        list(elim.system.equations), elim.substitution, elim.free_vars)
     stuck = [leaf for leaf in leaves if leaf.residual]
     if stuck:
         return SolutionSet("residual",
@@ -605,7 +621,7 @@ def solve(system: PolySystem) -> SolutionSet:
         return SolutionSet("affine_family", family=kept[0])
     # Mixed points and families cannot be expressed in this schema; hand
     # back the post-elimination system without a claim.
-    return SolutionSet("residual", residual=eliminate_linear(system).system)
+    return SolutionSet("residual", residual=elim.system)
 
 
 def parameter_sequence():

@@ -19,10 +19,14 @@ ints over one denominator: they eliminate on dense rows through ``_rref``
 and substitute into every equation, the solved linear ones too.  Run
 together, they are the reference pipeline: the package must render the
 same systems and reach the same eliminations and solution sets.
-``in_span`` is the membership test that solved one linear system per
-query, before ``span_membership``, with ``solve_linear`` and
-``kernel_basis`` as they were before they eliminated a matrix's stored
-ints: on its dense ``Fraction`` rows, through ``_rref``.
+``solve_linear`` and ``kernel_basis`` are as they were before they
+eliminated a matrix's stored ints: on its dense ``Fraction`` rows,
+through ``_rref``.  ``span_membership`` is the dense membership test the
+package had before its family comparison cleared stored ints at an
+``_echelon``: it reduces the span once and clears each query against the
+reduced rows.  It runs on the ``_rref`` here, so no reference in this
+module calls the package's elimination, and it is the reference behind
+``check_ideal``, ``graph_check`` and ``_family_contains``.
 
 ``_tokenize`` is the DSL tokenizer that matched one token kind at a time
 with its own regex, and ``parse`` the parser that read its tokens one at
@@ -74,7 +78,7 @@ from homkit.dsl import (
 from homkit.errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError, SoundnessError,
 )
-from homkit.linalg import _ZERO, AffineSolution, Matrix, Vector, frac, span_membership
+from homkit.linalg import _ZERO, AffineSolution, Matrix, Vector, frac
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
 from homkit.reporting import CheckReport, CheckResult, Witness, concat, require
@@ -1094,11 +1098,34 @@ def solve_linear(a: Matrix, b: Vector) -> AffineSolution | None:
     return AffineSolution(Vector(particular), tuple(kernel))
 
 
-def in_span(columns: Sequence[Vector], v: Vector) -> bool:
-    """Membership test: is ``v`` in the span of the given vectors?"""
+def span_membership(columns: Sequence[Vector]) -> Callable[[Vector], bool]:
+    """Membership test for the span of the given vectors.
+
+    The vectors are reduced once, as the rows of a matrix; each query is
+    then cleared against the reduced rows at their pivots and lies in the
+    span iff nothing is left.
+    """
     if not columns:
-        return v.is_zero()
-    return solve_linear(Matrix.from_cols(list(columns)), v) is not None
+        return Vector.is_zero
+    dim = columns[0].dim
+    if any(c.dim != dim for c in columns):
+        raise ShapeError("columns of differing dimension")
+    rows, pivots = _rref([list(c.entries) for c in columns])
+    reduced = [(p, [(k, row[k]) for k in range(p + 1, dim) if row[k]])
+               for p, row in zip(pivots, rows)]
+
+    def member(v: Vector) -> bool:
+        if v.dim != dim:
+            raise ShapeError(f"span lives in dim {dim} but vector has dim {v.dim}")
+        rest = list(v.entries)
+        for p, tail in reduced:
+            f = rest[p]
+            if f:
+                rest[p] = 0
+                for k, e in tail:
+                    rest[k] -= f * e
+        return not any(rest)
+    return member
 
 
 

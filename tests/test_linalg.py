@@ -7,13 +7,10 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from homkit import algebra, linalg, operators, representation
+from homkit import algebra, linalg, operators, representation, solver
 from homkit.algebra import POISSON, HomAlgebra, StructureTensor, check_ideal
 from homkit.errors import PreconditionError, ShapeError
-from homkit.linalg import (
-    Matrix, Vector, frac, format_lincomb, kernel_basis, solve_linear,
-    span_membership,
-)
+from homkit.linalg import Matrix, Vector, frac, format_lincomb, kernel_basis, solve_linear
 from homkit.fixtures import two_dim_associative, two_dim_leibniz
 from homkit.operators import (
     OperatorContext, check_relative_rbo, check_rota_baxter, graph_check,
@@ -253,30 +250,6 @@ def test_format_lincomb():
     assert format_lincomb(Vector([0, 0])) == "0"
 
 
-def test_span_membership_matches_one_solve_per_query():
-    rng = random.Random(29)
-    for _ in range(60):
-        dim = rng.randint(1, 5)
-        cols = [Vector(rand_matrix(rng, 1, dim, -1, 1).entries[0])
-                for _ in range(rng.randint(0, 4))]
-        if cols and rng.random() < 0.5:
-            cols.append(cols[0].scale(rng.choice([2, Fraction(-1, 3)])))
-        member = span_membership(cols)
-        queries = [Vector(rand_matrix(rng, 1, dim).entries[0]) for _ in range(4)]
-        queries += [c.scale(3) + cols[-1] for c in cols]  # members
-        for v in queries:
-            assert member(v) == oracle.in_span(cols, v)
-
-
-def test_span_membership_shapes():
-    assert span_membership([])(Vector.zero(3))
-    assert not span_membership([])(Vector.unit(3, 1))
-    with pytest.raises(ShapeError):
-        span_membership([Vector.unit(2, 0), Vector.unit(3, 0)])
-    with pytest.raises(ShapeError):
-        span_membership([Vector.unit(2, 0)])(Vector.unit(3, 0))
-
-
 def _ideal_cases(rng):
     cases = []
     for alg in verified_algebra_pool():
@@ -379,14 +352,13 @@ def test_membership_checks_form_no_dense_value(monkeypatch):
     # Fraction product and eliminate no Fraction rows; a failing graph_check
     # forms one value, the witness, per failing check.
     ideals, graphs = _membership_cases()
-    for module in (algebra, operators, representation):
+    for module in (algebra, operators, representation, solver):
         assert not hasattr(module, "span_membership") and not hasattr(module, "solve_linear")
 
     def refuse(*args):
         raise AssertionError("dense membership path")
     for owner, name in ((StructureTensor, "product"), (Matrix, "apply"),
-                        (linalg, "solve_linear"), (linalg, "span_membership"),
-                        (linalg, "_rref")):
+                        (linalg, "solve_linear"), (linalg, "_rref")):
         monkeypatch.setattr(owner, name, refuse)
     witnesses = []
     value = operators._graph_value

@@ -1,18 +1,17 @@
 """Differential and property tests: the solver's int ``Polynomial``
-arithmetic, ``generate_constraints``, the fraction-free linear stage and
-``_rref``, which share one reducer, against their references in
-``oracle.py``.
+arithmetic, ``generate_constraints``, the fraction-free linear stage,
+``_rref`` (which shares its reducer) and the family comparison against
+their references in ``oracle.py``, and the stage structure of ``solve``.
 
 Systems, eliminations and solution sets must be equal term for term, so
 everything the package renders from them is byte-identical.  The
 reference solution sets come from the reference pipeline, the solver
-stages as they were before the int layout, run on the reference
-arithmetic.
+stages as they were before the int layout, which reduce on the oracle's
+own dense ``_rref``: no reference calls into the package's elimination.
 """
 
 import random
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -26,15 +25,6 @@ from homkit.solver import Polynomial, eliminate_linear, generate_constraints, so
 from support import corrupt_one_entry, valid_representations, verified_algebra_pool
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
-
-
-@contextmanager
-def reference_arithmetic():
-    """Reduce spans (the family comparison's ``span_membership``) with the
-    reference ``_rref``."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(linalg, "_rref", oracle._rref)
-        yield
 
 
 def _pairs():
@@ -75,10 +65,9 @@ def test_systems_eliminations_and_solutions_match_reference(alg, rep):
     system = generate_constraints(alg, rep)
     elim = eliminate_linear(system)
     sol = solve(system)
-    with reference_arithmetic():
-        ref_system = oracle.generate_constraints(alg, rep)
-        ref_elim = oracle.eliminate_linear(ref_system)
-        ref_sol = oracle.solve(ref_system)
+    ref_system = oracle.generate_constraints(alg, rep)
+    ref_elim = oracle.eliminate_linear(ref_system)
+    ref_sol = oracle.solve(ref_system)
 
     assert same_terms(system.equations, ref_system.equations)
     assert system.render() == ref_system.render()
@@ -105,6 +94,37 @@ def test_systems_eliminations_and_solutions_match_reference(alg, rep):
     else:
         assert same_terms(sol.residual.equations, ref_sol.residual.equations)
         assert sol.residual.render() == ref_sol.residual.render()
+
+
+
+def test_solve_runs_its_stages_on_the_int_kernel(monkeypatch):
+    """``solve`` eliminates the linear part exactly once and builds no
+    dense value (no ``_rref``, no ``Vector``); each leaf's substitution
+    maps only pinned variables, to polynomials in the free ones."""
+    def refuse(*args):
+        raise AssertionError("dense path in solve")
+    monkeypatch.setattr(linalg, "_rref", refuse)
+    monkeypatch.setattr(linalg.Vector, "__init__", refuse)
+    eliminated, leaves = [], []
+    eliminate, reduce = solver.eliminate_linear, solver._reduce
+
+    def reduce_and_keep(*args):
+        found = reduce(*args)
+        leaves.extend(found)
+        return found
+    monkeypatch.setattr(solver, "eliminate_linear",
+                        lambda system: eliminated.append(system) or eliminate(system))
+    monkeypatch.setattr(solver, "_reduce", reduce_and_keep)
+    for alg, rep in PAIRS:
+        system = generate_constraints(alg, rep)
+        eliminated.clear()
+        solve(system)
+        assert eliminated == [system]
+    assert leaves and any(leaf.subst for leaf in leaves) and any(leaf.free for leaf in leaves)
+    for leaf in leaves:
+        assert leaf.subst.keys().isdisjoint(leaf.free)
+        for p in leaf.subst.values():
+            assert p.variables() <= set(leaf.free)
 
 
 def integral(alg, rep) -> bool:
@@ -244,8 +264,8 @@ def test_shared_substitution_matches_reference(polys, mapping):
 
 
 def test_each_monomial_is_expanded_once_per_substitution(monkeypatch):
-    """A substitution (a round of ``_reduce``, the residual of
-    ``eliminate_linear``, the family check of ``solve``) expands each
+    """A substitution (a linear round, a branch of ``_reduce``, the
+    family check of ``solve``) expands each
     distinct monomial once, however many of its polynomials hold it."""
     expanded, occurrences = Counter(), Counter()
     expand, apply = solver._Substitution._expand, solver._Substitution.apply
@@ -340,3 +360,63 @@ def test_linear_stage_property_reaches_every_case():
             seen.add("rank-deficient")
     classify()
     assert seen == {"empty", "inconsistent", "rank-deficient"}
+
+
+def _family(particular, basis):
+    return solver.AffineFamily(particular, tuple(basis),
+                               tuple(f"s{k}" for k in range(len(basis))))
+
+
+@st.composite
+def family_pairs(draw):
+    """Two affine families of one shape, their entries over mixed
+    denominators: the second drawn at random, equal to the first, or
+    inside it (its particular and basis combinations of the first's).
+    Either basis may be empty, and both are at times (two points)."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(sparse_rationals, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows).map(Matrix)
+    big = _family(draw(matrix), draw(st.lists(matrix, max_size=3)))
+    how = draw(st.sampled_from(["random", "equal", "inside"]))
+    if how == "random":
+        return big, _family(draw(matrix), draw(st.lists(matrix, max_size=3)))
+    if how == "equal":
+        return big, _family(big.particular, big.basis)
+
+    def combination():
+        return big.particular._combine(*((b, draw(rationals)) for b in big.basis))
+    return big, _family(big.particular + combination(),
+                        [combination() for _ in range(draw(st.integers(0, 3)))])
+
+
+@PROPERTY
+@given(family_pairs())
+def test_family_comparison_matches_reference(pair):
+    big, small = pair
+    for outer, inner in (pair, (small, big)):
+        assert solver._family_contains(outer, inner) == oracle._family_contains(outer, inner)
+
+
+def test_family_property_reaches_every_case():
+    """The drawn pairs include containment both ways and neither way,
+    an empty basis, two points, equal families and mixed denominators."""
+    seen = set()
+
+    @PROPERTY
+    @given(family_pairs())
+    def classify(pair):
+        big, small = pair
+        seen.add(("contains", solver._family_contains(big, small),
+                  solver._family_contains(small, big)))
+        if not big.basis:
+            seen.add("empty basis")
+            if not small.basis:
+                seen.add("points")
+        if big == small:
+            seen.add("equal")
+        if len({m.stored()[0] for m in (big.particular, *big.basis)}) > 1:
+            seen.add("mixed denominators")
+    classify()
+    assert seen >= {("contains", True, True), ("contains", True, False),
+                    ("contains", False, False), "empty basis", "points", "equal",
+                    "mixed denominators"}
