@@ -250,6 +250,34 @@ def test_format_lincomb():
     assert format_lincomb(Vector([0, 0])) == "0"
 
 
+def test_span_membership_matches_one_solve_per_query():
+    # The dense reference reduces the span once; each query must agree with
+    # solving one linear system against the columns.
+    rng = random.Random(29)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        cols = [Vector(rand_matrix(rng, 1, dim, -1, 1).entries[0])
+                for _ in range(rng.randint(0, 4))]
+        if cols and rng.random() < 0.5:
+            cols.append(cols[0].scale(rng.choice([2, Fraction(-1, 3)])))
+        member = oracle.span_membership(cols)
+        queries = [Vector(rand_matrix(rng, 1, dim).entries[0]) for _ in range(4)]
+        queries += [c.scale(3) + cols[-1] for c in cols]  # members
+        for v in queries:
+            solved = (oracle.solve_linear(Matrix.from_cols(cols), v) is not None
+                      if cols else v.is_zero())
+            assert member(v) == solved
+
+
+def test_span_membership_shapes():
+    assert oracle.span_membership([])(Vector.zero(3))
+    assert not oracle.span_membership([])(Vector.unit(3, 1))
+    with pytest.raises(ShapeError):
+        oracle.span_membership([Vector.unit(2, 0), Vector.unit(3, 0)])
+    with pytest.raises(ShapeError):
+        oracle.span_membership([Vector.unit(2, 0)])(Vector.unit(3, 0))
+
+
 def _ideal_cases(rng):
     cases = []
     for alg in verified_algebra_pool():
