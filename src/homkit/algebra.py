@@ -15,11 +15,11 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
 from .kernel import (
-    Accumulator, Lazy, common_denominator, entries_then_index, grouped, rationals, sparse,
-    transposed, twisted_then_entries, walk,
+    Accumulator, Lazy, common_denominator, entries_then_index, grouped, sparse, transposed,
+    twisted_then_entries, walk,
 )
 from .linalg import (
-    _ZERO, Matrix, Vector, _dense, _echelon, _nonzero_ints, _remainder, _Stored, _Value,
+    _ZERO, Matrix, Vector, _cells, _dense, _echelon, _lowest_terms, _remainder, _Stored, _Value,
 )
 from .reporting import CheckReport, CheckResult, Witness, require, scan_identity
 
@@ -61,24 +61,13 @@ class StructureTensor(_Stored):
             vectors[key] = value.entries if isinstance(value, Vector) else tuple(value)
             if len(vectors[key]) != dim:
                 raise ShapeError("product value has wrong dimension")
-        den, ints = _nonzero_ints(vectors)
-        self._store((den, {key: v for key, v in ints.items() if v}), dim)
-
-    @classmethod
-    def zero(cls, dim: int) -> "StructureTensor":
-        return cls._from_form(dim, 1, {})
+        self._store(_lowest_terms(_cells(vectors)), dim)
 
     @classmethod
     def from_products(cls, dim: int,
                       products: Mapping[tuple[int, int], Sequence]) -> "StructureTensor":
         """Build from basis products; unlisted and zero entries are zero."""
         return cls(dim, products)
-
-    @classmethod
-    def _from_form(cls, dim: int, den: int, products: dict) -> "StructureTensor":
-        """The tensor of the sparse int ``products`` over ``den``, in lowest
-        terms (:func:`~homkit.kernel.rationals`), kept as :meth:`stored`."""
-        return cls._new(rationals(den, products), dim)
 
     @property
     def products(self) -> Mapping[tuple[int, int], Vector]:

@@ -56,7 +56,7 @@ from .algebra import (
 )
 from .errors import ParseError, UnknownNameError
 from .kernel import grouped, transposed
-from .linalg import Matrix, _format_terms, _lowest_terms, _Value
+from .linalg import Matrix, _format_terms, _Value
 from .representation import ActionTensor, Representation
 
 KIND_TOKENS = {"assoc": ASSOCIATIVE, "leibniz": LEIBNIZ, "poisson": POISSON}
@@ -320,7 +320,7 @@ class _Reader:
         basis symbol ``j``, built from its nonzero entries only."""
         cells = [((i, j), q) for j, i, q in
                  self._columns(entries, src_prefix, src_dim, dst_prefix, dst_dim)]
-        return Matrix._from_form(dst_dim, src_dim, *_lowest_terms(cells))
+        return Matrix._from_cells(dst_dim, src_dim, cells)
 
     # ---- items ---------------------------------------------------------
 
@@ -393,7 +393,7 @@ class _Reader:
                                   ipos)
                     seen.add(key)
                     cells += [((key, k), q) for k, q in self._terms(terms, "e", dim).items()]
-                tensors[block] = StructureTensor._from_form(dim, *_lowest_terms(cells))
+                tensors[block] = StructureTensor._from_cells(dim, cells)
             alpha = self._matrix(raw["alpha"], "e", dim, "e", dim)
             return DocAlgebra(name, HomAlgebra(dim, kind, alpha, **tensors))
         except MemoryError:
@@ -502,7 +502,7 @@ class _Reader:
             for a in sorted(actions[action]):
                 cells += [(((a, c), r), q) for c, r, q in
                           self._columns(actions[action][a], "f", dim, "f", dim)]
-            return ActionTensor._from_form(base.dim, dim, *_lowest_terms(cells))
+            return ActionTensor._from_cells(base.dim, dim, cells)
 
         try:
             phi = self._matrix(phi_entries or [], "f", dim, "f", dim)

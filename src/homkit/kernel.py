@@ -3,8 +3,9 @@
 The ints are the objects: every ``Matrix``, ``StructureTensor`` and
 ``ActionTensor`` keeps only its nonzero entries, as ints over its own
 denominator (the lcm of its entries' reduced denominators), converted
-once from the input of a public constructor or handed over by the
-construction that built it (``stored()``).  A check fixes one common
+once, by the shared builders of :mod:`homkit.linalg`, from the input of a
+public constructor or handed over by the construction that built it
+(``stored()``).  A check fixes one common
 denominator ``D``, the lcm of the stored ones (:func:`common_denominator`),
 and rescales each stored list by ``D // den`` (:func:`sparse`).  A term
 of an identity that multiplies ``d`` constants is then an ``int``
@@ -24,7 +25,8 @@ degree-3 term of an algebra, representation or matched-pair identity is
 one of two walks over nonzero entries (:func:`entries_then_index`,
 :func:`twisted_then_entries`).
 A construction sums its degree-``k`` terms the same way and hands them
-over as its result's stored form, reduced to lowest terms (:func:`rationals`).
+to its result's ``_from_form``, which reduces them to lowest terms
+(:func:`homkit.linalg.rationals`).
 
 Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
 entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
@@ -33,7 +35,7 @@ entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator
 
 
@@ -54,18 +56,6 @@ def sparse(part, d: int) -> dict:
         return ints
     f = d // den
     return {key: [(k, f * x) for k, x in v] for key, v in ints.items()}
-
-
-def rationals(den: int, ints: dict) -> tuple[int, dict]:
-    """The stored form of the rationals ``ints / den``, sparse vectors by
-    key: the nonzero vectors in key order, reduced by the gcd of ``den``
-    and every int, so that ``den`` is the lcm of the entries' reduced
-    denominators."""
-    ints = {key: ints[key] for key in sorted(ints) if ints[key]}
-    g = gcd(den, *(x for v in ints.values() for _, x in v))
-    if g > 1:
-        den, ints = den // g, {key: [(k, x // g) for k, x in v] for key, v in ints.items()}
-    return den, ints
 
 
 class Accumulator(dict):

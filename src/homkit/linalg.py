@@ -7,6 +7,12 @@ arithmetic in the package is exact; there is no tolerance anywhere.
 Values are immutable after construction and all operations are pure
 functions.
 
+This module owns that stored form (:class:`_Stored`): every matrix,
+structure tensor and action family is built, shape first, by ``zero``,
+``_from_cells`` (coefficients in lowest terms, as :func:`_cells` scans
+dense input) or ``_from_form`` (ints over a multiple of the denominator,
+reduced by :func:`rationals`), each normalising once.
+
 Conventions fixed once for the whole package:
 
 * a linear map sends the j-th basis vector to column j of its matrix,
@@ -19,10 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import ShapeError
-from .kernel import rationals
 
 Rational = Union[Fraction, int, str]
 
@@ -46,20 +51,17 @@ def frac(value: Rational) -> Fraction:
 _EXACT = {Fraction, int}
 
 
-def _nonzero_ints(vectors: dict) -> tuple[int, dict]:
-    """``(den, ints)`` of a dict of sequences of rationals: ``den`` is the
-    lcm of their nonzero entries' denominators and ``ints[key]`` lists
-    ``(k, den q)`` for each nonzero entry ``q`` at index ``k`` of
-    ``vectors[key]``.  Entries other than ints and Fractions go through
-    :func:`frac`."""
-    nonzero = {}
+def _cells(vectors: dict) -> Iterator[tuple[tuple, tuple[int, int]]]:
+    """``((key, k), (num, den))`` for each nonzero entry at index ``k`` of
+    ``vectors[key]``, in lowest terms with ``den > 0``: the coefficients of
+    a dict of sequences of rationals for :func:`_lowest_terms`.  Entries
+    other than ints and Fractions go through :func:`frac`."""
     for key, v in vectors.items():
         if not set(map(type, v)) <= _EXACT:
             v = map(frac, v)
-        nonzero[key] = [(k, q) for k, q in enumerate(v) if q is not _ZERO and q]
-    den = lcm(*{q.denominator for v in nonzero.values() for _, q in v})
-    return den, {key: [(k, q.numerator * (den // q.denominator)) for k, q in v]
-                 for key, v in nonzero.items()}
+        for k, q in enumerate(v):
+            if q is not _ZERO and q:
+                yield (key, k), (q.numerator, q.denominator)
 
 
 def _lowest_terms(cells: Iterable[tuple[tuple, tuple[int, int]]]) -> tuple[int, dict]:
@@ -72,6 +74,18 @@ def _lowest_terms(cells: Iterable[tuple[tuple, tuple[int, int]]]) -> tuple[int, 
     ints: dict = {}
     for (key, k), (n, d) in cells:
         ints.setdefault(key, []).append((k, n * (den // d)))
+    return den, ints
+
+
+def rationals(den: int, ints: dict) -> tuple[int, dict]:
+    """The stored form of the rationals ``ints / den``, sparse vectors by
+    key: the nonzero vectors in key order, reduced by the gcd of ``den``
+    and every int, so that ``den`` is the lcm of the entries' reduced
+    denominators."""
+    ints = {key: ints[key] for key in sorted(ints) if ints[key]}
+    g = gcd(den, *(x for v in ints.values() for _, x in v))
+    if g > 1:
+        den, ints = den // g, {key: [(k, x // g) for k, x in v] for key, v in ints.items()}
     return den, ints
 
 
@@ -156,6 +170,26 @@ class _Stored(_Frozen):
         out = object.__new__(cls)
         out._store(form, *shape)
         return out
+
+    @classmethod
+    def _from_form(cls, *args):
+        """``_from_form(*shape, den, ints)``: the value of the sparse int
+        vectors ``ints`` over ``den``, each ``(k, int)`` pairs in order of
+        ``k``, none zero; vectors left out are zero.  Kept in lowest terms."""
+        *shape, den, ints = args
+        return cls._new(rationals(den, ints), *shape)
+
+    @classmethod
+    def _from_cells(cls, *args):
+        """``_from_cells(*shape, cells)``: the value of the coefficients
+        ``((key, k), (num, den))``, each already in lowest terms
+        (:func:`_lowest_terms`), kept as :meth:`stored`."""
+        *shape, cells = args
+        return cls._new(_lowest_terms(cells), *shape)
+
+    @classmethod
+    def zero(cls, *shape):
+        return cls._new((1, {}), *shape)
 
     def __reduce__(self):
         return type(self)._new, (self._ints, *self._key(self)[1:])
@@ -271,22 +305,17 @@ class Matrix(_Stored):
             cols = len(grid[0]) if grid else 0
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise ShapeError("ragged or mis-sized matrix data")
-        self._store(_nonzero_ints(dict(enumerate(grid))), rows, cols)
+        self._store(_lowest_terms(_cells(dict(enumerate(grid)))), rows, cols)
 
-    @classmethod
-    def _from_form(cls, rows: int, cols: int, den: int, ints: dict) -> "Matrix":
-        """The matrix of the sparse int rows ``ints`` over ``den``, each
-        listing ``(j, int)`` in column order with no zero; rows left out are
-        zero.  Reduced to lowest terms and kept as :meth:`stored`."""
-        den, ints = rationals(den, ints)
-        # The rows are allocated at once, so a count beyond memory fails here.
-        full = dict(enumerate([[]] * rows))
-        full.update(ints)
-        return cls._new((den, full), rows, cols)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls._from_form(rows, cols, 1, {})
+    def _store(self, form: tuple[int, dict], rows: int, cols: int) -> None:
+        """Keep ``form`` with an empty entry for each row it leaves out."""
+        den, ints = form
+        if len(ints) < rows:
+            # The rows are allocated at once, so a count beyond memory fails here.
+            full = dict(enumerate([[]] * rows))
+            full.update(ints)
+            form = den, full
+        super()._store(form, rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -477,7 +506,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     calls it; it is kept for its differential test and for the benchmark's
     tracer, which wraps it."""
     ncols = len(rows[0]) if rows else 0
-    echelon = _echelon(map(dict, _nonzero_ints(dict(enumerate(rows)))[1].values()))
+    echelon = _echelon(map(dict, _lowest_terms(_cells(dict(enumerate(rows))))[1].values()))
     pivots = sorted(echelon)
     reduced = [[_ZERO] * ncols for _ in rows]
     for out, c in zip(reduced, pivots):

@@ -23,10 +23,10 @@ from .algebra import (
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import (
-    Accumulator, Lazy, common_denominator, entries_then_index, grouped, rationals, sparse,
-    transposed, twisted_then_entries, walk,
+    Accumulator, Lazy, common_denominator, entries_then_index, grouped, sparse, transposed,
+    twisted_then_entries, walk,
 )
-from .linalg import Matrix, Vector, _echelon, _nonzero_ints, _Stored, _Value
+from .linalg import Matrix, Vector, _cells, _echelon, _Stored, _Value
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
 
@@ -55,10 +55,6 @@ class ActionTensor(_Stored):
         self._store((den, columns), base_dim, carrier_dim)
 
     @classmethod
-    def zero(cls, base_dim: int, carrier_dim: int) -> "ActionTensor":
-        return cls._from_form(base_dim, carrier_dim, 1, {})
-
-    @classmethod
     def from_columns(cls, base_dim: int, carrier_dim: int,
                      columns: Mapping[tuple[int, int], Sequence]) -> "ActionTensor":
         """Build from nonzero columns: ``columns[(i, c)]`` is column ``c`` of
@@ -66,14 +62,7 @@ class ActionTensor(_Stored):
         for (i, c), col in columns.items():
             if not (0 <= i < base_dim and 0 <= c < carrier_dim) or len(col) != carrier_dim:
                 raise ShapeError(f"column {(i, c)} does not fit the action family")
-        return cls._from_form(base_dim, carrier_dim, *_nonzero_ints(columns))
-
-    @classmethod
-    def _from_form(cls, base_dim: int, carrier_dim: int, den: int,
-                   columns: dict) -> "ActionTensor":
-        """The family of the sparse int ``columns`` over ``den``, in lowest
-        terms (:func:`~homkit.kernel.rationals`), kept as :meth:`stored`."""
-        return cls._new(rationals(den, columns), base_dim, carrier_dim)
+        return cls._from_cells(base_dim, carrier_dim, _cells(columns))
 
     @property
     def mats(self) -> tuple[Matrix, ...]:

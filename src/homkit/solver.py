@@ -32,9 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
-from .linalg import (
-    Matrix, Rational, _echelon, _Frozen, _lowest_terms, _put, _remainder, _Value, frac,
-)
+from .linalg import Matrix, Rational, _echelon, _Frozen, _put, _remainder, _Value, frac
 from .operators import OperatorContext, check_relative_rbo
 from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
@@ -565,8 +563,7 @@ def _leaf_family(leaf: _Leaf, system: PolySystem) -> AffineFamily:
         for mono, x in p.ints.items():
             g = gcd(x, p.den)
             cells[slot[mono[0]] if mono else 0][r, c] = (x // g, p.den // g)
-    particular, *basis = (Matrix._from_form(rows, cols, *_lowest_terms(m.items()))
-                         for m in cells)
+    particular, *basis = (Matrix._from_cells(rows, cols, m.items()) for m in cells)
     return AffineFamily(particular, tuple(basis),
                         tuple(system.var_name(f) for f in leaf.free))
 

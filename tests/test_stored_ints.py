@@ -12,14 +12,16 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from homkit import algebra, linalg, representation
+from homkit import algebra, linalg, representation, solver
 from homkit.algebra import POISSON, HomAlgebra, StructureTensor, check_algebra, yau_twist
 from homkit.dsl import DocAlgebra, DocMap, DocRepresentation, Document, parse, serialize
 from homkit.errors import PreconditionError
+from homkit.fixtures import two_dim_associative, two_dim_leibniz, two_dim_poisson
 from homkit.kernel import common_denominator
 from homkit.linalg import Matrix, Vector
 from homkit.matched import MatchedPair, check_matched_pair, matched_sum
@@ -39,6 +41,7 @@ from test_matched import (
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+ROOT = Path(__file__).resolve().parents[1]
 
 # Zeros come as the int 0 (stored as the shared zero) and as Fractions of
 # their own, which every reader must treat like the shared one.
@@ -72,6 +75,21 @@ def fresh(part):
     if isinstance(part, StructureTensor):
         return StructureTensor.from_products(part.dim, dict(part.products))
     return ActionTensor(part.base_dim, part.carrier_dim, part.mats)
+
+
+def shape(part) -> tuple:
+    if isinstance(part, Matrix):
+        return part.rows, part.cols
+    if isinstance(part, StructureTensor):
+        return (part.dim,)
+    return part.base_dim, part.carrier_dim
+
+
+def unreduced(part):
+    """An equal copy built from its stored ints, each times 6, over ``6 den``."""
+    den, ints = part.stored()
+    return type(part)._from_form(*shape(part), 6 * den,
+                                 {key: [(k, 6 * x) for k, x in v] for key, v in ints.items()})
 
 
 def parts(*objects) -> list:
@@ -152,8 +170,14 @@ def test_stored_form_equals_the_recomputed_one(structure):
         twist_representation(rep, beta, alg, checked=False),
     ]
     projection = projection_context(alg, rep, checked=False)
+    n, m = alg.dim, rep.carrier_dim
+    columns = {(i, c): col for i, a in enumerate(rep.rho_l.mats)
+               for c, col in enumerate(zip(*a.entries))}
+    made = [Matrix.zero(n, m), StructureTensor.zero(n), ActionTensor.zero(n, m),
+            ActionTensor.from_columns(n, m, columns),
+            *map(unreduced, (*parts(alg, rep), t, op, beta))]
     for part in (*parts(alg, rep, pair.a2, pair.actions_1_on_2, pair.actions_2_on_1, *built),
-                 projection.t, *parts(projection.rep), t, op, beta):
+                 projection.t, *parts(projection.rep), t, op, beta, *made):
         assert_stored_as_recomputed(part)
 
 
@@ -170,6 +194,42 @@ def test_zero_fractions_of_their_own_store_nothing():
     assert table.stored() == (4, {(0, 1): [(1, 1)]})
 
 
+def test_the_reader_and_the_solver_normalise_each_form_once(monkeypatch):
+    """The DSL reader and ``solver._leaf_family`` hand their coefficients,
+    already in lowest terms, to ``_from_cells``: no stored form they build
+    goes through ``rationals`` a second time, and each is the reference form."""
+    calls = Counter()
+    reduce = linalg.rationals
+
+    def counted(den, ints):
+        calls["rationals"] += 1
+        return reduce(den, ints)
+    systems = []
+    for make in (two_dim_associative, two_dim_leibniz, two_dim_poisson):
+        alg = make()
+        system = solver.generate_constraints(alg, regular_representation(alg))
+        elim = solver.eliminate_linear(system)
+        systems.append((system, solver._reduce(list(elim.system.equations),
+                                               elim.substitution, elim.free_vars)))
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "rationals", counted)
+        docs = [parse(path.read_text()) for path in (ROOT / "demos" / "fixtures.hla",
+                                                     ROOT / "tests" / "data" / "cli_golden.hla")]
+        families = [solver._leaf_family(leaf, system)
+                    for system, leaves in systems for leaf in leaves]
+    assert not calls, calls
+    built = [matrix for family in families for matrix in (family.particular, *family.basis)]
+    for doc in docs:
+        for item in doc.items:
+            if isinstance(item, DocMap):
+                built.append(item.matrix)
+            else:
+                built += parts(item.algebra if isinstance(item, DocAlgebra) else item.rep)
+    assert len(families) >= 3
+    for part in built:
+        assert part.stored() == reference(part)
+
+
 def _counted_reads(m) -> Counter:
     """Count, under the monkeypatch context ``m``, every read of a
     ``Fraction``'s numerator or denominator and every computation of a
@@ -180,13 +240,13 @@ def _counted_reads(m) -> Counter:
         prop = getattr(Fraction, name)
         m.setattr(Fraction, name,
                   property(lambda q, prop=prop, name=name: reads.update([name]) or prop.fget(q)))
-    fill = linalg._nonzero_ints
+    fill = linalg._cells
 
     def counted(vectors):
         reads["stored forms"] += 1
         return fill(vectors)
     for module in (linalg, algebra, representation):
-        m.setattr(module, "_nonzero_ints", counted)
+        m.setattr(module, "_cells", counted)
     return reads
 
 
