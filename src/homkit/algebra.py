@@ -4,7 +4,8 @@ An algebra is given by one or two multiplication tables (structure
 tensors) together with a twisting endomorphism alpha.  Checks are
 exhaustive over basis tuples, which is sufficient by multilinearity, and
 they are modular: an algebra may fail one axiom and still be fed to any
-construction or solver that does not require it.
+construction or solver that does not require it.  Each check and
+construction names its inputs once, in one :class:`homkit.kernel.SparseIndex`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
 from .kernel import (
-    Accumulator, Lazy, common_denominator, entries_then_index, grouped, sparse, transposed,
+    Accumulator, SparseIndex, SparseMap, entries_then_index, grouped, sparse,
     twisted_then_entries, walk,
 )
 from .linalg import (
@@ -160,104 +161,18 @@ _TRIPLES = {
 }
 
 
-class _Sparse:
-    """A twist and its parts, tables and action families, over their common
-    denominator ``d`` and any ``more`` parts: the twist as a :class:`_SparseMap`
-    (``alpha``) and each part's nonzero vectors (``parts``), also, on first
-    lookup, grouped by the first or second key index (``by_first``,
-    ``by_second``), by entry (``entries``) and twisted:
-    ``twisted[name, left, by]`` holds ``mu(alpha e_r, e_a)`` at ``(r, a)``
-    (``left``) or ``mu(e_a, alpha e_r)`` at ``(a, r)``, or column ``a`` of
-    ``F(alpha e_r)`` at ``(r, a)`` for a family, grouped by key index ``by``."""
-
-    __slots__ = ("d", "alpha", "parts", "by_first", "by_second", "entries", "twisted")
-
-    def __init__(self, alpha: Matrix, parts: dict, *more):
-        d = self.d = common_denominator(alpha, *parts.values(), *more)
-        self.alpha = _SparseMap(alpha, d)
-        rows = self.alpha.rows
-        widths = {name: getattr(p, "carrier_dim", len(rows)) for name, p in parts.items()}
-        parts = self.parts = {name: sparse(p, d) for name, p in parts.items()}
-        self.by_first = Lazy(lambda name: grouped(parts[name]))
-        self.by_second = Lazy(lambda name: grouped(parts[name], 1))
-        self.entries = Lazy(lambda name: transposed(parts[name]))
-
-        def twist(key):
-            name, left = key
-            acc = Accumulator(widths[name])
-            for (p, q), v in parts[name].items():
-                if left:
-                    for x, w in rows[p]:
-                        acc.add((x, q), w, v)
-                else:
-                    for x, w in rows[q]:
-                        acc.add((p, x), w, v)
-            return acc.terms()
-        sums = Lazy(twist)
-        self.twisted = Lazy(lambda key: grouped(sums[key[:2]], key[2]))
-
-    def identity(self, group: str) -> CheckResult:
-        """The degree-3 identity of ``group`` (:data:`_TRIPLES`), scanned slice by
-        slice (:func:`walk`): the first failing touched key is the first failing tuple."""
-        name, *terms = _TRIPLES[group]
-        n = len(self.alpha.rows)
-        first, twisted, entries = self.by_first, self.twisted, self.entries
-        return scan_identity(name, *walk(n, n, [
-            entries_then_index(sign, first[inner], twisted[outer, False, 0], *swap) if swap
-            else twisted_then_entries(sign, twisted[outer, True, 0], entries[inner])
-            for sign, inner, outer, *swap in terms]), denominator=self.d ** 3)
+def _identity(a: SparseIndex, group: str) -> CheckResult:
+    """The degree-3 identity of ``group`` (:data:`_TRIPLES`), scanned slice by
+    slice (:func:`walk`): the first failing touched key is the first failing tuple."""
+    name, *terms = _TRIPLES[group]
+    n = len(a.alpha.rows)
+    return scan_identity(name, *walk(n, n, [
+        entries_then_index(sign, a.by_first[inner], a.twisted[outer, False, 0], *swap) if swap
+        else twisted_then_entries(sign, a.twisted[outer, True, 0], a.entries[inner])
+        for sign, inner, outer, *swap in terms]), denominator=a.d ** 3)
 
 
-class _SparseMap:
-    """A linear map ``T: V -> A`` over a common denominator ``d``: its
-    nonzero rows (``rows[a]`` lists ``(u, d T[a][u])``), columns and unit
-    vectors, and the adders of the terms of a degree-2 sum at ``(u, v)``
-    in ``V x V``, summed over the nonzero entries only (:meth:`sums`)."""
-
-    __slots__ = ("rows", "cols", "units")
-
-    def __init__(self, t: Matrix, d: int):
-        self.rows, self.cols = sparse(t, d), {j: [] for j in range(t.cols)}
-        for i, row in self.rows.items():
-            for j, x in row:
-                self.cols[j].append((i, x))
-        self.units = [((k, 1),) for k in range(max(t.rows, t.cols))]
-
-    def images(self, columns: dict) -> dict:
-        """``T`` applied once to each ``sparse`` column, by the same key and
-        one degree higher; zero images are left out."""
-        acc = Accumulator(len(self.rows))
-        for key, col in columns.items():
-            for r, c in col:
-                acc.add(key, c, self.cols[r])
-        return {key: image for key, image in acc.terms().items() if image}
-
-    def sums(self, dim: int, *adders) -> Accumulator:
-        """A construction's products or columns: the adders' terms, summed."""
-        acc = Accumulator(dim)
-        for u in range(len(self.cols)):
-            for add in adders:
-                add(u, acc)
-        return acc
-
-    def term(self, c: int, by_first: dict, left: bool = True, right: bool = True):
-        """Adds ``c X(a, b)`` at ``(u, v)`` for each ``(b, X(a, b))`` in
-        ``by_first[a]``, with ``a = T e_u`` if ``left`` (else ``u``) and
-        ``b = T e_v`` if ``right`` (else ``v``): ``mu(T e_u, T e_v)`` from
-        the products ``mu(e_a, e_b)``, ``act_l(T e_u) e_v`` from the
-        action's columns, and so on."""
-        firsts = self.cols if left else self.units
-        seconds = self.rows if right else self.units
-
-        def add(u, acc):
-            for a, x in firsts[u]:
-                for b, terms in by_first.get(a, ()):
-                    for v, y in seconds[b]:
-                        acc.add((u, v), c * x * y, terms)
-        return add
-
-
-def _carries(o: _SparseMap, d: int, twist: tuple | None, products,
+def _carries(o: SparseMap, d: int, twist: tuple | None, products,
              sign: int = 1) -> CheckReport:
     """Does ``O: V -> A`` carry source products on V onto A's tables?
     First, for a ``twist`` ``(name, phi, alpha)``, ``O(phi e_j) - alpha(O e_j)``
@@ -288,7 +203,7 @@ def _carries(o: _SparseMap, d: int, twist: tuple | None, products,
     return CheckReport(tuple(checks))
 
 
-def _multiplicative(alg: HomAlgebra, a: _Sparse) -> CheckReport:
+def _multiplicative(alg: HomAlgebra, a: SparseIndex) -> CheckReport:
     # d alpha(mu(e_i, e_j)) - mu(alpha e_i, alpha e_j): alpha carries each table onto itself
     products = ((f"multiplicative:{name}", a.by_first[name], sparse(t, a.d ** 2))
                 for name, t in alg.tensors().items())
@@ -301,13 +216,13 @@ def check_multiplicative(alg: HomAlgebra) -> CheckReport:
     Verifies ``alpha(mu(e_i, e_j)) = mu(alpha e_i, alpha e_j)`` on all
     basis pairs, separately for each table.
     """
-    return _multiplicative(alg, _Sparse(alg.alpha, alg.tensors()))
+    return _multiplicative(alg, SparseIndex(alg.alpha, alg.tensors()))
 
 
 def _one_table(t: StructureTensor, alpha: Matrix, name: str) -> CheckReport:
     if alpha.rows != t.dim or alpha.cols != t.dim:
         raise ShapeError("twist map size differs from tensor dim")
-    return CheckReport((_Sparse(alpha, {name: t}).identity(name),))
+    return CheckReport((_identity(SparseIndex(alpha, {name: t}), name),))
 
 
 def check_hom_associative(t: StructureTensor, alpha: Matrix) -> CheckReport:
@@ -327,7 +242,7 @@ def check_poisson_compat(alg: HomAlgebra) -> CheckReport:
     ``[x.y, alpha z] = (alpha x).[y,z] + [x,z].(alpha y)`` on basis triples."""
     if alg.kind != POISSON:
         raise KindMismatchError("poisson compatibility needs a poisson algebra")
-    return CheckReport((_Sparse(alg.alpha, alg.tensors()).identity(POISSON),))
+    return CheckReport((_identity(SparseIndex(alg.alpha, alg.tensors()), POISSON),))
 
 
 def check_algebra(alg: HomAlgebra) -> CheckReport:
@@ -336,9 +251,9 @@ def check_algebra(alg: HomAlgebra) -> CheckReport:
     Each identity sums its terms over the nonzero products and twist
     entries only, so a sparse algebra costs time in its nonzero structure
     constants, not in its ``dim**3`` basis triples."""
-    a = _Sparse(alg.alpha, alg.tensors())
+    a = SparseIndex(alg.alpha, alg.tensors())
     return CheckReport(_multiplicative(alg, a).checks
-                       + tuple(a.identity(group) for group in _GROUPS[alg.kind]))
+                       + tuple(_identity(a, group) for group in _GROUPS[alg.kind]))
 
 
 def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
@@ -351,13 +266,12 @@ def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
         raise KindMismatchError("morphism endpoints must have the same kind")
     if f.cols != src.dim or f.rows != dst.dim:
         raise ShapeError("morphism matrix shape must be dst.dim x src.dim")
-    d = common_denominator(f, src.alpha, dst.alpha, *src.tensors().values(),
-                           *dst.tensors().values())
+    a = SparseIndex(dst.alpha, dst.tensors(), *src.tensors().values(), f=f, src=src.alpha)
     # d f(mu_src(e_i, e_j)) - mu_dst(f e_i, f e_j), the source at degree 2
-    twist = ("intertwines_twist", _SparseMap(src.alpha, d).cols, _SparseMap(dst.alpha, d))
-    products = ((f"preserves:{name}", grouped(sparse(getattr(dst, name), d)), sparse(t, d * d))
+    twist = ("intertwines_twist", a.maps["src"].cols, a.alpha)
+    products = ((f"preserves:{name}", a.by_first[name], sparse(t, a.d ** 2))
                 for name, t in src.tensors().items())
-    return _carries(_SparseMap(f, d), d, twist, products, sign=-1)
+    return _carries(a.maps["f"], a.d, twist, products, sign=-1)
 
 
 def _require_square(alg: HomAlgebra, op: Matrix, what: str) -> None:
@@ -376,9 +290,8 @@ def _ideal(basis: Sequence[Vector], alg: HomAlgebra) -> tuple[int, dict, dict]:
     vecs = list(basis)
     if any(v.dim != alg.dim for v in vecs):
         raise ShapeError("ideal basis vectors must live in the algebra")
-    span = Matrix.from_cols(vecs)
-    a = _Sparse(alg.alpha, alg.tensors(), span)
-    s = _SparseMap(span, a.d)
+    a = SparseIndex(alg.alpha, alg.tensors(), span=Matrix.from_cols(vecs))
+    s = a.maps["span"]
     values = {"twist_stable": {(b,): v for b, v in a.alpha.images(s.cols).items()}}
     for name in alg.tensors():
         for side, by in (("right", a.by_first), ("left", a.by_second)):
@@ -410,10 +323,10 @@ def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra
     _require_square(alg, beta, "twisting map")
     if checked:
         _require_self_morphism(beta, alg)
-    dim, d = alg.dim, common_denominator(beta, *alg.tensors().values())
-    b = _SparseMap(beta, d)
+    dim, a = alg.dim, SparseIndex(None, alg.tensors(), beta=beta)
+    b = a.maps["beta"]
     # mu(beta e_i, beta e_j), over the nonzero products and entries of beta.
     return HomAlgebra(dim, alg.kind, beta @ alg.alpha, **{
         name: StructureTensor._from_form(
-            dim, d ** 3, b.sums(dim, b.term(1, grouped(sparse(t, d)))).terms())
-        for name, t in alg.tensors().items()})
+            dim, a.d ** 3, b.sums(dim, b.term(1, a.by_first[name])).terms())
+        for name in alg.tensors()})

@@ -99,7 +99,7 @@ class Document:
 
     def add(self, item) -> None:
         if item.name in self._by_name:
-            raise ParseError(f"duplicate name {item.name!r}", 0)
+            raise ValueError(f"duplicate name {item.name!r}")
         self.items.append(item)
         self._by_name[item.name] = item
 

@@ -26,7 +26,10 @@ one of two walks over nonzero entries (:func:`entries_then_index`,
 :func:`twisted_then_entries`).
 A construction sums its degree-``k`` terms the same way and hands them
 to its result's ``_from_form``, which reduces them to lowest terms
-(:func:`homkit.linalg.rationals`).
+(:func:`homkit.linalg.rationals`).  Every check and construction names
+its inputs once, in one :class:`SparseIndex`, and reads its maps, grouped
+parts and twisted parts off it; only a construction that merely re-keys
+stored ints takes :func:`common_denominator` and :func:`sparse` itself.
 
 Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
 entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
@@ -128,6 +131,113 @@ def transposed(vectors: dict) -> dict:
         for k, x in v:
             out.setdefault(k, []).append((key, x))
     return {k: out[k] for k in sorted(out)}
+
+
+class SparseMap:
+    """A linear map ``T: V -> A`` over a common denominator ``d``: its
+    nonzero rows (``rows[a]`` lists ``(u, d T[a][u])``), columns and unit
+    vectors, and the adders of the terms of a degree-2 sum at ``(u, v)``
+    in ``V x V``, summed over the nonzero entries only (:meth:`sums`)."""
+
+    __slots__ = ("rows", "cols", "units")
+
+    def __init__(self, t, d: int):
+        self.rows, self.cols = sparse(t, d), {j: [] for j in range(t.cols)}
+        for i, row in self.rows.items():
+            for j, x in row:
+                self.cols[j].append((i, x))
+        self.units = [((k, 1),) for k in range(max(t.rows, t.cols))]
+
+    def images(self, columns: dict) -> dict:
+        """``T`` applied once to each ``sparse`` column, by the same key and
+        one degree higher; zero images are left out."""
+        acc = Accumulator(len(self.rows))
+        for key, col in columns.items():
+            for r, c in col:
+                acc.add(key, c, self.cols[r])
+        return {key: image for key, image in acc.terms().items() if image}
+
+    def sums(self, dim: int, *adders) -> Accumulator:
+        """A construction's products or columns: the adders' terms, summed."""
+        acc = Accumulator(dim)
+        for u in range(len(self.cols)):
+            for add in adders:
+                add(u, acc)
+        return acc
+
+    def term(self, c: int, by_first: dict, left: bool = True, right: bool = True):
+        """Adds ``c X(a, b)`` at ``(u, v)`` for each ``(b, X(a, b))`` in
+        ``by_first[a]``, with ``a = T e_u`` if ``left`` (else ``u``) and
+        ``b = T e_v`` if ``right`` (else ``v``): ``mu(T e_u, T e_v)`` from
+        the products ``mu(e_a, e_b)``, ``act_l(T e_u) e_v`` from the
+        action's columns, and so on."""
+        firsts = self.cols if left else self.units
+        seconds = self.rows if right else self.units
+
+        def add(u, acc):
+            for a, x in firsts[u]:
+                for b, terms in by_first.get(a, ()):
+                    for v, y in seconds[b]:
+                        acc.add((u, v), c * x * y, terms)
+        return add
+
+
+class SparseIndex:
+    """The inputs of one check or construction over their common denominator
+    ``d``, and of any ``more`` parts: a twist (or None) and each named map as a
+    :class:`SparseMap` (``alpha``, ``maps[name]``), each named table or action
+    family as its nonzero vectors (``parts``), also, on first lookup, grouped
+    by the first or second key index (``by_first``, ``by_second``), by entry
+    (``entries``) and twisted: ``twisted[name, left, by]`` holds
+    ``mu(alpha e_r, e_a)`` at ``(r, a)`` (``left``) or ``mu(e_a, alpha e_r)``
+    at ``(a, r)``, or column ``a`` of ``F(alpha e_r)`` at ``(r, a)`` for a
+    family, grouped by key index ``by``.  With a carrier twist map ``phi``, a
+    family ``F`` also has, on first lookup, ``F(e_a) phi`` as a flat
+    column-major ``m*m`` ``sparse`` vector (``times_phi``), the layout of the
+    representation axioms' sums, and as its columns ``(c, F(e_a) phi e_c)`` by
+    ``a`` (``phi_columns``).  No lazy entry refers to the index, so reference
+    counting frees it when its check or construction returns."""
+
+    __slots__ = ("d", "alpha", "maps", "parts", "by_first", "by_second", "entries", "twisted",
+                 "times_phi", "phi_columns")
+
+    def __init__(self, alpha, given: dict, /, *more, **maps):
+        d = self.d = common_denominator(alpha, *given.values(), *maps.values(), *more)
+        self.alpha = None if alpha is None else SparseMap(alpha, d)
+        rows = {} if alpha is None else self.alpha.rows
+        maps = self.maps = {name: SparseMap(t, d) for name, t in maps.items()}
+        parts = self.parts = {name: sparse(p, d) for name, p in given.items()}
+        self.by_first = Lazy(lambda name: grouped(parts[name]))
+        self.by_second = Lazy(lambda name: grouped(parts[name], 1))
+        self.entries = Lazy(lambda name: transposed(parts[name]))
+
+        def twist(key):
+            name, left = key
+            acc = Accumulator(getattr(given[name], "carrier_dim", len(rows)))
+            for (p, q), v in parts[name].items():
+                if left:
+                    for x, w in rows[p]:
+                        acc.add((x, q), w, v)
+                else:
+                    for x, w in rows[q]:
+                        acc.add((p, x), w, v)
+            return acc.terms()
+        sums = Lazy(twist)
+        self.twisted = Lazy(lambda key: grouped(sums[key[:2]], key[2]))
+        phi = maps.get("phi")  # a local: an entry that read self.maps would keep self alive
+        if phi is not None:
+            m = len(phi.cols)
+
+            def times(name):
+                acc = Accumulator(m * m)
+                for (a, r), col in parts[name].items():
+                    for c, p in phi.rows[r]:
+                        acc.add(a, p, col, c * m)
+                return acc.terms()
+            times_phi = self.times_phi = Lazy(times)
+            self.phi_columns = Lazy(lambda name: {
+                a: list(grouped({divmod(k, m): g for k, g in v}).items())
+                for a, v in times_phi[name].items()})
 
 
 def walk(width: int, count: int, adders) -> tuple:

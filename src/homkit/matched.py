@@ -4,16 +4,19 @@ A matched pair is two algebras of the same kind acting on each other; the
 cross-compatibility conditions below are exactly what makes the bicrossed
 product on the direct sum an algebra of the same kind again (given that
 both cross actions are representations and both constituents pass their
-own checks).
+own checks).  Each direction is one :class:`homkit.kernel.SparseIndex`,
+read by its representation axioms and by the cross conditions.
 """
 
 from __future__ import annotations
 
-from .algebra import POISSON, HomAlgebra, StructureTensor, check_algebra
+from .algebra import POISSON, HomAlgebra, StructureTensor, _GROUPS, check_algebra
 from .errors import KindMismatchError, ShapeError
-from .kernel import common_denominator, entries_then_index, sparse, twisted_then_entries, walk
+from .kernel import (
+    SparseIndex, common_denominator, entries_then_index, sparse, twisted_then_entries, walk,
+)
 from .linalg import Matrix, _Frozen
-from .representation import Representation, _require_match, _SparseRepresentation
+from .representation import Representation, _axioms, _require_match
 from .reporting import CheckReport, concat, require, scan_identity
 
 
@@ -76,41 +79,43 @@ _CROSS = {
 }
 
 
-def _cross_term(act: _SparseRepresentation, back: _SparseRepresentation, sign: int,
+def _cross_term(a: SparseIndex, b: SparseIndex, sign: int,
                 family: str, other: str, swap=None, first=None):
     """The adder of one term of :data:`_CROSS` for A acting on B, ``other``
     being its table or its family G, at ``(x, w, z)`` or, if ``swap``,
-    ``(x, z, w)``: the families F of A on B are read from ``act``, and G,
-    B's tables and B's twist from ``back``, over one common denominator."""
-    a, b = act.base, back.base
+    ``(x, z, w)``: the families F of A on B are read from ``a``, and G,
+    B's tables and B's twist from ``b``, over one common denominator."""
     if swap is None:  # F(alpha e_x) mu(e_u, e_v)
         return twisted_then_entries(sign, a.twisted[family, True, 0], b.entries[other])
     if first is None:  # F(G(e_w) e_x) alpha e_z, from the entries of G(e_w) e_x
-        return entries_then_index(sign, b.by_second[other], act.phi_columns[family], swap)
+        return entries_then_index(sign, b.by_second[other], a.phi_columns[family], swap)
     # mu(F(e_x) e_w, alpha e_z), from the entries of F(e_x) e_w
     return entries_then_index(sign, a.by_first[family],
                               b.twisted[other, not first, int(not first)], swap)
 
 
 def _directions(mp: MatchedPair) -> tuple:
-    """A1 acting on A2 and back, indexed over the pair's common denominator."""
+    """A1 acting on A2 and back, each the index of a base algebra and its
+    families with their carrier twist named ``phi``, over the pair's common
+    denominator."""
     a1, a2, r12, r21 = mp.a1, mp.a2, mp.actions_1_on_2, mp.actions_2_on_1
-    parts = (*a1.tensors().values(), *a2.tensors().values(),
-             *r12.actions().values(), *r21.actions().values())
-    return _SparseRepresentation(r12, a1, *parts), _SparseRepresentation(r21, a2, *parts)
+    one, two = {**a1.tensors(), **r12.actions()}, {**a2.tensors(), **r21.actions()}
+    return (SparseIndex(a1.alpha, one, *two.values(), phi=r12.phi),
+            SparseIndex(a2.alpha, two, *one.values(), phi=r21.phi))
 
 
-def _cross_conditions(p: _SparseRepresentation, q: _SparseRepresentation) -> list:
-    """Every cross condition of the pair's kind, group by group, each
+def _cross_conditions(kind: str, p: SparseIndex, q: SparseIndex) -> list:
+    """Every cross condition of the pair's ``kind``, group by group, each
     summed over the nonzero entries of both directions (:func:`_directions`)."""
     checks = []
-    for group in p.groups:
-        kind, order, templates = _CROSS[group]
+    for group in _GROUPS[kind]:
+        name, order, templates = _CROSS[group]
         for k, (view, t) in enumerate(order.split(), 1):
             act, back = (p, q) if view == "p" else (q, p)
             adders = [_cross_term(act, back, *term) for term in templates[int(t) - 1]]
-            checks.append(scan_identity(f"cross:{kind}:{k}", *walk(len(act.phi), act.n, adders),
-                                        denominator=act.base.d ** 3))
+            width, count = len(act.maps["phi"].cols), len(act.alpha.rows)
+            checks.append(scan_identity(f"cross:{name}:{k}", *walk(width, count, adders),
+                                        denominator=act.d ** 3))
     return checks
 
 
@@ -124,12 +129,12 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
     only; a passing report guarantees that :func:`matched_sum` passes the
     kind's algebra checks.  Axioms and cross conditions read one index.
     """
-    p, q = _directions(mp)
-    require(p.axioms(), "actions_1_on_2 is not a representation")
-    require(q.axioms(), "actions_2_on_1 is not a representation")
+    kind, (p, q) = mp.a1.kind, _directions(mp)
+    require(_axioms(p, _GROUPS[kind]), "actions_1_on_2 is not a representation")
+    require(_axioms(q, _GROUPS[kind]), "actions_2_on_1 is not a representation")
     return concat(check_algebra(mp.a1).prefixed("algebra1:"),
                   check_algebra(mp.a2).prefixed("algebra2:"),
-                  CheckReport(tuple(_cross_conditions(p, q))))
+                  CheckReport(tuple(_cross_conditions(kind, p, q))))
 
 
 def matched_sum(mp: MatchedPair) -> HomAlgebra:

@@ -8,7 +8,8 @@ each product through the corresponding action pair.  Weight-zero
 Rota-Baxter operators are the special case of the regular representation.
 
 Every operator identity is a morphism check, one walk over the nonzero
-entries (:func:`homkit.algebra._carries`): the operator carries a source
+entries of one :class:`homkit.kernel.SparseIndex` that names the operator
+among its maps (:func:`homkit.algebra._carries`): the operator carries a source
 product onto the target table.  The source is the induced product for a
 relative Rota-Baxter operator (summed as :func:`induced_algebra` sums it)
 and the deformed product for a Nijenhuis or, with a weight clause,
@@ -28,11 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
-    ACTIONS_OF, HomAlgebra, StructureTensor, _carries, _require_square, _Sparse, _SparseMap,
-    check_morphism,
+    ACTIONS_OF, HomAlgebra, StructureTensor, _carries, _require_square, check_morphism,
 )
 from .errors import ShapeError
-from .kernel import Accumulator, common_denominator, grouped, sparse
+from .kernel import Accumulator, SparseIndex, SparseMap, common_denominator, grouped, sparse
 from .linalg import Matrix, Vector, _Frozen, _put, frac
 from .representation import (
     ActionTensor, Representation, _require_match, check_representation,
@@ -60,7 +60,7 @@ class OperatorContext(_Frozen):
         return OperatorContext, (self.alg, self.rep, self.t)
 
 
-def _induced(t: _SparseMap, left: dict, right: dict, *more) -> dict:
+def _induced(t: SparseMap, left: dict, right: dict, *more) -> dict:
     """``act_l(T e_u) e_v + act_r(T e_v) e_u`` at ``(u, v)``, and the ``more``
     terms, as degree-2 ``sparse`` vectors, from the columns of an action
     pair grouped by base index (``left``) and by column (``right``)."""
@@ -68,13 +68,13 @@ def _induced(t: _SparseMap, left: dict, right: dict, *more) -> dict:
                   *more).terms()
 
 
-def _deformed(o: _SparseMap, table: dict, weight: int | None = None) -> dict:
+def _deformed(a: SparseIndex, o: SparseMap, name: str, weight: int | None = None) -> dict:
     """``mu(O e_u, e_v) + mu(e_u, O e_v) + c(u, v)`` at ``(u, v)`` as degree-2
-    ``sparse`` vectors from the ``sparse`` products ``table`` of a square
-    ``O``: the :func:`_induced` product of the regular representation plus
-    ``c = -O mu``, or ``weight mu`` for an int ``weight`` (times ``d``)."""
-    products = grouped(table)
-    clause = (o.term(-1, grouped(o.images(table)), False, False) if weight is None
+    ``sparse`` vectors for the table ``name`` of the index ``a`` and a square
+    map ``O`` of it: the :func:`_induced` product of the regular representation
+    plus ``c = -O mu``, or ``weight mu`` for an int ``weight`` (times ``d``)."""
+    products = a.by_first[name]
+    clause = (o.term(-1, grouped(o.images(a.parts[name])), False, False) if weight is None
               else o.term(weight, products, False, False))
     return _induced(o, products, products, *([clause] if weight != 0 else []))
 
@@ -86,12 +86,11 @@ def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str,
     on all basis pairs, where ``c`` is ``weight mu`` or, if ``weight`` is
     None, ``-op mu``: ``op`` carries the :func:`_deformed` product onto ``mu``."""
     _require_square(alg, op, "operator")
-    a = _Sparse(alg.alpha, alg.tensors(), op, weight)
-    d, o = a.d, _SparseMap(op, a.d)
+    a = SparseIndex(alg.alpha, alg.tensors(), weight, op=op)
+    d, o = a.d, a.maps["op"]
     w = None if weight is None else weight.numerator * (d // weight.denominator)
     return _carries(o, d, ("twist_commute", a.alpha.cols, a.alpha), (
-        (f"{name}:{tname}", a.by_first[tname], _deformed(o, table, w))
-        for tname, table in a.parts.items()))
+        (f"{name}:{table}", a.by_first[table], _deformed(a, o, table, w)) for table in a.parts))
 
 
 def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
@@ -109,9 +108,9 @@ def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
         return ctx._report
     alg, rep = ctx.alg, ctx.rep
     tables = alg.tensors()
-    a = _Sparse(alg.alpha, {**tables, **rep.actions()}, ctx.t, rep.phi)
-    d, t = a.d, _SparseMap(ctx.t, a.d)
-    report = _carries(t, d, ("intertwines_twist", _SparseMap(rep.phi, d).cols, a.alpha), (
+    a = SparseIndex(alg.alpha, {**tables, **rep.actions()}, t=ctx.t, phi=rep.phi)
+    d, t = a.d, a.maps["t"]
+    report = _carries(t, d, ("intertwines_twist", a.maps["phi"].cols, a.alpha), (
         (f"splits:{name}", a.by_first[name], _induced(t, a.by_first[left], a.by_second[right]))
         for name, (left, right) in ACTIONS_OF.items() if name in tables))
     _put(ctx, "_report", report)
@@ -130,16 +129,12 @@ def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
     _gate(ctx, checked, "induced algebra")
     if ctx._algebra is not None:
         return ctx._algebra
-    rep, m = ctx.rep, ctx.rep.carrier_dim
-    d = common_denominator(ctx.t, *rep.actions().values())
-    t = _SparseMap(ctx.t, d)
-
-    def build(left: ActionTensor, right: ActionTensor) -> StructureTensor:
-        return StructureTensor._from_form(m, d * d, _induced(
-            t, grouped(sparse(left, d)), grouped(sparse(right, d), 1)))
-
-    induced = HomAlgebra(m, ctx.alg.kind, rep.phi,
-                         **{name: build(*rep.action_pair(name)) for name in ctx.alg.tensors()})
+    rep, m, tables = ctx.rep, ctx.rep.carrier_dim, ctx.alg.tensors()
+    a = SparseIndex(None, rep.actions(), t=ctx.t)
+    induced = HomAlgebra(m, ctx.alg.kind, rep.phi, **{
+        name: StructureTensor._from_form(m, a.d ** 2, _induced(
+            a.maps["t"], a.by_first[left], a.by_second[right]))
+        for name, (left, right) in ACTIONS_OF.items() if name in tables})
     _put(ctx, "_algebra", induced)
     return induced
 
@@ -164,17 +159,17 @@ def induced_representation(ctx: OperatorContext, checked: bool = True) -> Repres
     _gate(ctx, checked, "induced representation")
     alg, rep, t = ctx.alg, ctx.rep, ctx.t
     n, m = alg.dim, rep.carrier_dim
-    d = common_denominator(t, *alg.tensors().values(), *rep.actions().values())
-    o = _SparseMap(t, d)
+    a = SparseIndex(None, {**alg.tensors(), **rep.actions()}, t=t)
+    o = a.maps["t"]
 
     def family(name: str, left: bool) -> ActionTensor:
         # Column x of the u-th matrix: (Tu) . e_x (or e_x . Tu) minus
         # T(opposite(e_x) e_u), from the images of the opposite's columns.
-        table = grouped(sparse(getattr(alg, name), d), 0 if left else 1)
-        opposite = o.images(sparse(rep.action_pair(name)[1 if left else 0], d))
+        table = (a.by_first if left else a.by_second)[name]
+        opposite = o.images(a.parts[ACTIONS_OF[name][1 if left else 0]])
         acc = o.sums(n, o.term(1, table, True, False),
                      o.term(-1, grouped(opposite, 1), False, False))
-        return ActionTensor._from_form(m, n, d * d, acc.terms())
+        return ActionTensor._from_form(m, n, a.d ** 2, acc.terms())
 
     return Representation(alg.kind, m, n, alg.alpha, **paired_families(alg, family))
 
@@ -233,12 +228,10 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
     _require_square(alg, n, "operator")
     if checked:
         require(check_nijenhuis(alg, n), "deformation needs a Nijenhuis operator")
-    dim = alg.dim
-    d = common_denominator(n, *alg.tensors().values())
-    o = _SparseMap(n, d)
+    dim, a = alg.dim, SparseIndex(None, alg.tensors(), n=n)
     return HomAlgebra(dim, alg.kind, alg.alpha, **{
-        name: StructureTensor._from_form(dim, d * d, _deformed(o, sparse(t, d)))
-        for name, t in alg.tensors().items()})
+        name: StructureTensor._from_form(dim, a.d ** 2, _deformed(a, a.maps["n"], name))
+        for name in a.parts})
 
 
 def _graph_value(sd: HomAlgebra, graph: Matrix, check: str, at: tuple[int, ...]) -> Vector:
@@ -248,8 +241,8 @@ def _graph_value(sd: HomAlgebra, graph: Matrix, check: str, at: tuple[int, ...])
     name = check.partition(":")[2]
     if not name:
         return (sd.alpha @ graph).col(at[0])
-    a, acc = _Sparse(sd.alpha, {name: getattr(sd, name)}, graph), Accumulator(sd.dim)
-    _SparseMap(graph, a.d).term(1, a.by_first[name])(at[0], acc)  # over d**3
+    a, acc = SparseIndex(None, {name: getattr(sd, name)}, graph=graph), Accumulator(sd.dim)
+    a.maps["graph"].term(1, a.by_first[name])(at[0], acc)  # over d**3
     return Vector(Fraction(x, a.d ** 3) for x in acc[at])
 
 

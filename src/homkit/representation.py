@@ -8,7 +8,8 @@ carries all four over one carrier twist phi.
 
 All axiom checks are operator identities evaluated on every basis pair of
 the base algebra and every carrier basis vector, which is exhaustive by
-multilinearity.
+multilinearity, read off one :class:`homkit.kernel.SparseIndex` of the
+base's tables and the families with the carrier twist named ``phi``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     ACTIONS_OF, KINDS, POISSON, TENSORS_BY_KIND, HomAlgebra, StructureTensor, _GROUPS,
-    _ideal, _require_self_morphism, _require_square, _Sparse, _SparseMap, check_ideal,
-    check_morphism,
+    _ideal, _require_self_morphism, _require_square, check_ideal, check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import (
-    Accumulator, Lazy, common_denominator, entries_then_index, grouped, sparse, transposed,
+    SparseIndex, common_denominator, entries_then_index, grouped, sparse, transposed,
     twisted_then_entries, walk,
 )
 from .linalg import Matrix, Vector, _cells, _echelon, _Stored, _Value
@@ -174,85 +174,61 @@ _PAIR_AXIOMS = {
 }
 
 
-class _SparseRepresentation:
-    """A representation and its base over one common denominator ``d`` of
-    both and any ``more`` parts, indexed for the slice walks of the axiom
-    groups of its kind (``groups``): the base's tables and the action
-    families are the parts of one :class:`~homkit.algebra._Sparse`
-    (``base``), and for each family ``F``, ``F(e_a) phi`` as a flat
-    column-major ``m*m`` ``sparse`` vector (``times_phi``), the layout of
-    the axioms' sums, and on first lookup as its columns ``(c, F(e_a) phi e_c)``
-    by ``a`` (``phi_columns``)."""
+def _axioms(r: SparseIndex, groups: tuple) -> CheckReport:
+    """Every axiom of a kind's ``groups``, group by group, from one index of a
+    representation's base and families with its twist named ``phi``
+    (:func:`check_representation`)."""
+    m, n, checks = len(r.maps["phi"].cols), len(r.alpha.rows), []
 
-    def __init__(self, rep: Representation, alg: HomAlgebra, *more):
-        actions = rep.actions()
-        self.n, m = alg.dim, rep.carrier_dim
-        self.groups = _GROUPS[alg.kind]
-        self.base = base = _Sparse(alg.alpha, {**alg.tensors(), **actions}, rep.phi, *more)
-        phi, flat = _SparseMap(rep.phi, base.d), {}
-        self.phi, self.times_phi = phi.cols, flat
-        for name in actions:
-            times_phi = Accumulator(m * m)
-            for (a, r), col in base.parts[name].items():
-                for c, p in phi.rows[r]:
-                    times_phi.add(a, p, col, c * m)
-            flat[name] = times_phi.terms()
-        self.phi_columns = Lazy(lambda name: {
-            a: list(grouped({divmod(k, m): g for k, g in v}).items())
-            for a, v in flat[name].items()})
+    def scan(name: str, *adders) -> CheckResult:
+        return scan_operator_identity(name, *walk(m * m, n, adders), width=m,
+                                      denominator=r.d ** 3)
+    for group in groups:
+        for family in ACTIONS_OF.get(group, ()):
+            checks.append(scan(_COMMUTES[family], _commutes(r, family)))
+        for name, *terms in _PAIR_AXIOMS[group]:
+            checks.append(scan(name, *(
+                _through_phi(r, *term) if term[2] in ACTIONS_OF else _composed(r, *term)
+                for term in terms)))
+    return CheckReport(tuple(checks))
 
-    def axioms(self) -> CheckReport:
-        """Every axiom of the kind, group by group (:func:`check_representation`)."""
-        checks = []
-        for group in self.groups:
-            for family in ACTIONS_OF.get(group, ()):
-                checks.append(self.scan(_COMMUTES[family], self.commutes(family)))
-            for name, *terms in _PAIR_AXIOMS[group]:
-                checks.append(self.scan(name, *(
-                    self.through_phi(*term) if term[2] in ACTIONS_OF else self.composed(*term)
-                    for term in terms)))
-        return CheckReport(tuple(checks))
 
-    def scan(self, name: str, *adders) -> CheckResult:
-        m = len(self.phi)
-        return scan_operator_identity(name, *walk(m * m, self.n, adders), width=m,
-                                      denominator=self.base.d ** 3)
+def _commutes(r: SparseIndex, family: str):
+    """Slices of ``d phi F(e_i) - F(alpha e_i) phi`` at ``(i,)``."""
+    d, phi, alpha_cols = r.d, r.maps["phi"].cols, r.alpha.cols
+    m, cols, times_phi = len(phi), r.by_first[family], r.times_phi[family]
 
-    def commutes(self, family: str):
-        """Slices of ``d phi F(e_i) - F(alpha e_i) phi`` at ``(i,)``."""
-        m, d, phi, alpha_cols = len(self.phi), self.base.d, self.phi, self.base.alpha.cols
-        cols, times_phi = self.base.by_first[family], self.times_phi[family]
+    def add(i, acc):
+        for c, col in cols.get(i, ()):
+            for s, g in col:
+                acc.add((i,), d * g, phi[s], c * m)
+        for a, w in alpha_cols[i]:
+            if a in times_phi:
+                acc.add((i,), -w, times_phi[a])
+    return add
 
-        def add(i, acc):
-            for c, col in cols.get(i, ()):
-                for r, g in col:
-                    acc.add((i,), d * g, phi[r], c * m)
-            for a, w in alpha_cols[i]:
+
+def _composed(r: SparseIndex, sign: int, outer: str, inner: str, swap: bool):
+    """Slices of ``sign F(alpha e_i) G(e_j)`` at ``(i, j)``, or of
+    ``sign F(alpha e_j) G(e_i)`` if ``swap``, for ``F, G = outer, inner``."""
+    m = len(r.maps["phi"].cols)
+    if swap:
+        return entries_then_index(sign, r.by_first[inner], r.twisted[outer, True, 1], width=m)
+    return twisted_then_entries(sign, r.twisted[outer, True, 0], r.entries[inner], m)
+
+
+def _through_phi(r: SparseIndex, sign: int, family: str, table: str, swap: bool):
+    """Slices of ``sign F(mu(e_i, e_j)) phi`` at ``(i, j)``, or of
+    ``sign F(mu(e_j, e_i)) phi`` if ``swap``."""
+    products = r.by_second[table] if swap else r.by_first[table]
+    times_phi = r.times_phi[family]
+
+    def add(i, acc):
+        for j, terms in products.get(i, ()):
+            for a, t in terms:
                 if a in times_phi:
-                    acc.add((i,), -w, times_phi[a])
-        return add
-
-    def composed(self, sign: int, outer: str, inner: str, swap: bool):
-        """Slices of ``sign F(alpha e_i) G(e_j)`` at ``(i, j)``, or of
-        ``sign F(alpha e_j) G(e_i)`` if ``swap``, for ``F, G = outer, inner``."""
-        base, m = self.base, len(self.phi)
-        if swap:
-            return entries_then_index(sign, base.by_first[inner], base.twisted[outer, True, 1],
-                                      width=m)
-        return twisted_then_entries(sign, base.twisted[outer, True, 0], base.entries[inner], m)
-
-    def through_phi(self, sign: int, family: str, table: str, swap: bool):
-        """Slices of ``sign F(mu(e_i, e_j)) phi`` at ``(i, j)``, or of
-        ``sign F(mu(e_j, e_i)) phi`` if ``swap``."""
-        products = self.base.by_second[table] if swap else self.base.by_first[table]
-        times_phi = self.times_phi[family]
-
-        def add(i, acc):
-            for j, terms in products.get(i, ()):
-                for a, t in terms:
-                    if a in times_phi:
-                        acc.add((i, j), sign * t, times_phi[a])
-        return add
+                    acc.add((i, j), sign * t, times_phi[a])
+    return add
 
 
 def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
@@ -269,7 +245,8 @@ def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     residual is exactly zero.
     """
     _require_match(rep, alg)
-    return _SparseRepresentation(rep, alg).axioms()
+    r = SparseIndex(alg.alpha, {**alg.tensors(), **rep.actions()}, phi=rep.phi)
+    return _axioms(r, _GROUPS[alg.kind])
 
 
 def regular_representation(alg: HomAlgebra) -> Representation:
@@ -297,14 +274,14 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
     if checked:
         require(check_morphism(f, src, dst), "pullback needs a morphism")
     n, m = src.dim, dst.dim
-    d = common_denominator(f, *dst.tensors().values())
-    fm = _SparseMap(f, d)
+    a = SparseIndex(None, dst.tensors(), f=f)
+    fm = a.maps["f"]
 
     def family(name: str, left: bool) -> ActionTensor:
         # mu_dst(f e_i, e_j) (left) or mu_dst(e_j, f e_i) at (i, j).
-        table = grouped(sparse(getattr(dst, name), d), 0 if left else 1)
+        table = (a.by_first if left else a.by_second)[name]
         columns = fm.sums(m, fm.term(1, table, True, False))
-        return ActionTensor._from_form(n, m, d * d, columns.terms())
+        return ActionTensor._from_form(n, m, a.d ** 2, columns.terms())
 
     return Representation(src.kind, n, m, dst.alpha, **paired_families(src, family))
 
@@ -317,7 +294,7 @@ def twist_representation(rep: Representation, beta: Matrix, alg: HomAlgebra,
     _require_square(alg, beta, "twisting map")
     if checked:
         _require_self_morphism(beta, alg)
-    b = _Sparse(beta, rep.actions())
+    b = SparseIndex(beta, rep.actions())
     # Column c of F(beta e_x) at (x, c), over the nonzero entries of beta and F.
     return Representation(rep.kind, rep.base_dim, rep.carrier_dim, rep.phi, **{
         name: ActionTensor._from_form(rep.base_dim, rep.carrier_dim, b.d ** 2, {

@@ -89,6 +89,15 @@ def test_duplicate_product_entry_rejected():
         parse("algebra X { dim 1 kind assoc dot { e1*e1 = e1 e1*e1 = -e1 } }")
 
 
+def test_duplicate_name_in_a_document_built_in_code():
+    # No source position exists, so the error is a plain ValueError, not a ParseError.
+    alg = two_dim_leibniz()
+    with pytest.raises(ValueError) as err:
+        Document([DocAlgebra("A", alg), DocAlgebra("A", alg)])
+    assert type(err.value) is ValueError
+    assert str(err.value) == "duplicate name 'A'"
+
+
 def test_comments_and_whitespace_ignored():
     doc = parse("# header\nalgebra X {  # trailing\n dim 1\n kind assoc\n}\n")
     assert doc.algebra("X").dim == 1

@@ -290,8 +290,9 @@ def test_cross_conditions_with_shifted_cross_actions():
             shifted_mp = MatchedPair(mp.a1, mp.a2, shifted_action(mp.actions_1_on_2, rng),
                                      shifted_action(mp.actions_2_on_1, rng))
             expected = oracle_cross_conditions(shifted_mp)
-            tally.same(CheckReport(tuple(matched._cross_conditions(*matched._directions(shifted_mp)))),
-                       expected)
+            cross = matched._cross_conditions(shifted_mp.a1.kind,
+                                              *matched._directions(shifted_mp))
+            tally.same(CheckReport(tuple(cross)), expected)
             failed.update(c.identity for c in expected.failures())
     assert failed == {f"cross:{kind}:{k}" for kind in ("assoc", "leibniz", "poisson")
                       for k in range(1, 7)}

@@ -8,6 +8,7 @@ compare the stored forms, must agree with the dense ``Fraction``
 comparison of ``oracle.py``; the views must equal the constructor's
 input; and a check reads no ``Fraction`` and builds no view."""
 
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from homkit import algebra, linalg, representation, solver
+from homkit import algebra, kernel, linalg, representation, solver
 from homkit.algebra import POISSON, HomAlgebra, StructureTensor, check_algebra, yau_twist
 from homkit.dsl import DocAlgebra, DocMap, DocRepresentation, Document, parse, serialize
 from homkit.errors import PreconditionError
@@ -26,8 +27,8 @@ from homkit.kernel import common_denominator
 from homkit.linalg import Matrix, Vector
 from homkit.matched import MatchedPair, check_matched_pair, matched_sum
 from homkit.operators import (
-    OperatorContext, induced_algebra, induced_representation, nijenhuis_deform,
-    projection_context,
+    OperatorContext, check_nijenhuis, check_relative_rbo, induced_algebra,
+    induced_representation, nijenhuis_deform, projection_context,
 )
 from homkit.representation import (
     ActionTensor, Representation, check_representation, pullback_representation,
@@ -285,7 +286,7 @@ def test_checking_an_induced_algebra_reads_none_of_its_fractions(monkeypatch):
 
 
 def test_check_matched_pair_indexes_each_direction_once(monkeypatch):
-    """One ``_SparseRepresentation`` per direction serves both the
+    """One kernel index with a carrier twist per direction serves both the
     representation gate and the cross conditions, when the pair passes,
     fails or is refused."""
     pairs = [nilpotent_cross_pair(scale) for scale in (0, 1, Fraction(1, 2))]
@@ -297,12 +298,12 @@ def test_check_matched_pair_indexes_each_direction_once(monkeypatch):
     pairs.append(MatchedPair(bad.a2, bad.a1, bad.actions_2_on_1,
                              corrupt_one_entry(random.Random(2), bad.actions_1_on_2)))
     built = Counter()
-    init = representation._SparseRepresentation.__init__
+    init = kernel.SparseIndex.__init__
 
-    def counted(self, *args):
-        built["indexes"] += 1
-        init(self, *args)
-    monkeypatch.setattr(representation._SparseRepresentation, "__init__", counted)
+    def counted(self, *args, **maps):
+        built["indexes"] += "phi" in maps
+        init(self, *args, **maps)
+    monkeypatch.setattr(kernel.SparseIndex, "__init__", counted)
     outcomes = set()
     for mp in pairs:
         built.clear()
@@ -312,6 +313,30 @@ def test_check_matched_pair_indexes_each_direction_once(monkeypatch):
             outcomes.add(None)
         assert built["indexes"] == 2
     assert outcomes == {True, False, None}
+
+
+def test_every_index_is_freed_by_reference_counting():
+    """No lazy entry of a kernel index refers back to the index, so with the
+    cyclic collector off no index or map outlives its check or construction."""
+    pool = verified_algebra_pool()
+    gc.collect()
+    gc.disable()
+    try:
+        for alg in pool:
+            reg = regular_representation(alg)
+            ctx = OperatorContext(alg, reg, alg.alpha)
+            check_algebra(alg)
+            check_representation(reg, alg)
+            check_relative_rbo(ctx)
+            check_nijenhuis(alg, alg.alpha)
+            yau_twist(alg, Matrix.identity(alg.dim))
+            induced_algebra(ctx, checked=False)
+            check_matched_pair(degenerate_pair(alg, reg))
+        left = [o for o in gc.get_objects()
+                if isinstance(o, (kernel.SparseIndex, kernel.SparseMap))]
+    finally:
+        gc.enable()
+    assert not left
 
 
 @st.composite
