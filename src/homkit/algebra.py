@@ -16,8 +16,8 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
 from .kernel import (
-    Accumulator, SparseIndex, SparseMap, entries_then_index, grouped, sparse,
-    twisted_then_entries, walk,
+    Accumulator, SparseIndex, SparseMap, entries_then_index, grouped, groups_then_vectors,
+    sparse, twisted_then_entries, walk,
 )
 from .linalg import (
     _ZERO, Matrix, Vector, _cells, _dense, _echelon, _lowest_terms, _remainder, _Stored, _Value,
@@ -192,12 +192,8 @@ def _carries(o: SparseMap, d: int, twist: tuple | None, products,
                 acc.add((j,), c, image)
         checks.append(scan_identity(name, sorted(acc), acc.__getitem__, denominator=d ** 2))
     for name, target, source in products:
-        def carried(u, acc, source=grouped(source), cols=o.cols):
-            # O(src(e_u, e_v)), applying O to each entry, slice by slice
-            for v, terms in source.get(u, ()):
-                for r, c in terms:
-                    if cols[r]:
-                        acc.add((u, v), -sign * c, cols[r])
+        # O(src(e_u, e_v)): O applied to each entry of the source product
+        carried = groups_then_vectors(-sign, grouped(source), o.cols)
         checks.append(scan_identity(name, *walk(width, count, [o.term(sign, target), carried]),
                                     denominator=d ** 3))
     return CheckReport(tuple(checks))

@@ -15,21 +15,26 @@ lower-degree terms up by the missing powers of ``D`` and compares pure
 rational residual is that list over ``D**k``, and
 :func:`homkit.reporting.scan_identity` builds it only for a witness.
 
-The checks sum each identity's terms into an :class:`Accumulator` keyed
-by basis tuple, one slice of tuples with the same first index at a time
-(:func:`walk`): a tuple no term touches has a zero residual, and a scan
+Terms are data.  Each term of an identity or a construction is a plain
+tuple that names the sparse tables it reads, made by
+:func:`entries_then_index`, :func:`twisted_then_entries`,
+:func:`groups_then_vectors` or :meth:`SparseMap.term`.  One function,
+:func:`sum_slice`, sums every term at one first index straight into one
+dict of int vectors keyed by basis tuple, with one loop per kind of
+term, and lists the keys it creates.  A check runs it slice by slice
+(:func:`walk`): a tuple no term touches has a zero residual, a scan
 reads the residual of a touched tuple by that tuple, straight from the
-accumulator.  An operator identity keeps each residual as one flat
-column-major vector of its carrier matrix, ``m * m`` ints.  Each
-degree-3 term of an algebra, representation or matched-pair identity is
-one of two walks over nonzero entries (:func:`entries_then_index`,
-:func:`twisted_then_entries`).
-A construction sums its degree-``k`` terms the same way and hands them
-to its result's ``_from_form``, which reduces them to lowest terms
-(:func:`homkit.linalg.rationals`).  Every check and construction names
-its inputs once, in one :class:`SparseIndex`, and reads its maps, grouped
-parts and twisted parts off it; only a construction that merely re-keys
-stored ints takes :func:`common_denominator` and :func:`sparse` itself.
+dict, and a scan that stops at a witness sums no later slice.  An
+operator identity keeps each residual as one flat column-major vector
+of its carrier matrix, ``m * m`` ints.  A construction sums its
+degree-``k`` terms at every first index (:meth:`SparseMap.sums`) and
+hands them to its result's ``_from_form``, which reduces them to lowest
+terms (:func:`homkit.linalg.rationals`).
+
+Every check and construction names its inputs once, in one
+:class:`SparseIndex`, and reads its maps, grouped parts and twisted parts
+off it; only a construction that merely re-keys stored ints takes
+:func:`common_denominator` and :func:`sparse` itself.
 
 Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
 entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
@@ -46,7 +51,9 @@ def common_denominator(*parts) -> int:
     """Least common multiple of the stored denominators of the given
     matrices, structure tensors and action tensors and of the given
     rationals (``None`` parts are skipped)."""
-    return lcm(*[p.denominator if isinstance(p, (Fraction, int)) else p.stored()[0]
+    # The exact type: ``Fraction`` is a ``numbers.Rational``, so an
+    # ``isinstance`` test would run the ABC's check for every stored part.
+    return lcm(*[p.denominator if type(p) in (Fraction, int) else p.stored()[0]
                  for p in parts if p is not None])
 
 
@@ -85,21 +92,6 @@ class Accumulator(dict):
         """Every sum as a :func:`sparse` vector of its nonzero entries."""
         return {key: [(k, x) for k, x in enumerate(v) if x] for key, v in self.items()}
 
-    def slices(self, count: int, adders) -> Iterator:
-        """The touched keys in sorted order, one slice at a time: for each
-        first key index ``i < count``, every ``adder(i, part)`` adds its
-        terms at keys starting with ``i``; the sums join this accumulator
-        and their keys are yielded.  Lazily, so a scan that stops at a
-        witness adds no later slice."""
-        part = Accumulator(self.dim)
-        for i in range(count):
-            for add in adders:
-                add(i, part)
-            if part:  # an untouched slice costs only its adders' calls
-                self.update(part)
-                yield from sorted(part)
-                part = Accumulator(self.dim)
-
 
 class Lazy(dict):
     """Values by key, each made by ``make(key)`` on first lookup."""
@@ -133,20 +125,25 @@ def transposed(vectors: dict) -> dict:
     return {k: out[k] for k in sorted(out)}
 
 
+# The unit vectors ``((k, 1),)`` of every map, shared and grown on demand
+# (:meth:`SparseMap.term`), so that no map allocates one per dimension;
+# entry ``k`` depends on ``k`` alone, so sharing is safe between callers.
+_UNITS: list = []
+
+
 class SparseMap:
     """A linear map ``T: V -> A`` over a common denominator ``d``: its
-    nonzero rows (``rows[a]`` lists ``(u, d T[a][u])``), columns and unit
-    vectors, and the adders of the terms of a degree-2 sum at ``(u, v)``
-    in ``V x V``, summed over the nonzero entries only (:meth:`sums`)."""
+    nonzero rows (``rows[a]`` lists ``(u, d T[a][u])``) and columns, and the
+    terms of a degree-2 sum at ``(u, v)`` in ``V x V``, summed over the
+    nonzero entries only (:meth:`sums`)."""
 
-    __slots__ = ("rows", "cols", "units")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, t, d: int):
         self.rows, self.cols = sparse(t, d), {j: [] for j in range(t.cols)}
         for i, row in self.rows.items():
             for j, x in row:
                 self.cols[j].append((i, x))
-        self.units = [((k, 1),) for k in range(max(t.rows, t.cols))]
 
     def images(self, columns: dict) -> dict:
         """``T`` applied once to each ``sparse`` column, by the same key and
@@ -157,29 +154,25 @@ class SparseMap:
                 acc.add(key, c, self.cols[r])
         return {key: image for key, image in acc.terms().items() if image}
 
-    def sums(self, dim: int, *adders) -> Accumulator:
-        """A construction's products or columns: the adders' terms, summed."""
+    def sums(self, dim: int, *terms) -> Accumulator:
+        """A construction's products or columns: the terms, summed at every
+        first index (:func:`sum_slice`)."""
         acc = Accumulator(dim)
         for u in range(len(self.cols)):
-            for add in adders:
-                add(u, acc)
+            sum_slice(acc, dim, u, terms)
         return acc
 
-    def term(self, c: int, by_first: dict, left: bool = True, right: bool = True):
-        """Adds ``c X(a, b)`` at ``(u, v)`` for each ``(b, X(a, b))`` in
+    def term(self, c: int, by_first: dict, left: bool = True, right: bool = True) -> tuple:
+        """The term ``c X(a, b)`` at ``(u, v)`` for each ``(b, X(a, b))`` in
         ``by_first[a]``, with ``a = T e_u`` if ``left`` (else ``u``) and
         ``b = T e_v`` if ``right`` (else ``v``): ``mu(T e_u, T e_v)`` from
         the products ``mu(e_a, e_b)``, ``act_l(T e_u) e_v`` from the
         action's columns, and so on."""
-        firsts = self.cols if left else self.units
-        seconds = self.rows if right else self.units
-
-        def add(u, acc):
-            for a, x in firsts[u]:
-                for b, terms in by_first.get(a, ()):
-                    for v, y in seconds[b]:
-                        acc.add((u, v), c * x * y, terms)
-        return add
+        if not (left and right):
+            for k in range(len(_UNITS), max(len(self.rows), len(self.cols))):
+                _UNITS.append(((k, 1),))
+        return (_MAP, c, self.cols if left else _UNITS, by_first,
+                self.rows if right else _UNITS)
 
 
 class SparseIndex:
@@ -240,51 +233,106 @@ class SparseIndex:
                 for a, v in times_phi[name].items()})
 
 
-def walk(width: int, count: int, adders) -> tuple:
-    """The ``indices`` and ``residual`` of a scan: the keys the adders touch, slice by
-    slice over first indices below ``count``, and the lookup of their sums by key tuple
-    (the accumulator's ``__getitem__``), each a list of ``width`` ints."""
-    acc = Accumulator(width)
-    return acc.slices(count, adders), acc.__getitem__
+# The kinds of term, each a tuple ``(kind, sign, firsts, seconds, last)``
+# made by :func:`entries_then_index`, :func:`twisted_then_entries`,
+# :func:`groups_then_vectors` or :meth:`SparseMap.term`.  For every kind but
+# ``_MAP``, a nonzero ``last`` is a carrier width: the term writes at a
+# carrier column's offset of a flat column-major layout.
+_ENTRIES, _ENTRIES_SWAPPED, _TWISTED, _GROUPS, _MAP = range(5)
+
+
+def sum_slice(acc: dict, width: int, i: int, terms) -> list:
+    """Add every term at the keys starting with ``i`` into ``acc``, vectors of
+    ``width`` ints by key tuple, each zero until first added to, and return the
+    keys this creates, in order of creation.  One loop per kind of term, with
+    the addition of ``c`` times a ``sparse`` vector at a key inlined."""
+    new, get = [], acc.get
+    for kind, sign, firsts, seconds, last in terms:
+        if kind == _TWISTED:
+            for a, v in firsts.get(i, ()):
+                for (p, q), c in seconds.get(a, ()):
+                    key, offset = ((i, p), q * last) if last else ((i, p, q), 0)
+                    if (out := get(key)) is None:
+                        out = acc[key] = [0] * width
+                        new.append(key)
+                    c *= sign
+                    for k, x in v:
+                        out[offset + k] += c * x
+        elif kind == _GROUPS:
+            for w, col in firsts.get(i, ()):
+                key, offset = ((i,), w * last) if last else ((i, w), 0)
+                out = None
+                for r, c in col:
+                    if v := seconds.get(r):
+                        if out is None and (out := get(key)) is None:
+                            out = acc[key] = [0] * width
+                            new.append(key)
+                        c *= sign
+                        for k, x in v:
+                            out[offset + k] += c * x
+        elif kind == _MAP:
+            for a, x in firsts[i]:
+                for b, v in seconds.get(a, ()):
+                    for z, y in last[b]:
+                        if (out := get(key := (i, z))) is None:
+                            out = acc[key] = [0] * width
+                            new.append(key)
+                        c = sign * x * y
+                        for k, g in v:
+                            out[k] += c * g
+        else:
+            swapped = kind == _ENTRIES_SWAPPED
+            for w, col in firsts.get(i, ()):
+                offset = w * last
+                for a, g in col:
+                    c = sign * g
+                    for z, v in seconds.get(a, ()):
+                        key = (i, z) if last else (i, z, w) if swapped else (i, w, z)
+                        if (out := get(key)) is None:
+                            out = acc[key] = [0] * width
+                            new.append(key)
+                        for k, x in v:
+                            out[offset + k] += c * x
+    return new
+
+
+def _slices(acc: dict, width: int, count: int, terms) -> Iterator:
+    """The keys of each first index below ``count`` in turn, sorted, as
+    :func:`sum_slice` creates them; lazily, so a scan that stops at a witness
+    sums no later slice."""
+    for i in range(count):
+        yield from sorted(sum_slice(acc, width, i, terms))
+
+
+def walk(width: int, count: int, terms) -> tuple:
+    """The ``indices`` and ``residual`` of a scan: the keys the terms touch, slice by
+    slice over first indices below ``count`` (:func:`_slices`), and the lookup of their
+    sums by key tuple (their dict's ``__getitem__``), each a list of ``width`` ints."""
+    acc: dict = {}
+    terms = [t for t in terms if t[2] and t[3]]  # a term with an empty table adds nothing
+    return _slices(acc, width, count if terms else 0, terms), acc.__getitem__
 
 
 def entries_then_index(sign: int, firsts: dict, seconds: dict, swap: bool = False,
-                       width: int = 0):
-    """Adds ``sign g v`` at ``(i, w, z)``, or ``(i, z, w)`` if ``swap``, for
+                       width: int = 0) -> tuple:
+    """The term ``sign g v`` at ``(i, w, z)``, or ``(i, z, w)`` if ``swap``, for
     each ``(w, col)`` in ``firsts[i]``, each entry ``g`` of ``col`` at ``a``
     and each ``(z, v)`` in ``seconds[a]``.  With a ``width``, ``w`` is a
     carrier column: ``v`` goes to ``(i, z)`` from offset ``w * width`` of a
     flat column-major layout."""
-    if width:
-        def add(i, acc):
-            for w, col in firsts.get(i, ()):
-                offset = w * width
-                for a, g in col:
-                    c = sign * g
-                    for z, v in seconds.get(a, ()):
-                        acc.add((i, z), c, v, offset)
-    else:
-        def add(i, acc):
-            for w, col in firsts.get(i, ()):
-                for a, g in col:
-                    c = sign * g
-                    for z, v in seconds.get(a, ()):
-                        acc.add((i, z, w) if swap else (i, w, z), c, v)
-    return add
+    return (_ENTRIES_SWAPPED if swap else _ENTRIES, sign, firsts, seconds, width)
 
 
-def twisted_then_entries(sign: int, twisted: dict, entries: dict, width: int = 0):
-    """Adds ``sign c v`` at ``(i, p, q)`` for each ``(a, v)`` in ``twisted[i]``
+def twisted_then_entries(sign: int, twisted: dict, entries: dict, width: int = 0) -> tuple:
+    """The term ``sign c v`` at ``(i, p, q)`` for each ``(a, v)`` in ``twisted[i]``
     and each ``((p, q), c)`` in ``entries[a]`` (a part :func:`transposed`); with a
     ``width``, at ``(i, p)`` from offset ``q * width``, ``q`` being a carrier column."""
-    if width:
-        def add(i, acc):
-            for a, v in twisted.get(i, ()):
-                for (p, q), c in entries.get(a, ()):
-                    acc.add((i, p), sign * c, v, q * width)
-    else:
-        def add(i, acc):
-            for a, v in twisted.get(i, ()):
-                for (p, q), c in entries.get(a, ()):
-                    acc.add((i, p, q), sign * c, v)
-    return add
+    return (_TWISTED, sign, twisted, entries, width)
+
+
+def groups_then_vectors(sign: int, groups: dict, vectors: dict, width: int = 0) -> tuple:
+    """The term ``sign c vectors[r]`` at ``(i, w)`` for each ``(w, col)`` in
+    ``groups[i]`` and each entry ``c`` of ``col`` at ``r`` with a nonzero
+    ``vectors[r]``; with a ``width``, at ``(i,)`` from offset ``w * width``,
+    ``w`` being a carrier column."""
+    return (_GROUPS, sign, groups, vectors, width)

@@ -80,11 +80,11 @@ _CROSS = {
 
 
 def _cross_term(a: SparseIndex, b: SparseIndex, sign: int,
-                family: str, other: str, swap=None, first=None):
-    """The adder of one term of :data:`_CROSS` for A acting on B, ``other``
-    being its table or its family G, at ``(x, w, z)`` or, if ``swap``,
-    ``(x, z, w)``: the families F of A on B are read from ``a``, and G,
-    B's tables and B's twist from ``b``, over one common denominator."""
+                family: str, other: str, swap=None, first=None) -> tuple:
+    """The kernel term of one entry of :data:`_CROSS` for A acting on B,
+    ``other`` being its table or its family G, at ``(x, w, z)`` or, if
+    ``swap``, ``(x, z, w)``: the families F of A on B are read from ``a``,
+    and G, B's tables and B's twist from ``b``, over one common denominator."""
     if swap is None:  # F(alpha e_x) mu(e_u, e_v)
         return twisted_then_entries(sign, a.twisted[family, True, 0], b.entries[other])
     if first is None:  # F(G(e_w) e_x) alpha e_z, from the entries of G(e_w) e_x
@@ -112,9 +112,9 @@ def _cross_conditions(kind: str, p: SparseIndex, q: SparseIndex) -> list:
         name, order, templates = _CROSS[group]
         for k, (view, t) in enumerate(order.split(), 1):
             act, back = (p, q) if view == "p" else (q, p)
-            adders = [_cross_term(act, back, *term) for term in templates[int(t) - 1]]
+            terms = [_cross_term(act, back, *term) for term in templates[int(t) - 1]]
             width, count = len(act.maps["phi"].cols), len(act.alpha.rows)
-            checks.append(scan_identity(f"cross:{name}:{k}", *walk(width, count, adders),
+            checks.append(scan_identity(f"cross:{name}:{k}", *walk(width, count, terms),
                                         denominator=act.d ** 3))
     return checks
 

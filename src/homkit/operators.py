@@ -32,7 +32,9 @@ from .algebra import (
     ACTIONS_OF, HomAlgebra, StructureTensor, _carries, _require_square, check_morphism,
 )
 from .errors import ShapeError
-from .kernel import Accumulator, SparseIndex, SparseMap, common_denominator, grouped, sparse
+from .kernel import (
+    Accumulator, SparseIndex, SparseMap, common_denominator, grouped, sparse, sum_slice,
+)
 from .linalg import Matrix, Vector, _Frozen, _put, frac
 from .representation import (
     ActionTensor, Representation, _require_match, check_representation,
@@ -242,7 +244,7 @@ def _graph_value(sd: HomAlgebra, graph: Matrix, check: str, at: tuple[int, ...])
     if not name:
         return (sd.alpha @ graph).col(at[0])
     a, acc = SparseIndex(None, {name: getattr(sd, name)}, graph=graph), Accumulator(sd.dim)
-    a.maps["graph"].term(1, a.by_first[name])(at[0], acc)  # over d**3
+    sum_slice(acc, sd.dim, at[0], [a.maps["graph"].term(1, a.by_first[name])])  # over d**3
     return Vector(Fraction(x, a.d ** 3) for x in acc[at])
 
 

@@ -23,8 +23,8 @@ from .algebra import (
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import (
-    SparseIndex, common_denominator, entries_then_index, grouped, sparse, transposed,
-    twisted_then_entries, walk,
+    SparseIndex, common_denominator, entries_then_index, grouped, groups_then_vectors, sparse,
+    transposed, twisted_then_entries, walk,
 )
 from .linalg import Matrix, Vector, _cells, _echelon, _Stored, _Value
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
@@ -180,12 +180,12 @@ def _axioms(r: SparseIndex, groups: tuple) -> CheckReport:
     (:func:`check_representation`)."""
     m, n, checks = len(r.maps["phi"].cols), len(r.alpha.rows), []
 
-    def scan(name: str, *adders) -> CheckResult:
-        return scan_operator_identity(name, *walk(m * m, n, adders), width=m,
+    def scan(name: str, *terms) -> CheckResult:
+        return scan_operator_identity(name, *walk(m * m, n, terms), width=m,
                                       denominator=r.d ** 3)
     for group in groups:
         for family in ACTIONS_OF.get(group, ()):
-            checks.append(scan(_COMMUTES[family], _commutes(r, family)))
+            checks.append(scan(_COMMUTES[family], *_commutes(r, family)))
         for name, *terms in _PAIR_AXIOMS[group]:
             checks.append(scan(name, *(
                 _through_phi(r, *term) if term[2] in ACTIONS_OF else _composed(r, *term)
@@ -193,23 +193,17 @@ def _axioms(r: SparseIndex, groups: tuple) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
-def _commutes(r: SparseIndex, family: str):
-    """Slices of ``d phi F(e_i) - F(alpha e_i) phi`` at ``(i,)``."""
-    d, phi, alpha_cols = r.d, r.maps["phi"].cols, r.alpha.cols
-    m, cols, times_phi = len(phi), r.by_first[family], r.times_phi[family]
-
-    def add(i, acc):
-        for c, col in cols.get(i, ()):
-            for s, g in col:
-                acc.add((i,), d * g, phi[s], c * m)
-        for a, w in alpha_cols[i]:
-            if a in times_phi:
-                acc.add((i,), -w, times_phi[a])
-    return add
+def _commutes(r: SparseIndex, family: str) -> tuple:
+    """The terms of ``d phi F(e_i) - F(alpha e_i) phi`` at ``(i,)``."""
+    phi, times_phi = r.maps["phi"].cols, r.times_phi[family]
+    # F(alpha e_i) phi sums F(e_a) phi over column i of alpha: one group per i
+    alpha = {i: ((0, col),) for i, col in r.alpha.cols.items()}
+    return (groups_then_vectors(r.d, r.by_first[family], phi, len(phi)),
+            groups_then_vectors(-1, alpha, times_phi, len(phi)))
 
 
-def _composed(r: SparseIndex, sign: int, outer: str, inner: str, swap: bool):
-    """Slices of ``sign F(alpha e_i) G(e_j)`` at ``(i, j)``, or of
+def _composed(r: SparseIndex, sign: int, outer: str, inner: str, swap: bool) -> tuple:
+    """The term ``sign F(alpha e_i) G(e_j)`` at ``(i, j)``, or
     ``sign F(alpha e_j) G(e_i)`` if ``swap``, for ``F, G = outer, inner``."""
     m = len(r.maps["phi"].cols)
     if swap:
@@ -217,18 +211,11 @@ def _composed(r: SparseIndex, sign: int, outer: str, inner: str, swap: bool):
     return twisted_then_entries(sign, r.twisted[outer, True, 0], r.entries[inner], m)
 
 
-def _through_phi(r: SparseIndex, sign: int, family: str, table: str, swap: bool):
-    """Slices of ``sign F(mu(e_i, e_j)) phi`` at ``(i, j)``, or of
+def _through_phi(r: SparseIndex, sign: int, family: str, table: str, swap: bool) -> tuple:
+    """The term ``sign F(mu(e_i, e_j)) phi`` at ``(i, j)``, or
     ``sign F(mu(e_j, e_i)) phi`` if ``swap``."""
     products = r.by_second[table] if swap else r.by_first[table]
-    times_phi = r.times_phi[family]
-
-    def add(i, acc):
-        for j, terms in products.get(i, ()):
-            for a, t in terms:
-                if a in times_phi:
-                    acc.add((i, j), sign * t, times_phi[a])
-    return add
+    return groups_then_vectors(sign, products, r.times_phi[family])
 
 
 def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:

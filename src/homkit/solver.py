@@ -507,8 +507,10 @@ def _univariate_roots(p: Polynomial) -> list[Fraction] | None:
 
 
 def _apply(subst: dict[int, Polynomial], sub: _Substitution) -> dict[int, Polynomial]:
-    """``subst`` after the round ``sub``: its images substituted, the round's pins added."""
-    return {**{v: p.substitute(sub) for v, p in subst.items()}, **sub.mapping}
+    """``subst`` after the round ``sub``: its images substituted, the round's pins added.
+    A constant image, which no round can change, is kept as it is."""
+    return {**{v: p if p.degree() == 0 else p.substitute(sub) for v, p in subst.items()},
+            **sub.mapping}
 
 
 def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
