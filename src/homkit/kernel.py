@@ -32,9 +32,11 @@ hands them to its result's ``_from_form``, which reduces them to lowest
 terms (:func:`homkit.linalg.rationals`).
 
 Every check and construction names its inputs once, in one
-:class:`SparseIndex`, and reads its maps, grouped parts and twisted parts
-off it; only a construction that merely re-keys stored ints takes
-:func:`common_denominator` and :func:`sparse` itself.
+:class:`SparseIndex`, and reads off it its maps and its grouped and twisted
+parts, each table made on first lookup by a dict subclass that holds no
+closure and no index; a twisted one is one pass over the sparse parts that
+sums only a key hit twice, in a dense list.  Only a construction that
+merely re-keys stored ints takes :func:`common_denominator` and :func:`sparse` itself.
 
 Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
 entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
@@ -43,6 +45,7 @@ entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Iterator
 
@@ -93,19 +96,6 @@ class Accumulator(dict):
         return {key: [(k, x) for k, x in enumerate(v) if x] for key, v in self.items()}
 
 
-class Lazy(dict):
-    """Values by key, each made by ``make(key)`` on first lookup."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def grouped(mapping: dict, by: int = 0) -> dict:
     """``{(k0, k1): value}`` as ``{k_by: [(k_other, value), ...]}``."""
     out = {}
@@ -124,6 +114,8 @@ def transposed(vectors: dict) -> dict:
             out.setdefault(k, []).append((key, x))
     return {k: out[k] for k in sorted(out)}
 
+
+_by_second = partial(grouped, by=1)
 
 # The unit vectors ``((k, 1),)`` of every map, shared and grown on demand
 # (:meth:`SparseMap.term`), so that no map allocates one per dimension;
@@ -175,21 +167,76 @@ class SparseMap:
                 self.rows if right else _UNITS)
 
 
+class _Table(dict):
+    """An index's tables by name (or key), each made on first lookup by
+    :meth:`make`, by default ``arg(parts[name])``: no table refers to its
+    index, so reference counting frees the index."""
+
+    __slots__ = ("parts", "arg")
+
+    def __init__(self, parts: dict, arg):
+        self.parts, self.arg = parts, arg
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+    def make(self, name):
+        return self.arg(self.parts[name])
+
+
+class _Twisted(_Table):
+    def make(self, key):
+        if len(key) == 3:
+            return grouped(self[key[:2]], key[2])
+        (name, left), (rows, given) = key, self.arg
+        width, out, sums = getattr(given[name], "carrier_dim", len(rows)), {}, {}
+        for (p, q), v in self.parts[name].items():
+            for x, w in rows[p if left else q]:
+                at = (x, q) if left else (p, x)
+                if (old := out.get(at)) is None:
+                    out[at] = v if w == 1 else [(k, w * y) for k, y in v]
+                    continue
+                if (acc := sums.get(at)) is None:
+                    acc = sums[at] = [0] * width
+                    for k, y in old:
+                        acc[k] = y
+                for k, y in v:
+                    acc[k] += w * y
+        out.update((at, [(k, y) for k, y in enumerate(acc) if y]) for at, acc in sums.items())
+        return out
+
+
+def _times(rows: dict, m: int, family: dict) -> dict:
+    """``F(e_a) phi`` by ``a`` as flat column-major ``m*m`` vectors, from
+    ``phi``'s ``rows`` and ``F``'s columns by ``(a, r)``."""
+    acc = Accumulator(m * m)
+    for (a, r), col in family.items():
+        for c, p in rows[r]:
+            acc.add(a, p, col, c * m)
+    return acc.terms()
+
+
+def _columns(m: int, flat: dict) -> dict:
+    return {a: list(grouped({divmod(k, m): g for k, g in v}).items()) for a, v in flat.items()}
+
+
 class SparseIndex:
     """The inputs of one check or construction over their common denominator
     ``d``, and of any ``more`` parts: a twist (or None) and each named map as a
     :class:`SparseMap` (``alpha``, ``maps[name]``), each named table or action
     family as its nonzero vectors (``parts``), also, on first lookup, grouped
     by the first or second key index (``by_first``, ``by_second``), by entry
-    (``entries``) and twisted: ``twisted[name, left, by]`` holds
+    (``entries``) and twisted: ``twisted[name, left]`` holds
     ``mu(alpha e_r, e_a)`` at ``(r, a)`` (``left``) or ``mu(e_a, alpha e_r)``
     at ``(a, r)``, or column ``a`` of ``F(alpha e_r)`` at ``(r, a)`` for a
-    family, grouped by key index ``by``.  With a carrier twist map ``phi``, a
-    family ``F`` also has, on first lookup, ``F(e_a) phi`` as a flat
-    column-major ``m*m`` ``sparse`` vector (``times_phi``), the layout of the
-    representation axioms' sums, and as its columns ``(c, F(e_a) phi e_c)`` by
-    ``a`` (``phi_columns``).  No lazy entry refers to the index, so reference
-    counting frees it when its check or construction returns."""
+    family, in one pass along alpha's rows: a key hit once holds its vector
+    times one entry (for 1 the vector itself: tables are read only), one hit
+    again a dense sum.  ``twisted[name, left, by]`` groups it by key index
+    ``by``.  With a carrier twist map ``phi``, a family ``F`` also has
+    ``F(e_a) phi`` as a flat column-major ``m*m`` ``sparse`` vector
+    (``times_phi``), the layout of the representation axioms' sums, and as
+    its columns ``(c, F(e_a) phi e_c)`` by ``a`` (``phi_columns``)."""
 
     __slots__ = ("d", "alpha", "maps", "parts", "by_first", "by_second", "entries", "twisted",
                  "times_phi", "phi_columns")
@@ -197,40 +244,14 @@ class SparseIndex:
     def __init__(self, alpha, given: dict, /, *more, **maps):
         d = self.d = common_denominator(alpha, *given.values(), *maps.values(), *more)
         self.alpha = None if alpha is None else SparseMap(alpha, d)
-        rows = {} if alpha is None else self.alpha.rows
         maps = self.maps = {name: SparseMap(t, d) for name, t in maps.items()}
         parts = self.parts = {name: sparse(p, d) for name, p in given.items()}
-        self.by_first = Lazy(lambda name: grouped(parts[name]))
-        self.by_second = Lazy(lambda name: grouped(parts[name], 1))
-        self.entries = Lazy(lambda name: transposed(parts[name]))
-
-        def twist(key):
-            name, left = key
-            acc = Accumulator(getattr(given[name], "carrier_dim", len(rows)))
-            for (p, q), v in parts[name].items():
-                if left:
-                    for x, w in rows[p]:
-                        acc.add((x, q), w, v)
-                else:
-                    for x, w in rows[q]:
-                        acc.add((p, x), w, v)
-            return acc.terms()
-        sums = Lazy(twist)
-        self.twisted = Lazy(lambda key: grouped(sums[key[:2]], key[2]))
-        phi = maps.get("phi")  # a local: an entry that read self.maps would keep self alive
-        if phi is not None:
-            m = len(phi.cols)
-
-            def times(name):
-                acc = Accumulator(m * m)
-                for (a, r), col in parts[name].items():
-                    for c, p in phi.rows[r]:
-                        acc.add(a, p, col, c * m)
-                return acc.terms()
-            times_phi = self.times_phi = Lazy(times)
-            self.phi_columns = Lazy(lambda name: {
-                a: list(grouped({divmod(k, m): g for k, g in v}).items())
-                for a, v in times_phi[name].items()})
+        self.by_first, self.by_second = _Table(parts, grouped), _Table(parts, _by_second)
+        self.entries = _Table(parts, transposed)
+        self.twisted = _Twisted(parts, ({} if alpha is None else self.alpha.rows, given))
+        if (phi := maps.get("phi")) is not None:
+            self.times_phi = _Table(parts, partial(_times, phi.rows, len(phi.cols)))
+            self.phi_columns = _Table(self.times_phi, partial(_columns, len(phi.cols)))
 
 
 # The kinds of term, each a tuple ``(kind, sign, firsts, seconds, last)``

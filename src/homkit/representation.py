@@ -284,9 +284,8 @@ def twist_representation(rep: Representation, beta: Matrix, alg: HomAlgebra,
     b = SparseIndex(beta, rep.actions())
     # Column c of F(beta e_x) at (x, c), over the nonzero entries of beta and F.
     return Representation(rep.kind, rep.base_dim, rep.carrier_dim, rep.phi, **{
-        name: ActionTensor._from_form(rep.base_dim, rep.carrier_dim, b.d ** 2, {
-            (x, c): col for x, cols in b.twisted[name, True, 0].items() for c, col in cols})
-        for name in b.parts})
+        name: ActionTensor._from_form(rep.base_dim, rep.carrier_dim, b.d ** 2,
+                                      b.twisted[name, True]) for name in b.parts})
 
 
 def power_twist_representation(rep: Representation, alg: HomAlgebra,

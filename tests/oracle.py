@@ -55,6 +55,12 @@ index: each value is a dense ``Fraction`` product (``StructureTensor.product``,
 (``scan_membership``), and each coordinate is one ``solve_linear``.  The
 package's must give ``==`` reports and representations and raise the same
 errors, for ``test_linalg.py``.
+
+``twisted``, after them, is ``kernel.SparseIndex.twisted`` as it was
+before the index merged the sparse parts: every twisted product summed in
+a dense ``Accumulator`` and converted back.  The index's tables must hold
+the same keys in the same order and the same vectors, empty ones included,
+for ``test_kernel.py``.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ from homkit.dsl import (
 from homkit.errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError, SoundnessError,
 )
+from homkit.kernel import Accumulator, SparseIndex, grouped
 from homkit.linalg import _ZERO, AffineSolution, Matrix, Vector, frac
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
@@ -1748,3 +1755,21 @@ def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
             for a, ea in enumerate(units) for c, b in enumerate(vecs)})
 
     return Representation(alg.kind, alg.dim, k, phi, **paired_families(alg, family))
+
+
+# ---- the twisted tables, from homkit/kernel.py ---------------------
+
+
+def twisted(index: SparseIndex, given: dict, name: str, left: bool, by: int) -> dict:
+    """``index.twisted[name, left, by]`` for the index of ``given``: each
+    product summed in a dense ``Accumulator``, then grouped by key index ``by``."""
+    rows = {} if index.alpha is None else index.alpha.rows
+    acc = Accumulator(getattr(given[name], "carrier_dim", len(rows)))
+    for (p, q), v in index.parts[name].items():
+        if left:
+            for x, w in rows[p]:
+                acc.add((x, q), w, v)
+        else:
+            for x, w in rows[q]:
+                acc.add((p, x), w, v)
+    return grouped(acc.terms(), by)

@@ -22,7 +22,7 @@ from homkit.algebra import (
 )
 from homkit.errors import PreconditionError
 from homkit.fixtures import two_dim_associative, two_dim_leibniz, two_dim_poisson
-from homkit.kernel import common_denominator
+from homkit.kernel import SparseIndex, common_denominator
 from homkit.linalg import _ZERO, Matrix, Vector
 from homkit.matched import MatchedPair, check_matched_pair
 from homkit.reporting import CheckReport, CheckResult, Witness, scan_operator_identity
@@ -204,6 +204,42 @@ def test_rota_baxter_and_nijenhuis_operators(seed):
         for op in (n, shifted(n, rng)):
             compare(tally, check_nijenhuis, oracle.check_nijenhuis, sd, op)
     assert tally.failing > 10 and tally.fractional > 0
+
+
+def same_twisted_tables(given: dict, alpha) -> None:
+    """Every ``twisted[name, left, by]`` of the index of ``given`` and
+    ``alpha`` equals the dense reference's: its keys in the same order and
+    its vectors, empty ones included, or the same ``KeyError`` (a twist of
+    None, or of the wrong size, has no rows to twist by)."""
+    index = SparseIndex(alpha, given)
+    for name in given:
+        for left in (True, False):
+            for by in (0, 1):
+                try:
+                    want = oracle.twisted(index, given, name, left, by)
+                except KeyError:
+                    with pytest.raises(KeyError):
+                        index.twisted[name, left, by]
+                    continue
+                assert list(index.twisted[name, left, by].items()) == list(want.items())
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_twisted_tables_match_the_dense_reference(seed):
+    """Pool algebras and their representations, twisted by their own twist,
+    a dense fractional one, zero and None; and a twist whose products
+    cancel at one key, which keeps that key with an empty vector."""
+    rng = random.Random(seed)
+    for alg in verified_algebra_pool():
+        n = alg.dim
+        for rep in valid_representations(rng, alg):
+            given = {**alg.tensors(), **rep.actions()}
+            for alpha in (alg.alpha, random_operator(rng, n, n), Matrix.zero(n, n), None):
+                same_twisted_tables(given, alpha)
+    table = StructureTensor.from_products(2, {(0, 0): [1, 0], (1, 0): [1, 0]})
+    alpha = Matrix([[1, 0], [-1, 0]])  # mu(alpha e_0, e_0) = mu(e_0, e_0) - mu(e_1, e_0) = 0
+    same_twisted_tables({"dot": table}, alpha)
+    assert SparseIndex(alpha, {"dot": table}).twisted["dot", True, 0] == {0: [(0, [])]}
 
 
 def matched_pairs():

@@ -209,6 +209,23 @@ def test_check_algebra_costs_follow_its_nonzero_terms(monkeypatch):
     assert algebra.check_algebra(alg) == report
 
 
+def test_check_algebra_sums_no_table_densely(monkeypatch):
+    """The twisted tables of ``check_algebra`` are merged from the sparse
+    products: over the verified pool, no dense ``Accumulator`` is made."""
+    import homkit.kernel as kernel
+    from homkit.algebra import check_algebra
+    from support import verified_algebra_pool
+    pool, made = verified_algebra_pool(), Counter()
+    init = kernel.Accumulator.__init__
+
+    def counted(self, dim):
+        made["accumulators"] += 1
+        init(self, dim)
+    monkeypatch.setattr(kernel.Accumulator, "__init__", counted)
+    assert all(check_algebra(alg).passed for alg in pool)
+    assert made["accumulators"] == 0
+
+
 def test_check_representation_costs_follow_its_nonzero_terms(monkeypatch):
     """The same sparse dim-200 algebra acting on a dim-10 carrier through
     families with 40 nonzero columns each: the scans get a few tuples per
