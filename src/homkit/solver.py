@@ -20,7 +20,11 @@ tables and actions, and the linear rounds and the family comparison
 eliminate fraction-free on sparse int rows.  A leaf's substitution maps
 only its pinned variables; the free ones stay themselves.  Each
 substitution round makes one substitution object, which expands each
-monomial once for all the polynomials of the round.
+monomial once for all the polynomials of the round.  A round builds
+nothing for an equation that vanishes (the expansion of a monomial stops
+at its first zero image, and every zero is one shared polynomial), and
+splits its equations by degree once: the round that finds no equation of
+degree <= 1 ends the linear rounds.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
-from .linalg import Matrix, Rational, _echelon, _Frozen, _put, _remainder, _Value, frac
+from .linalg import Matrix, Rational, _echelon, _Frozen, _remainder, _Value, frac
 from .operators import OperatorContext, check_relative_rbo
 from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
@@ -71,12 +75,12 @@ class Polynomial(_Frozen):
             if g != 1:
                 ints = {m: c // g for m, c in ints.items()}
                 den //= g
-        # The solver makes tens of thousands of these per solve: two direct
-        # slot writes, as ``_set``'s generic loop costs about a tenth of a
-        # pass over the benchmark's ``solve`` pool.
+        # The solver makes tens of thousands of these per solve: the two
+        # slots are written through their descriptors, as ``_set``'s generic
+        # loop costs about a tenth of a pass over the benchmark's ``solve`` pool.
         p = object.__new__(cls)
-        _put(p, "ints", ints)
-        _put(p, "den", den)
+        _set_ints(p, ints)
+        _set_den(p, den)
         return p
 
     def __reduce__(self):
@@ -101,7 +105,7 @@ class Polynomial(_Frozen):
         return not self.ints
 
     def degree(self) -> int:
-        return max(map(len, self.ints), default=0)
+        return max(map(len, self.ints)) if self.ints else 0
 
     def variables(self) -> set[int]:
         return {v for m in self.ints for v in m}
@@ -194,27 +198,40 @@ class Polynomial(_Frozen):
         return f"Polynomial({self.render(lambda v: f'x{v}')})"
 
 
+_set_ints, _set_den = Polynomial.ints.__set__, Polynomial.den.__set__
+# Every zero a substitution round returns; never mutated, like every polynomial.
+_ZERO = Polynomial._of({})
+
+
 class _Substitution:
     """A mapping ``{variable: Polynomial}`` to apply to many polynomials.
     Each monomial is expanded once, as ints over the product of its images'
     denominators, for every polynomial holding it; a polynomial sums its
-    expansions in one dict, over their lcm."""
+    expansions in one dict, over their lcm.  A polynomial that vanishes
+    comes back as the shared zero, built once."""
 
     __slots__ = ("mapping", "expansions")
 
     def __init__(self, mapping: Mapping[int, Polynomial]):
         self.mapping = mapping
-        self.expansions: dict[Monomial, tuple[int, list]] = {}
+        self.expansions: dict[Monomial, tuple[int, Sequence]] = {}
 
-    def _expand(self, mono: Monomial) -> tuple[int, list]:
+    def _expand(self, mono: Monomial) -> tuple[int, Sequence]:
         """``(den, [(monomial, int), ...])``, the image of ``mono`` as ints over ``den``;
-        kept for the next polynomial holding ``mono``."""
-        mapping, den = self.mapping, 1
-        expansion = {tuple([v for v in mono if v not in mapping]): 1}
-        for image in [mapping[v] for v in mono if v in mapping]:
-            if not image.ints:  # a zero image: the monomial vanishes
-                expansion, den = {}, 1
-                break
+        kept for the next polynomial holding ``mono``.  One walk over the
+        variables splits kept ones from images and stops at a zero image."""
+        mapping, kept, images = self.mapping, [], []
+        for v in mono:
+            image = mapping.get(v)
+            if image is None:
+                kept.append(v)
+            elif image.ints:
+                images.append(image)
+            else:  # a zero image: the monomial vanishes
+                found = self.expansions[mono] = 1, ()
+                return found
+        den, expansion = 1, {tuple(kept): 1}
+        for image in images:
             den *= image.den
             out: dict[Monomial, int] = {}
             for m1, c1 in expansion.items():
@@ -229,6 +246,8 @@ class _Substitution:
         expansions, out, den = self.expansions, {}, 1
         for mono, coeff in p.ints.items():
             d, terms = expansions.get(mono) or self._expand(mono)
+            if not terms:
+                continue
             if den % d:  # bring the sum over lcm(den, d)
                 s = d // gcd(den, d)
                 out = {m: c * s for m, c in out.items()}
@@ -236,9 +255,12 @@ class _Substitution:
             coeff *= den // d
             for m, c in terms:
                 out[m] = out.get(m, 0) + c * coeff
+        if not out and p.ints:  # every monomial vanished
+            return _ZERO
         if den == 1 and out == p.ints:  # unmapped, or mapped onto itself
             return p
-        return Polynomial._of({m: c for m, c in out.items() if c}, p.den * den)
+        ints = {m: c for m, c in out.items() if c}
+        return Polynomial._of(ints, p.den * den) if ints else _ZERO
 
 
 class PolySystem(_Frozen):
@@ -388,11 +410,15 @@ def _linear_round(equations: Sequence[Polynomial], free: Sequence[int]):
     """One linear round over the variables ``free``: solve the equations
     of degree <= 1, substitute into the others and drop those that become
     zero.  Returns ``(substitution, free variables left, remaining
-    equations)``, or None if the round is inconsistent (a nonzero constant
-    among the equations, or linear equations with no common solution)."""
+    equations)``, with no substitution (None) if no equation has degree
+    <= 1, or None if the round is inconsistent (a nonzero constant among
+    the equations, or linear equations with no common solution).  Each
+    equation's degree is read once."""
     linear, rest = [], []
     for e in equations:
         (rest if e.degree() > 1 else linear).append(e)
+    if not linear:
+        return None, tuple(free), rest
     solved = _solve_linear_part(linear, free)
     if solved is None:
         return None
@@ -411,7 +437,8 @@ def eliminate_linear(system: PolySystem) -> Elimination:
         return Elimination(PolySystem(system.rows, system.cols, ()),
                            {}, (), inconsistent=True)
     sub, free, rest = solved
-    return Elimination(PolySystem(system.rows, system.cols, rest), sub.mapping, free)
+    return Elimination(PolySystem(system.rows, system.cols, rest),
+                       sub.mapping if sub else {}, free)
 
 
 class AffineFamily(_Value):
@@ -517,12 +544,15 @@ def _reduce(equations: list[Polynomial], subst: dict[int, Polynomial],
             free: tuple[int, ...]) -> list[_Leaf]:
     """The leaves of a branch: ``subst`` maps its pinned variables into the
     ``free`` ones, which the nonzero ``equations`` hold.  Linear rounds run
-    while an equation has degree <= 1, then the first branch rule applies."""
-    while any(e.degree() <= 1 for e in equations):
+    until a round finds no equation of degree <= 1, then the first branch
+    rule applies."""
+    while True:
         solved = _linear_round(equations, free)
         if solved is None:
             return []  # no solutions on this branch
         sub, free, equations = solved
+        if sub is None:
+            break
         subst = _apply(subst, sub)
     if not equations:
         return [_Leaf(subst, free)]
@@ -646,9 +676,12 @@ def verify_solution(alg: HomAlgebra, rep: Representation, sol: SolutionSet,
     """Re-check every reported solution against the direct operator test.
 
     Finite points are checked one by one; a family is instantiated at
-    ``samples`` deterministic parameter choices.  Any failure raises
-    :class:`SoundnessError` naming the offending matrix.
+    ``samples`` deterministic parameter choices, so ``samples`` must be at
+    least 1 (else :class:`ValueError`, before any check).  Any failure
+    raises :class:`SoundnessError` naming the offending matrix.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     checks = []
 
     def run(label: str, t: Matrix):

@@ -258,6 +258,18 @@ def test_verify_solution_zero_point():
     assert verify_solution(a, rep, sol).passed
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_solution_refuses_fewer_than_one_sample(samples, monkeypatch):
+    """A family checked at no sample would pass unchecked: ``samples < 1``
+    raises before any check, for a family and for points alike."""
+    monkeypatch.setattr("homkit.solver.check_relative_rbo", lambda ctx: pytest.fail("checked"))
+    for alg in (two_dim_leibniz(), two_dim_associative()):
+        rep = regular_representation(alg)
+        sol = solve(generate_constraints(alg, rep))
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_solution(alg, rep, sol, samples=samples)
+
+
 def test_verify_solution_rejects_corrupted_point():
     from homkit.solver import SolutionSet
     l = two_dim_leibniz()

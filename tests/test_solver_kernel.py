@@ -11,6 +11,7 @@ own dense ``_rref``: no reference calls into the package's elimination.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -280,6 +281,48 @@ def test_each_monomial_is_expanded_once_per_substitution(monkeypatch):
     assert expanded.keys() == occurrences.keys()
     assert set(expanded.values()) == {1}
     assert sum(occurrences.values()) > len(expanded)  # shared monomials
+
+
+def test_a_vanished_polynomial_is_the_shared_zero(monkeypatch):
+    """Every zero a substitution returns is the one zero polynomial the
+    solver builds once, in canonical form: a vanished equation builds
+    nothing in its round."""
+    results = []
+    apply = solver._Substitution.apply
+    monkeypatch.setattr(solver._Substitution, "apply",
+                        lambda self, p: results.append(apply(self, p)) or results[-1])
+    for alg, rep in PAIRS:
+        solve(generate_constraints(alg, rep))
+    zeros = [p for p in results if p.is_zero()]
+    assert zeros and len(zeros) < len(results)
+    assert all(p is solver._ZERO for p in zeros)
+    assert_clean(solver._ZERO)
+
+
+def test_linear_rounds_read_each_degree_once(monkeypatch):
+    """``_reduce`` and ``_linear_round`` read ``Polynomial.degree`` at most
+    once per equation handed to a linear round: the round that finds no
+    equation of degree <= 1 ends the loop, with no scan ahead of it."""
+    reads, handed = Counter(), 0
+    degree, linear_round = Polynomial.degree, solver._linear_round
+
+    def counted_degree(p):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a generator or comprehension
+            caller = caller.f_back
+        reads[caller.f_code.co_name] += 1
+        return degree(p)
+
+    def counted_round(equations, free):
+        nonlocal handed
+        handed += len(equations)
+        return linear_round(equations, free)
+    monkeypatch.setattr(Polynomial, "degree", counted_degree)
+    monkeypatch.setattr(solver, "_linear_round", counted_round)
+    for alg, rep in PAIRS:
+        solve(generate_constraints(alg, rep))
+    assert handed and reads["_linear_round"]
+    assert reads["_reduce"] + reads["_linear_round"] <= handed
 
 
 def rref_stage(linear, variables):
