@@ -16,8 +16,8 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
 from .kernel import (
-    Accumulator, SparseIndex, SparseMap, entries_then_index, grouped, groups_then_vectors,
-    sparse, twisted_then_entries, walk,
+    SparseIndex, SparseMap, entries_then_index, grouped, groups_then_vectors, sparse,
+    twisted_then_entries, walk,
 )
 from .linalg import (
     _ZERO, Matrix, Vector, _cells, _dense, _echelon, _lowest_terms, _remainder, _Stored, _Value,
@@ -172,38 +172,37 @@ def _identity(a: SparseIndex, group: str) -> CheckResult:
         for sign, inner, outer, *swap in terms]), denominator=a.d ** 3)
 
 
-def _carries(o: SparseMap, d: int, twist: tuple | None, products,
+def _carries(o: SparseMap, e: int, d: int, twist: tuple | None, products,
              sign: int = 1) -> CheckReport:
-    """Does ``O: V -> A`` carry source products on V onto A's tables?
-    First, for a ``twist`` ``(name, phi, alpha)``, ``O(phi e_j) - alpha(O e_j)``
-    at ``(j,)``, from the ``sparse`` columns of phi and the map of alpha;
-    then, for each ``(name, target, source)`` of ``products``,
-    ``sign (mu(O e_u, O e_v) - O(src(e_u, e_v)))`` at ``(u, v)``, from the
-    target table grouped by first index and the source product as degree-2
-    ``sparse`` vectors.  The multiplicative, morphism, relative Rota-Baxter,
-    Rota-Baxter and Nijenhuis checks are all this walk."""
+    """Does ``O: V -> A``, a map over ``e``, carry source products on V onto
+    A's tables, over ``d``?  First, for a ``twist`` ``(name, phi, alpha)``,
+    ``O(phi e_j) - alpha(O e_j)`` at ``(j,)`` over ``e d``, from the ``sparse``
+    columns of phi and the map of alpha; then, for each ``(name, target,
+    carried)`` of ``products``, ``sign mu(O e_u, O e_v)`` from the target table
+    grouped by first index, plus the kernel terms ``carried`` of ``-sign
+    O(src(e_u, e_v))``, at ``(u, v)`` over ``e**2 d``: the source is never
+    summed.  The multiplicative, morphism, relative Rota-Baxter, Rota-Baxter
+    and Nijenhuis checks are all this walk."""
     width, count = len(o.rows), len(o.cols)
     checks = []
-    if twist is not None:
+    if twist is not None:  # each column j alone at (j,)
         name, phi, alpha = twist
-        acc = Accumulator(width)
-        for c, images in ((1, o.images(phi)), (-1, alpha.images(o.cols))):
-            for j, image in images.items():
-                acc.add((j,), c, image)
-        checks.append(scan_identity(name, sorted(acc), acc.__getitem__, denominator=d ** 2))
-    for name, target, source in products:
-        # O(src(e_u, e_v)): O applied to each entry of the source product
-        carried = groups_then_vectors(-sign, grouped(source), o.cols)
-        checks.append(scan_identity(name, *walk(width, count, [o.term(sign, target), carried]),
-                                    denominator=d ** 3))
+        checks.append(scan_identity(name, *walk(width, count, [
+            groups_then_vectors(c, {j: ((0, col),) for j, col in cols.items()}, vectors, 1)
+            for c, cols, vectors in ((1, phi, o.cols), (-1, o.cols, alpha.cols))]),
+            denominator=e * d))
+    for name, target, carried in products:
+        checks.append(scan_identity(name, *walk(width, count, [o.term(sign, target), *carried]),
+                                    denominator=e * e * d))
     return CheckReport(tuple(checks))
 
 
 def _multiplicative(alg: HomAlgebra, a: SparseIndex) -> CheckReport:
     # d alpha(mu(e_i, e_j)) - mu(alpha e_i, alpha e_j): alpha carries each table onto itself
-    products = ((f"multiplicative:{name}", a.by_first[name], sparse(t, a.d ** 2))
-                for name, t in alg.tensors().items())
-    return _carries(a.alpha, a.d, None, products, sign=-1)
+    products = ((f"multiplicative:{name}", a.by_first[name],
+                 (groups_then_vectors(a.d, a.by_first[name], a.alpha.cols),))
+                for name in alg.tensors())
+    return _carries(a.alpha, a.d, a.d, None, products, sign=-1)
 
 
 def check_multiplicative(alg: HomAlgebra) -> CheckReport:
@@ -263,11 +262,12 @@ def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
     if f.cols != src.dim or f.rows != dst.dim:
         raise ShapeError("morphism matrix shape must be dst.dim x src.dim")
     a = SparseIndex(dst.alpha, dst.tensors(), *src.tensors().values(), f=f, src=src.alpha)
-    # d f(mu_src(e_i, e_j)) - mu_dst(f e_i, f e_j), the source at degree 2
-    twist = ("intertwines_twist", a.maps["src"].cols, a.alpha)
-    products = ((f"preserves:{name}", a.by_first[name], sparse(t, a.d ** 2))
+    # d f(mu_src(e_i, e_j)) - mu_dst(f e_i, f e_j)
+    f, twist = a.maps["f"], ("intertwines_twist", a.maps["src"].cols, a.alpha)
+    products = ((f"preserves:{name}", a.by_first[name],
+                 (groups_then_vectors(a.d, grouped(sparse(t, a.d)), f.cols),))
                 for name, t in src.tensors().items())
-    return _carries(a.maps["f"], a.d, twist, products, sign=-1)
+    return _carries(f, a.d, a.d, twist, products, sign=-1)
 
 
 def _require_square(alg: HomAlgebra, op: Matrix, what: str) -> None:

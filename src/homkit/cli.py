@@ -97,7 +97,7 @@ def _check(doc: Document, args) -> tuple[str, CheckReport]:
 
 def _solve(doc: Document, args):
     """The solution set, written in ``f<j>`` for a named representation and
-    in ``e<j>`` for the regular one."""
+    in ``e<j>`` for the regular one, checked again by the solver (exit 3 if wrong)."""
     sol = homkit.solver.solve_relative_rbo(doc.algebra(args.algebra),
                                            _rep(doc, args.algebra, args.rep))
     return ("f" if args.rep else "e"), sol

@@ -11,8 +11,8 @@ and rescales each stored list by ``D // den`` (:func:`sparse`).  A term
 of an identity that multiplies ``d`` constants is then an ``int``
 multiple of ``1/D**d``; an identity of degree at most ``k`` multiplies
 lower-degree terms up by the missing powers of ``D`` and compares pure
-``int`` lists.  The exact
-rational residual is that list over ``D**k``, and
+``int`` lists (an identity homogeneous in a map may read it over its own ``den``).
+The exact rational residual is that list over ``D**k``, and
 :func:`homkit.reporting.scan_identity` builds it only for a witness.
 
 Terms are data.  Each term of an identity or a construction is a plain
@@ -36,7 +36,8 @@ Every check and construction names its inputs once, in one
 parts, each table made on first lookup by a dict subclass that holds no
 closure and no index; a twisted one is one pass over the sparse parts that
 sums only a key hit twice, in a dense list.  Only a construction that
-merely re-keys stored ints takes :func:`common_denominator` and :func:`sparse` itself.
+merely re-keys stored ints takes :func:`common_denominator` and :func:`sparse` itself;
+the relative Rota-Baxter check maps its operator outside a shared index.
 
 Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
 entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
@@ -140,11 +141,15 @@ class SparseMap:
     def images(self, columns: dict) -> dict:
         """``T`` applied once to each ``sparse`` column, by the same key and
         one degree higher; zero images are left out."""
-        acc = Accumulator(len(self.rows))
+        width, cols, out = len(self.rows), self.cols, {}
         for key, col in columns.items():
+            acc = [0] * width
             for r, c in col:
-                acc.add(key, c, self.cols[r])
-        return {key: image for key, image in acc.terms().items() if image}
+                for k, x in cols[r]:
+                    acc[k] += c * x
+            if image := [(k, x) for k, x in enumerate(acc) if x]:
+                out[key] = image
+        return out
 
     def sums(self, dim: int, *terms) -> Accumulator:
         """A construction's products or columns: the terms, summed at every

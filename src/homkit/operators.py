@@ -8,14 +8,13 @@ each product through the corresponding action pair.  Weight-zero
 Rota-Baxter operators are the special case of the regular representation.
 
 Every operator identity is a morphism check, one walk over the nonzero
-entries of one :class:`homkit.kernel.SparseIndex` that names the operator
-among its maps (:func:`homkit.algebra._carries`): the operator carries a source
-product onto the target table.  The source is the induced product for a
-relative Rota-Baxter operator (summed as :func:`induced_algebra` sums it)
-and the deformed product for a Nijenhuis or, with a weight clause,
-Rota-Baxter operator (as :func:`nijenhuis_deform` sums it).  A context's
-relative Rota-Baxter verdict is computed once and kept for every gate and
-for :func:`graph_check`, which reads it: ``(a, v)`` lies in the graph iff ``a = Tv``.
+entries of the kernel (:func:`homkit.algebra._carries`): the operator carries a
+source product onto the target table, the induced product for a relative
+Rota-Baxter operator and the deformed one for a Nijenhuis or, with a weight
+clause, Rota-Baxter operator, handed over as the operator applied once to
+each action column or product, never summed.  A context's relative
+Rota-Baxter verdict is computed once and kept for every gate and for
+:func:`graph_check`, which reads it: ``(a, v)`` lies in the graph iff ``a = Tv``.
 
 Note on the Rota-Baxter check: besides the weight identity it also
 verifies that the operator commutes with the twist.  Without that clause
@@ -33,7 +32,8 @@ from .algebra import (
 )
 from .errors import ShapeError
 from .kernel import (
-    Accumulator, SparseIndex, SparseMap, common_denominator, grouped, sparse, sum_slice,
+    Accumulator, SparseIndex, SparseMap, common_denominator, grouped, groups_then_vectors,
+    sparse, sum_slice,
 )
 from .linalg import Matrix, Vector, _Frozen, _put, frac
 from .representation import (
@@ -47,19 +47,32 @@ class OperatorContext(_Frozen):
     """An algebra, a representation of it, and a candidate operator
     T: carrier -> algebra (as an alg.dim x carrier_dim matrix), with the
     relative Rota-Baxter report of the three and the induced algebra,
-    each kept once computed.  Contexts compare by identity."""
+    each kept once computed.  Contexts made by :meth:`with_operator` share
+    one index of all but the operator.  Contexts compare by identity."""
 
-    __slots__ = ("alg", "rep", "t", "_report", "_algebra")
+    __slots__ = ("alg", "rep", "t", "_report", "_algebra", "_index")
 
     def __init__(self, alg: HomAlgebra, rep: Representation, t: Matrix):
-        self._set(alg, rep, t, None, None)
+        self._set(alg, rep, t, None, None, None)
         _require_match(rep, alg)
         if t.rows != alg.dim or t.cols != rep.carrier_dim:
             raise ShapeError("operator must be alg.dim x carrier_dim")
 
+    def with_operator(self, t: Matrix) -> "OperatorContext":
+        """A context for ``t`` on this algebra and representation, sharing one index."""
+        if self._index is None:
+            _put(self, "_index", _relative_index(self.alg, self.rep))
+        ctx = OperatorContext(self.alg, self.rep, t)
+        _put(ctx, "_index", self._index)
+        return ctx
+
     def __reduce__(self):
-        # The kept report and algebra are no fields: a copy computes afresh.
+        # The kept report, algebra and index are no fields: a copy computes afresh.
         return OperatorContext, (self.alg, self.rep, self.t)
+
+
+def _relative_index(alg: HomAlgebra, rep: Representation) -> SparseIndex:
+    return SparseIndex(alg.alpha, {**alg.tensors(), **rep.actions()}, phi=rep.phi)
 
 
 def _induced(t: SparseMap, left: dict, right: dict, *more) -> dict:
@@ -70,15 +83,12 @@ def _induced(t: SparseMap, left: dict, right: dict, *more) -> dict:
                   *more).terms()
 
 
-def _deformed(a: SparseIndex, o: SparseMap, name: str, weight: int | None = None) -> dict:
-    """``mu(O e_u, e_v) + mu(e_u, O e_v) + c(u, v)`` at ``(u, v)`` as degree-2
-    ``sparse`` vectors for the table ``name`` of the index ``a`` and a square
-    map ``O`` of it: the :func:`_induced` product of the regular representation
-    plus ``c = -O mu``, or ``weight mu`` for an int ``weight`` (times ``d``)."""
+def _deformed(a: SparseIndex, o: SparseMap, name: str) -> dict:
+    """``mu(O e_u, e_v) + mu(e_u, O e_v) - O mu(e_u, e_v)`` at ``(u, v)`` as degree-2
+    ``sparse`` vectors for the table ``name`` of the index ``a`` and a square map ``O``."""
     products = a.by_first[name]
-    clause = (o.term(-1, grouped(o.images(a.parts[name])), False, False) if weight is None
-              else o.term(weight, products, False, False))
-    return _induced(o, products, products, *([clause] if weight != 0 else []))
+    return _induced(o, products, products,
+                    o.term(-1, grouped(o.images(a.parts[name])), False, False))
 
 
 def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str,
@@ -86,13 +96,19 @@ def _self_map_checks(alg: HomAlgebra, op: Matrix, name: str,
     """``op alpha = alpha op``, then per table ``name:<table>`` the identity
     ``mu(op e_i, op e_j) = op(mu(op e_i, e_j) + mu(e_i, op e_j) + c(i, j))``
     on all basis pairs, where ``c`` is ``weight mu`` or, if ``weight`` is
-    None, ``-op mu``: ``op`` carries the :func:`_deformed` product onto ``mu``."""
+    None, ``-op mu``: ``op``, applied once to each product, carries that onto ``mu``."""
     _require_square(alg, op, "operator")
     a = SparseIndex(alg.alpha, alg.tensors(), weight, op=op)
     d, o = a.d, a.maps["op"]
     w = None if weight is None else weight.numerator * (d // weight.denominator)
-    return _carries(o, d, ("twist_commute", a.alpha.cols, a.alpha), (
-        (f"{name}:{table}", a.by_first[table], _deformed(a, o, table, w)) for table in a.parts))
+    products = []
+    for table in a.parts:
+        by_u = grouped(o.images(a.parts[table]))  # op mu(e_u, e_v), grouped by u
+        clause = (groups_then_vectors(1, by_u, o.cols) if w is None  # -op(c) = op(op mu)
+                  else o.term(-w, by_u if w else {}, False, False))  # an empty table adds nothing
+        products.append((f"{name}:{table}", a.by_first[table], (
+            o.term(-1, by_u, True, False), o.term(-1, by_u, False, True), clause)))
+    return _carries(o, d, d, ("twist_commute", a.alpha.cols, a.alpha), products)
 
 
 def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
@@ -105,16 +121,18 @@ def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
 def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
     """Relative Rota-Baxter test: ``T phi = alpha T`` plus, per table,
     ``mu(Tu, Tv) = T(act_l(Tu) v + act_r(Tv) u)`` on all carrier pairs;
-    computed once per context and kept for its ``checked`` gates."""
+    computed once per context and kept for its ``checked`` gates.  ``T`` is
+    read over its own denominator, applied once to each action column."""
     if ctx._report is not None:
         return ctx._report
-    alg, rep = ctx.alg, ctx.rep
-    tables = alg.tensors()
-    a = SparseIndex(alg.alpha, {**tables, **rep.actions()}, t=ctx.t, phi=rep.phi)
-    d, t = a.d, a.maps["t"]
-    report = _carries(t, d, ("intertwines_twist", a.maps["phi"].cols, a.alpha), (
-        (f"splits:{name}", a.by_first[name], _induced(t, a.by_first[left], a.by_second[right]))
-        for name, (left, right) in ACTIONS_OF.items() if name in tables))
+    a = ctx._index or _relative_index(ctx.alg, ctx.rep)
+    e = ctx.t.stored()[0]
+    t = SparseMap(ctx.t, e)
+    report = _carries(t, e, a.d, ("intertwines_twist", a.maps["phi"].cols, a.alpha), [
+        (f"splits:{name}", a.by_first[name], (
+            t.term(-1, grouped(t.images(a.parts[left])), True, False),
+            t.term(-1, grouped(t.images(a.parts[right]), 1), False, True)))
+        for name, (left, right) in ACTIONS_OF.items() if name in a.parts])
     _put(ctx, "_report", report)
     return report
 

@@ -667,8 +667,12 @@ def _take_parameters(count: int, offset: int = 0) -> list[Fraction]:
 
 
 def solve_relative_rbo(alg: HomAlgebra, rep: Representation) -> SolutionSet:
-    """Generate the constraint system for (alg, rep) and solve it."""
-    return solve(generate_constraints(alg, rep))
+    """Generate and solve the constraint system for (alg, rep), and check an
+    answer that is not residual again (:func:`verify_solution`)."""
+    sol = solve(generate_constraints(alg, rep))
+    if sol.status != "residual":
+        verify_solution(alg, rep, sol)
+    return sol
 
 
 def verify_solution(alg: HomAlgebra, rep: Representation, sol: SolutionSet,
@@ -677,15 +681,18 @@ def verify_solution(alg: HomAlgebra, rep: Representation, sol: SolutionSet,
 
     Finite points are checked one by one; a family is instantiated at
     ``samples`` deterministic parameter choices, so ``samples`` must be at
-    least 1 (else :class:`ValueError`, before any check).  Any failure
-    raises :class:`SoundnessError` naming the offending matrix.
+    least 1 (else :class:`ValueError`, before any check).  The contexts of
+    the matrices share one index (:meth:`OperatorContext.with_operator`).
+    Any failure raises :class:`SoundnessError` naming the offending matrix.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    checks = []
+    checks, base = [], None
 
     def run(label: str, t: Matrix):
-        report = check_relative_rbo(OperatorContext(alg, rep, t))
+        nonlocal base
+        base = base or OperatorContext(alg, rep, t)
+        report = check_relative_rbo(base.with_operator(t))
         if not report.passed:
             raise SoundnessError(
                 f"{label} = {t!r} fails: "

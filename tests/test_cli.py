@@ -15,7 +15,8 @@ from homkit import solver
 from homkit.cli import main
 from homkit.dsl import parse
 from homkit.errors import SoundnessError
-from homkit.linalg import Matrix
+from homkit.linalg import Matrix, Vector
+from homkit.reporting import CheckReport, CheckResult, Witness
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = str(ROOT / "demos" / "fixtures.hla")
@@ -301,6 +302,18 @@ def test_internal_error_is_exit_three(monkeypatch, capsys):
     assert out == ""
     assert err == ("internal error: SoundnessError: "
                    "family verification failed on: t11 = 0\n")
+
+
+def test_a_solution_failing_its_recheck_is_exit_three(monkeypatch, capsys):
+    # The solver's answer is checked again before anything is printed.
+    failing = CheckReport((CheckResult("splits:bracket", False,
+                                       Witness((0, 1), Vector([1, 0]))),))
+    monkeypatch.setattr(solver, "check_relative_rbo", lambda ctx: failing)
+    code, out, err = run(capsys, "solve-rbo", FIXTURES, "A2leib")
+    assert (code, out) == (3, "")
+    assert err == ("internal error: SoundnessError: family_sample[0] = Matrix([[Fraction(0, 1), "
+                   "Fraction(1, 1)], [Fraction(0, 1), Fraction(2, 1)]]) fails: "
+                   "FAIL splits:bracket at (1, 2): residual = e1\n")
 
 
 def test_internal_error_is_not_an_input_error(monkeypatch, capsys):

@@ -501,6 +501,33 @@ def test_projection_contexts_of_sparse_algebras(dim):
     assert tally.failing >= 2 and tally.fractional > 0
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_contexts_made_by_with_operator_check_as_fresh_ones(seed):
+    """Operators over denominators 3 and 5, which divide no pool pair's,
+    checked on contexts made from one base by ``with_operator``: they share
+    the base's index and give the reports of fresh contexts and of the
+    reference, witnesses and residuals included."""
+    tally = Tally()
+    rng = random.Random(seed)
+    for alg in verified_algebra_pool():
+        for rep in valid_representations(rng, alg):
+            n, m = alg.dim, rep.carrier_dim
+            base = OperatorContext(alg, rep, Matrix.zero(n, m))
+            d = common_denominator(alg.alpha, rep.phi, *alg.tensors().values(),
+                                   *rep.actions().values())
+            for den in (3, 5):
+                assert d % den
+                t = Matrix([[Fraction(rng.randint(-2, 2), den) for _ in range(m)]
+                            for _ in range(n)])
+                for op in (t, Matrix.zero(n, m), *([shifted(t, rng)] if n and m else [])):
+                    shared = base.with_operator(op)
+                    assert shared.t is op and shared._index is base._index
+                    compare(tally, check_relative_rbo, oracle.check_relative_rbo, shared)
+                    assert check_relative_rbo(shared) == check_relative_rbo(
+                        OperatorContext(alg, rep, op))
+    assert tally.failing > 20 and tally.fractional > 10
+
+
 def test_operator_checks_on_spaces_of_dim_zero():
     """A dim-0 algebra acting on a dim-2 carrier (``T`` is 0 x 2) and a
     dim-2 algebra on a dim-0 carrier (``T`` is 2 x 0), morphisms to and

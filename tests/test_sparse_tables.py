@@ -284,6 +284,29 @@ def test_operator_checks_hand_the_scans_only_their_touched_keys(monkeypatch):
     assert handed_by(lambda: operators.check_relative_rbo(ctx), dim + products) >= products
 
 
+def test_verify_solution_builds_one_index_for_its_matrices(monkeypatch):
+    """The three samples of the Leibniz fixture's family are checked on
+    contexts made from one base, which share one index of the algebra and
+    its regular representation, where each check built its own."""
+    import homkit.kernel as kernel
+    from homkit.fixtures import two_dim_leibniz
+    from homkit.representation import regular_representation
+    from homkit.solver import generate_constraints, solve, verify_solution
+    alg = two_dim_leibniz()
+    rep = regular_representation(alg)
+    sol = solve(generate_constraints(alg, rep))
+    assert sol.status == "affine_family"
+    made, init = Counter(), kernel.SparseIndex.__init__
+
+    def counted(self, *args, **kwargs):
+        made["indexes"] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(kernel.SparseIndex, "__init__", counted)
+    report = verify_solution(alg, rep, sol, samples=3)
+    assert report.render() == "\n".join(f"PASS family_sample[{s}]" for s in range(3))
+    assert made["indexes"] == 1
+
+
 def test_failing_checks_stop_after_the_witness_slice(monkeypatch):
     """A dense dim-12 algebra and representation that fail at their first
     basis tuples: the checks sum the first slice of tuples (those with
