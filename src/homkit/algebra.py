@@ -291,8 +291,7 @@ def _ideal(basis: Sequence[Vector], alg: HomAlgebra) -> tuple[int, dict, dict]:
     values = {"twist_stable": {(b,): v for b, v in a.alpha.images(s.cols).items()}}
     for name in alg.tensors():
         for side, by in (("right", a.by_first), ("left", a.by_second)):
-            values[f"closed_{side}:{name}"] = s.sums(
-                alg.dim, s.term(1, by[name], right=False)).terms()
+            values[f"closed_{side}:{name}"] = s.sums(alg.dim, s.term(1, by[name], right=False))
     return a.d, s.cols, values
 
 
@@ -324,5 +323,5 @@ def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra
     # mu(beta e_i, beta e_j), over the nonzero products and entries of beta.
     return HomAlgebra(dim, alg.kind, beta @ alg.alpha, **{
         name: StructureTensor._from_form(
-            dim, a.d ** 3, b.sums(dim, b.term(1, a.by_first[name])).terms())
+            dim, a.d ** 3, b.sums(dim, b.term(1, a.by_first[name])))
         for name in alg.tensors()})

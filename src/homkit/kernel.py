@@ -27,15 +27,19 @@ reads the residual of a touched tuple by that tuple, straight from the
 dict, and a scan that stops at a witness sums no later slice.  An
 operator identity keeps each residual as one flat column-major vector
 of its carrier matrix, ``m * m`` ints.  A construction sums its
-degree-``k`` terms at every first index (:meth:`SparseMap.sums`) and
-hands them to its result's ``_from_form``, which reduces them to lowest
-terms (:func:`homkit.linalg.rationals`).
+degree-``k`` terms at every first index into a plain dict
+(:meth:`SparseMap.sums`) and hands the sparse vectors to its result's
+``_from_form``, which reduces them to lowest terms
+(:func:`homkit.linalg.rationals`).
 
 Every check and construction names its inputs once, in one
 :class:`SparseIndex`, and reads off it its maps and its grouped and twisted
 parts, each table made on first lookup by a dict subclass that holds no
-closure and no index; a twisted one is one pass over the sparse parts that
-sums only a key hit twice, in a dense list.  Only a construction that
+closure and no index.  One merge (:func:`_merged`) twists a part along the
+rows of a map in one pass over its sparse vectors, summing only a key hit
+twice, in a dense list: a table or family along alpha, and a family along
+the carrier twist ``phi``.  A map applied once to each vector runs the loop
+of a matrix product (:meth:`SparseMap.images`).  Only a construction that
 merely re-keys stored ints takes :func:`common_denominator` and :func:`sparse` itself;
 the relative Rota-Baxter check maps its operator outside a shared index.
 
@@ -49,6 +53,8 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 from typing import Iterator
+
+from .linalg import _applied
 
 
 def common_denominator(*parts) -> int:
@@ -70,31 +76,6 @@ def sparse(part, d: int) -> dict:
         return ints
     f = d // den
     return {key: [(k, f * x) for k, x in v] for key, v in ints.items()}
-
-
-class Accumulator(dict):
-    """Integer vectors of one dimension by key, each zero until first
-    added to: the products or action columns a construction sums."""
-
-    __slots__ = ("dim",)
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def __missing__(self, key):
-        out = self[key] = [0] * self.dim
-        return out
-
-    def add(self, key, c: int, terms: list[tuple[int, int]], offset: int = 0) -> None:
-        """Add ``c`` times the :func:`sparse` vector ``terms``, shifted by
-        ``offset``, at ``key``."""
-        out = self[key]
-        for k, x in terms:
-            out[offset + k] += c * x
-
-    def terms(self) -> dict:
-        """Every sum as a :func:`sparse` vector of its nonzero entries."""
-        return {key: [(k, x) for k, x in enumerate(v) if x] for key, v in self.items()}
 
 
 def grouped(mapping: dict, by: int = 0) -> dict:
@@ -141,23 +122,15 @@ class SparseMap:
     def images(self, columns: dict) -> dict:
         """``T`` applied once to each ``sparse`` column, by the same key and
         one degree higher; zero images are left out."""
-        width, cols, out = len(self.rows), self.cols, {}
-        for key, col in columns.items():
-            acc = [0] * width
-            for r, c in col:
-                for k, x in cols[r]:
-                    acc[k] += c * x
-            if image := [(k, x) for k, x in enumerate(acc) if x]:
-                out[key] = image
-        return out
+        return _applied(self.cols, columns, len(self.rows))
 
-    def sums(self, dim: int, *terms) -> Accumulator:
+    def sums(self, dim: int, *terms) -> dict:
         """A construction's products or columns: the terms, summed at every
-        first index (:func:`sum_slice`)."""
-        acc = Accumulator(dim)
+        first index (:func:`sum_slice`), as ``sparse`` vectors by key."""
+        acc: dict = {}
         for u in range(len(self.cols)):
             sum_slice(acc, dim, u, terms)
-        return acc
+        return {key: [(k, x) for k, x in enumerate(v) if x] for key, v in acc.items()}
 
     def term(self, c: int, by_first: dict, left: bool = True, right: bool = True) -> tuple:
         """The term ``c X(a, b)`` at ``(u, v)`` for each ``(b, X(a, b))`` in
@@ -190,40 +163,44 @@ class _Table(dict):
         return self.arg(self.parts[name])
 
 
+def _merged(part: dict, rows: dict, width: int, left: bool) -> dict:
+    """``part``'s vectors at ``(p, q)`` twisted along the sparse ``rows`` of a
+    map: at ``(x, q)`` for each ``(x, w)`` in ``rows[p]`` (``left``), or at
+    ``(p, x)`` for each in ``rows[q]``, times ``w``, in one pass.  A key hit
+    once holds its vector times one entry (for 1 the vector itself: parts are
+    read only), one hit again a dense sum of ``width`` ints."""
+    out, sums = {}, {}
+    for (p, q), v in part.items():
+        for x, w in rows[p if left else q]:
+            at = (x, q) if left else (p, x)
+            if (old := out.get(at)) is None:
+                out[at] = v if w == 1 else [(k, w * y) for k, y in v]
+                continue
+            if (acc := sums.get(at)) is None:
+                acc = sums[at] = [0] * width
+                for k, y in old:
+                    acc[k] = y
+            for k, y in v:
+                acc[k] += w * y
+    out.update((at, [(k, y) for k, y in enumerate(acc) if y]) for at, acc in sums.items())
+    return out
+
+
 class _Twisted(_Table):
     def make(self, key):
         if len(key) == 3:
             return grouped(self[key[:2]], key[2])
         (name, left), (rows, given) = key, self.arg
-        width, out, sums = getattr(given[name], "carrier_dim", len(rows)), {}, {}
-        for (p, q), v in self.parts[name].items():
-            for x, w in rows[p if left else q]:
-                at = (x, q) if left else (p, x)
-                if (old := out.get(at)) is None:
-                    out[at] = v if w == 1 else [(k, w * y) for k, y in v]
-                    continue
-                if (acc := sums.get(at)) is None:
-                    acc = sums[at] = [0] * width
-                    for k, y in old:
-                        acc[k] = y
-                for k, y in v:
-                    acc[k] += w * y
-        out.update((at, [(k, y) for k, y in enumerate(acc) if y]) for at, acc in sums.items())
-        return out
+        width = getattr(given[name], "carrier_dim", len(rows))
+        return _merged(self.parts[name], rows, width, left)
 
 
-def _times(rows: dict, m: int, family: dict) -> dict:
-    """``F(e_a) phi`` by ``a`` as flat column-major ``m*m`` vectors, from
-    ``phi``'s ``rows`` and ``F``'s columns by ``(a, r)``."""
-    acc = Accumulator(m * m)
-    for (a, r), col in family.items():
-        for c, p in rows[r]:
-            acc.add(a, p, col, c * m)
-    return acc.terms()
+def _phi_columns(rows: dict, m: int, family: dict) -> dict:
+    return grouped(_merged(family, rows, m, False))
 
 
-def _columns(m: int, flat: dict) -> dict:
-    return {a: list(grouped({divmod(k, m): g for k, g in v}).items()) for a, v in flat.items()}
+def _flat(m: int, columns: dict) -> dict:
+    return {a: [(c * m + k, y) for c, v in cols for k, y in v] for a, cols in columns.items()}
 
 
 class SparseIndex:
@@ -235,13 +212,13 @@ class SparseIndex:
     (``entries``) and twisted: ``twisted[name, left]`` holds
     ``mu(alpha e_r, e_a)`` at ``(r, a)`` (``left``) or ``mu(e_a, alpha e_r)``
     at ``(a, r)``, or column ``a`` of ``F(alpha e_r)`` at ``(r, a)`` for a
-    family, in one pass along alpha's rows: a key hit once holds its vector
-    times one entry (for 1 the vector itself: tables are read only), one hit
-    again a dense sum.  ``twisted[name, left, by]`` groups it by key index
-    ``by``.  With a carrier twist map ``phi``, a family ``F`` also has
-    ``F(e_a) phi`` as a flat column-major ``m*m`` ``sparse`` vector
-    (``times_phi``), the layout of the representation axioms' sums, and as
-    its columns ``(c, F(e_a) phi e_c)`` by ``a`` (``phi_columns``)."""
+    family, merged along alpha's rows (:func:`_merged`).
+    ``twisted[name, left, by]`` groups it by key index ``by``.  With a
+    carrier twist map ``phi``, a family ``F`` also has its columns
+    ``(c, F(e_a) phi e_c)`` by ``a``, merged along phi's rows
+    (``phi_columns``), and ``F(e_a) phi`` as a flat column-major ``m*m``
+    ``sparse`` vector (``times_phi``), the layout of the representation
+    axioms' sums."""
 
     __slots__ = ("d", "alpha", "maps", "parts", "by_first", "by_second", "entries", "twisted",
                  "times_phi", "phi_columns")
@@ -255,8 +232,8 @@ class SparseIndex:
         self.entries = _Table(parts, transposed)
         self.twisted = _Twisted(parts, ({} if alpha is None else self.alpha.rows, given))
         if (phi := maps.get("phi")) is not None:
-            self.times_phi = _Table(parts, partial(_times, phi.rows, len(phi.cols)))
-            self.phi_columns = _Table(self.times_phi, partial(_columns, len(phi.cols)))
+            self.phi_columns = _Table(parts, partial(_phi_columns, phi.rows, len(phi.cols)))
+            self.times_phi = _Table(self.phi_columns, partial(_flat, len(phi.cols)))
 
 
 # The kinds of term, each a tuple ``(kind, sign, firsts, seconds, last)``

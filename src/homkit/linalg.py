@@ -89,6 +89,22 @@ def rationals(den: int, ints: dict) -> tuple[int, dict]:
     return den, ints
 
 
+def _applied(columns: dict, vectors: dict, width: int) -> dict:
+    """The map whose sparse ``columns`` (``columns[r]`` lists ``(k, x)``) are
+    ``width`` long, applied once to each sparse vector of ``vectors``, by the
+    same key; zero images are left out.  A matrix product maps the left
+    factor's rows by the right factor's rows."""
+    out = {}
+    for key, v in vectors.items():
+        acc = [0] * width
+        for r, c in v:
+            for k, x in columns[r]:
+                acc[k] += c * x
+        if image := [(k, x) for k, x in enumerate(acc) if x]:
+            out[key] = image
+    return out
+
+
 def _dense(den: int, terms: list, width: int, made: dict) -> tuple[Fraction, ...]:
     """The ``width`` Fraction entries of the sparse int vector ``terms``
     over ``den``: each zero the shared one, each value built once per ``made``."""
@@ -419,16 +435,7 @@ class Matrix(_Stored):
                              f"{other.rows}x{other.cols}")
         # Both factors' stored ints: the product is an int matrix over da db.
         (da, left), (db, right) = self._ints, other._ints
-        rows = {}
-        for i, row in left.items():
-            if not row:
-                continue
-            acc = [0] * other.cols
-            for k, x in row:
-                for j, y in right[k]:
-                    acc[j] += x * y
-            rows[i] = [(j, v) for j, v in enumerate(acc) if v]
-        return Matrix._from_form(self.rows, other.cols, da * db, rows)
+        return Matrix._from_form(self.rows, other.cols, da * db, _applied(right, left, other.cols))
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != v.dim:
@@ -560,17 +567,18 @@ def solve_linear(a: Matrix, b: Vector) -> AffineSolution | None:
     return AffineSolution(Vector(particular), tuple(_null_space(echelon, a.cols)))
 
 
-def _format_terms(terms: Iterable[tuple[str, int, int]]) -> str:
+def _format_terms(terms: Iterable[tuple[str, int, int]], joiner: str = " ") -> str:
     """Render ``(label, num, den)`` terms, nonzero coefficients ``num/den``
-    with ``den > 0``, as a linear combination such as ``3/2 e1 - e2``; an
-    empty label marks a constant term, and no terms is ``0``."""
+    with ``den > 0``, as a linear combination such as ``3/2 e1 - e2``, or
+    ``3/2*x1 - x2`` with ``joiner`` ``"*"``; an empty label marks a constant
+    term, and no terms is ``0``."""
     parts: list[str] = []
     for label, n, d in terms:
         g = gcd(n, d)
         n, d = n // g, d // g
         mag = f"{abs(n)}/{d}" if d != 1 else "" if n in (1, -1) and label else str(abs(n))
         sign = ("- " if n < 0 else "+ ") if parts else "-" if n < 0 else ""
-        parts.append(f"{sign}{mag} {label}" if mag and label else f"{sign}{mag}{label}")
+        parts.append(f"{sign}{mag}{joiner}{label}" if mag and label else f"{sign}{mag}{label}")
     return " ".join(parts) if parts else "0"
 
 

@@ -32,12 +32,11 @@ from .algebra import (
 )
 from .errors import ShapeError
 from .kernel import (
-    Accumulator, SparseIndex, SparseMap, common_denominator, grouped, groups_then_vectors,
-    sparse, sum_slice,
+    SparseIndex, SparseMap, common_denominator, grouped, groups_then_vectors, sparse, sum_slice,
 )
 from .linalg import Matrix, Vector, _Frozen, _put, frac
 from .representation import (
-    ActionTensor, Representation, _require_match, check_representation,
+    ActionTensor, Representation, _paired_index, _require_match, check_representation,
     paired_families, semidirect_product,
 )
 from .reporting import CheckReport, CheckResult, Witness, require
@@ -61,7 +60,7 @@ class OperatorContext(_Frozen):
     def with_operator(self, t: Matrix) -> "OperatorContext":
         """A context for ``t`` on this algebra and representation, sharing one index."""
         if self._index is None:
-            _put(self, "_index", _relative_index(self.alg, self.rep))
+            _put(self, "_index", _paired_index(self.alg, self.rep))
         ctx = OperatorContext(self.alg, self.rep, t)
         _put(ctx, "_index", self._index)
         return ctx
@@ -71,16 +70,11 @@ class OperatorContext(_Frozen):
         return OperatorContext, (self.alg, self.rep, self.t)
 
 
-def _relative_index(alg: HomAlgebra, rep: Representation) -> SparseIndex:
-    return SparseIndex(alg.alpha, {**alg.tensors(), **rep.actions()}, phi=rep.phi)
-
-
 def _induced(t: SparseMap, left: dict, right: dict, *more) -> dict:
     """``act_l(T e_u) e_v + act_r(T e_v) e_u`` at ``(u, v)``, and the ``more``
     terms, as degree-2 ``sparse`` vectors, from the columns of an action
     pair grouped by base index (``left``) and by column (``right``)."""
-    return t.sums(len(t.cols), t.term(1, left, True, False), t.term(1, right, False, True),
-                  *more).terms()
+    return t.sums(len(t.cols), t.term(1, left, True, False), t.term(1, right, False, True), *more)
 
 
 def _deformed(a: SparseIndex, o: SparseMap, name: str) -> dict:
@@ -125,7 +119,7 @@ def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
     read over its own denominator, applied once to each action column."""
     if ctx._report is not None:
         return ctx._report
-    a = ctx._index or _relative_index(ctx.alg, ctx.rep)
+    a = ctx._index or _paired_index(ctx.alg, ctx.rep)
     e = ctx.t.stored()[0]
     t = SparseMap(ctx.t, e)
     report = _carries(t, e, a.d, ("intertwines_twist", a.maps["phi"].cols, a.alpha), [
@@ -187,9 +181,8 @@ def induced_representation(ctx: OperatorContext, checked: bool = True) -> Repres
         # T(opposite(e_x) e_u), from the images of the opposite's columns.
         table = (a.by_first if left else a.by_second)[name]
         opposite = o.images(a.parts[ACTIONS_OF[name][1 if left else 0]])
-        acc = o.sums(n, o.term(1, table, True, False),
-                     o.term(-1, grouped(opposite, 1), False, False))
-        return ActionTensor._from_form(m, n, a.d ** 2, acc.terms())
+        return ActionTensor._from_form(m, n, a.d ** 2, o.sums(
+            n, o.term(1, table, True, False), o.term(-1, grouped(opposite, 1), False, False)))
 
     return Representation(alg.kind, m, n, alg.alpha, **paired_families(alg, family))
 
@@ -261,7 +254,7 @@ def _graph_value(sd: HomAlgebra, graph: Matrix, check: str, at: tuple[int, ...])
     name = check.partition(":")[2]
     if not name:
         return (sd.alpha @ graph).col(at[0])
-    a, acc = SparseIndex(None, {name: getattr(sd, name)}, graph=graph), Accumulator(sd.dim)
+    a, acc = SparseIndex(None, {name: getattr(sd, name)}, graph=graph), {}
     sum_slice(acc, sd.dim, at[0], [a.maps["graph"].term(1, a.by_first[name])])  # over d**3
     return Vector(Fraction(x, a.d ** 3) for x in acc[at])
 

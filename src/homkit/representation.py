@@ -232,8 +232,14 @@ def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     residual is exactly zero.
     """
     _require_match(rep, alg)
-    r = SparseIndex(alg.alpha, {**alg.tensors(), **rep.actions()}, phi=rep.phi)
-    return _axioms(r, _GROUPS[alg.kind])
+    return _axioms(_paired_index(alg, rep), _GROUPS[alg.kind])
+
+
+def _paired_index(alg: HomAlgebra, rep: Representation) -> SparseIndex:
+    """The index of the algebra's tables and twist and the representation's
+    families with its carrier twist ``phi``: what the axioms and the relative
+    Rota-Baxter check read."""
+    return SparseIndex(alg.alpha, {**alg.tensors(), **rep.actions()}, phi=rep.phi)
 
 
 def regular_representation(alg: HomAlgebra) -> Representation:
@@ -267,8 +273,7 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
     def family(name: str, left: bool) -> ActionTensor:
         # mu_dst(f e_i, e_j) (left) or mu_dst(e_j, f e_i) at (i, j).
         table = (a.by_first if left else a.by_second)[name]
-        columns = fm.sums(m, fm.term(1, table, True, False))
-        return ActionTensor._from_form(n, m, a.d ** 2, columns.terms())
+        return ActionTensor._from_form(n, m, a.d ** 2, fm.sums(m, fm.term(1, table, True, False)))
 
     return Representation(src.kind, n, m, dst.alpha, **paired_families(src, family))
 

@@ -29,6 +29,7 @@ degree <= 1 ends the linear rounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
@@ -36,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
-from .linalg import Matrix, Rational, _echelon, _Frozen, _remainder, _Value, frac
+from .linalg import Matrix, Rational, _echelon, _format_terms, _Frozen, _remainder, _Value, frac
 from .operators import OperatorContext, check_relative_rbo
 from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
@@ -164,35 +165,10 @@ class Polynomial(_Frozen):
         return hash((self.den, frozenset(self.ints.items())))
 
     def render(self, name: Callable[[int], str]) -> str:
-        if not self.ints:
-            return "0"
-        def mono_str(m: Monomial) -> str:
-            if not m:
-                return ""
-            parts = []
-            i = 0
-            while i < len(m):
-                j = i
-                while j < len(m) and m[j] == m[i]:
-                    j += 1
-                parts.append(name(m[i]) if j - i == 1 else f"{name(m[i])}^{j - i}")
-                i = j
-            return "*".join(parts)
-        ordered = sorted(self.terms.items(), key=lambda kv: (-len(kv[0]), kv[0]))
-        out = []
-        for mono, coeff in ordered:
-            ms = mono_str(mono)
-            if not ms:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = ms
-            else:
-                body = f"{abs(coeff)}*{ms}"
-            if not out:
-                out.append(body if coeff > 0 else f"-{body}")
-            else:
-                out.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(out)
+        """Terms by falling degree, then monomial, such as ``x1^2*x2 - 3/2*x1 + 1``."""
+        return _format_terms((("*".join(name(v) if k == 1 else f"{name(v)}^{k}"
+                                        for v, k in Counter(m).items()), self.ints[m], self.den)
+                              for m in sorted(self.ints, key=lambda m: (-len(m), m))), "*")
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render(lambda v: f'x{v}')})"

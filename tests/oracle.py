@@ -58,9 +58,11 @@ errors, for ``test_linalg.py``.
 
 ``twisted``, after them, is ``kernel.SparseIndex.twisted`` as it was
 before the index merged the sparse parts: every twisted product summed in
-a dense ``Accumulator`` and converted back.  The index's tables must hold
-the same keys in the same order and the same vectors, empty ones included,
-for ``test_kernel.py``.
+a dense list and converted back.  The index's tables must hold the same
+keys in the same order and the same vectors, empty ones included, for
+``test_kernel.py``.  ``phi_columns`` is ``kernel.SparseIndex.phi_columns``
+as a dense product: each matrix of the family (``ActionTensor.mats``)
+times ``phi`` (``Matrix @``), read column by column.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from homkit.dsl import (
 from homkit.errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError, SoundnessError,
 )
-from homkit.kernel import Accumulator, SparseIndex, grouped
+from homkit.kernel import SparseIndex, grouped
 from homkit.linalg import _ZERO, AffineSolution, Matrix, Vector, frac
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
@@ -1762,14 +1764,26 @@ def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
 
 def twisted(index: SparseIndex, given: dict, name: str, left: bool, by: int) -> dict:
     """``index.twisted[name, left, by]`` for the index of ``given``: each
-    product summed in a dense ``Accumulator``, then grouped by key index ``by``."""
+    product summed in a dense list, in order of first addition, then grouped
+    by key index ``by``."""
     rows = {} if index.alpha is None else index.alpha.rows
-    acc = Accumulator(getattr(given[name], "carrier_dim", len(rows)))
+    width, acc = getattr(given[name], "carrier_dim", len(rows)), {}
     for (p, q), v in index.parts[name].items():
-        if left:
-            for x, w in rows[p]:
-                acc.add((x, q), w, v)
-        else:
-            for x, w in rows[q]:
-                acc.add((p, x), w, v)
-    return grouped(acc.terms(), by)
+        for x, w in rows[p if left else q]:
+            out = acc.setdefault((x, q) if left else (p, x), [0] * width)
+            for k, y in v:
+                out[k] += w * y
+    return grouped({key: [(k, y) for k, y in enumerate(v) if y] for key, v in acc.items()}, by)
+
+
+def phi_columns(index: SparseIndex, family: ActionTensor, phi: Matrix) -> dict:
+    """``index.phi_columns`` of ``family`` and the carrier twist ``phi`` as
+    ``{(a, c): {k: int}}``: the nonzero entries of column ``c`` of
+    ``F(e_a) phi``, times ``index.d ** 2``, for each nonzero column."""
+    out = {}
+    for a, mat in enumerate(family.mats):
+        product = (mat @ phi).entries
+        for c in range(phi.cols):
+            if col := {k: row[c] * index.d ** 2 for k, row in enumerate(product) if row[c]}:
+                out[a, c] = col
+    return out

@@ -31,8 +31,8 @@ from homkit.operators import (
     induced_algebra, induced_representation, lift_operator, projection_context,
 )
 from homkit.representation import (
-    ActionTensor, Representation, check_representation, pullback_representation,
-    regular_representation, semidirect_product,
+    ActionTensor, Representation, _paired_index, check_representation,
+    pullback_representation, regular_representation, semidirect_product,
 )
 from support import (
     corrupt_one_entry, random_operator, self_morphisms, theorem_suite_contexts,
@@ -297,6 +297,38 @@ def test_matched_pairs():
         if mp.a1.dim:
             compare(tally, check_matched_pair, oracle.check_matched_pair, skewed(mp, rng))
     assert tally.failing > 5 and tally.fractional > 0
+
+
+def same_phi_tables(index: SparseIndex, rep: Representation) -> int:
+    """Every ``phi_columns`` and ``times_phi`` table of the index of ``rep``'s
+    families equals the dense reference's, each vector compared as its
+    entries (the order of the columns within an entry is not fixed); returns
+    the number of nonzero columns compared."""
+    m, count = rep.carrier_dim, 0
+    for name, family in rep.actions().items():
+        want = oracle.phi_columns(index, family, rep.phi)
+        assert {(a, c): dict(v) for a, cols in index.phi_columns[name].items()
+                for c, v in cols if v} == want
+        flat: dict = {}
+        for (a, c), col in want.items():
+            flat.setdefault(a, {}).update((c * m + k, x) for k, x in col.items())
+        assert {a: dict(v) for a, v in index.times_phi[name].items() if v} == flat
+        count += len(want)
+    return count
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_phi_tables_match_the_dense_reference(seed):
+    """Pool algebras' valid representations, over their own index, and both
+    directions of the matched pairs, over the pair's common denominator."""
+    rng, count = random.Random(seed), 0
+    for alg in verified_algebra_pool():
+        for rep in valid_representations(rng, alg):
+            count += same_phi_tables(_paired_index(alg, rep), rep)
+    for mp in matched_pairs():
+        for index, rep in zip(matched._directions(mp), (mp.actions_1_on_2, mp.actions_2_on_1)):
+            count += same_phi_tables(index, rep)
+    assert count > 100
 
 
 def oracle_cross_conditions(mp: MatchedPair) -> CheckReport:

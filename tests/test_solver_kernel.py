@@ -236,6 +236,20 @@ def test_arithmetic_results_are_clean_and_match_reference(p, q, c, mapping):
         assert got.terms == want.terms
 
 
+powers = st.lists(st.integers(0, VARS - 1), max_size=6).map(tuple)  # () is a constant
+coefficients = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 6]))
+
+
+@PROPERTY
+@given(st.dictionaries(powers, coefficients, max_size=6))
+def test_render_matches_reference(terms):
+    """Constants, powers of 3 or more, and negative and fractional
+    coefficients render as the reference renders them."""
+    def name(v):
+        return f"t{v + 1}"
+    assert Polynomial(terms).render(name) == oracle.Polynomial(terms).render(name)
+
+
 constants = st.one_of(  # zero, or a nonzero value with one of four denominators
     st.just(Fraction(0)),
     st.builds(Fraction, st.sampled_from([-2, -1, 1, 3]), st.sampled_from([1, 2, 3, 4])),

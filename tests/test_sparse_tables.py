@@ -209,21 +209,23 @@ def test_check_algebra_costs_follow_its_nonzero_terms(monkeypatch):
     assert algebra.check_algebra(alg) == report
 
 
-def test_check_algebra_sums_no_table_densely(monkeypatch):
-    """The twisted tables of ``check_algebra`` are merged from the sparse
-    products: over the verified pool, no dense ``Accumulator`` is made."""
-    import homkit.kernel as kernel
-    from homkit.algebra import check_algebra
+def test_phi_columns_of_the_identity_are_the_stored_columns():
+    """With ``phi`` the identity, ``F(e_a) phi e_c`` is column ``c`` of
+    ``F(e_a)``: each ``phi_columns`` vector is the family's own stored list,
+    shared read only, as a twisted table shares a vector times 1."""
+    from homkit.kernel import SparseIndex
+    from homkit.representation import regular_representation
     from support import verified_algebra_pool
-    pool, made = verified_algebra_pool(), Counter()
-    init = kernel.Accumulator.__init__
-
-    def counted(self, dim):
-        made["accumulators"] += 1
-        init(self, dim)
-    monkeypatch.setattr(kernel.Accumulator, "__init__", counted)
-    assert all(check_algebra(alg).passed for alg in pool)
-    assert made["accumulators"] == 0
+    shared = 0
+    for alg in verified_algebra_pool():
+        for name, family in regular_representation(alg).actions().items():
+            stored = family.stored()[1]
+            index = SparseIndex(None, {name: family}, phi=Matrix.identity(alg.dim))
+            columns = {(a, c): v for a, cols in index.phi_columns[name].items() for c, v in cols}
+            assert columns.keys() == stored.keys()
+            assert all(v is stored[key] for key, v in columns.items())
+            shared += len(columns)
+    assert shared > 50
 
 
 def test_check_representation_costs_follow_its_nonzero_terms(monkeypatch):
