@@ -15,10 +15,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
-from .kernel import (
-    SparseIndex, SparseMap, entries_then_index, grouped, groups_then_vectors, sparse,
-    twisted_then_entries, walk,
-)
+from .kernel import SparseIndex, SparseMap, grouped, groups_then_vectors, row_term, sparse, walk
 from .linalg import (
     _ZERO, Matrix, Vector, _cells, _dense, _echelon, _lowest_terms, _remainder, _Stored, _Value,
 )
@@ -148,28 +145,24 @@ class HomAlgebra(_Value):
 _GROUPS = {**TENSORS_BY_KIND, POISSON: (*TENSORS_BY_KIND[POISSON], POISSON)}
 
 
-# The degree-3 identity of each group at a basis triple (i, j, k), as
-# signed terms: ``(sign, inner, outer, swap)`` is
-# ``mu_outer(mu_inner(e_i, e_j), alpha e_k)``, with j and k exchanged if
-# ``swap``, and ``(sign, inner, outer)`` is ``mu_outer(alpha e_i, mu_inner(e_j, e_k))``.
+# The degree-3 identity of each group at a basis triple (i, j, k), as rows
+# of :func:`homkit.kernel.row_term`'s grammar.
 _TRIPLES = {
-    "dot": ("hom_associative", (1, "dot", "dot", 0), (-1, "dot", "dot")),
-    "bracket": ("hom_leibniz", (1, "bracket", "bracket", 0), (-1, "bracket", "bracket"),
-                (-1, "bracket", "bracket", 1)),
-    POISSON: ("poisson_compatibility", (1, "dot", "bracket", 0), (-1, "bracket", "dot"),
-              (-1, "bracket", "dot", 1)),
+    "dot": ("hom_associative", (1, "dot", "dot", 0, 1), (-1, "dot", "dot")),
+    "bracket": ("hom_leibniz", (1, "bracket", "bracket", 0, 1), (-1, "bracket", "bracket"),
+                (-1, "bracket", "bracket", 1, 1)),
+    POISSON: ("poisson_compatibility", (1, "dot", "bracket", 0, 1), (-1, "dot", "bracket"),
+              (-1, "bracket", "dot", 1, 1)),
 }
 
 
 def _identity(a: SparseIndex, group: str) -> CheckResult:
     """The degree-3 identity of ``group`` (:data:`_TRIPLES`), scanned slice by
     slice (:func:`walk`): the first failing touched key is the first failing tuple."""
-    name, *terms = _TRIPLES[group]
+    name, *rows = _TRIPLES[group]
     n = len(a.alpha.rows)
-    return scan_identity(name, *walk(n, n, [
-        entries_then_index(sign, a.by_first[inner], a.twisted[outer, False, 0], *swap) if swap
-        else twisted_then_entries(sign, a.twisted[outer, True, 0], a.entries[inner])
-        for sign, inner, outer, *swap in terms]), denominator=a.d ** 3)
+    return scan_identity(name, *walk(n, n, [row_term(a, a, *row) for row in rows]),
+                         denominator=a.d ** 3)
 
 
 def _carries(o: SparseMap, e: int, d: int, twist: tuple | None, products,

@@ -357,7 +357,7 @@ class _Reader:
         while toks[self.pos] != "}":
             at = self.expect_name("an algebra field")
             field = toks[at]
-            if field in seen and field in ("dim", "kind", "dot", "bracket", "alpha"):
+            if field in seen:
                 self.fail(f"duplicate field {field!r}", at)
             seen.add(field)
             if field == "dim":

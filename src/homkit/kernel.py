@@ -16,9 +16,9 @@ The exact rational residual is that list over ``D**k``, and
 :func:`homkit.reporting.scan_identity` builds it only for a witness.
 
 Terms are data.  Each term of an identity or a construction is a plain
-tuple that names the sparse tables it reads, made by
-:func:`entries_then_index`, :func:`twisted_then_entries`,
-:func:`groups_then_vectors` or :meth:`SparseMap.term`.  One function,
+tuple that names the sparse tables it reads, made by :func:`row_term`
+from a row of the one grammar of every degree-3 identity, by
+:func:`groups_then_vectors` or by :meth:`SparseMap.term`.  One function,
 :func:`sum_slice`, sums every term at one first index straight into one
 dict of int vectors keyed by basis tuple, with one loop per kind of
 term, and lists the keys it creates.  A check runs it slice by slice
@@ -237,7 +237,7 @@ class SparseIndex:
 
 
 # The kinds of term, each a tuple ``(kind, sign, firsts, seconds, last)``
-# made by :func:`entries_then_index`, :func:`twisted_then_entries`,
+# made by :func:`row_term` (the entry and twisted kinds),
 # :func:`groups_then_vectors` or :meth:`SparseMap.term`.  For every kind but
 # ``_MAP``, a nonzero ``last`` is a carrier width: the term writes at a
 # carrier column's offset of a flat column-major layout.
@@ -316,21 +316,29 @@ def walk(width: int, count: int, terms) -> tuple:
     return _slices(acc, width, count if terms else 0, terms), acc.__getitem__
 
 
-def entries_then_index(sign: int, firsts: dict, seconds: dict, swap: bool = False,
-                       width: int = 0) -> tuple:
-    """The term ``sign g v`` at ``(i, w, z)``, or ``(i, z, w)`` if ``swap``, for
-    each ``(w, col)`` in ``firsts[i]``, each entry ``g`` of ``col`` at ``a``
-    and each ``(z, v)`` in ``seconds[a]``.  With a ``width``, ``w`` is a
-    carrier column: ``v`` goes to ``(i, z)`` from offset ``w * width`` of a
-    flat column-major layout."""
+def row_term(a: SparseIndex, b: SparseIndex, sign: int, *row, width: int = 0) -> tuple:
+    """The term of one row of a degree-3 identity at ``(i, w, z)``, or at
+    ``(i, z, w)`` if ``swap``, summed over the nonzero entries of its tables:
+
+    - ``(sign, F, X)`` is ``sign F(alpha e_i, X(e_w, e_z))``;
+    - ``(sign, F, X, swap)`` is ``sign F(X(e_w, e_i), phi e_z)``;
+    - ``(sign, X, F, swap, first)`` is ``sign F(X(e_i, e_w), alpha e_z)``, or
+      ``sign F(alpha e_z, X(e_i, e_w))`` if not ``first``.
+
+    The row's first name is read off ``a`` and its second off ``b``, one index
+    for an algebra's identities and a representation's axioms; a family is a
+    bilinear map, ``X(e_a, f_c) = X(e_a) f_c``.  With a ``width``, the term
+    writes at ``(i, j)``, ``j`` a base index, from offset ``c * width`` of a
+    flat column-major layout for a carrier column ``c``."""
+    if len(row) == 2:  # the twisted columns of F(alpha e_i), then X's entries
+        return (_TWISTED, sign, a.twisted[row[0], True, 0], b.entries[row[1]], width)
+    if len(row) == 3:  # the entries of X(e_w, e_i), then F's columns times phi
+        f, x, swap = row
+        firsts, seconds = b.by_second[x], a.phi_columns[f]
+    else:  # the entries of X(e_i, e_w), then F twisted on its other side
+        x, f, swap, first = row
+        firsts, seconds = a.by_first[x], b.twisted[f, not first, int(not first)]
     return (_ENTRIES_SWAPPED if swap else _ENTRIES, sign, firsts, seconds, width)
-
-
-def twisted_then_entries(sign: int, twisted: dict, entries: dict, width: int = 0) -> tuple:
-    """The term ``sign c v`` at ``(i, p, q)`` for each ``(a, v)`` in ``twisted[i]``
-    and each ``((p, q), c)`` in ``entries[a]`` (a part :func:`transposed`); with a
-    ``width``, at ``(i, p)`` from offset ``q * width``, ``q`` being a carrier column."""
-    return (_TWISTED, sign, twisted, entries, width)
 
 
 def groups_then_vectors(sign: int, groups: dict, vectors: dict, width: int = 0) -> tuple:

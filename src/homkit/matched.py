@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from .algebra import POISSON, HomAlgebra, StructureTensor, _GROUPS, check_algebra
 from .errors import KindMismatchError, ShapeError
-from .kernel import (
-    SparseIndex, common_denominator, entries_then_index, sparse, twisted_then_entries, walk,
-)
+from .kernel import SparseIndex, common_denominator, row_term, sparse, walk
 from .linalg import Matrix, _Frozen
 from .representation import Representation, _axioms, _require_match
 from .reporting import CheckReport, concat, require, scan_identity
@@ -44,13 +42,10 @@ class MatchedPair(_Frozen):
                     "cross action twist must equal the carrier algebra's twist")
 
 
-# The cross conditions of A acting on B at (x, u, v), with x in A, u and v
-# in B, F an action family of A on B and G one of B on A, as signed terms
-# over (w, z) = (u, v), or (v, u) if ``swap``: ``(sign, F, mu)`` is
-# ``F(alpha x) mu(u, v)``, ``(sign, F, G, swap)`` is ``F(G(w) x) alpha z``
-# and ``(sign, F, mu, swap, first)`` is ``mu(F(x) w, alpha z)``, or
-# ``mu(alpha z, F(x) w)`` if not ``first``.  Each group's order numbers its
-# templates for A1 acting on A2 (``p``) and for A2 acting on A1 (``q``).
+# The cross conditions of A acting on B at (x, u, v), x in A, as rows of
+# :func:`homkit.kernel.row_term`: first a family of A on B, then a table of B
+# or a family of B on A.  Each group's order numbers its templates for A1
+# acting on A2 (``p``) and for A2 acting on A1 (``q``).
 _CROSS = {
     "dot": ("assoc", "p1 p2 q1 q2 p3 q3", (
         ((1, "lambda_l", "dot"), (-1, "lambda_l", "lambda_r", 0),
@@ -79,21 +74,6 @@ _CROSS = {
 }
 
 
-def _cross_term(a: SparseIndex, b: SparseIndex, sign: int,
-                family: str, other: str, swap=None, first=None) -> tuple:
-    """The kernel term of one entry of :data:`_CROSS` for A acting on B,
-    ``other`` being its table or its family G, at ``(x, w, z)`` or, if
-    ``swap``, ``(x, z, w)``: the families F of A on B are read from ``a``,
-    and G, B's tables and B's twist from ``b``, over one common denominator."""
-    if swap is None:  # F(alpha e_x) mu(e_u, e_v)
-        return twisted_then_entries(sign, a.twisted[family, True, 0], b.entries[other])
-    if first is None:  # F(G(e_w) e_x) alpha e_z, from the entries of G(e_w) e_x
-        return entries_then_index(sign, b.by_second[other], a.phi_columns[family], swap)
-    # mu(F(e_x) e_w, alpha e_z), from the entries of F(e_x) e_w
-    return entries_then_index(sign, a.by_first[family],
-                              b.twisted[other, not first, int(not first)], swap)
-
-
 def _directions(mp: MatchedPair) -> tuple:
     """A1 acting on A2 and back, each the index of a base algebra and its
     families with their carrier twist named ``phi``, over the pair's common
@@ -112,7 +92,7 @@ def _cross_conditions(kind: str, p: SparseIndex, q: SparseIndex) -> list:
         name, order, templates = _CROSS[group]
         for k, (view, t) in enumerate(order.split(), 1):
             act, back = (p, q) if view == "p" else (q, p)
-            terms = [_cross_term(act, back, *term) for term in templates[int(t) - 1]]
+            terms = [row_term(act, back, *row) for row in templates[int(t) - 1]]
             width, count = len(act.maps["phi"].cols), len(act.alpha.rows)
             checks.append(scan_identity(f"cross:{name}:{k}", *walk(width, count, terms),
                                         denominator=act.d ** 3))

@@ -23,8 +23,8 @@ from .algebra import (
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import (
-    SparseIndex, common_denominator, entries_then_index, grouped, groups_then_vectors, sparse,
-    transposed, twisted_then_entries, walk,
+    SparseIndex, common_denominator, grouped, groups_then_vectors, row_term, sparse, transposed,
+    walk,
 )
 from .linalg import Matrix, Vector, _cells, _echelon, _Stored, _Value
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
@@ -143,33 +143,32 @@ def _require_match(rep: Representation, alg: HomAlgebra) -> None:
 _COMMUTES = {"lambda_l": "phi_commutes_left_mult", "lambda_r": "phi_commutes_right_mult",
              "rho_l": "phi_commutes_left_bracket", "rho_r": "phi_commutes_right_bracket"}
 
-# The pair axioms of each table, then the Poisson cross axioms, as signed
-# terms at a basis pair (i, j): ``(sign, F, table, swap)`` is
-# ``F(mu(e_i, e_j)) phi`` and ``(sign, F, G, swap)`` is
-# ``F(alpha e_i) G(e_j)``, with i and j exchanged if ``swap``.
+# The pair axioms of each table, then the Poisson cross axioms, at a basis
+# pair (i, j): rows of :func:`homkit.kernel.row_term`, and the one form only
+# these axioms have, ``(sign, F, table, swap)``, read by :func:`_through_phi`.
 _PAIR_AXIOMS = {
     "dot": (
-        ("left_mult_composition", (1, "lambda_l", "dot", 0), (-1, "lambda_l", "lambda_l", 0)),
-        ("right_mult_composition", (1, "lambda_r", "dot", 0), (-1, "lambda_r", "lambda_r", 1)),
-        ("left_right_mult_commute", (1, "lambda_l", "lambda_r", 0),
-         (-1, "lambda_r", "lambda_l", 1)),
+        ("left_mult_composition", (1, "lambda_l", "dot", 0), (-1, "lambda_l", "lambda_l")),
+        ("right_mult_composition", (1, "lambda_r", "dot", 0), (-1, "lambda_r", "lambda_r", 0, 0)),
+        ("left_right_mult_commute", (1, "lambda_l", "lambda_r"),
+         (-1, "lambda_l", "lambda_r", 0, 0)),
     ),
     "bracket": (
-        ("left_bracket_composition", (1, "rho_l", "bracket", 0), (-1, "rho_l", "rho_l", 0),
-         (-1, "rho_r", "rho_l", 1)),
-        ("mixed_bracket_exchange", (1, "rho_r", "rho_l", 1), (-1, "rho_l", "rho_r", 0),
+        ("left_bracket_composition", (1, "rho_l", "bracket", 0), (-1, "rho_l", "rho_l"),
+         (-1, "rho_l", "rho_r", 0, 0)),
+        ("mixed_bracket_exchange", (1, "rho_l", "rho_r", 0, 0), (-1, "rho_l", "rho_r"),
          (-1, "rho_l", "bracket", 0)),
-        ("right_bracket_composition", (1, "rho_r", "rho_r", 1), (-1, "rho_r", "bracket", 0),
-         (-1, "rho_r", "rho_r", 0)),
+        ("right_bracket_composition", (1, "rho_r", "rho_r", 0, 0), (-1, "rho_r", "bracket", 0),
+         (-1, "rho_r", "rho_r")),
         ("right_bracket_antisymmetry", (1, "rho_r", "bracket", 0), (1, "rho_r", "bracket", 1)),
     ),
     POISSON: (
-        ("bracket_acts_on_left_mult", (1, "rho_r", "lambda_l", 1),
-         (-1, "lambda_l", "rho_r", 0), (-1, "lambda_l", "bracket", 0)),
-        ("bracket_acts_on_right_mult", (1, "rho_r", "lambda_r", 1),
-         (-1, "lambda_r", "bracket", 0), (-1, "lambda_r", "rho_r", 0)),
-        ("left_bracket_of_product", (1, "rho_l", "dot", 0), (-1, "lambda_l", "rho_l", 0),
-         (-1, "lambda_r", "rho_l", 1)),
+        ("bracket_acts_on_left_mult", (1, "lambda_l", "rho_r", 0, 0),
+         (-1, "lambda_l", "rho_r"), (-1, "lambda_l", "bracket", 0)),
+        ("bracket_acts_on_right_mult", (1, "lambda_r", "rho_r", 0, 0),
+         (-1, "lambda_r", "bracket", 0), (-1, "lambda_r", "rho_r")),
+        ("left_bracket_of_product", (1, "rho_l", "dot", 0), (-1, "lambda_l", "rho_l"),
+         (-1, "rho_l", "lambda_r", 0, 0)),
     ),
 }
 
@@ -186,10 +185,10 @@ def _axioms(r: SparseIndex, groups: tuple) -> CheckReport:
     for group in groups:
         for family in ACTIONS_OF.get(group, ()):
             checks.append(scan(_COMMUTES[family], *_commutes(r, family)))
-        for name, *terms in _PAIR_AXIOMS[group]:
+        for name, *rows in _PAIR_AXIOMS[group]:
             checks.append(scan(name, *(
-                _through_phi(r, *term) if term[2] in ACTIONS_OF else _composed(r, *term)
-                for term in terms)))
+                _through_phi(r, *row) if len(row) == 4 else row_term(r, r, *row, width=m)
+                for row in rows)))
     return CheckReport(tuple(checks))
 
 
@@ -200,15 +199,6 @@ def _commutes(r: SparseIndex, family: str) -> tuple:
     alpha = {i: ((0, col),) for i, col in r.alpha.cols.items()}
     return (groups_then_vectors(r.d, r.by_first[family], phi, len(phi)),
             groups_then_vectors(-1, alpha, times_phi, len(phi)))
-
-
-def _composed(r: SparseIndex, sign: int, outer: str, inner: str, swap: bool) -> tuple:
-    """The term ``sign F(alpha e_i) G(e_j)`` at ``(i, j)``, or
-    ``sign F(alpha e_j) G(e_i)`` if ``swap``, for ``F, G = outer, inner``."""
-    m = len(r.maps["phi"].cols)
-    if swap:
-        return entries_then_index(sign, r.by_first[inner], r.twisted[outer, True, 1], width=m)
-    return twisted_then_entries(sign, r.twisted[outer, True, 0], r.entries[inner], m)
 
 
 def _through_phi(r: SparseIndex, sign: int, family: str, table: str, swap: bool) -> tuple:
@@ -297,11 +287,11 @@ def power_twist_representation(rep: Representation, alg: HomAlgebra,
                                n: int) -> Representation:
     """Precompose every action with the n-th power of the algebra twist.
 
-    The twist is checked to be a self-morphism once, for ``n >= 1``;
-    ``n <= 0`` returns ``rep`` itself."""
+    The pair's kind and shape are checked first, then the twist, once, to be a
+    self-morphism for ``n >= 1``; ``n <= 0`` returns ``rep`` itself."""
+    _require_match(rep, alg)
     if n < 1:
         return rep
-    _require_match(rep, alg)
     _require_self_morphism(alg.alpha, alg)
     power = alg.alpha
     for _ in range(n - 1):

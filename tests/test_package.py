@@ -1,6 +1,8 @@
-"""The ``homkit`` namespace loads its submodules on first use, and each CLI
-subcommand imports only the modules it runs."""
+"""The ``homkit`` namespace loads its submodules on first use, each CLI
+subcommand imports only the modules it runs, and no module imports a name it
+never reads."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -141,3 +143,28 @@ def test_induce_loads_the_operators_but_not_the_start_up_heavy_modules():
 def test_import_of_the_cli_loads_no_start_up_heavy_module():
     code = "import sys, homkit.cli; print(*sorted(sys.modules))"
     assert not set(fresh(code).split()) & STARTUP_HEAVY
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports (other than ``from __future__``) and never
+    reads as a ``Name``."""
+    tree, imported = ast.parse(source), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nfrom a import b as c, d, e\n"
+    assert unused_imports(source + "d()\ne = 1\n") == ["os", "c", "e"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "homkit").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_read(path):
+    assert unused_imports(path.read_text()) == []

@@ -181,6 +181,15 @@ def test_power_twist_edges():
             power_twist_representation(rep, a, n)
 
 
+def test_power_twist_checks_the_pair_at_every_power():
+    # A Leibniz representation with an associative algebra is refused at
+    # power zero and below too, as every other construction refuses it.
+    rep = regular_representation(two_dim_leibniz())
+    for n in (-1, 0, 1):
+        with pytest.raises(KindMismatchError):
+            power_twist_representation(rep, two_dim_associative(), n)
+
+
 def test_twist_composition_property():
     l = two_dim_leibniz()
     rep = regular_representation(l)
