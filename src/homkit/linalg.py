@@ -178,6 +178,8 @@ class _Stored(_Frozen):
 
     def _store(self, form: tuple[int, dict], *shape) -> None:
         """Keep ``form`` and the shape, the values of the class's own slots."""
+        if min(shape) < 0:
+            raise ShapeError(f"negative dimension in shape {shape}")
         self._set(*shape)
         _put(self, "_ints", form)
 
@@ -246,6 +248,8 @@ class Vector(_Frozen):
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
+        if dim < 0:
+            raise ShapeError(f"negative dimension {dim}")
         return cls([_ZERO] * dim)
 
     @classmethod

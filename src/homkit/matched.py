@@ -5,16 +5,17 @@ cross-compatibility conditions below are exactly what makes the bicrossed
 product on the direct sum an algebra of the same kind again (given that
 both cross actions are representations and both constituents pass their
 own checks).  Each direction is one :class:`homkit.kernel.SparseIndex`,
-read by its representation axioms and by the cross conditions.
+read by its representation axioms and by the cross conditions.  The sum
+is the semidirect product's builder, ``representation._direct_sum``.
 """
 
 from __future__ import annotations
 
-from .algebra import POISSON, HomAlgebra, StructureTensor, _GROUPS, check_algebra
+from .algebra import POISSON, HomAlgebra, _GROUPS, check_algebra
 from .errors import KindMismatchError, ShapeError
-from .kernel import SparseIndex, common_denominator, row_term, sparse, walk
-from .linalg import Matrix, _Frozen
-from .representation import Representation, _axioms, _require_match
+from .kernel import SparseIndex, row_term, walk
+from .linalg import _Frozen
+from .representation import Representation, _axioms, _direct_sum, _require_match
 from .reporting import CheckReport, concat, require, scan_identity
 
 
@@ -123,27 +124,5 @@ def matched_sum(mp: MatchedPair) -> HomAlgebra:
     The construction is total; whether the result satisfies the kind's
     axioms is decided by the checkers.  Basis order: A1 basis, then A2.
     """
-    a1, a2 = mp.a1, mp.a2
-    n1, total = a1.dim, a1.dim + a2.dim
-
-    def build(name: str) -> StructureTensor:
-        t1, t2 = getattr(a1, name), getattr(a2, name)
-        act12_l, act12_r = mp.actions_1_on_2.action_pair(name)
-        act21_l, act21_r = mp.actions_2_on_1.action_pair(name)
-        d = common_denominator(t1, t2, act12_l, act12_r, act21_l, act21_r)
-        products = dict(sparse(t1, d))
-        products.update({(n1 + i, n1 + j): [(n1 + k, x) for k, x in v]
-                         for (i, j), v in sparse(t2, d).items()})
-        # A mixed product is an A1 column, then an A2 column.
-        for (v, x), col in sparse(act21_r, d).items():  # lambda2_r(v) x, x in A1
-            products[(x, n1 + v)] = list(col)
-        for (u, y), col in sparse(act21_l, d).items():  # lambda2_l(u) y, u in A2
-            products[(n1 + u, y)] = list(col)
-        for (x, v), col in sparse(act12_l, d).items():  # ... + lambda1_l(x) v
-            products.setdefault((x, n1 + v), []).extend((n1 + k, z) for k, z in col)
-        for (y, u), col in sparse(act12_r, d).items():  # ... + lambda1_r(y) u
-            products.setdefault((n1 + u, y), []).extend((n1 + k, z) for k, z in col)
-        return StructureTensor._from_form(total, d, products)
-
-    alpha = Matrix.block_diag(a1.alpha, a2.alpha)
-    return HomAlgebra(total, a1.kind, alpha, **{name: build(name) for name in a1.tensors()})
+    a2 = mp.a2
+    return _direct_sum(mp.a1, a2.dim, a2.alpha, mp.actions_1_on_2, a2, mp.actions_2_on_1)

@@ -4,7 +4,8 @@ A representation acts on a carrier space V through families of matrices,
 one per basis element of the base algebra.  Associative-kind data is the
 pair of action families (lambda_l, lambda_r) for the dot product;
 Leibniz-kind data is (rho_l, rho_r) for the bracket; Poisson-kind data
-carries all four over one carrier twist phi.
+carries all four over one carrier twist phi.  The semidirect product and
+:func:`homkit.matched.matched_sum` are one builder, :func:`_direct_sum`.
 
 All axiom checks are operator identities evaluated on every basis pair of
 the base algebra and every carrier basis vector, which is exhaustive by
@@ -329,23 +330,36 @@ def ideal_representation(basis: Sequence[Vector], alg: HomAlgebra,
                           **paired_families(alg, family))
 
 
+def _direct_sum(a1: HomAlgebra, dim2: int, alpha2: Matrix, one_on_two: Representation,
+                a2: HomAlgebra | None = None,
+                two_on_one: Representation | None = None) -> HomAlgebra:
+    """The algebra on A1 + A2, A1's basis first, twisted by alpha1 (+) alpha2:
+    each table holds A1's products, A2's shifted past A1 (none for a carrier,
+    ``a2`` None), and each mixed product as the back action's A1 column, if
+    there is one, followed by the forward action's column shifted past A1."""
+    n, tables = a1.dim, {}
+    for name, t1 in a1.tensors().items():
+        t2 = getattr(a2, name) if a2 else None
+        back = two_on_one.action_pair(name) if two_on_one else ()
+        forward = one_on_two.action_pair(name)
+        d = common_denominator(t1, t2, *back, *forward)
+        products = dict(sparse(t1, d))
+        if t2 is not None:
+            products.update(((n + i, n + j), [(n + k, x) for k, x in v])
+                            for (i, j), v in sparse(t2, d).items())
+        # Column c at (i, c) of a left family is e_i e_c, of a right one e_c e_i.
+        for pair, shift in ((back, 0), (forward, n)):
+            for family, left in zip(pair, (True, False)):
+                for (i, c), col in sparse(family, d).items():
+                    i, c = i + n - shift, c + shift
+                    products.setdefault((i, c) if left else (c, i), []).extend([
+                        (shift + k, x) for k, x in col])
+        tables[name] = StructureTensor._from_form(n + dim2, d, products)
+    return HomAlgebra(n + dim2, a1.kind, Matrix.block_diag(a1.alpha, alpha2), **tables)
+
+
 def semidirect_product(alg: HomAlgebra, rep: Representation) -> HomAlgebra:
-    """Algebra on A + V: products act on the V component through the action
-    families, twist is alpha (+) phi.  Basis order: A basis first, then V."""
+    """Algebra on A + V, A's basis first, twisted by alpha (+) phi: the direct
+    sum with V's products zero, A acting on V by the families and V not back."""
     _require_match(rep, alg)
-    n, m = alg.dim, rep.carrier_dim
-
-    def build(t: StructureTensor, left: ActionTensor,
-              right: ActionTensor) -> StructureTensor:
-        d = common_denominator(t, left, right)
-        products = dict(sparse(t, d))
-        for (i, c), col in sparse(left, d).items():  # A times V: left action
-            products[(i, n + c)] = [(n + r, x) for r, x in col]
-        for (j, c), col in sparse(right, d).items():  # V times A: right action
-            products[(n + c, j)] = [(n + r, x) for r, x in col]
-        return StructureTensor._from_form(n + m, d, products)
-
-    alpha = Matrix.block_diag(alg.alpha, rep.phi)
-    return HomAlgebra(n + m, alg.kind, alpha,
-                      **{name: build(t, *rep.action_pair(name))
-                         for name, t in alg.tensors().items()})
+    return _direct_sum(alg, rep.carrier_dim, rep.phi, rep)

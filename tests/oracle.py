@@ -63,6 +63,11 @@ keys in the same order and the same vectors, empty ones included, for
 ``test_kernel.py``.  ``phi_columns`` is ``kernel.SparseIndex.phi_columns``
 as a dense product: each matrix of the family (``ActionTensor.mats``)
 times ``phi`` (``Matrix @``), read column by column.
+
+``semidirect_product`` and ``matched_sum`` are the two direct sums as they
+were before one builder wrote both: each keys its own tables over one
+common denominator, the semidirect product with no second algebra.  The
+package's must build ``==`` algebras, for ``test_constructions.py``.
 """
 
 from __future__ import annotations
@@ -86,13 +91,13 @@ from homkit.dsl import (
 from homkit.errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError, SoundnessError,
 )
-from homkit.kernel import SparseIndex, grouped
+from homkit.kernel import SparseIndex, common_denominator, grouped, sparse
 from homkit.linalg import _ZERO, AffineSolution, Matrix, Vector, frac
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
 from homkit.reporting import CheckReport, CheckResult, Witness, concat, require
 from homkit.representation import (
-    ActionTensor, Representation, _require_match, paired_families, semidirect_product,
+    ActionTensor, Representation, _require_match, paired_families,
 )
 from homkit.solver import (
     AffineFamily, Elimination, Monomial, PolySystem, SolutionSet, _Leaf,
@@ -1787,3 +1792,60 @@ def phi_columns(index: SparseIndex, family: ActionTensor, phi: Matrix) -> dict:
             if col := {k: row[c] * index.d ** 2 for k, row in enumerate(product) if row[c]}:
                 out[a, c] = col
     return out
+
+
+# ---- the direct sums, from homkit/representation.py and matched.py ---
+
+
+def semidirect_product(alg: HomAlgebra, rep: Representation) -> HomAlgebra:
+    """Algebra on A + V: products act on the V component through the action
+    families, twist is alpha (+) phi.  Basis order: A basis first, then V."""
+    _require_match(rep, alg)
+    n, m = alg.dim, rep.carrier_dim
+
+    def build(t: StructureTensor, left: ActionTensor,
+              right: ActionTensor) -> StructureTensor:
+        d = common_denominator(t, left, right)
+        products = dict(sparse(t, d))
+        for (i, c), col in sparse(left, d).items():  # A times V: left action
+            products[(i, n + c)] = [(n + r, x) for r, x in col]
+        for (j, c), col in sparse(right, d).items():  # V times A: right action
+            products[(n + c, j)] = [(n + r, x) for r, x in col]
+        return StructureTensor._from_form(n + m, d, products)
+
+    alpha = Matrix.block_diag(alg.alpha, rep.phi)
+    return HomAlgebra(n + m, alg.kind, alpha,
+                      **{name: build(t, *rep.action_pair(name))
+                         for name, t in alg.tensors().items()})
+
+
+def matched_sum(mp: MatchedPair) -> HomAlgebra:
+    """Bicrossed product on A1 + A2.
+
+    The construction is total; whether the result satisfies the kind's
+    axioms is decided by the checkers.  Basis order: A1 basis, then A2.
+    """
+    a1, a2 = mp.a1, mp.a2
+    n1, total = a1.dim, a1.dim + a2.dim
+
+    def build(name: str) -> StructureTensor:
+        t1, t2 = getattr(a1, name), getattr(a2, name)
+        act12_l, act12_r = mp.actions_1_on_2.action_pair(name)
+        act21_l, act21_r = mp.actions_2_on_1.action_pair(name)
+        d = common_denominator(t1, t2, act12_l, act12_r, act21_l, act21_r)
+        products = dict(sparse(t1, d))
+        products.update({(n1 + i, n1 + j): [(n1 + k, x) for k, x in v]
+                         for (i, j), v in sparse(t2, d).items()})
+        # A mixed product is an A1 column, then an A2 column.
+        for (v, x), col in sparse(act21_r, d).items():  # lambda2_r(v) x, x in A1
+            products[(x, n1 + v)] = list(col)
+        for (u, y), col in sparse(act21_l, d).items():  # lambda2_l(u) y, u in A2
+            products[(n1 + u, y)] = list(col)
+        for (x, v), col in sparse(act12_l, d).items():  # ... + lambda1_l(x) v
+            products.setdefault((x, n1 + v), []).extend((n1 + k, z) for k, z in col)
+        for (y, u), col in sparse(act12_r, d).items():  # ... + lambda1_r(y) u
+            products.setdefault((n1 + u, y), []).extend((n1 + k, z) for k, z in col)
+        return StructureTensor._from_form(total, d, products)
+
+    alpha = Matrix.block_diag(a1.alpha, a2.alpha)
+    return HomAlgebra(total, a1.kind, alpha, **{name: build(name) for name in a1.tensors()})

@@ -5,10 +5,12 @@ Both sides must build ``==`` structures (and so the same canonical DSL
 text), or both must refuse the input with a ``PreconditionError``.  The
 inputs cover the verified algebra pool with its valid representations,
 the theorem-suite contexts, corrupted representations and shifted
-operators built unchecked, self-morphisms with non-unit denominators and
-sparse documents of dim 12-30.  Two ``hypothesis`` properties close the
-file: criterion 5 over generated representations, and "an operator that
-passes the relative Rota-Baxter check induces a valid algebra".
+operators built unchecked, self-morphisms with non-unit denominators,
+sparse documents of dim 12-30, and the semidirect products and matched
+sums of the pool's representations and of the matched-pair tests.  Two
+``hypothesis`` properties close the file: criterion 5 over generated
+representations, and "an operator that passes the relative Rota-Baxter
+check induces a valid algebra".
 """
 
 import random
@@ -19,11 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from homkit.algebra import POISSON, check_algebra, check_morphism, yau_twist
+from homkit.algebra import LEIBNIZ, POISSON, check_algebra, check_morphism, yau_twist
 from homkit.dsl import DocAlgebra, Document, serialize
 from homkit.errors import PreconditionError, ShapeError
 from homkit.fixtures import leibniz_rbo, two_dim_associative, two_dim_leibniz, two_dim_poisson
 from homkit.linalg import Matrix, Vector
+from homkit.matched import MatchedPair, matched_sum
 from homkit.operators import (
     OperatorContext, check_relative_rbo, induced_algebra, induced_representation,
     nijenhuis_deform, projection_context,
@@ -37,8 +40,10 @@ from support import (
     self_morphisms, theorem_suite_contexts, truncated_polynomials,
     valid_representations, verified_algebra_pool,
 )
-from test_kernel import DELTAS, shifted, shifted_action
-from test_matched import matrix_algebra_2x2
+from test_kernel import DELTAS, matched_pairs, shifted, shifted_action
+from test_matched import (
+    degenerate_pair, matrix_algebra_2x2, nilpotent_cross_pair, zero_algebra, zero_rep,
+)
 from test_sparse_tables import _sparse_action, _sparse_document
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
@@ -193,6 +198,32 @@ def test_sparse_documents(dim):
     if dim == 12:
         tally.same(induced_representation, oracle.induced_representation, ctx, checked=False)
     assert tally.built >= 5
+
+
+def test_direct_sums_match_the_references():
+    """The semidirect product and the matched sum, one builder, against the
+    two they replaced: over the pool with its valid, corrupted and
+    zero-carrier representations and their degenerate pairs, the kernel
+    tests' matched pairs, the nilpotent cross pairs and pairs with a dim-0
+    side."""
+    tally, pairs = Tally(), list(matched_pairs())
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for alg in verified_algebra_pool():
+            reps = valid_representations(rng, alg)
+            reps += [bad for rep in reps if rep.carrier_dim
+                     for bad in (corrupt_one_entry(rng, rep), shifted_action(rep, rng))]
+            for rep in reps + [zero_rep(alg.kind, alg.dim, 0, Matrix.zero(0, 0))]:
+                tally.same(semidirect_product, oracle.semidirect_product, alg, rep)
+                pairs.append(degenerate_pair(alg, rep))
+    pairs += [nilpotent_cross_pair(scale) for scale in (0, 1, Fraction(-1, 2))]
+    l, empty = two_dim_leibniz(), zero_algebra(LEIBNIZ, 0, Matrix.zero(0, 0))
+    pairs += [degenerate_pair(l, zero_rep(LEIBNIZ, 2, 0, empty.alpha)),
+              MatchedPair(empty, l, zero_rep(LEIBNIZ, 0, 2, l.alpha),
+                          zero_rep(LEIBNIZ, 2, 0, empty.alpha))]
+    for mp in pairs:
+        tally.same(matched_sum, oracle.matched_sum, mp)
+    assert tally.built > 1000 and not tally.refused
 
 
 # ---- costs ---------------------------------------------------------------

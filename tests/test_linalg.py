@@ -8,14 +8,14 @@ import pytest
 
 import oracle
 from homkit import algebra, linalg, operators, representation, solver
-from homkit.algebra import POISSON, HomAlgebra, StructureTensor, check_ideal
+from homkit.algebra import ASSOCIATIVE, POISSON, HomAlgebra, StructureTensor, check_ideal
 from homkit.errors import PreconditionError, ShapeError
 from homkit.linalg import Matrix, Vector, frac, format_lincomb, kernel_basis, solve_linear
 from homkit.fixtures import two_dim_associative, two_dim_leibniz
 from homkit.operators import (
     OperatorContext, check_relative_rbo, check_rota_baxter, graph_check,
 )
-from homkit.representation import ideal_representation, regular_representation
+from homkit.representation import ActionTensor, ideal_representation, regular_representation
 from homkit.solver import Polynomial
 from support import (
     random_operator, theorem_suite_contexts, valid_representations,
@@ -241,6 +241,20 @@ def test_block_keeps_the_width_of_an_empty_block_row():
         Matrix.block([[Matrix.zero(1, 1)], [Matrix.zero(1, 2)]])
     with pytest.raises(ShapeError):
         Matrix.block([[Matrix.zero(0, 1)], [Matrix.zero(2, 2)]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix.zero(-1, 2), lambda: Matrix.zero(2, -1), lambda: Matrix.identity(-2),
+    lambda: StructureTensor(-1, {}), lambda: StructureTensor.zero(-3),
+    lambda: ActionTensor.zero(-1, -1), lambda: ActionTensor(0, -1, []),
+    lambda: ActionTensor.from_columns(-1, 2, {}), lambda: Vector.zero(-1),
+    lambda: HomAlgebra(-1, ASSOCIATIVE, Matrix.identity(-1), dot=StructureTensor(-1, {})),
+])
+def test_a_negative_dimension_is_a_shape_error(build):
+    # A negative shape is refused where the value is stored, not carried
+    # into a dim-0 vector, a check that passes or ``dim -1`` DSL text.
+    with pytest.raises(ShapeError, match="^negative dimension"):
+        build()
 
 
 def test_format_lincomb():
