@@ -15,9 +15,10 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import KindMismatchError, ShapeError
-from .kernel import SparseIndex, SparseMap, grouped, groups_then_vectors, row_term, sparse, walk
+from .kernel import SparseIndex, SparseMap, groups_then_vectors, row_term, walk
 from .linalg import (
     _ZERO, Matrix, Vector, _cells, _dense, _echelon, _lowest_terms, _remainder, _Stored, _Value,
+    grouped, sparse,
 )
 from .reporting import CheckReport, CheckResult, Witness, require, scan_identity
 

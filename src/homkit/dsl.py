@@ -55,8 +55,7 @@ from .algebra import (
     StructureTensor,
 )
 from .errors import ParseError, UnknownNameError
-from .kernel import grouped, transposed
-from .linalg import Matrix, _format_terms, _Value
+from .linalg import Matrix, _format_terms, _Value, grouped, transposed
 from .representation import ActionTensor, Representation
 
 KIND_TOKENS = {"assoc": ASSOCIATIVE, "leibniz": LEIBNIZ, "poisson": POISSON}

@@ -5,9 +5,9 @@ The ints are the objects: every ``Matrix``, ``StructureTensor`` and
 denominator (the lcm of its entries' reduced denominators), converted
 once, by the shared builders of :mod:`homkit.linalg`, from the input of a
 public constructor or handed over by the construction that built it
-(``stored()``).  A check fixes one common
-denominator ``D``, the lcm of the stored ones (:func:`common_denominator`),
-and rescales each stored list by ``D // den`` (:func:`sparse`).  A term
+(``stored()``).  :mod:`homkit.linalg` also holds the rescale and re-key rules:
+a check fixes one denominator ``D``, the lcm of the stored ones (``common_denominator``),
+and rescales each stored list by ``D // den`` (``sparse``).  A term
 of an identity that multiplies ``d`` constants is then an ``int``
 multiple of ``1/D**d``; an identity of degree at most ``k`` multiplies
 lower-degree terms up by the missing powers of ``D`` and compares pure
@@ -40,7 +40,7 @@ rows of a map in one pass over its sparse vectors, summing only a key hit
 twice, in a dense list: a table or family along alpha, and a family along
 the carrier twist ``phi``.  A map applied once to each vector runs the loop
 of a matrix product (:meth:`SparseMap.images`).  Only a construction that
-merely re-keys stored ints takes :func:`common_denominator` and :func:`sparse` itself;
+merely re-keys stored ints rescales them itself, through the same two helpers;
 the relative Rota-Baxter check maps its operator outside a shared index.
 
 Sparse vectors are lists of ``(index, int)`` pairs of their nonzero
@@ -49,52 +49,10 @@ entries.  The column convention of :mod:`homkit.linalg` holds unchanged.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import Iterator
 
-from .linalg import _applied
-
-
-def common_denominator(*parts) -> int:
-    """Least common multiple of the stored denominators of the given
-    matrices, structure tensors and action tensors and of the given
-    rationals (``None`` parts are skipped)."""
-    # The exact type: ``Fraction`` is a ``numbers.Rational``, so an
-    # ``isinstance`` test would run the ABC's check for every stored part.
-    return lcm(*[p.denominator if type(p) in (Fraction, int) else p.stored()[0]
-                 for p in parts if p is not None])
-
-
-def sparse(part, d: int) -> dict:
-    """The stored rows of a matrix, products of a structure tensor or columns
-    of an action tensor as sparse vectors over ``d``, a multiple of their
-    denominator: rescaled, or the stored dict itself (read only)."""
-    den, ints = part.stored()
-    if d == den:
-        return ints
-    f = d // den
-    return {key: [(k, f * x) for k, x in v] for key, v in ints.items()}
-
-
-def grouped(mapping: dict, by: int = 0) -> dict:
-    """``{(k0, k1): value}`` as ``{k_by: [(k_other, value), ...]}``."""
-    out = {}
-    for key, value in mapping.items():
-        out.setdefault(key[by], []).append((key[1 - by], value))
-    return out
-
-
-def transposed(vectors: dict) -> dict:
-    """Sparse vectors ``{key: [(k, x), ...]}`` by entry index:
-    ``{k: [(key, x), ...]}``, in order of ``k`` and then of ``key``; the
-    rows of a matrix as its columns, or a table's products by entry."""
-    out: dict = {}
-    for key, v in vectors.items():
-        for k, x in v:
-            out.setdefault(k, []).append((key, x))
-    return {k: out[k] for k in sorted(out)}
+from .linalg import _applied, common_denominator, grouped, sparse, transposed
 
 
 _by_second = partial(grouped, by=1)

@@ -11,7 +11,9 @@ This module owns that stored form (:class:`_Stored`): every matrix,
 structure tensor and action family is built, shape first, by ``zero``,
 ``_from_cells`` (coefficients in lowest terms, as :func:`_cells` scans
 dense input) or ``_from_form`` (ints over a multiple of the denominator,
-reduced by :func:`rationals`), each normalising once.
+reduced by :func:`rationals`), each normalising once.  Its helpers bring
+stored forms over one denominator (:func:`common_denominator`, :func:`sparse`)
+and re-key them (:func:`grouped`, :func:`transposed`) for every module.
 
 Conventions fixed once for the whole package:
 
@@ -87,6 +89,46 @@ def rationals(den: int, ints: dict) -> tuple[int, dict]:
     if g > 1:
         den, ints = den // g, {key: [(k, x // g) for k, x in v] for key, v in ints.items()}
     return den, ints
+
+
+def common_denominator(*parts) -> int:
+    """Least common multiple of the stored denominators of the given
+    matrices, structure tensors and action tensors and of the given
+    rationals (``None`` parts are skipped)."""
+    # The exact type: ``Fraction`` is a ``numbers.Rational``, so an
+    # ``isinstance`` test would run the ABC's check for every stored part.
+    return lcm(*[p.denominator if type(p) in (Fraction, int) else p.stored()[0]
+                 for p in parts if p is not None])
+
+
+def sparse(part, d: int) -> dict:
+    """The stored rows of a matrix, products of a structure tensor or columns
+    of an action tensor as sparse vectors over ``d``, a multiple of their
+    denominator: rescaled, or the stored dict itself (read only)."""
+    den, ints = part.stored()
+    if d == den:
+        return ints
+    f = d // den
+    return {key: [(k, f * x) for k, x in v] for key, v in ints.items()}
+
+
+def grouped(mapping: dict, by: int = 0) -> dict:
+    """``{(k0, k1): value}`` as ``{k_by: [(k_other, value), ...]}``."""
+    out = {}
+    for key, value in mapping.items():
+        out.setdefault(key[by], []).append((key[1 - by], value))
+    return out
+
+
+def transposed(vectors: dict) -> dict:
+    """Sparse vectors ``{key: [(k, x), ...]}`` by entry index:
+    ``{k: [(key, x), ...]}``, in order of ``k`` and then of ``key``; the
+    rows of a matrix as its columns, or a table's products by entry."""
+    out: dict = {}
+    for key, v in vectors.items():
+        for k, x in v:
+            out.setdefault(k, []).append((key, x))
+    return {k: out[k] for k in sorted(out)}
 
 
 def _applied(columns: dict, vectors: dict, width: int) -> dict:
@@ -355,9 +397,11 @@ class Matrix(_Stored):
         """Assemble a matrix from a grid of consistently sized blocks; its
         width is that of the block rows, even of a block row of height 0."""
         cols = sum(b.cols for b in grid[0]) if grid else 0
-        d = lcm(*(b._ints[0] for block_row in grid for b in block_row))
+        d = common_denominator(*(b for block_row in grid for b in block_row))
         rows: dict = {}
         for block_row in grid:
+            if not block_row:
+                raise ShapeError("empty block row")
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise ShapeError("block row heights differ")
@@ -365,9 +409,8 @@ class Matrix(_Stored):
                 raise ShapeError("block row widths differ")
             top, left = len(rows), 0
             for b in block_row:
-                den, ints = b._ints
-                for i, row in ints.items():
-                    rows.setdefault(top + i, []).extend((left + j, d // den * x) for j, x in row)
+                for i, row in sparse(b, d).items():
+                    rows.setdefault(top + i, []).extend((left + j, x) for j, x in row)
                 left += b.cols
         return cls._from_form(len(rows), cols, d, rows)
 
@@ -375,11 +418,9 @@ class Matrix(_Stored):
     def block_diag(cls, a: "Matrix", b: "Matrix") -> "Matrix":
         """``a (+) b``: the rows of ``a``, then those of ``b`` shifted past
         ``a``'s columns, over the lcm of both denominators (so in lowest terms)."""
-        (da, ra), (db, rb) = a._ints, b._ints
-        d = lcm(da, db)
-        fa, fb, top, left = d // da, d // db, a.rows, a.cols
-        rows = {i: [(j, fa * x) for j, x in row] for i, row in ra.items()}
-        rows.update((top + i, [(left + j, fb * x) for j, x in row]) for i, row in rb.items())
+        d, top, left = common_denominator(a, b), a.rows, a.cols
+        rows = dict(sparse(a, d))
+        rows.update((top + i, [(left + j, x) for j, x in row]) for i, row in sparse(b, d).items())
         return cls._new((d, rows), a.rows + b.rows, a.cols + b.cols)
 
     @property

@@ -31,10 +31,8 @@ from .algebra import (
     ACTIONS_OF, HomAlgebra, StructureTensor, _carries, _require_square, check_morphism,
 )
 from .errors import ShapeError
-from .kernel import (
-    SparseIndex, SparseMap, common_denominator, grouped, groups_then_vectors, sparse, sum_slice,
-)
-from .linalg import Matrix, Vector, _Frozen, _put, frac
+from .kernel import SparseIndex, SparseMap, groups_then_vectors, sum_slice
+from .linalg import Matrix, Vector, _Frozen, _put, common_denominator, frac, grouped, sparse
 from .representation import (
     ActionTensor, Representation, _paired_index, _require_match, check_representation,
     paired_families, semidirect_product,

@@ -23,11 +23,11 @@ from .algebra import (
     _ideal, _require_self_morphism, _require_square, check_ideal, check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
-from .kernel import (
-    SparseIndex, common_denominator, grouped, groups_then_vectors, row_term, sparse, transposed,
-    walk,
+from .kernel import SparseIndex, groups_then_vectors, row_term, walk
+from .linalg import (
+    Matrix, Vector, _cells, _echelon, _Stored, _Value, common_denominator, grouped, sparse,
+    transposed,
 )
-from .linalg import Matrix, Vector, _cells, _echelon, _Stored, _Value
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
 
@@ -48,11 +48,9 @@ class ActionTensor(_Stored):
             raise ShapeError("need one matrix per base basis element")
         if any(m.rows != carrier_dim or m.cols != carrier_dim for m in mats):
             raise ShapeError("action matrices must be carrier_dim square")
-        den, columns = lcm(*(m.stored()[0] for m in mats)), {}
+        den, columns = common_denominator(*mats), {}
         for i, m in enumerate(mats):
-            dm, rows = m.stored()
-            columns.update(((i, c), [(r, den // dm * x) for r, x in col])
-                           for c, col in transposed(rows).items())
+            columns.update(((i, c), col) for c, col in transposed(sparse(m, den)).items())
         self._store((den, columns), base_dim, carrier_dim)
 
     @classmethod

@@ -37,7 +37,10 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import HomAlgebra
 from .errors import ShapeError, SoundnessError
-from .linalg import Matrix, Rational, _echelon, _format_terms, _Frozen, _remainder, _Value, frac
+from .linalg import (
+    Matrix, Rational, _echelon, _format_terms, _Frozen, _remainder, _Value, common_denominator,
+    frac, sparse,
+)
 from .operators import OperatorContext, check_relative_rbo
 from .representation import Representation, _require_match
 from .reporting import CheckReport, CheckResult
@@ -285,14 +288,13 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     equations: list[Polynomial] = []
 
     # Linear part: (T phi - alpha T)[a][j] = 0.
-    (dphi, phi), (dalpha, alpha) = rep.phi.stored(), alg.alpha.stored()
-    d = lcm(dphi, dalpha)
-    phi_cols = [[] for _ in range(m)]  # j -> [(q, phi[q][j])]
-    for q, row in phi.items():
+    d = common_denominator(rep.phi, alg.alpha)
+    alpha, phi_cols = sparse(alg.alpha, d), [[] for _ in range(m)]  # j -> [(q, phi[q][j])]
+    for q, row in sparse(rep.phi, d).items():
         for j, x in row:
-            phi_cols[j].append((q, x * (d // dphi)))
+            phi_cols[j].append((q, x))
     for a in range(n):
-        alpha_row = [(b * m, -x * (d // dalpha)) for b, x in alpha.get(a, ())]
+        alpha_row = [(b * m, -x) for b, x in alpha.get(a, ())]
         for j in range(m):
             out = {(a * m + q,): c for q, c in phi_cols[j]}
             for b, c in alpha_row:
@@ -306,18 +308,16 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     #     - sum_q T[k][q] * (sum_a L_a[q][j] T[a][i] + sum_b R_b[q][i] T[b][j]) = 0.
     for name, tensor in alg.tensors().items():
         left, right = rep.action_pair(name)
-        (dt, products), (dl, lcols), (dr, rcols) = (tensor.stored(), left.stored(),
-                                                     right.stored())
-        d = lcm(dt, dl, dr)
+        d = common_denominator(tensor, left, right)
         consts = [[] for _ in range(n)]  # k -> [(a*m, b*m, C[a][b][k])]
-        for (a, b), v in products.items():
+        for (a, b), v in sparse(tensor, d).items():
             for k, x in v:
-                consts[k].append((a * m, b * m, x * (d // dt)))
+                consts[k].append((a * m, b * m, x))
         # j -> [(q, a, -L_a[q][j])] and i -> [(q, b, -R_b[q][i])], sorted
         lefts, rights = [[] for _ in range(m)], [[] for _ in range(m)]
-        for cols, s, out in ((lcols, d // dl, lefts), (rcols, d // dr, rights)):
-            for (a, j), col in cols.items():
-                out[j] += [(q, a, -x * s) for q, x in col]
+        for family, out in ((left, lefts), (right, rights)):
+            for (a, j), col in sparse(family, d).items():
+                out[j] += [(q, a, -x) for q, x in col]
         for terms in (*lefts, *rights):
             terms.sort()
         for i in range(m):

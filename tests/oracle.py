@@ -91,8 +91,10 @@ from homkit.dsl import (
 from homkit.errors import (
     KindMismatchError, ParseError, PreconditionError, ShapeError, SoundnessError,
 )
-from homkit.kernel import SparseIndex, common_denominator, grouped, sparse
-from homkit.linalg import _ZERO, AffineSolution, Matrix, Vector, frac
+from homkit.kernel import SparseIndex
+from homkit.linalg import (
+    _ZERO, AffineSolution, Matrix, Vector, common_denominator, frac, grouped, sparse,
+)
 from homkit.matched import MatchedPair
 from homkit.operators import OperatorContext
 from homkit.reporting import CheckReport, CheckResult, Witness, concat, require

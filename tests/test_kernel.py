@@ -22,8 +22,8 @@ from homkit.algebra import (
 )
 from homkit.errors import PreconditionError
 from homkit.fixtures import two_dim_associative, two_dim_leibniz, two_dim_poisson
-from homkit.kernel import SparseIndex, common_denominator
-from homkit.linalg import _ZERO, Matrix, Vector
+from homkit.kernel import SparseIndex
+from homkit.linalg import _ZERO, Matrix, Vector, common_denominator
 from homkit.matched import MatchedPair, check_matched_pair
 from homkit.reporting import CheckReport, CheckResult, Witness, scan_operator_identity
 from homkit.operators import (

@@ -243,6 +243,14 @@ def test_block_keeps_the_width_of_an_empty_block_row():
         Matrix.block([[Matrix.zero(0, 1)], [Matrix.zero(2, 2)]])
 
 
+@pytest.mark.parametrize("grid", [
+    [[]], [[Matrix.identity(2)], []], [[], [Matrix.identity(2)]],
+], ids=["only", "last", "first"])
+def test_an_empty_block_row_is_a_shape_error(grid):
+    with pytest.raises(ShapeError, match="empty block row"):
+        Matrix.block(grid)
+
+
 @pytest.mark.parametrize("build", [
     lambda: Matrix.zero(-1, 2), lambda: Matrix.zero(2, -1), lambda: Matrix.identity(-2),
     lambda: StructureTensor(-1, {}), lambda: StructureTensor.zero(-3),

@@ -168,3 +168,45 @@ def test_unused_imports_are_found():
                          ids=lambda path: path.name)
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def homkit_imports(source: str) -> dict[str, set[str]]:
+    """The homkit modules a module imports (``from .m import ...``,
+    ``from homkit.m import ...``, ``import homkit.m``), each with the names
+    it imports from that module."""
+    out: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("homkit."):
+                    out.setdefault(a.name.removeprefix("homkit."), set())
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module if node.level else node.module.removeprefix("homkit.")
+            if node.level or module != node.module:
+                out.setdefault(module, set()).update(a.name for a in node.names)
+    return out
+
+
+def test_homkit_imports_are_found():
+    source = ("import os, homkit.solver\nfrom .linalg import a, b\n"
+              "from homkit.kernel import c\nfrom os.path import d\n")
+    assert homkit_imports(source) == {"solver": set(), "linalg": {"a", "b"}, "kernel": {"c"}}
+
+
+# The stored form's rescale and re-key helpers, defined in ``linalg`` alone.
+HELPERS = {"common_denominator", "sparse", "grouped", "transposed"}
+
+
+def test_linalg_owns_the_stored_form_and_kernel_only_evaluates():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "homkit").glob("*.py")}
+    imports = {name: homkit_imports(source) for name, source in sources.items()}
+    assert set(imports["linalg"]) <= {"errors"}
+    assert set(imports["kernel"]) <= {"linalg"}
+    assert "kernel" not in imports["dsl"]
+    assert {name: found for name, modules in imports.items()
+            if (found := modules.get("kernel", set()) & HELPERS)} == {}
+
+    def defined(name):
+        return {n.name for n in ast.parse(sources[name]).body if isinstance(n, ast.FunctionDef)}
+    assert HELPERS <= defined("linalg")
+    assert not HELPERS & defined("kernel")

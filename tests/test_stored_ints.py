@@ -23,8 +23,7 @@ from homkit.algebra import POISSON, HomAlgebra, StructureTensor, check_algebra, 
 from homkit.dsl import DocAlgebra, DocMap, DocRepresentation, Document, parse, serialize
 from homkit.errors import PreconditionError
 from homkit.fixtures import two_dim_associative, two_dim_leibniz, two_dim_poisson
-from homkit.kernel import common_denominator
-from homkit.linalg import Matrix, Vector
+from homkit.linalg import Matrix, Vector, common_denominator
 from homkit.matched import MatchedPair, check_matched_pair, matched_sum
 from homkit.operators import (
     OperatorContext, check_nijenhuis, check_relative_rbo, induced_algebra,
