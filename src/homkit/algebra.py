@@ -39,13 +39,20 @@ TENSORS_BY_KIND = {
 ACTIONS_OF = {"dot": ("lambda_l", "lambda_r"), "bracket": ("rho_l", "rho_r")}
 
 
+def _check_pair(dim: int, key: tuple[int, int]) -> None:
+    i, j = key
+    if not (0 <= i < dim and 0 <= j < dim):
+        raise ShapeError(f"product index {key} out of range for dim {dim}")
+
+
 class StructureTensor(_Stored):
     """Bilinear product on a dim-dimensional space, kept as :meth:`stored`
     ``(den, products)``: each nonzero basis product ``mu(e_i, e_j)``, keys
     in sorted order, as the sparse vector of its entries times ``den``.
 
     ``products``, the read-only mapping ``(i, j) -> Vector`` of the nonzero
-    products, is a view built on first read.  Two tensors with the same
+    products, is a view computed on each read; ``basis_product`` reads only
+    its one stored product.  Two tensors with the same
     products are equal and hash equal however they were built, and every
     pass over a table costs time in its nonzero products only."""
 
@@ -54,9 +61,7 @@ class StructureTensor(_Stored):
     def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence]):
         vectors = {}
         for key, value in sorted(products.items(), key=itemgetter(0)):
-            i, j = key
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ShapeError(f"product index {key} out of range for dim {dim}")
+            _check_pair(dim, key)
             vectors[key] = value.entries if isinstance(value, Vector) else tuple(value)
             if len(vectors[key]) != dim:
                 raise ShapeError("product value has wrong dimension")
@@ -70,11 +75,9 @@ class StructureTensor(_Stored):
 
     @property
     def products(self) -> Mapping[tuple[int, int], Vector]:
-        def build():
-            (den, ints), made = self._ints, {}
-            return MappingProxyType({key: Vector(_dense(den, v, self.dim, made))
-                                     for key, v in ints.items()})
-        return self._cached(build)
+        (den, ints), made = self._ints, {}
+        return MappingProxyType({key: Vector(_dense(den, v, self.dim, made))
+                                 for key, v in ints.items()})
 
     @classmethod
     def from_function(cls, dim: int,
@@ -82,8 +85,10 @@ class StructureTensor(_Stored):
         return cls(dim, {(i, j): fn(i, j) for i in range(dim) for j in range(dim)})
 
     def basis_product(self, i: int, j: int) -> Vector:
-        v = self.products.get((i, j))
-        return Vector.zero(self.dim) if v is None else v
+        """``mu(e_i, e_j)``, a zero vector for an unlisted pair."""
+        _check_pair(self.dim, (i, j))
+        den, ints = self._ints
+        return Vector(_dense(den, ints.get((i, j), ()), self.dim, {}))
 
     def product(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension of the table to arbitrary vectors."""

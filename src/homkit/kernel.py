@@ -5,7 +5,9 @@ The ints are the objects: every ``Matrix``, ``StructureTensor`` and
 denominator (the lcm of its entries' reduced denominators), converted
 once, by the shared builders of :mod:`homkit.linalg`, from the input of a
 public constructor or handed over by the construction that built it
-(``stored()``).  :mod:`homkit.linalg` also holds the rescale and re-key rules:
+(``stored()``); ``entries``, ``products`` and ``mats`` are computed from it
+on each read, and one entry or basis product reads one row or product.
+:mod:`homkit.linalg` also holds the rescale and re-key rules:
 a check fixes one denominator ``D``, the lcm of the stored ones (``common_denominator``),
 and rescales each stored list by ``D // den`` (``sparse``).  A term
 of an identity that multiplies ``d`` constants is then an ``int``
@@ -57,11 +59,6 @@ from .linalg import _applied, common_denominator, grouped, sparse, transposed
 
 _by_second = partial(grouped, by=1)
 
-# The unit vectors ``((k, 1),)`` of every map, shared and grown on demand
-# (:meth:`SparseMap.term`), so that no map allocates one per dimension;
-# entry ``k`` depends on ``k`` alone, so sharing is safe between callers.
-_UNITS: list = []
-
 
 class SparseMap:
     """A linear map ``T: V -> A`` over a common denominator ``d``: its
@@ -95,12 +92,8 @@ class SparseMap:
         ``by_first[a]``, with ``a = T e_u`` if ``left`` (else ``u``) and
         ``b = T e_v`` if ``right`` (else ``v``): ``mu(T e_u, T e_v)`` from
         the products ``mu(e_a, e_b)``, ``act_l(T e_u) e_v`` from the
-        action's columns, and so on."""
-        if not (left and right):
-            for k in range(len(_UNITS), max(len(self.rows), len(self.cols))):
-                _UNITS.append(((k, 1),))
-        return (_MAP, c, self.cols if left else _UNITS, by_first,
-                self.rows if right else _UNITS)
+        action's columns, and so on.  An identity side is ``None``."""
+        return (_MAP, c, self.cols if left else None, by_first, self.rows if right else None)
 
 
 class _Table(dict):
@@ -231,10 +224,10 @@ def sum_slice(acc: dict, width: int, i: int, terms) -> list:
                         c *= sign
                         for k, x in v:
                             out[offset + k] += c * x
-        elif kind == _MAP:
-            for a, x in firsts[i]:
+        elif kind == _MAP:  # a side that is None is the identity: e_i, then e_b
+            for a, x in ((i, 1),) if firsts is None else firsts[i]:
                 for b, v in seconds.get(a, ()):
-                    for z, y in last[b]:
+                    for z, y in ((b, 1),) if last is None else last[b]:
                         if (out := get(key := (i, z))) is None:
                             out = acc[key] = [0] * width
                             new.append(key)
@@ -270,7 +263,7 @@ def walk(width: int, count: int, terms) -> tuple:
     slice over first indices below ``count`` (:func:`_slices`), and the lookup of their
     sums by key tuple (their dict's ``__getitem__``), each a list of ``width`` ints."""
     acc: dict = {}
-    terms = [t for t in terms if t[2] and t[3]]  # a term with an empty table adds nothing
+    terms = [t for t in terms if (t[2] is None or t[2]) and t[3]]  # an empty table adds nothing
     return _slices(acc, width, count if terms else 0, terms), acc.__getitem__
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ShapeError
 
@@ -213,10 +213,10 @@ class _Stored(_Frozen):
     """An immutable value kept only as its shape, the values of the class's
     own slots, and its nonzero entries, ints over one denominator
     (:meth:`stored`).  Equality and hashing compare those, and a pickle or
-    copy is rebuilt from them; a view of the entries as Fractions is built
-    on first read and then kept (:meth:`_cached`)."""
+    copy is rebuilt from them.  A view of the entries as Fractions is a new
+    object computed on each read, and a read of one entry touches one row."""
 
-    __slots__ = ("_ints", "_view")
+    __slots__ = ("_ints",)
 
     def _store(self, form: tuple[int, dict], *shape) -> None:
         """Keep ``form`` and the shape, the values of the class's own slots."""
@@ -259,13 +259,6 @@ class _Stored(_Frozen):
         each row, product or column (by key, in key order) as the sparse
         vector of its nonzero entries times ``den``."""
         return self._ints
-
-    def _cached(self, build: Callable):
-        try:
-            return self._view
-        except AttributeError:
-            _put(self, "_view", build())
-            return self._view
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self._key(self) == other._key(other)
@@ -353,8 +346,8 @@ class Matrix(_Stored):
     """Immutable rows x cols matrix with exact rational entries, kept as
     :meth:`stored` ``(den, rows)``: ``rows[i]`` lists ``(j, den M[i][j])``
     for each nonzero entry, every row index kept.  ``entries``, the dense
-    tuple of ``Fraction`` rows, is a read-only view built on first read;
-    arithmetic reads the ints."""
+    tuple of ``Fraction`` rows, is a read-only view computed on each read;
+    ``m[i, j]`` reads only row ``i``; arithmetic reads the ints."""
 
     __slots__ = ("rows", "cols")
 
@@ -425,19 +418,16 @@ class Matrix(_Stored):
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        def build():
-            den, ints = self._ints
-            zero, made = (_ZERO,) * self.cols, {}
-            return tuple(_dense(den, row, self.cols, made) if row else zero
-                         for row in ints.values())
-        return self._cached(build)
+        (den, ints), zero, made = self._ints, (_ZERO,) * self.cols, {}
+        return tuple(_dense(den, row, self.cols, made) if row else zero for row in ints.values())
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.entries[i][j]
+        (den, ints), j = self._ints, range(self.cols)[j]
+        return next((Fraction(x, den) for k, x in ints[range(self.rows)[i]] if k == j), _ZERO)
 
     def col(self, j: int) -> Vector:
-        return Vector(row[j] for row in self.entries)
+        return Vector([self[i, j] for i in range(self.rows)])
 
     def is_zero(self) -> bool:
         return not any(self._ints[1].values())

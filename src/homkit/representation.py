@@ -25,8 +25,8 @@ from .algebra import (
 from .errors import KindMismatchError, PreconditionError, ShapeError
 from .kernel import SparseIndex, groups_then_vectors, row_term, walk
 from .linalg import (
-    Matrix, Vector, _cells, _echelon, _Stored, _Value, common_denominator, grouped, sparse,
-    transposed,
+    Matrix, Vector, _applied, _cells, _echelon, _Stored, _Value, common_denominator, grouped,
+    sparse, transposed,
 )
 from .reporting import CheckReport, CheckResult, require, scan_operator_identity
 
@@ -38,7 +38,7 @@ class ActionTensor(_Stored):
     It is kept as :meth:`stored` ``(den, columns)``: each nonzero column
     ``(i, c)``, column ``c`` of the matrix of ``e_i``, keys in sorted order,
     as the sparse vector of its entries times ``den``.  ``mats``, one
-    ``Matrix`` per base basis element, is a read-only view built on first read."""
+    ``Matrix`` per base basis element, is a read-only view computed on each read."""
 
     __slots__ = ("base_dim", "carrier_dim")
 
@@ -65,18 +65,20 @@ class ActionTensor(_Stored):
 
     @property
     def mats(self) -> tuple[Matrix, ...]:
-        def build():
-            (den, columns), m = self._ints, self.carrier_dim
-            by_first, zero = grouped(columns), Matrix.zero(m, m)
-            return tuple(Matrix._from_form(m, m, den, transposed(dict(by_first[i])))
-                         if i in by_first else zero for i in range(self.base_dim))
-        return self._cached(build)
+        (den, columns), m = self._ints, self.carrier_dim
+        by_first, zero = grouped(columns), Matrix.zero(m, m)
+        return tuple(Matrix._from_form(m, m, den, transposed(dict(by_first[i])))
+                     if i in by_first else zero for i in range(self.base_dim))
 
     def at(self, x: Vector) -> Matrix:
         if x.dim != self.base_dim:
             raise ShapeError("action argument must have the base dimension")
-        zero = Matrix.zero(self.carrier_dim, self.carrier_dim)
-        return zero._combine(*((m, xi) for xi, m in zip(x.entries, self.mats) if xi))
+        # Column c of the image sums x_i times stored column (i, c), over den * d.
+        (den, columns), m = self._ints, self.carrier_dim
+        d = lcm(*(q.denominator for q in x.entries))
+        xs = [(i, q.numerator * (d // q.denominator)) for i, q in enumerate(x.entries) if q]
+        terms = {c: [((i, c), y) for i, y in xs if (i, c) in columns] for c in range(m)}
+        return Matrix._from_form(m, m, den * d, transposed(_applied(columns, terms, m)))
 
 
 class Representation(_Value):

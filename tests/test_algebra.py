@@ -58,6 +58,19 @@ def test_eval_product_shape_error():
         two_dim_leibniz().bracket.product(Vector([1]), Vector([1, 0]))
 
 
+def test_basis_product_refuses_a_pair_outside_the_dimension():
+    """A basis pair outside ``0..dim-1`` is a ``ShapeError``, as in
+    ``from_products``; an unlisted pair inside it is a zero product."""
+    t = StructureTensor.from_products(2, {})
+    for i, j in ((7, 7), (2, 0), (0, -1)):
+        with pytest.raises(ShapeError, match=r"product index \(.*\) out of range for dim 2"):
+            t.basis_product(i, j)
+        with pytest.raises(ShapeError):
+            t.coefficient(i, j, 0)
+    assert t.basis_product(1, 1) == Vector.zero(2) and t.coefficient(1, 0, 1) == 0
+    assert two_dim_leibniz().bracket.basis_product(0, 1) == Vector([1, 0])
+
+
 def test_multiplicative_leibniz_fixture_passes():
     report = check_multiplicative(two_dim_leibniz())
     assert report.passed

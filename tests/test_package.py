@@ -210,3 +210,46 @@ def test_linalg_owns_the_stored_form_and_kernel_only_evaluates():
         return {n.name for n in ast.parse(sources[name]).body if isinstance(n, ast.FunctionDef)}
     assert HELPERS <= defined("linalg")
     assert not HELPERS & defined("kernel")
+
+
+# Imports every homkit module, runs one check, one construction, the solver
+# and a DSL round trip of each kind over six pool algebras, and prints each
+# module-level list, dict or set whose identity or length changed meanwhile.
+STATE_PROBE = """\
+import importlib, pkgutil, sys
+import homkit
+modules = [homkit, *(importlib.import_module("homkit." + m.name)
+                     for m in pkgutil.iter_modules(homkit.__path__))]
+sys.path.insert(0, sys.argv[1])
+from support import verified_algebra_pool
+from homkit import (
+    Matrix, check_algebra, pullback_representation, regular_representation, solve_relative_rbo,
+)
+from homkit.dsl import DocAlgebra, DocMap, DocRepresentation, Document, parse, serialize
+
+
+def state():
+    return {f"{m.__name__}.{name}": (id(v), len(v)) for m in modules
+            for name, v in vars(m).items()
+            if not name.startswith("__") and isinstance(v, (list, dict, set))}
+
+
+before, kinds = state(), set()
+for alg in verified_algebra_pool()[:6]:
+    rep, kinds = regular_representation(alg), kinds | {alg.kind}
+    assert check_algebra(alg).passed
+    pullback_representation(Matrix.identity(alg.dim), alg, alg)
+    solve_relative_rbo(alg, rep)
+    doc = Document([DocAlgebra("A", alg), DocRepresentation("R", "A", rep),
+                    DocMap("f", "A", "A", alg.alpha)])
+    assert parse(serialize(doc)) == doc
+after = state()
+assert len(kinds) == 3 and len(before) > 10, (kinds, before)
+print(*sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k)))
+"""
+
+
+def test_no_module_level_container_changes_while_homkit_runs():
+    """State held between calls cannot come back unnoticed: no module-level
+    container of homkit changes identity or length across its calls."""
+    assert fresh(STATE_PROBE, str(ROOT / "tests")).split() == []

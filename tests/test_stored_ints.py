@@ -10,6 +10,7 @@ input; and a check reads no ``Fraction`` and builds no view."""
 
 import gc
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -19,14 +20,16 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from homkit import algebra, kernel, linalg, representation, solver
-from homkit.algebra import POISSON, HomAlgebra, StructureTensor, check_algebra, yau_twist
+from homkit.algebra import (
+    LEIBNIZ, POISSON, HomAlgebra, StructureTensor, check_algebra, yau_twist,
+)
 from homkit.dsl import DocAlgebra, DocMap, DocRepresentation, Document, parse, serialize
 from homkit.errors import PreconditionError
 from homkit.fixtures import two_dim_associative, two_dim_leibniz, two_dim_poisson
 from homkit.linalg import Matrix, Vector, common_denominator
 from homkit.matched import MatchedPair, check_matched_pair, matched_sum
 from homkit.operators import (
-    OperatorContext, check_nijenhuis, check_relative_rbo, induced_algebra,
+    OperatorContext, check_nijenhuis, check_relative_rbo, check_rota_baxter, induced_algebra,
     induced_representation, nijenhuis_deform, projection_context,
 )
 from homkit.representation import (
@@ -433,3 +436,39 @@ def test_an_empty_high_dim_header_builds_no_dense_view(monkeypatch):
         report = check_algebra(doc.algebra("A"))
     assert not reads, reads
     assert report.passed and text == "algebra A {\n  dim 3000\n  kind poisson\n}\n"
+
+
+def traced(call) -> tuple[int, int]:
+    """The bytes still allocated once ``call()`` has returned and its result
+    is dropped, and the peak allocated while it ran, under ``tracemalloc``,
+    over what was allocated before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        gc.collect()
+        now, peak = tracemalloc.get_traced_memory()
+        return now - before, peak - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_call_keeps_memory_and_no_read_builds_more_than_it_returns():
+    """Checks and a construction that read a map's identity side keep
+    nothing once they return, and one entry, column or basis product of a
+    dim-3000 value allocates what it returns, not a dense view of the value."""
+    def empty(dim):
+        return HomAlgebra(dim, LEIBNIZ, Matrix.zero(dim, dim), bracket=StructureTensor.zero(dim))
+    calls = (lambda alg, f: check_rota_baxter(alg, f, 1), check_nijenhuis,
+             lambda alg, f: pullback_representation(f, alg, alg))
+    for call in calls:  # the interpreter's own first-call allocations
+        call(empty(2), Matrix.identity(2))
+    alg, one = empty(3000), Matrix.identity(3000)
+    for call in calls:
+        assert traced(lambda: call(alg, one))[0] < 32 * 1024
+    table = StructureTensor._from_form(3000, 1, {(i, i): [(i, 1)] for i in range(3000)})
+    for read in (lambda: one[0, 0], lambda: one.col(5), lambda: table.basis_product(4, 4)):
+        assert traced(read)[1] < 1 << 20
+    assert one[0, 0] == one[-1, -1] == 1 and one[0, 1] == 0
+    assert one.col(5) == Vector.unit(3000, 5) and table.basis_product(4, 4) == Vector.unit(3000, 4)

@@ -167,7 +167,7 @@ def test_the_model_objects_that_failed_to_copy_now_round_trip():
     assert_round_trips(Matrix([[1, 2], [3, 4]]))
     assert_round_trips(two_dim_leibniz())
     m = Matrix([["1/2", 0], [0, 3]])
-    m.entries  # a view built on first read is not part of a copy
+    m.entries  # a view, computed on each read, is never part of a copy
     for back in round_trips(m):
         assert back.stored() == m.stored() and back.entries == m.entries
 
