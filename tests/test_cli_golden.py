@@ -43,6 +43,9 @@ COMMANDS = [
     ["check-rep", "{doc}", "A2assoc", "reg"],
     ["check-rep", "{doc}", "nope", "reg"],
     ["check-rep", "{doc}", "A2leib", "nope"],
+    ["check-rep", "{doc}", "A2leib", "skew"],
+    ["check-rep", "{doc}", "A2leib", "skew", "--format", "json"],
+    ["check", "{doc}", "skew"],
     ["solve-rbo", "{doc}", "A2assoc"],
     ["solve-rbo", "{doc}", "A2leib"],
     ["solve-rbo", "{doc}", "A2poisson"],
