@@ -107,6 +107,8 @@ class StructureTensor(_Stored):
 
     def coefficient(self, i: int, j: int, k: int):
         """Structure constant: coefficient of ``e_k`` in ``mu(e_i, e_j)``."""
+        if not 0 <= k < self.dim:
+            raise ShapeError(f"basis index {k} out of range for dim {self.dim}")
         return self.basis_product(i, j)[k]
 
     def __repr__(self) -> str:
@@ -187,7 +189,7 @@ def _carries(o: SparseMap, e: int, d: int, twist: tuple | None, products,
     if twist is not None:  # each column j alone at (j,)
         name, phi, alpha = twist
         checks.append(scan_identity(name, *walk(width, count, [
-            groups_then_vectors(c, {j: ((0, col),) for j, col in cols.items()}, vectors, 1)
+            groups_then_vectors(c, {j: ((0, col),) for j, col in cols.items()}, vectors, True)
             for c, cols, vectors in ((1, phi, o.cols), (-1, o.cols, alpha.cols))]),
             denominator=e * d))
     for name, target, carried in products:

@@ -26,9 +26,9 @@ dict of int vectors keyed by basis tuple, with one loop per kind of
 term, and lists the keys it creates.  A check runs it slice by slice
 (:func:`walk`): a tuple no term touches has a zero residual, a scan
 reads the residual of a touched tuple by that tuple, straight from the
-dict, and a scan that stops at a witness sums no later slice.  An
-operator identity keeps each residual as one flat column-major vector
-of its carrier matrix, ``m * m`` ints.  A construction sums its
+dict, and a scan that stops at a witness sums no later slice.  A
+representation axiom is keyed the same way, its carrier column last:
+``(i, j, c)`` or ``(i, c)``, a vector of ``m`` ints.  A construction sums its
 degree-``k`` terms at every first index into a plain dict
 (:meth:`SparseMap.sums`) and hands the sparse vectors to its result's
 ``_from_form``, which reduces them to lowest terms
@@ -150,10 +150,6 @@ def _phi_columns(rows: dict, m: int, family: dict) -> dict:
     return grouped(_merged(family, rows, m, False))
 
 
-def _flat(m: int, columns: dict) -> dict:
-    return {a: [(c * m + k, y) for c, v in cols for k, y in v] for a, cols in columns.items()}
-
-
 class SparseIndex:
     """The inputs of one check or construction over their common denominator
     ``d``, and of any ``more`` parts: a twist (or None) and each named map as a
@@ -167,12 +163,10 @@ class SparseIndex:
     ``twisted[name, left, by]`` groups it by key index ``by``.  With a
     carrier twist map ``phi``, a family ``F`` also has its columns
     ``(c, F(e_a) phi e_c)`` by ``a``, merged along phi's rows
-    (``phi_columns``), and ``F(e_a) phi`` as a flat column-major ``m*m``
-    ``sparse`` vector (``times_phi``), the layout of the representation
-    axioms' sums."""
+    (``phi_columns``)."""
 
     __slots__ = ("d", "alpha", "maps", "parts", "by_first", "by_second", "entries", "twisted",
-                 "times_phi", "phi_columns")
+                 "phi_columns")
 
     def __init__(self, alpha, given: dict, /, *more, **maps):
         d = self.d = common_denominator(alpha, *given.values(), *maps.values(), *more)
@@ -184,14 +178,14 @@ class SparseIndex:
         self.twisted = _Twisted(parts, ({} if alpha is None else self.alpha.rows, given))
         if (phi := maps.get("phi")) is not None:
             self.phi_columns = _Table(parts, partial(_phi_columns, phi.rows, len(phi.cols)))
-            self.times_phi = _Table(self.phi_columns, partial(_flat, len(phi.cols)))
 
 
 # The kinds of term, each a tuple ``(kind, sign, firsts, seconds, last)``
-# made by :func:`row_term` (the entry and twisted kinds),
-# :func:`groups_then_vectors` or :meth:`SparseMap.term`.  For every kind but
-# ``_MAP``, a nonzero ``last`` is a carrier width: the term writes at a
-# carrier column's offset of a flat column-major layout.
+# made by :func:`row_term` (the entry and twisted kinds; the representation
+# axioms' ``F(mu(e_i, e_j)) phi`` rows make their entry terms themselves),
+# :func:`groups_then_vectors` or :meth:`SparseMap.term`.  ``last`` is the
+# second side of a ``_MAP`` term and the ``alone`` flag of a ``_GROUPS`` one;
+# the entry and twisted kinds leave it None.
 _ENTRIES, _ENTRIES_SWAPPED, _TWISTED, _GROUPS, _MAP = range(5)
 
 
@@ -205,17 +199,15 @@ def sum_slice(acc: dict, width: int, i: int, terms) -> list:
         if kind == _TWISTED:
             for a, v in firsts.get(i, ()):
                 for (p, q), c in seconds.get(a, ()):
-                    key, offset = ((i, p), q * last) if last else ((i, p, q), 0)
-                    if (out := get(key)) is None:
+                    if (out := get(key := (i, p, q))) is None:
                         out = acc[key] = [0] * width
                         new.append(key)
                     c *= sign
                     for k, x in v:
-                        out[offset + k] += c * x
-        elif kind == _GROUPS:
+                        out[k] += c * x
+        elif kind == _GROUPS:  # ``last`` is ``alone``: every group at (i,)
             for w, col in firsts.get(i, ()):
-                key, offset = ((i,), w * last) if last else ((i, w), 0)
-                out = None
+                key, out = (i,) if last else (i, w), None
                 for r, c in col:
                     if v := seconds.get(r):
                         if out is None and (out := get(key)) is None:
@@ -223,7 +215,7 @@ def sum_slice(acc: dict, width: int, i: int, terms) -> list:
                             new.append(key)
                         c *= sign
                         for k, x in v:
-                            out[offset + k] += c * x
+                            out[k] += c * x
         elif kind == _MAP:  # a side that is None is the identity: e_i, then e_b
             for a, x in ((i, 1),) if firsts is None else firsts[i]:
                 for b, v in seconds.get(a, ()):
@@ -237,16 +229,14 @@ def sum_slice(acc: dict, width: int, i: int, terms) -> list:
         else:
             swapped = kind == _ENTRIES_SWAPPED
             for w, col in firsts.get(i, ()):
-                offset = w * last
                 for a, g in col:
                     c = sign * g
                     for z, v in seconds.get(a, ()):
-                        key = (i, z) if last else (i, z, w) if swapped else (i, w, z)
-                        if (out := get(key)) is None:
+                        if (out := get(key := (i, z, w) if swapped else (i, w, z))) is None:
                             out = acc[key] = [0] * width
                             new.append(key)
                         for k, x in v:
-                            out[offset + k] += c * x
+                            out[k] += c * x
     return new
 
 
@@ -267,7 +257,7 @@ def walk(width: int, count: int, terms) -> tuple:
     return _slices(acc, width, count if terms else 0, terms), acc.__getitem__
 
 
-def row_term(a: SparseIndex, b: SparseIndex, sign: int, *row, width: int = 0) -> tuple:
+def row_term(a: SparseIndex, b: SparseIndex, sign: int, *row) -> tuple:
     """The term of one row of a degree-3 identity at ``(i, w, z)``, or at
     ``(i, z, w)`` if ``swap``, summed over the nonzero entries of its tables:
 
@@ -278,23 +268,21 @@ def row_term(a: SparseIndex, b: SparseIndex, sign: int, *row, width: int = 0) ->
 
     The row's first name is read off ``a`` and its second off ``b``, one index
     for an algebra's identities and a representation's axioms; a family is a
-    bilinear map, ``X(e_a, f_c) = X(e_a) f_c``.  With a ``width``, the term
-    writes at ``(i, j)``, ``j`` a base index, from offset ``c * width`` of a
-    flat column-major layout for a carrier column ``c``."""
+    bilinear map, ``X(e_a, f_c) = X(e_a) f_c``, so a carrier index is a key
+    index like any other."""
     if len(row) == 2:  # the twisted columns of F(alpha e_i), then X's entries
-        return (_TWISTED, sign, a.twisted[row[0], True, 0], b.entries[row[1]], width)
+        return (_TWISTED, sign, a.twisted[row[0], True, 0], b.entries[row[1]], None)
     if len(row) == 3:  # the entries of X(e_w, e_i), then F's columns times phi
         f, x, swap = row
         firsts, seconds = b.by_second[x], a.phi_columns[f]
     else:  # the entries of X(e_i, e_w), then F twisted on its other side
         x, f, swap, first = row
         firsts, seconds = a.by_first[x], b.twisted[f, not first, int(not first)]
-    return (_ENTRIES_SWAPPED if swap else _ENTRIES, sign, firsts, seconds, width)
+    return (_ENTRIES_SWAPPED if swap else _ENTRIES, sign, firsts, seconds, None)
 
 
-def groups_then_vectors(sign: int, groups: dict, vectors: dict, width: int = 0) -> tuple:
+def groups_then_vectors(sign: int, groups: dict, vectors: dict, alone: bool = False) -> tuple:
     """The term ``sign c vectors[r]`` at ``(i, w)`` for each ``(w, col)`` in
     ``groups[i]`` and each entry ``c`` of ``col`` at ``r`` with a nonzero
-    ``vectors[r]``; with a ``width``, at ``(i,)`` from offset ``w * width``,
-    ``w`` being a carrier column."""
-    return (_GROUPS, sign, groups, vectors, width)
+    ``vectors[r]``; ``alone``, at ``(i,)`` for every group."""
+    return (_GROUPS, sign, groups, vectors, alone)

@@ -117,7 +117,10 @@ def scan_operator_identity(name: str, indices: Iterable[tuple[int, ...]],
                            residual: Callable[[tuple[int, ...]], list[int]], *,
                            width: int, denominator: int = 1) -> CheckResult:
     """Like :func:`scan_identity` for operator equalities on a carrier of
-    dimension ``width``.
+    dimension ``width``.  No checker in the package calls it: the
+    representation axioms key their carrier column and use
+    :func:`scan_identity`.  It is kept because the benchmark's tracer
+    (``bench/spans.py``) binds it.
 
     ``residual(idx)`` returns an int matrix as one flat column-major list
     of ``width * width`` ints, column ``k`` at ``[k * width, (k + 1) * width)``.

@@ -10,7 +10,9 @@ carries all four over one carrier twist phi.  The semidirect product and
 All axiom checks are operator identities evaluated on every basis pair of
 the base algebra and every carrier basis vector, which is exhaustive by
 multilinearity, read off one :class:`homkit.kernel.SparseIndex` of the
-base's tables and the families with the carrier twist named ``phi``.
+base's tables and the families with the carrier twist named ``phi``.  Each
+residual is keyed by its basis tuple, the carrier column last, and scanned
+like every other identity (:func:`homkit.reporting.scan_identity`).
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from .algebra import (
     _ideal, _require_self_morphism, _require_square, check_ideal, check_morphism,
 )
 from .errors import KindMismatchError, PreconditionError, ShapeError
-from .kernel import SparseIndex, groups_then_vectors, row_term, walk
+from .kernel import _ENTRIES, SparseIndex, groups_then_vectors, row_term, walk
 from .linalg import (
     Matrix, Vector, _applied, _cells, _echelon, _Stored, _Value, common_denominator, grouped,
     sparse, transposed,
 )
-from .reporting import CheckReport, CheckResult, require, scan_operator_identity
+from .reporting import CheckReport, CheckResult, require, scan_identity
 
 
 class ActionTensor(_Stored):
@@ -145,31 +147,34 @@ _COMMUTES = {"lambda_l": "phi_commutes_left_mult", "lambda_r": "phi_commutes_rig
              "rho_l": "phi_commutes_left_bracket", "rho_r": "phi_commutes_right_bracket"}
 
 # The pair axioms of each table, then the Poisson cross axioms, at a basis
-# pair (i, j): rows of :func:`homkit.kernel.row_term`, and the one form only
-# these axioms have, ``(sign, F, table, swap)``, read by :func:`_through_phi`.
+# pair (i, j) and a carrier column c, keyed (i, j, c): rows of
+# :func:`homkit.kernel.row_term` (``s F(alpha e_j) X(e_i) f_c`` is
+# ``(s, X, F, 1, 0)``, swapped to put its carrier column last), and the
+# one form only these axioms have, ``(sign, F, table, swap)``, read by
+# :func:`_through_phi`.
 _PAIR_AXIOMS = {
     "dot": (
         ("left_mult_composition", (1, "lambda_l", "dot", 0), (-1, "lambda_l", "lambda_l")),
-        ("right_mult_composition", (1, "lambda_r", "dot", 0), (-1, "lambda_r", "lambda_r", 0, 0)),
+        ("right_mult_composition", (1, "lambda_r", "dot", 0), (-1, "lambda_r", "lambda_r", 1, 0)),
         ("left_right_mult_commute", (1, "lambda_l", "lambda_r"),
-         (-1, "lambda_l", "lambda_r", 0, 0)),
+         (-1, "lambda_l", "lambda_r", 1, 0)),
     ),
     "bracket": (
         ("left_bracket_composition", (1, "rho_l", "bracket", 0), (-1, "rho_l", "rho_l"),
-         (-1, "rho_l", "rho_r", 0, 0)),
-        ("mixed_bracket_exchange", (1, "rho_l", "rho_r", 0, 0), (-1, "rho_l", "rho_r"),
+         (-1, "rho_l", "rho_r", 1, 0)),
+        ("mixed_bracket_exchange", (1, "rho_l", "rho_r", 1, 0), (-1, "rho_l", "rho_r"),
          (-1, "rho_l", "bracket", 0)),
-        ("right_bracket_composition", (1, "rho_r", "rho_r", 0, 0), (-1, "rho_r", "bracket", 0),
+        ("right_bracket_composition", (1, "rho_r", "rho_r", 1, 0), (-1, "rho_r", "bracket", 0),
          (-1, "rho_r", "rho_r")),
         ("right_bracket_antisymmetry", (1, "rho_r", "bracket", 0), (1, "rho_r", "bracket", 1)),
     ),
     POISSON: (
-        ("bracket_acts_on_left_mult", (1, "lambda_l", "rho_r", 0, 0),
+        ("bracket_acts_on_left_mult", (1, "lambda_l", "rho_r", 1, 0),
          (-1, "lambda_l", "rho_r"), (-1, "lambda_l", "bracket", 0)),
-        ("bracket_acts_on_right_mult", (1, "lambda_r", "rho_r", 0, 0),
+        ("bracket_acts_on_right_mult", (1, "lambda_r", "rho_r", 1, 0),
          (-1, "lambda_r", "bracket", 0), (-1, "lambda_r", "rho_r")),
         ("left_bracket_of_product", (1, "rho_l", "dot", 0), (-1, "lambda_l", "rho_l"),
-         (-1, "rho_l", "lambda_r", 0, 0)),
+         (-1, "rho_l", "lambda_r", 1, 0)),
     ),
 }
 
@@ -181,32 +186,28 @@ def _axioms(r: SparseIndex, groups: tuple) -> CheckReport:
     m, n, checks = len(r.maps["phi"].cols), len(r.alpha.rows), []
 
     def scan(name: str, *terms) -> CheckResult:
-        return scan_operator_identity(name, *walk(m * m, n, terms), width=m,
-                                      denominator=r.d ** 3)
+        return scan_identity(name, *walk(m, n, terms), denominator=r.d ** 3)
     for group in groups:
         for family in ACTIONS_OF.get(group, ()):
             checks.append(scan(_COMMUTES[family], *_commutes(r, family)))
         for name, *rows in _PAIR_AXIOMS[group]:
             checks.append(scan(name, *(
-                _through_phi(r, *row) if len(row) == 4 else row_term(r, r, *row, width=m)
+                _through_phi(r, *row) if len(row) == 4 else row_term(r, r, *row)
                 for row in rows)))
     return CheckReport(tuple(checks))
 
 
 def _commutes(r: SparseIndex, family: str) -> tuple:
-    """The terms of ``d phi F(e_i) - F(alpha e_i) phi`` at ``(i,)``."""
-    phi, times_phi = r.maps["phi"].cols, r.times_phi[family]
-    # F(alpha e_i) phi sums F(e_a) phi over column i of alpha: one group per i
-    alpha = {i: ((0, col),) for i, col in r.alpha.cols.items()}
-    return (groups_then_vectors(r.d, r.by_first[family], phi, len(phi)),
-            groups_then_vectors(-1, alpha, times_phi, len(phi)))
+    """The terms of ``d phi F(e_i) f_c - F(alpha e_i) phi f_c`` at ``(i, c)``."""
+    return (groups_then_vectors(r.d, r.by_first[family], r.maps["phi"].cols),
+            r.alpha.term(-1, r.phi_columns[family], True, False))
 
 
 def _through_phi(r: SparseIndex, sign: int, family: str, table: str, swap: bool) -> tuple:
-    """The term ``sign F(mu(e_i, e_j)) phi`` at ``(i, j)``, or
-    ``sign F(mu(e_j, e_i)) phi`` if ``swap``."""
+    """The term ``sign F(mu(e_i, e_j)) phi f_c`` at ``(i, j, c)``, or
+    ``sign F(mu(e_j, e_i)) phi f_c`` if ``swap``."""
     products = r.by_second[table] if swap else r.by_first[table]
-    return groups_then_vectors(sign, products, r.times_phi[family])
+    return (_ENTRIES, sign, products, r.phi_columns[family], None)
 
 
 def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
@@ -219,8 +220,8 @@ def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     consistency check.
 
     Each residual is summed over the nonzero products, twist entries and
-    action columns only, keyed by basis tuple; an untouched tuple's
-    residual is exactly zero.
+    action columns only, keyed by basis tuple ``(i, j, c)`` or ``(i, c)``,
+    ``c`` a carrier column; an untouched tuple's residual is exactly zero.
     """
     _require_match(rep, alg)
     return _axioms(_paired_index(alg, rep), _GROUPS[alg.kind])

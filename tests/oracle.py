@@ -150,6 +150,18 @@ def _triples(dim: int):
     return iproduct(range(dim), repeat=3)
 
 
+def _cols(m: Matrix) -> list[Vector]:
+    """The columns of ``m``, each read once, for the per-tuple residuals:
+    ``Matrix.col`` computes its view on each call."""
+    return [m.col(j) for j in range(m.cols)]
+
+
+def _family_cols(f: ActionTensor) -> list[list[Vector]]:
+    """``f``'s matrices (``ActionTensor.mats``, a view computed on each
+    read) as their columns: ``[u][x]`` is column ``x`` of the matrix of ``e_u``."""
+    return [_cols(m) for m in f.mats]
+
+
 def check_multiplicative(alg: HomAlgebra) -> CheckReport:
     """Is alpha an endomorphism for every product?
 
@@ -157,12 +169,12 @@ def check_multiplicative(alg: HomAlgebra) -> CheckReport:
     basis pairs, separately for each table.
     """
     alpha = alg.alpha
-    checks = []
+    ac, checks = _cols(alpha), []
     for name, t in alg.tensors().items():
         checks.append(scan_identity(
             f"multiplicative:{name}", _pairs(alg.dim),
             lambda i, j, t=t: alpha.apply(t.basis_product(i, j))
-            - t.product(alpha.col(i), alpha.col(j))))
+            - t.product(ac[i], ac[j])))
     return CheckReport(tuple(checks))
 
 
@@ -171,10 +183,11 @@ def check_hom_associative(t: StructureTensor, alpha: Matrix) -> CheckReport:
     on all basis triples."""
     if alpha.rows != t.dim or alpha.cols != t.dim:
         raise ShapeError("twist map size differs from tensor dim")
+    ac = _cols(alpha)
     result = scan_identity(
         "hom_associative", _triples(t.dim),
-        lambda i, j, k: t.product(t.basis_product(i, j), alpha.col(k))
-        - t.product(alpha.col(i), t.basis_product(j, k)))
+        lambda i, j, k: t.product(t.basis_product(i, j), ac[k])
+        - t.product(ac[i], t.basis_product(j, k)))
     return CheckReport((result,))
 
 
@@ -183,11 +196,12 @@ def check_hom_leibniz(t: StructureTensor, alpha: Matrix) -> CheckReport:
     on all basis triples."""
     if alpha.rows != t.dim or alpha.cols != t.dim:
         raise ShapeError("twist map size differs from tensor dim")
+    ac = _cols(alpha)
     result = scan_identity(
         "hom_leibniz", _triples(t.dim),
-        lambda i, j, k: t.product(t.basis_product(i, j), alpha.col(k))
-        - t.product(alpha.col(i), t.basis_product(j, k))
-        - t.product(t.basis_product(i, k), alpha.col(j)))
+        lambda i, j, k: t.product(t.basis_product(i, j), ac[k])
+        - t.product(ac[i], t.basis_product(j, k))
+        - t.product(t.basis_product(i, k), ac[j]))
     return CheckReport((result,))
 
 
@@ -196,12 +210,12 @@ def check_poisson_compat(alg: HomAlgebra) -> CheckReport:
     ``[x.y, alpha z] = (alpha x).[y,z] + [x,z].(alpha y)`` on basis triples."""
     if alg.kind != POISSON:
         raise KindMismatchError("poisson compatibility needs a poisson algebra")
-    dot, br, alpha = alg.dot, alg.bracket, alg.alpha
+    dot, br, ac = alg.dot, alg.bracket, _cols(alg.alpha)
     result = scan_identity(
         "poisson_compatibility", _triples(alg.dim),
-        lambda i, j, k: br.product(dot.basis_product(i, j), alpha.col(k))
-        - dot.product(alpha.col(i), br.basis_product(j, k))
-        - dot.product(br.basis_product(i, k), alpha.col(j)))
+        lambda i, j, k: br.product(dot.basis_product(i, j), ac[k])
+        - dot.product(ac[i], br.basis_product(j, k))
+        - dot.product(br.basis_product(i, k), ac[j]))
     return CheckReport((result,))
 
 
@@ -227,9 +241,10 @@ def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
         raise KindMismatchError("morphism endpoints must have the same kind")
     if f.cols != src.dim or f.rows != dst.dim:
         raise ShapeError("morphism matrix shape must be dst.dim x src.dim")
+    fc, sc = _cols(f), _cols(src.alpha)
     checks = [scan_identity(
         "intertwines_twist", ((j,) for j in range(src.dim)),
-        lambda j: f.apply(src.alpha.col(j)) - dst.alpha.apply(f.col(j)))]
+        lambda j: f.apply(sc[j]) - dst.alpha.apply(fc[j]))]
     src_tensors = src.tensors()
     dst_tensors = dst.tensors()
     for name in src_tensors:
@@ -237,7 +252,7 @@ def check_morphism(f: Matrix, src: HomAlgebra, dst: HomAlgebra) -> CheckReport:
         checks.append(scan_identity(
             f"preserves:{name}", _pairs(src.dim),
             lambda i, j, ts=ts, td=td: f.apply(ts.basis_product(i, j))
-            - td.product(f.col(i), f.col(j))))
+            - td.product(fc[i], fc[j])))
     return CheckReport(tuple(checks))
 
 
@@ -254,54 +269,56 @@ def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     consistency check.
     """
     _require_match(rep, alg)
-    alpha, phi = alg.alpha, rep.phi
+    phi, ac = rep.phi, _cols(alg.alpha)
     n = alg.dim
     checks = []
 
     if rep.kind in (ASSOCIATIVE, POISSON):
         dot, ll, lr = alg.dot, rep.lambda_l, rep.lambda_r
+        llm, lrm = ll.mats, lr.mats
         checks.append(scan_operator_identity(
             "phi_commutes_left_mult", ((i,) for i in range(n)),
-            lambda i: phi @ ll.mats[i] - ll.at(alpha.col(i)) @ phi))
+            lambda i: phi @ llm[i] - ll.at(ac[i]) @ phi))
         checks.append(scan_operator_identity(
             "phi_commutes_right_mult", ((i,) for i in range(n)),
-            lambda i: phi @ lr.mats[i] - lr.at(alpha.col(i)) @ phi))
+            lambda i: phi @ lrm[i] - lr.at(ac[i]) @ phi))
         checks.append(scan_operator_identity(
             "left_mult_composition", iproduct(range(n), repeat=2),
             lambda i, j: ll.at(dot.basis_product(i, j)) @ phi
-            - ll.at(alpha.col(i)) @ ll.mats[j]))
+            - ll.at(ac[i]) @ llm[j]))
         checks.append(scan_operator_identity(
             "right_mult_composition", iproduct(range(n), repeat=2),
             lambda i, j: lr.at(dot.basis_product(i, j)) @ phi
-            - lr.at(alpha.col(j)) @ lr.mats[i]))
+            - lr.at(ac[j]) @ lrm[i]))
         checks.append(scan_operator_identity(
             "left_right_mult_commute", iproduct(range(n), repeat=2),
-            lambda i, j: ll.at(alpha.col(i)) @ lr.mats[j]
-            - lr.at(alpha.col(j)) @ ll.mats[i]))
+            lambda i, j: ll.at(ac[i]) @ lrm[j]
+            - lr.at(ac[j]) @ llm[i]))
 
     if rep.kind in (LEIBNIZ, POISSON):
         br, rl, rr = alg.bracket, rep.rho_l, rep.rho_r
+        rlm, rrm = rl.mats, rr.mats
         checks.append(scan_operator_identity(
             "phi_commutes_left_bracket", ((i,) for i in range(n)),
-            lambda i: phi @ rl.mats[i] - rl.at(alpha.col(i)) @ phi))
+            lambda i: phi @ rlm[i] - rl.at(ac[i]) @ phi))
         checks.append(scan_operator_identity(
             "phi_commutes_right_bracket", ((i,) for i in range(n)),
-            lambda i: phi @ rr.mats[i] - rr.at(alpha.col(i)) @ phi))
+            lambda i: phi @ rrm[i] - rr.at(ac[i]) @ phi))
         checks.append(scan_operator_identity(
             "left_bracket_composition", iproduct(range(n), repeat=2),
             lambda i, j: rl.at(br.basis_product(i, j)) @ phi
-            - rl.at(alpha.col(i)) @ rl.mats[j]
-            - rr.at(alpha.col(j)) @ rl.mats[i]))
+            - rl.at(ac[i]) @ rlm[j]
+            - rr.at(ac[j]) @ rlm[i]))
         checks.append(scan_operator_identity(
             "mixed_bracket_exchange", iproduct(range(n), repeat=2),
-            lambda i, j: rr.at(alpha.col(j)) @ rl.mats[i]
-            - rl.at(alpha.col(i)) @ rr.mats[j]
+            lambda i, j: rr.at(ac[j]) @ rlm[i]
+            - rl.at(ac[i]) @ rrm[j]
             - rl.at(br.basis_product(i, j)) @ phi))
         checks.append(scan_operator_identity(
             "right_bracket_composition", iproduct(range(n), repeat=2),
-            lambda i, j: rr.at(alpha.col(j)) @ rr.mats[i]
+            lambda i, j: rr.at(ac[j]) @ rrm[i]
             - rr.at(br.basis_product(i, j)) @ phi
-            - rr.at(alpha.col(i)) @ rr.mats[j]))
+            - rr.at(ac[i]) @ rrm[j]))
         checks.append(scan_operator_identity(
             "right_bracket_antisymmetry", iproduct(range(n), repeat=2),
             lambda i, j: rr.at(br.basis_product(i, j)) @ phi
@@ -310,21 +327,22 @@ def check_representation(rep: Representation, alg: HomAlgebra) -> CheckReport:
     if rep.kind == POISSON:
         dot, br = alg.dot, alg.bracket
         ll, lr, rl, rr = rep.lambda_l, rep.lambda_r, rep.rho_l, rep.rho_r
+        llm, lrm, rlm, rrm = ll.mats, lr.mats, rl.mats, rr.mats
         checks.append(scan_operator_identity(
             "bracket_acts_on_left_mult", iproduct(range(n), repeat=2),
-            lambda i, j: rr.at(alpha.col(j)) @ ll.mats[i]
-            - ll.at(alpha.col(i)) @ rr.mats[j]
+            lambda i, j: rr.at(ac[j]) @ llm[i]
+            - ll.at(ac[i]) @ rrm[j]
             - ll.at(br.basis_product(i, j)) @ phi))
         checks.append(scan_operator_identity(
             "bracket_acts_on_right_mult", iproduct(range(n), repeat=2),
-            lambda i, j: rr.at(alpha.col(j)) @ lr.mats[i]
+            lambda i, j: rr.at(ac[j]) @ lrm[i]
             - lr.at(br.basis_product(i, j)) @ phi
-            - lr.at(alpha.col(i)) @ rr.mats[j]))
+            - lr.at(ac[i]) @ rrm[j]))
         checks.append(scan_operator_identity(
             "left_bracket_of_product", iproduct(range(n), repeat=2),
             lambda i, j: rl.at(dot.basis_product(i, j)) @ phi
-            - ll.at(alpha.col(i)) @ rl.mats[j]
-            - lr.at(alpha.col(j)) @ rl.mats[i]))
+            - ll.at(ac[i]) @ rlm[j]
+            - lr.at(ac[j]) @ rlm[i]))
 
     return CheckReport(tuple(checks))
 
@@ -339,12 +357,13 @@ def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
     weight = frac(weight)
     if not r.is_square() or r.rows != alg.dim:
         raise ShapeError("operator must be square of the algebra dim")
+    ac, rc = _cols(alg.alpha), _cols(r)
     checks = [scan_identity(
         "twist_commute", ((j,) for j in range(alg.dim)),
-        lambda j: r.apply(alg.alpha.col(j)) - alg.alpha.apply(r.col(j)))]
+        lambda j: r.apply(ac[j]) - alg.alpha.apply(rc[j]))]
     for name, t in alg.tensors().items():
         def residual(i, j, t=t):
-            ri, rj = r.col(i), r.col(j)
+            ri, rj = rc[i], rc[j]
             ei, ej = Vector.unit(alg.dim, i), Vector.unit(alg.dim, j)
             inner = (t.product(ri, ej) + t.product(ei, rj)
                      + t.basis_product(i, j).scale(weight))
@@ -356,10 +375,10 @@ def check_rota_baxter(alg: HomAlgebra, r: Matrix, weight) -> CheckReport:
 
 def _split_residual(ctx: OperatorContext, tensor: StructureTensor,
                     left: ActionTensor, right: ActionTensor):
-    t = ctx.t
+    t, tc = ctx.t, _cols(ctx.t)
 
     def residual(i, j):
-        tu, tv = t.col(i), t.col(j)
+        tu, tv = tc[i], tc[j]
         inner = left.at(tu).col(j) + right.at(tv).col(i)
         return tensor.product(tu, tv) - t.apply(inner)
 
@@ -370,9 +389,10 @@ def check_relative_rbo(ctx: OperatorContext) -> CheckReport:
     """Relative Rota-Baxter test: ``T phi = alpha T`` plus, per table,
     ``mu(Tu, Tv) = T(act_l(Tu) v + act_r(Tv) u)`` on all carrier pairs."""
     alg, rep, t = ctx.alg, ctx.rep, ctx.t
+    pc, tc = _cols(rep.phi), _cols(t)
     checks = [scan_identity(
         "intertwines_twist", ((j,) for j in range(rep.carrier_dim)),
-        lambda j: t.apply(rep.phi.col(j)) - alg.alpha.apply(t.col(j)))]
+        lambda j: t.apply(pc[j]) - alg.alpha.apply(tc[j]))]
     m = rep.carrier_dim
     if alg.dot is not None:
         checks.append(scan_identity(
@@ -390,12 +410,13 @@ def check_nijenhuis(alg: HomAlgebra, n: Matrix) -> CheckReport:
     ``mu(Nx, Ny) = N(mu(Nx, y) + mu(x, Ny) - N mu(x, y))`` per table."""
     if not n.is_square() or n.rows != alg.dim:
         raise ShapeError("operator must be square of the algebra dim")
+    ac, nc = _cols(alg.alpha), _cols(n)
     checks = [scan_identity(
         "twist_commute", ((j,) for j in range(alg.dim)),
-        lambda j: n.apply(alg.alpha.col(j)) - alg.alpha.apply(n.col(j)))]
+        lambda j: n.apply(ac[j]) - alg.alpha.apply(nc[j]))]
     for name, t in alg.tensors().items():
         def residual(i, j, t=t):
-            ni, nj = n.col(i), n.col(j)
+            ni, nj = nc[i], nc[j]
             ei, ej = Vector.unit(alg.dim, i), Vector.unit(alg.dim, j)
             inner = (t.product(ni, ej) + t.product(ei, nj)
                      - n.apply(t.basis_product(i, j)))
@@ -427,59 +448,61 @@ def _cross_conditions_associative(mp: MatchedPair, printed: bool) -> list:
     def f2(i):
         return Vector.unit(n2, i)
 
+    a1c, a2c = _cols(al1), _cols(al2)
+    l1lc, l1rc, l2lc, l2rc = map(_family_cols, (l1l, l1r, l2l, l2r))
     checks = []
     # lambda1_l(alpha1 x)(u * v) = lambda1_l(lambda2_r(u) x)(alpha2 v)
     #                              + (lambda1_l(x) u) * (alpha2 v)
     checks.append(scan_identity(
         "cross:assoc:1", iproduct(range(n1), range(n2), range(n2)),
-        lambda x, u, v: l1l.at(al1.col(x)).apply(dot2.basis_product(u, v))
-        - l1l.at(l2r.mats[u].col(x)).apply(al2.col(v))
-        - dot2.product(l1l.mats[x].col(u), al2.col(v))))
+        lambda x, u, v: l1l.at(a1c[x]).apply(dot2.basis_product(u, v))
+        - l1l.at(l2rc[u][x]).apply(a2c[v])
+        - dot2.product(l1lc[x][u], a2c[v])))
     # lambda1_r(alpha1 x)(u * v) = lambda1_r(lambda2_l(v) x)(alpha2 u)
     #                              + (alpha2 u) * (lambda1_r(x) v)
     checks.append(scan_identity(
         "cross:assoc:2", iproduct(range(n1), range(n2), range(n2)),
-        lambda x, u, v: l1r.at(al1.col(x)).apply(dot2.basis_product(u, v))
-        - l1r.at(l2l.mats[v].col(x)).apply(al2.col(u))
-        - dot2.product(al2.col(u), l1r.mats[x].col(v))))
+        lambda x, u, v: l1r.at(a1c[x]).apply(dot2.basis_product(u, v))
+        - l1r.at(l2lc[v][x]).apply(a2c[u])
+        - dot2.product(a2c[u], l1rc[x][v])))
 
     # lambda2_l(alpha2 u)(x * y) = lambda2_l(lambda1_r(x) u)(alpha1 y) + T3
     # where T3 is (lambda2_l(u) x) * (alpha1 y) in the corrected set and
     # (lambda2_l(alpha2 u) x) * (alpha1 y) in the printed one.
     if printed:
         def third(u, x):
-            return l2l.at(al2.col(u)).apply(e1(x))
+            return l2l.at(a2c[u]).apply(e1(x))
     else:
         def third(u, x):
-            return l2l.mats[u].col(x)
+            return l2lc[u][x]
     checks.append(scan_identity(
         "cross:assoc:3", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: l2l.at(al2.col(u)).apply(dot1.basis_product(x, y))
-        - l2l.at(l1r.mats[x].col(u)).apply(al1.col(y))
-        - dot1.product(third(u, x), al1.col(y))))
+        lambda u, x, y: l2l.at(a2c[u]).apply(dot1.basis_product(x, y))
+        - l2l.at(l1rc[x][u]).apply(a1c[y])
+        - dot1.product(third(u, x), a1c[y])))
     # lambda2_r(alpha2 u)(x * y) = lambda2_r(lambda1_l(y) u)(alpha1 x)
     #                              + (alpha1 x) * (lambda2_r(u) y)
     checks.append(scan_identity(
         "cross:assoc:4", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: l2r.at(al2.col(u)).apply(dot1.basis_product(x, y))
-        - l2r.at(l1l.mats[y].col(u)).apply(al1.col(x))
-        - dot1.product(al1.col(x), l2r.mats[u].col(y))))
+        lambda u, x, y: l2r.at(a2c[u]).apply(dot1.basis_product(x, y))
+        - l2r.at(l1lc[y][u]).apply(a1c[x])
+        - dot1.product(a1c[x], l2rc[u][y])))
     # lambda1_l(lambda2_l(u) x)(alpha2 v) + (lambda1_r(x) u) * (alpha2 v)
     #   - lambda1_r(lambda2_r(v) x)(alpha2 u) - (alpha2 u) * (lambda1_l(x) v) = 0
     checks.append(scan_identity(
         "cross:assoc:5", iproduct(range(n1), range(n2), range(n2)),
-        lambda x, u, v: l1l.at(l2l.mats[u].col(x)).apply(al2.col(v))
-        + dot2.product(l1r.mats[x].col(u), al2.col(v))
-        - l1r.at(l2r.mats[v].col(x)).apply(al2.col(u))
-        - dot2.product(al2.col(u), l1l.mats[x].col(v))))
+        lambda x, u, v: l1l.at(l2lc[u][x]).apply(a2c[v])
+        + dot2.product(l1rc[x][u], a2c[v])
+        - l1r.at(l2rc[v][x]).apply(a2c[u])
+        - dot2.product(a2c[u], l1lc[x][v])))
     # lambda2_l(lambda1_l(x) u)(alpha1 y) + (lambda2_r(u) x) * (alpha1 y)
     #   - lambda2_r(lambda1_r(y) u)(alpha1 x) - (alpha1 x) * (lambda2_l(u) y) = 0
     checks.append(scan_identity(
         "cross:assoc:6", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: l2l.at(l1l.mats[x].col(u)).apply(al1.col(y))
-        + dot1.product(l2r.mats[u].col(x), al1.col(y))
-        - l2r.at(l1r.mats[y].col(u)).apply(al1.col(x))
-        - dot1.product(al1.col(x), l2l.mats[u].col(y))))
+        lambda u, x, y: l2l.at(l1lc[x][u]).apply(a1c[y])
+        + dot1.product(l2rc[u][x], a1c[y])
+        - l2r.at(l1rc[y][u]).apply(a1c[x])
+        - dot1.product(a1c[x], l2lc[u][y])))
     return checks
 
 
@@ -492,49 +515,51 @@ def _cross_conditions_leibniz(mp: MatchedPair) -> list:
     r1l, r1r = mp.actions_1_on_2.rho_l, mp.actions_1_on_2.rho_r
     r2l, r2r = mp.actions_2_on_1.rho_l, mp.actions_2_on_1.rho_r
 
+    a1c, a2c = _cols(al1), _cols(al2)
+    r1lc, r1rc, r2lc, r2rc = map(_family_cols, (r1l, r1r, r2l, r2r))
     checks = []
     checks.append(scan_identity(
         "cross:leibniz:1", iproduct(range(n1), range(n2), range(n2)),
-        lambda x, u, v: r1r.at(al1.col(x)).apply(br2.basis_product(u, v))
-        - br2.product(al2.col(u), r1r.mats[x].col(v))
-        - br2.product(r1r.mats[x].col(u), al2.col(v))
-        - r1r.at(r2l.mats[v].col(x)).apply(al2.col(u))
-        - r1l.at(r2l.mats[u].col(x)).apply(al2.col(v))))
+        lambda x, u, v: r1r.at(a1c[x]).apply(br2.basis_product(u, v))
+        - br2.product(a2c[u], r1rc[x][v])
+        - br2.product(r1rc[x][u], a2c[v])
+        - r1r.at(r2lc[v][x]).apply(a2c[u])
+        - r1l.at(r2lc[u][x]).apply(a2c[v])))
     checks.append(scan_identity(
         "cross:leibniz:2", iproduct(range(n1), range(n2), range(n2)),
-        lambda x, u, v: r1l.at(al1.col(x)).apply(br2.basis_product(u, v))
-        - br2.product(r1l.mats[x].col(u), al2.col(v))
-        + br2.product(r1l.mats[x].col(v), al2.col(u))
-        - r1l.at(r2r.mats[u].col(x)).apply(al2.col(v))
-        + r1l.at(r2r.mats[v].col(x)).apply(al2.col(u))))
+        lambda x, u, v: r1l.at(a1c[x]).apply(br2.basis_product(u, v))
+        - br2.product(r1lc[x][u], a2c[v])
+        + br2.product(r1lc[x][v], a2c[u])
+        - r1l.at(r2rc[u][x]).apply(a2c[v])
+        + r1l.at(r2rc[v][x]).apply(a2c[u])))
     checks.append(scan_identity(
         "cross:leibniz:3", iproduct(range(n1), range(n2), range(n2)),
-        lambda x, u, v: r1r.at(al1.col(x)).apply(br2.basis_product(u, v))
-        - br2.product(r1r.mats[x].col(u), al2.col(v))
-        + br2.product(al2.col(u), r1l.mats[x].col(v))
-        - r1l.at(r2l.mats[u].col(x)).apply(al2.col(v))
-        + r1r.at(r2r.mats[v].col(x)).apply(al2.col(u))))
+        lambda x, u, v: r1r.at(a1c[x]).apply(br2.basis_product(u, v))
+        - br2.product(r1rc[x][u], a2c[v])
+        + br2.product(a2c[u], r1lc[x][v])
+        - r1l.at(r2lc[u][x]).apply(a2c[v])
+        + r1r.at(r2rc[v][x]).apply(a2c[u])))
     checks.append(scan_identity(
         "cross:leibniz:4", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: r2r.at(al2.col(u)).apply(br1.basis_product(x, y))
-        - br1.product(al1.col(x), r2r.mats[u].col(y))
-        - br1.product(r2r.mats[u].col(x), al1.col(y))
-        - r2r.at(r1l.mats[y].col(u)).apply(al1.col(x))
-        - r2l.at(r1l.mats[x].col(u)).apply(al1.col(y))))
+        lambda u, x, y: r2r.at(a2c[u]).apply(br1.basis_product(x, y))
+        - br1.product(a1c[x], r2rc[u][y])
+        - br1.product(r2rc[u][x], a1c[y])
+        - r2r.at(r1lc[y][u]).apply(a1c[x])
+        - r2l.at(r1lc[x][u]).apply(a1c[y])))
     checks.append(scan_identity(
         "cross:leibniz:5", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: r2l.at(al2.col(u)).apply(br1.basis_product(x, y))
-        - br1.product(r2l.mats[u].col(x), al1.col(y))
-        + br1.product(r2l.mats[u].col(y), al1.col(x))
-        - r2l.at(r1r.mats[x].col(u)).apply(al1.col(y))
-        + r2l.at(r1r.mats[y].col(u)).apply(al1.col(x))))
+        lambda u, x, y: r2l.at(a2c[u]).apply(br1.basis_product(x, y))
+        - br1.product(r2lc[u][x], a1c[y])
+        + br1.product(r2lc[u][y], a1c[x])
+        - r2l.at(r1rc[x][u]).apply(a1c[y])
+        + r2l.at(r1rc[y][u]).apply(a1c[x])))
     checks.append(scan_identity(
         "cross:leibniz:6", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: r2r.at(al2.col(u)).apply(br1.basis_product(x, y))
-        - br1.product(r2r.mats[u].col(x), al1.col(y))
-        + br1.product(al1.col(x), r2l.mats[u].col(y))
-        - r2l.at(r1l.mats[x].col(u)).apply(al1.col(y))
-        + r2r.at(r1r.mats[y].col(u)).apply(al1.col(x))))
+        lambda u, x, y: r2r.at(a2c[u]).apply(br1.basis_product(x, y))
+        - br1.product(r2rc[u][x], a1c[y])
+        + br1.product(a1c[x], r2lc[u][y])
+        - r2l.at(r1lc[x][u]).apply(a1c[y])
+        + r2r.at(r1rc[y][u]).apply(a1c[x])))
     return checks
 
 
@@ -549,49 +574,52 @@ def _cross_conditions_poisson(mp: MatchedPair) -> list:
     l1l, l1r, r1l, r1r = r12.lambda_l, r12.lambda_r, r12.rho_l, r12.rho_r
     l2l, l2r, r2l, r2r = r21.lambda_l, r21.lambda_r, r21.rho_l, r21.rho_r
 
+    a1c, a2c = _cols(al1), _cols(al2)
+    l1lc, l1rc, l2lc, l2rc, r1lc, r1rc, r2lc, r2rc = map(
+        _family_cols, (l1l, l1r, l2l, l2r, r1l, r1r, r2l, r2r))
     checks = []
     checks.append(scan_identity(
         "cross:poisson:1", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: l2l.at(al2.col(u)).apply(br1.basis_product(x, y))
-        + dot1.product(r2l.mats[u].col(y), al1.col(x))
-        + l2l.at(r1r.mats[y].col(u)).apply(al1.col(x))
-        - br1.product(l2l.mats[u].col(x), al1.col(y))
-        - r2l.at(l1r.mats[x].col(u)).apply(al1.col(y))))
+        lambda u, x, y: l2l.at(a2c[u]).apply(br1.basis_product(x, y))
+        + dot1.product(r2lc[u][y], a1c[x])
+        + l2l.at(r1rc[y][u]).apply(a1c[x])
+        - br1.product(l2lc[u][x], a1c[y])
+        - r2l.at(l1rc[x][u]).apply(a1c[y])))
     checks.append(scan_identity(
         "cross:poisson:2", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: l2r.at(al2.col(u)).apply(br1.basis_product(x, y))
-        + dot1.product(al1.col(x), r2l.mats[u].col(y))
-        + l2r.at(r1r.mats[y].col(u)).apply(al1.col(x))
-        - br1.product(l2r.mats[u].col(x), al1.col(y))
-        - r2l.at(l1l.mats[x].col(u)).apply(al1.col(y))))
+        lambda u, x, y: l2r.at(a2c[u]).apply(br1.basis_product(x, y))
+        + dot1.product(a1c[x], r2lc[u][y])
+        + l2r.at(r1rc[y][u]).apply(a1c[x])
+        - br1.product(l2rc[u][x], a1c[y])
+        - r2l.at(l1lc[x][u]).apply(a1c[y])))
     checks.append(scan_identity(
         "cross:poisson:3", iproduct(range(n1), range(n2), range(n2)),
-        lambda x, u, v: l1l.at(al1.col(x)).apply(br2.basis_product(u, v))
-        + dot2.product(r1l.mats[x].col(v), al2.col(u))
-        + l1l.at(r2r.mats[v].col(x)).apply(al2.col(u))
-        - br2.product(l1l.mats[x].col(u), al2.col(v))
-        - r1l.at(l2r.mats[u].col(x)).apply(al2.col(v))))
+        lambda x, u, v: l1l.at(a1c[x]).apply(br2.basis_product(u, v))
+        + dot2.product(r1lc[x][v], a2c[u])
+        + l1l.at(r2rc[v][x]).apply(a2c[u])
+        - br2.product(l1lc[x][u], a2c[v])
+        - r1l.at(l2rc[u][x]).apply(a2c[v])))
     checks.append(scan_identity(
         "cross:poisson:4", iproduct(range(n1), range(n2), range(n2)),
-        lambda x, u, v: l1r.at(al1.col(x)).apply(br2.basis_product(u, v))
-        + dot2.product(al2.col(u), r1l.mats[x].col(v))
-        + l1r.at(r2r.mats[v].col(x)).apply(al2.col(u))
-        - br2.product(l1r.mats[x].col(u), al2.col(v))
-        - r1l.at(l2l.mats[u].col(x)).apply(al2.col(v))))
+        lambda x, u, v: l1r.at(a1c[x]).apply(br2.basis_product(u, v))
+        + dot2.product(a2c[u], r1lc[x][v])
+        + l1r.at(r2rc[v][x]).apply(a2c[u])
+        - br2.product(l1rc[x][u], a2c[v])
+        - r1l.at(l2lc[u][x]).apply(a2c[v])))
     checks.append(scan_identity(
         "cross:poisson:5", iproduct(range(n2), range(n1), range(n1)),
-        lambda u, x, y: r2r.at(al2.col(u)).apply(dot1.basis_product(x, y))
-        - dot1.product(al1.col(x), r2r.mats[u].col(y))
-        - l2r.at(r1l.mats[y].col(u)).apply(al1.col(x))
-        - dot1.product(r2r.mats[u].col(x), al1.col(y))
-        - l2l.at(r1l.mats[x].col(u)).apply(al1.col(y))))
+        lambda u, x, y: r2r.at(a2c[u]).apply(dot1.basis_product(x, y))
+        - dot1.product(a1c[x], r2rc[u][y])
+        - l2r.at(r1lc[y][u]).apply(a1c[x])
+        - dot1.product(r2rc[u][x], a1c[y])
+        - l2l.at(r1lc[x][u]).apply(a1c[y])))
     checks.append(scan_identity(
         "cross:poisson:6", iproduct(range(n1), range(n2), range(n2)),
-        lambda x, u, v: r1r.at(al1.col(x)).apply(dot2.basis_product(u, v))
-        - dot2.product(al2.col(u), r1r.mats[x].col(v))
-        - l1r.at(r2l.mats[v].col(x)).apply(al2.col(u))
-        - dot2.product(r1r.mats[x].col(u), al2.col(v))
-        - l1l.at(r2l.mats[u].col(x)).apply(al2.col(v))))
+        lambda x, u, v: r1r.at(a1c[x]).apply(dot2.basis_product(u, v))
+        - dot2.product(a2c[u], r1rc[x][v])
+        - l1r.at(r2lc[v][x]).apply(a2c[u])
+        - dot2.product(r1rc[x][u], a2c[v])
+        - l1l.at(r2lc[u][x]).apply(a2c[v])))
     return checks
 
 
@@ -767,16 +795,16 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     equations: list[Polynomial] = []
 
     # Linear part: (T phi - alpha T)[a][j] = 0.
-    phi, alpha = rep.phi, alg.alpha
+    phi, alpha = rep.phi.entries, alg.alpha.entries
     for a in range(n):
         for j in range(m):
             p = Polynomial()
             for q in range(m):
-                if phi[q, j] != 0:
-                    p = p + tv(a, q).scale(phi[q, j])
+                if phi[q][j] != 0:
+                    p = p + tv(a, q).scale(phi[q][j])
             for b in range(n):
-                if alpha[a, b] != 0:
-                    p = p - tv(b, j).scale(alpha[a, b])
+                if alpha[a][b] != 0:
+                    p = p - tv(b, j).scale(alpha[a][b])
             equations.append(p)
 
     # Quadratic part, per table: for carrier pair (i, j) and output
@@ -784,17 +812,18 @@ def generate_constraints(alg: HomAlgebra, rep: Representation) -> PolySystem:
     #   sum_{a,b} C[a][b][k] T[a][i] T[b][j]
     #     - sum_q T[k][q] * (sum_a L_a[q][j] T[a][i] + sum_b R_b[q][i] T[b][j]) = 0.
     def add_table(tensor: StructureTensor, left: ActionTensor, right: ActionTensor):
+        lefts, rights = ([mat.entries for mat in f.mats] for f in (left, right))
         for i in range(m):
             for j in range(m):
                 inner = []
                 for q in range(m):
                     p = Polynomial()
                     for a in range(n):
-                        c = left.mats[a][q, j]
+                        c = lefts[a][q][j]
                         if c != 0:
                             p = p + tv(a, i).scale(c)
                     for b in range(n):
-                        c = right.mats[b][q, i]
+                        c = rights[b][q][i]
                         if c != 0:
                             p = p + tv(b, j).scale(c)
                     inner.append(p)
@@ -1531,8 +1560,8 @@ def tensor_hash(a: StructureTensor) -> int:
 
 
 def transpose(m: Matrix) -> Matrix:
-    return Matrix(zip(*m.entries), m.cols, m.rows) if m.entries \
-        else Matrix.zero(m.cols, m.rows)
+    entries = m.entries
+    return Matrix(zip(*entries), m.cols, m.rows) if entries else Matrix.zero(m.cols, m.rows)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -1553,9 +1582,10 @@ def yau_twist(alg: HomAlgebra, beta: Matrix, checked: bool = True) -> HomAlgebra
     if checked:
         require(check_morphism(beta, alg, alg), "twisting map is not a self-morphism")
 
+    bc = _cols(beta)
+
     def twisted(t: StructureTensor) -> StructureTensor:
-        return StructureTensor.from_function(
-            alg.dim, lambda i, j: t.product(beta.col(i), beta.col(j)))
+        return StructureTensor.from_function(alg.dim, lambda i, j: t.product(bc[i], bc[j]))
 
     return HomAlgebra(alg.dim, alg.kind, matmul(beta, alg.alpha),
                       **{name: twisted(t) for name, t in alg.tensors().items()})
@@ -1582,13 +1612,13 @@ def pullback_representation(f: Matrix, src: HomAlgebra, dst: HomAlgebra,
                             checked: bool = True) -> Representation:
     if checked:
         require(check_morphism(f, src, dst), "pullback needs a morphism")
-    n, m = src.dim, dst.dim
+    n, m, fc = src.dim, dst.dim, _cols(f)
 
     def family(name: str, left: bool) -> ActionTensor:
         t = getattr(dst, name)
         mats = []
         for i in range(n):
-            fx = f.col(i)
+            fx = fc[i]
             cols = [t.product(fx, Vector.unit(m, j)) if left
                     else t.product(Vector.unit(m, j), fx) for j in range(m)]
             mats.append(Matrix.from_cols(cols))
@@ -1607,11 +1637,11 @@ def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
     rep, t = ctx.rep, ctx.t
     m = rep.carrier_dim
 
+    tc = _cols(t)
+
     def build(left: ActionTensor, right: ActionTensor) -> StructureTensor:
-        lefts = [left.at(t.col(i)) for i in range(m)]
-        rights = [right.at(t.col(j)) for j in range(m)]
-        return StructureTensor.from_function(
-            m, lambda i, j: lefts[i].col(j) + rights[j].col(i))
+        lefts, rights = ([_cols(f.at(c)) for c in tc] for f in (left, right))
+        return StructureTensor.from_function(m, lambda i, j: lefts[i][j] + rights[j][i])
 
     return HomAlgebra(m, ctx.alg.kind, rep.phi,
                       **{name: build(*rep.action_pair(name)) for name in ctx.alg.tensors()})
@@ -1620,19 +1650,19 @@ def induced_algebra(ctx: OperatorContext, checked: bool = True) -> HomAlgebra:
 def induced_representation(ctx: OperatorContext, checked: bool = True) -> Representation:
     _gate(ctx, checked, "induced representation")
     alg, rep, t = ctx.alg, ctx.rep, ctx.t
-    n, m = alg.dim, rep.carrier_dim
+    n, m, tc = alg.dim, rep.carrier_dim, _cols(t)
 
     def family(name: str, left: bool) -> ActionTensor:
         tensor = getattr(alg, name)
-        opposite = rep.action_pair(name)[1 if left else 0]
+        opposite = _family_cols(rep.action_pair(name)[1 if left else 0])
         mats = []
         for u in range(m):
-            tu = t.col(u)
+            tu = tc[u]
             cols = []
             for j in range(n):
                 ej = Vector.unit(n, j)
                 direct = tensor.product(tu, ej) if left else tensor.product(ej, tu)
-                cols.append(direct - t.apply(opposite.mats[j].col(u)))
+                cols.append(direct - t.apply(opposite[j][u]))
             mats.append(Matrix.from_cols(cols))
         return ActionTensor(m, n, mats)
 
@@ -1650,7 +1680,7 @@ def projection_context(alg: HomAlgebra, rep: Representation,
     n, m = alg.dim, rep.carrier_dim
 
     def family(name: str, left: bool) -> ActionTensor:
-        tensor, inner = getattr(alg, name), rep.action_pair(name)[0 if left else 1]
+        tensor, inner = getattr(alg, name), rep.action_pair(name)[0 if left else 1].mats
         regular = left == (name == "dot")
         mats = []
         for a in range(n):
@@ -1660,7 +1690,7 @@ def projection_context(alg: HomAlgebra, rep: Representation,
                                           for j in range(n)])
             else:
                 block = Matrix.zero(n, n)
-            mats.append(Matrix.block_diag(block, inner.mats[a]))
+            mats.append(Matrix.block_diag(block, inner[a]))
         return ActionTensor(n, n + m, mats)
 
     big = Representation(alg.kind, n, n + m, Matrix.block_diag(alg.alpha, rep.phi),
@@ -1673,9 +1703,11 @@ def nijenhuis_deform(alg: HomAlgebra, n: Matrix, checked: bool = True) -> HomAlg
     if checked:
         require(check_nijenhuis(alg, n), "deformation needs a Nijenhuis operator")
 
+    nc = _cols(n)
+
     def deform(t: StructureTensor) -> StructureTensor:
         def fn(i, j):
-            ni, nj = n.col(i), n.col(j)
+            ni, nj = nc[i], nc[j]
             ei, ej = Vector.unit(alg.dim, i), Vector.unit(alg.dim, j)
             return (t.product(ni, ej) + t.product(ei, nj)
                     - n.apply(t.basis_product(i, j)))

@@ -60,7 +60,8 @@ def test_eval_product_shape_error():
 
 def test_basis_product_refuses_a_pair_outside_the_dimension():
     """A basis pair outside ``0..dim-1`` is a ``ShapeError``, as in
-    ``from_products``; an unlisted pair inside it is a zero product."""
+    ``from_products``, and so is a coefficient index outside it (``-1``
+    read the last entry); an unlisted pair inside it is a zero product."""
     t = StructureTensor.from_products(2, {})
     for i, j in ((7, 7), (2, 0), (0, -1)):
         with pytest.raises(ShapeError, match=r"product index \(.*\) out of range for dim 2"):
@@ -68,6 +69,11 @@ def test_basis_product_refuses_a_pair_outside_the_dimension():
         with pytest.raises(ShapeError):
             t.coefficient(i, j, 0)
     assert t.basis_product(1, 1) == Vector.zero(2) and t.coefficient(1, 0, 1) == 0
+    u = StructureTensor(2, {(0, 1): [1, 7]})
+    for k in (-1, 2, 5):
+        with pytest.raises(ShapeError, match=rf"basis index {k} out of range for dim 2"):
+            u.coefficient(0, 1, k)
+    assert u.coefficient(0, 1, 0) == 1 and u.coefficient(0, 1, 1) == 7
     assert two_dim_leibniz().bracket.basis_product(0, 1) == Vector([1, 0])
 
 

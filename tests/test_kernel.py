@@ -300,19 +300,15 @@ def test_matched_pairs():
 
 
 def same_phi_tables(index: SparseIndex, rep: Representation) -> int:
-    """Every ``phi_columns`` and ``times_phi`` table of the index of ``rep``'s
-    families equals the dense reference's, each vector compared as its
-    entries (the order of the columns within an entry is not fixed); returns
-    the number of nonzero columns compared."""
-    m, count = rep.carrier_dim, 0
+    """Every ``phi_columns`` table of the index of ``rep``'s families equals
+    the dense reference's, each vector compared as its entries (the order of
+    the columns within an entry is not fixed); returns the number of nonzero
+    columns compared."""
+    count = 0
     for name, family in rep.actions().items():
         want = oracle.phi_columns(index, family, rep.phi)
         assert {(a, c): dict(v) for a, cols in index.phi_columns[name].items()
                 for c, v in cols if v} == want
-        flat: dict = {}
-        for (a, c), col in want.items():
-            flat.setdefault(a, {}).update((c * m + k, x) for k, x in col.items())
-        assert {a: dict(v) for a, v in index.times_phi[name].items() if v} == flat
         count += len(want)
     return count
 

@@ -240,7 +240,7 @@ def test_check_representation_costs_follow_its_nonzero_terms(monkeypatch):
                 for name in ("lambda_l", "lambda_r", "rho_l", "rho_r")}
     rep = Representation(POISSON, dim, carrier, Matrix.identity(carrier), **families)
     bound = 16 * _nonzero(alg.alpha, alg.dot, alg.bracket, rep.phi, *families.values())
-    handed = _handed(monkeypatch, representation, "scan_operator_identity", bound)
+    handed = _handed(monkeypatch, representation, "scan_identity", bound)
     report = representation.check_representation(rep, alg)
     assert set(handed) == {c.identity for c in report} and len(handed) == 14
     monkeypatch.undo()
@@ -339,7 +339,7 @@ def test_failing_checks_stop_after_the_witness_slice(monkeypatch):
         return sum_slice(*args)
     monkeypatch.setattr(kernel, "sum_slice", counted)
     for module, attr, check in ((algebra, "scan_identity", lambda: algebra.check_algebra(alg)),
-                                (representation, "scan_operator_identity",
+                                (representation, "scan_identity",
                                  lambda: representation.check_representation(rep, alg))):
         sums.clear()
         report = check()
